@@ -31,7 +31,6 @@ from .errors import (
     SchemaMismatchError,
     ShapeError,
     TrainingDivergenceError,
-    UndefinedTaskWeightError,
 )
 from .model import (
     load_model,
@@ -494,8 +493,7 @@ def main(argv=None) -> int:
     except (DataValidationError, SchemaMismatchError) as exc:
         print(f"journeyrank: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, ShapeError, ContractError,
-            UndefinedTaskWeightError) as exc:
+    except (ConfigError, ShapeError, ContractError) as exc:
         print(f"journeyrank: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except JourneyRankError as exc:

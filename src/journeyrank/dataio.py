@@ -1,28 +1,43 @@
-"""Dataset persistence and array packing.
+"""Dataset persistence and the journey record.
 
 The on-disk format is line-delimited JSON: a schema header record followed
-by one journey per line. Feature values are emitted exactly as stored, so a
-load/save round trip is byte-identical for datasets produced by this
-package (the simulator rounds features at generation time for compactness).
+by one journey record per line::
+
+    {"guest_id": "g000001",
+     "searches": [{"search_id": "g000001-s0", "t_days": 12.5,
+                   "context": [41.2, 0.0, ...],
+                   "impressions": [{"listing_id": "L0042", "position": 1,
+                                    "features": [0.31, ...],
+                                    "labels": {"c": true, "lc": true}},
+                                   ...]},
+                  ...]}
+
+``labels`` lists the milestones that hold on the impression; absent or
+false flags are unset. The same record is how a dataset is built by hand:
+:func:`dataset_from_records` turns records into the columns of
+:class:`~journeyrank.domain.Dataset`, one journey at a time, and
+:func:`dataset_to_records` yields them back. Feature values are emitted
+exactly as stored, so a load/save round trip is byte-identical for
+datasets produced by this package (the simulator rounds features at
+generation time for compactness).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .domain import (
     ALL_MILESTONES,
+    LABELS,
     Dataset,
     DatasetSchema,
-    ImpressionRecord,
-    JourneyRecord,
-    LabelVector,
-    SearchRecord,
+    PackedSearches,
+    select_impressions,
 )
 from .errors import DataValidationError, SchemaMismatchError
 
@@ -34,56 +49,105 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def journey_to_record(journey: JourneyRecord) -> dict:
-    return {
-        "guest_id": journey.guest_id,
-        "searches": [
-            {
-                "search_id": s.search_id,
-                "t_days": float(s.t_days),
-                "context": [float(v) for v in s.context],
-                "impressions": [
-                    {
-                        "listing_id": imp.listing_id,
-                        "position": int(imp.position),
-                        "features": [float(v) for v in imp.features],
-                        "labels": {m: True for m in imp.labels.true_milestones()},
-                    }
-                    for imp in s.impressions
-                ],
-            }
-            for s in journey.searches
-        ],
-    }
-
-
-def journey_from_record(rec: dict) -> JourneyRecord:
-    try:
+def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
+    """One journey record per journey, in dataset order."""
+    s = dataset.searches
+    label_rows = np.column_stack([s.labels[m] for m in LABELS])
+    for j, guest_id in enumerate(dataset.guest_ids.tolist()):
+        lo, hi = dataset.journey_starts[j], dataset.journey_starts[j + 1]
         searches = []
-        for s in rec["searches"]:
-            imps = []
-            for i in s["impressions"]:
-                labels = i.get("labels", {})
-                unknown = set(labels) - set(ALL_MILESTONES)
-                if unknown:
+        for k in range(lo, hi):
+            a, b = s.search_starts[k], s.search_starts[k + 1]
+            impressions = [
+                {"listing_id": lid, "position": pos, "features": feats,
+                 "labels": {m: True for m, on in zip(LABELS, flags) if on}}
+                for lid, pos, feats, flags in zip(
+                    s.listing_ids[a:b].tolist(), s.positions[a:b].tolist(),
+                    s.listing_features[a:b].tolist(),
+                    label_rows[a:b].tolist())
+            ]
+            searches.append({
+                "search_id": str(s.search_ids[k]),
+                "t_days": float(s.t_days[k]),
+                "context": s.context_features[k].tolist(),
+                "impressions": impressions,
+            })
+        yield {"guest_id": guest_id, "searches": searches}
+
+
+def dataset_from_records(schema: DatasetSchema,
+                         records: Iterable[dict]) -> Dataset:
+    """Build a dataset from journey records.
+
+    Each record's features, context and labels are turned into arrays
+    before the next record is read, so a stream of records never holds
+    more than one journey's feature values as Python floats. A record
+    whose widths differ from the schema, that lacks a field, holds a value
+    of the wrong type, or names an unknown milestone raises
+    :class:`DataValidationError`.
+    """
+    guest_ids, searches_per_journey = [], []
+    search_ids, t_days, contexts, imps_per_search = [], [], [], []
+    listing_ids, positions, features, label_rows = [], [], [], []
+    for rec in records:
+        try:
+            guest_id = str(rec["guest_id"])
+            j_contexts, j_features, j_labels = [], [], []
+            for s in rec["searches"]:
+                search_id = str(s["search_id"])
+                where = f"guest={guest_id} search={search_id}"
+                if len(s["context"]) != schema.context_dim:
                     raise DataValidationError(
-                        f"unknown milestone labels {sorted(unknown)}")
-                imps.append(ImpressionRecord(
-                    listing_id=str(i["listing_id"]),
-                    position=int(i["position"]),
-                    features=np.asarray(i["features"], dtype=np.float64),
-                    labels=LabelVector.from_milestones(
-                        m for m, v in labels.items() if v),
-                ))
-            searches.append(SearchRecord(
-                search_id=str(s["search_id"]),
-                t_days=float(s["t_days"]),
-                context=np.asarray(s["context"], dtype=np.float64),
-                impressions=tuple(imps),
-            ))
-        return JourneyRecord(guest_id=str(rec["guest_id"]), searches=tuple(searches))
-    except KeyError as exc:
-        raise DataValidationError(f"journey record missing field {exc}") from None
+                        f"{where}: context width {len(s['context'])}, "
+                        f"schema says {schema.context_dim}")
+                search_ids.append(search_id)
+                t_days.append(float(s["t_days"]))
+                j_contexts.append(s["context"])
+                imps_per_search.append(len(s["impressions"]))
+                for i in s["impressions"]:
+                    if len(i["features"]) != schema.listing_dim:
+                        raise DataValidationError(
+                            f"{where} listing={i['listing_id']}: feature "
+                            f"width {len(i['features'])}, schema says "
+                            f"{schema.listing_dim}")
+                    on = {m for m, v in i.get("labels", {}).items() if v}
+                    unknown = on - set(ALL_MILESTONES)
+                    if unknown:
+                        raise DataValidationError(
+                            f"{where}: unknown milestone labels "
+                            f"{sorted(unknown)}")
+                    listing_ids.append(str(i["listing_id"]))
+                    positions.append(int(i["position"]))
+                    j_features.append(i["features"])
+                    j_labels.append([m in on for m in LABELS])
+            contexts.append(np.array(j_contexts, dtype=np.float64
+                                     ).reshape(-1, schema.context_dim))
+            features.append(np.array(j_features, dtype=np.float64
+                                     ).reshape(-1, schema.listing_dim))
+        except KeyError as exc:
+            raise DataValidationError(
+                f"journey record missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataValidationError(
+                f"malformed journey record: {exc}") from None
+        guest_ids.append(guest_id)
+        searches_per_journey.append(len(rec["searches"]))
+        label_rows.append(np.array(j_labels, dtype=bool).reshape(-1, len(LABELS)))
+    label_matrix = (np.concatenate(label_rows) if label_rows
+                    else np.zeros((0, len(LABELS)), dtype=bool))
+    return Dataset.from_columns(
+        schema,
+        guest_ids=guest_ids,
+        searches_per_journey=searches_per_journey,
+        search_ids=search_ids,
+        t_days=t_days,
+        context_features=np.concatenate(contexts) if contexts else [],
+        imps_per_search=imps_per_search,
+        listing_ids=listing_ids,
+        positions=positions,
+        listing_features=np.concatenate(features) if features else [],
+        labels={m: label_matrix[:, k] for k, m in enumerate(LABELS)},
+    )
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -91,8 +155,18 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(_canonical(dataset.schema.to_record()) + "\n")
-        for journey in dataset.journeys:
-            f.write(_canonical(journey_to_record(journey)) + "\n")
+        for record in dataset_to_records(dataset):
+            f.write(_canonical(record) + "\n")
+
+
+def _read_records(f, path: Path) -> Iterator[dict]:
+    for line_no, line in enumerate(f, start=2):
+        if not line.strip():
+            continue
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataValidationError(f"{path}:{line_no}: bad JSON: {exc}") from None
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -118,16 +192,7 @@ def load_dataset(path: str | Path) -> Dataset:
             window_days=float(schema_rec["window_days"]),
             milestones=tuple(schema_rec["milestones"]),
         )
-        journeys = []
-        for line_no, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataValidationError(f"{path}:{line_no}: bad JSON: {exc}") from None
-            journeys.append(journey_from_record(rec))
-    return Dataset(schema, tuple(journeys))
+        return dataset_from_records(schema, _read_records(f, path))
 
 
 def file_sha256(path: str | Path) -> str:
@@ -152,94 +217,13 @@ def split_by_guest(dataset: Dataset, eval_percent: int = 20) -> tuple[Dataset, D
     """Deterministic guest-level split; no journey straddles the boundary."""
     if not 0 < eval_percent < 100:
         raise DataValidationError("eval_percent must be in (0, 100)")
-    train, evaluation = [], []
-    for journey in dataset.journeys:
-        if guest_bucket(journey.guest_id) < eval_percent:
-            evaluation.append(journey)
-        else:
-            train.append(journey)
-    return (Dataset(dataset.schema, tuple(train)),
-            Dataset(dataset.schema, tuple(evaluation)))
-
-
-# ---------------------------------------------------------------------------
-# packed arrays for the model
-
-
-@dataclass(frozen=True)
-class PackedSearches:
-    """Column-oriented view of a list of searches.
-
-    Impressions are stored contiguously by search, so per-search reductions
-    can use segment operations with ids 0..n_searches-1.
-    """
-
-    listing_features: np.ndarray      # [n_impressions, listing_dim]
-    context_features: np.ndarray      # [n_searches, context_dim]
-    search_of_imp: np.ndarray         # [n_impressions] int64
-    search_starts: np.ndarray         # [n_searches + 1] int64 prefix offsets
-    labels: dict[str, np.ndarray]     # milestone -> bool [n_impressions]
-    listing_ids: list[str]
-    positions: np.ndarray             # [n_impressions] int64
-    search_ids: list[str]
-    t_days: np.ndarray                # [n_searches]
-
-    @property
-    def n_searches(self) -> int:
-        return len(self.search_ids)
-
-    @property
-    def n_impressions(self) -> int:
-        return len(self.listing_ids)
-
-    def imp_rows_for_searches(self, search_idx: np.ndarray) -> np.ndarray:
-        """Impression row indices of the given searches, in search order."""
-        starts = self.search_starts[search_idx]
-        lengths = self.search_starts[search_idx + 1] - starts
-        total = int(lengths.sum())
-        offsets = np.repeat(starts, lengths)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths)
-        return offsets + within
-
-
-def pack_searches(searches) -> PackedSearches:
-    """Flatten SearchRecord objects into contiguous arrays."""
-    listing_rows = []
-    context_rows = []
-    seg = []
-    starts = [0]
-    labels = {m: [] for m in ALL_MILESTONES if m != "imp"}
-    listing_ids = []
-    positions = []
-    search_ids = []
-    t_days = []
-    for s_idx, search in enumerate(searches):
-        context_rows.append(np.asarray(search.context, dtype=np.float64))
-        search_ids.append(search.search_id)
-        t_days.append(search.t_days)
-        for imp in search.impressions:
-            listing_rows.append(np.asarray(imp.features, dtype=np.float64))
-            seg.append(s_idx)
-            listing_ids.append(imp.listing_id)
-            positions.append(imp.position)
-            for m in labels:
-                labels[m].append(imp.labels.get(m))
-        starts.append(len(listing_ids))
-    return PackedSearches(
-        listing_features=(np.vstack(listing_rows) if listing_rows
-                          else np.zeros((0, 0))),
-        context_features=(np.vstack(context_rows) if context_rows
-                          else np.zeros((0, 0))),
-        search_of_imp=np.asarray(seg, dtype=np.int64),
-        search_starts=np.asarray(starts, dtype=np.int64),
-        labels={m: np.asarray(v, dtype=bool) for m, v in labels.items()},
-        listing_ids=listing_ids,
-        positions=np.asarray(positions, dtype=np.int64),
-        search_ids=search_ids,
-        t_days=np.asarray(t_days, dtype=np.float64),
-    )
+    in_eval = np.array([guest_bucket(g) < eval_percent
+                        for g in dataset.guest_ids.tolist()], dtype=bool)
+    in_eval = in_eval[dataset.journey_of_impression()]
+    return (select_impressions(dataset, ~in_eval),
+            select_impressions(dataset, in_eval))
 
 
 def pack_dataset(dataset: Dataset) -> PackedSearches:
-    return pack_searches(s for _, s in dataset.iter_searches())
+    """The dataset's search columns, which the model reads directly."""
+    return dataset.searches

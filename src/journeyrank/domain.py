@@ -1,4 +1,5 @@
-"""Milestone taxonomy, journey records, label attribution, and dataset rules.
+"""Milestone taxonomy, the columnar dataset, label attribution, and dataset
+rules.
 
 A guest journey is a time-ordered list of searches; each search shows a
 ranked list of listings (impressions). Outcomes are milestones: the nested
@@ -7,174 +8,69 @@ uncancelled booking, plus three negative outcomes (host rejection, host
 cancellation, guest cancellation). Raw journeys record each milestone only
 on the impression where the action happened; :func:`attribute_labels`
 propagates them into the multi-label training view.
+
+A :class:`Dataset` keeps every journey in flat columns, described on
+:class:`PackedSearches` and :class:`Dataset`: one row per impression, one
+per search, and each journey a run of consecutive searches. Attribution,
+filtering, validation and the task statistics below are array and segment
+operations over those columns. The per-journey record that datasets are
+written in and built from lives in :mod:`journeyrank.dataio`.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, UndefinedTaskWeightError
 
-
-class Milestone(str, enum.Enum):
-    """The ten per-impression outcome flags (imp is always set)."""
-
-    IMP = "imp"
-    CLICK = "c"
-    LONG_CLICK = "lc"
-    PAYMENT_PAGE = "pp"
-    REQUEST = "req"
-    BOOKING = "book"
-    UNCANCELLED = "unc"
-    REJECTION = "rej"
-    CANCEL_BY_HOST = "cbh"
-    CANCEL_BY_GUEST = "cbg"
-
-    @property
-    def is_negative(self) -> bool:
-        return self.value in NEGATIVE_MILESTONES
-
-    @property
-    def is_positive_chain(self) -> bool:
-        return self.value in POSITIVE_CHAIN
-
-
 # funnel order: each later milestone implies all earlier ones
 POSITIVE_CHAIN: tuple[str, ...] = ("c", "lc", "pp", "req", "book", "unc")
 NEGATIVE_MILESTONES: tuple[str, ...] = ("rej", "cbh", "cbg")
-ALL_MILESTONES: tuple[str, ...] = ("imp",) + POSITIVE_CHAIN + NEGATIVE_MILESTONES
+# the flags stored per impression; "imp" holds on every impression
+LABELS: tuple[str, ...] = POSITIVE_CHAIN + NEGATIVE_MILESTONES
+ALL_MILESTONES: tuple[str, ...] = ("imp",) + LABELS
 
 # eligibility parent for each negative outcome: rejections happen to
 # requests, cancellations happen to bookings
 NEGATIVE_PARENT: dict[str, str] = {"rej": "req", "cbh": "book", "cbg": "book"}
 
 
-def _as_milestone_value(task) -> str:
-    value = task.value if isinstance(task, Milestone) else str(task)
-    if value not in ALL_MILESTONES:
-        raise ConfigError(f"unknown milestone {task!r}")
-    return value
+def label_violations(labels: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One mask per label rule, set on the impressions that break it."""
+    chain = [labels[m] for m in POSITIVE_CHAIN]
+    funnel = np.zeros(len(chain[0]), dtype=bool)
+    for earlier, later in zip(chain, chain[1:]):
+        funnel |= later & ~earlier
+    negative = labels["rej"] | labels["cbh"] | labels["cbg"]
+    return {
+        "funnel consistency": funnel,
+        "rej implies req": labels["rej"] & ~labels["req"],
+        "rej excludes book": labels["rej"] & labels["book"],
+        "cbh implies book": labels["cbh"] & ~labels["book"],
+        "cbg implies book": labels["cbg"] & ~labels["book"],
+        "unc excludes cancellations": labels["unc"] & negative,
+    }
 
 
-@dataclass(frozen=True, slots=True)
-class LabelVector:
-    """Boolean outcome flags for one impression. ``imp`` is always true."""
+def relevance_grades(labels: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Per-impression preference grade for the pairwise blending loss.
 
-    c: bool = False
-    lc: bool = False
-    pp: bool = False
-    req: bool = False
-    book: bool = False
-    unc: bool = False
-    rej: bool = False
-    cbh: bool = False
-    cbg: bool = False
-
-    @property
-    def imp(self) -> bool:
-        return True
-
-    def get(self, milestone) -> bool:
-        value = _as_milestone_value(milestone)
-        if value == "imp":
-            return True
-        return getattr(self, value)
-
-    def violations(self) -> list[str]:
-        """Names of violated label implications; empty means consistent."""
-        out = []
-        flags = [getattr(self, m) for m in POSITIVE_CHAIN]
-        if any(flags[k] and not flags[k - 1] for k in range(1, len(flags))):
-            out.append("funnel consistency")
-        if self.rej and not self.req:
-            out.append("rej implies req")
-        if self.rej and self.book:
-            out.append("rej excludes book")
-        if self.cbh and not self.book:
-            out.append("cbh implies book")
-        if self.cbg and not self.book:
-            out.append("cbg implies book")
-        if self.unc and (self.rej or self.cbh or self.cbg):
-            out.append("unc excludes cancellations")
-        return out
-
-    def grade(self) -> int:
-        """Graded relevance: 3 uncancelled booking, 2 clicked, 1 plain
-        impression, 0 any negative outcome."""
-        if self.unc:
-            return 3
-        if self.rej or self.cbh or self.cbg:
-            return 0
-        if self.c:
-            return 2
-        return 1
-
-    def true_milestones(self) -> tuple[str, ...]:
-        return tuple(m for m in POSITIVE_CHAIN + NEGATIVE_MILESTONES
-                     if getattr(self, m))
-
-    @classmethod
-    def from_milestones(cls, milestones) -> "LabelVector":
-        values = {_as_milestone_value(m) for m in milestones}
-        values.discard("imp")
-        return cls(**{m: True for m in values})
-
-
-def relevance_grade(labels: LabelVector) -> int:
-    return labels.grade()
-
-
-@dataclass(frozen=True, slots=True)
-class ImpressionRecord:
-    """One listing shown at one rank in one search."""
-
-    listing_id: str
-    position: int
-    features: np.ndarray
-    labels: LabelVector
-
-    def with_labels(self, labels: LabelVector) -> "ImpressionRecord":
-        return ImpressionRecord(self.listing_id, self.position, self.features, labels)
-
-
-@dataclass(frozen=True, slots=True)
-class SearchRecord:
-    """One ranked result page with its query/guest context."""
-
-    search_id: str
-    t_days: float
-    context: np.ndarray
-    impressions: tuple[ImpressionRecord, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class JourneyRecord:
-    """All searches of one guest within the journey window, time-ordered."""
-
-    guest_id: str
-    searches: tuple[SearchRecord, ...]
-
-    @property
-    def outcome(self) -> str:
-        """Terminal classification: uncancelled booking beats a cancelled or
-        rejected attempt, which beats pure abandonment."""
-        any_neg = False
-        for search in self.searches:
-            for imp in search.impressions:
-                if imp.labels.unc:
-                    return "unc"
-                if imp.labels.rej or imp.labels.cbh or imp.labels.cbg:
-                    any_neg = True
-        return "cancelled_or_rejected" if any_neg else "abandoned"
-
-    def n_impressions(self) -> int:
-        return sum(len(s.impressions) for s in self.searches)
+    Uncancelled bookings (3) beat clean clicks (2) beat plain impressions
+    (1) beat impressions that ended in any negative outcome (0). The
+    uncancelled flag wins even on labels that break the rules.
+    """
+    grades = np.ones(len(labels["c"]), dtype=np.int64)
+    grades[labels["c"]] = 2
+    grades[labels["rej"] | labels["cbh"] | labels["cbg"]] = 0
+    grades[labels["unc"]] = 3
+    return grades
 
 
 REQUIRED_CONTEXT_FEATURES = ("days_ahead_of_checkin", "num_previous_searches")
@@ -225,34 +121,180 @@ class DatasetSchema:
         return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class Dataset:
-    schema: DatasetSchema
-    journeys: tuple[JourneyRecord, ...]
+def _offsets(counts) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
-    @property
-    def n_journeys(self) -> int:
-        return len(self.journeys)
+
+@dataclass(frozen=True)
+class PackedSearches:
+    """Column-oriented searches.
+
+    Impressions are stored contiguously by search, so per-search reductions
+    can use segment operations with ids 0..n_searches-1.
+    """
+
+    listing_features: np.ndarray      # [n_impressions, listing_dim] float64
+    context_features: np.ndarray      # [n_searches, context_dim] float64
+    search_of_imp: np.ndarray         # [n_impressions] int64
+    search_starts: np.ndarray         # [n_searches + 1] int64 prefix offsets
+    labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
+    listing_ids: np.ndarray           # [n_impressions] str
+    positions: np.ndarray             # [n_impressions] int64
+    search_ids: np.ndarray            # [n_searches] str
+    t_days: np.ndarray                # [n_searches] float64
 
     @property
     def n_searches(self) -> int:
-        return sum(len(j.searches) for j in self.journeys)
+        return len(self.search_ids)
 
     @property
     def n_impressions(self) -> int:
-        return sum(j.n_impressions() for j in self.journeys)
+        return len(self.listing_ids)
 
-    def iter_searches(self):
-        for journey in self.journeys:
-            for search in journey.searches:
-                yield journey, search
+    def imp_rows_for_searches(self, search_idx: np.ndarray) -> np.ndarray:
+        """Impression row indices of the given searches, in search order."""
+        starts = self.search_starts[search_idx]
+        lengths = self.search_starts[search_idx + 1] - starts
+        total = int(lengths.sum())
+        offsets = np.repeat(starts, lengths)
+        within = np.arange(total) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths)
+        return offsets + within
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Labelled journeys as one set of search columns.
+
+    ``searches`` holds the searches of every journey, journey by journey
+    and in time order within each. Journey ``j`` belongs to guest
+    ``guest_ids[j]`` and owns searches
+    ``journey_starts[j]:journey_starts[j + 1]``; search ``k`` owns
+    impression rows ``searches.search_starts[k]:searches.search_starts[k + 1]``.
+    """
+
+    schema: DatasetSchema
+    guest_ids: np.ndarray             # [n_journeys] str
+    journey_starts: np.ndarray        # [n_journeys + 1] int64 search offsets
+    searches: PackedSearches
+
+    @classmethod
+    def from_columns(cls, schema: DatasetSchema, *, guest_ids,
+                     searches_per_journey, search_ids, t_days,
+                     context_features, imps_per_search, listing_ids,
+                     positions, listing_features,
+                     labels: Mapping[str, np.ndarray]) -> "Dataset":
+        """Assemble a dataset from per-journey, per-search and
+        per-impression columns plus the row counts that group them."""
+        imps_per_search = np.asarray(imps_per_search, dtype=np.int64)
+        searches = PackedSearches(
+            listing_features=np.asarray(listing_features, dtype=np.float64
+                                        ).reshape(-1, schema.listing_dim),
+            context_features=np.asarray(context_features, dtype=np.float64
+                                        ).reshape(-1, schema.context_dim),
+            search_of_imp=np.repeat(np.arange(len(imps_per_search)),
+                                    imps_per_search),
+            search_starts=_offsets(imps_per_search),
+            labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
+            listing_ids=np.asarray(listing_ids, dtype=str),
+            positions=np.asarray(positions, dtype=np.int64),
+            search_ids=np.asarray(search_ids, dtype=str),
+            t_days=np.asarray(t_days, dtype=np.float64),
+        )
+        return cls(schema, np.asarray(guest_ids, dtype=str),
+                   _offsets(searches_per_journey), searches)
+
+    @property
+    def n_journeys(self) -> int:
+        return len(self.guest_ids)
+
+    @property
+    def n_searches(self) -> int:
+        return self.searches.n_searches
+
+    @property
+    def n_impressions(self) -> int:
+        return self.searches.n_impressions
+
+    def journey_of_search(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_journeys),
+                         np.diff(self.journey_starts))
+
+    def journey_of_impression(self) -> np.ndarray:
+        return self.journey_of_search()[self.searches.search_of_imp]
+
+
+def select_impressions(dataset: Dataset, keep: np.ndarray,
+                       min_impressions: int = 1) -> Dataset:
+    """The impression rows marked in ``keep``, in their original order.
+
+    Searches left with fewer than ``min_impressions`` rows are dropped, and
+    so are journeys left without a search.
+    """
+    s = dataset.searches
+    counts = np.bincount(s.search_of_imp[keep], minlength=s.n_searches)
+    keep_search = counts >= min_impressions
+    keep = keep & keep_search[s.search_of_imp]
+    per_journey = np.bincount(dataset.journey_of_search()[keep_search],
+                              minlength=dataset.n_journeys)
+    keep_journey = per_journey > 0
+    return Dataset.from_columns(
+        dataset.schema,
+        guest_ids=dataset.guest_ids[keep_journey],
+        searches_per_journey=per_journey[keep_journey],
+        search_ids=s.search_ids[keep_search],
+        t_days=s.t_days[keep_search],
+        context_features=s.context_features[keep_search],
+        imps_per_search=counts[keep_search],
+        listing_ids=s.listing_ids[keep],
+        positions=s.positions[keep],
+        listing_features=s.listing_features[keep],
+        labels={m: v[keep] for m, v in s.labels.items()},
+    )
+
+
+def _segment_any(mask: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """Per segment: is ``mask`` set on any of its rows?"""
+    return np.bincount(seg[mask], minlength=n) > 0
+
+
+def _journey_listing_groups(dataset: Dataset) -> tuple[np.ndarray, int]:
+    """A group id per impression, shared by the impressions of one listing
+    within one journey; returns (ids, number of groups)."""
+    _, codes = np.unique(dataset.searches.listing_ids, return_inverse=True)
+    key = dataset.journey_of_impression() * (int(codes.max(initial=0)) + 1)
+    _, groups = np.unique(key + codes, return_inverse=True)
+    return groups, int(groups.max(initial=-1)) + 1
+
+
+def _last_search_with(dataset: Dataset, groups: np.ndarray, n_groups: int,
+                      flag: np.ndarray) -> np.ndarray:
+    """Per group, the last search index where ``flag`` is set (-1: none)."""
+    last = np.full(n_groups, -1, dtype=np.int64)
+    np.maximum.at(last, groups[flag], dataset.searches.search_of_imp[flag])
+    return last
+
+
+def _where_journey(dataset: Dataset, j: int) -> str:
+    return f"guest={dataset.guest_ids[j]}"
+
+
+def _where_search(dataset: Dataset, k: int) -> str:
+    j = int(np.searchsorted(dataset.journey_starts, k, side="right")) - 1
+    return f"{_where_journey(dataset, j)} search={dataset.searches.search_ids[k]}"
+
+
+def _where_impression(dataset: Dataset, i: int) -> str:
+    s = dataset.searches
+    return (f"{_where_search(dataset, int(s.search_of_imp[i]))} "
+            f"listing={s.listing_ids[i]}")
 
 
 # ---------------------------------------------------------------------------
 # label attribution
 
 
-def attribute_labels(journey: JourneyRecord) -> JourneyRecord:
+def attribute_labels(dataset: Dataset) -> Dataset:
     """Propagate raw milestone events into the multi-label training view.
 
     Raw journeys carry each milestone only on the impression where the
@@ -262,42 +304,24 @@ def attribute_labels(journey: JourneyRecord) -> JourneyRecord:
     listing anywhere in the journey. Idempotent: attributed journeys pass
     through unchanged.
     """
-    for s_idx, search in enumerate(journey.searches):
-        for imp in search.impressions:
-            bad = imp.labels.violations()
-            if bad:
-                raise DataValidationError(
-                    f"guest={journey.guest_id} search={search.search_id} "
-                    f"listing={imp.listing_id}: inconsistent raw labels "
-                    f"({'; '.join(bad)})")
+    s = dataset.searches
+    violations = label_violations(s.labels)
+    broken = np.flatnonzero(np.logical_or.reduce(list(violations.values())))
+    if broken.size:
+        row = int(broken[0])
+        kinds = "; ".join(k for k, mask in violations.items() if mask[row])
+        raise DataValidationError(
+            f"{_where_impression(dataset, row)}: inconsistent raw labels "
+            f"({kinds})")
 
-    # last search index where each (listing, positive milestone) occurred,
-    # and whether each (listing, negative milestone) occurred at all
-    last_positive: dict[tuple[str, str], int] = {}
-    has_negative: dict[tuple[str, str], bool] = {}
-    for s_idx, search in enumerate(journey.searches):
-        for imp in search.impressions:
-            for m in POSITIVE_CHAIN:
-                if getattr(imp.labels, m):
-                    last_positive[(imp.listing_id, m)] = s_idx
-            for m in NEGATIVE_MILESTONES:
-                if getattr(imp.labels, m):
-                    has_negative[(imp.listing_id, m)] = True
-
-    new_searches = []
-    for s_idx, search in enumerate(journey.searches):
-        new_imps = []
-        for imp in search.impressions:
-            flags = {}
-            for m in POSITIVE_CHAIN:
-                occurred_at = last_positive.get((imp.listing_id, m))
-                flags[m] = occurred_at is not None and s_idx <= occurred_at
-            for m in NEGATIVE_MILESTONES:
-                flags[m] = has_negative.get((imp.listing_id, m), False)
-            new_imps.append(imp.with_labels(LabelVector(**flags)))
-        new_searches.append(SearchRecord(search.search_id, search.t_days,
-                                         search.context, tuple(new_imps)))
-    return JourneyRecord(journey.guest_id, tuple(new_searches))
+    groups, n_groups = _journey_listing_groups(dataset)
+    labels = {}
+    for m in POSITIVE_CHAIN:
+        last = _last_search_with(dataset, groups, n_groups, s.labels[m])
+        labels[m] = s.search_of_imp <= last[groups]
+    for m in NEGATIVE_MILESTONES:
+        labels[m] = _segment_any(s.labels[m], groups, n_groups)[groups]
+    return replace(dataset, searches=replace(s, labels=labels))
 
 
 # ---------------------------------------------------------------------------
@@ -330,45 +354,24 @@ def filter_training_searches(dataset: Dataset) -> FilterResult:
     contradict the journey's outcome), and searches left with fewer than two
     impressions are removed.
     """
-    kept_journeys = []
-    n_searches_after = 0
-    for journey in dataset.journeys:
-        if not any(imp.labels.pp
-                   for search in journey.searches
-                   for imp in search.impressions):
-            continue
-        last_book: dict[str, int] = {}
-        for s_idx, search in enumerate(journey.searches):
-            for imp in search.impressions:
-                if imp.labels.book:
-                    last_book[imp.listing_id] = s_idx
-        new_searches = []
-        for s_idx, search in enumerate(journey.searches):
-            kept = tuple(
-                imp for imp in search.impressions
-                if not (imp.listing_id in last_book
-                        and not imp.labels.book
-                        and s_idx > last_book[imp.listing_id]))
-            if len(kept) < 2:
-                continue
-            if len(kept) == len(search.impressions):
-                new_searches.append(search)
-            else:
-                new_searches.append(SearchRecord(search.search_id, search.t_days,
-                                                 search.context, kept))
-        if new_searches:
-            kept_journeys.append(JourneyRecord(journey.guest_id, tuple(new_searches)))
-            n_searches_after += len(new_searches)
-
+    s = dataset.searches
+    journey = dataset.journey_of_impression()
+    reached_pp = _segment_any(s.labels["pp"], journey, dataset.n_journeys)
+    groups, n_groups = _journey_listing_groups(dataset)
+    book = s.labels["book"]
+    last_book = _last_search_with(dataset, groups, n_groups, book)[groups]
+    stale = (last_book >= 0) & ~book & (s.search_of_imp > last_book)
+    kept = select_impressions(dataset, reached_pp[journey] & ~stale,
+                              min_impressions=2)
     warning = None
-    if not kept_journeys:
+    if kept.n_journeys == 0:
         warning = "no payment-page views found; the filtered training set is empty"
     return FilterResult(
-        dataset=Dataset(dataset.schema, tuple(kept_journeys)),
+        dataset=kept,
         n_journeys_before=dataset.n_journeys,
-        n_journeys_after=len(kept_journeys),
+        n_journeys_after=kept.n_journeys,
         n_searches_before=dataset.n_searches,
-        n_searches_after=n_searches_after,
+        n_searches_after=kept.n_searches,
         warning=warning,
     )
 
@@ -393,10 +396,16 @@ class ValidationReport:
     def accepted(self) -> bool:
         return not self.violations
 
-    def add(self, kind: str, where: str) -> None:
-        self.violations[kind] += 1
-        if len(self.examples) < self.MAX_EXAMPLES:
-            self.examples.append(f"{where}: {kind}")
+    def check(self, kind: str, mask: np.ndarray,
+              where: Callable[[int], str]) -> None:
+        """Count the rows set in ``mask`` as violations of ``kind``;
+        ``where(i)`` names row ``i`` in the examples."""
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            return
+        self.violations[kind] += int(rows.size)
+        for i in rows[:self.MAX_EXAMPLES - len(self.examples)]:
+            self.examples.append(f"{where(int(i))}: {kind}")
 
     def to_record(self) -> dict:
         return {
@@ -409,46 +418,65 @@ class ValidationReport:
         }
 
 
-def validate_dataset(dataset: Dataset) -> ValidationReport:
-    """Check every label, shape, and structural invariant; never raises."""
-    report = ValidationReport()
-    schema = dataset.schema
-    for journey in dataset.journeys:
-        report.n_journeys += 1
-        where_j = f"guest={journey.guest_id}"
-        times = [s.t_days for s in journey.searches]
-        if any(b < a for a, b in zip(times, times[1:])):
-            report.add("searches out of order", where_j)
-        if times and (max(times) - min(times)) > schema.window_days + 1e-9:
-            report.add("journey window", where_j)
+def _has_duplicates(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """Per segment: do two of its rows hold the same value?"""
+    order = np.lexsort((values, seg))
+    v, g = values[order], seg[order]
+    repeated = (v[1:] == v[:-1]) & (g[1:] == g[:-1])
+    return np.bincount(g[1:][repeated], minlength=n) > 0
 
-        unc_listings = set()
-        for search in journey.searches:
-            report.n_searches += 1
-            where_s = f"{where_j} search={search.search_id}"
-            if len(search.context) != schema.context_dim:
-                report.add("context width", where_s)
-            if len(search.impressions) < 2:
-                report.add("too few impressions", where_s)
-            positions = [imp.position for imp in search.impressions]
-            if len(set(positions)) != len(positions):
-                report.add("duplicate position", where_s)
-            if any(p < 1 for p in positions):
-                report.add("position not 1-based", where_s)
-            listing_ids = [imp.listing_id for imp in search.impressions]
-            if len(set(listing_ids)) != len(listing_ids):
-                report.add("duplicate listing", where_s)
-            for imp in search.impressions:
-                report.n_impressions += 1
-                where_i = f"{where_s} listing={imp.listing_id}"
-                if len(imp.features) != schema.listing_dim:
-                    report.add("listing width", where_i)
-                for kind in imp.labels.violations():
-                    report.add(kind, where_i)
-                if imp.labels.unc:
-                    unc_listings.add(imp.listing_id)
-        if len(unc_listings) > 1:
-            report.add("multiple unc listings", where_j)
+
+def validate_dataset(dataset: Dataset) -> ValidationReport:
+    """Check every label, structural and numeric invariant; never raises.
+
+    Feature widths need no check here: the columns have the schema's
+    widths, and :func:`journeyrank.dataio.load_dataset` refuses records
+    of any other width.
+    """
+    s = dataset.searches
+    n_j, n_s = dataset.n_journeys, s.n_searches
+    report = ValidationReport(n_journeys=n_j, n_searches=n_s,
+                              n_impressions=s.n_impressions)
+    at_journey = partial(_where_journey, dataset)
+    at_search = partial(_where_search, dataset)
+    at_impression = partial(_where_impression, dataset)
+
+    journey = dataset.journey_of_search()
+    backwards = (journey[1:] == journey[:-1]) & (s.t_days[1:] < s.t_days[:-1])
+    report.check("searches out of order",
+                 _segment_any(backwards, journey[1:], n_j), at_journey)
+    first = np.full(n_j, np.inf)
+    last = np.full(n_j, -np.inf)
+    np.minimum.at(first, journey, s.t_days)
+    np.maximum.at(last, journey, s.t_days)
+    report.check("journey window",
+                 last - first > dataset.schema.window_days + 1e-9, at_journey)
+
+    seg = s.search_of_imp
+    _, listing_codes = np.unique(s.listing_ids, return_inverse=True)
+    report.check("non-finite context",
+                 ~np.isfinite(s.context_features).all(axis=1), at_search)
+    report.check("too few impressions", np.diff(s.search_starts) < 2,
+                 at_search)
+    report.check("duplicate position",
+                 _has_duplicates(s.positions, seg, n_s), at_search)
+    report.check("position not 1-based",
+                 _segment_any(s.positions < 1, seg, n_s), at_search)
+    report.check("duplicate listing",
+                 _has_duplicates(listing_codes, seg, n_s), at_search)
+
+    report.check("non-finite listing features",
+                 ~np.isfinite(s.listing_features).all(axis=1), at_impression)
+    for kind, mask in label_violations(s.labels).items():
+        report.check(kind, mask, at_impression)
+
+    groups, n_groups = _journey_listing_groups(dataset)
+    unc_groups = np.unique(groups[s.labels["unc"]])
+    journey_of_group = np.zeros(n_groups, dtype=np.int64)
+    journey_of_group[groups] = journey[seg]
+    report.check("multiple unc listings",
+                 np.bincount(journey_of_group[unc_groups], minlength=n_j) > 1,
+                 at_journey)
     return report
 
 
@@ -457,36 +485,25 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
 
 
 def milestone_counts(dataset: Dataset) -> dict[str, int]:
-    counts = {m: 0 for m in ALL_MILESTONES}
-    for _, search in dataset.iter_searches():
-        for imp in search.impressions:
-            counts["imp"] += 1
-            for m in imp.labels.true_milestones():
-                counts[m] += 1
+    counts = {"imp": dataset.n_impressions}
+    for m in LABELS:
+        counts[m] = int(np.count_nonzero(dataset.searches.labels[m]))
     return counts
 
 
-def empirical_task_weight(dataset: Dataset, task) -> float:
+def empirical_task_weight(dataset: Dataset, task: str) -> float:
     """Fraction of task-positive impressions that end in an uncancelled
     booking. Equals 1.0 for the final task by construction."""
-    value = _as_milestone_value(task)
-    if value not in POSITIVE_CHAIN:
+    if task not in POSITIVE_CHAIN:
         raise ConfigError(f"task weight is defined for positive-chain "
-                          f"milestones, not {value!r}")
-    n_task = 0
-    n_unc = 0
-    for _, search in dataset.iter_searches():
-        for imp in search.impressions:
-            if imp.labels.get(value):
-                n_task += 1
-                if imp.labels.unc:
-                    n_unc += 1
+                          f"milestones, not {task!r}")
+    labels = dataset.searches.labels
+    n_task = int(np.count_nonzero(labels[task]))
     if n_task == 0:
         raise UndefinedTaskWeightError(
-            f"no impression carries the {value!r} label; weight undefined")
-    return n_unc / n_task
+            f"no impression carries the {task!r} label; weight undefined")
+    return int(np.count_nonzero(labels[task] & labels["unc"])) / n_task
 
 
 def task_weights(dataset: Dataset, tasks) -> dict[str, float]:
-    return {_as_milestone_value(t): empirical_task_weight(dataset, t)
-            for t in tasks}
+    return {t: empirical_task_weight(dataset, t) for t in tasks}

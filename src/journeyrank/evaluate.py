@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .dataio import pack_dataset, split_by_guest
+from .dataio import split_by_guest
 from .domain import (
     Dataset,
     POSITIVE_CHAIN,
@@ -113,18 +113,19 @@ def t_interval_half_width(values: np.ndarray) -> float:
 def _ranked_ids_per_search(dataset: Dataset,
                            scorer: Scorer) -> list[tuple[list[str], dict]]:
     """Rank every search with the scorer; returns (ranked ids, labels)."""
+    s = dataset.searches
     results = []
-    for _, search in dataset.iter_searches():
-        ids = [imp.listing_id for imp in search.impressions]
-        rows = np.stack([imp.features for imp in search.impressions])
-        scores = np.asarray(scorer(search.context, ids, rows),
+    for k in range(s.n_searches):
+        lo, hi = s.search_starts[k], s.search_starts[k + 1]
+        ids = s.listing_ids[lo:hi].tolist()
+        scores = np.asarray(scorer(s.context_features[k], ids,
+                                   s.listing_features[lo:hi]),
                             dtype=np.float64)
         if scores.shape != (len(ids),):
             raise ContractError("scorer must return one score per candidate")
         order = np.lexsort((np.asarray(ids), -scores))
-        ranked = [ids[int(k)] for k in order]
-        labels = {task: {imp.listing_id for imp in search.impressions
-                         if imp.labels.get(task)}
+        ranked = [ids[int(i)] for i in order]
+        labels = {task: {ids[i] for i in np.flatnonzero(s.labels[task][lo:hi])}
                   for task in POSITIVE_CHAIN}
         results.append((ranked, labels))
     return results
@@ -372,11 +373,9 @@ class AblationCell:
 
 def _searches_with_positives(dataset: Dataset,
                              tasks: tuple[str, ...]) -> int:
-    count = 0
-    for _, search in dataset.iter_searches():
-        if any(imp.labels.get(t) for t in tasks for imp in search.impressions):
-            count += 1
-    return count
+    s = dataset.searches
+    positive = np.logical_or.reduce([s.labels[t] for t in tasks])
+    return int(np.unique(s.search_of_imp[positive]).size)
 
 
 def base_only_config(dataset: Dataset, tasks: tuple[str, ...], *,
@@ -509,8 +508,7 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
     if n_buckets < 1:
         raise ConfigError("n_buckets must be positive")
     col = dataset.schema.context_index(feature)
-    packed = pack_dataset(dataset)
-    contexts = packed.context_features
+    contexts = dataset.searches.context_features
     if len(contexts) == 0:
         raise ContractError("dataset has no searches to bucket")
     values = contexts[:, col]

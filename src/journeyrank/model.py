@@ -26,13 +26,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataio import PackedSearches, pack_dataset
+# pack_dataset is not called here; the benchmark's tracer wraps it under
+# this name (perfbench/layers.py).
+from .dataio import pack_dataset  # noqa: F401
 from .domain import (
     Dataset,
     DatasetSchema,
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
+    PackedSearches,
+    relevance_grades,
     task_weights,
 )
 from .errors import (
@@ -503,21 +507,6 @@ def forward(config: ModelConfig, params: ParameterStore,
 # batches
 
 
-def relevance_grades(labels: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Per-impression preference grade for the pairwise blending loss.
-
-    Uncancelled bookings (3) beat clean clicks (2) beat plain impressions
-    (1) beat impressions that ended in any negative outcome (0).
-    """
-    n = len(labels["c"])
-    grades = np.ones(n, dtype=np.int64)
-    grades[labels["c"]] = 2
-    grades[labels["unc"]] = 3
-    negative = labels["rej"] | labels["cbh"] | labels["cbg"]
-    grades[negative] = 0
-    return grades
-
-
 def preference_pairs(grades: np.ndarray, seg: np.ndarray,
                      n_segments: int) -> tuple[np.ndarray, np.ndarray]:
     """All within-search index pairs (i, j) with grade[i] > grade[j]."""
@@ -715,7 +704,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
         raise ConfigError("epochs must be non-negative")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    packed = pack_dataset(dataset)
+    packed = dataset.searches
     if packed.n_searches == 0:
         raise ContractError("training dataset has no searches")
     norm = NormalizationStats.fit(packed.listing_features,
@@ -844,10 +833,17 @@ def load_model(directory: str | Path) -> TrainedModel:
         if key not in manifest:
             raise SchemaMismatchError(
                 f"{directory}: model manifest missing {key}")
-    return TrainedModel(
-        config=model_config_from_record(manifest["model_config"]),
-        params=params,
-        normalization=NormalizationStats.from_record(
-            manifest["normalization"]),
-        schema_hash=manifest["schema_hash"],
-    )
+    config = model_config_from_record(manifest["model_config"])
+    norm = NormalizationStats.from_record(manifest["normalization"])
+    for name, width, vectors in (
+            ("listing", config.listing_tower.input_dim,
+             (norm.listing_mean, norm.listing_scale)),
+            ("context", config.context_tower.input_dim,
+             (norm.context_mean, norm.context_scale))):
+        if any(v.shape != (width,) for v in vectors):
+            raise SchemaMismatchError(
+                f"{directory}: {name} normalization widths "
+                f"{[v.shape for v in vectors]} do not match the "
+                f"{name} tower input width {width}")
+    return TrainedModel(config=config, params=params, normalization=norm,
+                        schema_hash=manifest["schema_hash"])

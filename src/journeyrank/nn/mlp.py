@@ -7,11 +7,11 @@ accounting trivial: everything is a (name, array) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, ShapeError
+from ..errors import ConfigError, ShapeError
 from . import tensor as T
 
 _ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
@@ -90,13 +90,6 @@ class ParameterStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def clear_grads(self) -> None:
-        for t in self._params.values():
-            t.clear_grad()
-
-    def subset(self, prefix: str) -> list[str]:
-        return [n for n in self._params if n.startswith(prefix)]
-
 
 def init_mlp_params(store: ParameterStore, prefix: str, spec: MlpSpec,
                     rng: np.random.Generator | None = None) -> None:
@@ -136,23 +129,3 @@ def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
         if i < n_layers - 1:
             h = act(h)
     return h
-
-
-@dataclass
-class GradReport:
-    """Summary of which parameters received nonzero gradient in a step."""
-
-    touched: list[str] = field(default_factory=list)
-    silent: list[str] = field(default_factory=list)
-
-
-def grad_report(store: ParameterStore) -> GradReport:
-    report = GradReport()
-    for name, t in store.items():
-        if t.grad is None:
-            raise ContractError(f"parameter {name!r} has no gradient buffer")
-        if np.any(t.grad != 0.0):
-            report.touched.append(name)
-        else:
-            report.silent.append(name)
-    return report

@@ -59,9 +59,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
 
-    def clear_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -134,10 +131,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-
-def active_tape() -> Tape | None:
-    return _ACTIVE_TAPE
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...],
@@ -336,8 +329,12 @@ def tanh(x: Tensor) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp for large |x|.
+def logistic(x) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) of a float64 array.
+
+    The two-branch form never overflows in exp for large |x|.
+    """
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -347,7 +344,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.values)
+    s = logistic(x.values)
     out = Tensor._wrap(s)
 
     def backward_fn(g):
@@ -363,7 +360,7 @@ def log_sigmoid(x: Tensor) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g * _sigmoid(-x.values))
+            x._accumulate(g * logistic(-x.values))
 
     return _record(out, (x,), backward_fn)
 
@@ -374,7 +371,7 @@ def softplus(x: Tensor) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g * _sigmoid(x.values))
+            x._accumulate(g * logistic(x.values))
 
     return _record(out, (x,), backward_fn)
 

@@ -37,19 +37,17 @@ import json
 import numpy as np
 
 from .domain import (
+    LABELS,
     Dataset,
     DatasetSchema,
-    ImpressionRecord,
-    JourneyRecord,
-    LabelVector,
     NEGATIVE_MILESTONES,
     POSITIVE_CHAIN,
-    SearchRecord,
     attribute_labels,
     filter_training_searches,
     milestone_counts,
 )
 from .errors import ConfigError, SchemaMismatchError
+from .nn import logistic
 
 # context layout: the first two features are semantic, the rest are
 # per-journey guest taste draws
@@ -144,16 +142,6 @@ class GeneratorConfig:
         )
 
 
-def _sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 @dataclass(frozen=True)
 class WorldTruth:
     """Ground truth the generator sampled from; the oracle for evaluation."""
@@ -239,10 +227,10 @@ class WorldTruth:
         return out
 
     def stage_probabilities(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        return _sigmoid(self.stage_logits(context, rows))
+        return logistic(self.stage_logits(context, rows))
 
     def negative_probabilities(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        return _sigmoid(self.negative_logits(context, rows))
+        return logistic(self.negative_logits(context, rows))
 
     def true_unc_probability(self, context, rows: np.ndarray | None = None) -> np.ndarray:
         """Joint conversion probability: product of all stage conditionals."""
@@ -432,8 +420,9 @@ def benchmark_generator_config(n_guests: int = 8500, seed: int = 505,
 # generation
 
 
-def _sample_journey(rng: np.random.Generator, guest_idx: int,
-                    world: WorldTruth) -> JourneyRecord:
+def _sample_journey(rng: np.random.Generator, world: WorldTruth) -> list[tuple]:
+    """One guest's searches before attribution, each as (context, t_days,
+    listing rows, raw flags [rows, len(LABELS)])."""
     cfg = world.config
     n_taste = cfg.context_feature_dim - 2
     taste = np.round(rng.normal(size=n_taste), 6)
@@ -497,32 +486,15 @@ def _sample_journey(rng: np.random.Generator, guest_idx: int,
         rejectable = flags["req"] & ~flags["book"]
         rej = rejectable & (rng.random(n) < p_neg[:, NEGATIVE_MILESTONES.index("rej")])
 
-        imps = []
-        for pos in range(n):
-            labels = LabelVector(
-                c=bool(flags["c"][pos]), lc=bool(flags["lc"][pos]),
-                pp=bool(flags["pp"][pos]), req=bool(flags["req"][pos]),
-                book=bool(flags["book"][pos]), unc=bool(flags["unc"][pos]),
-                rej=bool(rej[pos]), cbh=bool(cbh[pos]), cbg=bool(cbg[pos]),
-            )
-            imps.append(ImpressionRecord(
-                listing_id=world.listing_ids[rows[pos]],
-                position=pos + 1,
-                features=world.listing_features[rows[pos]],
-                labels=labels,
-            ))
-        searches.append(SearchRecord(
-            search_id=f"g{guest_idx:06d}-s{s_idx}",
-            t_days=round(start_day + elapsed, 6),
-            context=context,
-            impressions=tuple(imps),
-        ))
+        flags.update(rej=rej, cbh=cbh, cbg=cbg)
+        searches.append((context, round(start_day + elapsed, 6), rows,
+                         np.column_stack([flags[m] for m in LABELS])))
 
         terminal.update(int(r) for r in rows[rej | cbh | cbg | booked])
         if booked.any():
             break
 
-    return JourneyRecord(guest_id=f"g{guest_idx:06d}", searches=tuple(searches))
+    return searches
 
 
 def build_world(config: GeneratorConfig) -> WorldTruth:
@@ -546,14 +518,40 @@ def generate(config: GeneratorConfig,
     lo, hi = guest_range if guest_range is not None else (0, config.n_guests)
     if not 0 <= lo <= hi <= config.n_guests:
         raise ConfigError(f"guest range [{lo}, {hi}) outside [0, {config.n_guests})")
-    journeys = []
+    guest_ids, searches_per_journey, search_ids = [], [], []
+    t_days, contexts, rows, flags = [], [], [], []
     for guest_idx in range(lo, hi):
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(guest_idx,)))
-        journey = _sample_journey(rng, guest_idx, world)
-        if journey.searches:
-            journeys.append(attribute_labels(journey))
-    return Dataset(config.schema(), tuple(journeys)), world
+        searches = _sample_journey(rng, world)
+        if not searches:
+            continue
+        guest_ids.append(f"g{guest_idx:06d}")
+        searches_per_journey.append(len(searches))
+        for s_idx, (context, t, search_rows, search_flags) in enumerate(searches):
+            search_ids.append(f"g{guest_idx:06d}-s{s_idx}")
+            t_days.append(t)
+            contexts.append(context)
+            rows.append(search_rows)
+            flags.append(search_flags)
+    n = config.listings_per_search
+    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    flags = (np.concatenate(flags) if flags
+             else np.zeros((0, len(LABELS)), dtype=bool))
+    raw = Dataset.from_columns(
+        config.schema(),
+        guest_ids=guest_ids,
+        searches_per_journey=searches_per_journey,
+        search_ids=search_ids,
+        t_days=t_days,
+        context_features=contexts,
+        imps_per_search=[n] * len(search_ids),
+        listing_ids=np.asarray(world.listing_ids)[rows],
+        positions=np.tile(np.arange(1, n + 1), len(search_ids)),
+        listing_features=world.listing_features[rows],
+        labels={m: flags[:, k] for k, m in enumerate(LABELS)},
+    )
+    return attribute_labels(raw), world
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +581,9 @@ class FunnelReport:
 
 def summarize(dataset: Dataset) -> FunnelReport:
     counts = milestone_counts(dataset)
-    hist: dict[int, int] = {}
-    for journey in dataset.journeys:
-        hist[len(journey.searches)] = hist.get(len(journey.searches), 0) + 1
+    lengths, n_journeys = np.unique(np.diff(dataset.journey_starts),
+                                    return_counts=True)
+    hist = {int(k): int(v) for k, v in zip(lengths, n_journeys)}
     filtered = filter_training_searches(dataset)
     return FunnelReport(
         milestone_counts=counts,

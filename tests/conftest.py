@@ -69,29 +69,25 @@ def numpy_sigmoid(x: np.ndarray) -> np.ndarray:
 def tiny_manual_dataset(constant_prev: float = 2.0):
     """Three hand-built single-search journeys with a constant context
     column, small enough to reason about by eye."""
+    from journeyrank.dataio import dataset_from_records
     from journeyrank.domain import (
-        Dataset,
         DatasetSchema,
-        ImpressionRecord,
-        JourneyRecord,
-        LabelVector,
+        POSITIVE_CHAIN,
         REQUIRED_CONTEXT_FEATURES,
-        SearchRecord,
     )
     schema = DatasetSchema(listing_dim=2, context_dim=2,
                            context_features=REQUIRED_CONTEXT_FEATURES)
-    full = LabelVector.from_milestones(("c", "lc", "pp", "req", "book", "unc"))
-    journeys = []
+    full = {m: True for m in POSITIVE_CHAIN}
+    records = []
     for g, days in enumerate([30.0, 90.0, 150.0]):
-        imps = (
-            ImpressionRecord(listing_id=f"L{g}a", position=1,
-                             features=np.array([0.2 * g, 1.0]), labels=full),
-            ImpressionRecord(listing_id=f"L{g}b", position=2,
-                             features=np.array([-0.1 * g, 0.5]),
-                             labels=LabelVector()),
-        )
-        search = SearchRecord(search_id=f"G{g}-S0", t_days=0.0,
-                              context=np.array([days, constant_prev]),
-                              impressions=imps)
-        journeys.append(JourneyRecord(guest_id=f"G{g}", searches=(search,)))
-    return Dataset(schema=schema, journeys=tuple(journeys))
+        impressions = [
+            {"listing_id": f"L{g}a", "position": 1,
+             "features": [0.2 * g, 1.0], "labels": full},
+            {"listing_id": f"L{g}b", "position": 2,
+             "features": [-0.1 * g, 0.5], "labels": {}},
+        ]
+        records.append({"guest_id": f"G{g}", "searches": [
+            {"search_id": f"G{g}-S0", "t_days": 0.0,
+             "context": [days, constant_prev], "impressions": impressions},
+        ]})
+    return dataset_from_records(schema, records)

@@ -17,13 +17,12 @@ import pytest
 from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev
 from journeyrank.cli import main
-from journeyrank.dataio import file_sha256, load_dataset, save_dataset
-from journeyrank.domain import (
-    Dataset,
-    ImpressionRecord,
-    JourneyRecord,
-    LabelVector,
-    SearchRecord,
+from journeyrank.dataio import (
+    dataset_from_records,
+    dataset_to_records,
+    file_sha256,
+    load_dataset,
+    save_dataset,
 )
 from journeyrank.model import (
     baseline_model_config,
@@ -213,6 +212,25 @@ class TestTrain:
                      "--out", str(tmp_path / "nofilter"),
                      "--epochs", "0", "--no-filter"]) == 0
 
+    def test_no_filter_without_bookings_is_data_error(self, ws, tmp_path,
+                                                     capsys):
+        # without a single booking the task weights are undefined
+        dataset = load_dataset(ws / "data" / "dataset.jsonl")
+        records = list(dataset_to_records(dataset))
+        for rec in records:
+            for search in rec["searches"]:
+                for imp in search["impressions"]:
+                    imp["labels"] = {m: True for m in ("c", "lc", "pp")
+                                     if m in imp["labels"]}
+        path = tmp_path / "no_bookings.jsonl"
+        save_dataset(dataset_from_records(dataset.schema, records), path)
+        assert main(["validate", "--dataset", str(path)]) == 0
+        rc = main(["train", "--model-config", str(ws / "model.json"),
+                   "--dataset", str(path), "--out", str(tmp_path / "x"),
+                   "--epochs", "1", "--no-filter"])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+
 
 class TestEval:
     def test_matches_in_process_evaluation(self, ws, tmp_path):
@@ -244,6 +262,21 @@ class TestEval:
                          "--out", str(out)]) == 0
             hashes.append(hash_outputs(out))
         assert hashes[0] == hashes[1]
+
+    def test_truncated_normalization_exits_two(self, ws, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        for name in ("params.json", "params.bin"):
+            (model_dir / name).write_bytes(
+                (ws / "run" / "model" / name).read_bytes())
+        manifest = json.loads((model_dir / "params.json").read_text())
+        manifest["normalization"]["listing_mean"].pop()
+        (model_dir / "params.json").write_text(json.dumps(manifest))
+        rc = main(["eval", "--model", str(model_dir),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "normalization" in capsys.readouterr().err
 
     def test_schema_mismatch_exits_two(self, ws, tmp_path):
         foreign = tmp_path / "foreign.jsonl"
@@ -343,23 +376,46 @@ class TestNtc:
 class TestValidate:
     def test_rejects_corrupt_dataset(self, tmp_path, capsys):
         base = tiny_manual_dataset()
-        journey = base.journeys[0]
-        search = journey.searches[0]
-        twisted = SearchRecord(
-            search_id=search.search_id, t_days=search.t_days,
-            context=search.context,
-            impressions=(search.impressions[0],
-                         ImpressionRecord(listing_id="L0c", position=1,
-                                          features=np.array([0.0, 0.0]),
-                                          labels=LabelVector())))
-        broken = Dataset(schema=base.schema, journeys=(
-            JourneyRecord(guest_id=journey.guest_id, searches=(twisted,)),
-            *base.journeys[1:]))
+        records = list(dataset_to_records(base))
+        records[0]["searches"][0]["impressions"][1] = {
+            "listing_id": "L0c", "position": 1, "features": [0.0, 0.0],
+            "labels": {}}
         path = tmp_path / "broken.jsonl"
-        save_dataset(broken, path)
+        save_dataset(dataset_from_records(base.schema, records), path)
         rc = main(["validate", "--dataset", str(path)])
         assert rc == 2
         assert "duplicate position" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field,kind", [
+        ("features", "non-finite listing features"),
+        ("context", "non-finite context"),
+    ])
+    def test_non_finite_values_exit_two(self, ws, tmp_path, capsys, field,
+                                        kind):
+        dataset = load_dataset(ws / "data" / "dataset.jsonl")
+        records = list(dataset_to_records(dataset))
+        search = records[-1]["searches"][0]
+        target = search if field == "context" else search["impressions"][0]
+        target[field][1] = float("nan")
+        path = tmp_path / "nan.jsonl"
+        save_dataset(dataset_from_records(dataset.schema, records), path)
+        assert main(["validate", "--dataset", str(path)]) == 2
+        assert kind in capsys.readouterr().out
+        rc = main(["train", "--model-config", str(ws / "model.json"),
+                   "--dataset", str(path), "--out", str(tmp_path / "x"),
+                   "--epochs", "1", "--no-filter"])
+        assert rc == 2
+
+    def test_width_mismatch_exits_two(self, ws, tmp_path, capsys):
+        lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["searches"][0]["context"].append(0.0)
+        lines[1] = json.dumps(record)
+        path = tmp_path / "wide.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--dataset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"guest={record['guest_id']} search=" in err
 
     def test_json_payload_reports_acceptance(self, ws, capsys):
         rc = main(["validate", "--json",

@@ -1,24 +1,27 @@
-"""Label taxonomy, attribution, filtering, validation, and task weights."""
+"""Label taxonomy, attribution, filtering, validation, and task weights.
+
+Datasets are built by hand from journey records, the same form the JSONL
+file holds. The record-level loops below (attribution and filtering) are
+the independent references the columnar operations are checked against.
+"""
 
 import numpy as np
 import pytest
 
+from journeyrank.dataio import dataset_from_records, dataset_to_records
 from journeyrank.domain import (
     ALL_MILESTONES,
+    LABELS,
     NEGATIVE_MILESTONES,
+    NEGATIVE_PARENT,
     POSITIVE_CHAIN,
-    Dataset,
     DatasetSchema,
-    ImpressionRecord,
-    JourneyRecord,
-    LabelVector,
-    Milestone,
-    SearchRecord,
     attribute_labels,
     empirical_task_weight,
     filter_training_searches,
+    label_violations,
     milestone_counts,
-    relevance_grade,
+    relevance_grades,
     validate_dataset,
 )
 from journeyrank.errors import ConfigError, DataValidationError, UndefinedTaskWeightError
@@ -31,88 +34,116 @@ SCHEMA = DatasetSchema(
 )
 
 
-def make_impression(listing_id, position, labels=None, dim=3):
-    return ImpressionRecord(
-        listing_id=listing_id,
-        position=position,
-        features=np.zeros(dim),
-        labels=labels or LabelVector(),
-    )
+def make_impression(listing_id, position, labels=(), features=(0.0, 0.0, 0.0)):
+    return {"listing_id": listing_id, "position": position,
+            "features": list(features), "labels": {m: True for m in labels}}
 
 
-def make_search(search_id, t_days, impressions):
-    return SearchRecord(search_id=search_id, t_days=t_days,
-                        context=np.array([30.0, 1.0]), impressions=tuple(impressions))
+def make_search(search_id, t_days, impressions, context=(30.0, 1.0)):
+    return {"search_id": search_id, "t_days": t_days, "context": list(context),
+            "impressions": list(impressions)}
 
 
-def chain_labels(depth, **negatives):
-    """LabelVector with the first ``depth`` positive milestones set."""
-    flags = {m: True for m in POSITIVE_CHAIN[:depth]}
-    flags.update(negatives)
-    return LabelVector(**flags)
+def make_journey(guest_id, searches):
+    return {"guest_id": guest_id, "searches": list(searches)}
 
 
-def journey_label_table(journey):
+def make_dataset(*journeys):
+    return dataset_from_records(SCHEMA, journeys)
+
+
+def chain_labels(depth, *negatives):
+    """The first ``depth`` positive milestones plus the given negatives."""
+    return POSITIVE_CHAIN[:depth] + negatives
+
+
+def flags(*milestones):
+    """Label columns of a single impression carrying ``milestones``."""
+    return {m: np.array([m in milestones]) for m in LABELS}
+
+
+def violations(*milestones):
+    return [kind for kind, mask in label_violations(flags(*milestones)).items()
+            if mask[0]]
+
+
+def label_table(dataset):
     return [
-        (s.search_id, imp.listing_id, imp.labels)
-        for s in journey.searches
-        for imp in s.impressions
+        (s["search_id"], imp["listing_id"], set(imp["labels"]))
+        for rec in dataset_to_records(dataset)
+        for s in rec["searches"]
+        for imp in s["impressions"]
     ]
 
 
-class TestLabelVector:
+class TestLabelRules:
     def test_imp_always_true(self):
-        assert LabelVector().imp is True
-        assert LabelVector().get("imp") is True
+        ds = make_dataset(make_journey("g0", [make_search("s1", 0.0, [
+            make_impression("A", 1, ("imp",)), make_impression("B", 2)])]))
+        assert milestone_counts(ds)["imp"] == ds.n_impressions == 2
+        assert label_table(ds) == [("s1", "A", set()), ("s1", "B", set())]
 
     def test_funnel_violation_detected(self):
-        assert "funnel consistency" in LabelVector(lc=True).violations()
-        assert LabelVector(c=True, lc=True).violations() == []
+        assert "funnel consistency" in violations("lc")
+        assert violations("c", "lc") == []
 
     def test_negative_implications(self):
-        assert "rej implies req" in LabelVector(rej=True).violations()
-        assert "rej excludes book" in chain_labels(5, rej=True).violations()
-        assert "cbh implies book" in chain_labels(4, cbh=True).violations()
-        assert "cbg implies book" in chain_labels(2, cbg=True).violations()
+        assert "rej implies req" in violations("rej")
+        assert "rej excludes book" in violations(*chain_labels(5, "rej"))
+        assert "cbh implies book" in violations(*chain_labels(4, "cbh"))
+        assert "cbg implies book" in violations(*chain_labels(2, "cbg"))
 
     def test_unc_excludes_cancellations(self):
-        assert "unc excludes cancellations" in chain_labels(6, cbg=True).violations()
-        assert chain_labels(6).violations() == []
+        assert "unc excludes cancellations" in violations(*chain_labels(6, "cbg"))
+        assert violations(*chain_labels(6)) == []
 
     def test_full_chain_consistent(self):
         for depth in range(len(POSITIVE_CHAIN) + 1):
-            assert chain_labels(depth).violations() == []
+            assert violations(*chain_labels(depth)) == []
 
-    def test_roundtrip_from_milestones(self):
-        lv = chain_labels(4, rej=True)
-        assert LabelVector.from_milestones(lv.true_milestones()) == lv
+    def test_masks_are_per_impression(self):
+        rows = [chain_labels(2), ("lc",), chain_labels(6, "cbh"), ()]
+        labels = {m: np.array([m in row for row in rows]) for m in LABELS}
+        masks = label_violations(labels)
+        assert masks["funnel consistency"].tolist() == [False, True, False, False]
+        assert masks["unc excludes cancellations"].tolist() == [
+            False, False, True, False]
 
-    def test_milestone_enum_flags(self):
-        assert Milestone.REJECTION.is_negative
-        assert not Milestone.BOOKING.is_negative
-        assert Milestone.CLICK.is_positive_chain
-        assert not Milestone.IMP.is_positive_chain
-        assert [m.value for m in Milestone] == list(ALL_MILESTONES)
+    def test_roundtrip_through_records(self):
+        labels = chain_labels(4, "rej")
+        ds = make_dataset(make_journey("g0", [make_search("s1", 0.0, [
+            make_impression("A", 1, labels), make_impression("B", 2)])]))
+        assert label_table(ds)[0] == ("s1", "A", set(labels))
+
+    def test_milestone_order(self):
+        assert ALL_MILESTONES == ("imp",) + POSITIVE_CHAIN + NEGATIVE_MILESTONES
+        assert LABELS == ALL_MILESTONES[1:]
+        assert set(NEGATIVE_PARENT) == set(NEGATIVE_MILESTONES)
+        assert set(NEGATIVE_PARENT.values()) <= set(POSITIVE_CHAIN)
+
+
+def grade(*milestones):
+    return int(relevance_grades(flags(*milestones))[0])
 
 
 class TestRelevanceGrade:
     def test_grade_ladder(self):
-        assert relevance_grade(chain_labels(6)) == 3
-        assert relevance_grade(chain_labels(2)) == 2
-        assert relevance_grade(LabelVector()) == 1
-        assert relevance_grade(chain_labels(4, rej=True)) == 0
-        assert relevance_grade(chain_labels(5, cbh=True)) == 0
+        assert grade(*chain_labels(6)) == 3
+        assert grade(*chain_labels(2)) == 2
+        assert grade() == 1
+        assert grade(*chain_labels(4, "rej")) == 0
+        assert grade(*chain_labels(5, "cbh")) == 0
 
     def test_unc_outranks_everything(self):
         # precedence: the uncancelled flag wins even on inconsistent input
-        assert relevance_grade(chain_labels(6, cbg=True)) == 3
+        assert grade(*chain_labels(6, "cbg")) == 3
 
 
-def random_raw_journey(rng, n_listings=6, allow_negatives=True,
+def random_raw_journey(rng, guest_id="g0", n_listings=6, allow_negatives=True,
                        respect_terminal_events=False):
-    """Raw journey where listings may recur across searches.
+    """Raw journey record where listings may recur across searches.
 
-    Every raw label vector is individually consistent. With
+    Every raw label set is individually consistent. With
     ``respect_terminal_events`` a listing never reappears after a booking or
     a negative outcome, which is the structure real pipelines guarantee and
     re-attribution requires; without it, journey-level structure is
@@ -130,38 +161,41 @@ def random_raw_journey(rng, n_listings=6, allow_negatives=True,
         imps = []
         for pos, lid in enumerate(ids, start=1):
             depth = int(rng.integers(0, 7)) if rng.random() < 0.6 else 0
-            negatives = {}
+            negatives = ()
             if allow_negatives:
                 if depth == 4 and rng.random() < 0.5:
-                    negatives["rej"] = True
+                    negatives = ("rej",)
                 if depth == 5 and rng.random() < 0.6:
-                    negatives["cbh" if rng.random() < 0.5 else "cbg"] = True
+                    negatives = ("cbh" if rng.random() < 0.5 else "cbg",)
             if respect_terminal_events and (depth >= 5 or negatives):
-                terminal.add(lid)
-            imps.append(make_impression(lid, pos, chain_labels(depth, **negatives)))
-        searches.append(make_search(f"s{s}", float(s), imps))
-    return JourneyRecord(guest_id="g0", searches=tuple(searches))
+                terminal.add(str(lid))
+            imps.append(make_impression(str(lid), pos,
+                                        chain_labels(depth, *negatives)))
+        searches.append(make_search(f"{guest_id}-s{s}", float(s), imps))
+    return make_journey(guest_id, searches)
 
 
-def brute_force_attribution(journey):
-    """Scan all (search, listing, milestone) triples directly."""
+def brute_force_attribution(record):
+    """Scan all (search, listing, milestone) triples of one journey record."""
+    searches = record["searches"]
     out = []
-    for s_idx, search in enumerate(journey.searches):
-        for imp in search.impressions:
-            flags = {}
+    for s_idx, search in enumerate(searches):
+        for imp in search["impressions"]:
+            lid = imp["listing_id"]
+            labels = set()
             for m in POSITIVE_CHAIN:
-                flags[m] = any(
-                    getattr(other.labels, m)
-                    for later_idx in range(s_idx, len(journey.searches))
-                    for other in journey.searches[later_idx].impressions
-                    if other.listing_id == imp.listing_id)
+                if any(m in other["labels"]
+                       for later in searches[s_idx:]
+                       for other in later["impressions"]
+                       if other["listing_id"] == lid):
+                    labels.add(m)
             for m in NEGATIVE_MILESTONES:
-                flags[m] = any(
-                    getattr(other.labels, m)
-                    for other_search in journey.searches
-                    for other in other_search.impressions
-                    if other.listing_id == imp.listing_id)
-            out.append((search.search_id, imp.listing_id, LabelVector(**flags)))
+                if any(m in other["labels"]
+                       for other_search in searches
+                       for other in other_search["impressions"]
+                       if other["listing_id"] == lid):
+                    labels.add(m)
+            out.append((search["search_id"], lid, labels))
     return out
 
 
@@ -177,63 +211,67 @@ class TestAttributeLabels:
             make_search("s4", 3.0, [make_impression("B", 1, chain_labels(6)),
                                     make_impression("A", 2)]),
         ]
-        out = attribute_labels(JourneyRecord("g1", tuple(searches)))
-        by_key = {(s, l): lv for s, l, lv in journey_label_table(out)}
-        assert by_key[("s2", "B")].unc and by_key[("s3", "B")].unc
-        assert by_key[("s4", "B")].unc
-        assert all(not lv.unc for (s, l), lv in by_key.items() if l != "B")
-        assert not any(lv.unc for (s, _), lv in by_key.items() if s == "s1")
+        out = attribute_labels(make_dataset(make_journey("g1", searches)))
+        by_key = {(s, l): labels for s, l, labels in label_table(out)}
+        assert "unc" in by_key[("s2", "B")] and "unc" in by_key[("s3", "B")]
+        assert "unc" in by_key[("s4", "B")]
+        assert all("unc" not in labels for (s, l), labels in by_key.items()
+                   if l != "B")
+        assert not any("unc" in labels for (s, _), labels in by_key.items()
+                       if s == "s1")
 
     def test_no_actions_is_identity(self):
-        journey = JourneyRecord("g2", tuple(
+        ds = make_dataset(make_journey("g2", [
             make_search(f"s{k}", float(k),
                         [make_impression("A", 1), make_impression("B", 2)])
-            for k in range(3)))
-        out = attribute_labels(journey)
-        assert journey_label_table(out) == journey_label_table(journey)
+            for k in range(3)]))
+        assert label_table(attribute_labels(ds)) == label_table(ds)
 
     def test_matches_brute_force_on_random_journeys(self):
+        # the listing ids recur in every journey, so this also checks that
+        # attribution never crosses a journey boundary
         rng = np.random.default_rng(123)
-        for _ in range(60):
-            journey = random_raw_journey(rng)
-            got = journey_label_table(attribute_labels(journey))
-            want = brute_force_attribution(journey)
-            assert got == want
+        records = [random_raw_journey(rng, f"g{k}") for k in range(60)]
+        got = label_table(attribute_labels(make_dataset(*records)))
+        want = [row for rec in records for row in brute_force_attribution(rec)]
+        assert got == want
 
     def test_idempotent(self):
         rng = np.random.default_rng(321)
-        for _ in range(30):
-            journey = random_raw_journey(rng, respect_terminal_events=True)
-            once = attribute_labels(journey)
-            twice = attribute_labels(once)
-            assert journey_label_table(once) == journey_label_table(twice)
+        ds = make_dataset(*[random_raw_journey(rng, f"g{k}",
+                                               respect_terminal_events=True)
+                            for k in range(30)])
+        once = attribute_labels(ds)
+        twice = attribute_labels(once)
+        assert label_table(once) == label_table(twice)
 
     def test_rejects_inconsistent_raw_labels(self):
-        bad = JourneyRecord("g3", (
+        bad = make_dataset(make_journey("g3", [
             make_search("s1", 0.0, [
-                make_impression("A", 1, LabelVector(lc=True)),
+                make_impression("A", 1, ("lc",)),
                 make_impression("B", 2),
-            ]),))
-        with pytest.raises(DataValidationError, match="funnel consistency"):
+            ])]))
+        with pytest.raises(DataValidationError,
+                           match="guest=g3 search=s1 listing=A: .*funnel consistency"):
             attribute_labels(bad)
 
     def test_negative_propagates_to_all_searches(self):
         searches = [
             make_search("s1", 0.0, [make_impression("A", 1), make_impression("B", 2)]),
-            make_search("s2", 1.0, [make_impression("A", 1, chain_labels(4, rej=True)),
+            make_search("s2", 1.0, [make_impression("A", 1, chain_labels(4, "rej")),
                                     make_impression("B", 2)]),
         ]
-        out = attribute_labels(JourneyRecord("g4", tuple(searches)))
-        by_key = {(s, l): lv for s, l, lv in journey_label_table(out)}
-        assert by_key[("s1", "A")].rej
+        out = attribute_labels(make_dataset(make_journey("g4", searches)))
+        by_key = {(s, l): labels for s, l, labels in label_table(out)}
+        assert "rej" in by_key[("s1", "A")]
         # backward request propagation keeps the labels consistent
-        assert by_key[("s1", "A")].req
-        assert not by_key[("s1", "B")].rej
+        assert "req" in by_key[("s1", "A")]
+        assert "rej" not in by_key[("s1", "B")]
 
 
 def journey_with_pp(guest_id, with_pp):
     depth = 3 if with_pp else 2
-    return attribute_labels(JourneyRecord(guest_id, (
+    return make_journey(guest_id, [
         make_search(f"{guest_id}-s1", 0.0, [
             make_impression("A", 1, chain_labels(depth)),
             make_impression("B", 2),
@@ -242,19 +280,48 @@ def journey_with_pp(guest_id, with_pp):
             make_impression("A", 1),
             make_impression("C", 2),
         ]),
-    )))
+    ])
+
+
+def attributed(*journeys):
+    return attribute_labels(make_dataset(*journeys))
+
+
+def brute_force_filter(records):
+    """The training filter written as a loop over journey records."""
+    out = []
+    for rec in records:
+        if not any("pp" in imp["labels"]
+                   for s in rec["searches"] for imp in s["impressions"]):
+            continue
+        last_book = {}
+        for s_idx, s in enumerate(rec["searches"]):
+            for imp in s["impressions"]:
+                if "book" in imp["labels"]:
+                    last_book[imp["listing_id"]] = s_idx
+        searches = []
+        for s_idx, s in enumerate(rec["searches"]):
+            kept = [imp for imp in s["impressions"]
+                    if not (imp["listing_id"] in last_book
+                            and "book" not in imp["labels"]
+                            and s_idx > last_book[imp["listing_id"]])]
+            if len(kept) >= 2:
+                searches.append({**s, "impressions": kept})
+        if searches:
+            out.append({**rec, "searches": searches})
+    return out
 
 
 class TestFilterTrainingSearches:
     def test_all_payment_page_journeys_unchanged(self):
-        ds = Dataset(SCHEMA, tuple(journey_with_pp(f"g{k}", True) for k in range(4)))
+        ds = attributed(*[journey_with_pp(f"g{k}", True) for k in range(4)])
         result = filter_training_searches(ds)
         assert result.n_searches_after == ds.n_searches
         assert result.retained_fraction == 1.0
         assert result.warning is None
 
     def test_no_payment_page_gives_empty_result_and_warning(self):
-        ds = Dataset(SCHEMA, tuple(journey_with_pp(f"g{k}", False) for k in range(3)))
+        ds = attributed(*[journey_with_pp(f"g{k}", False) for k in range(3)])
         result = filter_training_searches(ds)
         assert result.dataset.n_journeys == 0
         assert result.n_searches_after == 0
@@ -262,23 +329,21 @@ class TestFilterTrainingSearches:
 
     def test_mixed_dataset_matches_linear_scan(self):
         rng = np.random.default_rng(9)
-        journeys = []
-        for k in range(40):
-            journeys.append(attribute_labels(random_raw_journey(
-                rng, allow_negatives=False)))
-        journeys = [JourneyRecord(f"g{k}", j.searches) for k, j in enumerate(journeys)]
-        ds = Dataset(SCHEMA, tuple(journeys))
+        ds = attributed(*[random_raw_journey(rng, f"g{k}", allow_negatives=False)
+                          for k in range(40)])
+        records = list(dataset_to_records(ds))
         result = filter_training_searches(ds)
-        want = {
-            j.guest_id for j in journeys
-            if any(imp.labels.pp for s in j.searches for imp in s.impressions)
-        }
-        got = {j.guest_id for j in result.dataset.journeys}
-        assert got == want
+        want = brute_force_filter(records)
+        assert list(dataset_to_records(result.dataset)) == want
+        assert set(result.dataset.guest_ids) == {
+            rec["guest_id"] for rec in records
+            if any("pp" in imp["labels"]
+                   for s in rec["searches"] for imp in s["impressions"])}
+        assert result.n_journeys_after == len(want)
         assert result.n_searches_after <= result.n_searches_before
 
     def test_post_booking_impressions_of_booked_listing_dropped(self):
-        journey = JourneyRecord("g9", (
+        out = attributed(make_journey("g9", [
             make_search("s1", 0.0, [
                 make_impression("A", 1, chain_labels(6)),
                 make_impression("B", 2),
@@ -288,15 +353,14 @@ class TestFilterTrainingSearches:
                 make_impression("C", 2),
                 make_impression("D", 3),
             ]),
-        ))
-        out = attribute_labels(journey)
-        result = filter_training_searches(Dataset(SCHEMA, (out,)))
-        searches = result.dataset.journeys[0].searches
-        assert [s.search_id for s in searches] == ["s1", "s2"]
-        assert [imp.listing_id for imp in searches[1].impressions] == ["C", "D"]
+        ]))
+        result = filter_training_searches(out)
+        searches = next(dataset_to_records(result.dataset))["searches"]
+        assert [s["search_id"] for s in searches] == ["s1", "s2"]
+        assert [imp["listing_id"] for imp in searches[1]["impressions"]] == ["C", "D"]
 
     def test_search_shrinking_below_two_impressions_is_dropped(self):
-        journey = JourneyRecord("g10", (
+        out = attributed(make_journey("g10", [
             make_search("s1", 0.0, [
                 make_impression("A", 1, chain_labels(6)),
                 make_impression("B", 2),
@@ -305,62 +369,58 @@ class TestFilterTrainingSearches:
                 make_impression("A", 1),
                 make_impression("C", 2),
             ]),
-        ))
-        out = attribute_labels(journey)
-        result = filter_training_searches(Dataset(SCHEMA, (out,)))
-        assert [s.search_id for s in result.dataset.journeys[0].searches] == ["s1"]
+        ]))
+        result = filter_training_searches(out)
+        assert result.dataset.searches.search_ids.tolist() == ["s1"]
 
     def test_never_drops_a_unc_journey(self):
         # uncancelled booking implies a payment-page view by funnel nesting
-        ds = Dataset(SCHEMA, (journey_with_pp("g0", True),))
-        journeys = [attribute_labels(JourneyRecord("g1", (
+        ds = attributed(journey_with_pp("g0", True), make_journey("g1", [
             make_search("s1", 0.0, [
                 make_impression("A", 1, chain_labels(6)),
                 make_impression("B", 2),
-            ]),)))]
-        ds = Dataset(SCHEMA, ds.journeys + tuple(journeys))
+            ])]))
         result = filter_training_searches(ds)
-        kept = {j.guest_id for j in result.dataset.journeys}
-        assert "g1" in kept
+        assert "g1" in set(result.dataset.guest_ids)
 
 
 class TestValidateDataset:
     def test_clean_dataset_accepted(self):
-        ds = Dataset(SCHEMA, tuple(journey_with_pp(f"g{k}", True) for k in range(3)))
+        ds = attributed(*[journey_with_pp(f"g{k}", True) for k in range(3)])
         report = validate_dataset(ds)
         assert report.accepted
         assert report.n_journeys == 3
 
     def test_funnel_violation_reported(self):
-        ds = Dataset(SCHEMA, (JourneyRecord("g0", (
+        ds = make_dataset(make_journey("g0", [
             make_search("s1", 0.0, [
-                make_impression("A", 1, LabelVector(lc=True)),
+                make_impression("A", 1, ("lc",)),
                 make_impression("B", 2),
-            ]),)),))
+            ])]))
         report = validate_dataset(ds)
         assert report.violations["funnel consistency"] == 1
         assert not report.accepted
+        assert report.examples == [
+            "guest=g0 search=s1 listing=A: funnel consistency"]
 
     def test_unc_with_cancellation_reported(self):
-        ds = Dataset(SCHEMA, (JourneyRecord("g0", (
+        ds = make_dataset(make_journey("g0", [
             make_search("s1", 0.0, [
-                make_impression("A", 1, chain_labels(6, cbg=True)),
+                make_impression("A", 1, chain_labels(6, "cbg")),
                 make_impression("B", 2),
-            ]),)),))
+            ])]))
         report = validate_dataset(ds)
         assert report.violations["unc excludes cancellations"] == 1
 
     def test_structural_violations_reported(self):
-        imp_wide = ImpressionRecord("A", 1, np.zeros(5), LabelVector())
-        journey = JourneyRecord("g0", (
-            SearchRecord("s1", 5.0, np.zeros(3), (imp_wide, make_impression("A", 1))),
-            SearchRecord("s2", 1.0, np.array([1.0, 2.0]), (make_impression("B", 1),)),
-            SearchRecord("s3", 40.0, np.array([1.0, 2.0]),
-                         (make_impression("C", 0), make_impression("D", 2))),
-        ))
-        report = validate_dataset(Dataset(SCHEMA, (journey,)))
-        assert report.violations["listing width"] == 1
-        assert report.violations["context width"] == 1
+        journey = make_journey("g0", [
+            make_search("s1", 5.0, [make_impression("A", 1),
+                                    make_impression("A", 1)]),
+            make_search("s2", 1.0, [make_impression("B", 1)]),
+            make_search("s3", 40.0, [make_impression("C", 0),
+                                     make_impression("D", 2)]),
+        ])
+        report = validate_dataset(make_dataset(journey))
         assert report.violations["duplicate position"] == 1
         assert report.violations["duplicate listing"] == 1
         assert report.violations["too few impressions"] == 1
@@ -369,17 +429,32 @@ class TestValidateDataset:
         assert report.violations["position not 1-based"] == 1
         assert report.examples
 
+    def test_non_finite_values_reported(self):
+        ds = make_dataset(make_journey("g0", [
+            make_search("s1", 0.0, [
+                make_impression("A", 1, features=(0.0, float("nan"), 1.0)),
+                make_impression("B", 2, features=(float("inf"), 0.0, 0.0)),
+            ]),
+            make_search("s2", 1.0, [make_impression("C", 1),
+                                    make_impression("D", 2)],
+                        context=(float("-inf"), 1.0)),
+        ]))
+        report = validate_dataset(ds)
+        assert report.violations["non-finite listing features"] == 2
+        assert report.violations["non-finite context"] == 1
+        assert not report.accepted
+
     def test_multiple_unc_listings_reported(self):
-        journey = JourneyRecord("g0", (
+        journey = make_journey("g0", [
             make_search("s1", 0.0, [
                 make_impression("A", 1, chain_labels(6)),
                 make_impression("B", 2, chain_labels(6)),
-            ]),))
-        report = validate_dataset(Dataset(SCHEMA, (journey,)))
+            ])])
+        report = validate_dataset(make_dataset(journey))
         assert report.violations["multiple unc listings"] == 1
 
     def test_report_record_is_serializable(self):
-        ds = Dataset(SCHEMA, (journey_with_pp("g0", True),))
+        ds = attributed(journey_with_pp("g0", True))
         rec = validate_dataset(ds).to_record()
         assert rec["accepted"] is True
         assert rec["violations"] == {}
@@ -395,17 +470,17 @@ def nested_random_dataset(rng, n_journeys=30):
             imps = []
             for pos in range(1, int(rng.integers(2, 6)) + 1):
                 depth = int(rng.integers(0, 7))
-                negatives = {}
+                negatives = ()
                 if depth == 4 and rng.random() < 0.4:
-                    negatives["rej"] = True
+                    negatives = ("rej",)
                 if depth == 5 and rng.random() < 0.5:
-                    negatives["cbh" if rng.random() < 0.5 else "cbg"] = True
+                    negatives = ("cbh" if rng.random() < 0.5 else "cbg",)
                 imps.append(make_impression(f"L{counter}", pos,
-                                            chain_labels(depth, **negatives)))
+                                            chain_labels(depth, *negatives)))
                 counter += 1
             searches.append(make_search(f"g{g}-s{s}", float(s), imps))
-        journeys.append(JourneyRecord(f"g{g}", tuple(searches)))
-    return Dataset(SCHEMA, tuple(journeys))
+        journeys.append(make_journey(f"g{g}", searches))
+    return make_dataset(*journeys)
 
 
 class TestTaskWeights:
@@ -413,7 +488,6 @@ class TestTaskWeights:
         rng = np.random.default_rng(77)
         ds = nested_random_dataset(rng)
         assert empirical_task_weight(ds, "unc") == 1.0
-        assert empirical_task_weight(ds, Milestone.UNCANCELLED) == 1.0
 
     def test_hand_counted_ratio(self):
         # 10 long clicks, 2 of which convert: weight 0.2
@@ -421,8 +495,7 @@ class TestTaskWeights:
         for k in range(10):
             depth = 6 if k < 2 else 2
             imps.append(make_impression(f"L{k}", k + 1, chain_labels(depth)))
-        ds = Dataset(SCHEMA, (JourneyRecord("g0", (
-            make_search("s1", 0.0, imps),)),))
+        ds = make_dataset(make_journey("g0", [make_search("s1", 0.0, imps)]))
         assert empirical_task_weight(ds, "lc") == pytest.approx(0.2)
 
     def test_monotone_along_funnel(self):
@@ -440,14 +513,16 @@ class TestTaskWeights:
         assert counts["imp"] >= chain[0]
 
     def test_zero_positives_is_undefined(self):
-        ds = Dataset(SCHEMA, (journey_with_pp("g0", False),))
+        ds = attributed(journey_with_pp("g0", False))
         with pytest.raises(UndefinedTaskWeightError):
             empirical_task_weight(ds, "unc")
 
     def test_negative_milestone_rejected(self):
-        ds = Dataset(SCHEMA, (journey_with_pp("g0", True),))
+        ds = attributed(journey_with_pp("g0", True))
         with pytest.raises(ConfigError):
             empirical_task_weight(ds, "rej")
+        with pytest.raises(ConfigError):
+            empirical_task_weight(ds, "zap")
 
 
 class TestDatasetSchema:

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev
+from journeyrank.dataio import dataset_to_records
 from journeyrank.domain import POSITIVE_CHAIN
 from journeyrank.errors import ConfigError, ContractError, SchemaMismatchError
 from journeyrank.model import (
@@ -194,10 +195,12 @@ class TestScorers:
         reports = ev.evaluate_with_scorer(dataset, ev.random_scorer(4))
         rng = np.random.default_rng(123)
         total, n = 0.0, 0
-        for _, search in dataset.iter_searches():
-            ids = [imp.listing_id for imp in search.impressions]
-            positives = {imp.listing_id for imp in search.impressions
-                         if imp.labels.unc}
+        searches = [s for rec in dataset_to_records(dataset)
+                    for s in rec["searches"]]
+        for search in searches:
+            ids = [imp["listing_id"] for imp in search["impressions"]]
+            positives = {imp["listing_id"] for imp in search["impressions"]
+                         if "unc" in imp["labels"]}
             if not positives:
                 continue
             acc = 0.0
@@ -404,12 +407,11 @@ class TestNtcCurves:
         assert curve.n_buckets == 4
 
     def test_bucket_means_match_hand_recomputation(self, trained_full):
-        from journeyrank.dataio import pack_dataset
         from journeyrank.model import blend_coefficients
         model, _, eval_ds = trained_full
         curve = ev.ntc_curves(model, eval_ds, "num_previous_searches",
                               n_buckets=3)
-        packed = pack_dataset(eval_ds)
+        packed = eval_ds.searches
         col = eval_ds.schema.context_index("num_previous_searches")
         values = packed.context_features[:, col]
         alpha_base, alpha_t = blend_coefficients(model,

@@ -13,16 +13,14 @@ from scipy.special import expit
 
 from conftest import fd_gradcheck
 from journeyrank import nn
+from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import (
     ALL_MILESTONES,
     DatasetSchema,
     Dataset,
-    ImpressionRecord,
-    JourneyRecord,
-    LabelVector,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
-    SearchRecord,
+    relevance_grades,
 )
 from journeyrank.errors import (
     ConfigError,
@@ -50,7 +48,6 @@ from journeyrank.model import (
     module_parameter_names,
     parameter_count,
     preference_pairs,
-    relevance_grades,
     save_model,
     score_candidates,
     shared_forward,
@@ -713,29 +710,22 @@ def planted_dataset() -> Dataset:
     schema = DatasetSchema(listing_dim=2, context_dim=2,
                            context_features=("days_ahead_of_checkin",
                                              "num_previous_searches"))
-    full = LabelVector(c=True, lc=True, pp=True, req=True, book=True,
-                       unc=True, rej=False, cbh=False, cbg=False)
-    click = LabelVector(c=True, lc=False, pp=False, req=False, book=False,
-                        unc=False, rej=False, cbh=False, cbg=False)
-    blank = LabelVector(c=False, lc=False, pp=False, req=False, book=False,
-                        unc=False, rej=False, cbh=False, cbg=False)
-    journeys = []
+    full = {m: True for m in POSITIVE_CHAIN}
+    click = {"c": True}
+    records = []
     for g in range(4):
-        impressions = (
-            ImpressionRecord(listing_id=f"L{g}a", position=1,
-                             features=np.array([1.0, 0.1 * g]), labels=full),
-            ImpressionRecord(listing_id=f"L{g}b", position=2,
-                             features=np.array([0.0, -0.1 * g]),
-                             labels=click),
-            ImpressionRecord(listing_id=f"L{g}c", position=3,
-                             features=np.array([-1.0, 0.2]), labels=blank),
-        )
-        search = SearchRecord(search_id=f"s{g}", t_days=float(g),
-                              context=np.array([30.0 + g, 0.0]),
-                              impressions=impressions)
-        journeys.append(JourneyRecord(guest_id=f"g{g}",
-                                      searches=(search,)))
-    return Dataset(schema, tuple(journeys))
+        impressions = [
+            {"listing_id": f"L{g}a", "position": 1,
+             "features": [1.0, 0.1 * g], "labels": full},
+            {"listing_id": f"L{g}b", "position": 2,
+             "features": [0.0, -0.1 * g], "labels": click},
+            {"listing_id": f"L{g}c", "position": 3,
+             "features": [-1.0, 0.2], "labels": {}},
+        ]
+        records.append({"guest_id": f"g{g}", "searches": [
+            {"search_id": f"s{g}", "t_days": float(g),
+             "context": [30.0 + g, 0.0], "impressions": impressions}]})
+    return dataset_from_records(schema, records)
 
 
 class TestTrain:

@@ -9,15 +9,17 @@ the frozen world coefficients and are asserted exactly; any drift in the
 sampling path shows up here first.
 """
 
-from collections import defaultdict
-
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from journeyrank.dataio import file_sha256, journey_to_record, save_dataset
+from journeyrank.dataio import (
+    dataset_from_records,
+    dataset_to_records,
+    file_sha256,
+    save_dataset,
+)
 from journeyrank.domain import (
-    Dataset,
     NEGATIVE_MILESTONES,
     POSITIVE_CHAIN,
     validate_dataset,
@@ -27,6 +29,7 @@ from journeyrank.simulate import (
     GeneratorConfig,
     StageModel,
     WorldTruth,
+    benchmark_generator_config,
     build_world,
     default_generator_config,
     generate,
@@ -40,22 +43,14 @@ from journeyrank.simulate import (
 
 
 def click_rate(dataset):
-    n = clicks = 0
-    for _, search in dataset.iter_searches():
-        for imp in search.impressions:
-            n += 1
-            clicks += imp.labels.c
-    return clicks / n
+    return np.count_nonzero(dataset.searches.labels["c"]) / dataset.n_impressions
 
 
 def rejection_by_days(dataset):
-    days, rej = [], []
-    for _, search in dataset.iter_searches():
-        for imp in search.impressions:
-            if imp.labels.req and not imp.labels.book:
-                days.append(search.context[0])
-                rej.append(imp.labels.rej)
-    return np.asarray(days), np.asarray(rej, dtype=np.float64)
+    s = dataset.searches
+    eligible = s.labels["req"] & ~s.labels["book"]
+    days = s.context_features[s.search_of_imp[eligible], 0]
+    return days, s.labels["rej"][eligible].astype(np.float64)
 
 
 class TestConfigValidation:
@@ -132,14 +127,25 @@ class TestDeterminism:
             digests.append(file_sha256(path))
         assert digests[0] != digests[1]
 
+    @pytest.mark.parametrize("make_config,sha256", [
+        (lambda: default_generator_config(n_guests=120, seed=9),
+         "2ad87cea0ce30462a43ed175448fa18d600bf33a7060ca6711d42288e97e4396"),
+        (lambda: benchmark_generator_config(n_guests=60, seed=0),
+         "38b7194bf09944d75153cf4687959f73c113ec216a10cdfdd07c10d2adcedb02"),
+    ], ids=["default", "benchmark"])
+    def test_generated_bytes_pinned(self, tmp_path, make_config, sha256):
+        dataset, _ = generate(make_config())
+        path = tmp_path / "dataset.jsonl"
+        save_dataset(dataset, path)
+        assert file_sha256(path) == sha256
+
     def test_shards_concatenate_to_full_run(self):
         cfg = default_generator_config(n_guests=120, seed=21)
         full, _ = generate(cfg)
         left, _ = generate(cfg, guest_range=(0, 60))
         right, _ = generate(cfg, guest_range=(60, 120))
-        merged = [journey_to_record(j) for j in left.journeys]
-        merged += [journey_to_record(j) for j in right.journeys]
-        assert merged == [journey_to_record(j) for j in full.journeys]
+        merged = list(dataset_to_records(left)) + list(dataset_to_records(right))
+        assert merged == list(dataset_to_records(full))
 
     def test_guest_range_validated(self):
         cfg = default_generator_config(n_guests=10)
@@ -170,22 +176,25 @@ class TestGeneratedDataValidity:
 
     def test_single_booking_per_search(self):
         dataset, _ = generate(default_generator_config(n_guests=400, seed=6))
-        for _, search in dataset.iter_searches():
-            booked = sum(imp.labels.book for imp in search.impressions)
-            assert booked <= 1
+        for rec in dataset_to_records(dataset):
+            for search in rec["searches"]:
+                booked = sum("book" in imp["labels"]
+                             for imp in search["impressions"])
+                assert booked <= 1
 
     def test_one_booked_listing_per_journey(self):
         dataset, _ = generate(default_generator_config(n_guests=400, seed=8))
-        for journey in dataset.journeys:
-            booked = {imp.listing_id
-                      for search in journey.searches
-                      for imp in search.impressions if imp.labels.book}
+        for rec in dataset_to_records(dataset):
+            booked = {imp["listing_id"]
+                      for search in rec["searches"]
+                      for imp in search["impressions"]
+                      if "book" in imp["labels"]}
             assert len(booked) <= 1
             if booked:
-                final = journey.searches[-1]
-                assert booked == {imp.listing_id
-                                  for imp in final.impressions
-                                  if imp.labels.book}
+                final = rec["searches"][-1]
+                assert booked == {imp["listing_id"]
+                                  for imp in final["impressions"]
+                                  if "book" in imp["labels"]}
 
     def test_schema_matches_config(self):
         cfg = default_generator_config(n_guests=20, seed=0)
@@ -320,23 +329,21 @@ class TestTrueRanking:
 
 
 def listing_click_and_rejection_rates(dataset):
-    imp = defaultdict(int)
-    clk = defaultdict(int)
-    elig = defaultdict(int)
-    rej = defaultdict(int)
-    for _, search in dataset.iter_searches():
-        for i in search.impressions:
-            imp[i.listing_id] += 1
-            if i.labels.c:
-                clk[i.listing_id] += 1
-            if i.labels.req and not i.labels.book:
-                elig[i.listing_id] += 1
-                if i.labels.rej:
-                    rej[i.listing_id] += 1
-    ids = [lid for lid in imp if elig[lid] >= 1]
-    ctr = np.array([clk[lid] / imp[lid] for lid in ids])
-    rate = np.array([rej[lid] / elig[lid] for lid in ids])
-    return ctr, rate
+    """Per-listing click rate and rejection rate among eligible rows, for
+    the listings with at least one eligible row, in order of first
+    impression."""
+    s = dataset.searches
+    ids, first, codes = np.unique(s.listing_ids, return_index=True,
+                                  return_inverse=True)
+    n = len(ids)
+    imp = np.bincount(codes, minlength=n)
+    clk = np.bincount(codes[s.labels["c"]], minlength=n)
+    eligible = s.labels["req"] & ~s.labels["book"]
+    elig = np.bincount(codes[eligible], minlength=n)
+    rej = np.bincount(codes[eligible & s.labels["rej"]], minlength=n)
+    keep = np.argsort(first)
+    keep = keep[elig[keep] >= 1]
+    return clk[keep] / imp[keep], rej[keep] / elig[keep]
 
 
 class TestCouplings:
@@ -393,17 +400,12 @@ class TestCouplings:
                 n_guests=5000, seed=5,
                 late_journey_negative_coupling=coupling)
             dataset, _ = generate(cfg)
-            prev, neg = [], []
-            for _, search in dataset.iter_searches():
-                for imp in search.impressions:
-                    eligible = (imp.labels.req and not imp.labels.book) \
-                        or imp.labels.book
-                    if eligible:
-                        prev.append(search.context[1])
-                        neg.append(imp.labels.rej or imp.labels.cbh
-                                   or imp.labels.cbg)
-            prev = np.asarray(prev)
-            neg = np.asarray(neg, dtype=np.float64)
+            s = dataset.searches
+            labels = s.labels
+            eligible = (labels["req"] & ~labels["book"]) | labels["book"]
+            prev = s.context_features[s.search_of_imp[eligible], 1]
+            neg = (labels["rej"] | labels["cbh"] | labels["cbg"])[eligible]
+            neg = neg.astype(np.float64)
             observed[coupling] = (neg[prev <= 1].mean(),
                                   neg[prev >= 3].mean())
         early, late = observed[1.2]
@@ -454,7 +456,7 @@ class TestSummarize:
 
     def test_empty_dataset(self):
         cfg = default_generator_config(n_guests=1, seed=0)
-        report = summarize(Dataset(cfg.schema(), ()))
+        report = summarize(dataset_from_records(cfg.schema(), []))
         assert report.n_journeys == 0
         assert report.n_searches == 0
         assert report.n_impressions == 0
