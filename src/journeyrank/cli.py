@@ -214,7 +214,7 @@ def cmd_train(args) -> int:
     config = model_config_from_record(record)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
     if args.filter:
-        dataset = filter_training_searches(dataset).dataset
+        dataset = filter_training_searches(dataset).training_dataset()
     out = _require_out(args)
     model, history = train(config, dataset, args.epochs,
                            batch_size=args.batch_size,
@@ -386,11 +386,11 @@ def _add_common(sub):
                      help="output directory for files and the run manifest")
     sub.add_argument("--json", action="store_true",
                      help="print machine-readable JSON instead of tables")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel worker processes for independent runs")
 
 
 def _add_protocol_flags(sub):
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="parallel worker processes for independent runs")
     sub.add_argument("--seeds", default="0,1,2,3,4",
                      help="comma-separated training seeds")
     sub.add_argument("--epochs", type=int, default=8)

@@ -345,6 +345,13 @@ class FilterResult:
             return 0.0
         return self.n_searches_after / self.n_searches_before
 
+    def training_dataset(self) -> Dataset:
+        """The kept dataset; refuses an empty one, which nothing can be
+        trained on."""
+        if self.warning is not None:
+            raise DataValidationError(self.warning)
+        return self.dataset
+
 
 def filter_training_searches(dataset: Dataset) -> FilterResult:
     """Keep only searches from journeys that reached a payment-page view.

@@ -6,6 +6,10 @@ a paired t-interval, runs the task-set ablation over funnel subsets, and
 extracts how the blend coefficients move across context buckets (the
 interpretability curves for the negative-outcome heads).
 
+Evaluation reads only the dataset's columns: a scorer scores every
+impression of every search in one call, one sort ranks all searches at
+once, and NDCG is a per-search reduction over the ranked positive flags.
+
 Training seeds and the guest-hash split make every number here exactly
 reproducible; parallel runs only fan out independent (config, seed) jobs.
 """
@@ -28,6 +32,7 @@ from .dataio import split_by_guest
 from .domain import (
     Dataset,
     POSITIVE_CHAIN,
+    PackedSearches,
     filter_training_searches,
 )
 from .errors import ConfigError, ContractError
@@ -42,28 +47,45 @@ from .model import (
     train,
 )
 
-Scorer = Callable[[np.ndarray, list[str], np.ndarray], np.ndarray]
+Scorer = Callable[[PackedSearches], np.ndarray]
+"""Scores every impression of a dataset's searches in one call.
+
+It receives the dataset's columns and returns one float score per
+impression row, aligned with ``listing_ids``. Higher ranks first; ties
+break by listing id.
+"""
 
 
 # ---------------------------------------------------------------------------
 # NDCG
 
 
-def ndcg_binary(ranked_ids: Sequence[str], positive_ids) -> float:
-    """NDCG with unit gain on the positive set and log2 rank discount."""
-    ranked = [str(r) for r in ranked_ids]
-    positives = {str(p) for p in positive_ids}
-    if not positives:
-        raise ContractError("NDCG needs at least one positive item")
-    missing = positives - set(ranked)
-    if missing:
-        raise ContractError(f"positives {sorted(missing)} not in ranking")
-    dcg = sum(1.0 / math.log2(rank + 1)
-              for rank, lid in enumerate(ranked, start=1)
-              if lid in positives)
-    ideal = sum(1.0 / math.log2(rank + 1)
-                for rank in range(1, len(positives) + 1))
-    return dcg / ideal
+def ndcg_binary(positive: np.ndarray, search_starts: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-search NDCG with unit gain on positives and log2 rank discount.
+
+    ``positive`` flags each impression in ranked order, search after
+    search; search ``k`` owns entries ``search_starts[k]:search_starts[k + 1]``.
+    Returns the NDCG of each search and whether it has a positive at all;
+    a search without one reads 0 and is for the caller to skip.
+    """
+    positive = np.asarray(positive, dtype=bool)
+    search_starts = np.asarray(search_starts, dtype=np.int64)
+    sizes = np.diff(search_starts)
+    n_searches = len(sizes)
+    discount = np.array([1.0 / math.log2(rank + 1)
+                         for rank in range(1, int(sizes.max(initial=0)) + 1)])
+    rows = np.flatnonzero(positive)
+    search = np.repeat(np.arange(n_searches), sizes)[rows]
+    # bincount and cumsum add in order, so each search's DCG and its ideal
+    # DCG are summed rank by rank from the same discount table.
+    dcg = np.bincount(search, weights=discount[rows - search_starts[search]],
+                      minlength=n_searches)
+    n_positive = np.bincount(search, minlength=n_searches)
+    ideal = np.cumsum(np.r_[0.0, discount])[n_positive]
+    has_positive = n_positive > 0
+    ndcg = np.divide(dcg, ideal, out=np.zeros(n_searches), where=has_positive)
+    return ndcg, has_positive
 
 
 @dataclass(frozen=True)
@@ -110,76 +132,66 @@ def t_interval_half_width(values: np.ndarray) -> float:
 # scoring a dataset
 
 
-def _ranked_ids_per_search(dataset: Dataset,
-                           scorer: Scorer) -> list[tuple[list[str], dict]]:
-    """Rank every search with the scorer; returns (ranked ids, labels)."""
-    s = dataset.searches
-    results = []
-    for k in range(s.n_searches):
-        lo, hi = s.search_starts[k], s.search_starts[k + 1]
-        ids = s.listing_ids[lo:hi].tolist()
-        scores = np.asarray(scorer(s.context_features[k], ids,
-                                   s.listing_features[lo:hi]),
-                            dtype=np.float64)
-        if scores.shape != (len(ids),):
-            raise ContractError("scorer must return one score per candidate")
-        order = np.lexsort((np.asarray(ids), -scores))
-        ranked = [ids[int(i)] for i in order]
-        labels = {task: {ids[i] for i in np.flatnonzero(s.labels[task][lo:hi])}
-                  for task in POSITIVE_CHAIN}
-        results.append((ranked, labels))
-    return results
-
-
 def model_scorer(model: TrainedModel) -> Scorer:
-    def scorer(context, ids, rows):
-        outputs = model.outputs(context, rows)
+    """Scores every impression with one forward pass of the model."""
+    def scorer(searches: PackedSearches) -> np.ndarray:
+        context_rows = searches.context_features[searches.search_of_imp]
+        outputs = model.outputs(searches.listing_features, context_rows)
         return outputs.ranking_score.values
     return scorer
 
 
 def oracle_scorer(world) -> Scorer:
-    """Scores candidates by their true conversion probability."""
-    def scorer(context, ids, rows):
-        return world.true_unc_probability(context, world.rows_for_ids(ids))
+    """Scores candidates by their true conversion probability.
+
+    The world scores one context at a time, so this reference scorer for
+    tests walks the searches.
+    """
+    def scorer(searches: PackedSearches) -> np.ndarray:
+        scores = np.empty(searches.n_impressions)
+        for k in range(searches.n_searches):
+            lo, hi = searches.search_starts[k], searches.search_starts[k + 1]
+            scores[lo:hi] = world.true_unc_probability(
+                searches.context_features[k],
+                world.rows_for_ids(searches.listing_ids[lo:hi]))
+        return scores
     return scorer
 
 
 def reversed_scorer(scorer: Scorer) -> Scorer:
-    def wrapped(context, ids, rows):
-        return -np.asarray(scorer(context, ids, rows))
+    def wrapped(searches: PackedSearches) -> np.ndarray:
+        return -np.asarray(scorer(searches))
     return wrapped
 
 
 def random_scorer(seed: int) -> Scorer:
     """Deterministic noise scorer (stateful stream, fixed per seed)."""
     rng = np.random.default_rng(seed)
-    def scorer(context, ids, rows):
-        return rng.normal(size=len(ids))
+    def scorer(searches: PackedSearches) -> np.ndarray:
+        return rng.normal(size=searches.n_impressions)
     return scorer
 
 
 def evaluate_with_scorer(dataset: Dataset,
                          scorer: Scorer) -> dict[str, NdcgReport]:
     """Mean NDCG per positive milestone for an arbitrary scorer."""
-    sums = {task: 0.0 for task in POSITIVE_CHAIN}
-    counts = {task: 0 for task in POSITIVE_CHAIN}
-    skipped = {task: 0 for task in POSITIVE_CHAIN}
-    for ranked, labels in _ranked_ids_per_search(dataset, scorer):
-        for task in POSITIVE_CHAIN:
-            positives = labels[task]
-            if not positives:
-                skipped[task] += 1
-                continue
-            sums[task] += ndcg_binary(ranked, positives)
-            counts[task] += 1
+    s = dataset.searches
+    scores = np.asarray(scorer(s), dtype=np.float64)
+    if scores.shape != (s.n_impressions,):
+        raise ContractError("scorer must return one score per impression")
+    # search_of_imp is sorted, so every search keeps its rows in place
+    order = np.lexsort((s.listing_ids, -scores, s.search_of_imp))
     reports = {}
     for task in POSITIVE_CHAIN:
-        mean = sums[task] / counts[task] if counts[task] else 0.0
+        ndcg, has_positive = ndcg_binary(s.labels[task][order],
+                                         s.search_starts)
+        scored = ndcg[has_positive]
+        count = len(scored)
+        # cumsum adds in search order; np.sum would add pairwise
+        mean = float(np.cumsum(scored)[-1]) / count if count else 0.0
         reports[task] = NdcgReport(mean=mean, per_seed=(mean,),
-                                   ci_half_width=0.0,
-                                   n_searches=counts[task],
-                                   n_skipped=skipped[task])
+                                   ci_half_width=0.0, n_searches=count,
+                                   n_skipped=s.n_searches - count)
     return reports
 
 
@@ -211,8 +223,7 @@ def prepare_split(dataset: Dataset, eval_percent: int = 20,
                   ) -> tuple[Dataset, Dataset]:
     """Guest-hash split, then training-side journey filtering."""
     train_ds, eval_ds = split_by_guest(dataset, eval_percent=eval_percent)
-    filtered = filter_training_searches(train_ds)
-    return filtered.dataset, eval_ds
+    return filter_training_searches(train_ds).training_dataset(), eval_ds
 
 
 def _seeded(config: ModelConfig, seed: int) -> ModelConfig:

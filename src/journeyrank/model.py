@@ -42,6 +42,7 @@ from .domain import (
 from .errors import (
     ConfigError,
     ContractError,
+    DataValidationError,
     SchemaMismatchError,
     TrainingDivergenceError,
 )
@@ -456,6 +457,18 @@ def twiddler_forward(config: ModelConfig, params: ParameterStore,
             for task in config.twiddler_tasks}
 
 
+def _coefficients(config: ModelConfig, params: ParameterStore,
+                  emb_context: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
+    """The positive base coefficient and one signed coefficient per
+    twiddler task, from the context embedding."""
+    coefs = nn.forward_mlp(params, _COMBINATION, config.combination,
+                           emb_context)
+    alpha_base = nn.softplus(nn.column(coefs, 0))
+    alpha_twiddler = {task: nn.column(coefs, 1 + k)
+                      for k, task in enumerate(config.twiddler_tasks)}
+    return alpha_base, alpha_twiddler
+
+
 def combination_forward(config: ModelConfig, params: ParameterStore,
                         emb: Embeddings, y_base: Tensor,
                         y_twiddler: Mapping[str, Tensor],
@@ -470,14 +483,9 @@ def combination_forward(config: ModelConfig, params: ParameterStore,
     """
     if config.combination is None:
         raise ConfigError("model config has no combination layer")
-    coefs = nn.forward_mlp(params, _COMBINATION, config.combination,
-                           emb.context)
-    alpha_base = nn.softplus(nn.column(coefs, 0))
+    alpha_base, alpha_twiddler = _coefficients(config, params, emb.context)
     y = nn.mul(alpha_base, nn.stop_gradient(y_base))
-    alpha_twiddler: dict[str, Tensor] = {}
-    for k, task in enumerate(config.twiddler_tasks):
-        alpha = nn.column(coefs, 1 + k)
-        alpha_twiddler[task] = alpha
+    for task, alpha in alpha_twiddler.items():
         y = nn.add(y, nn.mul(alpha, nn.stop_gradient(y_twiddler[task])))
     return alpha_base, alpha_twiddler, y
 
@@ -507,21 +515,23 @@ def forward(config: ModelConfig, params: ParameterStore,
 # batches
 
 
-def preference_pairs(grades: np.ndarray, seg: np.ndarray,
-                     n_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """All within-search index pairs (i, j) with grade[i] > grade[j]."""
+def preference_pairs(grades: np.ndarray,
+                     seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All within-search index pairs (i, j) with grade[i] > grade[j].
+
+    Pairs come search by search and, within a search, in row-major order
+    of its (i, j) grid.
+    """
     starts = np.flatnonzero(np.r_[True, np.diff(seg) != 0])
-    bounds = np.r_[starts, len(seg)]
-    pair_i, pair_j = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        g = grades[lo:hi]
-        ii, jj = np.nonzero(g[:, None] > g[None, :])
-        pair_i.append(ii + lo)
-        pair_j.append(jj + lo)
-    if not pair_i:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(pair_i), np.concatenate(pair_j)
+    sizes = np.diff(np.r_[starts, len(seg)])
+    cells = sizes * sizes
+    cell_search = np.repeat(np.arange(len(sizes)), cells)
+    cell = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
+    width = sizes[cell_search]
+    pair_i = starts[cell_search] + cell // width
+    pair_j = starts[cell_search] + cell % width
+    keep = grades[pair_i] > grades[pair_j]
+    return pair_i[keep], pair_j[keep]
 
 
 @dataclass(frozen=True)
@@ -550,7 +560,7 @@ def make_batch(packed: PackedSearches, search_indices: np.ndarray,
     seg = np.repeat(np.arange(len(search_indices)), counts)
     labels = {name: values[rows] for name, values in packed.labels.items()}
     grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, seg, len(search_indices))
+    pair_i, pair_j = preference_pairs(grades, seg)
     context_rows = packed.context_features[packed.search_of_imp[rows]]
     return SearchBatch(
         listing_rows=norm.apply_listing(packed.listing_features[rows]),
@@ -668,15 +678,18 @@ class TrainedModel:
                 f"trained on ({schema.hash()[:12]} != "
                 f"{self.schema_hash[:12]})")
 
-    def outputs(self, context: np.ndarray,
-                listing_rows: np.ndarray) -> ModelOutputs:
-        """Score candidates for one search context (no gradients)."""
+    def outputs(self, listing_rows: np.ndarray,
+                context_rows: np.ndarray) -> ModelOutputs:
+        """Score impressions from raw feature rows (no gradients).
+
+        Row k of ``context_rows`` is the search context of listing row k.
+        """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
-        if listing_rows.ndim != 2:
-            raise ContractError("listing rows must be a 2-d batch")
-        context = np.asarray(context, dtype=np.float64)
-        context_rows = np.broadcast_to(context,
-                                       (len(listing_rows), len(context)))
+        context_rows = np.asarray(context_rows, dtype=np.float64)
+        if (listing_rows.ndim != 2 or context_rows.ndim != 2
+                or len(listing_rows) != len(context_rows)):
+            raise ContractError("listing and context rows must be 2-d "
+                                "batches with one context row per listing")
         return forward(self.config, self.params,
                        self.normalization.apply_listing(listing_rows),
                        self.normalization.apply_context(context_rows))
@@ -706,7 +719,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
         raise ConfigError("batch_size must be positive")
     packed = dataset.searches
     if packed.n_searches == 0:
-        raise ContractError("training dataset has no searches")
+        raise DataValidationError("training dataset has no searches")
     norm = NormalizationStats.fit(packed.listing_features,
                                   packed.context_features)
     weights = resolve_task_weights(config, dataset)
@@ -762,7 +775,9 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
         raise ContractError("cannot rank an empty candidate list")
     if listing_rows.ndim != 2 or len(listing_rows) != len(listing_ids):
         raise ContractError("one feature row per candidate is required")
-    outputs = model.outputs(context, listing_rows)
+    context = np.asarray(context, dtype=np.float64)
+    context_rows = np.broadcast_to(context, (len(listing_rows), len(context)))
+    outputs = model.outputs(listing_rows, context_rows)
     score = outputs.ranking_score.values
     order = np.lexsort((np.asarray(listing_ids), -score))
     ranked = []
@@ -805,13 +820,9 @@ def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
     normalized = model.normalization.apply_context(context_rows)
     emb_c = nn.forward_mlp(model.params, _TOWER_CONTEXT,
                            config.context_tower, nn.constant(normalized))
-    coefs = nn.forward_mlp(model.params, _COMBINATION, config.combination,
-                           emb_c)
-    values = coefs.values
-    alpha_base = np.logaddexp(0.0, values[:, 0])
-    alpha_twiddler = {task: values[:, 1 + k].copy()
-                      for k, task in enumerate(config.twiddler_tasks)}
-    return alpha_base, alpha_twiddler
+    alpha_base, alpha_twiddler = _coefficients(config, model.params, emb_c)
+    return alpha_base.values, {task: alpha.values
+                               for task, alpha in alpha_twiddler.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +839,11 @@ def save_model(model: TrainedModel, directory: str | Path) -> None:
 
 
 def load_model(directory: str | Path) -> TrainedModel:
-    params, manifest = nn.load_params(directory)
+    try:
+        params, manifest = nn.load_params(directory)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"no saved model in {directory}: "
+                          f"{exc.filename} not found") from None
     for key in ("model_config", "normalization", "schema_hash"):
         if key not in manifest:
             raise SchemaMismatchError(

@@ -343,17 +343,6 @@ def logistic(x) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = logistic(x.values)
-    out = Tensor._wrap(s)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    return _record(out, (x,), backward_fn)
-
-
 def log_sigmoid(x: Tensor) -> Tensor:
     """log(sigmoid(x)) = -log(1 + exp(-x)), stable for |x| up to 1e3 and beyond."""
     out = Tensor._wrap(-np.logaddexp(0.0, -x.values))
@@ -372,17 +361,6 @@ def softplus(x: Tensor) -> Tensor:
     def backward_fn(g):
         if x.requires_grad:
             x._accumulate(g * logistic(x.values))
-
-    return _record(out, (x,), backward_fn)
-
-
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.values)
-    out = Tensor._wrap(e)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * e)
 
     return _record(out, (x,), backward_fn)
 
@@ -414,22 +392,6 @@ def gather(x: Tensor, idx) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def gather_rows(x: Tensor, idx) -> Tensor:
-    """Pick rows of a matrix: out[i, :] = x[idx[i], :]."""
-    if x.values.ndim != 2:
-        raise ShapeError("gather_rows expects a rank-2 tensor")
-    idx = _as_index(idx)
-    out = Tensor._wrap(x.values[idx])
-
-    def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
-
-    return _record(out, (x,), backward_fn)
-
-
 def _segment_starts(seg: np.ndarray, n_segments: int) -> np.ndarray:
     if seg.ndim != 1:
         raise ShapeError("segment ids must be one-dimensional")
@@ -441,20 +403,6 @@ def _segment_starts(seg: np.ndarray, n_segments: int) -> np.ndarray:
     if starts.size != n_segments or seg[0] != 0 or seg[-1] != n_segments - 1:
         raise ContractError("segment ids must cover 0..n_segments-1 with no empty segment")
     return starts
-
-
-def segment_sum(x: Tensor, seg, n_segments: int) -> Tensor:
-    if x.values.ndim != 1:
-        raise ShapeError("segment_sum expects a rank-1 tensor")
-    seg = _as_index(seg)
-    starts = _segment_starts(seg, n_segments)
-    out = Tensor._wrap(np.add.reduceat(x.values, starts))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g[seg])
-
-    return _record(out, (x,), backward_fn)
 
 
 def segment_logsumexp(x: Tensor, seg, n_segments: int) -> Tensor:

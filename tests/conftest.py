@@ -55,17 +55,6 @@ def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
     return worst
 
 
-def numpy_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Reference sigmoid used by scripted oracles (stable two-branch form)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def tiny_manual_dataset(constant_prev: float = 2.0):
     """Three hand-built single-search journeys with a constant context
     column, small enough to reason about by eye."""

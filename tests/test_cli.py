@@ -232,6 +232,45 @@ class TestTrain:
         assert "data error" in capsys.readouterr().err
 
 
+    def test_filter_emptying_training_set_is_data_error(self, ws, tmp_path,
+                                                        capsys):
+        # valid data, but no journey reaches a payment page
+        dataset = load_dataset(ws / "data" / "dataset.jsonl")
+        records = list(dataset_to_records(dataset))
+        for rec in records:
+            for search in rec["searches"]:
+                for imp in search["impressions"]:
+                    imp["labels"] = {m: True for m in ("c", "lc")
+                                     if m in imp["labels"]}
+        path = tmp_path / "no_payment_page.jsonl"
+        save_dataset(dataset_from_records(dataset.schema, records), path)
+        assert main(["validate", "--dataset", str(path)]) == 0
+        rc = main(["train", "--model-config", str(ws / "model.json"),
+                   "--dataset", str(path), "--out", str(tmp_path / "x"),
+                   "--epochs", "1"])
+        assert rc == 2
+        assert "payment-page" in capsys.readouterr().err
+        rc = main(["compare",
+                   "--model-config-a", str(ws / "model.json"),
+                   "--model-config-b", str(ws / "base.json"),
+                   "--dataset", str(path), "--out", str(tmp_path / "y"),
+                   "--seeds", "0,1", "--epochs", "1"])
+        assert rc == 2
+        assert "payment-page" in capsys.readouterr().err
+
+
+    def test_empty_dataset_is_data_error(self, ws, tmp_path, capsys):
+        dataset = load_dataset(ws / "data" / "dataset.jsonl")
+        path = tmp_path / "empty.jsonl"
+        save_dataset(dataset_from_records(dataset.schema, []), path)
+        assert main(["validate", "--dataset", str(path)]) == 0
+        rc = main(["train", "--model-config", str(ws / "model.json"),
+                   "--dataset", str(path), "--out", str(tmp_path / "x"),
+                   "--epochs", "1", "--no-filter"])
+        assert rc == 2
+        assert "no searches" in capsys.readouterr().err
+
+
 class TestEval:
     def test_matches_in_process_evaluation(self, ws, tmp_path):
         out = tmp_path / "eval"
@@ -277,6 +316,19 @@ class TestEval:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "normalization" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "ntc"])
+    def test_model_dir_without_params_is_usage_error(self, ws, tmp_path,
+                                                     capsys, command):
+        empty = tmp_path / "empty_model"
+        empty.mkdir()
+        argv = [command, "--model", str(empty),
+                "--dataset", str(ws / "data" / "dataset.jsonl"),
+                "--out", str(tmp_path / "x")]
+        if command == "ntc":
+            argv += ["--feature", "days_ahead_of_checkin"]
+        assert main(argv) == 1
+        assert "params.json" in capsys.readouterr().err
 
     def test_schema_mismatch_exits_two(self, ws, tmp_path):
         foreign = tmp_path / "foreign.jsonl"
@@ -434,6 +486,16 @@ class TestParserPlumbing:
     def test_missing_required_argument_is_usage_error(self, capsys):
         assert main(["gen"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--config", "g.json"],
+        ["train", "--model-config", "m.json", "--dataset", "d.jsonl"],
+        ["eval", "--model", "m", "--dataset", "d.jsonl"],
+        ["ntc", "--model", "m", "--dataset", "d.jsonl", "--feature", "f"],
+    ])
+    def test_jobs_is_refused_where_unused(self, argv, capsys):
+        assert main(argv + ["--jobs", "7"]) == 1
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_version_flag_exits_zero(self, capsys):
         assert main(["--version"]) == 0

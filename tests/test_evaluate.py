@@ -17,7 +17,7 @@ import pytest
 
 from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev
-from journeyrank.dataio import dataset_to_records
+from journeyrank.dataio import dataset_from_records, dataset_to_records
 from journeyrank.domain import POSITIVE_CHAIN
 from journeyrank.errors import ConfigError, ContractError, SchemaMismatchError
 from journeyrank.model import (
@@ -64,27 +64,40 @@ def trained_full(small_data):
     return model, train_ds, eval_ds
 
 
+def ndcg_of_ranking(ranked_ids, positive_ids):
+    """Segment NDCG of a single search given as a ranking of ids."""
+    flags = np.array([lid in positive_ids for lid in ranked_ids])
+    ndcg, has_positive = ev.ndcg_binary(flags, np.array([0, len(flags)]))
+    assert has_positive.tolist() == [True]
+    return float(ndcg[0])
+
+
 class TestNdcgBinary:
     def test_positive_at_rank_one_is_perfect(self):
-        assert ev.ndcg_binary(["a", "b", "c"], {"a"}) == 1.0
-        assert ev.ndcg_binary(["a"], {"a"}) == 1.0
+        assert ndcg_of_ranking(["a", "b", "c"], {"a"}) == 1.0
+        assert ndcg_of_ranking(["a"], {"a"}) == 1.0
 
     def test_single_positive_at_last_of_three(self):
-        value = ev.ndcg_binary(["x", "y", "z"], {"z"})
+        value = ndcg_of_ranking(["x", "y", "z"], {"z"})
         np.testing.assert_allclose(value, 1.0 / math.log2(4.0), rtol=1e-15)
         np.testing.assert_allclose(value, 0.5, rtol=1e-15)
 
     def test_matches_brute_force_on_random_cases(self):
+        """1000 random searches scored in one call, one segment each."""
         rng = np.random.default_rng(2024)
+        flags, starts, want = [], [0], []
         for _ in range(1000):
             n = int(rng.integers(2, 30))
             ids = [f"L{k}" for k in range(n)]
             n_pos = int(rng.integers(1, n + 1))
             positives = set(rng.choice(ids, size=n_pos, replace=False))
             ranked = [ids[k] for k in rng.permutation(n)]
-            np.testing.assert_allclose(
-                ev.ndcg_binary(ranked, positives),
-                brute_ndcg(ranked, positives), rtol=0, atol=1e-12)
+            flags.extend(lid in positives for lid in ranked)
+            starts.append(len(flags))
+            want.append(brute_ndcg(ranked, positives))
+        ndcg, has_positive = ev.ndcg_binary(np.array(flags), np.array(starts))
+        assert has_positive.all()
+        np.testing.assert_allclose(ndcg, want, rtol=0, atol=1e-12)
 
     def test_ideal_ordering_scores_exactly_one(self):
         rng = np.random.default_rng(7)
@@ -93,7 +106,7 @@ class TestNdcgBinary:
             n_pos = int(rng.integers(1, n + 1))
             ranked = [f"L{k}" for k in range(n)]
             positives = set(ranked[:n_pos])
-            assert ev.ndcg_binary(ranked, positives) == 1.0
+            assert ndcg_of_ranking(ranked, positives) == 1.0
 
     def test_permuting_below_lowest_positive_changes_nothing(self):
         rng = np.random.default_rng(11)
@@ -104,25 +117,23 @@ class TestNdcgBinary:
             positives = set(rng.choice(ids[:last_pos + 1],
                                        size=int(rng.integers(1, last_pos + 2)),
                                        replace=False)) | {ids[last_pos]}
-            before = ev.ndcg_binary(ids, positives)
+            before = ndcg_of_ranking(ids, positives)
             tail = ids[last_pos + 1:]
             shuffled = ids[:last_pos + 1] + [tail[k]
                                              for k in rng.permutation(len(tail))]
-            assert ev.ndcg_binary(shuffled, positives) == before
+            assert ndcg_of_ranking(shuffled, positives) == before
 
     def test_swapping_positive_upward_strictly_improves(self):
         ranked = ["n0", "n1", "p", "n2"]
-        low = ev.ndcg_binary(ranked, {"p"})
-        high = ev.ndcg_binary(["n0", "p", "n1", "n2"], {"p"})
+        low = ndcg_of_ranking(ranked, {"p"})
+        high = ndcg_of_ranking(["n0", "p", "n1", "n2"], {"p"})
         assert high > low
 
-    def test_empty_positive_set_is_refused(self):
-        with pytest.raises(ContractError):
-            ev.ndcg_binary(["a", "b"], set())
-
-    def test_positive_missing_from_ranking_is_refused(self):
-        with pytest.raises(ContractError):
-            ev.ndcg_binary(["a", "b"], {"zzz"})
+    def test_search_without_positive_is_skipped(self):
+        flags = np.array([False, False, False, True, False, False])
+        ndcg, has_positive = ev.ndcg_binary(flags, np.array([0, 2, 4, 6]))
+        assert has_positive.tolist() == [False, True, False]
+        assert ndcg.tolist() == [0.0, 1.0 / math.log2(3.0), 0.0]
 
 
 class TestNdcgReport:
@@ -227,10 +238,30 @@ class TestScorers:
 
     def test_scorer_with_wrong_shape_is_refused(self, small_data):
         dataset, _ = small_data
-        def bad_scorer(context, ids, rows):
-            return np.zeros(len(ids) + 1)
+        def bad_scorer(searches):
+            return np.zeros(searches.n_impressions + 1)
         with pytest.raises(ContractError):
             ev.evaluate_with_scorer(dataset, bad_scorer)
+
+
+    def test_constant_scorer_ranks_by_listing_id(self, small_data):
+        dataset, _ = small_data
+        reports = ev.evaluate_with_scorer(
+            dataset, lambda searches: np.zeros(searches.n_impressions))
+        searches = [s for rec in dataset_to_records(dataset)
+                    for s in rec["searches"]]
+        for task in POSITIVE_CHAIN:
+            values = []
+            for search in searches:
+                ids = [imp["listing_id"] for imp in search["impressions"]]
+                positives = {imp["listing_id"] for imp in search["impressions"]
+                             if task in imp["labels"]}
+                if positives:
+                    values.append(brute_ndcg(sorted(ids), positives))
+            assert reports[task].n_searches == len(values)
+            assert reports[task].n_skipped == len(searches) - len(values)
+            np.testing.assert_allclose(reports[task].mean, np.mean(values),
+                                       rtol=0, atol=1e-12)
 
 
 class TestEvaluateModel:
@@ -256,6 +287,15 @@ class TestEvaluateModel:
         second = ev.evaluate(model, eval_ds)
         for task in POSITIVE_CHAIN:
             assert first[task].to_record() == second[task].to_record()
+
+    def test_dataset_without_searches_reports_zero_counts(self,
+                                                          trained_full):
+        model, _, eval_ds = trained_full
+        reports = ev.evaluate(model, dataset_from_records(eval_ds.schema, []))
+        for task in POSITIVE_CHAIN:
+            assert reports[task].to_record() == {
+                "mean": 0.0, "per_seed": [0.0], "ci_half_width": 0.0,
+                "n_searches": 0, "n_skipped": 0}
 
     def test_schema_mismatch_is_refused(self, trained_full):
         model, _, _ = trained_full

@@ -104,6 +104,22 @@ def nested_labels(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
     return labels
 
 
+def loop_preference_pairs(grades, seg):
+    """Reference: the grade-violation grid of each search, one at a time."""
+    starts = np.flatnonzero(np.r_[True, np.diff(seg) != 0])
+    bounds = np.r_[starts, len(seg)]
+    pair_i, pair_j = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        g = grades[lo:hi]
+        ii, jj = np.nonzero(g[:, None] > g[None, :])
+        pair_i.append(ii + lo)
+        pair_j.append(jj + lo)
+    if not pair_i:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(pair_i), np.concatenate(pair_j)
+
+
 def random_batch(rng: np.random.Generator, n_searches: int = 5,
                  d_l: int = 4, d_c: int = 3) -> SearchBatch:
     sizes = rng.integers(2, 6, size=n_searches)
@@ -111,7 +127,7 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
     seg = np.repeat(np.arange(n_searches), sizes)
     labels = nested_labels(rng, n)
     grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, seg, n_searches)
+    pair_i, pair_j = preference_pairs(grades, seg)
     return SearchBatch(
         listing_rows=rng.normal(size=(n, d_l)),
         context_rows=rng.normal(size=(n, d_c)),
@@ -511,7 +527,7 @@ class TestCombinationLoss:
         labels = {m: np.zeros(4, dtype=bool) for m in ALL_MILESTONES}
         seg = np.zeros(4, dtype=np.int64)
         grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, seg, 1)
+        pair_i, pair_j = preference_pairs(grades, seg)
         assert pair_i.size == 0
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
                             context_rows=np.zeros((4, 1)), seg=seg,
@@ -526,7 +542,7 @@ class TestCombinationLoss:
         labels["c"] = np.array([True, False])
         seg = np.zeros(2, dtype=np.int64)
         grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, seg, 1)
+        pair_i, pair_j = preference_pairs(grades, seg)
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
                             context_rows=np.zeros((2, 1)), seg=seg,
                             n_searches=1, labels=labels,
@@ -576,6 +592,22 @@ class TestGradesAndPairs:
                 for rows in [np.flatnonzero(batch.seg == s)])
             assert len(batch.pair_i) == want
 
+    def test_matches_per_search_loop_in_order(self):
+        rng = np.random.default_rng(24)
+        for rep in range(200):
+            n_searches = int(rng.integers(0, 8))
+            sizes = rng.integers(1, 9, size=n_searches)
+            seg = np.repeat(np.arange(n_searches), sizes)
+            if rep % 4 == 0:
+                grades = np.full(len(seg), int(rng.integers(0, 4)))
+            else:
+                grades = rng.integers(0, 4, size=len(seg))
+            got = preference_pairs(grades, seg)
+            want = loop_preference_pairs(grades, seg)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
 
 class TestTotalLoss:
     def test_baseline_reduces_to_base_term(self):
@@ -617,7 +649,7 @@ class TestTotalLoss:
             labels[task] = np.array([True, False])
         seg = np.zeros(2, dtype=np.int64)
         grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, seg, 1)
+        pair_i, pair_j = preference_pairs(grades, seg)
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
                             context_rows=np.zeros((2, 3)), seg=seg,
                             n_searches=1, labels=labels,
@@ -816,7 +848,7 @@ class TestScoring:
         ranked = score_candidates(model, np.array([30.0, 0.0]), ids, rows)
         scores = np.array([c.score for c in ranked])
         assert np.all(np.diff(scores) <= 0)
-        outputs = model.outputs(np.array([30.0, 0.0]), rows)
+        outputs = model.outputs(rows, np.tile([30.0, 0.0], (len(rows), 1)))
         want = outputs.ranking_score.values
         order = np.lexsort((np.asarray(ids), -want))
         assert [c.listing_id for c in ranked] == [ids[int(k)] for k in order]
@@ -834,7 +866,7 @@ class TestScoring:
         ids = [f"c{k}" for k in range(10)]
         rows = rng.normal(size=(10, 2))
         context = np.array([35.0, 1.0])
-        outputs = model.outputs(context, rows)
+        outputs = model.outputs(rows, np.tile(context, (len(rows), 1)))
         y = outputs.ranking_score.values
         base_order = np.lexsort((np.asarray(ids), -y))
         for shift in (-100.0, -1.0, 2.5, 1e6):
@@ -883,9 +915,10 @@ class TestPersistence:
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(6, 2))
         context = np.array([40.0, 1.0])
+        contexts = np.tile(context, (len(rows), 1))
         np.testing.assert_array_equal(
-            back.outputs(context, rows).ranking_score.values,
-            model.outputs(context, rows).ranking_score.values)
+            back.outputs(rows, contexts).ranking_score.values,
+            model.outputs(rows, contexts).ranking_score.values)
 
     def test_plain_parameter_dump_is_refused(self, tmp_path):
         store = init_model_params(small_config())
