@@ -7,12 +7,14 @@ finite differences. The gradient-stop contract of the blending layer is
 asserted bitwise.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from conftest import fd_gradcheck
-from journeyrank import nn
+from journeyrank import evaluate, nn, simulate
 from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import (
     ALL_MILESTONES,
@@ -809,6 +811,31 @@ class TestTrain:
             with pytest.raises(TrainingDivergenceError) as err:
                 train(config, dataset, epochs=1)
         assert err.value.epoch == 0
+
+    @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
+        (default_model_config,
+         "c0cb9dd53e71a3f909509bba4f07bc45b99100aebf54946bf4c32a2e862fcc62",
+         0.6206248762143826),
+        (baseline_model_config,
+         "de58b0e8124a852c5d21a19a52ad99072174e7f8220ac44290377ca4ffce47af",
+         0.7230610080992426),
+    ], ids=["full", "baseline"])
+    def test_result_pinned(self, make_config, digest, ndcg_unc):
+        """Training is deterministic per seed, and a change that claims to
+        leave the arithmetic alone must leave these values alone. Thirteen
+        batches per epoch, the last one short."""
+        dataset, _ = simulate.generate(
+            simulate.default_generator_config(n_guests=300, seed=4))
+        train_ds, eval_ds = evaluate.prepare_split(dataset)
+        schema = dataset.schema
+        config = make_config(schema.listing_dim, schema.context_dim, seed=5)
+        model, _ = train(config, train_ds, epochs=3, batch_size=50)
+        sha = hashlib.sha256()
+        for name in sorted(model.params.names()):
+            sha.update(name.encode())
+            sha.update(model.params[name].values.tobytes())
+        assert sha.hexdigest() == digest
+        assert evaluate.evaluate(model, eval_ds)["unc"].mean == ndcg_unc
 
     def test_schema_hash_recorded(self):
         dataset = planted_dataset()
