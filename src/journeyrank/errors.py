@@ -34,8 +34,16 @@ class UndefinedTaskWeightError(DataValidationError):
 
 
 class TrainingDivergenceError(JourneyRankError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
 
-    def __init__(self, epoch: int, message: str = ""):
+    ``term`` names the first non-finite loss term (``base``, ``twiddler``,
+    ``combination``, or ``total`` when only their sum overflowed) and
+    ``batch`` the batch's index within the epoch.
+    """
+
+    def __init__(self, epoch: int, batch: int, term: str):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        self.batch = batch
+        self.term = term
+        super().__init__(f"non-finite {term} loss at epoch {epoch}, "
+                         f"batch {batch}")

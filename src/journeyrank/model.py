@@ -534,6 +534,74 @@ def preference_pairs(grades: np.ndarray,
     return pair_i[keep], pair_j[keep]
 
 
+# Upper bound on the (i, j) grid cells one preference_pairs call builds, so
+# the grid's index temporaries stay a few MB however large the dataset.
+_PAIR_GRID_CELLS = 1 << 16
+
+
+@dataclass(frozen=True)
+class BatchInputs:
+    """Everything a training batch is cut from, built once per train().
+
+    Rows are the dataset's impression rows and ``search_starts`` its
+    search offsets. ``labels`` holds one row per name in ``label_names``.
+    Search k's preference pairs are ``pair_i``/``pair_j`` at
+    ``pair_starts[k]:pair_starts[k + 1]``, as row offsets within the
+    search, in the order :func:`preference_pairs` gives them.
+    """
+
+    search_starts: np.ndarray         # [n_searches + 1] int64
+    listing_rows: np.ndarray          # [n_impressions, listing_dim] normalized
+    context_rows: np.ndarray          # [n_searches, context_dim] normalized
+    label_names: tuple[str, ...]
+    labels: np.ndarray                # [len(label_names), n_impressions] bool
+    pair_starts: np.ndarray           # [n_searches + 1] int64
+    pair_i: np.ndarray                # [n_pairs] int64
+    pair_j: np.ndarray                # [n_pairs] int64
+
+
+def batch_inputs(packed: PackedSearches,
+                 norm: NormalizationStats) -> BatchInputs:
+    """Normalize the features and find every search's preference pairs."""
+    starts = packed.search_starts
+    seg = packed.search_of_imp
+    grades = relevance_grades(packed.labels)
+    sizes = np.diff(starts)
+    grid_ends = np.cumsum(sizes * sizes)
+    empty = np.zeros(0, dtype=np.int64)
+    pair_i, pair_j = [empty], [empty]
+    lo = 0
+    while lo < packed.n_searches:
+        limit = _PAIR_GRID_CELLS + (grid_ends[lo - 1] if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(grid_ends, limit, side="right")))
+        rows = slice(starts[lo], starts[hi])
+        i, j = preference_pairs(grades[rows], seg[rows])
+        pair_i.append(i + starts[lo])
+        pair_j.append(j + starts[lo])
+        lo = hi
+    pair_i = np.concatenate(pair_i)
+    pair_j = np.concatenate(pair_j)
+    pair_search = seg[pair_i]
+    pair_counts = np.bincount(pair_search, minlength=packed.n_searches)
+    return BatchInputs(
+        search_starts=starts,
+        listing_rows=norm.apply_listing(packed.listing_features),
+        context_rows=norm.apply_context(packed.context_features),
+        label_names=tuple(packed.labels),
+        labels=np.stack(list(packed.labels.values())),
+        pair_starts=np.r_[0, np.cumsum(pair_counts)],
+        pair_i=pair_i - starts[pair_search],
+        pair_j=pair_j - starts[pair_search],
+    )
+
+
+def _concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """first[0] .. first[0]+lengths[0]-1, then the same for entry 1, ..."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
+
+
 @dataclass(frozen=True)
 class SearchBatch:
     """A minibatch of whole searches, ready for the forward pass."""
@@ -551,25 +619,26 @@ class SearchBatch:
         return len(self.seg)
 
 
-def make_batch(packed: PackedSearches, search_indices: np.ndarray,
-               norm: NormalizationStats) -> SearchBatch:
+def make_batch(inputs: BatchInputs,
+               search_indices: np.ndarray) -> SearchBatch:
+    """The given searches, in the given order, cut from ``inputs``."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
-    rows = packed.imp_rows_for_searches(search_indices)
-    counts = (packed.search_starts[search_indices + 1]
-              - packed.search_starts[search_indices])
-    seg = np.repeat(np.arange(len(search_indices)), counts)
-    labels = {name: values[rows] for name, values in packed.labels.items()}
-    grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, seg)
-    context_rows = packed.context_features[packed.search_of_imp[rows]]
+    starts = inputs.search_starts[search_indices]
+    counts = inputs.search_starts[search_indices + 1] - starts
+    rows = _concat_ranges(starts, counts)
+    pair_starts = inputs.pair_starts[search_indices]
+    pair_counts = inputs.pair_starts[search_indices + 1] - pair_starts
+    pairs = _concat_ranges(pair_starts, pair_counts)
+    # each pair moves from its search's offsets to the batch's
+    shift = np.repeat(np.cumsum(counts) - counts, pair_counts)
     return SearchBatch(
-        listing_rows=norm.apply_listing(packed.listing_features[rows]),
-        context_rows=norm.apply_context(context_rows),
-        seg=seg,
+        listing_rows=inputs.listing_rows[rows],
+        context_rows=inputs.context_rows[np.repeat(search_indices, counts)],
+        seg=np.repeat(np.arange(len(search_indices)), counts),
         n_searches=len(search_indices),
-        labels=labels,
-        pair_i=pair_i,
-        pair_j=pair_j,
+        labels=dict(zip(inputs.label_names, inputs.labels[:, rows])),
+        pair_i=inputs.pair_i[pairs] + shift,
+        pair_j=inputs.pair_j[pairs] + shift,
     )
 
 
@@ -586,11 +655,15 @@ def base_loss(log_joint: Mapping[str, Tensor], batch: SearchBatch,
     impressions of its search.
     """
     total: Tensor | None = None
+    starts = None
     for task, scores in log_joint.items():
         positive_rows = np.flatnonzero(batch.labels[task])
         if positive_rows.size == 0:
             continue
-        lse = nn.segment_logsumexp(scores, batch.seg, batch.n_searches)
+        if starts is None:
+            starts = nn.segment_starts(batch.seg, batch.n_searches)
+        lse = nn.segment_logsumexp(scores, batch.seg, batch.n_searches,
+                                   starts=starts)
         per_positive = nn.sub(nn.gather(lse, batch.seg[positive_rows]),
                               nn.gather(scores, positive_rows))
         term = nn.scale(nn.total_sum(per_positive), float(weights[task]))
@@ -727,16 +800,20 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     state = nn.init_adam(params, nn.AdamConfig(learning_rate=learning_rate))
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    inputs = batch_inputs(packed, norm)
     history: list[EpochStats] = []
     for epoch in range(epochs):
         order = shuffle_rng.permutation(packed.n_searches)
         sums: dict[str, float] = {}
-        for lo in range(0, len(order), batch_size):
-            batch = make_batch(packed, order[lo:lo + batch_size], norm)
+        for batch_index, lo in enumerate(range(0, len(order), batch_size)):
+            batch = make_batch(inputs, order[lo:lo + batch_size])
             with Tape() as tape:
                 loss, _, parts = total_loss(config, params, batch, weights)
                 if not np.isfinite(loss.values):
-                    raise TrainingDivergenceError(epoch)
+                    # parts ends with "total", which is non-finite here
+                    term = next(k for k, v in parts.items()
+                                if not np.isfinite(v))
+                    raise TrainingDivergenceError(epoch, batch_index, term)
                 nn.backward(tape, loss)
             nn.optimizer_step(params, state)
             for key, value in parts.items():

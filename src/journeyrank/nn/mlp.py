@@ -56,13 +56,34 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, T.Tensor] = {}
+        self._flat: np.ndarray | None = None
 
     def add(self, name: str, values: np.ndarray) -> T.Tensor:
         if name in self._params:
             raise ConfigError(f"parameter {name!r} already registered")
         t = T.Tensor(values, requires_grad=True)
         self._params[name] = t
+        self._flat = None
         return t
+
+    def flat_values(self) -> np.ndarray:
+        """Every parameter's values as one float64 vector, in insertion order.
+
+        Each parameter's ``values`` is a view of this vector, so updating
+        the vector in place updates every parameter. The first call after a
+        parameter is added moves the values into a new vector; write to
+        ``values`` in place from then on, never rebind it.
+        """
+        if self._flat is None:
+            flat = np.empty(self.n_values)
+            offset = 0
+            for t in self._params.values():
+                view = flat[offset:offset + t.size].reshape(t.shape)
+                view[...] = t.values
+                t.values = view
+                offset += t.size
+            self._flat = flat
+        return self._flat
 
     def __getitem__(self, name: str) -> T.Tensor:
         try:

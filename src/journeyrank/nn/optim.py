@@ -1,7 +1,8 @@
 """Adam optimizer over a :class:`ParameterStore`.
 
-State is kept per parameter name in plain float64 arrays so it serializes
-alongside the weights if a caller ever wants warm restarts.
+One step is one elementwise update of the store's flat value vector
+(:meth:`ParameterStore.flat_values`), with the moments held as flat vectors
+in the same parameter order.
 """
 
 from __future__ import annotations
@@ -26,16 +27,14 @@ class AdamConfig:
 class AdamState:
     config: AdamConfig = field(default_factory=AdamConfig)
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(store: ParameterStore, config: AdamConfig | None = None) -> AdamState:
-    state = AdamState(config=config or AdamConfig())
-    for name, t in store.items():
-        state.m[name] = np.zeros_like(t.values)
-        state.v[name] = np.zeros_like(t.values)
-    return state
+    flat = store.flat_values()
+    return AdamState(config=config or AdamConfig(),
+                     m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
 def optimizer_step(store: ParameterStore, state: AdamState) -> None:
@@ -46,23 +45,33 @@ def optimizer_step(store: ParameterStore, state: AdamState) -> None:
     a missing buffer means the training loop forgot to zero and backprop,
     which is a bug worth failing loudly on.
     """
+    grads = []
+    for name, param in store.items():
+        if param.grad is None:
+            raise ContractError(f"parameter {name!r} has no gradient; "
+                                "run backward() before optimizer_step()")
+        grads.append(param.grad)
+    flat = store.flat_values()
+    g = np.concatenate(grads, axis=None) if grads else np.zeros(0)
+    if g.size != flat.size or state.m.size != flat.size:
+        raise ContractError("gradients and optimizer state must match the "
+                            "parameters; run init_adam() on this store")
+    for _, param in store.items():
+        param.grad = None
     cfg = state.config
     state.step += 1
     t = state.step
     bias1 = 1.0 - cfg.beta1 ** t
     bias2 = 1.0 - cfg.beta2 ** t
-    for name, param in store.items():
-        g = param.grad
-        if g is None:
-            raise ContractError(f"parameter {name!r} has no gradient; "
-                                "run backward() before optimizer_step()")
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        param.values -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        param.grad = None
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (g * g)
+    # the per-parameter update's operations, in its order:
+    # lr * m_hat / (sqrt(v_hat) + eps)
+    update = cfg.learning_rate * (m / bias1)
+    denom = np.sqrt(v / bias2)
+    denom += cfg.epsilon
+    update /= denom
+    flat -= update

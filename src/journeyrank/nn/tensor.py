@@ -5,6 +5,13 @@ and exactly the operators the ranking model needs (dense layers, stable
 logistic primitives, per-search segment reductions). Recording happens only
 while a :class:`Tape` is active and at least one operand requires a
 gradient, so inference-mode forward passes carry no bookkeeping cost.
+
+Gradient buffers are owned, never shared. The first gradient a tensor
+receives becomes its buffer without a zero fill: an array computed for that
+one call is adopted as it is, and one that is also held elsewhere (an
+output's gradient passed straight through, or a view into it) is copied
+first. Later gradients are added into the buffer in place, so no two
+tensors may ever hold the same buffer.
 """
 
 from __future__ import annotations
@@ -51,10 +58,20 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, shared: bool = False) -> None:
+        """Add ``g`` into this tensor's gradient buffer.
+
+        The first gradient becomes the buffer. Callers pass ``shared=True``
+        when ``g`` is held elsewhere too (another tensor's buffer, or a view
+        into one); it is then copied, because the buffer is added into in
+        place later. An array the caller computed for this call alone is
+        adopted as it is.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # np.asarray keeps a 0-d gradient an array, not a numpy scalar
+            self.grad = np.array(g) if shared else np.asarray(g)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.values)
@@ -183,9 +200,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(g, shared=True)
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(g, shared=True)
 
     return _record(out, (a, b), backward_fn)
 
@@ -196,7 +213,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(g, shared=True)
         if b.requires_grad:
             b._accumulate(-g)
 
@@ -231,7 +248,7 @@ def shift(a: Tensor, c: float) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(g, shared=True)
 
     return _record(out, (a,), backward_fn)
 
@@ -264,7 +281,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g)
+            x._accumulate(g, shared=True)
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
@@ -280,9 +297,9 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g[:, :na])
+            a._accumulate(g[:, :na], shared=True)
         if b.requires_grad:
-            b._accumulate(g[:, na:])
+            b._accumulate(g[:, na:], shared=True)
 
     return _record(out, (a, b), backward_fn)
 
@@ -297,9 +314,12 @@ def column(x: Tensor, j: int) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            gx[:, j] = g
-            x._accumulate(gx)
+            # Only column j is touched: write it into the buffer in place.
+            if x.grad is None:
+                x.grad = np.zeros_like(x.values)
+                x.grad[:, j] = g
+            else:
+                x.grad[:, j] += g
 
     return _record(out, (x,), backward_fn)
 
@@ -377,24 +397,29 @@ def _as_index(idx) -> np.ndarray:
 
 
 def gather(x: Tensor, idx) -> Tensor:
-    """Pick elements of a vector: out[i] = x[idx[i]]."""
+    """Pick elements of a vector: out[i] = x[idx[i]], with 0 <= idx[i] < len(x)."""
     if x.values.ndim != 1:
         raise ShapeError("gather expects a rank-1 tensor")
     idx = _as_index(idx)
+    if idx.size and idx.min() < 0:
+        raise ShapeError("gather indices must be non-negative")
     out = Tensor._wrap(x.values[idx])
 
     def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
+        if x.requires_grad and idx.size:
+            # bincount adds in index order, as np.add.at does
+            x._accumulate(np.bincount(idx, weights=g, minlength=len(x.values)))
 
     return _record(out, (x,), backward_fn)
 
 
-def _segment_starts(seg: np.ndarray, n_segments: int) -> np.ndarray:
-    if seg.ndim != 1:
-        raise ShapeError("segment ids must be one-dimensional")
+def segment_starts(seg, n_segments: int) -> np.ndarray:
+    """Validate a segment layout and return the first index of each segment.
+
+    ``seg`` must be sorted ascending and cover ids 0..n_segments-1, each
+    with at least one element.
+    """
+    seg = _as_index(seg)
     if seg.size == 0:
         raise ContractError("segment reduction over an empty vector")
     if np.any(np.diff(seg) < 0):
@@ -405,12 +430,18 @@ def _segment_starts(seg: np.ndarray, n_segments: int) -> np.ndarray:
     return starts
 
 
-def segment_logsumexp(x: Tensor, seg, n_segments: int) -> Tensor:
-    """Per-segment log-sum-exp over a contiguous, sorted segment layout."""
+def segment_logsumexp(x: Tensor, seg, n_segments: int,
+                      starts: np.ndarray | None = None) -> Tensor:
+    """Per-segment log-sum-exp over a contiguous, sorted segment layout.
+
+    ``starts`` is ``segment_starts(seg, n_segments)``: a caller reducing
+    several vectors over one layout validates it once and passes it here.
+    """
     if x.values.ndim != 1:
         raise ShapeError("segment_logsumexp expects a rank-1 tensor")
     seg = _as_index(seg)
-    starts = _segment_starts(seg, n_segments)
+    if starts is None:
+        starts = segment_starts(seg, n_segments)
     seg_max = np.maximum.reduceat(x.values, starts)
     shifted = np.exp(x.values - seg_max[seg])
     lse = np.log(np.add.reduceat(shifted, starts)) + seg_max

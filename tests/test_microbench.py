@@ -1,0 +1,68 @@
+"""Micro-benchmarks of the hot paths, timed with pytest-benchmark.
+
+One training step (batch cut, forward and loss, backward, Adam), one
+batched forward over a whole dataset, and generating 200 guests. Rounds
+are few so the suite's run time barely moves. The timings only inform:
+nothing here asserts on them, only on the results being well formed.
+"""
+
+import numpy as np
+import pytest
+
+from journeyrank import evaluate, model, nn, simulate
+
+pytest.importorskip("pytest_benchmark")
+
+
+@pytest.fixture(scope="module")
+def world():
+    dataset, _ = simulate.generate(
+        simulate.benchmark_generator_config(n_guests=200, seed=3))
+    train_ds, _ = evaluate.prepare_split(dataset)
+    schema = dataset.schema
+    config = model.default_model_config(schema.listing_dim,
+                                        schema.context_dim)
+    return train_ds, config
+
+
+def test_train_step(benchmark, world):
+    dataset, config = world
+    packed = dataset.searches
+    norm = model.NormalizationStats.fit(packed.listing_features,
+                                        packed.context_features)
+    inputs = model.batch_inputs(packed, norm)
+    weights = model.resolve_task_weights(config, dataset)
+    params = model.init_model_params(config)
+    state = nn.init_adam(params)
+    searches = np.arange(min(128, packed.n_searches))
+
+    def step():
+        batch = model.make_batch(inputs, searches)
+        with nn.Tape() as tape:
+            loss, _, _ = model.total_loss(config, params, batch, weights)
+            nn.backward(tape, loss)
+        nn.optimizer_step(params, state)
+        return float(loss.values)
+
+    loss = benchmark.pedantic(step, rounds=5, warmup_rounds=1)
+    assert np.isfinite(loss)
+
+
+def test_batched_forward(benchmark, world):
+    dataset, config = world
+    trained, _ = model.train(config, dataset, epochs=0)
+    packed = dataset.searches
+    context_rows = packed.context_features[packed.search_of_imp]
+
+    outputs = benchmark.pedantic(
+        trained.outputs, args=(packed.listing_features, context_rows),
+        rounds=5, warmup_rounds=1)
+    assert outputs.ranking_score.shape == (packed.n_impressions,)
+    assert np.all(np.isfinite(outputs.ranking_score.values))
+
+
+def test_generate_200_guests(benchmark):
+    config = simulate.default_generator_config(n_guests=200, seed=3)
+    dataset, _ = benchmark.pedantic(simulate.generate, args=(config,),
+                                    rounds=3)
+    assert dataset.n_journeys == 200

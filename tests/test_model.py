@@ -14,14 +14,16 @@ import pytest
 from scipy.special import expit
 
 from conftest import fd_gradcheck
-from journeyrank import evaluate, nn, simulate
+from journeyrank import evaluate, model as model_module, nn, simulate
 from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import (
     ALL_MILESTONES,
     DatasetSchema,
     Dataset,
+    LABELS,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
+    PackedSearches,
     relevance_grades,
 )
 from journeyrank.errors import (
@@ -36,6 +38,7 @@ from journeyrank.model import (
     NormalizationStats,
     SearchBatch,
     base_forward,
+    batch_inputs,
     base_loss,
     baseline_model_config,
     blend_coefficients,
@@ -45,6 +48,7 @@ from journeyrank.model import (
     forward,
     init_model_params,
     load_model,
+    make_batch,
     model_config_from_record,
     model_config_to_record,
     module_parameter_names,
@@ -120,6 +124,52 @@ def loop_preference_pairs(grades, seg):
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     return np.concatenate(pair_i), np.concatenate(pair_j)
+
+
+def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
+                         norm: NormalizationStats) -> SearchBatch:
+    """Reference: a batch built from the dataset columns alone, grades,
+    pairs and normalization included, the way training once did per step."""
+    search_indices = np.asarray(search_indices, dtype=np.int64)
+    rows = packed.imp_rows_for_searches(search_indices)
+    counts = (packed.search_starts[search_indices + 1]
+              - packed.search_starts[search_indices])
+    seg = np.repeat(np.arange(len(search_indices)), counts)
+    labels = {name: values[rows] for name, values in packed.labels.items()}
+    grades = relevance_grades(labels)
+    pair_i, pair_j = preference_pairs(grades, seg)
+    context_rows = packed.context_features[packed.search_of_imp[rows]]
+    return SearchBatch(
+        listing_rows=norm.apply_listing(packed.listing_features[rows]),
+        context_rows=norm.apply_context(context_rows),
+        seg=seg,
+        n_searches=len(search_indices),
+        labels=labels,
+        pair_i=pair_i,
+        pair_j=pair_j,
+    )
+
+
+def random_packed(rng: np.random.Generator, n_searches: int,
+                  equal_grades: bool = False) -> PackedSearches:
+    """Searches of 1..9 rows with random funnel labels; with
+    ``equal_grades`` every row is a plain impression, so no pairs exist."""
+    sizes = rng.integers(1, 10, size=n_searches)
+    n = int(sizes.sum())
+    labels = nested_labels(rng, n)
+    if equal_grades:
+        labels = {m: np.zeros(n, dtype=bool) for m in labels}
+    return PackedSearches(
+        listing_features=rng.normal(size=(n, 4)) * 3.0 + 1.0,
+        context_features=rng.normal(size=(n_searches, 3)) * 5.0 - 2.0,
+        search_of_imp=np.repeat(np.arange(n_searches), sizes),
+        search_starts=np.r_[0, np.cumsum(sizes)],
+        labels={m: labels[m] for m in LABELS},
+        listing_ids=np.array([f"L{k}" for k in range(n)]),
+        positions=np.ones(n, dtype=np.int64),
+        search_ids=np.array([f"S{k}" for k in range(n_searches)]),
+        t_days=np.zeros(n_searches),
+    )
 
 
 def random_batch(rng: np.random.Generator, n_searches: int = 5,
@@ -611,6 +661,55 @@ class TestGradesAndPairs:
                 np.testing.assert_array_equal(g, w)
 
 
+class TestBatches:
+    """Batches cut from the once-per-train() inputs equal the batches the
+    per-step reference builds from the columns, array for array."""
+
+    def assert_same_batch(self, got: SearchBatch, want: SearchBatch):
+        assert got.n_searches == want.n_searches
+        assert list(got.labels) == list(want.labels)
+        pairs = [(got.labels[k], want.labels[k]) for k in want.labels]
+        for name in ("listing_rows", "context_rows", "seg", "pair_i",
+                     "pair_j"):
+            pairs.append((getattr(got, name), getattr(want, name)))
+        for g, w in pairs:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("grid_cells", [1, 40, 1 << 16])
+    def test_matches_per_batch_reference(self, monkeypatch, grid_cells):
+        # grid_cells bounds the pair grid of one preference_pairs call:
+        # 1 forces a call per search, 40 splits the searches into chunks
+        monkeypatch.setattr(model_module, "_PAIR_GRID_CELLS", grid_cells)
+        rng = np.random.default_rng(31)
+        for rep in range(12):
+            packed = random_packed(rng, int(rng.integers(1, 40)),
+                                   equal_grades=rep % 4 == 3)
+            norm = NormalizationStats.fit(packed.listing_features,
+                                          packed.context_features)
+            inputs = batch_inputs(packed, norm)
+            order = rng.permutation(packed.n_searches)
+            batch_size = int(rng.integers(1, 8))
+            for lo in range(0, len(order), batch_size):
+                pick = order[lo:lo + batch_size]
+                self.assert_same_batch(
+                    make_batch(inputs, pick),
+                    per_batch_make_batch(packed, pick, norm))
+
+    def test_covers_one_row_and_pairless_searches(self):
+        rng = np.random.default_rng(32)
+        packed = random_packed(rng, 60)
+        sizes = np.diff(packed.search_starts)
+        norm = NormalizationStats.fit(packed.listing_features,
+                                      packed.context_features)
+        inputs = batch_inputs(packed, norm)
+        pair_counts = np.diff(inputs.pair_starts)
+        assert np.any(sizes == 1)
+        assert np.any((sizes > 1) & (pair_counts == 0))
+        assert np.all(pair_counts[sizes == 1] == 0)
+        assert inputs.pair_starts[-1] == len(inputs.pair_i)
+
+
 class TestTotalLoss:
     def test_baseline_reduces_to_base_term(self):
         config = baseline_model_config(4, 3, embedding_dim=5,
@@ -811,6 +910,9 @@ class TestTrain:
             with pytest.raises(TrainingDivergenceError) as err:
                 train(config, dataset, epochs=1)
         assert err.value.epoch == 0
+        assert err.value.batch == 0
+        assert err.value.term == "base"
+        assert str(err.value) == "non-finite base loss at epoch 0, batch 0"
 
     @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
         (default_model_config,

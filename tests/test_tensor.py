@@ -91,6 +91,99 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(used.grad, np.array([2.0]))
 
 
+def assert_no_shared_buffers(tensors):
+    grads = [t.grad for t in tensors if t.grad is not None]
+    for k, a in enumerate(grads):
+        for b in grads[k + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradientBuffers:
+    """A gradient buffer belongs to one tensor: it never aliases another
+    tensor's buffer, so adding into it later cannot leak elsewhere."""
+
+    def test_one_tensor_feeding_two_adds(self):
+        x = nn.Tensor([1.0, 2.0], requires_grad=True)
+        y = nn.Tensor([3.0, 4.0], requires_grad=True)
+        c = nn.Tensor([5.0, 7.0])
+        d = nn.Tensor([11.0, 13.0])
+        with nn.Tape() as tape:
+            # backward runs in reverse: the add into s1 gives x and y
+            # their first gradient, then y * d adds to y's
+            yd = y * d
+            s1 = nn.add(x, y)
+            s2 = nn.add(x, c)
+            loss = (s1 * c).sum() + (s2 * d).sum() + yd.sum()
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [16.0, 20.0])
+        np.testing.assert_array_equal(y.grad, [16.0, 20.0])
+        np.testing.assert_array_equal(s1.grad, [5.0, 7.0])
+        np.testing.assert_array_equal(s2.grad, [11.0, 13.0])
+        assert_no_shared_buffers([x, y, s1, s2])
+
+    def test_concat_cols_slices(self):
+        a = nn.Tensor(np.ones((2, 2)), requires_grad=True)
+        b = nn.Tensor(np.ones((2, 1)), requires_grad=True)
+        w = nn.Tensor(np.array([[1.0], [2.0], [3.0]]))
+        v = nn.Tensor(np.array([[10.0, 20.0]]).T)
+        with nn.Tape() as tape:
+            # backward runs in reverse: z hands a and b their first
+            # gradient as slices of its own, then av and b100 add to them
+            av = nn.matmul(a, v)
+            b100 = nn.matmul(b, nn.Tensor([[100.0]]))
+            z = nn.concat_cols(a, b)
+            loss = nn.matmul(z, w).sum() + av.sum() + b100.sum()
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(a.grad, [[11.0, 22.0], [11.0, 22.0]])
+        np.testing.assert_array_equal(b.grad, [[103.0], [103.0]])
+        np.testing.assert_array_equal(z.grad, [[1.0, 2.0, 3.0]] * 2)
+        assert_no_shared_buffers([a, b, z])
+
+    def test_tensor_reached_twice(self):
+        x = nn.Tensor([1.0, -1.0, 2.0], requires_grad=True)
+        c = nn.Tensor([2.0, 3.0, 5.0])
+        with nn.Tape() as tape:
+            # backward runs in reverse: add(x, x) gives x its first
+            # gradient and adds to it, then shift adds again
+            shifted = nn.shift(x, 1.0)
+            doubled = nn.add(x, x)
+            loss = (doubled * c).sum() + (shifted * c).sum()
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [6.0, 9.0, 15.0])
+        np.testing.assert_array_equal(doubled.grad, [2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(shifted.grad, [2.0, 3.0, 5.0])
+        assert_no_shared_buffers([x, doubled, shifted])
+
+    def test_column_writes_into_its_slice(self):
+        x = nn.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with nn.Tape() as tape:
+            loss = (nn.column(x, 0) * nn.Tensor([1.0, 2.0, 3.0])).sum() \
+                + (nn.column(x, 1) * nn.Tensor([4.0, 5.0, 6.0])).sum() \
+                + nn.column(x, 1).sum()
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad,
+                                      [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
+
+    def test_gather_backward_matches_add_at(self):
+        rng = np.random.default_rng(41)
+        for rep in range(50):
+            n = int(rng.integers(1, 12))
+            idx = rng.integers(0, n, size=int(rng.integers(0, 30)))
+            g = rng.normal(size=idx.size) * 10.0 ** rng.integers(-3, 4, idx.size)
+            x = nn.Tensor(rng.normal(size=n), requires_grad=True)
+            with nn.Tape() as tape:
+                loss = (nn.gather(x, idx) * nn.Tensor(g)).sum()
+            nn.backward(tape, loss)
+            want = np.zeros(n)
+            np.add.at(want, idx, g)
+            assert x.grad.dtype == np.float64
+            np.testing.assert_array_equal(x.grad, want)
+
+    def test_gather_rejects_negative_index(self):
+        with pytest.raises(ShapeError):
+            nn.gather(nn.Tensor([1.0, 2.0]), np.array([0, -1]))
+
+
 class TestStopGradient:
     def test_value_transparent_bitwise(self):
         x = nn.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
