@@ -125,6 +125,13 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
 
+def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs first[k] .. first[k] + lengths[k] - 1, one after another."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
+
+
 @dataclass(frozen=True)
 class PackedSearches:
     """Column-oriented searches.
@@ -154,12 +161,7 @@ class PackedSearches:
     def imp_rows_for_searches(self, search_idx: np.ndarray) -> np.ndarray:
         """Impression row indices of the given searches, in search order."""
         starts = self.search_starts[search_idx]
-        lengths = self.search_starts[search_idx + 1] - starts
-        total = int(lengths.sum())
-        offsets = np.repeat(starts, lengths)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths)
-        return offsets + within
+        return concat_ranges(starts, self.search_starts[search_idx + 1] - starts)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .domain import (
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
     PackedSearches,
+    concat_ranges,
     relevance_grades,
     task_weights,
 )
@@ -595,13 +596,6 @@ def batch_inputs(packed: PackedSearches,
     )
 
 
-def _concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """first[0] .. first[0]+lengths[0]-1, then the same for entry 1, ..."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
-
-
 @dataclass(frozen=True)
 class SearchBatch:
     """A minibatch of whole searches, ready for the forward pass."""
@@ -625,10 +619,10 @@ def make_batch(inputs: BatchInputs,
     search_indices = np.asarray(search_indices, dtype=np.int64)
     starts = inputs.search_starts[search_indices]
     counts = inputs.search_starts[search_indices + 1] - starts
-    rows = _concat_ranges(starts, counts)
+    rows = concat_ranges(starts, counts)
     pair_starts = inputs.pair_starts[search_indices]
     pair_counts = inputs.pair_starts[search_indices + 1] - pair_starts
-    pairs = _concat_ranges(pair_starts, pair_counts)
+    pairs = concat_ranges(pair_starts, pair_counts)
     # each pair moves from its search's offsets to the batch's
     shift = np.repeat(np.cumsum(counts) - counts, pair_counts)
     return SearchBatch(
