@@ -569,8 +569,7 @@ def batch_inputs(packed: PackedSearches,
     grades = relevance_grades(packed.labels)
     sizes = np.diff(starts)
     grid_ends = np.cumsum(sizes * sizes)
-    empty = np.zeros(0, dtype=np.int64)
-    pair_i, pair_j = [empty], [empty]
+    pair_i, pair_j = [], []
     lo = 0
     while lo < packed.n_searches:
         limit = _PAIR_GRID_CELLS + (grid_ends[lo - 1] if lo else 0)

@@ -25,16 +25,16 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
+    m: np.ndarray
+    v: np.ndarray
     config: AdamConfig = field(default_factory=AdamConfig)
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(store: ParameterStore, config: AdamConfig | None = None) -> AdamState:
     flat = store.flat_values()
-    return AdamState(config=config or AdamConfig(),
-                     m=np.zeros_like(flat), v=np.zeros_like(flat))
+    return AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat),
+                     config=config or AdamConfig())
 
 
 def optimizer_step(store: ParameterStore, state: AdamState) -> None:
@@ -51,13 +51,12 @@ def optimizer_step(store: ParameterStore, state: AdamState) -> None:
             raise ContractError(f"parameter {name!r} has no gradient; "
                                 "run backward() before optimizer_step()")
         grads.append(param.grad)
+        param.grad = None
     flat = store.flat_values()
-    g = np.concatenate(grads, axis=None) if grads else np.zeros(0)
+    g = np.concatenate(grads, axis=None)
     if g.size != flat.size or state.m.size != flat.size:
         raise ContractError("gradients and optimizer state must match the "
                             "parameters; run init_adam() on this store")
-    for _, param in store.items():
-        param.grad = None
     cfg = state.config
     state.step += 1
     t = state.step

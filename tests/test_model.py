@@ -38,9 +38,9 @@ from journeyrank.model import (
     NormalizationStats,
     SearchBatch,
     base_forward,
-    batch_inputs,
     base_loss,
     baseline_model_config,
+    batch_inputs,
     blend_coefficients,
     combination_forward,
     combination_loss,

@@ -116,6 +116,20 @@ class TestInitialization:
             store.add("w", np.zeros(1))
 
 
+def loop_adam_step(values, grads, m, v, step, cfg):
+    """Reference: Adam one parameter at a time, on dicts of arrays."""
+    bias1 = 1.0 - cfg.beta1 ** step
+    bias2 = 1.0 - cfg.beta2 ** step
+    for name, g in grads.items():
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * (g * g)
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        values[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
 class TestOptimizer:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         store = nn.ParameterStore()
@@ -148,6 +162,50 @@ class TestOptimizer:
         store.add("w", np.array([1.0]))
         state = nn.init_adam(store)
         with pytest.raises(ContractError, match="w"):
+            nn.optimizer_step(store, state)
+
+    def test_flat_update_matches_per_parameter_loop(self):
+        rng = np.random.default_rng(9)
+        store = nn.ParameterStore()
+        shapes = {"w0": (3, 4), "b0": (4,), "w1": (4, 1), "b1": (1,),
+                  "s": ()}
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        cfg = nn.AdamConfig(learning_rate=0.01)
+        state = nn.init_adam(store, cfg)
+        values = {name: t.values.copy() for name, t in store.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for step in range(1, 21):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
+                     for name, shape in shapes.items()}
+            for name, t in store.items():
+                t.grad = grads[name].copy()
+            nn.optimizer_step(store, state)
+            loop_adam_step(values, grads, m, v, step, cfg)
+            for name, t in store.items():
+                np.testing.assert_array_equal(t.values, values[name])
+
+    def test_parameters_are_views_of_one_vector(self):
+        store = nn.ParameterStore()
+        w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = store.add("b", np.array([5.0]))
+        flat = store.flat_values()
+        np.testing.assert_array_equal(flat, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert np.shares_memory(w.values, flat)
+        assert np.shares_memory(b.values, flat)
+        assert store.flat_values() is flat
+        flat[4] = -1.0
+        assert b.values[0] == -1.0
+
+    def test_parameter_added_after_init_is_a_contract_error(self):
+        store = nn.ParameterStore()
+        w = store.add("w", np.array([1.0]))
+        state = nn.init_adam(store)
+        extra = store.add("late", np.array([2.0]))
+        w.grad = np.array([1.0])
+        extra.grad = np.array([1.0])
+        with pytest.raises(ContractError):
             nn.optimizer_step(store, state)
 
     def test_quadratic_bowl_converges(self):
