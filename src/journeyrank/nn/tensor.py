@@ -352,15 +352,14 @@ def tanh(x: Tensor) -> Tensor:
 def logistic(x) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)) of a float64 array.
 
-    The two-branch form never overflows in exp for large |x|.
+    ``e = exp(-|x|)`` never overflows, and each element takes
+    ``1 / (1 + e)`` for x >= 0 and ``e / (1 + e)`` otherwise. The exponent
+    is picked with ``where`` rather than ``-abs`` so a NaN keeps its sign.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log_sigmoid(x: Tensor) -> Tensor:

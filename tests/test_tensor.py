@@ -1,6 +1,8 @@
 """Tensor engine tests: op semantics, tape mechanics, and gradient
 correctness against the finite-difference oracle."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -232,6 +234,47 @@ class TestLogSigmoid:
         want = np.array([float(mpmath.log(1 / (1 + mpmath.exp(-mpmath.mpf(x)))))
                          for x in xs])
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+
+def two_branch_logistic(x):
+    """Reference: each sign's elements computed apart through masks."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestLogistic:
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 710.0,
+             -710.0, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+    # quiet NaNs with a payload, with the sign bit clear and set
+    NAN_BITS = [0x7FF8000000000001, 0xFFF8000000000001]
+
+    def inputs(self):
+        nans = np.array(self.NAN_BITS, dtype=np.uint64).view(np.float64)
+        return np.r_[np.array(self.EDGES), nans]
+
+    def test_bit_identical_to_two_branch_form_1d(self):
+        x = np.r_[self.inputs(),
+                  np.random.default_rng(3).normal(scale=20.0, size=2000)]
+        np.testing.assert_array_equal(
+            nn.logistic(x).view(np.uint64),
+            two_branch_logistic(x).view(np.uint64))
+
+    def test_bit_identical_to_two_branch_form_0d(self):
+        for v in self.inputs():
+            got = nn.logistic(v)
+            want = two_branch_logistic(v)
+            assert got.shape == want.shape == ()
+            assert got.view(np.uint64) == want.view(np.uint64), v
+
+    def test_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nn.logistic(self.inputs())
 
 
 class TestSegmentOps:
