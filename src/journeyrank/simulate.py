@@ -430,7 +430,7 @@ def _sample_journey(rng: np.random.Generator, world: WorldTruth) -> list[tuple]:
     start_day = rng.uniform(0.0, 365.0)
     n_planned = int(rng.integers(1, cfg.max_searches_per_journey + 1))
 
-    terminal: set[int] = set()
+    open_listings = np.ones(cfg.n_listings, dtype=bool)
     searches = []
     elapsed = 0.0
     for s_idx in range(n_planned):
@@ -443,9 +443,7 @@ def _sample_journey(rng: np.random.Generator, world: WorldTruth) -> list[tuple]:
         context[1] = float(s_idx)
         context[2:] = taste
 
-        available = np.setdiff1d(np.arange(cfg.n_listings),
-                                 np.fromiter(terminal, dtype=np.int64, count=len(terminal)),
-                                 assume_unique=True)
+        available = np.flatnonzero(open_listings)
         if len(available) < cfg.listings_per_search:
             break
         rows = rng.choice(available, size=cfg.listings_per_search, replace=False)
@@ -490,7 +488,7 @@ def _sample_journey(rng: np.random.Generator, world: WorldTruth) -> list[tuple]:
         searches.append((context, round(start_day + elapsed, 6), rows,
                          np.column_stack([flags[m] for m in LABELS])))
 
-        terminal.update(int(r) for r in rows[rej | cbh | cbg | booked])
+        open_listings[rows[rej | cbh | cbg | booked]] = False
         if booked.any():
             break
 
