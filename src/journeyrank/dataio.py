@@ -20,6 +20,14 @@ false flags are unset. The same record is how a dataset is built by hand:
 exactly as stored, so a load/save round trip is byte-identical for
 datasets produced by this package (the simulator rounds features at
 generation time for compactness).
+
+Each line of the file is the record in canonical JSON (sorted keys, no
+spaces). :func:`save_dataset` writes those bytes without building the
+records: it encodes each distinct feature row (told apart by its exact
+bytes, so ``-0.0`` and ``0.0`` keep their own text), each distinct label
+set and each distinct listing id once, and assembles one journey's line at
+a time from those pieces. The bytes are the same as encoding each record
+of :func:`dataset_to_records`.
 """
 
 from __future__ import annotations
@@ -45,8 +53,9 @@ _SCHEMA_KEYS = {"record", "listing_dim", "context_dim", "context_features",
                 "milestones", "window_days"}
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every call: json.dumps with these arguments builds a new
+# encoder each time, which the writer's per-search calls would pay for
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
@@ -75,24 +84,75 @@ def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
         yield {"guest_id": guest_id, "searches": searches}
 
 
+_KNOWN_MILESTONES = frozenset(ALL_MILESTONES)
+
+
+def _label_code(labels, known: dict) -> int | None:
+    """The flags a label dict sets, as bit k for ``LABELS[k]``, or None
+    when it sets an unknown milestone.
+
+    ``known`` remembers the code of each distinct dict by its items, so
+    the set logic runs once per distinct label set (a dict whose values
+    cannot be hashed is mapped every time).
+    """
+    items = tuple(labels.items())
+    try:
+        return known[items]
+    except KeyError:
+        hashable = True
+    except TypeError:
+        hashable = False
+    on = {m for m, v in items if v}
+    if not on <= _KNOWN_MILESTONES:
+        return None
+    code = sum(1 << k for k, m in enumerate(LABELS) if m in on)
+    if hashable:
+        known[items] = code
+    return code
+
+
+def _raise_first_fault(where: str, listing_dim: int, impressions,
+                       known: dict) -> None:
+    """Raise what the first faulty impression of a search raises, checking
+    one impression's fields at a time in the order the record lists them."""
+    for i in impressions:
+        if len(i["features"]) != listing_dim:
+            raise DataValidationError(
+                f"{where} listing={i['listing_id']}: feature width "
+                f"{len(i['features'])}, schema says {listing_dim}")
+        labels = i.get("labels", {})
+        if _label_code(labels, known) is None:
+            on = {m for m, v in labels.items() if v}
+            raise DataValidationError(
+                f"{where}: unknown milestone labels "
+                f"{sorted(on - _KNOWN_MILESTONES)}")
+        # the conversions the columns make
+        str(i["listing_id"])
+        int(i["position"])
+
+
 def dataset_from_records(schema: DatasetSchema,
                          records: Iterable[dict]) -> Dataset:
     """Build a dataset from journey records.
 
-    Each record's features, context and labels are turned into arrays
-    before the next record is read, so a stream of records never holds
-    more than one journey's feature values as Python floats. A record
-    whose widths differ from the schema, that lacks a field, holds a value
-    of the wrong type, or names an unknown milestone raises
-    :class:`DataValidationError`.
+    Each record's features and context are turned into arrays before the
+    next record is read, so a stream of records never holds more than one
+    journey's feature values as Python floats. A search's impressions are
+    read field by field; only a search with a fault is walked again one
+    impression at a time, so the first fault in record order is the one
+    reported. A record whose widths differ from the schema, that lacks a
+    field, holds a value of the wrong type, or names an unknown milestone
+    raises :class:`DataValidationError`.
     """
+    listing_dim = schema.listing_dim
+    known_labels: dict = {}
     guest_ids, searches_per_journey = [], []
     search_ids, t_days, contexts, imps_per_search = [], [], [], []
-    listing_ids, positions, features, label_rows = [], [], [], []
+    listing_ids, positions, features, label_codes = [], [], [], []
     for rec in records:
         try:
             guest_id = str(rec["guest_id"])
-            j_contexts, j_features, j_labels = [], [], []
+            j_contexts, j_features = [], []
             for s in rec["searches"]:
                 search_id = str(s["search_id"])
                 where = f"guest={guest_id} search={search_id}"
@@ -103,27 +163,31 @@ def dataset_from_records(schema: DatasetSchema,
                 search_ids.append(search_id)
                 t_days.append(float(s["t_days"]))
                 j_contexts.append(s["context"])
-                imps_per_search.append(len(s["impressions"]))
-                for i in s["impressions"]:
-                    if len(i["features"]) != schema.listing_dim:
-                        raise DataValidationError(
-                            f"{where} listing={i['listing_id']}: feature "
-                            f"width {len(i['features'])}, schema says "
-                            f"{schema.listing_dim}")
-                    on = {m for m, v in i.get("labels", {}).items() if v}
-                    unknown = on - set(ALL_MILESTONES)
-                    if unknown:
-                        raise DataValidationError(
-                            f"{where}: unknown milestone labels "
-                            f"{sorted(unknown)}")
-                    listing_ids.append(str(i["listing_id"]))
-                    positions.append(int(i["position"]))
-                    j_features.append(i["features"])
-                    j_labels.append([m in on for m in LABELS])
+                impressions = s["impressions"]
+                imps_per_search.append(len(impressions))
+                try:
+                    feats = [i["features"] for i in impressions]
+                    codes = [_label_code(i.get("labels", {}), known_labels)
+                             for i in impressions]
+                    ids = [str(i["listing_id"]) for i in impressions]
+                    pos = [int(i["position"]) for i in impressions]
+                    ok = (None not in codes
+                          and set(map(len, feats)) <= {listing_dim})
+                except Exception:
+                    # whatever failed is raised again, in record order,
+                    # by the walk below
+                    ok = False
+                if not ok:
+                    _raise_first_fault(where, listing_dim, impressions,
+                                       known_labels)
+                j_features += feats
+                label_codes += codes
+                listing_ids += ids
+                positions += pos
             contexts.append(np.array(j_contexts, dtype=np.float64
                                      ).reshape(-1, schema.context_dim))
             features.append(np.array(j_features, dtype=np.float64
-                                     ).reshape(-1, schema.listing_dim))
+                                     ).reshape(-1, listing_dim))
         except KeyError as exc:
             raise DataValidationError(
                 f"journey record missing field {exc}") from None
@@ -132,9 +196,7 @@ def dataset_from_records(schema: DatasetSchema,
                 f"malformed journey record: {exc}") from None
         guest_ids.append(guest_id)
         searches_per_journey.append(len(rec["searches"]))
-        label_rows.append(np.array(j_labels, dtype=bool).reshape(-1, len(LABELS)))
-    label_matrix = (np.concatenate(label_rows) if label_rows
-                    else np.zeros((0, len(LABELS)), dtype=bool))
+    codes = np.array(label_codes, dtype=np.int64)
     return Dataset.from_columns(
         schema,
         guest_ids=guest_ids,
@@ -146,17 +208,83 @@ def dataset_from_records(schema: DatasetSchema,
         listing_ids=listing_ids,
         positions=positions,
         listing_features=np.concatenate(features) if features else [],
-        labels={m: label_matrix[:, k] for k, m in enumerate(LABELS)},
+        labels={m: ((codes >> k) & 1).astype(bool)
+                for k, m in enumerate(LABELS)},
     )
 
 
+class _RowTexts:
+    """The JSON text of each row of an array, each distinct row encoded
+    once.
+
+    Rows are told apart by their exact bytes, so ``-0.0`` and ``0.0`` are
+    encoded apart, and so are two NaN payloads (to the same text). Only
+    the distinct rows' keys and texts are kept.
+    """
+
+    def __init__(self, values: np.ndarray, encode):
+        self.rows = np.ascontiguousarray(values)
+        n_cols = int(np.prod(self.rows.shape[1:]))
+        self.keys = self.rows.reshape(len(self.rows), n_cols).view(
+            np.dtype((np.void, self.rows.itemsize * n_cols))).ravel()
+        self.encode = encode
+        self.texts: dict[bytes, str] = {}
+
+    def __call__(self, a: int, b: int) -> list[str]:
+        """The texts of rows ``a`` to ``b - 1``."""
+        keys = self.keys[a:b].tolist()
+        for k, key in enumerate(keys, a):
+            if key not in self.texts:
+                self.texts[key] = self.encode(self.rows[k].tolist())
+        return [self.texts[key] for key in keys]
+
+
+def _label_text(flags: list[bool]) -> str:
+    return _canonical({m: True for m, on in zip(LABELS, flags) if on})
+
+
+def _journey_lines(dataset: Dataset) -> Iterator[str]:
+    """The canonical JSON of each record of :func:`dataset_to_records`,
+    built one journey at a time from the texts of the distinct feature
+    rows, label sets and listing ids. The templates list each object's
+    keys in sorted order."""
+    s = dataset.searches
+    features = _RowTexts(s.listing_features, _canonical)
+    labels = _RowTexts(np.column_stack([s.labels[m] for m in LABELS]),
+                       _label_text)
+    listing_ids = _RowTexts(s.listing_ids, _canonical)
+    imp_starts = s.search_starts.tolist()
+    bounds = dataset.journey_starts.tolist()
+    for j, guest_id in enumerate(dataset.guest_ids.tolist()):
+        lo, hi = bounds[j], bounds[j + 1]
+        first, last = imp_starts[lo], imp_starts[hi]
+        impressions = [
+            '{"features":%s,"labels":%s,"listing_id":%s,"position":%d}' % row
+            for row in zip(features(first, last), labels(first, last),
+                           listing_ids(first, last),
+                           s.positions[first:last].tolist())]
+        searches = [
+            '{"context":%s,"impressions":[%s],"search_id":%s,"t_days":%s}'
+            % (_canonical(context),
+               ",".join(impressions[a - first:b - first]),
+               _canonical(search_id), _canonical(t_days))
+            for a, b, search_id, t_days, context in zip(
+                imp_starts[lo:hi], imp_starts[lo + 1:hi + 1],
+                s.search_ids[lo:hi].tolist(), s.t_days[lo:hi].tolist(),
+                s.context_features[lo:hi].tolist())]
+        yield '{"guest_id":%s,"searches":[%s]}' % (_canonical(guest_id),
+                                                   ",".join(searches))
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write the schema header and one canonical JSON line per journey,
+    streamed a journey at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(_canonical(dataset.schema.to_record()) + "\n")
-        for record in dataset_to_records(dataset):
-            f.write(_canonical(record) + "\n")
+        for line in _journey_lines(dataset):
+            f.write(line + "\n")
 
 
 def _read_records(f, path: Path) -> Iterator[dict]:

@@ -1,5 +1,6 @@
 """Dataset file format, journey records, guest split, and search columns."""
 
+import copy
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from journeyrank.dataio import (
     save_dataset,
     split_by_guest,
 )
-from journeyrank.domain import LABELS, DatasetSchema
+from journeyrank.domain import ALL_MILESTONES, LABELS, Dataset, DatasetSchema
 from journeyrank.errors import DataValidationError, SchemaMismatchError
 
 SCHEMA = DatasetSchema(
@@ -90,6 +91,7 @@ class TestRoundTrip:
         assert ds.searches.listing_features.shape == (0, SCHEMA.listing_dim)
         path = tmp_path / "empty.jsonl"
         save_dataset(ds, path)
+        assert path.read_text() == canonical(SCHEMA.to_record()) + "\n"
         assert load_dataset(path).n_journeys == 0
 
     def test_schema_hash_survives_round_trip(self, tmp_path):
@@ -234,3 +236,313 @@ class TestPacking:
     def test_pack_dataset_returns_searches(self):
         ds = random_dataset(np.random.default_rng(10), n_journeys=2)
         assert pack_dataset(ds) is ds.searches
+
+
+# ---------------------------------------------------------------------------
+# the writer against the records it encodes
+
+
+def canonical(obj) -> str:
+    """The journey record's line format: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def varied_records(rng, n_journeys=8, pool_rows=None):
+    """Journey records with empty searches and journeys mixed in, random
+    label sets and full-precision values. Feature rows are drawn from a
+    pool of ``pool_rows`` rows, or all fresh when it is None."""
+    pool = rng.normal(size=(pool_rows or 1, 3))
+    records = []
+    for g in range(n_journeys):
+        searches = []
+        for s in range(int(rng.integers(0, 4))):
+            imps = []
+            for pos in range(1, int(rng.integers(0, 5)) + 1):
+                row = (pool[rng.integers(len(pool))] if pool_rows
+                       else rng.normal(size=3))
+                flags = rng.random(len(LABELS)) < 0.3
+                imps.append({
+                    "listing_id": f"L{int(rng.integers(6))}",
+                    "position": pos,
+                    "features": row.tolist(),
+                    "labels": {m: True for m, on in zip(LABELS, flags) if on}})
+            searches.append({"search_id": f"g{g}-s{s}",
+                             "t_days": float(rng.uniform(0.0, 30.0)),
+                             "context": [float(rng.uniform(0.0, 180.0)),
+                                         float(s)],
+                             "impressions": imps})
+        records.append({"guest_id": f"g{g}", "searches": searches})
+    return records
+
+
+def odd_values_records():
+    """Signed zeros in one column, NaN and infinities in every float
+    field, and ids that JSON has to escape."""
+    nan_neg = float(np.array(0xFFF8000000000001, dtype=np.uint64
+                             ).view(np.float64))
+    imps = [
+        {"listing_id": 'q"uote', "position": 1,
+         "features": [0.0, 1.0, -0.0], "labels": {"c": True}},
+        {"listing_id": "back\\slash", "position": 2,
+         "features": [-0.0, 1.0, 0.0], "labels": {}},
+        {"listing_id": "caf\u00e9 \u65e5\u672c \U0001F600", "position": 3,
+         "features": [float("nan"), float("inf"), float("-inf")],
+         "labels": {"c": True, "lc": True, "rej": True}},
+        {"listing_id": 'q"uote', "position": 4,
+         "features": [nan_neg, -0.0, 0.0], "labels": {"c": True}},
+        {"listing_id": "tab\tnew\nline", "position": 5,
+         "features": [0.0, 1.0, -0.0], "labels": {}},
+    ]
+    return [
+        {"guest_id": "g\"1\\\u00fc", "searches": [
+            {"search_id": "s\u00e9\"0", "t_days": float("nan"),
+             "context": [float("inf"), -0.0], "impressions": imps},
+            {"search_id": "s1", "t_days": float("-inf"),
+             "context": [float("nan"), 0.0], "impressions": []},
+            {"search_id": "s2", "t_days": -0.0,
+             "context": [float("-inf"), 1e-310], "impressions": imps[:2]}]},
+        {"guest_id": "no searches", "searches": []},
+    ]
+
+
+class TestWriterMatchesRecords:
+    """Each line :func:`save_dataset` writes is the canonical JSON of the
+    matching :func:`dataset_to_records` record."""
+
+    def assert_lines_match(self, ds, path):
+        save_dataset(ds, path)
+        want = [canonical(ds.schema.to_record())]
+        want += [canonical(rec) for rec in dataset_to_records(ds)]
+        got = path.read_text(encoding="ascii").split("\n")
+        assert got[-1] == ""
+        assert got[:-1] == want
+        again = path.with_suffix(".again")
+        save_dataset(load_dataset(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("pool_rows", [1, 4, None],
+                             ids=["one-row", "repeated-rows", "all-distinct"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_random_datasets(self, tmp_path, seed, pool_rows):
+        rng = np.random.default_rng(100 + seed)
+        ds = dataset_from_records(SCHEMA, varied_records(rng, pool_rows=pool_rows))
+        if pool_rows is None:
+            rows = ds.searches.listing_features
+            assert len(np.unique(rows, axis=0)) == len(rows)
+        self.assert_lines_match(ds, tmp_path / "d.jsonl")
+
+    def test_odd_values_and_empty_search_and_journey(self, tmp_path):
+        ds = dataset_from_records(SCHEMA, odd_values_records())
+        assert ds.searches.search_starts[2] == ds.searches.search_starts[1]
+        assert ds.journey_starts[2] == ds.journey_starts[1]
+        path = tmp_path / "odd.jsonl"
+        self.assert_lines_match(ds, path)
+        text = path.read_text()
+        assert '"features":[0.0,1.0,-0.0]' in text
+        assert '"features":[-0.0,1.0,0.0]' in text
+        assert '"features":[NaN,Infinity,-Infinity]' in text
+        assert '"features":[NaN,-0.0,0.0]' in text
+        assert '"listing_id":"caf\\u00e9 ' in text
+
+
+# ---------------------------------------------------------------------------
+# the reader against a per-impression loop
+
+
+def loop_dataset_from_records(schema, records) -> Dataset:
+    """Reference: every impression read and checked one at a time, each
+    label dict mapped to its flags on its own."""
+    guest_ids, searches_per_journey = [], []
+    search_ids, t_days, contexts, imps_per_search = [], [], [], []
+    listing_ids, positions, features, label_rows = [], [], [], []
+    for rec in records:
+        try:
+            guest_id = str(rec["guest_id"])
+            j_contexts, j_features, j_labels = [], [], []
+            for s in rec["searches"]:
+                search_id = str(s["search_id"])
+                where = f"guest={guest_id} search={search_id}"
+                if len(s["context"]) != schema.context_dim:
+                    raise DataValidationError(
+                        f"{where}: context width {len(s['context'])}, "
+                        f"schema says {schema.context_dim}")
+                search_ids.append(search_id)
+                t_days.append(float(s["t_days"]))
+                j_contexts.append(s["context"])
+                imps_per_search.append(len(s["impressions"]))
+                for i in s["impressions"]:
+                    if len(i["features"]) != schema.listing_dim:
+                        raise DataValidationError(
+                            f"{where} listing={i['listing_id']}: feature "
+                            f"width {len(i['features'])}, schema says "
+                            f"{schema.listing_dim}")
+                    on = {m for m, v in i.get("labels", {}).items() if v}
+                    unknown = on - set(ALL_MILESTONES)
+                    if unknown:
+                        raise DataValidationError(
+                            f"{where}: unknown milestone labels "
+                            f"{sorted(unknown)}")
+                    listing_ids.append(str(i["listing_id"]))
+                    positions.append(int(i["position"]))
+                    j_features.append(i["features"])
+                    j_labels.append([m in on for m in LABELS])
+            contexts.append(np.array(j_contexts, dtype=np.float64
+                                     ).reshape(-1, schema.context_dim))
+            features.append(np.array(j_features, dtype=np.float64
+                                     ).reshape(-1, schema.listing_dim))
+        except KeyError as exc:
+            raise DataValidationError(
+                f"journey record missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataValidationError(
+                f"malformed journey record: {exc}") from None
+        guest_ids.append(guest_id)
+        searches_per_journey.append(len(rec["searches"]))
+        label_rows.append(np.array(j_labels, dtype=bool).reshape(-1, len(LABELS)))
+    label_matrix = (np.concatenate(label_rows) if label_rows
+                    else np.zeros((0, len(LABELS)), dtype=bool))
+    return Dataset.from_columns(
+        schema,
+        guest_ids=guest_ids,
+        searches_per_journey=searches_per_journey,
+        search_ids=search_ids,
+        t_days=t_days,
+        context_features=np.concatenate(contexts) if contexts else [],
+        imps_per_search=imps_per_search,
+        listing_ids=listing_ids,
+        positions=positions,
+        listing_features=np.concatenate(features) if features else [],
+        labels={m: label_matrix[:, k] for k, m in enumerate(LABELS)},
+    )
+
+
+def outcome(build, records):
+    """The columns a builder makes of ``records``, or its error message."""
+    try:
+        ds = build(SCHEMA, copy.deepcopy(records))
+    except DataValidationError as exc:
+        return "error", str(exc)
+    s = ds.searches
+    columns = {name: getattr(s, name) for name in (
+        "listing_features", "context_features", "search_of_imp",
+        "search_starts", "listing_ids", "positions", "search_ids", "t_days")}
+    columns.update(guest_ids=ds.guest_ids, journey_starts=ds.journey_starts)
+    columns.update({f"label:{m}": s.labels[m] for m in LABELS})
+    return "ok", columns
+
+
+def assert_same_outcome(records):
+    got_kind, got = outcome(dataset_from_records, records)
+    want_kind, want = outcome(loop_dataset_from_records, records)
+    assert got_kind == want_kind, (got, want)
+    if got_kind == "error":
+        assert got == want
+        return
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+# (field, value) faults set on one impression; None deletes the field
+IMPRESSION_FAULTS = [
+    ("features", None), ("features", "drop"), ("features", [0.5, 0.5]),
+    ("features", ["a", "b", "c"]), ("features", 3.0),
+    ("labels", ["c"]), ("labels", "c"), ("labels", {"zap": True}),
+    ("labels", {"c": True, "imp": True, "zzz": 1}),
+    ("listing_id", "drop"), ("position", "first"), ("position", None),
+    ("position", "drop"), ("position", [1]),
+]
+# label dicts every builder accepts
+ACCEPTED_LABELS = [
+    {}, {"c": True}, {"c": True, "lc": False}, {"lc": False, "c": True},
+    {"c": 1}, {"c": 2.5}, {"c": "no"}, {"c": 0}, {"c": None},
+    {"c": [1]}, {"c": []}, {"imp": True, "c": True}, {"zap": False},
+    {"c": True, "lc": True, "pp": True, "req": True, "rej": True},
+]
+
+
+def set_field(imp, field, value):
+    if value == "drop":
+        imp.pop(field, None)
+    else:
+        imp[field] = value
+
+
+class TestReaderMatchesLoop:
+    def test_repeated_label_dict(self):
+        records = random_records(np.random.default_rng(20), n_journeys=4)
+        for _, imp in flat_impressions(records):
+            imp["labels"] = {"c": True, "lc": True}
+        assert_same_outcome(records)
+
+    def test_false_flags(self):
+        records = random_records(np.random.default_rng(21), n_journeys=4)
+        for k, (_, imp) in enumerate(flat_impressions(records)):
+            imp["labels"] = ({"c": True, "lc": False, "book": False}
+                             if k % 2 else {"c": False})
+        assert_same_outcome(records)
+
+    @pytest.mark.parametrize("value", [1, 2.5, "no", [1], {"x": 0}])
+    def test_truthy_non_bool_flag(self, value):
+        records = random_records(np.random.default_rng(22), n_journeys=4)
+        for k, (_, imp) in enumerate(flat_impressions(records)):
+            imp["labels"] = {"c": value} if k % 2 else {"c": True}
+        assert_same_outcome(records)
+
+    def test_unknown_milestone_after_cached_dicts(self):
+        records = random_records(np.random.default_rng(23), n_journeys=4)
+        flat = flat_impressions(records)
+        for _, imp in flat:
+            imp["labels"] = {"c": True}
+        flat[-1][1]["labels"] = {"c": True, "zap": True}
+        assert_same_outcome(records)
+        with pytest.raises(DataValidationError, match="zap"):
+            dataset_from_records(SCHEMA, records)
+
+    def test_accepted_label_dicts(self):
+        records = random_records(np.random.default_rng(24), n_journeys=8)
+        for k, (_, imp) in enumerate(flat_impressions(records)):
+            imp["labels"] = dict(ACCEPTED_LABELS[k % len(ACCEPTED_LABELS)])
+        assert_same_outcome(records)
+
+    @pytest.mark.parametrize("field,value", IMPRESSION_FAULTS)
+    def test_one_fault(self, field, value):
+        records = random_records(np.random.default_rng(25), n_journeys=3)
+        set_field(records[1]["searches"][0]["impressions"][1], field, value)
+        assert_same_outcome(records)
+
+    def test_faults_in_one_search_report_the_first(self):
+        rng = np.random.default_rng(26)
+        for _ in range(150):
+            records = random_records(rng, n_journeys=3)
+            search = records[int(rng.integers(3))]["searches"][0]
+            imps = search["impressions"]
+            for _ in range(int(rng.integers(1, 4))):
+                field, value = IMPRESSION_FAULTS[
+                    int(rng.integers(len(IMPRESSION_FAULTS)))]
+                set_field(imps[int(rng.integers(len(imps)))], field,
+                          copy.deepcopy(value))
+            if rng.random() < 0.3:
+                imps[int(rng.integers(len(imps)))] = ["not", "a", "dict"]
+            assert_same_outcome(records)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda rec: rec.pop("guest_id"),
+        lambda rec: rec.update(searches=None),
+        lambda rec: rec["searches"][0].update(t_days="soon"),
+        lambda rec: rec["searches"][0].update(context=[1.0]),
+        lambda rec: rec["searches"][0].update(context=["x", 1.0]),
+        lambda rec: rec["searches"][0].pop("impressions"),
+        lambda rec: rec["searches"][0].update(impressions=None),
+        lambda rec: rec["searches"][-1]["impressions"].append(
+            {"features": [0.0, 0.0, 0.0, 0.0], "listing_id": "Lx"}),
+    ], ids=["guest_id", "searches", "t_days", "context-width",
+            "context-value", "no-impressions", "impressions-none",
+            "wide-last-impression"])
+    def test_search_and_journey_faults(self, mutate):
+        records = random_records(np.random.default_rng(27), n_journeys=3)
+        # a second fault in the journey, so the order faults are found in shows
+        records[2]["searches"][0]["impressions"][0]["position"] = "first"
+        mutate(records[2])
+        assert_same_outcome(records)

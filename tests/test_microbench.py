@@ -1,25 +1,31 @@
 """Micro-benchmarks of the hot paths, timed with pytest-benchmark.
 
 One training step (batch cut, forward and loss, backward, Adam), one
-batched forward over a whole dataset, and generating 200 guests. Rounds
-are few so the suite's run time barely moves. The timings only inform:
-nothing here asserts on them, only on the results being well formed.
+batched forward over a whole dataset, generating 200 guests, and one JSONL
+save and load of a 200-guest world. Rounds are few so the suite's run time
+barely moves. The timings only inform: nothing here asserts on them, only
+on the results being well formed.
 """
 
 import numpy as np
 import pytest
 
-from journeyrank import evaluate, model, nn, simulate
+from journeyrank import dataio, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
 
 
 @pytest.fixture(scope="module")
-def world():
+def generated():
     dataset, _ = simulate.generate(
         simulate.benchmark_generator_config(n_guests=200, seed=3))
-    train_ds, _ = evaluate.prepare_split(dataset)
-    schema = dataset.schema
+    return dataset
+
+
+@pytest.fixture(scope="module")
+def world(generated):
+    train_ds, _ = evaluate.prepare_split(generated)
+    schema = generated.schema
     config = model.default_model_config(schema.listing_dim,
                                         schema.context_dim)
     return train_ds, config
@@ -66,3 +72,16 @@ def test_generate_200_guests(benchmark):
     dataset, _ = benchmark.pedantic(simulate.generate, args=(config,),
                                     rounds=3)
     assert dataset.n_journeys == 200
+
+
+def test_save_load_200_guests(benchmark, generated, tmp_path):
+    path = tmp_path / "world.jsonl"
+
+    def save_load():
+        dataio.save_dataset(generated, path)
+        return dataio.load_dataset(path)
+
+    loaded = benchmark.pedantic(save_load, rounds=3)
+    again = tmp_path / "again.jsonl"
+    dataio.save_dataset(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
