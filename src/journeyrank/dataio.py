@@ -191,7 +191,7 @@ def dataset_from_records(schema: DatasetSchema,
         except KeyError as exc:
             raise DataValidationError(
                 f"journey record missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise DataValidationError(
                 f"malformed journey record: {exc}") from None
         guest_ids.append(guest_id)

@@ -135,8 +135,9 @@ def t_interval_half_width(values: np.ndarray) -> float:
 def model_scorer(model: TrainedModel) -> Scorer:
     """Scores every impression with one forward pass of the model."""
     def scorer(searches: PackedSearches) -> np.ndarray:
-        context_rows = searches.context_features[searches.search_of_imp]
-        outputs = model.outputs(searches.listing_features, context_rows)
+        outputs = model.outputs(searches.listing_features,
+                                searches.context_features,
+                                searches.search_of_imp)
         return outputs.ranking_score.values
     return scorer
 

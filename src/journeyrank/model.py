@@ -12,6 +12,10 @@ blend sees all scores through a gradient stop, so its loss tunes only the
 blend coefficients and the context they are conditioned on, never the
 scoring heads themselves.
 
+The context tower and the coefficient MLP run once per search, and a
+segment broadcast hands their outputs to the search's impression rows;
+every other value, and every score, is per impression row.
+
 Everything trains jointly from whole-search minibatches by summing three
 losses: a listwise softmax loss per positive milestone, a masked binary
 cross-entropy per negative milestone, and a pairwise preference loss on
@@ -393,7 +397,8 @@ class Embeddings:
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Every intermediate score for a batch of impressions."""
+    """Every intermediate score for a batch of impressions, one value per
+    impression row in every field."""
 
     cond_logits: dict[str, Tensor]
     log_joint: dict[str, Tensor]
@@ -412,7 +417,8 @@ class ModelOutputs:
 def shared_forward(config: ModelConfig, params: ParameterStore,
                    listing_rows: np.ndarray,
                    context_rows: np.ndarray) -> Embeddings:
-    """Embed pre-normalized listing and context rows with the two towers."""
+    """Embed pre-normalized listing rows (one per impression) and context
+    rows (one per search) with the two towers."""
     listing = nn.constant(np.asarray(listing_rows, dtype=np.float64))
     context = nn.constant(np.asarray(context_rows, dtype=np.float64))
     emb_l = nn.forward_mlp(params, _TOWER_LISTING, config.listing_tower,
@@ -422,89 +428,87 @@ def shared_forward(config: ModelConfig, params: ParameterStore,
     return Embeddings(listing=emb_l, context=emb_c)
 
 
-def _head_logit(config: ModelConfig, params: ParameterStore, task: str,
-                joint_emb: Tensor) -> Tensor:
-    out = nn.forward_mlp(params, _head_prefix(task),
-                         config.head_specs[task], joint_emb)
-    return nn.column(out, 0)
+def _head_logits(config: ModelConfig, params: ParameterStore,
+                 joint_emb: Tensor) -> dict[str, Tensor]:
+    """Every head's logit, per row of the joint embedding.
 
-
-def base_forward(config: ModelConfig, params: ParameterStore,
-                 emb: Embeddings) -> tuple[dict[str, Tensor],
-                                           dict[str, Tensor]]:
-    """Conditional logits and cumulative joint log-probabilities.
-
-    The joint log-probability of task k is the running sum of
-    log-sigmoid conditional logits down the funnel, so each additional
-    stage can only lower it.
+    The heads' first layers run as one matmul over their column-stacked
+    weights. A linear head's logit is its column of that output; a head
+    with hidden layers goes on from its block of columns.
     """
-    joint_emb = nn.concat_cols(emb.listing, emb.context)
-    cond_logits: dict[str, Tensor] = {}
-    log_joint: dict[str, Tensor] = {}
-    running: Tensor | None = None
-    for task in config.base_tasks:
-        logit = _head_logit(config, params, task, joint_emb)
-        cond_logits[task] = logit
-        step = nn.log_sigmoid(logit)
-        running = step if running is None else nn.add(running, step)
-        log_joint[task] = running
-    return cond_logits, log_joint
+    prefixes = [_head_prefix(task) for task in config.all_tasks]
+    first = nn.add_bias(
+        nn.matmul(joint_emb,
+                  nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))),
+        nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
+    logits: dict[str, Tensor] = {}
+    lo = 0
+    for task, prefix in zip(config.all_tasks, prefixes):
+        spec = config.head_specs[task]
+        width = spec.layer_dims[0][1]
+        if spec.hidden_dims:
+            out = nn.forward_mlp(params, prefix, spec,
+                                 nn.column(first, slice(lo, lo + width)),
+                                 start=1)
+            logits[task] = nn.column(out, 0)
+        else:
+            logits[task] = nn.column(first, lo)
+        lo += width
+    return logits
 
 
-def twiddler_forward(config: ModelConfig, params: ParameterStore,
-                     emb: Embeddings) -> dict[str, Tensor]:
-    joint_emb = nn.concat_cols(emb.listing, emb.context)
-    return {task: _head_logit(config, params, task, joint_emb)
-            for task in config.twiddler_tasks}
-
-
-def _coefficients(config: ModelConfig, params: ParameterStore,
-                  emb_context: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
+def _coefficients(config: ModelConfig, coef_logits: Tensor,
+                  ) -> tuple[Tensor, dict[str, Tensor]]:
     """The positive base coefficient and one signed coefficient per
-    twiddler task, from the context embedding."""
-    coefs = nn.forward_mlp(params, _COMBINATION, config.combination,
-                           emb_context)
-    alpha_base = nn.softplus(nn.column(coefs, 0))
-    alpha_twiddler = {task: nn.column(coefs, 1 + k)
+    twiddler task, from the combination MLP's output columns."""
+    alpha_base = nn.softplus(nn.column(coef_logits, 0))
+    alpha_twiddler = {task: nn.column(coef_logits, 1 + k)
                       for k, task in enumerate(config.twiddler_tasks)}
     return alpha_base, alpha_twiddler
 
 
-def combination_forward(config: ModelConfig, params: ParameterStore,
-                        emb: Embeddings, y_base: Tensor,
-                        y_twiddler: Mapping[str, Tensor],
-                        ) -> tuple[Tensor, dict[str, Tensor], Tensor]:
-    """Blend the frozen scores with context-conditioned coefficients.
-
-    The coefficient MLP reads the context embedding only. The base
-    coefficient passes through softplus so it stays strictly positive;
-    twiddler coefficients are free to change sign. Score inputs are
-    gradient-stopped, so the blending loss shapes coefficients, not
-    scores.
-    """
-    if config.combination is None:
-        raise ConfigError("model config has no combination layer")
-    alpha_base, alpha_twiddler = _coefficients(config, params, emb.context)
-    y = nn.mul(alpha_base, nn.stop_gradient(y_base))
-    for task, alpha in alpha_twiddler.items():
-        y = nn.add(y, nn.mul(alpha, nn.stop_gradient(y_twiddler[task])))
-    return alpha_base, alpha_twiddler, y
-
-
 def forward(config: ModelConfig, params: ParameterStore,
-            listing_rows: np.ndarray,
-            context_rows: np.ndarray) -> ModelOutputs:
-    """Full forward pass over pre-normalized feature rows."""
+            listing_rows: np.ndarray, context_rows: np.ndarray,
+            seg: np.ndarray) -> ModelOutputs:
+    """Full forward pass over pre-normalized feature rows.
+
+    ``listing_rows`` holds one row per impression, ``context_rows`` one
+    row per search, and ``seg[i]`` is the search of impression i. The
+    context tower and the combination MLP run once per search; every
+    output is per impression.
+
+    The joint log-probability of base task k is the running sum of
+    log-sigmoid conditional logits down the funnel, so each stage can
+    only lower it. The base coefficient passes through softplus so it
+    stays positive; twiddler coefficients may change sign. The blend
+    sees the scores through a gradient stop, so the blending loss shapes
+    coefficients, not scores.
+    """
     emb = shared_forward(config, params, listing_rows, context_rows)
-    cond_logits, log_joint = base_forward(config, params, emb)
-    y_base = log_joint[config.base_tasks[-1]]
-    y_twiddler = twiddler_forward(config, params, emb)
+    joint_emb = nn.concat_cols(emb.listing,
+                               nn.segment_broadcast(emb.context, seg))
+    logits = _head_logits(config, params, joint_emb)
+    cond_logits = {task: logits[task] for task in config.base_tasks}
+    y_twiddler = {task: logits[task] for task in config.twiddler_tasks}
+    log_joint: dict[str, Tensor] = {}
+    running: Tensor | None = None
+    for task, logit in cond_logits.items():
+        step = nn.log_sigmoid(logit)
+        running = step if running is None else nn.add(running, step)
+        log_joint[task] = running
+    y_base = running
     alpha_base = None
     alpha_twiddler: dict[str, Tensor] = {}
     y_combination = None
     if config.combination is not None:
-        alpha_base, alpha_twiddler, y_combination = combination_forward(
-            config, params, emb, y_base, y_twiddler)
+        coef_logits = nn.forward_mlp(params, _COMBINATION, config.combination,
+                                     emb.context)
+        alpha_base, alpha_twiddler = _coefficients(
+            config, nn.segment_broadcast(coef_logits, seg))
+        y_combination = nn.mul(alpha_base, nn.stop_gradient(y_base))
+        for task, alpha in alpha_twiddler.items():
+            y_combination = nn.add(y_combination, nn.mul(
+                alpha, nn.stop_gradient(y_twiddler[task])))
     return ModelOutputs(cond_logits=cond_logits, log_joint=log_joint,
                         y_base=y_base, y_twiddler=y_twiddler,
                         alpha_base=alpha_base,
@@ -597,15 +601,20 @@ def batch_inputs(packed: PackedSearches,
 
 @dataclass(frozen=True)
 class SearchBatch:
-    """A minibatch of whole searches, ready for the forward pass."""
+    """A minibatch of whole searches, ready for the forward pass.
 
-    listing_rows: np.ndarray
-    context_rows: np.ndarray
-    seg: np.ndarray
+    ``context_rows`` holds one row per search; every other array holds one
+    entry per impression row, except the preference pairs, which index
+    rows. ``seg[i]`` is the batch's search of row i, sorted ascending.
+    """
+
+    listing_rows: np.ndarray          # [n_rows, listing_dim] normalized
+    context_rows: np.ndarray          # [n_searches, context_dim] normalized
+    seg: np.ndarray                   # [n_rows] int64
     n_searches: int
-    labels: dict[str, np.ndarray]
-    pair_i: np.ndarray
-    pair_j: np.ndarray
+    labels: dict[str, np.ndarray]     # milestone -> [n_rows] bool
+    pair_i: np.ndarray                # [n_pairs] int64
+    pair_j: np.ndarray                # [n_pairs] int64
 
     @property
     def n_rows(self) -> int:
@@ -626,7 +635,7 @@ def make_batch(inputs: BatchInputs,
     shift = np.repeat(np.cumsum(counts) - counts, pair_counts)
     return SearchBatch(
         listing_rows=inputs.listing_rows[rows],
-        context_rows=inputs.context_rows[np.repeat(search_indices, counts)],
+        context_rows=inputs.context_rows[search_indices],
         seg=np.repeat(np.arange(len(search_indices)), counts),
         n_searches=len(search_indices),
         labels=dict(zip(inputs.label_names, inputs.labels[:, rows])),
@@ -702,7 +711,8 @@ def total_loss(config: ModelConfig, params: ParameterStore,
                batch: SearchBatch, weights: Mapping[str, float],
                ) -> tuple[Tensor, ModelOutputs, dict[str, float]]:
     """Unweighted sum of the module losses present in the config."""
-    outputs = forward(config, params, batch.listing_rows, batch.context_rows)
+    outputs = forward(config, params, batch.listing_rows, batch.context_rows,
+                      batch.seg)
     parts: dict[str, float] = {}
     loss = base_loss(outputs.log_joint, batch, weights)
     parts["base"] = float(loss.values)
@@ -744,21 +754,24 @@ class TrainedModel:
                 f"trained on ({schema.hash()[:12]} != "
                 f"{self.schema_hash[:12]})")
 
-    def outputs(self, listing_rows: np.ndarray,
-                context_rows: np.ndarray) -> ModelOutputs:
+    def outputs(self, listing_rows: np.ndarray, context_rows: np.ndarray,
+                seg: np.ndarray) -> ModelOutputs:
         """Score impressions from raw feature rows (no gradients).
 
-        Row k of ``context_rows`` is the search context of listing row k.
+        ``listing_rows`` holds one row per impression and ``context_rows``
+        one row per search; listing row i belongs to the search whose
+        context is ``context_rows[seg[i]]``. Every output is per
+        impression.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
         context_rows = np.asarray(context_rows, dtype=np.float64)
         if (listing_rows.ndim != 2 or context_rows.ndim != 2
-                or len(listing_rows) != len(context_rows)):
+                or np.shape(seg) != (len(listing_rows),)):
             raise ContractError("listing and context rows must be 2-d "
-                                "batches with one context row per listing")
+                                "batches, with one seg entry per listing")
         return forward(self.config, self.params,
                        self.normalization.apply_listing(listing_rows),
-                       self.normalization.apply_context(context_rows))
+                       self.normalization.apply_context(context_rows), seg)
 
 
 def resolve_task_weights(config: ModelConfig,
@@ -818,60 +831,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
 
 
 # ---------------------------------------------------------------------------
-# scoring
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    listing_id: str
-    rank: int
-    score: float
-    y_base: float
-    y_combination: float | None
-    log_joint: dict[str, float]
-    cond_logits: dict[str, float]
-    y_twiddler: dict[str, float]
-    alpha_base: float | None
-    alpha_twiddler: dict[str, float]
-
-
-def score_candidates(model: TrainedModel, context: np.ndarray,
-                     listing_ids: list[str],
-                     listing_rows: np.ndarray) -> list[ScoredCandidate]:
-    """Rank candidates for a context, best first, ties by listing id."""
-    listing_ids = [str(lid) for lid in listing_ids]
-    listing_rows = np.asarray(listing_rows, dtype=np.float64)
-    if len(listing_ids) == 0:
-        raise ContractError("cannot rank an empty candidate list")
-    if listing_rows.ndim != 2 or len(listing_rows) != len(listing_ids):
-        raise ContractError("one feature row per candidate is required")
-    context = np.asarray(context, dtype=np.float64)
-    context_rows = np.broadcast_to(context, (len(listing_rows), len(context)))
-    outputs = model.outputs(listing_rows, context_rows)
-    score = outputs.ranking_score.values
-    order = np.lexsort((np.asarray(listing_ids), -score))
-    ranked = []
-    for rank, k in enumerate(order, start=1):
-        k = int(k)
-        ranked.append(ScoredCandidate(
-            listing_id=listing_ids[k],
-            rank=rank,
-            score=float(score[k]),
-            y_base=float(outputs.y_base.values[k]),
-            y_combination=(None if outputs.y_combination is None
-                           else float(outputs.y_combination.values[k])),
-            log_joint={t: float(v.values[k])
-                       for t, v in outputs.log_joint.items()},
-            cond_logits={t: float(v.values[k])
-                         for t, v in outputs.cond_logits.items()},
-            y_twiddler={t: float(v.values[k])
-                        for t, v in outputs.y_twiddler.items()},
-            alpha_base=(None if outputs.alpha_base is None
-                        else float(outputs.alpha_base.values[k])),
-            alpha_twiddler={t: float(v.values[k])
-                            for t, v in outputs.alpha_twiddler.items()},
-        ))
-    return ranked
+# interpretability
 
 
 def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
@@ -890,7 +850,8 @@ def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
     normalized = model.normalization.apply_context(context_rows)
     emb_c = nn.forward_mlp(model.params, _TOWER_CONTEXT,
                            config.context_tower, nn.constant(normalized))
-    alpha_base, alpha_twiddler = _coefficients(config, model.params, emb_c)
+    alpha_base, alpha_twiddler = _coefficients(config, nn.forward_mlp(
+        model.params, _COMBINATION, config.combination, emb_c))
     return alpha_base.values, {task: alpha.values
                                for task, alpha in alpha_twiddler.items()}
 

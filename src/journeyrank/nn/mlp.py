@@ -129,24 +129,25 @@ def init_mlp_params(store: ParameterStore, prefix: str, spec: MlpSpec,
 
 
 def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
-                x: T.Tensor) -> T.Tensor:
+                x: T.Tensor, start: int = 0) -> T.Tensor:
     """Apply the block to a [rows, input_dim] matrix.
 
     The activation sits between layers only; the final layer is affine so
-    heads can emit unbounded logits.
+    heads can emit unbounded logits. With ``start`` > 0, ``x`` is the
+    affine output of layer ``start - 1``, computed elsewhere, and the block
+    goes on from its activation.
     """
     if x.values.ndim != 2:
         raise ShapeError(f"{prefix}: expected a rank-2 input, got shape {x.shape}")
     act = _ACTIVATIONS[spec.activation]
-    n_layers = len(spec.layer_dims)
     h = x
-    for i, (fan_in, _) in enumerate(spec.layer_dims):
+    for i, (fan_in, _) in enumerate(spec.layer_dims[start:], start=start):
+        if i > 0:
+            h = act(h)
         if h.shape[1] != fan_in:
             raise ShapeError(
                 f"{prefix}: layer {i} expects width {fan_in}, got {h.shape[1]}")
         w = store[f"{prefix}.w{i}"]
         b = store[f"{prefix}.b{i}"]
         h = T.add_bias(T.matmul(h, w), b)
-        if i < n_layers - 1:
-            h = act(h)
     return h

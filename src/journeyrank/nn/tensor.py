@@ -2,9 +2,10 @@
 
 The engine is deliberately small: rank-0/1/2 arrays, a flat operation tape,
 and exactly the operators the ranking model needs (dense layers, stable
-logistic primitives, per-search segment reductions). Recording happens only
-while a :class:`Tape` is active and at least one operand requires a
-gradient, so inference-mode forward passes carry no bookkeeping cost.
+logistic primitives, per-search segment reductions and broadcasts).
+Recording happens only while a :class:`Tape` is active and at least one
+operand requires a gradient, so inference-mode forward passes carry no
+bookkeeping cost.
 
 Gradient buffers are owned, never shared. The first gradient a tensor
 receives becomes its buffer without a zero fill: an array computed for that
@@ -288,33 +289,40 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, b), backward_fn)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Column-wise concatenation of two [m, ·] matrices."""
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: {a.shape} vs {b.shape}")
-    na = a.shape[1]
-    out = Tensor._wrap(np.concatenate([a.values, b.values], axis=1))
+def concat_cols(*xs: Tensor) -> Tensor:
+    """Concatenation along the last axis: [m, ·] matrices side by side, or
+    vectors end to end. Every operand has the same rank and, for
+    matrices, the same row count."""
+    if not xs or any(x.values.ndim == 0 or x.shape[:-1] != xs[0].shape[:-1]
+                     for x in xs):
+        raise ShapeError(f"concat_cols: {[x.shape for x in xs]}")
+    ends = np.cumsum([x.shape[-1] for x in xs]).tolist()
+    out = Tensor._wrap(np.concatenate([x.values for x in xs], axis=-1))
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g[:, :na], shared=True)
-        if b.requires_grad:
-            b._accumulate(g[:, na:], shared=True)
+        for x, lo, hi in zip(xs, [0] + ends, ends):
+            if x.requires_grad:
+                x._accumulate(g[..., lo:hi], shared=True)
 
-    return _record(out, (a, b), backward_fn)
+    return _record(out, xs, backward_fn)
 
 
-def column(x: Tensor, j: int) -> Tensor:
-    """Extract column j of a matrix as a vector."""
+def column(x: Tensor, j: int | slice) -> Tensor:
+    """Column j of a matrix as a vector, or, for a slice j, that block of
+    columns as a matrix."""
     if x.values.ndim != 2:
         raise ShapeError("column expects a rank-2 tensor")
-    if not 0 <= j < x.shape[1]:
+    n = x.shape[1]
+    if isinstance(j, slice):
+        if j.step is not None or not 0 <= j.start < j.stop <= n:
+            raise ShapeError(f"columns {j} out of range for shape {x.shape}")
+    elif not 0 <= j < n:
         raise ShapeError(f"column {j} out of range for shape {x.shape}")
     out = Tensor._wrap(x.values[:, j].copy())
 
     def backward_fn(g):
         if x.requires_grad:
-            # Only column j is touched: write it into the buffer in place.
+            # Only columns j are touched: write them into the buffer in place.
             if x.grad is None:
                 x.grad = np.zeros_like(x.values)
                 x.grad[:, j] = g
@@ -421,9 +429,10 @@ def segment_starts(seg, n_segments: int) -> np.ndarray:
     seg = _as_index(seg)
     if seg.size == 0:
         raise ContractError("segment reduction over an empty vector")
-    if np.any(np.diff(seg) < 0):
+    step = np.diff(seg)
+    if np.any(step < 0):
         raise ContractError("segment ids must be sorted ascending")
-    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    starts = np.concatenate(([0], np.flatnonzero(step) + 1))
     if starts.size != n_segments or seg[0] != 0 or seg[-1] != n_segments - 1:
         raise ContractError("segment ids must cover 0..n_segments-1 with no empty segment")
     return starts
@@ -450,6 +459,27 @@ def segment_logsumexp(x: Tensor, seg, n_segments: int,
         if x.requires_grad:
             # d lse_s / d x_i = softmax weight of i within its segment
             x._accumulate(g[seg] * np.exp(x.values - lse[seg]))
+
+    return _record(out, (x,), backward_fn)
+
+
+def segment_broadcast(x: Tensor, seg) -> Tensor:
+    """out[i] = x[seg[i]]: each segment's row of ``x``, a vector or a
+    matrix with one row per segment, handed to the segment's elements.
+
+    The backward pass sums each segment's gradient rows, so it checks
+    then that ``seg`` has the layout :func:`segment_starts` accepts."""
+    if x.values.ndim == 0:
+        raise ShapeError("segment_broadcast expects a rank-1 or rank-2 tensor")
+    seg = _as_index(seg)
+    if seg.size and not 0 <= seg.min() <= seg.max() < len(x.values):
+        raise ShapeError(f"segment ids must lie in 0..{len(x.values) - 1}")
+    out = Tensor._wrap(x.values[seg])
+
+    def backward_fn(g):
+        if x.requires_grad:
+            starts = segment_starts(seg, len(x.values))
+            x._accumulate(np.add.reduceat(g, starts, axis=0))
 
     return _record(out, (x,), backward_fn)
 

@@ -469,6 +469,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"guest={record['guest_id']} search=" in err
 
+    def test_infinite_position_exits_two(self, ws, tmp_path, capsys):
+        lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["searches"][0]["impressions"][0]["position"] = float("inf")
+        lines[1] = json.dumps(record)
+        assert '"position": Infinity' in lines[1]
+        path = tmp_path / "inf.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--dataset", str(path)]) == 2
+        assert "malformed journey record" in capsys.readouterr().err
+        rc = main(["train", "--model-config", str(ws / "model.json"),
+                   "--dataset", str(path), "--out", str(tmp_path / "x"),
+                   "--epochs", "1"])
+        assert rc == 2
+        assert "malformed journey record" in capsys.readouterr().err
+
     def test_json_payload_reports_acceptance(self, ws, capsys):
         rc = main(["validate", "--json",
                    "--dataset", str(ws / "data" / "dataset.jsonl")])

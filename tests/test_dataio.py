@@ -142,7 +142,8 @@ class TestLoadErrors:
     @pytest.mark.parametrize("field,value", [("position", "first"),
                                              ("features", None),
                                              ("features", ["a", "b", "c"]),
-                                             ("labels", ["c"])])
+                                             ("labels", ["c"]),
+                                             ("position", float("inf"))])
     def test_malformed_value_rejected(self, field, value):
         records = random_records(np.random.default_rng(13), n_journeys=2)
         records[1]["searches"][0]["impressions"][0][field] = value

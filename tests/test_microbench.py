@@ -58,10 +58,10 @@ def test_batched_forward(benchmark, world):
     dataset, config = world
     trained, _ = model.train(config, dataset, epochs=0)
     packed = dataset.searches
-    context_rows = packed.context_features[packed.search_of_imp]
 
     outputs = benchmark.pedantic(
-        trained.outputs, args=(packed.listing_features, context_rows),
+        trained.outputs, args=(packed.listing_features,
+                               packed.context_features, packed.search_of_imp),
         rounds=5, warmup_rounds=1)
     assert outputs.ranking_score.shape == (packed.n_impressions,)
     assert np.all(np.isfinite(outputs.ranking_score.values))

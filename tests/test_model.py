@@ -8,6 +8,7 @@ asserted bitwise.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -35,14 +36,14 @@ from journeyrank.errors import (
 from journeyrank.model import (
     Embeddings,
     ModelConfig,
+    ModelOutputs,
     NormalizationStats,
     SearchBatch,
-    base_forward,
+    TrainedModel,
     base_loss,
     baseline_model_config,
     batch_inputs,
     blend_coefficients,
-    combination_forward,
     combination_loss,
     default_model_config,
     forward,
@@ -55,11 +56,9 @@ from journeyrank.model import (
     parameter_count,
     preference_pairs,
     save_model,
-    score_candidates,
     shared_forward,
     total_loss,
     train,
-    twiddler_forward,
     twiddler_loss,
 )
 from journeyrank.nn import MlpSpec
@@ -138,7 +137,7 @@ def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
     labels = {name: values[rows] for name, values in packed.labels.items()}
     grades = relevance_grades(labels)
     pair_i, pair_j = preference_pairs(grades, seg)
-    context_rows = packed.context_features[packed.search_of_imp[rows]]
+    context_rows = packed.context_features[search_indices]
     return SearchBatch(
         listing_rows=norm.apply_listing(packed.listing_features[rows]),
         context_rows=norm.apply_context(context_rows),
@@ -182,7 +181,7 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
     pair_i, pair_j = preference_pairs(grades, seg)
     return SearchBatch(
         listing_rows=rng.normal(size=(n, d_l)),
-        context_rows=rng.normal(size=(n, d_c)),
+        context_rows=rng.normal(size=(n_searches, d_c)),
         seg=seg,
         n_searches=n_searches,
         labels=labels,
@@ -194,6 +193,107 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
 def zero_params(store):
     for _, tensor in store.items():
         tensor.values[...] = 0.0
+
+
+def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
+                    context_rows: np.ndarray) -> ModelOutputs:
+    """Reference: the forward pass with one context row per listing row.
+
+    The context tower and the coefficient MLP run on every row, the joint
+    embedding is built once for the base heads and once for the twiddler
+    heads, and each head is its own MLP over it.
+    """
+    emb_l = nn.forward_mlp(params, "tower_listing", config.listing_tower,
+                           nn.constant(listing_rows))
+    emb_c = nn.forward_mlp(params, "tower_context", config.context_tower,
+                           nn.constant(context_rows))
+
+    def head_logit(task, joint_emb):
+        out = nn.forward_mlp(params, f"head_{task}", config.head_specs[task],
+                             joint_emb)
+        return nn.column(out, 0)
+
+    joint_emb = nn.concat_cols(emb_l, emb_c)
+    cond_logits, log_joint = {}, {}
+    running = None
+    for task in config.base_tasks:
+        logit = head_logit(task, joint_emb)
+        cond_logits[task] = logit
+        step = nn.log_sigmoid(logit)
+        running = step if running is None else nn.add(running, step)
+        log_joint[task] = running
+    y_base = log_joint[config.base_tasks[-1]]
+    joint_emb = nn.concat_cols(emb_l, emb_c)
+    y_twiddler = {task: head_logit(task, joint_emb)
+                  for task in config.twiddler_tasks}
+    alpha_base, alpha_twiddler, y_combination = None, {}, None
+    if config.combination is not None:
+        coefs = nn.forward_mlp(params, "combination", config.combination,
+                               emb_c)
+        alpha_base = nn.softplus(nn.column(coefs, 0))
+        alpha_twiddler = {task: nn.column(coefs, 1 + k)
+                          for k, task in enumerate(config.twiddler_tasks)}
+        y_combination = nn.mul(alpha_base, nn.stop_gradient(y_base))
+        for task, alpha in alpha_twiddler.items():
+            y_combination = nn.add(y_combination, nn.mul(
+                alpha, nn.stop_gradient(y_twiddler[task])))
+    return ModelOutputs(cond_logits=cond_logits, log_joint=log_joint,
+                        y_base=y_base, y_twiddler=y_twiddler,
+                        alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
+                        y_combination=y_combination)
+
+
+@dataclass(frozen=True)
+class ScoredCandidate:
+    listing_id: str
+    rank: int
+    score: float
+    y_base: float
+    y_combination: float | None
+    log_joint: dict[str, float]
+    cond_logits: dict[str, float]
+    y_twiddler: dict[str, float]
+    alpha_base: float | None
+    alpha_twiddler: dict[str, float]
+
+
+def score_candidates(model: TrainedModel, context: np.ndarray,
+                     listing_ids: list[str],
+                     listing_rows: np.ndarray) -> list[ScoredCandidate]:
+    """Rank candidates of one search, best first, ties by listing id."""
+    listing_ids = [str(lid) for lid in listing_ids]
+    listing_rows = np.asarray(listing_rows, dtype=np.float64)
+    if len(listing_ids) == 0:
+        raise ContractError("cannot rank an empty candidate list")
+    if listing_rows.ndim != 2 or len(listing_rows) != len(listing_ids):
+        raise ContractError("one feature row per candidate is required")
+    context = np.asarray(context, dtype=np.float64)
+    outputs = model.outputs(listing_rows, context[None, :],
+                            np.zeros(len(listing_rows), dtype=np.int64))
+    score = outputs.ranking_score.values
+    order = np.lexsort((np.asarray(listing_ids), -score))
+    ranked = []
+    for rank, k in enumerate(order, start=1):
+        k = int(k)
+        ranked.append(ScoredCandidate(
+            listing_id=listing_ids[k],
+            rank=rank,
+            score=float(score[k]),
+            y_base=float(outputs.y_base.values[k]),
+            y_combination=(None if outputs.y_combination is None
+                           else float(outputs.y_combination.values[k])),
+            log_joint={t: float(v.values[k])
+                       for t, v in outputs.log_joint.items()},
+            cond_logits={t: float(v.values[k])
+                         for t, v in outputs.cond_logits.items()},
+            y_twiddler={t: float(v.values[k])
+                        for t, v in outputs.y_twiddler.items()},
+            alpha_base=(None if outputs.alpha_base is None
+                        else float(outputs.alpha_base.values[k])),
+            alpha_twiddler={t: float(v.values[k])
+                            for t, v in outputs.alpha_twiddler.items()},
+        ))
+    return ranked
 
 
 def oracle_listwise_loss(scores: np.ndarray, positives: np.ndarray,
@@ -353,7 +453,7 @@ class TestSharedForward:
             emb.context.values[0, :3],
             [0.16355741135296198, -0.05500528843523372, 0.11983831966496784],
             rtol=0, atol=1e-15)
-        out = forward(config, params, listing, context)
+        out = forward(config, params, listing, context, np.arange(3))
         np.testing.assert_allclose(
             out.y_base.values,
             [-4.107466696880749, -4.240459630992293, -5.185047818772162],
@@ -369,6 +469,90 @@ class TestSharedForward:
             rtol=0, atol=1e-14)
 
 
+FORWARD_CONFIGS = {
+    "default": small_config,
+    "baseline": lambda: baseline_model_config(4, 3, embedding_dim=5,
+                                              tower_hidden=(6,), seed=3),
+    "tanh": tanh_config,
+    "head_hidden": lambda: small_config(head_hidden=(3,)),
+}
+
+
+def batch_of_sizes(rng: np.random.Generator, sizes) -> SearchBatch:
+    """A random batch whose searches have the given row counts."""
+    sizes = np.asarray(sizes)
+    n = int(sizes.sum())
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    labels = nested_labels(rng, n)
+    pair_i, pair_j = preference_pairs(relevance_grades(labels), seg)
+    return SearchBatch(listing_rows=rng.normal(size=(n, 4)),
+                       context_rows=rng.normal(size=(len(sizes), 3)),
+                       seg=seg, n_searches=len(sizes), labels=labels,
+                       pair_i=pair_i, pair_j=pair_j)
+
+
+@pytest.mark.parametrize("sizes", [[3, 1, 5, 2, 1, 4, 1], [1, 1, 1, 1]],
+                         ids=["mixed", "one-row"])
+@pytest.mark.parametrize("make_config", list(FORWARD_CONFIGS.values()),
+                         ids=list(FORWARD_CONFIGS))
+class TestForwardMatchesPerRowReference:
+    """The per-search forward against the per-row reference it replaced:
+    the same outputs and the same gradients, up to summation order."""
+
+    def test_outputs(self, make_config, sizes):
+        config = make_config()
+        params = init_model_params(config)
+        batch = batch_of_sizes(np.random.default_rng(51), sizes)
+        got = forward(config, params, batch.listing_rows, batch.context_rows,
+                      batch.seg)
+        want = per_row_forward(config, params, batch.listing_rows,
+                               batch.context_rows[batch.seg])
+        for name in ("cond_logits", "log_joint", "y_twiddler",
+                     "alpha_twiddler"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert list(g) == list(w), name
+            for task in w:
+                np.testing.assert_allclose(g[task].values, w[task].values,
+                                           rtol=0, atol=1e-12,
+                                           err_msg=f"{name}[{task}]")
+        for name in ("y_base", "alpha_base", "y_combination"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None), name
+            if w is not None:
+                assert g.shape == (batch.n_rows,)
+                np.testing.assert_allclose(g.values, w.values, rtol=0,
+                                           atol=1e-12, err_msg=name)
+
+    def test_total_loss_gradients(self, make_config, sizes):
+        config = make_config()
+        params = init_model_params(config)
+        rng = np.random.default_rng(52)
+        batch = batch_of_sizes(rng, sizes)
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in config.base_tasks}
+        with nn.Tape() as tape:
+            loss, _, _ = total_loss(config, params, batch, weights)
+            nn.backward(tape, loss)
+        got = {name: t.grad for name, t in params.items()}
+        for _, t in params.items():
+            t.grad = None
+        with nn.Tape() as tape:
+            ref = per_row_forward(config, params, batch.listing_rows,
+                                  batch.context_rows[batch.seg])
+            want = base_loss(ref.log_joint, batch, weights)
+            if config.twiddler_tasks:
+                want = nn.add(want, twiddler_loss(ref.y_twiddler, batch))
+            if ref.y_combination is not None:
+                want = nn.add(want, combination_loss(ref.y_combination,
+                                                     batch))
+            nn.backward(tape, want)
+        np.testing.assert_allclose(float(loss.values), float(want.values),
+                                   rtol=1e-12)
+        for name, t in params.items():
+            assert got[name].shape == t.values.shape
+            np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+
 class TestBaseForward:
     def test_zero_logits_give_halving_joints(self):
         config = small_config()
@@ -376,7 +560,7 @@ class TestBaseForward:
         zero_params(params)
         rng = np.random.default_rng(2)
         out = forward(config, params, rng.normal(size=(5, 4)),
-                      rng.normal(size=(5, 3)))
+                      rng.normal(size=(5, 3)), np.arange(5))
         for k, task in enumerate(config.base_tasks, start=1):
             np.testing.assert_allclose(out.log_joint[task].values,
                                        k * np.log(0.5), rtol=1e-15)
@@ -390,7 +574,7 @@ class TestBaseForward:
         rng = np.random.default_rng(3)
         listing = rng.normal(size=(6, 4))
         context = rng.normal(size=(6, 3))
-        out = forward(config, params, listing, context)
+        out = forward(config, params, listing, context, np.arange(6))
         assert list(out.log_joint) == ["unc"]
         logit = out.cond_logits["unc"].values
         np.testing.assert_allclose(out.y_base.values,
@@ -403,7 +587,7 @@ class TestBaseForward:
         params = init_model_params(config)
         rng = np.random.default_rng(4)
         out = forward(config, params, rng.normal(size=(30, 4)),
-                      rng.normal(size=(30, 3)))
+                      rng.normal(size=(30, 3)), np.arange(30))
         running = np.ones(30)
         for task in config.base_tasks:
             running = running * expit(out.cond_logits[task].values)
@@ -424,7 +608,7 @@ class TestBaseForward:
             n = int(rng.integers(1, 9))
             out = forward(config, params,
                           rng.normal(size=(n, d_l)) * 3.0,
-                          rng.normal(size=(n, d_c)) * 3.0)
+                          rng.normal(size=(n, d_c)) * 3.0, np.arange(n))
             previous = np.zeros(n)
             for task in config.base_tasks:
                 current = out.log_joint[task].values
@@ -537,7 +721,7 @@ class TestCombinationForward:
                 tensor.values[...] = 0.0
         rng = np.random.default_rng(8)
         out = forward(config, params, rng.normal(size=(4, 4)),
-                      rng.normal(size=(4, 3)))
+                      rng.normal(size=(4, 3)), np.arange(4))
         np.testing.assert_allclose(out.alpha_base.values, LN2, rtol=1e-15)
         for task in config.twiddler_tasks:
             np.testing.assert_array_equal(out.alpha_twiddler[task].values,
@@ -555,7 +739,7 @@ class TestCombinationForward:
         final_bias.values[0] = SOFTPLUS_INV_1
         rng = np.random.default_rng(9)
         out = forward(config, params, rng.normal(size=(6, 4)),
-                      rng.normal(size=(6, 3)))
+                      rng.normal(size=(6, 3)), np.arange(6))
         np.testing.assert_allclose(out.alpha_base.values, 1.0, rtol=1e-12)
         np.testing.assert_allclose(out.y_combination.values,
                                    out.y_base.values, rtol=1e-12)
@@ -565,7 +749,7 @@ class TestCombinationForward:
         params = init_model_params(config)
         rng = np.random.default_rng(10)
         out = forward(config, params, rng.normal(size=(12, 4)),
-                      rng.normal(size=(12, 3)))
+                      rng.normal(size=(12, 3)), np.arange(12))
         want = out.alpha_base.values * out.y_base.values
         for task in config.twiddler_tasks:
             want = want + (out.alpha_twiddler[task].values
@@ -731,7 +915,7 @@ class TestTotalLoss:
             batch = random_batch(rng)
             loss, outputs, parts = total_loss(config, params, batch, weights)
             again = forward(config, params, batch.listing_rows,
-                            batch.context_rows)
+                            batch.context_rows, batch.seg)
             want = float(base_loss(again.log_joint, batch, weights).values)
             want += float(twiddler_loss(again.y_twiddler, batch).values)
             want += float(combination_loss(again.y_combination, batch).values)
@@ -752,7 +936,7 @@ class TestTotalLoss:
         grades = relevance_grades(labels)
         pair_i, pair_j = preference_pairs(grades, seg)
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
-                            context_rows=np.zeros((2, 3)), seg=seg,
+                            context_rows=np.zeros((1, 3)), seg=seg,
                             n_searches=1, labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
@@ -774,7 +958,7 @@ class TestGradients:
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
         def make_loss():
             outputs = forward(config, params, batch.listing_rows,
-                              batch.context_rows)
+                              batch.context_rows, batch.seg)
             return nn.add(base_loss(outputs.log_joint, batch, weights),
                           twiddler_loss(outputs.y_twiddler, batch))
         checked = {name: t for name, t in params.items()
@@ -793,11 +977,12 @@ class TestGradients:
         y_twid_vals = {t: rng.normal(size=batch.n_rows)
                        for t in config.twiddler_tasks}
         def make_loss():
-            emb = shared_forward(config, params, batch.listing_rows,
-                                 batch.context_rows)
-            _, _, y_comb = combination_forward(
-                config, params, emb, nn.constant(y_base_vals),
-                {t: nn.constant(v) for t, v in y_twid_vals.items()})
+            out = forward(config, params, batch.listing_rows,
+                          batch.context_rows, batch.seg)
+            y_comb = nn.mul(out.alpha_base, nn.constant(y_base_vals))
+            for t, v in y_twid_vals.items():
+                y_comb = nn.add(y_comb, nn.mul(out.alpha_twiddler[t],
+                                               nn.constant(v)))
             return combination_loss(y_comb, batch)
         checked = {name: t for name, t in params.items()
                    if name.startswith(("combination", "tower_context"))}
@@ -812,7 +997,7 @@ class TestGradients:
         assert batch.pair_i.size > 0
         with nn.Tape() as tape:
             outputs = forward(config, params, batch.listing_rows,
-                              batch.context_rows)
+                              batch.context_rows, batch.seg)
             loss = combination_loss(outputs.y_combination, batch)
             nn.backward(tape, loss)
         groups = module_parameter_names(config)
@@ -916,10 +1101,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
         (default_model_config,
-         "c0cb9dd53e71a3f909509bba4f07bc45b99100aebf54946bf4c32a2e862fcc62",
+         "a9b6330ebb9832246a6b8c6054dfb5aab2f9946355a2175a9328f1fb567d3998",
          0.6206248762143826),
         (baseline_model_config,
-         "de58b0e8124a852c5d21a19a52ad99072174e7f8220ac44290377ca4ffce47af",
+         "42bc3fd996b29302dc39e2f94df44930e384792ca7c62c8b703661a5011bb3c4",
          0.7230610080992426),
     ], ids=["full", "baseline"])
     def test_result_pinned(self, make_config, digest, ndcg_unc):
@@ -977,7 +1162,8 @@ class TestScoring:
         ranked = score_candidates(model, np.array([30.0, 0.0]), ids, rows)
         scores = np.array([c.score for c in ranked])
         assert np.all(np.diff(scores) <= 0)
-        outputs = model.outputs(rows, np.tile([30.0, 0.0], (len(rows), 1)))
+        outputs = model.outputs(rows, np.array([[30.0, 0.0]]),
+                                np.zeros(len(rows), dtype=np.int64))
         want = outputs.ranking_score.values
         order = np.lexsort((np.asarray(ids), -want))
         assert [c.listing_id for c in ranked] == [ids[int(k)] for k in order]
@@ -995,7 +1181,8 @@ class TestScoring:
         ids = [f"c{k}" for k in range(10)]
         rows = rng.normal(size=(10, 2))
         context = np.array([35.0, 1.0])
-        outputs = model.outputs(rows, np.tile(context, (len(rows), 1)))
+        outputs = model.outputs(rows, context[None, :],
+                                np.zeros(len(rows), dtype=np.int64))
         y = outputs.ranking_score.values
         base_order = np.lexsort((np.asarray(ids), -y))
         for shift in (-100.0, -1.0, 2.5, 1e6):
@@ -1043,11 +1230,11 @@ class TestPersistence:
                                       model.normalization.listing_mean)
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(6, 2))
-        context = np.array([40.0, 1.0])
-        contexts = np.tile(context, (len(rows), 1))
+        contexts = np.array([[40.0, 1.0]])
+        seg = np.zeros(len(rows), dtype=np.int64)
         np.testing.assert_array_equal(
-            back.outputs(rows, contexts).ranking_score.values,
-            model.outputs(rows, contexts).ranking_score.values)
+            back.outputs(rows, contexts, seg).ranking_score.values,
+            model.outputs(rows, contexts, seg).ranking_score.values)
 
     def test_plain_parameter_dump_is_refused(self, tmp_path):
         store = init_model_params(small_config())

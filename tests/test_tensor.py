@@ -141,6 +141,31 @@ class TestGradientBuffers:
         np.testing.assert_array_equal(z.grad, [[1.0, 2.0, 3.0]] * 2)
         assert_no_shared_buffers([a, b, z])
 
+    def test_wide_concat_and_segment_broadcast(self):
+        a = nn.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        v = nn.Tensor([1.0, 2.0], requires_grad=True)
+        c = nn.Tensor(np.arange(1.0, 9.0).reshape(2, 4))
+        d = nn.Tensor([[10.0, 20.0], [30.0, 40.0]])
+        with nn.Tape() as tape:
+            # backward runs in reverse: u hands v a fresh segment sum, b
+            # gets add's gradient twice (a copy, then an add), its
+            # one-row segment sums reach a, and the concats hand a and v
+            # two views each of their own gradients
+            z = nn.concat_cols(a, a)
+            w = nn.concat_cols(v, v)
+            y = nn.add_bias(z, w)
+            b = nn.segment_broadcast(a, np.array([0, 1]))
+            u = nn.segment_broadcast(v, np.array([0, 0, 1]))
+            loss = (y * c).sum() + (nn.add(b, b) * d).sum() \
+                + (u * nn.Tensor([100.0, 200.0, 300.0])).sum()
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(z.grad, c.values)
+        np.testing.assert_array_equal(w.grad, [6.0, 8.0, 10.0, 12.0])
+        np.testing.assert_array_equal(b.grad, 2 * d.values)
+        np.testing.assert_array_equal(a.grad, [[24.0, 46.0], [72.0, 94.0]])
+        np.testing.assert_array_equal(v.grad, [316.0, 320.0])
+        assert_no_shared_buffers([a, v, z, w, y, b, u])
+
     def test_tensor_reached_twice(self):
         x = nn.Tensor([1.0, -1.0, 2.0], requires_grad=True)
         c = nn.Tensor([2.0, 3.0, 5.0])
@@ -307,6 +332,76 @@ class TestSegmentOps:
             nn.segment_logsumexp(nn.Tensor(np.zeros(0)), np.zeros(0, dtype=int),
                                  0)
 
+    def test_segment_broadcast_gradcheck(self):
+        rng = np.random.default_rng(62)
+        # segments 0 and 2 hold one row each
+        seg = np.array([0, 1, 1, 1, 2, 3, 3])
+        params = {"vec": nn.Tensor(rng.normal(size=4), requires_grad=True),
+                  "mat": nn.Tensor(rng.normal(size=(4, 2)),
+                                   requires_grad=True)}
+        c_vec = nn.Tensor(rng.normal(size=7))
+        c_mat = nn.Tensor(rng.normal(size=(7, 2)))
+
+        def make_loss():
+            vec = nn.segment_broadcast(params["vec"], seg)
+            mat = nn.segment_broadcast(params["mat"], seg)
+            return (nn.tanh(vec) * c_vec).sum() + (nn.tanh(mat) * c_mat).sum()
+
+        fd_gradcheck(make_loss, params)
+        for x in params.values():
+            np.testing.assert_array_equal(
+                nn.segment_broadcast(x, seg).values, x.values[seg])
+
+    def test_segment_broadcast_backward_checks_layout(self):
+        x = nn.Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(ShapeError):
+            nn.segment_broadcast(x, np.array([0, -1]))
+        for seg in ([1, 0], [0, 0]):
+            with nn.Tape() as tape:
+                loss = nn.segment_broadcast(x, np.array(seg)).sum()
+            with pytest.raises(ContractError):
+                nn.backward(tape, loss)
+
+    def test_segment_broadcast_forward_of_nothing(self):
+        out = nn.segment_broadcast(nn.Tensor(np.zeros((0, 3))),
+                                   np.zeros(0, dtype=np.int64))
+        assert out.shape == (0, 3)
+
+
+class TestConcatCols:
+    def test_n_inputs_gradcheck(self):
+        rng = np.random.default_rng(61)
+        params = {f"m{k}": nn.Tensor(rng.normal(size=(3, width)),
+                                     requires_grad=True)
+                  for k, width in enumerate((2, 1, 3))}
+        params.update({f"v{k}": nn.Tensor(rng.normal(size=width),
+                                          requires_grad=True)
+                       for k, width in enumerate((1, 5))})
+        c = nn.Tensor(rng.normal(size=(3, 6)))
+
+        def make_loss():
+            z = nn.concat_cols(params["m0"], params["m1"], params["m2"])
+            y = nn.tanh(nn.add_bias(z, nn.concat_cols(params["v0"],
+                                                      params["v1"])))
+            block = nn.column(y, slice(2, 5))
+            return (y * c).sum() + (block * block).sum()
+
+        fd_gradcheck(make_loss, params)
+
+    def test_values_and_shapes(self):
+        a = nn.Tensor([[1.0], [2.0]])
+        b = nn.Tensor([[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(nn.concat_cols(a, b, a).values,
+                                      [[1.0, 3.0, 4.0, 1.0],
+                                       [2.0, 5.0, 6.0, 2.0]])
+        np.testing.assert_array_equal(
+            nn.concat_cols(nn.Tensor([1.0]), nn.Tensor([2.0, 3.0])).values,
+            [1.0, 2.0, 3.0])
+        for bad in ((a, nn.Tensor([1.0, 2.0])), (a, nn.Tensor([[1.0]])),
+                    (nn.Tensor(1.0), nn.Tensor(2.0)), ()):
+            with pytest.raises(ShapeError):
+                nn.concat_cols(*bad)
+
 
 class TestShapeValidation:
     def test_matmul_inner_dim(self):
@@ -324,6 +419,11 @@ class TestShapeValidation:
     def test_column_range(self):
         with pytest.raises(ShapeError):
             nn.column(nn.Tensor(np.zeros((2, 3))), 3)
+
+    def test_column_block_range(self):
+        for block in (slice(2, 4), slice(1, 1), slice(0, 3, 2)):
+            with pytest.raises(ShapeError):
+                nn.column(nn.Tensor(np.zeros((2, 3))), block)
 
     def test_gather_rank(self):
         with pytest.raises(ShapeError):
