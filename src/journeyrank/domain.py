@@ -158,11 +158,6 @@ class PackedSearches:
     def n_impressions(self) -> int:
         return len(self.listing_ids)
 
-    def imp_rows_for_searches(self, search_idx: np.ndarray) -> np.ndarray:
-        """Impression row indices of the given searches, in search order."""
-        starts = self.search_starts[search_idx]
-        return concat_ranges(starts, self.search_starts[search_idx + 1] - starts)
-
 
 @dataclass(frozen=True)
 class Dataset:

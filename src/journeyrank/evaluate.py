@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .dataio import split_by_guest
 from .domain import (
@@ -40,7 +39,6 @@ from .model import (
     ModelConfig,
     TrainedModel,
     blend_coefficients,
-    default_model_config,
     model_config_from_record,
     model_config_to_record,
     parameter_count,
@@ -124,8 +122,11 @@ def t_interval_half_width(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64)
     if len(values) < 2:
         raise ConfigError("a confidence interval needs at least 2 values")
+    # scipy.stats takes about a second to import, which every command
+    # would pay; scipy.special's inverse t CDF gives the same quantile.
+    from scipy.special import stdtrit
     sem = values.std(ddof=1) / math.sqrt(len(values))
-    return float(stats.t.ppf(0.975, len(values) - 1) * sem)
+    return float(stdtrit(len(values) - 1, 0.975) * sem)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +157,6 @@ def oracle_scorer(world) -> Scorer:
                 searches.context_features[k],
                 world.rows_for_ids(searches.listing_ids[lo:hi]))
         return scores
-    return scorer
-
-
-def reversed_scorer(scorer: Scorer) -> Scorer:
-    def wrapped(searches: PackedSearches) -> np.ndarray:
-        return -np.asarray(scorer(searches))
-    return wrapped
-
-
-def random_scorer(seed: int) -> Scorer:
-    """Deterministic noise scorer (stateful stream, fixed per seed)."""
-    rng = np.random.default_rng(seed)
-    def scorer(searches: PackedSearches) -> np.ndarray:
-        return rng.normal(size=searches.n_impressions)
     return scorer
 
 
@@ -390,17 +377,6 @@ def _searches_with_positives(dataset: Dataset,
     return int(np.unique(s.search_of_imp[positive]).size)
 
 
-def base_only_config(dataset: Dataset, tasks: tuple[str, ...], *,
-                     embedding_dim: int = 12,
-                     tower_hidden: tuple[int, ...] = (24,),
-                     seed: int = 0) -> ModelConfig:
-    """A Base-module-only architecture over the given funnel subset."""
-    return default_model_config(
-        dataset.schema.listing_dim, dataset.schema.context_dim,
-        embedding_dim=embedding_dim, tower_hidden=tower_hidden,
-        base_tasks=tasks, twiddler_tasks=(), seed=seed)
-
-
 def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
                  *, cells: Sequence[tuple[str, tuple[str, ...]]] | None = None,
                  settings: TrainEvalSettings | None = None,
@@ -434,9 +410,11 @@ def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
                           "baseline ('unc',)")
     settings = settings or TrainEvalSettings()
     train_ds, eval_ds = prepare_split(dataset)
-    configs = {name: base_only_config(dataset, tuple(tasks),
-                                      embedding_dim=embedding_dim,
-                                      tower_hidden=tower_hidden)
+    configs = {name: ModelConfig(dataset.schema.listing_dim,
+                                 dataset.schema.context_dim,
+                                 embedding_dim=embedding_dim,
+                                 tower_hidden=tower_hidden,
+                                 base_tasks=tuple(tasks), twiddler_tasks=())
                for name, tasks in cell_list}
     spec = [(name, seed, model_config_to_record(config))
             for name, config in configs.items() for seed in seeds]

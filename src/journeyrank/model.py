@@ -24,7 +24,7 @@ the blended score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -53,59 +53,78 @@ from .errors import (
 )
 from . import nn
 from .nn import MlpSpec, ParameterStore, Tape, Tensor
+from .nn.mlp import ACTIVATIONS
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
-def _mlp_spec_to_record(spec: MlpSpec) -> dict:
-    return {
-        "input_dim": spec.input_dim,
-        "hidden_dims": list(spec.hidden_dims),
-        "output_dim": spec.output_dim,
-        "activation": spec.activation,
-        "seed": spec.seed,
-    }
+def _check_int(name: str, value, minimum: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ConfigError(f"{name} must be an integer >= {minimum}, "
+                          f"got {value!r}")
 
 
-def _mlp_spec_from_record(rec: dict) -> MlpSpec:
-    try:
-        return MlpSpec(input_dim=rec["input_dim"],
-                       hidden_dims=tuple(rec["hidden_dims"]),
-                       output_dim=rec["output_dim"],
-                       activation=rec["activation"],
-                       seed=rec["seed"])
-    except KeyError as exc:
-        raise ConfigError(f"mlp spec record missing key {exc}") from None
+def _check_sequence(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture and loss layout for one ranking model.
 
+    Every block's shape derives from these fields:
+
+    - ``listing_tower`` maps ``listing_dim`` features, and
+      ``context_tower`` maps ``context_dim`` features, through
+      ``tower_hidden`` to ``embedding_dim``.
+    - ``head``, shared by every task, maps the joint embedding
+      (``2 * embedding_dim``) through ``head_hidden`` to one logit.
+    - ``combination`` maps the context embedding through
+      ``combination_hidden`` to one coefficient for the base score plus
+      one per twiddler; there is none without twiddlers.
+    - ``activation`` sits between the layers of every block.
+
     ``base_tasks`` lists the positive milestones to chain, in funnel order,
     always ending at the uncancelled-booking task whose joint probability
     is the base score. ``twiddler_tasks`` lists the negative milestones
-    given dedicated re-ranking heads; when present, ``combination`` must
-    produce one coefficient for the base score plus one per twiddler.
+    given dedicated re-ranking heads. ``task_loss_weights``, one positive
+    weight per base task, replaces the inverse-prevalence weights, and
+    ``seed`` fixes initialization and batch order.
     """
 
-    listing_tower: MlpSpec
-    context_tower: MlpSpec
-    embedding_dim: int
-    base_tasks: tuple[str, ...]
-    head_specs: Mapping[str, MlpSpec]
-    twiddler_tasks: tuple[str, ...] = ()
-    combination: MlpSpec | None = None
+    listing_dim: int
+    context_dim: int
+    embedding_dim: int = 12
+    tower_hidden: tuple[int, ...] = (24,)
+    head_hidden: tuple[int, ...] = ()
+    combination_hidden: tuple[int, ...] = (8,)
+    activation: str = "relu"
+    base_tasks: tuple[str, ...] = POSITIVE_CHAIN
+    twiddler_tasks: tuple[str, ...] = NEGATIVE_MILESTONES
     task_loss_weights: Mapping[str, float] | None = None
     seed: int = 0
 
     def __post_init__(self):
-        base = tuple(self.base_tasks)
-        twiddlers = tuple(self.twiddler_tasks)
-        object.__setattr__(self, "base_tasks", base)
-        object.__setattr__(self, "twiddler_tasks", twiddlers)
+        for name in ("listing_dim", "context_dim", "embedding_dim"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
+        for name in ("tower_hidden", "head_hidden", "combination_hidden",
+                     "base_tasks", "twiddler_tasks"):
+            object.__setattr__(self, name,
+                               _check_sequence(name, getattr(self, name)))
+        for name in ("tower_hidden", "head_hidden", "combination_hidden"):
+            for width in getattr(self, name):
+                _check_int(name, width, 1)
+        if (not isinstance(self.activation, str)
+                or self.activation not in ACTIVATIONS):
+            raise ConfigError(f"activation must be one of "
+                              f"{sorted(ACTIVATIONS)}, got {self.activation!r}")
+        base, twiddlers = self.base_tasks, self.twiddler_tasks
         if not base:
             raise ConfigError("base_tasks must not be empty")
         unknown = [t for t in base if t not in POSITIVE_CHAIN]
@@ -125,142 +144,79 @@ class ModelConfig:
                               f"from {NEGATIVE_MILESTONES}")
         if len(set(twiddlers)) != len(twiddlers):
             raise ConfigError("twiddler_tasks must not repeat")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be positive")
-        for name, tower in (("listing_tower", self.listing_tower),
-                            ("context_tower", self.context_tower)):
-            if tower.output_dim != self.embedding_dim:
-                raise ConfigError(
-                    f"{name} output width {tower.output_dim} must equal "
-                    f"embedding_dim {self.embedding_dim}")
-        expected_heads = set(base) | set(twiddlers)
-        if set(self.head_specs) != expected_heads:
-            raise ConfigError(
-                f"head_specs keys {sorted(self.head_specs)} must cover "
-                f"exactly the configured tasks {sorted(expected_heads)}")
-        for task, spec in self.head_specs.items():
-            if spec.input_dim != 2 * self.embedding_dim:
-                raise ConfigError(
-                    f"head {task} input width {spec.input_dim} must be "
-                    f"twice embedding_dim ({2 * self.embedding_dim})")
-            if spec.output_dim != 1:
-                raise ConfigError(f"head {task} must output a single logit")
-        if self.combination is not None:
-            if not twiddlers:
-                raise ConfigError("a combination layer without twiddler "
-                                  "tasks has nothing to blend")
-            if self.combination.input_dim != self.embedding_dim:
-                raise ConfigError(
-                    "combination reads the context embedding only; input "
-                    f"width must be {self.embedding_dim}")
-            if self.combination.output_dim != 1 + len(twiddlers):
-                raise ConfigError(
-                    "combination must output one coefficient for the base "
-                    f"score plus one per twiddler ({1 + len(twiddlers)})")
         if self.task_loss_weights is not None:
-            if set(self.task_loss_weights) != set(base):
+            if (not isinstance(self.task_loss_weights, Mapping)
+                    or set(self.task_loss_weights) != set(base)):
                 raise ConfigError("task_loss_weights keys must match "
                                   "base_tasks")
-            for task, w in self.task_loss_weights.items():
+            try:
+                weights = {t: float(w)
+                           for t, w in self.task_loss_weights.items()}
+            except (TypeError, ValueError):
+                raise ConfigError("task_loss_weights values must be numbers, "
+                                  f"got {self.task_loss_weights!r}") from None
+            for task, w in weights.items():
                 if not np.isfinite(w) or w <= 0:
                     raise ConfigError(f"weight for {task} must be positive")
+            object.__setattr__(self, "task_loss_weights", weights)
 
     @property
     def all_tasks(self) -> tuple[str, ...]:
         return self.base_tasks + self.twiddler_tasks
 
     @property
-    def scores_with_combination(self) -> bool:
-        return self.combination is not None
+    def listing_tower(self) -> MlpSpec:
+        return MlpSpec(self.listing_dim, self.tower_hidden,
+                       self.embedding_dim, self.activation)
+
+    @property
+    def context_tower(self) -> MlpSpec:
+        return MlpSpec(self.context_dim, self.tower_hidden,
+                       self.embedding_dim, self.activation)
+
+    @property
+    def head(self) -> MlpSpec:
+        """The shape of every task head."""
+        return MlpSpec(2 * self.embedding_dim, self.head_hidden, 1,
+                       self.activation)
+
+    @property
+    def combination(self) -> MlpSpec | None:
+        if not self.twiddler_tasks:
+            return None
+        return MlpSpec(self.embedding_dim, self.combination_hidden,
+                       1 + len(self.twiddler_tasks), self.activation)
 
 
-def default_model_config(listing_dim: int, context_dim: int, *,
-                         embedding_dim: int = 12,
-                         tower_hidden: tuple[int, ...] = (24,),
-                         head_hidden: tuple[int, ...] = (),
-                         combination_hidden: tuple[int, ...] = (8,),
-                         base_tasks: tuple[str, ...] = POSITIVE_CHAIN,
-                         twiddler_tasks: tuple[str, ...] = NEGATIVE_MILESTONES,
-                         task_loss_weights: Mapping[str, float] | None = None,
-                         seed: int = 0) -> ModelConfig:
-    """A compact architecture suitable for desk-scale experiments."""
-    heads = {task: MlpSpec(input_dim=2 * embedding_dim,
-                           hidden_dims=head_hidden, output_dim=1)
-             for task in tuple(base_tasks) + tuple(twiddler_tasks)}
-    combination = None
-    if twiddler_tasks:
-        combination = MlpSpec(input_dim=embedding_dim,
-                              hidden_dims=combination_hidden,
-                              output_dim=1 + len(twiddler_tasks))
-    return ModelConfig(
-        listing_tower=MlpSpec(input_dim=listing_dim, hidden_dims=tower_hidden,
-                              output_dim=embedding_dim),
-        context_tower=MlpSpec(input_dim=context_dim, hidden_dims=tower_hidden,
-                              output_dim=embedding_dim),
-        embedding_dim=embedding_dim,
-        base_tasks=tuple(base_tasks),
-        head_specs=heads,
-        twiddler_tasks=tuple(twiddler_tasks),
-        combination=combination,
-        task_loss_weights=task_loss_weights,
-        seed=seed,
-    )
+# The full model: every positive milestone chained, every negative one
+# given a twiddler head.
+default_model_config = ModelConfig
 
 
-def baseline_model_config(listing_dim: int, context_dim: int, *,
-                          embedding_dim: int = 12,
-                          tower_hidden: tuple[int, ...] = (24,),
-                          head_hidden: tuple[int, ...] = (),
-                          seed: int = 0) -> ModelConfig:
+def baseline_model_config(listing_dim: int, context_dim: int,
+                          **overrides) -> ModelConfig:
     """Single-task configuration: one head predicting uncancelled bookings.
 
     This is the production-style reference the multi-task model is judged
     against; it shares the tower architecture but trains one listwise task
     and no blending layer.
     """
-    return default_model_config(listing_dim, context_dim,
-                                embedding_dim=embedding_dim,
-                                tower_hidden=tower_hidden,
-                                head_hidden=head_hidden,
-                                base_tasks=("unc",), twiddler_tasks=(),
-                                seed=seed)
+    return ModelConfig(listing_dim, context_dim, base_tasks=("unc",),
+                       twiddler_tasks=(), **overrides)
 
 
 def model_config_to_record(config: ModelConfig) -> dict:
-    return {
-        "listing_tower": _mlp_spec_to_record(config.listing_tower),
-        "context_tower": _mlp_spec_to_record(config.context_tower),
-        "embedding_dim": config.embedding_dim,
-        "base_tasks": list(config.base_tasks),
-        "head_specs": {task: _mlp_spec_to_record(spec)
-                       for task, spec in config.head_specs.items()},
-        "twiddler_tasks": list(config.twiddler_tasks),
-        "combination": (None if config.combination is None
-                        else _mlp_spec_to_record(config.combination)),
-        "task_loss_weights": (None if config.task_loss_weights is None
-                              else {k: float(v) for k, v in
-                                    config.task_loss_weights.items()}),
-        "seed": config.seed,
-    }
+    return asdict(config)
 
 
 def model_config_from_record(rec: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            listing_tower=_mlp_spec_from_record(rec["listing_tower"]),
-            context_tower=_mlp_spec_from_record(rec["context_tower"]),
-            embedding_dim=rec["embedding_dim"],
-            base_tasks=tuple(rec["base_tasks"]),
-            head_specs={task: _mlp_spec_from_record(spec)
-                        for task, spec in rec["head_specs"].items()},
-            twiddler_tasks=tuple(rec["twiddler_tasks"]),
-            combination=(None if rec["combination"] is None
-                         else _mlp_spec_from_record(rec["combination"])),
-            task_loss_weights=rec["task_loss_weights"],
-            seed=rec["seed"],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model config record missing key {exc}") from None
+    names = [f.name for f in fields(ModelConfig)]
+    missing = [k for k in names if k not in rec]
+    unknown = sorted(k for k in rec if k not in names)
+    if missing or unknown:
+        raise ConfigError(f"model config record has missing keys {missing} "
+                          f"and unknown keys {unknown}")
+    return ModelConfig(**rec)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +238,9 @@ def init_model_params(config: ModelConfig) -> ParameterStore:
     store = ParameterStore()
     nn.init_mlp_params(store, _TOWER_LISTING, config.listing_tower, rng)
     nn.init_mlp_params(store, _TOWER_CONTEXT, config.context_tower, rng)
+    head = config.head
     for task in config.all_tasks:
-        nn.init_mlp_params(store, _head_prefix(task),
-                           config.head_specs[task], rng)
+        nn.init_mlp_params(store, _head_prefix(task), head, rng)
     if config.combination is not None:
         nn.init_mlp_params(store, _COMBINATION, config.combination, rng)
     return store
@@ -292,7 +248,7 @@ def init_model_params(config: ModelConfig) -> ParameterStore:
 
 def parameter_count(config: ModelConfig) -> int:
     total = config.listing_tower.n_params + config.context_tower.n_params
-    total += sum(config.head_specs[t].n_params for t in config.all_tasks)
+    total += len(config.all_tasks) * config.head.n_params
     if config.combination is not None:
         total += config.combination.n_params
     return total
@@ -433,27 +389,25 @@ def _head_logits(config: ModelConfig, params: ParameterStore,
     """Every head's logit, per row of the joint embedding.
 
     The heads' first layers run as one matmul over their column-stacked
-    weights. A linear head's logit is its column of that output; a head
-    with hidden layers goes on from its block of columns.
+    weights, so head k's first layer outputs columns ``k*w:(k+1)*w``. A
+    linear head's logit is its column of that output; a head with hidden
+    layers goes on from its block of columns.
     """
+    spec = config.head
+    width = spec.layer_dims[0][1]
     prefixes = [_head_prefix(task) for task in config.all_tasks]
     first = nn.add_bias(
         nn.matmul(joint_emb,
                   nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))),
         nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
     logits: dict[str, Tensor] = {}
-    lo = 0
-    for task, prefix in zip(config.all_tasks, prefixes):
-        spec = config.head_specs[task]
-        width = spec.layer_dims[0][1]
+    for k, (task, prefix) in enumerate(zip(config.all_tasks, prefixes)):
         if spec.hidden_dims:
-            out = nn.forward_mlp(params, prefix, spec,
-                                 nn.column(first, slice(lo, lo + width)),
-                                 start=1)
+            block = nn.column(first, slice(k * width, (k + 1) * width))
+            out = nn.forward_mlp(params, prefix, spec, block, start=1)
             logits[task] = nn.column(out, 0)
         else:
-            logits[task] = nn.column(first, lo)
-        lo += width
+            logits[task] = nn.column(first, k)
     return logits
 
 
@@ -803,7 +757,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
                                   packed.context_features)
     weights = resolve_task_weights(config, dataset)
     params = init_model_params(config)
-    state = nn.init_adam(params, nn.AdamConfig(learning_rate=learning_rate))
+    state = nn.init_adam(params, learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(1,)))
     inputs = batch_inputs(packed, norm)
@@ -882,9 +836,9 @@ def load_model(directory: str | Path) -> TrainedModel:
     config = model_config_from_record(manifest["model_config"])
     norm = NormalizationStats.from_record(manifest["normalization"])
     for name, width, vectors in (
-            ("listing", config.listing_tower.input_dim,
+            ("listing", config.listing_dim,
              (norm.listing_mean, norm.listing_scale)),
-            ("context", config.context_tower.input_dim,
+            ("context", config.context_dim,
              (norm.context_mean, norm.context_scale))):
         if any(v.shape != (width,) for v in vectors):
             raise SchemaMismatchError(

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 from . import tensor as T
 
-_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
+ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
 
 
 @dataclass(frozen=True)
@@ -22,23 +22,20 @@ class MlpSpec:
     """Shape of one feed-forward block.
 
     ``hidden_dims=()`` degenerates to a single affine map, which is how
-    linear scoring heads are expressed. ``seed`` only matters when a block
-    is initialized standalone; composite models derive per-block streams
-    from their own seed instead.
+    linear scoring heads are expressed.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     output_dim: int = 1
     activation: str = "relu"
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) <= 0 for d in dims):
             raise ConfigError(f"all layer widths must be positive, got {dims}")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
@@ -107,21 +104,15 @@ class ParameterStore:
     def n_values(self) -> int:
         return sum(t.size for t in self._params.values())
 
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
-
 
 def init_mlp_params(store: ParameterStore, prefix: str, spec: MlpSpec,
-                    rng: np.random.Generator | None = None) -> None:
+                    rng: np.random.Generator) -> None:
     """Register Glorot-uniform weights and zero biases for one block.
 
     Names follow ``{prefix}.w{i}`` / ``{prefix}.b{i}`` with layer index i
     starting at 0. Draw order is fixed by layer order, so one seeded
     generator reproduces the whole model bit for bit.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         store.add(f"{prefix}.w{i}", rng.uniform(-limit, limit, size=(fan_in, fan_out)))
@@ -139,7 +130,7 @@ def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
     """
     if x.values.ndim != 2:
         raise ShapeError(f"{prefix}: expected a rank-2 input, got shape {x.shape}")
-    act = _ACTIVATIONS[spec.activation]
+    act = ACTIVATIONS[spec.activation]
     h = x
     for i, (fan_in, _) in enumerate(spec.layer_dims[start:], start=start):
         if i > 0:

@@ -7,7 +7,7 @@ in the same parameter order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,26 +15,24 @@ from ..errors import ContractError
 from .mlp import ParameterStore
 
 
-@dataclass
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# The usual Adam constants; the learning rate is the one per-run setting.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    config: AdamConfig = field(default_factory=AdamConfig)
+    learning_rate: float
     step: int = 0
 
 
-def init_adam(store: ParameterStore, config: AdamConfig | None = None) -> AdamState:
+def init_adam(store: ParameterStore, learning_rate: float = 1e-3) -> AdamState:
     flat = store.flat_values()
     return AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat),
-                     config=config or AdamConfig())
+                     learning_rate=learning_rate)
 
 
 def optimizer_step(store: ParameterStore, state: AdamState) -> None:
@@ -57,20 +55,19 @@ def optimizer_step(store: ParameterStore, state: AdamState) -> None:
     if g.size != flat.size or state.m.size != flat.size:
         raise ContractError("gradients and optimizer state must match the "
                             "parameters; run init_adam() on this store")
-    cfg = state.config
     state.step += 1
     t = state.step
-    bias1 = 1.0 - cfg.beta1 ** t
-    bias2 = 1.0 - cfg.beta2 ** t
+    bias1 = 1.0 - BETA1 ** t
+    bias2 = 1.0 - BETA2 ** t
     m, v = state.m, state.v
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * (g * g)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
     # the per-parameter update's operations, in its order:
     # lr * m_hat / (sqrt(v_hat) + eps)
-    update = cfg.learning_rate * (m / bias1)
+    update = state.learning_rate * (m / bias1)
     denom = np.sqrt(v / bias2)
-    denom += cfg.epsilon
+    denom += EPSILON
     update /= denom
     flat -= update

@@ -29,7 +29,7 @@ per context have structural headroom over rankers that cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import json
@@ -100,6 +100,8 @@ class GeneratorConfig:
         if min(self.n_guests, self.max_searches_per_journey,
                self.listing_feature_dim, self.n_listings) < 1:
             raise ConfigError("counts and dims must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.context_feature_dim < len(CONTEXT_FEATURE_PREFIX):
             raise ConfigError("context width must cover "
                               f"{CONTEXT_FEATURE_PREFIX}")
@@ -242,19 +244,6 @@ class WorldTruth:
                             dtype=np.int64)
         except KeyError as exc:
             raise ConfigError(f"unknown listing id {exc}") from None
-
-
-def true_ranking(world: WorldTruth, context, listing_ids=None) -> list[str]:
-    """Listing ids ordered by true conversion probability, ties by id."""
-    if listing_ids is None:
-        listing_ids = list(world.listing_ids)
-    else:
-        listing_ids = list(listing_ids)
-    rows = world.rows_for_ids(listing_ids)
-    p = world.true_unc_probability(context, rows)
-    ids = np.array(listing_ids)
-    order = np.lexsort((ids, -p))
-    return [str(ids[k]) for k in order]
 
 
 # ---------------------------------------------------------------------------
@@ -628,30 +617,26 @@ def generator_config_to_record(config: GeneratorConfig) -> dict:
     }
 
 
+# Record values convert by their field's annotation; the two
+# coefficient fields hold StageModels.
+_RECORD_CONVERTERS = {"int": int, "float": float}
+
+
 def generator_config_from_record(rec: dict) -> GeneratorConfig:
-    try:
-        return GeneratorConfig(
-            n_guests=int(rec["n_guests"]),
-            listings_per_search=int(rec["listings_per_search"]),
-            max_searches_per_journey=int(rec["max_searches_per_journey"]),
-            listing_feature_dim=int(rec["listing_feature_dim"]),
-            context_feature_dim=int(rec["context_feature_dim"]),
-            stage_coefficients=_stage_models_from_record(rec["stage_coefficients"]),
-            negative_coefficients=_stage_models_from_record(rec["negative_coefficients"]),
-            ctr_negative_coupling=float(rec["ctr_negative_coupling"]),
-            days_ahead_ushape_strength=float(rec["days_ahead_ushape_strength"]),
-            seed=int(rec["seed"]),
-            n_listings=int(rec.get("n_listings", 400)),
-            journey_window_days=float(rec.get("journey_window_days", 30.0)),
-            late_journey_negative_coupling=float(
-                rec.get("late_journey_negative_coupling", 0.0)),
-            conversion_days_modulation=float(
-                rec.get("conversion_days_modulation", 0.0)),
-            conversion_late_modulation=float(
-                rec.get("conversion_late_modulation", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"generator config missing key {exc}") from None
+    values = {}
+    for f in fields(GeneratorConfig):
+        if f.name not in rec:
+            if f.default is MISSING:
+                raise ConfigError(f"generator config missing key '{f.name}'")
+            continue
+        convert = _RECORD_CONVERTERS.get(f.type, _stage_models_from_record)
+        try:
+            values[f.name] = convert(rec[f.name])
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError):
+            raise ConfigError(f"generator config key '{f.name}' has a "
+                              f"malformed value {rec[f.name]!r}") from None
+    return GeneratorConfig(**values)
 
 
 def save_world(world: WorldTruth, path: str | Path) -> None:

@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from journeyrank import nn
+from journeyrank.domain import PackedSearches, concat_ranges
 
 
 def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
@@ -53,6 +54,13 @@ def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
                 f"{name}[{i}]: autodiff {a!r} vs fd {fd!r} "
                 f"(err {err:.3e} > bound {bound:.3e})")
     return worst
+
+
+def imp_rows_for_searches(packed: PackedSearches,
+                          search_idx: np.ndarray) -> np.ndarray:
+    """Impression row indices of the given searches, in search order."""
+    starts = packed.search_starts[search_idx]
+    return concat_ranges(starts, packed.search_starts[search_idx + 1] - starts)
 
 
 def tiny_manual_dataset(constant_prev: float = 2.0):

