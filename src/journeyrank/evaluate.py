@@ -1,27 +1,33 @@
 """Offline evaluation harness for journey ranking models.
 
-Measures ranking quality as binary-relevance NDCG per positive milestone,
-compares two model configurations over a shared set of training seeds with
-a paired t-interval, runs the task-set ablation over funnel subsets, and
-extracts how the blend coefficients move across context buckets (the
+Measures ranking quality as binary-relevance NDCG per positive milestone
+and extracts how the blend coefficients move across context buckets (the
 interpretability curves for the negative-outcome heads).
 
 Evaluation reads only the dataset's columns: a scorer scores every
 impression of every search in one call, one sort ranks all searches at
 once, and NDCG is a per-search reduction over the ranked positive flags.
 
-Training seeds and the guest-hash split make every number here exactly
-reproducible; parallel runs only fan out independent (config, seed) jobs.
+Model comparisons share one paired multi-seed protocol, ``paired_runs``.
+It refuses fewer than two seeds or a repeated one, splits the dataset once
+by guest hash, trains every configuration once per seed on the training
+side and scores each run's unc NDCG on the eval side. ``compare`` turns two
+configurations' per-seed NDCGs into a paired t-interval of their
+difference; ``run_ablation`` differences every funnel task subset against
+the single-task baseline the same way. Runs differ only in configuration
+and seed, so every number is exactly reproducible, whether the runs go
+serially or through forked worker processes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -39,8 +45,6 @@ from .model import (
     ModelConfig,
     TrainedModel,
     blend_coefficients,
-    model_config_from_record,
-    model_config_to_record,
     parameter_count,
     train,
 )
@@ -90,9 +94,9 @@ def ndcg_binary(positive: np.ndarray, search_starts: np.ndarray,
 class NdcgReport:
     """Mean NDCG with its provenance.
 
-    ``per_seed`` holds one value per training seed for multi-seed
-    protocols and a single entry for one-shot evaluations. Searches
-    without a positive for the milestone are skipped, not scored.
+    ``per_seed`` holds the one evaluation's mean; the multi-seed protocol
+    keeps its per-seed values in ``CompareReport`` and ``AblationCell``.
+    Searches without a positive for the milestone are skipped, not scored.
     """
 
     mean: float
@@ -191,7 +195,12 @@ def evaluate(model: TrainedModel,
 
 
 # ---------------------------------------------------------------------------
-# multi-seed protocol
+# paired multi-seed protocol
+
+
+# The protocol pairs NDCG on uncancelled bookings, the milestone the
+# ranking score is trained to order.
+PROTOCOL_MILESTONE = "unc"
 
 
 @dataclass(frozen=True)
@@ -214,51 +223,65 @@ def prepare_split(dataset: Dataset, eval_percent: int = 20,
     return filter_training_searches(train_ds).training_dataset(), eval_ds
 
 
-def _seeded(config: ModelConfig, seed: int) -> ModelConfig:
-    return replace(config, seed=seed)
+@dataclass(frozen=True)
+class PairedRuns:
+    """Every config's eval NDCG per seed, all from one split."""
+
+    seeds: tuple[int, ...]
+    ndcg: dict[str, tuple[float, ...]]
+    n_eval_searches: int
+    train_ds: Dataset
 
 
-def train_and_evaluate(config: ModelConfig, train_ds: Dataset,
-                       eval_ds: Dataset, settings: TrainEvalSettings,
-                       ) -> dict[str, NdcgReport]:
-    model, _ = train(config, train_ds, settings.epochs,
-                     batch_size=settings.batch_size,
-                     learning_rate=settings.learning_rate)
-    return evaluate(model, eval_ds)
-
-
+# Forked workers inherit the split instead of unpickling it per job.
 _JOB_DATA: dict = {}
 
 
-def _protocol_job(args: tuple) -> tuple[str, int, dict]:
-    label, seed, config_record = args
-    config = _seeded(model_config_from_record(config_record), seed)
-    reports = train_and_evaluate(config, _JOB_DATA["train"],
-                                 _JOB_DATA["eval"], _JOB_DATA["settings"])
-    return label, seed, {task: r.to_record() for task, r in reports.items()}
+def _paired_job(config: ModelConfig) -> NdcgReport:
+    settings = _JOB_DATA["settings"]
+    model, _ = train(config, _JOB_DATA["train"], settings.epochs,
+                     batch_size=settings.batch_size,
+                     learning_rate=settings.learning_rate)
+    return evaluate(model, _JOB_DATA["eval"])[PROTOCOL_MILESTONE]
 
 
-def _run_protocol(jobs_spec: list[tuple[str, int, dict]],
-                  train_ds: Dataset, eval_ds: Dataset,
-                  settings: TrainEvalSettings,
-                  jobs: int = 1) -> dict[tuple[str, int], dict]:
-    """Run (label, seed) training jobs, optionally in parallel processes."""
-    _JOB_DATA["train"] = train_ds
-    _JOB_DATA["eval"] = eval_ds
-    _JOB_DATA["settings"] = settings
+def paired_runs(configs: Mapping[str, ModelConfig], dataset: Dataset,
+                seeds: Sequence[int], settings: TrainEvalSettings,
+                jobs: int) -> PairedRuns:
+    """Train every config once per seed on one split and score each run.
+
+    Runs differ only in config and seed, so any two configs' NDCGs pair
+    seed by seed. ``jobs`` worker processes, never more than there are
+    runs, share the runs out; the result does not depend on it.
+    """
+    seeds = tuple(int(s) for s in seeds)
+    if len(seeds) < 2 or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"a paired protocol needs at least 2 distinct "
+                          f"seeds, got {list(seeds)}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    train_ds, eval_ds = prepare_split(dataset)
+    labels = list(configs)
+    runs = [replace(configs[label], seed=seed)
+            for seed in seeds for label in labels]
+    workers = min(jobs, len(runs))
+    _JOB_DATA.update(train=train_ds, eval=eval_ds, settings=settings)
     try:
-        can_fork = hasattr(os, "fork")
-        if jobs > 1 and can_fork and len(jobs_spec) > 1:
-            import multiprocessing as mp
-            ctx = mp.get_context("fork")
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     mp_context=ctx) as pool:
-                results = list(pool.map(_protocol_job, jobs_spec))
+        if workers > 1 and hasattr(os, "fork"):
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                reports = list(pool.map(_paired_job, runs))
         else:
-            results = [_protocol_job(spec) for spec in jobs_spec]
+            reports = [_paired_job(config) for config in runs]
     finally:
         _JOB_DATA.clear()
-    return {(label, seed): reports for label, seed, reports in results}
+    means = [report.mean for report in reports]
+    return PairedRuns(
+        seeds=seeds,
+        ndcg={label: tuple(means[i::len(labels)])
+              for i, label in enumerate(labels)},
+        n_eval_searches=reports[0].n_searches, train_ds=train_ds)
 
 
 @dataclass(frozen=True)
@@ -281,50 +304,26 @@ class CompareReport:
         return tuple(a - b for a, b in zip(self.per_seed_a, self.per_seed_b))
 
     def to_record(self) -> dict:
-        return {
-            "label_a": self.label_a,
-            "label_b": self.label_b,
-            "seeds": list(self.seeds),
-            "per_seed_a": list(self.per_seed_a),
-            "per_seed_b": list(self.per_seed_b),
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "deltas": list(self.deltas),
-            "mean_delta": self.mean_delta,
-            "ci_half_width": self.ci_half_width,
-            "n_eval_searches": self.n_eval_searches,
-        }
+        return {**asdict(self), "deltas": list(self.deltas)}
 
 
 def compare(config_a: ModelConfig, config_b: ModelConfig, dataset: Dataset,
             seeds: Sequence[int] = (0, 1, 2, 3, 4), *,
             settings: TrainEvalSettings | None = None,
             label_a: str = "A", label_b: str = "B",
-            milestone: str = "unc", jobs: int = 1) -> CompareReport:
+            jobs: int = 1) -> CompareReport:
     """Train both configs per seed on identical data and pair the NDCGs."""
-    seeds = tuple(int(s) for s in seeds)
-    if len(seeds) < 2:
-        raise ConfigError("compare needs at least 2 seeds for an interval")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    settings = settings or TrainEvalSettings()
-    train_ds, eval_ds = prepare_split(dataset)
-    spec = []
-    for seed in seeds:
-        spec.append(("a", seed, model_config_to_record(config_a)))
-        spec.append(("b", seed, model_config_to_record(config_b)))
-    results = _run_protocol(spec, train_ds, eval_ds, settings, jobs=jobs)
-    per_a = tuple(results[("a", s)][milestone]["mean"] for s in seeds)
-    per_b = tuple(results[("b", s)][milestone]["mean"] for s in seeds)
+    runs = paired_runs({"a": config_a, "b": config_b}, dataset, seeds,
+                       settings or TrainEvalSettings(), jobs)
+    per_a, per_b = runs.ndcg["a"], runs.ndcg["b"]
     deltas = np.array(per_a) - np.array(per_b)
-    n_eval = results[("a", seeds[0])][milestone]["n_searches"]
     return CompareReport(
-        label_a=label_a, label_b=label_b, seeds=seeds,
+        label_a=label_a, label_b=label_b, seeds=runs.seeds,
         per_seed_a=per_a, per_seed_b=per_b,
         mean_a=float(np.mean(per_a)), mean_b=float(np.mean(per_b)),
         mean_delta=float(np.mean(deltas)),
         ci_half_width=t_interval_half_width(deltas),
-        n_eval_searches=int(n_eval),
+        n_eval_searches=runs.n_eval_searches,
     )
 
 
@@ -356,18 +355,7 @@ class AblationCell:
     n_searches_with_positives: int
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "tasks": list(self.tasks),
-            "seeds": list(self.seeds),
-            "per_seed_ndcg": list(self.per_seed_ndcg),
-            "mean_ndcg": self.mean_ndcg,
-            "mean_delta": self.mean_delta,
-            "ci_half_width": self.ci_half_width,
-            "parameter_delta": self.parameter_delta,
-            "search_delta": self.search_delta,
-            "n_searches_with_positives": self.n_searches_with_positives,
-        }
+        return asdict(self)
 
 
 def _searches_with_positives(dataset: Dataset,
@@ -381,8 +369,6 @@ def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
                  *, cells: Sequence[tuple[str, tuple[str, ...]]] | None = None,
                  settings: TrainEvalSettings | None = None,
                  embedding_dim: int = 12,
-                 tower_hidden: tuple[int, ...] = (24,),
-                 milestone: str = "unc",
                  jobs: int = 1) -> list[AblationCell]:
     """Train each funnel subset per seed and report paired deltas.
 
@@ -391,56 +377,39 @@ def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
     shared representation. The single-task cell is the baseline every
     other cell is differenced against, so it must be present.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if len(seeds) < 2:
-        raise ConfigError("ablation needs at least 2 seeds for intervals")
-    cell_list = tuple(cells) if cells is not None else ABLATION_CELLS
+    cell_list = [(name, tuple(tasks)) for name, tasks in
+                 (cells if cells is not None else ABLATION_CELLS)]
     if not cell_list:
         raise ConfigError("ablation needs at least one cell")
-    names = [name for name, _ in cell_list]
-    if len(set(names)) != len(names):
-        raise ConfigError("ablation cell names must be distinct")
-    baseline_name = None
-    for name, tasks in cell_list:
-        if tuple(tasks) == ("unc",):
-            baseline_name = name
-            break
-    if baseline_name is None:
-        raise ConfigError("ablation cells must include the single-task "
-                          "baseline ('unc',)")
-    settings = settings or TrainEvalSettings()
-    train_ds, eval_ds = prepare_split(dataset)
     configs = {name: ModelConfig(dataset.schema.listing_dim,
                                  dataset.schema.context_dim,
                                  embedding_dim=embedding_dim,
-                                 tower_hidden=tower_hidden,
-                                 base_tasks=tuple(tasks), twiddler_tasks=())
+                                 base_tasks=tasks, twiddler_tasks=())
                for name, tasks in cell_list}
-    spec = [(name, seed, model_config_to_record(config))
-            for name, config in configs.items() for seed in seeds]
-    results = _run_protocol(spec, train_ds, eval_ds, settings, jobs=jobs)
-
-    baseline_scores = np.array(
-        [results[(baseline_name, s)][milestone]["mean"] for s in seeds])
+    if len(configs) != len(cell_list):
+        raise ConfigError("ablation cell names must be distinct")
+    baseline_name = next((name for name, tasks in cell_list
+                          if tasks == ("unc",)), None)
+    if baseline_name is None:
+        raise ConfigError("ablation cells must include the single-task "
+                          "baseline ('unc',)")
+    runs = paired_runs(configs, dataset, seeds,
+                       settings or TrainEvalSettings(), jobs)
+    baseline_scores = np.array(runs.ndcg[baseline_name])
     baseline_params = parameter_count(configs[baseline_name])
-    baseline_searches = _searches_with_positives(train_ds, ("unc",))
+    baseline_searches = _searches_with_positives(runs.train_ds, ("unc",))
     cells_out = []
     for name, tasks in cell_list:
-        tasks = tuple(tasks)
-        scores = np.array([results[(name, s)][milestone]["mean"]
-                           for s in seeds])
+        scores = np.array(runs.ndcg[name])
         deltas = scores - baseline_scores
-        if name == baseline_name:
-            ci = 0.0
-        else:
-            ci = t_interval_half_width(deltas)
-        n_searches = _searches_with_positives(train_ds, tasks)
+        n_searches = _searches_with_positives(runs.train_ds, tasks)
         cells_out.append(AblationCell(
-            name=name, tasks=tasks, seeds=seeds,
-            per_seed_ndcg=tuple(float(v) for v in scores),
+            name=name, tasks=tasks, seeds=runs.seeds,
+            per_seed_ndcg=runs.ndcg[name],
             mean_ndcg=float(scores.mean()),
             mean_delta=float(deltas.mean()),
-            ci_half_width=ci,
+            ci_half_width=(0.0 if name == baseline_name
+                           else t_interval_half_width(deltas)),
             parameter_delta=parameter_count(configs[name]) - baseline_params,
             search_delta=n_searches - baseline_searches,
             n_searches_with_positives=n_searches,

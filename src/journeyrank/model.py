@@ -845,5 +845,16 @@ def load_model(directory: str | Path) -> TrainedModel:
                 f"{directory}: {name} normalization widths "
                 f"{[v.shape for v in vectors]} do not match the "
                 f"{name} tower input width {width}")
+    # The weights must be exactly the tensors the config would initialize:
+    # a head or blend output the config lacks would otherwise be ignored.
+    implied = nn.tensor_table(init_model_params(config))
+    if manifest["tensors"] != implied:
+        saved = {e["name"]: e["shape"] for e in manifest["tensors"]}
+        wanted = {e["name"]: e["shape"] for e in implied}
+        differ = sorted(name for name in saved.keys() | wanted.keys()
+                        if saved.get(name) != wanted.get(name))
+        raise SchemaMismatchError(
+            f"{directory}: saved weights do not match model_config "
+            f"({', '.join(differ) or 'tensor order'})")
     return TrainedModel(config=config, params=params, normalization=norm,
                         schema_hash=manifest["schema_hash"])

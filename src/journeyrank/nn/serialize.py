@@ -20,6 +20,18 @@ from .mlp import ParameterStore
 FORMAT_TAG = "journeyrank-params-v1"
 
 
+def tensor_table(store: ParameterStore) -> list[dict]:
+    """The manifest's ``tensors`` entries: each tensor's name, shape and
+    byte offset in ``params.bin``, in store order."""
+    entries = []
+    offset = 0
+    for name, t in store.items():
+        entries.append({"name": name, "shape": list(t.values.shape),
+                        "offset": offset})
+        offset += 8 * t.values.size
+    return entries
+
+
 def save_params(store: ParameterStore, directory: str | Path,
                 extra: dict | None = None) -> None:
     """Write ``params.json`` and ``params.bin`` into ``directory``.
@@ -29,18 +41,11 @@ def save_params(store: ParameterStore, directory: str | Path,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    chunks = []
-    entries = []
-    offset = 0
-    for name, t in store.items():
-        blob = np.ascontiguousarray(t.values, dtype="<f8").tobytes()
-        chunks.append(blob)
-        entries.append({"name": name, "shape": list(t.values.shape), "offset": offset})
-        offset += len(blob)
-    blob = b"".join(chunks)
+    blob = b"".join(np.ascontiguousarray(t.values, dtype="<f8").tobytes()
+                    for _, t in store.items())
     manifest = {
         "format": FORMAT_TAG,
-        "tensors": entries,
+        "tensors": tensor_table(store),
         "n_bytes": len(blob),
         "sha256": hashlib.sha256(blob).hexdigest(),
     }

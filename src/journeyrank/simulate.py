@@ -617,9 +617,16 @@ def generator_config_to_record(config: GeneratorConfig) -> dict:
     }
 
 
+def _exact_int(value) -> int:
+    """An integer setting must be read as given, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 # Record values convert by their field's annotation; the two
 # coefficient fields hold StageModels.
-_RECORD_CONVERTERS = {"int": int, "float": float}
+_RECORD_CONVERTERS = {"int": _exact_int, "float": float}
 
 
 def generator_config_from_record(rec: dict) -> GeneratorConfig:

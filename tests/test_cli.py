@@ -8,12 +8,15 @@ file except the manifest, whose only moving part is its timestamp.
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import journeyrank
 from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev
 from journeyrank.cli import main
@@ -57,6 +60,14 @@ def ws(tmp_path_factory):
                  "--out", str(root / "run"),
                  "--epochs", "1", "--batch-size", "64"]) == 0
     return root
+
+
+def run_python(*args):
+    """A child interpreter that imports the journeyrank under test."""
+    src = str(Path(journeyrank.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def hash_outputs(directory):
@@ -150,6 +161,9 @@ class TestMalformedConfig:
         ("gen", "stage_coefficients", {"c": 1}),
         ("gen", "ctr_negative_coupling", None),
         ("gen", "seed", -1),
+        ("gen", "n_guests", 3.7),
+        ("gen", "listings_per_search", 8.9),
+        ("gen", "seed", True),
     ])
     def test_malformed_value_names_the_key(self, ws, tmp_path, capsys,
                                            command, key, value):
@@ -354,6 +368,27 @@ class TestEval:
         assert rc == 2
         assert "normalization" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"twiddler_tasks": ["rej", "cbh"]},
+        {"twiddler_tasks": []},
+        {"embedding_dim": 7},
+    ], ids=["one-twiddler-fewer", "no-twiddlers", "embedding-dim"])
+    def test_weights_disagreeing_with_config_exit_two(self, ws, tmp_path,
+                                                      capsys, edit):
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        for name in ("params.json", "params.bin"):
+            (model_dir / name).write_bytes(
+                (ws / "run" / "model" / name).read_bytes())
+        manifest = json.loads((model_dir / "params.json").read_text())
+        manifest["model_config"].update(edit)
+        (model_dir / "params.json").write_text(json.dumps(manifest))
+        rc = main(["eval", "--model", str(model_dir),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "do not match model_config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["eval", "ntc"])
     def test_model_dir_without_params_is_usage_error(self, ws, tmp_path,
                                                      capsys, command):
@@ -402,15 +437,6 @@ class TestCompare:
         assert len(payload["per_seed_a"]) == 2
         assert "full" in (out / "compare.txt").read_text()
 
-    def test_single_seed_is_usage_error(self, ws, tmp_path):
-        rc = main(["compare",
-                   "--model-config-a", str(ws / "base.json"),
-                   "--model-config-b", str(ws / "base.json"),
-                   "--dataset", str(ws / "data" / "dataset.jsonl"),
-                   "--out", str(tmp_path / "x"), "--seeds", "0",
-                   "--epochs", "1"])
-        assert rc == 1
-
     def test_malformed_seeds_is_usage_error(self, ws, tmp_path):
         rc = main(["compare",
                    "--model-config-a", str(ws / "base.json"),
@@ -436,6 +462,41 @@ class TestAblate:
             "unc", "req+book+unc", "c+unc", "all6"]
         table = (tmp_path / "seq" / "ablation.txt").read_text()
         assert len(table.splitlines()) == 5
+
+
+class TestProtocolRefusals:
+    """compare and ablate refuse the same protocol settings the same way."""
+
+    @staticmethod
+    def argv(ws, tmp_path, command):
+        argv = [command, "--dataset", str(ws / "data" / "dataset.jsonl"),
+                "--out", str(tmp_path / "x"), "--epochs", "1"]
+        if command == "compare":
+            argv += ["--model-config-a", str(ws / "base.json"),
+                     "--model-config-b", str(ws / "base.json")]
+        return argv
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    def test_single_seed_is_usage_error(self, ws, tmp_path, capsys, command):
+        rc = main(self.argv(ws, tmp_path, command) + ["--seeds", "0"])
+        assert rc == 1
+        assert "at least 2 distinct seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    def test_duplicate_seeds_is_usage_error(self, ws, tmp_path, capsys,
+                                            command):
+        rc = main(self.argv(ws, tmp_path, command) + ["--seeds", "1,1"])
+        assert rc == 1
+        assert "at least 2 distinct seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, ws, tmp_path, capsys,
+                                           command, jobs):
+        rc = main(self.argv(ws, tmp_path, command)
+                  + ["--seeds", "0,1", "--jobs", jobs])
+        assert rc == 1
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 class TestNtc:
@@ -555,18 +616,13 @@ class TestParserPlumbing:
         assert "journeyrank" in capsys.readouterr().out
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, journeyrank.cli; "
-             "print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True)
+        result = run_python("-c", "import sys, journeyrank.cli; "
+                                  "print('scipy.stats' in sys.modules)")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
     def test_module_entry_point(self, ws):
-        result = subprocess.run(
-            [sys.executable, "-m", "journeyrank", "validate",
-             "--dataset", str(ws / "data" / "dataset.jsonl")],
-            capture_output=True, text=True)
+        result = run_python("-m", "journeyrank", "validate",
+                            "--dataset", str(ws / "data" / "dataset.jsonl"))
         assert result.returncode == 0
         assert "dataset ok" in result.stdout

@@ -372,20 +372,6 @@ class TestCompare:
                             settings=settings)
         assert first.to_record() == second.to_record()
 
-    def test_single_seed_is_refused(self, small_data):
-        dataset, _ = small_data
-        config = baseline_model_config(
-            dataset.schema.listing_dim, dataset.schema.context_dim)
-        with pytest.raises(ConfigError):
-            ev.compare(config, config, dataset, seeds=(0,))
-
-    def test_duplicate_seeds_are_refused(self, small_data):
-        dataset, _ = small_data
-        config = baseline_model_config(
-            dataset.schema.listing_dim, dataset.schema.context_dim)
-        with pytest.raises(ConfigError):
-            ev.compare(config, config, dataset, seeds=(1, 1))
-
 
 @pytest.fixture(scope="module")
 def cells(small_data):
@@ -393,7 +379,7 @@ def cells(small_data):
     return ev.run_ablation(
         dataset, seeds=(0, 1),
         settings=ev.TrainEvalSettings(epochs=1, batch_size=64),
-        embedding_dim=6, tower_hidden=(8,))
+        embedding_dim=6)
 
 
 class TestAblation:
@@ -428,7 +414,7 @@ class TestAblation:
         parallel = ev.run_ablation(
             dataset, seeds=(0, 1),
             settings=ev.TrainEvalSettings(epochs=1, batch_size=64),
-            embedding_dim=6, tower_hidden=(8,), jobs=4)
+            embedding_dim=6, jobs=4)
         for a, b in zip(cells, parallel):
             assert a.to_record() == b.to_record()
 
@@ -436,11 +422,6 @@ class TestAblation:
         table = ev.format_ablation_table(cells)
         assert len(table.splitlines()) == 5
         assert "req+book+unc" in table
-
-    def test_single_seed_is_refused(self, small_data):
-        dataset, _ = small_data
-        with pytest.raises(ConfigError):
-            ev.run_ablation(dataset, seeds=(0,))
 
     def test_cells_without_baseline_are_refused(self, small_data):
         dataset, _ = small_data
@@ -454,6 +435,97 @@ class TestAblation:
             ev.run_ablation(dataset, seeds=(0, 1),
                             cells=(("unc", ("unc",)),
                                    ("broken", ("c", "lc"))))
+
+
+PROTOCOL_SETTINGS = ev.TrainEvalSettings(epochs=1, batch_size=64)
+
+
+def full_and_baseline(dataset):
+    """The full model and the baseline in the ablation cells' architecture."""
+    dims = (dataset.schema.listing_dim, dataset.schema.context_dim)
+    return (default_model_config(*dims, embedding_dim=6),
+            baseline_model_config(*dims, embedding_dim=6))
+
+
+def run_protocol(protocol, dataset, seeds=(0, 1), jobs=1):
+    if protocol == "compare":
+        full, base = full_and_baseline(dataset)
+        return ev.compare(full, base, dataset, seeds,
+                          settings=PROTOCOL_SETTINGS, jobs=jobs)
+    return ev.run_ablation(dataset, seeds, settings=PROTOCOL_SETTINGS,
+                           embedding_dim=6, jobs=jobs)
+
+
+@pytest.fixture(scope="module")
+def full_vs_baseline(small_data):
+    return run_protocol("compare", small_data[0])
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps the process pool for an in-process stand-in; returns the
+    worker counts it is asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+class TestPairedProtocol:
+    """``compare`` and ``run_ablation`` share one seed check, one split and
+    one job runner."""
+
+    @pytest.mark.parametrize("protocol", ["compare", "ablate"])
+    def test_single_seed_is_refused(self, small_data, protocol):
+        with pytest.raises(ConfigError, match="at least 2 distinct seeds"):
+            run_protocol(protocol, small_data[0], seeds=(0,))
+
+    @pytest.mark.parametrize("protocol", ["compare", "ablate"])
+    def test_duplicate_seeds_are_refused(self, small_data, protocol):
+        with pytest.raises(ConfigError, match="at least 2 distinct seeds"):
+            run_protocol(protocol, small_data[0], seeds=(1, 1))
+
+    @pytest.mark.parametrize("protocol", ["compare", "ablate"])
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_are_refused(self, small_data, protocol, jobs):
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            run_protocol(protocol, small_data[0], jobs=jobs)
+
+    def test_parallel_compare_matches_sequential(self, small_data,
+                                                 full_vs_baseline):
+        parallel = run_protocol("compare", small_data[0], jobs=2)
+        assert parallel.to_record() == full_vs_baseline.to_record()
+
+    def test_pool_never_outnumbers_the_runs(self, small_data,
+                                            full_vs_baseline, pool_sizes):
+        report = run_protocol("compare", small_data[0], jobs=500)
+        assert pool_sizes == [4]
+        assert report.to_record() == full_vs_baseline.to_record()
+
+    def test_one_job_starts_no_pool(self, small_data, full_vs_baseline,
+                                    pool_sizes):
+        report = run_protocol("compare", small_data[0], jobs=1)
+        assert pool_sizes == []
+        assert report.to_record() == full_vs_baseline.to_record()
+
+    def test_ablation_baseline_cell_matches_compare(self, cells,
+                                                    full_vs_baseline):
+        assert cells[0].tasks == ("unc",)
+        assert cells[0].per_seed_ndcg == full_vs_baseline.per_seed_b
+        assert cells[0].mean_ndcg == full_vs_baseline.mean_b
 
 
 class TestNtcCurves:

@@ -98,6 +98,16 @@ class TestConfigValidation:
             assert back.stage_coefficients[name].bias == \
                 cfg.stage_coefficients[name].bias
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_guests", 3.7), ("listings_per_search", 8.9), ("n_listings", 400.0),
+        ("seed", True), ("max_searches_per_journey", "3"),
+    ])
+    def test_record_integer_setting_must_be_an_int(self, key, value):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        rec[key] = value
+        with pytest.raises(ConfigError, match=key):
+            generator_config_from_record(rec)
+
     def test_record_missing_key_rejected(self):
         rec = generator_config_to_record(default_generator_config(n_guests=5))
         del rec["stage_coefficients"]
