@@ -131,10 +131,13 @@ def _emit(args, payload: dict, table: str) -> None:
 
 
 def _require_out(args) -> Path:
+    """The ``--out`` directory. Nothing is created here: every writer makes
+    its file's directory, so a command that fails first leaves none."""
     if args.out is None:
         raise ConfigError("--out is required for this command")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
     return out
 
 

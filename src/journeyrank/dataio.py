@@ -63,10 +63,10 @@ def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
     s = dataset.searches
     label_rows = np.column_stack([s.labels[m] for m in LABELS])
     for j, guest_id in enumerate(dataset.guest_ids.tolist()):
-        lo, hi = dataset.journey_starts[j], dataset.journey_starts[j + 1]
+        lo, hi = dataset.journeys.starts[j], dataset.journeys.starts[j + 1]
         searches = []
         for k in range(lo, hi):
-            a, b = s.search_starts[k], s.search_starts[k + 1]
+            a, b = s.segments.starts[k], s.segments.starts[k + 1]
             impressions = [
                 {"listing_id": lid, "position": pos, "features": feats,
                  "labels": {m: True for m, on in zip(LABELS, flags) if on}}
@@ -253,8 +253,8 @@ def _journey_lines(dataset: Dataset) -> Iterator[str]:
     labels = _RowTexts(np.column_stack([s.labels[m] for m in LABELS]),
                        _label_text)
     listing_ids = _RowTexts(s.listing_ids, _canonical)
-    imp_starts = s.search_starts.tolist()
-    bounds = dataset.journey_starts.tolist()
+    imp_starts = s.segments.starts.tolist()
+    bounds = dataset.journeys.starts.tolist()
     for j, guest_id in enumerate(dataset.guest_ids.tolist()):
         lo, hi = bounds[j], bounds[j + 1]
         first, last = imp_starts[lo], imp_starts[hi]

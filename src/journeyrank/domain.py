@@ -11,10 +11,13 @@ propagates them into the multi-label training view.
 
 A :class:`Dataset` keeps every journey in flat columns, described on
 :class:`PackedSearches` and :class:`Dataset`: one row per impression, one
-per search, and each journey a run of consecutive searches. Attribution,
-filtering, validation and the task statistics below are array and segment
-operations over those columns. The per-journey record that datasets are
-written in and built from lives in :mod:`journeyrank.dataio`.
+per search, and each journey a run of consecutive searches. Two
+:class:`~journeyrank.nn.Segments` layouts, built once when the dataset is
+assembled, group them: impressions into searches and searches into
+journeys. Attribution, filtering, validation and the task statistics
+below are array and segment operations over those columns and layouts.
+The per-journey record that datasets are written in and built from lives
+in :mod:`journeyrank.dataio`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, DataValidationError, UndefinedTaskWeightError
+from .nn import Segments
 
 # funnel order: each later milestone implies all earlier ones
 POSITIVE_CHAIN: tuple[str, ...] = ("c", "lc", "pp", "req", "book", "unc")
@@ -121,10 +125,6 @@ class DatasetSchema:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _offsets(counts) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-
 def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The runs first[k] .. first[k] + lengths[k] - 1, one after another."""
     ends = np.cumsum(lengths)
@@ -136,14 +136,13 @@ def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class PackedSearches:
     """Column-oriented searches.
 
-    Impressions are stored contiguously by search, so per-search reductions
-    can use segment operations with ids 0..n_searches-1.
+    Impressions are stored contiguously by search; ``segments`` lays them
+    out into searches 0..n_searches-1, for the segment operations.
     """
 
     listing_features: np.ndarray      # [n_impressions, listing_dim] float64
     context_features: np.ndarray      # [n_searches, context_dim] float64
-    search_of_imp: np.ndarray         # [n_impressions] int64
-    search_starts: np.ndarray         # [n_searches + 1] int64 prefix offsets
+    segments: Segments                # impression rows into searches
     labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
     listing_ids: np.ndarray           # [n_impressions] str
     positions: np.ndarray             # [n_impressions] int64
@@ -165,14 +164,14 @@ class Dataset:
 
     ``searches`` holds the searches of every journey, journey by journey
     and in time order within each. Journey ``j`` belongs to guest
-    ``guest_ids[j]`` and owns searches
-    ``journey_starts[j]:journey_starts[j + 1]``; search ``k`` owns
-    impression rows ``searches.search_starts[k]:searches.search_starts[k + 1]``.
+    ``guest_ids[j]`` and owns the searches ``journeys`` gives it, and
+    search ``k`` owns the impression rows ``searches.segments`` gives it.
+    Either layout may hold an empty segment, which validation reports.
     """
 
     schema: DatasetSchema
     guest_ids: np.ndarray             # [n_journeys] str
-    journey_starts: np.ndarray        # [n_journeys + 1] int64 search offsets
+    journeys: Segments                # searches into journeys
     searches: PackedSearches
 
     @classmethod
@@ -183,15 +182,12 @@ class Dataset:
                      labels: Mapping[str, np.ndarray]) -> "Dataset":
         """Assemble a dataset from per-journey, per-search and
         per-impression columns plus the row counts that group them."""
-        imps_per_search = np.asarray(imps_per_search, dtype=np.int64)
         searches = PackedSearches(
             listing_features=np.asarray(listing_features, dtype=np.float64
                                         ).reshape(-1, schema.listing_dim),
             context_features=np.asarray(context_features, dtype=np.float64
                                         ).reshape(-1, schema.context_dim),
-            search_of_imp=np.repeat(np.arange(len(imps_per_search)),
-                                    imps_per_search),
-            search_starts=_offsets(imps_per_search),
+            segments=Segments(imps_per_search),
             labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
             listing_ids=np.asarray(listing_ids, dtype=str),
             positions=np.asarray(positions, dtype=np.int64),
@@ -199,7 +195,7 @@ class Dataset:
             t_days=np.asarray(t_days, dtype=np.float64),
         )
         return cls(schema, np.asarray(guest_ids, dtype=str),
-                   _offsets(searches_per_journey), searches)
+                   Segments(searches_per_journey), searches)
 
     @property
     def n_journeys(self) -> int:
@@ -213,12 +209,8 @@ class Dataset:
     def n_impressions(self) -> int:
         return self.searches.n_impressions
 
-    def journey_of_search(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_journeys),
-                         np.diff(self.journey_starts))
-
     def journey_of_impression(self) -> np.ndarray:
-        return self.journey_of_search()[self.searches.search_of_imp]
+        return self.journeys.ids[self.searches.segments.ids]
 
 
 def select_impressions(dataset: Dataset, keep: np.ndarray,
@@ -229,10 +221,10 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
     so are journeys left without a search.
     """
     s = dataset.searches
-    counts = np.bincount(s.search_of_imp[keep], minlength=s.n_searches)
+    counts = np.bincount(s.segments.ids[keep], minlength=s.n_searches)
     keep_search = counts >= min_impressions
-    keep = keep & keep_search[s.search_of_imp]
-    per_journey = np.bincount(dataset.journey_of_search()[keep_search],
+    keep = keep & keep_search[s.segments.ids]
+    per_journey = np.bincount(dataset.journeys.ids[keep_search],
                               minlength=dataset.n_journeys)
     keep_journey = per_journey > 0
     return Dataset.from_columns(
@@ -250,9 +242,9 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
     )
 
 
-def _segment_any(mask: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
-    """Per segment: is ``mask`` set on any of its rows?"""
-    return np.bincount(seg[mask], minlength=n) > 0
+def _segment_any(mask: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
+    """Per group 0..n-1 of the rows: is ``mask`` set on any of its rows?"""
+    return np.bincount(group[mask], minlength=n) > 0
 
 
 def _journey_listing_groups(dataset: Dataset) -> tuple[np.ndarray, int]:
@@ -268,7 +260,7 @@ def _last_search_with(dataset: Dataset, groups: np.ndarray, n_groups: int,
                       flag: np.ndarray) -> np.ndarray:
     """Per group, the last search index where ``flag`` is set (-1: none)."""
     last = np.full(n_groups, -1, dtype=np.int64)
-    np.maximum.at(last, groups[flag], dataset.searches.search_of_imp[flag])
+    np.maximum.at(last, groups[flag], dataset.searches.segments.ids[flag])
     return last
 
 
@@ -277,13 +269,13 @@ def _where_journey(dataset: Dataset, j: int) -> str:
 
 
 def _where_search(dataset: Dataset, k: int) -> str:
-    j = int(np.searchsorted(dataset.journey_starts, k, side="right")) - 1
+    j = int(dataset.journeys.ids[k])
     return f"{_where_journey(dataset, j)} search={dataset.searches.search_ids[k]}"
 
 
 def _where_impression(dataset: Dataset, i: int) -> str:
     s = dataset.searches
-    return (f"{_where_search(dataset, int(s.search_of_imp[i]))} "
+    return (f"{_where_search(dataset, int(s.segments.ids[i]))} "
             f"listing={s.listing_ids[i]}")
 
 
@@ -315,7 +307,7 @@ def attribute_labels(dataset: Dataset) -> Dataset:
     labels = {}
     for m in POSITIVE_CHAIN:
         last = _last_search_with(dataset, groups, n_groups, s.labels[m])
-        labels[m] = s.search_of_imp <= last[groups]
+        labels[m] = s.segments.ids <= last[groups]
     for m in NEGATIVE_MILESTONES:
         labels[m] = _segment_any(s.labels[m], groups, n_groups)[groups]
     return replace(dataset, searches=replace(s, labels=labels))
@@ -364,7 +356,7 @@ def filter_training_searches(dataset: Dataset) -> FilterResult:
     groups, n_groups = _journey_listing_groups(dataset)
     book = s.labels["book"]
     last_book = _last_search_with(dataset, groups, n_groups, book)[groups]
-    stale = (last_book >= 0) & ~book & (s.search_of_imp > last_book)
+    stale = (last_book >= 0) & ~book & (s.segments.ids > last_book)
     kept = select_impressions(dataset, reached_pp[journey] & ~stale,
                               min_impressions=2)
     warning = None
@@ -422,12 +414,12 @@ class ValidationReport:
         }
 
 
-def _has_duplicates(values: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+def _has_duplicates(values: np.ndarray, segments: Segments) -> np.ndarray:
     """Per segment: do two of its rows hold the same value?"""
-    order = np.lexsort((values, seg))
-    v, g = values[order], seg[order]
+    order = np.lexsort((values, segments.ids))
+    v, g = values[order], segments.ids[order]
     repeated = (v[1:] == v[:-1]) & (g[1:] == g[:-1])
-    return np.bincount(g[1:][repeated], minlength=n) > 0
+    return np.bincount(g[1:][repeated], minlength=segments.n) > 0
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:
@@ -445,7 +437,7 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     at_search = partial(_where_search, dataset)
     at_impression = partial(_where_impression, dataset)
 
-    journey = dataset.journey_of_search()
+    journey = dataset.journeys.ids
     backwards = (journey[1:] == journey[:-1]) & (s.t_days[1:] < s.t_days[:-1])
     report.check("searches out of order",
                  _segment_any(backwards, journey[1:], n_j), at_journey)
@@ -456,18 +448,16 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     report.check("journey window",
                  last - first > dataset.schema.window_days + 1e-9, at_journey)
 
-    seg = s.search_of_imp
     _, listing_codes = np.unique(s.listing_ids, return_inverse=True)
     report.check("non-finite context",
                  ~np.isfinite(s.context_features).all(axis=1), at_search)
-    report.check("too few impressions", np.diff(s.search_starts) < 2,
-                 at_search)
+    report.check("too few impressions", s.segments.sizes < 2, at_search)
     report.check("duplicate position",
-                 _has_duplicates(s.positions, seg, n_s), at_search)
+                 _has_duplicates(s.positions, s.segments), at_search)
     report.check("position not 1-based",
-                 _segment_any(s.positions < 1, seg, n_s), at_search)
+                 _segment_any(s.positions < 1, s.segments.ids, n_s), at_search)
     report.check("duplicate listing",
-                 _has_duplicates(listing_codes, seg, n_s), at_search)
+                 _has_duplicates(listing_codes, s.segments), at_search)
 
     report.check("non-finite listing features",
                  ~np.isfinite(s.listing_features).all(axis=1), at_impression)
@@ -477,7 +467,7 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     groups, n_groups = _journey_listing_groups(dataset)
     unc_groups = np.unique(groups[s.labels["unc"]])
     journey_of_group = np.zeros(n_groups, dtype=np.int64)
-    journey_of_group[groups] = journey[seg]
+    journey_of_group[groups] = dataset.journey_of_impression()
     report.check("multiple unc listings",
                  np.bincount(journey_of_group[unc_groups], minlength=n_j) > 1,
                  at_journey)

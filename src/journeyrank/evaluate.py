@@ -41,6 +41,7 @@ from .domain import (
     filter_training_searches,
 )
 from .errors import ConfigError, ContractError
+from .nn import Segments
 from .model import (
     ModelConfig,
     TrainedModel,
@@ -62,63 +63,52 @@ break by listing id.
 # NDCG
 
 
-def ndcg_binary(positive: np.ndarray, search_starts: np.ndarray,
+def ndcg_binary(positive: np.ndarray, segments: Segments,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-search NDCG with unit gain on positives and log2 rank discount.
 
     ``positive`` flags each impression in ranked order, search after
-    search; search ``k`` owns entries ``search_starts[k]:search_starts[k + 1]``.
-    Returns the NDCG of each search and whether it has a positive at all;
-    a search without one reads 0 and is for the caller to skip.
+    search, laid out into searches by ``segments``. Returns the NDCG of
+    each search and whether it has a positive at all; a search without
+    one reads 0 and is for the caller to skip.
     """
     positive = np.asarray(positive, dtype=bool)
-    search_starts = np.asarray(search_starts, dtype=np.int64)
-    sizes = np.diff(search_starts)
-    n_searches = len(sizes)
-    discount = np.array([1.0 / math.log2(rank + 1)
-                         for rank in range(1, int(sizes.max(initial=0)) + 1)])
+    if positive.shape != (segments.n_rows,):
+        raise ContractError("ndcg_binary needs one flag per segment row")
+    discount = np.array([1.0 / math.log2(rank + 1) for rank in
+                         range(1, int(segments.sizes.max(initial=0)) + 1)])
     rows = np.flatnonzero(positive)
-    search = np.repeat(np.arange(n_searches), sizes)[rows]
+    search = segments.ids[rows]
     # bincount and cumsum add in order, so each search's DCG and its ideal
     # DCG are summed rank by rank from the same discount table.
-    dcg = np.bincount(search, weights=discount[rows - search_starts[search]],
-                      minlength=n_searches)
-    n_positive = np.bincount(search, minlength=n_searches)
+    dcg = np.bincount(search, weights=discount[rows - segments.starts[search]],
+                      minlength=segments.n)
+    n_positive = np.bincount(search, minlength=segments.n)
     ideal = np.cumsum(np.r_[0.0, discount])[n_positive]
     has_positive = n_positive > 0
-    ndcg = np.divide(dcg, ideal, out=np.zeros(n_searches), where=has_positive)
+    ndcg = np.divide(dcg, ideal, out=np.zeros(segments.n), where=has_positive)
     return ndcg, has_positive
 
 
 @dataclass(frozen=True)
 class NdcgReport:
-    """Mean NDCG with its provenance.
+    """Mean NDCG of one evaluation over the searches it scored.
 
-    ``per_seed`` holds the one evaluation's mean; the multi-seed protocol
-    keeps its per-seed values in ``CompareReport`` and ``AblationCell``.
     Searches without a positive for the milestone are skipped, not scored.
+    The multi-seed protocol keeps its per-seed values in ``CompareReport``
+    and ``AblationCell``.
     """
 
     mean: float
-    per_seed: tuple[float, ...]
-    ci_half_width: float
     n_searches: int
     n_skipped: int
 
     def __post_init__(self):
         if not 0.0 <= self.mean <= 1.0:
             raise ContractError(f"mean NDCG {self.mean} outside [0, 1]")
-        if self.ci_half_width < 0.0:
-            raise ContractError("CI half-width must be non-negative")
 
     def to_record(self) -> dict:
-        return {
-            "mean": self.mean,
-            "per_seed": list(self.per_seed),
-            "ci_half_width": self.ci_half_width,
-            "n_searches": self.n_searches,
-            "n_skipped": self.n_skipped,
-        }
+        return asdict(self)
 
 
 def t_interval_half_width(values: np.ndarray) -> float:
@@ -142,7 +132,7 @@ def model_scorer(model: TrainedModel) -> Scorer:
     def scorer(searches: PackedSearches) -> np.ndarray:
         outputs = model.outputs(searches.listing_features,
                                 searches.context_features,
-                                searches.search_of_imp)
+                                searches.segments)
         return outputs.ranking_score.values
     return scorer
 
@@ -156,7 +146,7 @@ def oracle_scorer(world) -> Scorer:
     def scorer(searches: PackedSearches) -> np.ndarray:
         scores = np.empty(searches.n_impressions)
         for k in range(searches.n_searches):
-            lo, hi = searches.search_starts[k], searches.search_starts[k + 1]
+            lo, hi = searches.segments.starts[k:k + 2]
             scores[lo:hi] = world.true_unc_probability(
                 searches.context_features[k],
                 world.rows_for_ids(searches.listing_ids[lo:hi]))
@@ -171,18 +161,16 @@ def evaluate_with_scorer(dataset: Dataset,
     scores = np.asarray(scorer(s), dtype=np.float64)
     if scores.shape != (s.n_impressions,):
         raise ContractError("scorer must return one score per impression")
-    # search_of_imp is sorted, so every search keeps its rows in place
-    order = np.lexsort((s.listing_ids, -scores, s.search_of_imp))
+    # segment ids are sorted, so every search keeps its rows in place
+    order = np.lexsort((s.listing_ids, -scores, s.segments.ids))
     reports = {}
     for task in POSITIVE_CHAIN:
-        ndcg, has_positive = ndcg_binary(s.labels[task][order],
-                                         s.search_starts)
+        ndcg, has_positive = ndcg_binary(s.labels[task][order], s.segments)
         scored = ndcg[has_positive]
         count = len(scored)
         # cumsum adds in search order; np.sum would add pairwise
         mean = float(np.cumsum(scored)[-1]) / count if count else 0.0
-        reports[task] = NdcgReport(mean=mean, per_seed=(mean,),
-                                   ci_half_width=0.0, n_searches=count,
+        reports[task] = NdcgReport(mean=mean, n_searches=count,
                                    n_skipped=s.n_searches - count)
     return reports
 
@@ -362,7 +350,7 @@ def _searches_with_positives(dataset: Dataset,
                              tasks: tuple[str, ...]) -> int:
     s = dataset.searches
     positive = np.logical_or.reduce([s.labels[t] for t in tasks])
-    return int(np.unique(s.search_of_imp[positive]).size)
+    return int(np.unique(s.segments.ids[positive]).size)
 
 
 def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),

@@ -13,8 +13,9 @@ blend coefficients and the context they are conditioned on, never the
 scoring heads themselves.
 
 The context tower and the coefficient MLP run once per search, and a
-segment broadcast hands their outputs to the search's impression rows;
-every other value, and every score, is per impression row.
+segment broadcast over the batch's search layout (an ``nn.Segments``)
+hands their outputs to the search's impression rows; every other value,
+and every score, is per impression row.
 
 Everything trains jointly from whole-search minibatches by summing three
 losses: a listwise softmax loss per positive milestone, a masked binary
@@ -52,7 +53,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from . import nn
-from .nn import MlpSpec, ParameterStore, Tape, Tensor
+from .nn import MlpSpec, ParameterStore, Segments, Tape, Tensor
 from .nn.mlp import ACTIVATIONS
 
 
@@ -423,13 +424,13 @@ def _coefficients(config: ModelConfig, coef_logits: Tensor,
 
 def forward(config: ModelConfig, params: ParameterStore,
             listing_rows: np.ndarray, context_rows: np.ndarray,
-            seg: np.ndarray) -> ModelOutputs:
+            segments: Segments) -> ModelOutputs:
     """Full forward pass over pre-normalized feature rows.
 
     ``listing_rows`` holds one row per impression, ``context_rows`` one
-    row per search, and ``seg[i]`` is the search of impression i. The
-    context tower and the combination MLP run once per search; every
-    output is per impression.
+    row per search, and ``segments`` lays the impressions out into the
+    searches. The context tower and the combination MLP run once per
+    search; every output is per impression.
 
     The joint log-probability of base task k is the running sum of
     log-sigmoid conditional logits down the funnel, so each stage can
@@ -440,7 +441,7 @@ def forward(config: ModelConfig, params: ParameterStore,
     """
     emb = shared_forward(config, params, listing_rows, context_rows)
     joint_emb = nn.concat_cols(emb.listing,
-                               nn.segment_broadcast(emb.context, seg))
+                               nn.segment_broadcast(emb.context, segments))
     logits = _head_logits(config, params, joint_emb)
     cond_logits = {task: logits[task] for task in config.base_tasks}
     y_twiddler = {task: logits[task] for task in config.twiddler_tasks}
@@ -458,7 +459,7 @@ def forward(config: ModelConfig, params: ParameterStore,
         coef_logits = nn.forward_mlp(params, _COMBINATION, config.combination,
                                      emb.context)
         alpha_base, alpha_twiddler = _coefficients(
-            config, nn.segment_broadcast(coef_logits, seg))
+            config, nn.segment_broadcast(coef_logits, segments))
         y_combination = nn.mul(alpha_base, nn.stop_gradient(y_base))
         for task, alpha in alpha_twiddler.items():
             y_combination = nn.add(y_combination, nn.mul(
@@ -474,47 +475,56 @@ def forward(config: ModelConfig, params: ParameterStore,
 # batches
 
 
-def preference_pairs(grades: np.ndarray,
-                     seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All within-search index pairs (i, j) with grade[i] > grade[j].
-
-    Pairs come search by search and, within a search, in row-major order
-    of its (i, j) grid.
-    """
-    starts = np.flatnonzero(np.r_[True, np.diff(seg) != 0])
-    sizes = np.diff(np.r_[starts, len(seg)])
-    cells = sizes * sizes
-    cell_search = np.repeat(np.arange(len(sizes)), cells)
-    cell = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
-    width = sizes[cell_search]
-    pair_i = starts[cell_search] + cell // width
-    pair_j = starts[cell_search] + cell % width
-    keep = grades[pair_i] > grades[pair_j]
-    return pair_i[keep], pair_j[keep]
-
-
-# Upper bound on the (i, j) grid cells one preference_pairs call builds, so
+# Upper bound on the (i, j) grid cells preference_pairs builds at once, so
 # the grid's index temporaries stay a few MB however large the dataset.
 _PAIR_GRID_CELLS = 1 << 16
+
+
+def preference_pairs(grades: np.ndarray,
+                     segments: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """All within-search row pairs (i, j) with grade[i] > grade[j].
+
+    Pairs come search by search and, within a search, in row-major order
+    of its (i, j) grid. The grids are built a run of searches at a time,
+    at most ``_PAIR_GRID_CELLS`` cells per run unless one search's grid
+    alone is larger.
+    """
+    sizes = segments.sizes
+    cells = sizes * sizes
+    grid_ends = np.cumsum(cells)
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
+    lo = 0
+    while lo < segments.n:
+        limit = _PAIR_GRID_CELLS + (grid_ends[lo - 1] if lo else 0)
+        hi = max(lo + 1, int(np.searchsorted(grid_ends, limit, side="right")))
+        grid = Segments(cells[lo:hi])    # the run's cells, search by search
+        cell_search = lo + grid.ids
+        cell = np.arange(grid.n_rows) - grid.starts[grid.ids]
+        # rows (i, j) of each cell: its row and column in the search's grid
+        ij = segments.starts[cell_search] + np.stack(
+            np.divmod(cell, sizes[cell_search]))
+        pairs.append(ij[:, grades[ij[0]] > grades[ij[1]]])
+        lo = hi
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 @dataclass(frozen=True)
 class BatchInputs:
     """Everything a training batch is cut from, built once per train().
 
-    Rows are the dataset's impression rows and ``search_starts`` its
-    search offsets. ``labels`` holds one row per name in ``label_names``.
-    Search k's preference pairs are ``pair_i``/``pair_j`` at
-    ``pair_starts[k]:pair_starts[k + 1]``, as row offsets within the
-    search, in the order :func:`preference_pairs` gives them.
+    Rows are the dataset's impression rows, laid out into searches by
+    ``searches``. ``labels`` holds one row per name in ``label_names``.
+    Search k's preference pairs are entries ``pairs.starts[k]`` to
+    ``pairs.starts[k + 1]`` of ``pair_i``/``pair_j``, as row offsets
+    within the search, in the order :func:`preference_pairs` gives them.
     """
 
-    search_starts: np.ndarray         # [n_searches + 1] int64
+    searches: Segments                # impression rows into searches
     listing_rows: np.ndarray          # [n_impressions, listing_dim] normalized
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
     label_names: tuple[str, ...]
     labels: np.ndarray                # [len(label_names), n_impressions] bool
-    pair_starts: np.ndarray           # [n_searches + 1] int64
+    pairs: Segments                   # preference pairs into searches
     pair_i: np.ndarray                # [n_pairs] int64
     pair_j: np.ndarray                # [n_pairs] int64
 
@@ -522,34 +532,21 @@ class BatchInputs:
 def batch_inputs(packed: PackedSearches,
                  norm: NormalizationStats) -> BatchInputs:
     """Normalize the features and find every search's preference pairs."""
-    starts = packed.search_starts
-    seg = packed.search_of_imp
-    grades = relevance_grades(packed.labels)
-    sizes = np.diff(starts)
-    grid_ends = np.cumsum(sizes * sizes)
-    pair_i, pair_j = [], []
-    lo = 0
-    while lo < packed.n_searches:
-        limit = _PAIR_GRID_CELLS + (grid_ends[lo - 1] if lo else 0)
-        hi = max(lo + 1, int(np.searchsorted(grid_ends, limit, side="right")))
-        rows = slice(starts[lo], starts[hi])
-        i, j = preference_pairs(grades[rows], seg[rows])
-        pair_i.append(i + starts[lo])
-        pair_j.append(j + starts[lo])
-        lo = hi
-    pair_i = np.concatenate(pair_i)
-    pair_j = np.concatenate(pair_j)
-    pair_search = seg[pair_i]
-    pair_counts = np.bincount(pair_search, minlength=packed.n_searches)
+    searches = packed.segments
+    pair_i, pair_j = preference_pairs(relevance_grades(packed.labels),
+                                      searches)
+    pairs = Segments(np.bincount(searches.ids[pair_i],
+                                 minlength=searches.n))
+    offsets = searches.starts[pairs.ids]
     return BatchInputs(
-        search_starts=starts,
+        searches=searches,
         listing_rows=norm.apply_listing(packed.listing_features),
         context_rows=norm.apply_context(packed.context_features),
         label_names=tuple(packed.labels),
         labels=np.stack(list(packed.labels.values())),
-        pair_starts=np.r_[0, np.cumsum(pair_counts)],
-        pair_i=pair_i - starts[pair_search],
-        pair_j=pair_j - starts[pair_search],
+        pairs=pairs,
+        pair_i=pair_i - offsets,
+        pair_j=pair_j - offsets,
     )
 
 
@@ -557,41 +554,41 @@ def batch_inputs(packed: PackedSearches,
 class SearchBatch:
     """A minibatch of whole searches, ready for the forward pass.
 
-    ``context_rows`` holds one row per search; every other array holds one
-    entry per impression row, except the preference pairs, which index
-    rows. ``seg[i]`` is the batch's search of row i, sorted ascending.
+    ``segments`` lays the batch's impression rows out into its searches,
+    in batch order. ``context_rows`` holds one row per search; every other
+    array holds one entry per impression row, except the preference
+    pairs, which index rows.
     """
 
     listing_rows: np.ndarray          # [n_rows, listing_dim] normalized
-    context_rows: np.ndarray          # [n_searches, context_dim] normalized
-    seg: np.ndarray                   # [n_rows] int64
-    n_searches: int
+    context_rows: np.ndarray          # [segments.n, context_dim] normalized
+    segments: Segments
     labels: dict[str, np.ndarray]     # milestone -> [n_rows] bool
     pair_i: np.ndarray                # [n_pairs] int64
     pair_j: np.ndarray                # [n_pairs] int64
 
     @property
     def n_rows(self) -> int:
-        return len(self.seg)
+        return self.segments.n_rows
 
 
 def make_batch(inputs: BatchInputs,
                search_indices: np.ndarray) -> SearchBatch:
     """The given searches, in the given order, cut from ``inputs``."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
-    starts = inputs.search_starts[search_indices]
-    counts = inputs.search_starts[search_indices + 1] - starts
+    starts = inputs.searches.starts[search_indices]
+    counts = inputs.searches.starts[search_indices + 1] - starts
     rows = concat_ranges(starts, counts)
-    pair_starts = inputs.pair_starts[search_indices]
-    pair_counts = inputs.pair_starts[search_indices + 1] - pair_starts
+    pair_starts = inputs.pairs.starts[search_indices]
+    pair_counts = inputs.pairs.starts[search_indices + 1] - pair_starts
     pairs = concat_ranges(pair_starts, pair_counts)
+    segments = Segments(counts)
     # each pair moves from its search's offsets to the batch's
-    shift = np.repeat(np.cumsum(counts) - counts, pair_counts)
+    shift = np.repeat(segments.starts[:-1], pair_counts)
     return SearchBatch(
         listing_rows=inputs.listing_rows[rows],
         context_rows=inputs.context_rows[search_indices],
-        seg=np.repeat(np.arange(len(search_indices)), counts),
-        n_searches=len(search_indices),
+        segments=segments,
         labels=dict(zip(inputs.label_names, inputs.labels[:, rows])),
         pair_i=inputs.pair_i[pairs] + shift,
         pair_j=inputs.pair_j[pairs] + shift,
@@ -611,16 +608,13 @@ def base_loss(log_joint: Mapping[str, Tensor], batch: SearchBatch,
     impressions of its search.
     """
     total: Tensor | None = None
-    starts = None
     for task, scores in log_joint.items():
         positive_rows = np.flatnonzero(batch.labels[task])
         if positive_rows.size == 0:
             continue
-        if starts is None:
-            starts = nn.segment_starts(batch.seg, batch.n_searches)
-        lse = nn.segment_logsumexp(scores, batch.seg, batch.n_searches,
-                                   starts=starts)
-        per_positive = nn.sub(nn.gather(lse, batch.seg[positive_rows]),
+        lse = nn.segment_logsumexp(scores, batch.segments)
+        per_positive = nn.sub(nn.gather(lse,
+                                        batch.segments.ids[positive_rows]),
                               nn.gather(scores, positive_rows))
         term = nn.scale(nn.total_sum(per_positive), float(weights[task]))
         total = term if total is None else nn.add(total, term)
@@ -666,7 +660,7 @@ def total_loss(config: ModelConfig, params: ParameterStore,
                ) -> tuple[Tensor, ModelOutputs, dict[str, float]]:
     """Unweighted sum of the module losses present in the config."""
     outputs = forward(config, params, batch.listing_rows, batch.context_rows,
-                      batch.seg)
+                      batch.segments)
     parts: dict[str, float] = {}
     loss = base_loss(outputs.log_joint, batch, weights)
     parts["base"] = float(loss.values)
@@ -709,23 +703,24 @@ class TrainedModel:
                 f"{self.schema_hash[:12]})")
 
     def outputs(self, listing_rows: np.ndarray, context_rows: np.ndarray,
-                seg: np.ndarray) -> ModelOutputs:
+                segments: Segments) -> ModelOutputs:
         """Score impressions from raw feature rows (no gradients).
 
         ``listing_rows`` holds one row per impression and ``context_rows``
-        one row per search; listing row i belongs to the search whose
-        context is ``context_rows[seg[i]]``. Every output is per
-        impression.
+        one row per search; ``segments`` lays the listing rows out into
+        the searches. Every output is per impression.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
         context_rows = np.asarray(context_rows, dtype=np.float64)
         if (listing_rows.ndim != 2 or context_rows.ndim != 2
-                or np.shape(seg) != (len(listing_rows),)):
+                or segments.n_rows != len(listing_rows)
+                or segments.n != len(context_rows)):
             raise ContractError("listing and context rows must be 2-d "
-                                "batches, with one seg entry per listing")
+                                "batches, laid out by the segments")
         return forward(self.config, self.params,
                        self.normalization.apply_listing(listing_rows),
-                       self.normalization.apply_context(context_rows), seg)
+                       self.normalization.apply_context(context_rows),
+                       segments)
 
 
 def resolve_task_weights(config: ModelConfig,

@@ -2,7 +2,8 @@
 
 The engine is deliberately small: rank-0/1/2 arrays, a flat operation tape,
 and exactly the operators the ranking model needs (dense layers, stable
-logistic primitives, per-search segment reductions and broadcasts).
+logistic primitives, and reductions and broadcasts over a :class:`Segments`
+layout of rows into searches, built once per batch or dataset).
 Recording happens only while a :class:`Tape` is active and at least one
 operand requires a gradient, so inference-mode forward passes carry no
 bookkeeping cost.
@@ -17,7 +18,8 @@ tensors may ever hold the same buffer.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -396,18 +398,13 @@ def softplus(x: Tensor) -> Tensor:
 # gather / segment reductions (ranking losses operate per search segment)
 
 
-def _as_index(idx) -> np.ndarray:
-    out = np.asarray(idx, dtype=np.int64)
-    if out.ndim != 1:
-        raise ShapeError("index arrays must be one-dimensional")
-    return out
-
-
 def gather(x: Tensor, idx) -> Tensor:
     """Pick elements of a vector: out[i] = x[idx[i]], with 0 <= idx[i] < len(x)."""
     if x.values.ndim != 1:
         raise ShapeError("gather expects a rank-1 tensor")
-    idx = _as_index(idx)
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError("index arrays must be one-dimensional")
     if idx.size and idx.min() < 0:
         raise ShapeError("gather indices must be non-negative")
     out = Tensor._wrap(x.values[idx])
@@ -420,36 +417,56 @@ def gather(x: Tensor, idx) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def segment_starts(seg, n_segments: int) -> np.ndarray:
-    """Validate a segment layout and return the first index of each segment.
+@dataclass(frozen=True, eq=False, init=False)
+class Segments:
+    """A layout of rows into contiguous segments, such as impressions into
+    searches, built once from the segment sizes: segment ``k`` owns rows
+    ``starts[k]:starts[k + 1]`` and ``ids[i]`` is the segment of row ``i``.
 
-    ``seg`` must be sorted ascending and cover ids 0..n_segments-1, each
-    with at least one element.
+    A size may be zero, since loaded data can hold an empty search or
+    journey for validation to report; the ops that reduce over every
+    segment refuse a layout that is not ``all_nonempty``.
     """
-    seg = _as_index(seg)
-    if seg.size == 0:
-        raise ContractError("segment reduction over an empty vector")
-    step = np.diff(seg)
-    if np.any(step < 0):
-        raise ContractError("segment ids must be sorted ascending")
-    starts = np.concatenate(([0], np.flatnonzero(step) + 1))
-    if starts.size != n_segments or seg[0] != 0 or seg[-1] != n_segments - 1:
-        raise ContractError("segment ids must cover 0..n_segments-1 with no empty segment")
-    return starts
+
+    starts: np.ndarray                # [n + 1] int64 row offsets, read-only
+    ids: np.ndarray                   # [n_rows] int64 ascending, read-only
+    n: int
+    all_nonempty: bool
+
+    def __init__(self, sizes):
+        sizes = np.asarray(sizes)
+        if (sizes.ndim != 1 or (sizes.size and sizes.dtype.kind not in "iu")
+                or np.any(sizes < 0)):
+            raise ContractError("segment sizes must be a vector of "
+                                "non-negative integers")
+        sizes = sizes.astype(np.int64)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        ids = np.repeat(np.arange(len(sizes)), sizes)
+        starts.flags.writeable = ids.flags.writeable = False
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "n", len(sizes))
+        object.__setattr__(self, "all_nonempty", bool(np.all(sizes > 0)))
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.starts[-1])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
 
 
-def segment_logsumexp(x: Tensor, seg, n_segments: int,
-                      starts: np.ndarray | None = None) -> Tensor:
-    """Per-segment log-sum-exp over a contiguous, sorted segment layout.
-
-    ``starts`` is ``segment_starts(seg, n_segments)``: a caller reducing
-    several vectors over one layout validates it once and passes it here.
-    """
-    if x.values.ndim != 1:
-        raise ShapeError("segment_logsumexp expects a rank-1 tensor")
-    seg = _as_index(seg)
-    if starts is None:
-        starts = segment_starts(seg, n_segments)
+def segment_logsumexp(x: Tensor, segments: Segments) -> Tensor:
+    """Per-segment log-sum-exp of a vector laid out by ``segments``."""
+    if x.values.ndim != 1 or len(x.values) != segments.n_rows:
+        raise ShapeError(f"segment_logsumexp: shape {x.shape} for a layout "
+                         f"of {segments.n_rows} rows")
+    if segments.n == 0 or not segments.all_nonempty:
+        raise ContractError("segment_logsumexp needs a segment, and a row "
+                            "in every segment")
+    seg = segments.ids
+    starts = segments.starts[:-1]
     seg_max = np.maximum.reduceat(x.values, starts)
     shifted = np.exp(x.values - seg_max[seg])
     lse = np.log(np.add.reduceat(shifted, starts)) + seg_max
@@ -463,23 +480,22 @@ def segment_logsumexp(x: Tensor, seg, n_segments: int,
     return _record(out, (x,), backward_fn)
 
 
-def segment_broadcast(x: Tensor, seg) -> Tensor:
-    """out[i] = x[seg[i]]: each segment's row of ``x``, a vector or a
-    matrix with one row per segment, handed to the segment's elements.
+def segment_broadcast(x: Tensor, segments: Segments) -> Tensor:
+    """Each segment's row of ``x``, a vector or a matrix with one row per
+    segment, handed to the segment's rows: out[i] = x[segments.ids[i]].
 
-    The backward pass sums each segment's gradient rows, so it checks
-    then that ``seg`` has the layout :func:`segment_starts` accepts."""
-    if x.values.ndim == 0:
-        raise ShapeError("segment_broadcast expects a rank-1 or rank-2 tensor")
-    seg = _as_index(seg)
-    if seg.size and not 0 <= seg.min() <= seg.max() < len(x.values):
-        raise ShapeError(f"segment ids must lie in 0..{len(x.values) - 1}")
-    out = Tensor._wrap(x.values[seg])
+    The backward pass sums each segment's gradient rows, so it refuses a
+    layout with an empty segment."""
+    if x.values.ndim == 0 or len(x.values) != segments.n:
+        raise ShapeError(f"segment_broadcast: shape {x.shape} for "
+                         f"{segments.n} segments")
+    out = Tensor._wrap(x.values[segments.ids])
 
     def backward_fn(g):
         if x.requires_grad:
-            starts = segment_starts(seg, len(x.values))
-            x._accumulate(np.add.reduceat(g, starts, axis=0))
+            if not segments.all_nonempty:
+                raise ContractError("segment_broadcast backward: empty segment")
+            x._accumulate(np.add.reduceat(g, segments.starts[:-1], axis=0))
 
     return _record(out, (x,), backward_fn)
 

@@ -568,7 +568,7 @@ class FunnelReport:
 
 def summarize(dataset: Dataset) -> FunnelReport:
     counts = milestone_counts(dataset)
-    lengths, n_journeys = np.unique(np.diff(dataset.journey_starts),
+    lengths, n_journeys = np.unique(dataset.journeys.sizes,
                                     return_counts=True)
     hist = {int(k): int(v) for k, v in zip(lengths, n_journeys)}
     filtered = filter_training_searches(dataset)
@@ -593,7 +593,7 @@ def _stage_models_to_record(models: dict[str, StageModel]) -> dict:
 
 def _stage_models_from_record(rec: dict) -> dict[str, StageModel]:
     return {name: StageModel(weights=np.asarray(entry["weights"], dtype=np.float64),
-                             bias=float(entry["bias"]))
+                             bias=_number(entry["bias"]))
             for name, entry in rec.items()}
 
 
@@ -624,9 +624,14 @@ def _exact_int(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A float setting takes a float or an integer, never a bool or a string."""
+    return value if isinstance(value, float) else float(_exact_int(value))
+
+
 # Record values convert by their field's annotation; the two
 # coefficient fields hold StageModels.
-_RECORD_CONVERTERS = {"int": _exact_int, "float": float}
+_RECORD_CONVERTERS = {"int": _exact_int, "float": _number}
 
 
 def generator_config_from_record(rec: dict) -> GeneratorConfig:

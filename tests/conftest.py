@@ -59,8 +59,9 @@ def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
 def imp_rows_for_searches(packed: PackedSearches,
                           search_idx: np.ndarray) -> np.ndarray:
     """Impression row indices of the given searches, in search order."""
-    starts = packed.search_starts[search_idx]
-    return concat_ranges(starts, packed.search_starts[search_idx + 1] - starts)
+    starts = packed.segments.starts[search_idx]
+    return concat_ranges(starts,
+                         packed.segments.starts[search_idx + 1] - starts)
 
 
 def tiny_manual_dataset(constant_prev: float = 2.0):

@@ -164,6 +164,8 @@ class TestMalformedConfig:
         ("gen", "n_guests", 3.7),
         ("gen", "listings_per_search", 8.9),
         ("gen", "seed", True),
+        ("gen", "ctr_negative_coupling", True),
+        ("gen", "journey_window_days", "30"),
     ])
     def test_malformed_value_names_the_key(self, ws, tmp_path, capsys,
                                            command, key, value):
@@ -497,6 +499,36 @@ class TestProtocolRefusals:
                   + ["--seeds", "0,1", "--jobs", jobs])
         assert rc == 1
         assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+class TestOutDirectory:
+    """``--out`` is checked before a command runs but only made by the
+    writers, so a refused command leaves nothing behind."""
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    def test_refused_run_leaves_no_out(self, ws, tmp_path, command):
+        rc = main(TestProtocolRefusals.argv(ws, tmp_path, command)
+                  + ["--seeds", "0,1", "--jobs", "0"])
+        assert rc == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_out_that_is_a_file_is_usage_error(self, ws, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        rc = main(["train", "--model-config", str(ws / "base.json"),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(out), "--epochs", "0"])
+        assert rc == 1
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
+    def test_nested_out_is_made_by_the_writers(self, ws, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["eval", "--model", str(ws / "run" / "model"),
+                     "--dataset", str(ws / "data" / "dataset.jsonl"),
+                     "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "manifest.json", "ndcg.json", "ndcg.txt"}
 
 
 class TestNtc:

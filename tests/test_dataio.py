@@ -2,6 +2,7 @@
 
 import copy
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -72,11 +73,14 @@ class TestRoundTrip:
         assert back.schema == ds.schema
         assert back.n_journeys == ds.n_journeys
         np.testing.assert_array_equal(back.guest_ids, ds.guest_ids)
-        np.testing.assert_array_equal(back.journey_starts, ds.journey_starts)
         a, b = ds.searches, back.searches
-        for name in ("listing_features", "context_features", "search_of_imp",
-                     "search_starts", "listing_ids", "positions",
-                     "search_ids", "t_days"):
+        for layout in ("journeys", "searches.segments"):
+            for name in ("starts", "ids"):
+                np.testing.assert_array_equal(
+                    attrgetter(f"{layout}.{name}")(back),
+                    attrgetter(f"{layout}.{name}")(ds))
+        for name in ("listing_features", "context_features", "listing_ids",
+                     "positions", "search_ids", "t_days"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         for m in LABELS:
             np.testing.assert_array_equal(a.labels[m], b.labels[m])
@@ -211,19 +215,19 @@ class TestPacking:
             assert packed.listing_ids[row] == imp["listing_id"]
             assert packed.positions[row] == imp["position"]
             assert packed.labels["c"][row] == ("c" in imp["labels"])
-            seg = packed.search_of_imp[row]
+            seg = packed.segments.ids[row]
             assert packed.search_ids[seg] == search["search_id"]
             np.testing.assert_array_equal(packed.context_features[seg],
                                           search["context"])
 
     def test_segment_ids_are_contiguous(self):
         packed = pack_dataset(random_dataset(np.random.default_rng(8)))
-        seg = packed.search_of_imp
+        seg = packed.segments.ids
         assert seg[0] == 0
         assert np.all(np.diff(seg) >= 0)
-        assert seg[-1] == packed.n_searches - 1
+        assert seg[-1] == packed.n_searches - 1 == packed.segments.n - 1
         np.testing.assert_array_equal(
-            packed.search_starts,
+            packed.segments.starts,
             np.r_[0, np.cumsum(np.bincount(seg, minlength=packed.n_searches))])
 
     def test_imp_rows_lookup(self):
@@ -231,7 +235,7 @@ class TestPacking:
         pick = np.array([2, 0, 3])
         rows = imp_rows_for_searches(packed, pick)
         want = np.concatenate([
-            np.arange(packed.search_starts[s], packed.search_starts[s + 1])
+            np.arange(packed.segments.starts[s], packed.segments.starts[s + 1])
             for s in pick])
         np.testing.assert_array_equal(rows, want)
 
@@ -335,8 +339,9 @@ class TestWriterMatchesRecords:
 
     def test_odd_values_and_empty_search_and_journey(self, tmp_path):
         ds = dataset_from_records(SCHEMA, odd_values_records())
-        assert ds.searches.search_starts[2] == ds.searches.search_starts[1]
-        assert ds.journey_starts[2] == ds.journey_starts[1]
+        assert ds.searches.segments.sizes[1] == 0
+        assert ds.journeys.sizes[1] == 0
+        assert not ds.searches.segments.all_nonempty
         path = tmp_path / "odd.jsonl"
         self.assert_lines_match(ds, path)
         text = path.read_text()
@@ -426,9 +431,12 @@ def outcome(build, records):
         return "error", str(exc)
     s = ds.searches
     columns = {name: getattr(s, name) for name in (
-        "listing_features", "context_features", "search_of_imp",
-        "search_starts", "listing_ids", "positions", "search_ids", "t_days")}
-    columns.update(guest_ids=ds.guest_ids, journey_starts=ds.journey_starts)
+        "listing_features", "context_features", "listing_ids", "positions",
+        "search_ids", "t_days")}
+    columns.update(search_of_imp=s.segments.ids,
+                   search_starts=s.segments.starts, guest_ids=ds.guest_ids,
+                   journey_of_search=ds.journeys.ids,
+                   journey_starts=ds.journeys.starts)
     columns.update({f"label:{m}": s.labels[m] for m in LABELS})
     return "ok", columns
 

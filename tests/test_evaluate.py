@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_manual_dataset
-from journeyrank import evaluate as ev
+from journeyrank import evaluate as ev, nn
 from journeyrank.dataio import dataset_from_records, dataset_to_records
 from journeyrank.domain import POSITIVE_CHAIN
 from journeyrank.errors import ConfigError, ContractError, SchemaMismatchError
@@ -67,7 +67,7 @@ def trained_full(small_data):
 def ndcg_of_ranking(ranked_ids, positive_ids):
     """Segment NDCG of a single search given as a ranking of ids."""
     flags = np.array([lid in positive_ids for lid in ranked_ids])
-    ndcg, has_positive = ev.ndcg_binary(flags, np.array([0, len(flags)]))
+    ndcg, has_positive = ev.ndcg_binary(flags, nn.Segments([len(flags)]))
     assert has_positive.tolist() == [True]
     return float(ndcg[0])
 
@@ -85,7 +85,7 @@ class TestNdcgBinary:
     def test_matches_brute_force_on_random_cases(self):
         """1000 random searches scored in one call, one segment each."""
         rng = np.random.default_rng(2024)
-        flags, starts, want = [], [0], []
+        flags, sizes, want = [], [], []
         for _ in range(1000):
             n = int(rng.integers(2, 30))
             ids = [f"L{k}" for k in range(n)]
@@ -93,9 +93,10 @@ class TestNdcgBinary:
             positives = set(rng.choice(ids, size=n_pos, replace=False))
             ranked = [ids[k] for k in rng.permutation(n)]
             flags.extend(lid in positives for lid in ranked)
-            starts.append(len(flags))
+            sizes.append(n)
             want.append(brute_ndcg(ranked, positives))
-        ndcg, has_positive = ev.ndcg_binary(np.array(flags), np.array(starts))
+        ndcg, has_positive = ev.ndcg_binary(np.array(flags),
+                                            nn.Segments(sizes))
         assert has_positive.all()
         np.testing.assert_allclose(ndcg, want, rtol=0, atol=1e-12)
 
@@ -131,29 +132,32 @@ class TestNdcgBinary:
 
     def test_search_without_positive_is_skipped(self):
         flags = np.array([False, False, False, True, False, False])
-        ndcg, has_positive = ev.ndcg_binary(flags, np.array([0, 2, 4, 6]))
+        ndcg, has_positive = ev.ndcg_binary(flags, nn.Segments([2, 2, 2]))
         assert has_positive.tolist() == [False, True, False]
         assert ndcg.tolist() == [0.0, 1.0 / math.log2(3.0), 0.0]
+
+    def test_empty_search_reads_zero(self):
+        flags = np.array([True, False, False])
+        ndcg, has_positive = ev.ndcg_binary(flags, nn.Segments([1, 0, 2]))
+        assert has_positive.tolist() == [True, False, False]
+        assert ndcg.tolist() == [1.0, 0.0, 0.0]
+
+    def test_flags_the_layout_lacks_are_refused(self):
+        with pytest.raises(ContractError):
+            ev.ndcg_binary(np.array([True, False]), nn.Segments([3]))
 
 
 class TestNdcgReport:
     def test_mean_outside_unit_interval_is_refused(self):
         with pytest.raises(ContractError):
-            ev.NdcgReport(mean=1.2, per_seed=(1.2,), ci_half_width=0.0,
-                          n_searches=1, n_skipped=0)
-
-    def test_negative_ci_is_refused(self):
+            ev.NdcgReport(mean=1.2, n_searches=1, n_skipped=0)
         with pytest.raises(ContractError):
-            ev.NdcgReport(mean=0.5, per_seed=(0.5,), ci_half_width=-0.1,
-                          n_searches=1, n_skipped=0)
+            ev.NdcgReport(mean=-0.1, n_searches=1, n_skipped=0)
 
     def test_record_roundtrip_fields(self):
-        report = ev.NdcgReport(mean=0.75, per_seed=(0.7, 0.8),
-                               ci_half_width=0.05, n_searches=40, n_skipped=3)
-        record = report.to_record()
-        assert record["mean"] == 0.75
-        assert record["per_seed"] == [0.7, 0.8]
-        assert record["n_skipped"] == 3
+        report = ev.NdcgReport(mean=0.75, n_searches=40, n_skipped=3)
+        assert report.to_record() == {"mean": 0.75, "n_searches": 40,
+                                      "n_skipped": 3}
 
 
 class TestTInterval:
@@ -316,8 +320,7 @@ class TestEvaluateModel:
         reports = ev.evaluate(model, dataset_from_records(eval_ds.schema, []))
         for task in POSITIVE_CHAIN:
             assert reports[task].to_record() == {
-                "mean": 0.0, "per_seed": [0.0], "ci_half_width": 0.0,
-                "n_searches": 0, "n_skipped": 0}
+                "mean": 0.0, "n_searches": 0, "n_skipped": 0}
 
     def test_schema_mismatch_is_refused(self, trained_full):
         model, _, _ = trained_full

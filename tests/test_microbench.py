@@ -61,7 +61,7 @@ def test_batched_forward(benchmark, world):
 
     outputs = benchmark.pedantic(
         trained.outputs, args=(packed.listing_features,
-                               packed.context_features, packed.search_of_imp),
+                               packed.context_features, packed.segments),
         rounds=5, warmup_rounds=1)
     assert outputs.ranking_score.shape == (packed.n_impressions,)
     assert np.all(np.isfinite(outputs.ranking_score.values))

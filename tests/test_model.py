@@ -111,18 +111,15 @@ def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
     pairs and normalization included, the way training once did per step."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
     rows = imp_rows_for_searches(packed, search_indices)
-    counts = (packed.search_starts[search_indices + 1]
-              - packed.search_starts[search_indices])
-    seg = np.repeat(np.arange(len(search_indices)), counts)
+    segments = nn.Segments(packed.segments.sizes[search_indices])
     labels = {name: values[rows] for name, values in packed.labels.items()}
     grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, seg)
+    pair_i, pair_j = preference_pairs(grades, segments)
     context_rows = packed.context_features[search_indices]
     return SearchBatch(
         listing_rows=norm.apply_listing(packed.listing_features[rows]),
         context_rows=norm.apply_context(context_rows),
-        seg=seg,
-        n_searches=len(search_indices),
+        segments=segments,
         labels=labels,
         pair_i=pair_i,
         pair_j=pair_j,
@@ -141,8 +138,7 @@ def random_packed(rng: np.random.Generator, n_searches: int,
     return PackedSearches(
         listing_features=rng.normal(size=(n, 4)) * 3.0 + 1.0,
         context_features=rng.normal(size=(n_searches, 3)) * 5.0 - 2.0,
-        search_of_imp=np.repeat(np.arange(n_searches), sizes),
-        search_starts=np.r_[0, np.cumsum(sizes)],
+        segments=nn.Segments(sizes),
         labels={m: labels[m] for m in LABELS},
         listing_ids=np.array([f"L{k}" for k in range(n)]),
         positions=np.ones(n, dtype=np.int64),
@@ -155,19 +151,22 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
                  d_l: int = 4, d_c: int = 3) -> SearchBatch:
     sizes = rng.integers(2, 6, size=n_searches)
     n = int(sizes.sum())
-    seg = np.repeat(np.arange(n_searches), sizes)
+    segments = nn.Segments(sizes)
     labels = nested_labels(rng, n)
     grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, seg)
+    pair_i, pair_j = preference_pairs(grades, segments)
     return SearchBatch(
         listing_rows=rng.normal(size=(n, d_l)),
         context_rows=rng.normal(size=(n_searches, d_c)),
-        seg=seg,
-        n_searches=n_searches,
+        segments=segments,
         labels=labels,
         pair_i=pair_i,
         pair_j=pair_j,
     )
+
+
+def one_row_each(n_searches: int) -> nn.Segments:
+    return nn.Segments(np.ones(n_searches, dtype=np.int64))
 
 
 def zero_params(store):
@@ -248,7 +247,7 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
         raise ContractError("one feature row per candidate is required")
     context = np.asarray(context, dtype=np.float64)
     outputs = model.outputs(listing_rows, context[None, :],
-                            np.zeros(len(listing_rows), dtype=np.int64))
+                            nn.Segments([len(listing_rows)]))
     score = outputs.ranking_score.values
     order = np.lexsort((np.asarray(listing_ids), -score))
     ranked = []
@@ -407,7 +406,7 @@ class TestSharedForward:
             emb.context.values[0, :3],
             [0.16355741135296198, -0.05500528843523372, 0.11983831966496784],
             rtol=0, atol=1e-15)
-        out = forward(config, params, listing, context, np.arange(3))
+        out = forward(config, params, listing, context, one_row_each(3))
         np.testing.assert_allclose(
             out.y_base.values,
             [-4.107466696880749, -4.240459630992293, -5.185047818772162],
@@ -436,12 +435,12 @@ def batch_of_sizes(rng: np.random.Generator, sizes) -> SearchBatch:
     """A random batch whose searches have the given row counts."""
     sizes = np.asarray(sizes)
     n = int(sizes.sum())
-    seg = np.repeat(np.arange(len(sizes)), sizes)
+    segments = nn.Segments(sizes)
     labels = nested_labels(rng, n)
-    pair_i, pair_j = preference_pairs(relevance_grades(labels), seg)
+    pair_i, pair_j = preference_pairs(relevance_grades(labels), segments)
     return SearchBatch(listing_rows=rng.normal(size=(n, 4)),
                        context_rows=rng.normal(size=(len(sizes), 3)),
-                       seg=seg, n_searches=len(sizes), labels=labels,
+                       segments=segments, labels=labels,
                        pair_i=pair_i, pair_j=pair_j)
 
 
@@ -458,9 +457,9 @@ class TestForwardMatchesPerRowReference:
         params = init_model_params(config)
         batch = batch_of_sizes(np.random.default_rng(51), sizes)
         got = forward(config, params, batch.listing_rows, batch.context_rows,
-                      batch.seg)
+                      batch.segments)
         want = per_row_forward(config, params, batch.listing_rows,
-                               batch.context_rows[batch.seg])
+                               batch.context_rows[batch.segments.ids])
         for name in ("cond_logits", "log_joint", "y_twiddler",
                      "alpha_twiddler"):
             g, w = getattr(got, name), getattr(want, name)
@@ -491,7 +490,7 @@ class TestForwardMatchesPerRowReference:
             t.grad = None
         with nn.Tape() as tape:
             ref = per_row_forward(config, params, batch.listing_rows,
-                                  batch.context_rows[batch.seg])
+                                  batch.context_rows[batch.segments.ids])
             want = base_loss(ref.log_joint, batch, weights)
             if config.twiddler_tasks:
                 want = nn.add(want, twiddler_loss(ref.y_twiddler, batch))
@@ -514,7 +513,7 @@ class TestBaseForward:
         zero_params(params)
         rng = np.random.default_rng(2)
         out = forward(config, params, rng.normal(size=(5, 4)),
-                      rng.normal(size=(5, 3)), np.arange(5))
+                      rng.normal(size=(5, 3)), one_row_each(5))
         for k, task in enumerate(config.base_tasks, start=1):
             np.testing.assert_allclose(out.log_joint[task].values,
                                        k * np.log(0.5), rtol=1e-15)
@@ -528,7 +527,7 @@ class TestBaseForward:
         rng = np.random.default_rng(3)
         listing = rng.normal(size=(6, 4))
         context = rng.normal(size=(6, 3))
-        out = forward(config, params, listing, context, np.arange(6))
+        out = forward(config, params, listing, context, one_row_each(6))
         assert list(out.log_joint) == ["unc"]
         logit = out.cond_logits["unc"].values
         np.testing.assert_allclose(out.y_base.values,
@@ -541,7 +540,7 @@ class TestBaseForward:
         params = init_model_params(config)
         rng = np.random.default_rng(4)
         out = forward(config, params, rng.normal(size=(30, 4)),
-                      rng.normal(size=(30, 3)), np.arange(30))
+                      rng.normal(size=(30, 3)), one_row_each(30))
         running = np.ones(30)
         for task in config.base_tasks:
             running = running * expit(out.cond_logits[task].values)
@@ -562,7 +561,7 @@ class TestBaseForward:
             n = int(rng.integers(1, 9))
             out = forward(config, params,
                           rng.normal(size=(n, d_l)) * 3.0,
-                          rng.normal(size=(n, d_c)) * 3.0, np.arange(n))
+                          rng.normal(size=(n, d_c)) * 3.0, one_row_each(n))
             previous = np.zeros(n)
             for task in config.base_tasks:
                 current = out.log_joint[task].values
@@ -577,7 +576,7 @@ class TestBaseLoss:
         scores = nn.constant(np.array([20.0, 0.0, 0.0]))
         batch = SearchBatch(
             listing_rows=np.zeros((3, 1)), context_rows=np.zeros((3, 1)),
-            seg=np.zeros(3, dtype=np.int64), n_searches=1,
+            segments=nn.Segments([3]),
             labels={"unc": np.array([True, False, False])},
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
@@ -588,7 +587,7 @@ class TestBaseLoss:
         scores = nn.constant(np.array([0.7, 0.7]))
         batch = SearchBatch(
             listing_rows=np.zeros((2, 1)), context_rows=np.zeros((2, 1)),
-            seg=np.zeros(2, dtype=np.int64), n_searches=1,
+            segments=nn.Segments([2]),
             labels={"unc": np.array([True, False])},
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
@@ -606,7 +605,8 @@ class TestBaseLoss:
             loss = base_loss({t: nn.constant(v) for t, v in scores.items()},
                              batch, weights)
             want = sum(weights[t] * oracle_listwise_loss(
-                scores[t], batch.labels[t], batch.seg, batch.n_searches)
+                scores[t], batch.labels[t], batch.segments.ids,
+                batch.segments.n)
                 for t in POSITIVE_CHAIN)
             np.testing.assert_allclose(float(loss.values), want, rtol=1e-10)
 
@@ -614,7 +614,7 @@ class TestBaseLoss:
         scores = nn.constant(np.array([0.5, 0.2]))
         batch = SearchBatch(
             listing_rows=np.zeros((2, 1)), context_rows=np.zeros((2, 1)),
-            seg=np.zeros(2, dtype=np.int64), n_searches=2,
+            segments=nn.Segments([2, 0]),
             labels={"unc": np.array([True, False])},
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
@@ -627,7 +627,7 @@ class TestTwiddlerLoss:
         n = len(next(iter(labels.values())))
         return SearchBatch(
             listing_rows=np.zeros((n, 1)), context_rows=np.zeros((n, 1)),
-            seg=np.zeros(n, dtype=np.int64), n_searches=1, labels=labels,
+            segments=nn.Segments([n]), labels=labels,
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
 
@@ -675,7 +675,7 @@ class TestCombinationForward:
                 tensor.values[...] = 0.0
         rng = np.random.default_rng(8)
         out = forward(config, params, rng.normal(size=(4, 4)),
-                      rng.normal(size=(4, 3)), np.arange(4))
+                      rng.normal(size=(4, 3)), one_row_each(4))
         np.testing.assert_allclose(out.alpha_base.values, LN2, rtol=1e-15)
         for task in config.twiddler_tasks:
             np.testing.assert_array_equal(out.alpha_twiddler[task].values,
@@ -693,7 +693,7 @@ class TestCombinationForward:
         final_bias.values[0] = SOFTPLUS_INV_1
         rng = np.random.default_rng(9)
         out = forward(config, params, rng.normal(size=(6, 4)),
-                      rng.normal(size=(6, 3)), np.arange(6))
+                      rng.normal(size=(6, 3)), one_row_each(6))
         np.testing.assert_allclose(out.alpha_base.values, 1.0, rtol=1e-12)
         np.testing.assert_allclose(out.y_combination.values,
                                    out.y_base.values, rtol=1e-12)
@@ -703,7 +703,7 @@ class TestCombinationForward:
         params = init_model_params(config)
         rng = np.random.default_rng(10)
         out = forward(config, params, rng.normal(size=(12, 4)),
-                      rng.normal(size=(12, 3)), np.arange(12))
+                      rng.normal(size=(12, 3)), one_row_each(12))
         want = out.alpha_base.values * out.y_base.values
         for task in config.twiddler_tasks:
             want = want + (out.alpha_twiddler[task].values
@@ -715,13 +715,13 @@ class TestCombinationForward:
 class TestCombinationLoss:
     def test_uniform_grades_contribute_nothing(self):
         labels = {m: np.zeros(4, dtype=bool) for m in ALL_MILESTONES}
-        seg = np.zeros(4, dtype=np.int64)
+        segments = nn.Segments([4])
         grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, seg)
+        pair_i, pair_j = preference_pairs(grades, segments)
         assert pair_i.size == 0
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
-                            context_rows=np.zeros((4, 1)), seg=seg,
-                            n_searches=1, labels=labels,
+                            context_rows=np.zeros((4, 1)), segments=segments,
+                            labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
         loss = combination_loss(nn.constant(np.array([1.0, 2.0, 3.0, 4.0])),
                                 batch)
@@ -730,12 +730,12 @@ class TestCombinationLoss:
     def test_single_tied_pair_costs_ln2(self):
         labels = {m: np.zeros(2, dtype=bool) for m in ALL_MILESTONES}
         labels["c"] = np.array([True, False])
-        seg = np.zeros(2, dtype=np.int64)
+        segments = nn.Segments([2])
         grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, seg)
+        pair_i, pair_j = preference_pairs(grades, segments)
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
-                            context_rows=np.zeros((2, 1)), seg=seg,
-                            n_searches=1, labels=labels,
+                            context_rows=np.zeros((2, 1)), segments=segments,
+                            labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
         loss = combination_loss(nn.constant(np.array([0.3, 0.3])), batch)
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
@@ -748,8 +748,8 @@ class TestCombinationLoss:
             loss = combination_loss(nn.constant(y), batch)
             grades = relevance_grades(batch.labels)
             terms = []
-            for s in range(batch.n_searches):
-                rows = np.flatnonzero(batch.seg == s)
+            for s in range(batch.segments.n):
+                rows = np.flatnonzero(batch.segments.ids == s)
                 for i in rows:
                     for j in rows:
                         if grades[i] > grades[j]:
@@ -774,12 +774,13 @@ class TestGradesAndPairs:
         for rep in range(30):
             batch = random_batch(rng)
             grades = relevance_grades(batch.labels)
-            assert np.all(batch.seg[batch.pair_i] == batch.seg[batch.pair_j])
+            seg = batch.segments.ids
+            assert np.all(seg[batch.pair_i] == seg[batch.pair_j])
             assert np.all(grades[batch.pair_i] > grades[batch.pair_j])
             want = sum(
                 int(np.sum(grades[rows, None] > grades[None, rows]))
-                for s in range(batch.n_searches)
-                for rows in [np.flatnonzero(batch.seg == s)])
+                for s in range(batch.segments.n)
+                for rows in [np.flatnonzero(seg == s)])
             assert len(batch.pair_i) == want
 
     def test_matches_per_search_loop_in_order(self):
@@ -792,7 +793,7 @@ class TestGradesAndPairs:
                 grades = np.full(len(seg), int(rng.integers(0, 4)))
             else:
                 grades = rng.integers(0, 4, size=len(seg))
-            got = preference_pairs(grades, seg)
+            got = preference_pairs(grades, nn.Segments(sizes))
             want = loop_preference_pairs(grades, seg)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
@@ -804,11 +805,12 @@ class TestBatches:
     per-step reference builds from the columns, array for array."""
 
     def assert_same_batch(self, got: SearchBatch, want: SearchBatch):
-        assert got.n_searches == want.n_searches
+        assert got.segments.n == want.segments.n
         assert list(got.labels) == list(want.labels)
         pairs = [(got.labels[k], want.labels[k]) for k in want.labels]
-        for name in ("listing_rows", "context_rows", "seg", "pair_i",
-                     "pair_j"):
+        pairs += [(got.segments.starts, want.segments.starts),
+                  (got.segments.ids, want.segments.ids)]
+        for name in ("listing_rows", "context_rows", "pair_i", "pair_j"):
             pairs.append((getattr(got, name), getattr(want, name)))
         for g, w in pairs:
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -816,8 +818,8 @@ class TestBatches:
 
     @pytest.mark.parametrize("grid_cells", [1, 40, 1 << 16])
     def test_matches_per_batch_reference(self, monkeypatch, grid_cells):
-        # grid_cells bounds the pair grid of one preference_pairs call:
-        # 1 forces a call per search, 40 splits the searches into chunks
+        # grid_cells bounds the pair grid preference_pairs builds at once:
+        # 1 forces a run per search, 40 splits the searches into runs
         monkeypatch.setattr(model_module, "_PAIR_GRID_CELLS", grid_cells)
         rng = np.random.default_rng(31)
         for rep in range(12):
@@ -837,15 +839,51 @@ class TestBatches:
     def test_covers_one_row_and_pairless_searches(self):
         rng = np.random.default_rng(32)
         packed = random_packed(rng, 60)
-        sizes = np.diff(packed.search_starts)
+        sizes = packed.segments.sizes
         norm = NormalizationStats.fit(packed.listing_features,
                                       packed.context_features)
         inputs = batch_inputs(packed, norm)
-        pair_counts = np.diff(inputs.pair_starts)
+        pair_counts = inputs.pairs.sizes
         assert np.any(sizes == 1)
         assert np.any((sizes > 1) & (pair_counts == 0))
         assert np.all(pair_counts[sizes == 1] == 0)
-        assert inputs.pair_starts[-1] == len(inputs.pair_i)
+        assert inputs.pairs.n_rows == len(inputs.pair_i)
+
+
+class TestTrainLayouts:
+    def test_one_search_layout_per_step(self, monkeypatch):
+        """Each step builds its batch's layout once, in make_batch, and
+        every segment op of the step reads that one; nothing else in
+        train() builds a layout per step."""
+        built = []
+
+        class CountingSegments(nn.Segments):
+            def __init__(self, sizes):
+                super().__init__(sizes)
+                built.append(self)
+
+        batches = []
+
+        def recording_make_batch(*args):
+            before = len(built)
+            batches.append(make_batch(*args))
+            assert built[before:] == [batches[-1].segments]
+            return batches[-1]
+
+        monkeypatch.setattr(model_module, "Segments", CountingSegments)
+        monkeypatch.setattr(model_module, "make_batch", recording_make_batch)
+        dataset = planted_dataset()
+        config = default_model_config(2, 2, embedding_dim=4,
+                                      tower_hidden=(5,), seed=7)
+        counts = {}
+        for epochs in (1, 3):
+            built.clear()
+            batches.clear()
+            train(config, dataset, epochs=epochs, batch_size=3)
+            counts[epochs] = (len(batches), len(built))
+        # 4 searches in batches of 3: two steps per epoch
+        assert counts[1][0] == 2 and counts[3][0] == 6
+        assert counts[3][1] - counts[1][1] == 6 - 2
 
 
 class TestTotalLoss:
@@ -869,7 +907,7 @@ class TestTotalLoss:
             batch = random_batch(rng)
             loss, outputs, parts = total_loss(config, params, batch, weights)
             again = forward(config, params, batch.listing_rows,
-                            batch.context_rows, batch.seg)
+                            batch.context_rows, batch.segments)
             want = float(base_loss(again.log_joint, batch, weights).values)
             want += float(twiddler_loss(again.y_twiddler, batch).values)
             want += float(combination_loss(again.y_combination, batch).values)
@@ -886,12 +924,12 @@ class TestTotalLoss:
         labels = {m: np.zeros(2, dtype=bool) for m in ALL_MILESTONES}
         for task in POSITIVE_CHAIN:
             labels[task] = np.array([True, False])
-        seg = np.zeros(2, dtype=np.int64)
+        segments = nn.Segments([2])
         grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, seg)
+        pair_i, pair_j = preference_pairs(grades, segments)
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
-                            context_rows=np.zeros((1, 3)), seg=seg,
-                            n_searches=1, labels=labels,
+                            context_rows=np.zeros((1, 3)), segments=segments,
+                            labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
         loss, _, parts = total_loss(config, params, batch, weights)
@@ -912,7 +950,7 @@ class TestGradients:
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
         def make_loss():
             outputs = forward(config, params, batch.listing_rows,
-                              batch.context_rows, batch.seg)
+                              batch.context_rows, batch.segments)
             return nn.add(base_loss(outputs.log_joint, batch, weights),
                           twiddler_loss(outputs.y_twiddler, batch))
         checked = {name: t for name, t in params.items()
@@ -932,7 +970,7 @@ class TestGradients:
                        for t in config.twiddler_tasks}
         def make_loss():
             out = forward(config, params, batch.listing_rows,
-                          batch.context_rows, batch.seg)
+                          batch.context_rows, batch.segments)
             y_comb = nn.mul(out.alpha_base, nn.constant(y_base_vals))
             for t, v in y_twid_vals.items():
                 y_comb = nn.add(y_comb, nn.mul(out.alpha_twiddler[t],
@@ -951,7 +989,7 @@ class TestGradients:
         assert batch.pair_i.size > 0
         with nn.Tape() as tape:
             outputs = forward(config, params, batch.listing_rows,
-                              batch.context_rows, batch.seg)
+                              batch.context_rows, batch.segments)
             loss = combination_loss(outputs.y_combination, batch)
             nn.backward(tape, loss)
         groups = module_parameter_names(config)
@@ -1110,7 +1148,7 @@ class TestScoring:
         scores = np.array([c.score for c in ranked])
         assert np.all(np.diff(scores) <= 0)
         outputs = model.outputs(rows, np.array([[30.0, 0.0]]),
-                                np.zeros(len(rows), dtype=np.int64))
+                                nn.Segments([len(rows)]))
         want = outputs.ranking_score.values
         order = np.lexsort((np.asarray(ids), -want))
         assert [c.listing_id for c in ranked] == [ids[int(k)] for k in order]
@@ -1129,7 +1167,7 @@ class TestScoring:
         rows = rng.normal(size=(10, 2))
         context = np.array([35.0, 1.0])
         outputs = model.outputs(rows, context[None, :],
-                                np.zeros(len(rows), dtype=np.int64))
+                                nn.Segments([len(rows)]))
         y = outputs.ranking_score.values
         base_order = np.lexsort((np.asarray(ids), -y))
         for shift in (-100.0, -1.0, 2.5, 1e6):
@@ -1177,10 +1215,10 @@ class TestPersistence:
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(6, 2))
         contexts = np.array([[40.0, 1.0]])
-        seg = np.zeros(len(rows), dtype=np.int64)
+        segments = nn.Segments([len(rows)])
         np.testing.assert_array_equal(
-            back.outputs(rows, contexts, seg).ranking_score.values,
-            model.outputs(rows, contexts, seg).ranking_score.values)
+            back.outputs(rows, contexts, segments).ranking_score.values,
+            model.outputs(rows, contexts, segments).ranking_score.values)
 
     def test_plain_parameter_dump_is_refused(self, tmp_path):
         store = init_model_params(small_config())

@@ -48,7 +48,7 @@ def click_rate(dataset):
 def rejection_by_days(dataset):
     s = dataset.searches
     eligible = s.labels["req"] & ~s.labels["book"]
-    days = s.context_features[s.search_of_imp[eligible], 0]
+    days = s.context_features[s.segments.ids[eligible], 0]
     return days, s.labels["rej"][eligible].astype(np.float64)
 
 
@@ -107,6 +107,37 @@ class TestConfigValidation:
         rec[key] = value
         with pytest.raises(ConfigError, match=key):
             generator_config_from_record(rec)
+
+    @pytest.mark.parametrize("key, value", [
+        ("ctr_negative_coupling", True), ("journey_window_days", False),
+    ])
+    def test_record_float_setting_refuses_a_boolean(self, key, value):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        rec[key] = value
+        with pytest.raises(ConfigError, match=key):
+            generator_config_from_record(rec)
+
+    @pytest.mark.parametrize("key, value", [
+        ("journey_window_days", "30"), ("ctr_negative_coupling", "0.5"),
+    ])
+    def test_record_float_setting_refuses_a_string(self, key, value):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        rec[key] = value
+        with pytest.raises(ConfigError, match=key):
+            generator_config_from_record(rec)
+
+    def test_record_stage_bias_refuses_a_string(self):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        rec["stage_coefficients"]["c"]["bias"] = "1.5"
+        with pytest.raises(ConfigError, match="stage_coefficients"):
+            generator_config_from_record(rec)
+
+    def test_record_float_setting_reads_an_integer(self):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        rec["journey_window_days"] = 30
+        back = generator_config_from_record(rec)
+        assert back.journey_window_days == 30.0
+        assert type(back.journey_window_days) is float
 
     def test_record_missing_key_rejected(self):
         rec = generator_config_to_record(default_generator_config(n_guests=5))
@@ -425,7 +456,7 @@ class TestCouplings:
             s = dataset.searches
             labels = s.labels
             eligible = (labels["req"] & ~labels["book"]) | labels["book"]
-            prev = s.context_features[s.search_of_imp[eligible], 1]
+            prev = s.context_features[s.segments.ids[eligible], 1]
             neg = (labels["rej"] | labels["cbh"] | labels["cbg"])[eligible]
             neg = neg.astype(np.float64)
             observed[coupling] = (neg[prev <= 1].mean(),

@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
 from journeyrank import nn
@@ -154,8 +156,8 @@ class TestGradientBuffers:
             z = nn.concat_cols(a, a)
             w = nn.concat_cols(v, v)
             y = nn.add_bias(z, w)
-            b = nn.segment_broadcast(a, np.array([0, 1]))
-            u = nn.segment_broadcast(v, np.array([0, 0, 1]))
+            b = nn.segment_broadcast(a, nn.Segments([1, 1]))
+            u = nn.segment_broadcast(v, nn.Segments([2, 1]))
             loss = (y * c).sum() + (nn.add(b, b) * d).sum() \
                 + (u * nn.Tensor([100.0, 200.0, 300.0])).sum()
         nn.backward(tape, loss)
@@ -302,40 +304,108 @@ class TestLogistic:
             nn.logistic(self.inputs())
 
 
+def layout_of(ids, n: int) -> nn.Segments:
+    """The layout of sorted segment ids 0..n-1."""
+    return nn.Segments(np.bincount(ids, minlength=n))
+
+
+class TestSegments:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 5), max_size=12))
+    def test_layout_from_sizes(self, sizes):
+        segments = nn.Segments(sizes)
+        n = len(sizes)
+        assert segments.n == n
+        assert segments.n_rows == sum(sizes)
+        assert segments.all_nonempty == all(k > 0 for k in sizes)
+        np.testing.assert_array_equal(segments.starts, np.r_[0, np.cumsum(
+            sizes, dtype=np.int64)])
+        np.testing.assert_array_equal(segments.sizes, sizes)
+        np.testing.assert_array_equal(segments.ids,
+                                      np.repeat(np.arange(n), sizes))
+        assert segments.starts.dtype == segments.ids.dtype == np.int64
+
+        # the forward broadcast takes any layout, empty segments included
+        x = nn.Tensor(np.arange(2.0 * n).reshape(n, 2), requires_grad=True)
+        with nn.Tape() as tape:
+            out = nn.segment_broadcast(x, segments)
+            loss = out.sum()
+        np.testing.assert_array_equal(out.values, x.values[segments.ids])
+
+        # the reductions need a row in every segment
+        if segments.all_nonempty:
+            nn.backward(tape, loss)
+            np.testing.assert_array_equal(x.grad[:, 0], sizes)
+        else:
+            with pytest.raises(ContractError):
+                nn.backward(tape, loss)
+        if segments.all_nonempty and n:
+            lse = nn.segment_logsumexp(nn.Tensor(np.zeros(sum(sizes))),
+                                       segments)
+            np.testing.assert_allclose(lse.values, np.log(sizes), rtol=1e-15)
+        else:
+            with pytest.raises(ContractError):
+                nn.segment_logsumexp(nn.Tensor(np.zeros(sum(sizes))),
+                                     segments)
+
+    def test_is_frozen(self):
+        segments = nn.Segments([2, 1])
+        with pytest.raises(AttributeError):
+            segments.n = 3
+        with pytest.raises(ValueError):
+            segments.ids[0] = 1
+        with pytest.raises(ValueError):
+            segments.starts[0] = 1
+
+    @pytest.mark.parametrize("sizes", [[2, -1], [[1, 2]], [1.5, 2.0],
+                                       [True, False]])
+    def test_rejects_sizes_that_are_no_layout(self, sizes):
+        # a negative size would run rows backwards, the one way to write
+        # unsorted segment ids as sizes
+        with pytest.raises(ContractError):
+            nn.Segments(sizes)
+
+
 class TestSegmentOps:
     def test_segment_logsumexp_matches_numpy(self):
         rng = np.random.default_rng(4)
         lengths = rng.integers(1, 7, size=6)
         seg = np.repeat(np.arange(6), lengths)
         x = rng.normal(size=seg.size) * 10
-        got = nn.segment_logsumexp(nn.Tensor(x), seg, 6).values
+        got = nn.segment_logsumexp(nn.Tensor(x), nn.Segments(lengths)).values
         want = np.array([np.log(np.exp(x[seg == s]).sum()) for s in range(6)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_segment_logsumexp_stable_for_large_scores(self):
         x = np.array([700.0, 701.0, -700.0, -701.0])
-        seg = np.array([0, 0, 1, 1])
-        got = nn.segment_logsumexp(nn.Tensor(x), seg, 2).values
+        got = nn.segment_logsumexp(nn.Tensor(x), nn.Segments([2, 2])).values
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got[0], 701.0 + np.log1p(np.exp(-1.0)), rtol=1e-14)
 
     def test_rejects_unsorted_segments(self):
+        # ids [1, 0] name no layout: sizes cannot describe them
         with pytest.raises(ContractError):
-            nn.segment_logsumexp(nn.Tensor([1.0, 2.0]), np.array([1, 0]), 2)
+            nn.Segments([-1, 1])
 
     def test_rejects_missing_segment(self):
+        # ids [0, 2] over 3 segments: segment 1 is empty
         with pytest.raises(ContractError):
-            nn.segment_logsumexp(nn.Tensor([1.0, 2.0]), np.array([0, 2]), 3)
+            nn.segment_logsumexp(nn.Tensor([1.0, 2.0]),
+                                 layout_of([0, 2], 3))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ContractError):
-            nn.segment_logsumexp(nn.Tensor(np.zeros(0)), np.zeros(0, dtype=int),
-                                 0)
+            nn.segment_logsumexp(nn.Tensor(np.zeros(0)), nn.Segments([]))
+
+    def test_rejects_rows_the_layout_lacks(self):
+        for x, sizes in ((np.zeros(3), [1, 1]), (np.zeros((2, 1)), [2])):
+            with pytest.raises(ShapeError):
+                nn.segment_logsumexp(nn.Tensor(x), nn.Segments(sizes))
 
     def test_segment_broadcast_gradcheck(self):
         rng = np.random.default_rng(62)
         # segments 0 and 2 hold one row each
-        seg = np.array([0, 1, 1, 1, 2, 3, 3])
+        segments = nn.Segments([1, 3, 1, 2])
         params = {"vec": nn.Tensor(rng.normal(size=4), requires_grad=True),
                   "mat": nn.Tensor(rng.normal(size=(4, 2)),
                                    requires_grad=True)}
@@ -343,28 +413,32 @@ class TestSegmentOps:
         c_mat = nn.Tensor(rng.normal(size=(7, 2)))
 
         def make_loss():
-            vec = nn.segment_broadcast(params["vec"], seg)
-            mat = nn.segment_broadcast(params["mat"], seg)
+            vec = nn.segment_broadcast(params["vec"], segments)
+            mat = nn.segment_broadcast(params["mat"], segments)
             return (nn.tanh(vec) * c_vec).sum() + (nn.tanh(mat) * c_mat).sum()
 
         fd_gradcheck(make_loss, params)
         for x in params.values():
             np.testing.assert_array_equal(
-                nn.segment_broadcast(x, seg).values, x.values[seg])
+                nn.segment_broadcast(x, segments).values,
+                x.values[[0, 1, 1, 1, 2, 3, 3]])
 
     def test_segment_broadcast_backward_checks_layout(self):
         x = nn.Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(ShapeError):
-            nn.segment_broadcast(x, np.array([0, -1]))
-        for seg in ([1, 0], [0, 0]):
+        # one row of x per segment
+        for sizes in ([1], [1, 1, 1]):
+            with pytest.raises(ShapeError):
+                nn.segment_broadcast(x, nn.Segments(sizes))
+        # ids [0, 0] over 2 segments: segment 1 is empty
+        for segments in (layout_of([0, 0], 2), nn.Segments([0, 2])):
             with nn.Tape() as tape:
-                loss = nn.segment_broadcast(x, np.array(seg)).sum()
+                loss = nn.segment_broadcast(x, segments).sum()
             with pytest.raises(ContractError):
                 nn.backward(tape, loss)
 
     def test_segment_broadcast_forward_of_nothing(self):
         out = nn.segment_broadcast(nn.Tensor(np.zeros((0, 3))),
-                                   np.zeros(0, dtype=np.int64))
+                                   nn.Segments([]))
         assert out.shape == (0, 3)
 
 
@@ -487,7 +561,7 @@ class TestGradientFuzz:
 
             def loss_listwise():
                 lj = nn.log_sigmoid(u) + nn.log_sigmoid(v)
-                lse = nn.segment_logsumexp(lj, seg, n_seg)
+                lse = nn.segment_logsumexp(lj, nn.Segments(lengths))
                 return (lse.sum() - nn.gather(lj, pos).sum()) * (1.0 / n_seg)
 
             fd_gradcheck(loss_listwise, {"u": u, "v": v})
