@@ -136,8 +136,9 @@ def _require_out(args) -> Path:
     if args.out is None:
         raise ConfigError("--out is required for this command")
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise ConfigError(f"--out {out} exists and is not a directory")
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out}: {path} is not a directory")
     return out
 
 

@@ -512,15 +512,17 @@ class TestOutDirectory:
         assert rc == 1
         assert not (tmp_path / "x").exists()
 
-    def test_out_that_is_a_file_is_usage_error(self, ws, tmp_path, capsys):
-        out = tmp_path / "taken"
-        out.write_text("keep\n")
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_that_is_a_file_is_usage_error(self, ws, tmp_path, capsys,
+                                               under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
         rc = main(["train", "--model-config", str(ws / "base.json"),
                    "--dataset", str(ws / "data" / "dataset.jsonl"),
-                   "--out", str(out), "--epochs", "0"])
+                   "--out", str(taken / under), "--epochs", "0"])
         assert rc == 1
         assert "not a directory" in capsys.readouterr().err
-        assert out.read_text() == "keep\n"
+        assert taken.read_text() == "keep\n"
 
     def test_nested_out_is_made_by_the_writers(self, ws, tmp_path):
         out = tmp_path / "a" / "b"
