@@ -501,8 +501,9 @@ def preference_pairs(grades: np.ndarray,
         cell_search = lo + grid.ids
         cell = np.arange(grid.n_rows) - grid.starts[grid.ids]
         # rows (i, j) of each cell: its row and column in the search's grid
-        ij = segments.starts[cell_search] + np.stack(
-            np.divmod(cell, sizes[cell_search]))
+        ij = np.empty((2, grid.n_rows), dtype=np.int64)
+        np.divmod(cell, sizes[cell_search], out=(ij[0], ij[1]))
+        ij += segments.starts[cell_search]
         pairs.append(ij[:, grades[ij[0]] > grades[ij[1]]])
         lo = hi
     return tuple(np.concatenate(pairs, axis=1))
