@@ -41,7 +41,7 @@ from .domain import (
     filter_training_searches,
 )
 from .errors import ConfigError, ContractError
-from .nn import Segments
+from .nn import Segments, logistic
 from .model import (
     ModelConfig,
     TrainedModel,
@@ -140,16 +140,20 @@ def model_scorer(model: TrainedModel) -> Scorer:
 def oracle_scorer(world) -> Scorer:
     """Scores candidates by their true conversion probability.
 
-    The world scores one context at a time, so this reference scorer for
-    tests walks the searches.
+    The world's logits take searches of one size at a time, since a
+    search's listing part is a mat-vec whose rounding depends on its size;
+    generated data has a single size, so that is one call.
     """
     def scorer(searches: PackedSearches) -> np.ndarray:
         scores = np.empty(searches.n_impressions)
-        for k in range(searches.n_searches):
-            lo, hi = searches.segments.starts[k:k + 2]
-            scores[lo:hi] = world.true_unc_probability(
-                searches.context_features[k],
-                world.rows_for_ids(searches.listing_ids[lo:hi]))
+        rows = world.rows_for_ids(searches.listing_ids)
+        sizes = searches.segments.sizes
+        for size in np.unique(sizes):
+            which = np.flatnonzero(sizes == size)
+            imps = searches.segments.starts[which, None] + np.arange(size)
+            logits = world.logits(searches.context_features[which], rows[imps])
+            scores[imps] = logistic(
+                logits[..., :len(POSITIVE_CHAIN)]).prod(axis=-1)
         return scores
     return scorer
 

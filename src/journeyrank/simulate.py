@@ -25,6 +25,14 @@ amplified for extreme check-in horizons and for late-journey searches.
 Which listing survives to an uncancelled stay then depends on the search
 context, not just on a fixed listing ordering, so rankers that can adapt
 per context have structural headroom over rankers that cannot.
+
+Randomness is per guest: guest ``g`` draws only from the stream of
+``SeedSequence(seed, spawn_key=(g,))``, always in the same order, so its
+journey does not depend on which other guests are generated with it.
+``generate`` steps all guests together by search index, making each
+guest's draws for that search in turn and scoring every page in array
+passes, and shards of the guest range concatenate into the full run
+byte for byte.
 """
 
 from __future__ import annotations
@@ -59,6 +67,9 @@ _DAYS_CENTER, _DAYS_SCALE = 90.0, 90.0
 _PREV_CENTER_FRACTION = 0.5
 
 _POOL_SPAWN_KEY = 999999937  # distinct from any guest index
+
+_REQ, _BOOK, _UNC, _REJ, _CBH, _CBG = (
+    LABELS.index(m) for m in ("req", "book", "unc", "rej", "cbh", "cbg"))
 
 
 @dataclass(frozen=True)
@@ -154,89 +165,98 @@ class WorldTruth:
     id_to_row: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
+        cfg = self.config
+        features = np.asarray(self.listing_features, dtype=np.float64)
+        want = (cfg.n_listings, cfg.listing_feature_dim)
+        if features.shape != want or len(self.listing_ids) != cfg.n_listings:
+            raise SchemaMismatchError(
+                f"world holds {len(self.listing_ids)} listing ids and "
+                f"features of shape {features.shape}; its config expects "
+                f"{cfg.n_listings} ids and features of shape {want}")
+        if not np.all(np.isfinite(features)):
+            raise SchemaMismatchError("world listing features must be finite")
+        object.__setattr__(self, "listing_features", features)
         if not self.id_to_row:
             object.__setattr__(self, "id_to_row",
                                {lid: k for k, lid in enumerate(self.listing_ids)})
 
-    def normalized_context(self, context: np.ndarray) -> np.ndarray:
-        context = np.asarray(context, dtype=np.float64)
-        if context.shape != (self.config.context_feature_dim,):
+    def normalized_context(self, contexts) -> np.ndarray:
+        """Raw contexts [..., context_dim] rescaled as the linear models
+        read them."""
+        contexts = np.asarray(contexts, dtype=np.float64)
+        if contexts.shape[-1:] != (self.config.context_feature_dim,):
             raise ConfigError(
-                f"context width {context.shape} does not match config "
-                f"({self.config.context_feature_dim},)")
-        out = context.copy()
-        out[0] = (context[0] - _DAYS_CENTER) / _DAYS_SCALE
+                f"context width {contexts.shape} does not match config "
+                f"(..., {self.config.context_feature_dim})")
+        out = contexts.copy()
+        out[..., 0] = (contexts[..., 0] - _DAYS_CENTER) / _DAYS_SCALE
         denom = max(self.config.max_searches_per_journey - 1, 1)
-        out[1] = context[1] / denom - _PREV_CENTER_FRACTION
+        out[..., 1] = contexts[..., 1] / denom - _PREV_CENTER_FRACTION
         return out
 
-    def _logits(self, models: dict[str, StageModel], names, context,
-                rows: np.ndarray) -> np.ndarray:
-        ctx = self.normalized_context(context)
-        x = self.listing_features[rows]
-        d_l = self.config.listing_feature_dim
-        out = np.empty((len(rows), len(names)))
-        for j, name in enumerate(names):
-            m = models[name]
-            out[:, j] = x @ m.weights[:d_l] + ctx @ m.weights[d_l:] + m.bias
-        return out
+    def logits(self, contexts, rows) -> np.ndarray:
+        """Logits [k, n, len(LABELS)] of every label, columns in ``LABELS``
+        order, for k searches: contexts [k, context_dim] and listing rows
+        [k, n].
 
-    def ctr_logit(self, rows: np.ndarray) -> np.ndarray:
-        """Listing-only part of the click logit (the CTR proxy negatives
-        couple to)."""
-        m = self.config.stage_coefficients["c"]
-        d_l = self.config.listing_feature_dim
-        return self.listing_features[rows] @ m.weights[:d_l] + m.bias
-
-    def conversion_slope_multiplier(self, context) -> float:
-        """Context-dependent gain on the conversion stage's listing slope.
-
-        1.0 when both modulation knobs are zero; above 1.0 for extreme
-        check-in horizons and late-journey searches when they are not.
+        Each element is (listing part + context part) + bias, and then the
+        couplings: the context-dependent conversion slope on ``unc``, and
+        on the negatives the click propensity, the days-ahead U-shape on
+        ``rej`` and the late-journey lift. The listing part is one mat-vec
+        per search over its own rows and the context part one dot per
+        context: a mat-vec's rounding of a row depends on the row's place
+        in the matrix, so a pool-wide table gathered by row, or one stacked
+        matrix product, would not give these values bit for bit.
         """
         cfg = self.config
-        ctx = self.normalized_context(context)
-        gain = (cfg.conversion_days_modulation * (ctx[0] ** 2 - 0.5)
-                + cfg.conversion_late_modulation * ctx[1])
-        return float(1.0 + gain)
+        ctx = self.normalized_context(contexts)
+        rows = np.asarray(rows)
+        if ctx.ndim != 2 or rows.ndim != 2 or len(rows) != len(ctx):
+            raise ConfigError(f"logits need contexts [k, d] and rows [k, n], "
+                              f"got {ctx.shape} and {rows.shape}")
+        # matmul makes one mat-vec per search, and one dot per context of
+        # the [k, 1, d] stack
+        x, ctx_rows = self.listing_features[rows], ctx[:, None, :]
+        d_l = cfg.listing_feature_dim
+        models = {**cfg.stage_coefficients, **cfg.negative_coefficients}
+        out = np.empty(rows.shape + (len(LABELS),))
+        listing = {}
+        for j, name in enumerate(LABELS):
+            w, bias = models[name].weights, models[name].bias
+            listing[name] = x @ w[:d_l]
+            out[..., j] = (listing[name] + ctx_rows @ w[d_l:]) + bias
+        # float_power rounds as a float64 scalar's ** 2 does; x * x and an
+        # array's ** 2 do not always
+        u_shape = np.float_power(ctx[:, 0], 2) - 0.5
+        late = ctx[:, 1]
+        multiplier = 1.0 + (cfg.conversion_days_modulation * u_shape
+                            + cfg.conversion_late_modulation * late)
+        bent = multiplier != 1.0
+        out[bent, :, _UNC] += ((multiplier[bent] - 1.0)[:, None]
+                               * listing["unc"][bent])
+        negative = slice(len(POSITIVE_CHAIN), None)
+        click = listing["c"] + cfg.stage_coefficients["c"].bias
+        out[..., negative] += (cfg.ctr_negative_coupling * click)[..., None]
+        out[..., _REJ] += (cfg.days_ahead_ushape_strength * u_shape)[:, None]
+        out[..., negative] += (cfg.late_journey_negative_coupling
+                               * late)[:, None, None]
+        return out
+
+    def _search_logits(self, context, rows) -> np.ndarray:
+        if rows is None:
+            rows = np.arange(len(self.listing_ids))
+        return self.logits(np.asarray(context, dtype=np.float64)[None],
+                           np.asarray(rows)[None])[0]
 
     def stage_logits(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            rows = np.arange(len(self.listing_ids))
-        out = self._logits(self.config.stage_coefficients, POSITIVE_CHAIN,
-                           context, rows)
-        multiplier = self.conversion_slope_multiplier(context)
-        if multiplier != 1.0:
-            cfg = self.config
-            unc_col = POSITIVE_CHAIN.index("unc")
-            w_listing = cfg.stage_coefficients["unc"].weights[
-                :cfg.listing_feature_dim]
-            listing_part = self.listing_features[rows] @ w_listing
-            out[:, unc_col] += (multiplier - 1.0) * listing_part
-        return out
+        return self._search_logits(context, rows)[:, :len(POSITIVE_CHAIN)]
 
     def negative_logits(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            rows = np.arange(len(self.listing_ids))
-        cfg = self.config
-        out = self._logits(cfg.negative_coefficients, NEGATIVE_MILESTONES,
-                           context, rows)
-        out += cfg.ctr_negative_coupling * self.ctr_logit(rows)[:, None]
-        ctx = self.normalized_context(context)
-        rej_col = NEGATIVE_MILESTONES.index("rej")
-        out[:, rej_col] += cfg.days_ahead_ushape_strength * (ctx[0] ** 2 - 0.5)
-        out += cfg.late_journey_negative_coupling * ctx[1]
-        return out
-
-    def stage_probabilities(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        return logistic(self.stage_logits(context, rows))
-
-    def negative_probabilities(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        return logistic(self.negative_logits(context, rows))
+        return self._search_logits(context, rows)[:, len(POSITIVE_CHAIN):]
 
     def true_unc_probability(self, context, rows: np.ndarray | None = None) -> np.ndarray:
         """Joint conversion probability: product of all stage conditionals."""
-        return self.stage_probabilities(context, rows).prod(axis=1)
+        return logistic(self.stage_logits(context, rows)).prod(axis=1)
 
     def rows_for_ids(self, listing_ids) -> np.ndarray:
         try:
@@ -409,81 +429,6 @@ def benchmark_generator_config(n_guests: int = 8500, seed: int = 505,
 # generation
 
 
-def _sample_journey(rng: np.random.Generator, world: WorldTruth) -> list[tuple]:
-    """One guest's searches before attribution, each as (context, t_days,
-    listing rows, raw flags [rows, len(LABELS)])."""
-    cfg = world.config
-    n_taste = cfg.context_feature_dim - 2
-    taste = np.round(rng.normal(size=n_taste), 6)
-    days_ahead_start = rng.uniform(1.0, 180.0)
-    start_day = rng.uniform(0.0, 365.0)
-    n_planned = int(rng.integers(1, cfg.max_searches_per_journey + 1))
-
-    open_listings = np.ones(cfg.n_listings, dtype=bool)
-    searches = []
-    elapsed = 0.0
-    for s_idx in range(n_planned):
-        if s_idx > 0:
-            elapsed += rng.uniform(0.25, 1.75)
-        if elapsed >= min(cfg.journey_window_days, days_ahead_start):
-            break
-        context = np.empty(cfg.context_feature_dim)
-        context[0] = round(days_ahead_start - elapsed, 6)
-        context[1] = float(s_idx)
-        context[2:] = taste
-
-        available = np.flatnonzero(open_listings)
-        if len(available) < cfg.listings_per_search:
-            break
-        rows = rng.choice(available, size=cfg.listings_per_search, replace=False)
-
-        p_stage = world.stage_probabilities(context, rows)
-        p_neg = world.negative_probabilities(context, rows)
-        n = len(rows)
-        draws = rng.random((n, len(POSITIVE_CHAIN)))
-        reached = np.ones(n, dtype=bool)
-        flags = {}
-        for j, name in enumerate(POSITIVE_CHAIN):
-            reached = reached & (draws[:, j] < p_stage[:, j])
-            flags[name] = reached.copy()
-
-        # one booking per search: the best-positioned booking wins, the
-        # rest fall back to unbooked requests
-        book = flags["book"]
-        if book.any():
-            first = int(np.flatnonzero(book)[0])
-            keep = np.zeros(n, dtype=bool)
-            keep[first] = True
-            flags["book"] = book & keep
-            flags["unc"] = flags["unc"] & keep
-
-        booked = flags["book"]
-        cancelled = booked & ~flags["unc"]
-        cbh = np.zeros(n, dtype=bool)
-        cbg = np.zeros(n, dtype=bool)
-        if cancelled.any():
-            idx = np.flatnonzero(cancelled)
-            p_h = p_neg[idx, NEGATIVE_MILESTONES.index("cbh")]
-            p_g = p_neg[idx, NEGATIVE_MILESTONES.index("cbg")]
-            host_share = p_h / (p_h + p_g)
-            is_host = rng.random(len(idx)) < host_share
-            cbh[idx[is_host]] = True
-            cbg[idx[~is_host]] = True
-
-        rejectable = flags["req"] & ~flags["book"]
-        rej = rejectable & (rng.random(n) < p_neg[:, NEGATIVE_MILESTONES.index("rej")])
-
-        flags.update(rej=rej, cbh=cbh, cbg=cbg)
-        searches.append((context, round(start_day + elapsed, 6), rows,
-                         np.column_stack([flags[m] for m in LABELS])))
-
-        open_listings[rows[rej | cbh | cbg | booked]] = False
-        if booked.any():
-            break
-
-    return searches
-
-
 def build_world(config: GeneratorConfig) -> WorldTruth:
     pool_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(_POOL_SPAWN_KEY,)))
@@ -497,44 +442,129 @@ def generate(config: GeneratorConfig,
              guest_range: tuple[int, int] | None = None) -> tuple[Dataset, WorldTruth]:
     """Sample journeys, attribute labels, and return the labeled dataset.
 
-    ``guest_range`` generates only guests [lo, hi) for sharded runs; every
-    guest owns an independent seeded stream, so shards concatenate into
-    exactly the full-run output.
+    Guest ``g`` draws only from its own stream,
+    ``SeedSequence(config.seed, spawn_key=(g,))``, in a fixed order: the
+    journey draws (taste, check-in horizon, start day, planned searches),
+    then per search the gap since the last search (from the second on),
+    the page, the funnel draws, the host-or-guest draw if the booking is
+    cancelled, and the rejection draws. All guests advance together one
+    search index at a time: a loop over the guests still searching makes
+    each one's draws for that search, and array passes score and label
+    every page at once. ``guest_range`` generates only guests [lo, hi) for
+    sharded runs; since no guest's draws depend on another's, shards
+    concatenate into exactly the full-run output.
     """
     world = build_world(config)
     lo, hi = guest_range if guest_range is not None else (0, config.n_guests)
     if not 0 <= lo <= hi <= config.n_guests:
         raise ConfigError(f"guest range [{lo}, {hi}) outside [0, {config.n_guests})")
-    guest_ids, searches_per_journey, search_ids = [], [], []
-    t_days, contexts, rows, flags = [], [], [], []
-    for guest_idx in range(lo, hi):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(guest_idx,)))
-        searches = _sample_journey(rng, world)
-        if not searches:
-            continue
-        guest_ids.append(f"g{guest_idx:06d}")
-        searches_per_journey.append(len(searches))
-        for s_idx, (context, t, search_rows, search_flags) in enumerate(searches):
-            search_ids.append(f"g{guest_idx:06d}-s{s_idx}")
-            t_days.append(t)
-            contexts.append(context)
-            rows.append(search_rows)
-            flags.append(search_flags)
-    n = config.listings_per_search
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    flags = (np.concatenate(flags) if flags
-             else np.zeros((0, len(LABELS)), dtype=bool))
+    n, n_stages = config.listings_per_search, len(POSITIVE_CHAIN)
+    n_taste = config.context_feature_dim - len(CONTEXT_FEATURE_PREFIX)
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed,
+                                                         spawn_key=(g,)))
+            for g in range(lo, hi)]
+    taste, days_ahead, start_day, n_planned = [], [], [], []
+    most = config.max_searches_per_journey
+    for rng in rngs:
+        taste.append(rng.normal(size=n_taste))
+        days_ahead.append(rng.uniform(1.0, 180.0))
+        start_day.append(rng.uniform(0.0, 365.0))
+        n_planned.append(int(rng.integers(1, most + 1)))
+    taste = np.round(np.reshape(taste, (len(rngs), n_taste)), 6)
+    limit = [min(config.journey_window_days, d) for d in days_ahead]
+    elapsed = [0.0] * len(rngs)
+    open_listings = np.ones((len(rngs), config.n_listings), dtype=bool)
+
+    # per search: guest, search index, context, t_days, rows, raw flags
+    steps = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros((0, config.context_feature_dim)), np.zeros(0),
+              np.zeros((0, n), dtype=np.int64),
+              np.zeros((0, n, len(LABELS)), dtype=bool))]
+    live = range(len(rngs))
+    for s_idx in range(most):
+        searching, pages, draws, days, t_days = [], [], [], [], []
+        for g in live:
+            if s_idx >= n_planned[g]:
+                continue
+            rng = rngs[g]
+            if s_idx > 0:
+                elapsed[g] += rng.uniform(0.25, 1.75)
+            if elapsed[g] >= limit[g]:
+                continue
+            available = np.flatnonzero(open_listings[g])
+            if len(available) < n:
+                continue
+            searching.append(g)
+            pages.append(rng.choice(available, size=n, replace=False))
+            draws.append(rng.random((n, n_stages)))
+            # Python's round, which np.round does not always match
+            days.append(round(days_ahead[g] - elapsed[g], 6))
+            t_days.append(round(start_day[g] + elapsed[g], 6))
+        if not searching:
+            break
+        guests, rows = np.array(searching), np.array(pages)
+        k = len(guests)
+        contexts = np.empty((k, config.context_feature_dim))
+        contexts[:, 0] = days
+        contexts[:, 1] = s_idx
+        contexts[:, 2:] = taste[guests]
+        p = logistic(world.logits(contexts, rows))
+
+        flags = np.zeros((k, n, len(LABELS)), dtype=bool)
+        flags[..., :n_stages] = np.logical_and.accumulate(
+            np.array(draws) < p[..., :n_stages], axis=-1)
+        # one booking per search: the best-positioned booking wins, the
+        # rest fall back to unbooked requests
+        first = np.argmax(flags[..., _BOOK], axis=1)
+        won = np.zeros((k, n), dtype=bool)
+        won[np.arange(k), first] = True
+        flags[..., _BOOK] &= won
+        flags[..., _UNC] &= won
+        booked = flags[..., _BOOK]
+        cancelled = booked & ~flags[..., _UNC]
+        due = cancelled.any(axis=1)
+
+        host_draw, rej_draw = np.zeros(k), np.empty((k, n))
+        for j, g in enumerate(searching):
+            if due[j]:
+                host_draw[j] = rngs[g].random(1)[0]
+            rej_draw[j] = rngs[g].random(n)
+        # a cancellation falls to the host by the outcomes' relative risk
+        p_h, p_g = p[due, first[due], _CBH], p[due, first[due], _CBG]
+        is_host = np.zeros(k, dtype=bool)
+        is_host[due] = host_draw[due] < p_h / (p_h + p_g)
+        flags[..., _CBH] = cancelled & is_host[:, None]
+        flags[..., _CBG] = cancelled & ~is_host[:, None]
+        flags[..., _REJ] = (flags[..., _REQ] & ~booked
+                            & (rej_draw < p[..., _REJ]))
+
+        # a booking or a negative outcome takes the listing out of the pool
+        closed = booked | flags[..., n_stages:].any(axis=-1)
+        hit, slot = np.nonzero(closed)
+        open_listings[guests[hit], rows[hit, slot]] = False
+        steps.append((guests, np.full(k, s_idx), contexts, np.array(t_days),
+                      rows, flags))
+        live = guests[~booked.any(axis=1)].tolist()
+
+    guest_of, search_of, contexts, t_days, rows, flags = (
+        np.concatenate(column) for column in zip(*steps))
+    # steps hold search s of every guest; a stable sort by guest restores
+    # journey order
+    order = np.argsort(guest_of, kind="stable")
+    guest_of = (guest_of[order] + lo).tolist()
+    search_of = search_of[order].tolist()
+    rows, flags = rows[order].ravel(), flags[order].reshape(-1, len(LABELS))
+    guests, searches_per_journey = np.unique(guest_of, return_counts=True)
     raw = Dataset.from_columns(
         config.schema(),
-        guest_ids=guest_ids,
+        guest_ids=[f"g{g:06d}" for g in guests],
         searches_per_journey=searches_per_journey,
-        search_ids=search_ids,
-        t_days=t_days,
-        context_features=contexts,
-        imps_per_search=[n] * len(search_ids),
+        search_ids=[f"g{g:06d}-s{s}" for g, s in zip(guest_of, search_of)],
+        t_days=t_days[order],
+        context_features=contexts[order],
+        imps_per_search=np.full(len(order), n),
         listing_ids=np.asarray(world.listing_ids)[rows],
-        positions=np.tile(np.arange(1, n + 1), len(search_ids)),
+        positions=np.tile(np.arange(1, n + 1), len(order)),
         listing_features=world.listing_features[rows],
         labels={m: flags[:, k] for k, m in enumerate(LABELS)},
     )
@@ -592,8 +622,9 @@ def _stage_models_to_record(models: dict[str, StageModel]) -> dict:
 
 
 def _stage_models_from_record(rec: dict) -> dict[str, StageModel]:
-    return {name: StageModel(weights=np.asarray(entry["weights"], dtype=np.float64),
-                             bias=_number(entry["bias"]))
+    return {name: StageModel(
+                weights=np.array([_number(v) for v in entry["weights"]]),
+                bias=_number(entry["bias"]))
             for name, entry in rec.items()}
 
 
@@ -671,8 +702,13 @@ def load_world(path: str | Path) -> WorldTruth:
         record = json.load(f)
     if record.get("record") != "world":
         raise SchemaMismatchError(f"{path}: not a world-truth file")
+    try:
+        features = np.asarray(record["listing_features"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SchemaMismatchError(
+            f"{path}: listing features are not a numeric matrix") from None
     return WorldTruth(
         config=generator_config_from_record(record["config"]),
         listing_ids=tuple(record["listing_ids"]),
-        listing_features=np.asarray(record["listing_features"], dtype=np.float64),
+        listing_features=features,
     )

@@ -18,14 +18,18 @@ import pytest
 from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev, nn
 from journeyrank.dataio import dataset_from_records, dataset_to_records
-from journeyrank.domain import POSITIVE_CHAIN
+from journeyrank.domain import POSITIVE_CHAIN, select_impressions
 from journeyrank.errors import ConfigError, ContractError, SchemaMismatchError
 from journeyrank.model import (
     baseline_model_config,
     default_model_config,
     train,
 )
-from journeyrank.simulate import default_generator_config, generate
+from journeyrank.simulate import (
+    benchmark_generator_config,
+    default_generator_config,
+    generate,
+)
 
 
 def brute_ndcg(ranked_ids, positive_ids):
@@ -248,6 +252,20 @@ class TestScorers:
             n += 1
         expectation = total / n
         assert abs(reports["unc"].mean - expectation) < 0.03
+
+    def test_oracle_matches_each_search_scored_alone(self):
+        dataset, world = generate(benchmark_generator_config(n_guests=60,
+                                                             seed=1))
+        keep = np.random.default_rng(0).random(dataset.n_impressions) < 0.7
+        ragged = select_impressions(dataset, keep).searches
+        assert len(np.unique(ragged.segments.sizes)) > 1
+        scores = ev.oracle_scorer(world)(ragged)
+        for k in range(ragged.n_searches):
+            lo, hi = ragged.segments.starts[k:k + 2]
+            np.testing.assert_array_equal(
+                scores[lo:hi], world.true_unc_probability(
+                    ragged.context_features[k],
+                    world.rows_for_ids(ragged.listing_ids[lo:hi])))
 
     def test_skip_counts_partition_searches(self, small_data):
         dataset, world = small_data

@@ -9,6 +9,9 @@ the frozen world coefficients and are asserted exactly; any drift in the
 sampling path shows up here first.
 """
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -20,8 +23,11 @@ from journeyrank.dataio import (
     save_dataset,
 )
 from journeyrank.domain import (
+    LABELS,
     NEGATIVE_MILESTONES,
     POSITIVE_CHAIN,
+    Dataset,
+    attribute_labels,
     validate_dataset,
 )
 from journeyrank.errors import ConfigError, SchemaMismatchError
@@ -39,6 +45,7 @@ from journeyrank.simulate import (
     save_world,
     summarize,
 )
+from journeyrank.nn import logistic
 
 
 def click_rate(dataset):
@@ -50,6 +57,175 @@ def rejection_by_days(dataset):
     eligible = s.labels["req"] & ~s.labels["book"]
     days = s.context_features[s.segments.ids[eligible], 0]
     return days, s.labels["rej"][eligible].astype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# the reference sampler: one guest and one search at a time, each search's
+# logits computed on their own; ``generate`` must reproduce it record for
+# record
+
+
+def reference_context(config, context):
+    out = np.array(context, dtype=np.float64)
+    out[0] = (context[0] - 90.0) / 90.0
+    out[1] = context[1] / max(config.max_searches_per_journey - 1, 1) - 0.5
+    return out
+
+
+def reference_logits(world, models, names, context, rows):
+    ctx = reference_context(world.config, context)
+    x = world.listing_features[rows]
+    d_l = world.config.listing_feature_dim
+    out = np.empty((len(rows), len(names)))
+    for j, name in enumerate(names):
+        m = models[name]
+        out[:, j] = x @ m.weights[:d_l] + ctx @ m.weights[d_l:] + m.bias
+    return out
+
+
+def reference_stage_logits(world, context, rows):
+    cfg = world.config
+    out = reference_logits(world, cfg.stage_coefficients, POSITIVE_CHAIN,
+                           context, rows)
+    ctx = reference_context(cfg, context)
+    multiplier = float(1.0 + (cfg.conversion_days_modulation
+                              * (ctx[0] ** 2 - 0.5)
+                              + cfg.conversion_late_modulation * ctx[1]))
+    if multiplier != 1.0:
+        w = cfg.stage_coefficients["unc"].weights[:cfg.listing_feature_dim]
+        out[:, POSITIVE_CHAIN.index("unc")] += (
+            (multiplier - 1.0) * (world.listing_features[rows] @ w))
+    return out
+
+
+def reference_negative_logits(world, context, rows):
+    cfg = world.config
+    out = reference_logits(world, cfg.negative_coefficients,
+                           NEGATIVE_MILESTONES, context, rows)
+    click = cfg.stage_coefficients["c"]
+    ctr = (world.listing_features[rows]
+           @ click.weights[:cfg.listing_feature_dim] + click.bias)
+    out += cfg.ctr_negative_coupling * ctr[:, None]
+    ctx = reference_context(cfg, context)
+    out[:, NEGATIVE_MILESTONES.index("rej")] += (
+        cfg.days_ahead_ushape_strength * (ctx[0] ** 2 - 0.5))
+    out += cfg.late_journey_negative_coupling * ctx[1]
+    return out
+
+
+def reference_sample_journey(rng, world, stops: Counter) -> list[tuple]:
+    """One guest's searches before attribution; counts why it stopped."""
+    cfg = world.config
+    n_taste = cfg.context_feature_dim - 2
+    taste = np.round(rng.normal(size=n_taste), 6)
+    days_ahead_start = rng.uniform(1.0, 180.0)
+    start_day = rng.uniform(0.0, 365.0)
+    n_planned = int(rng.integers(1, cfg.max_searches_per_journey + 1))
+
+    open_listings = np.ones(cfg.n_listings, dtype=bool)
+    searches = []
+    elapsed = 0.0
+    for s_idx in range(n_planned):
+        if s_idx > 0:
+            elapsed += rng.uniform(0.25, 1.75)
+        if elapsed >= min(cfg.journey_window_days, days_ahead_start):
+            stops["window"] += 1
+            return searches
+        context = np.empty(cfg.context_feature_dim)
+        context[0] = round(days_ahead_start - elapsed, 6)
+        context[1] = float(s_idx)
+        context[2:] = taste
+
+        available = np.flatnonzero(open_listings)
+        if len(available) < cfg.listings_per_search:
+            stops["pool"] += 1
+            return searches
+        rows = rng.choice(available, size=cfg.listings_per_search,
+                          replace=False)
+
+        p_stage = logistic(reference_stage_logits(world, context, rows))
+        p_neg = logistic(reference_negative_logits(world, context, rows))
+        n = len(rows)
+        draws = rng.random((n, len(POSITIVE_CHAIN)))
+        reached = np.ones(n, dtype=bool)
+        flags = {}
+        for j, name in enumerate(POSITIVE_CHAIN):
+            reached = reached & (draws[:, j] < p_stage[:, j])
+            flags[name] = reached.copy()
+
+        book = flags["book"]
+        if book.any():
+            first = int(np.flatnonzero(book)[0])
+            keep = np.zeros(n, dtype=bool)
+            keep[first] = True
+            flags["book"] = book & keep
+            flags["unc"] = flags["unc"] & keep
+
+        booked = flags["book"]
+        cancelled = booked & ~flags["unc"]
+        cbh = np.zeros(n, dtype=bool)
+        cbg = np.zeros(n, dtype=bool)
+        if cancelled.any():
+            idx = np.flatnonzero(cancelled)
+            p_h = p_neg[idx, NEGATIVE_MILESTONES.index("cbh")]
+            p_g = p_neg[idx, NEGATIVE_MILESTONES.index("cbg")]
+            is_host = rng.random(len(idx)) < p_h / (p_h + p_g)
+            cbh[idx[is_host]] = True
+            cbg[idx[~is_host]] = True
+
+        rejectable = flags["req"] & ~flags["book"]
+        rej = rejectable & (rng.random(n)
+                            < p_neg[:, NEGATIVE_MILESTONES.index("rej")])
+
+        flags.update(rej=rej, cbh=cbh, cbg=cbg)
+        searches.append((context, round(start_day + elapsed, 6), rows,
+                         np.column_stack([flags[m] for m in LABELS])))
+
+        open_listings[rows[rej | cbh | cbg | booked]] = False
+        if booked.any():
+            stops["booked"] += 1
+            return searches
+    stops["planned"] += 1
+    return searches
+
+
+def reference_generate(config, stops: Counter | None = None) -> Dataset:
+    """Every guest's journey, one guest after another, attributed."""
+    stops = Counter() if stops is None else stops
+    world = build_world(config)
+    guest_ids, searches_per_journey, search_ids = [], [], []
+    t_days, contexts, rows, flags = [], [], [], []
+    for guest_idx in range(config.n_guests):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(guest_idx,)))
+        searches = reference_sample_journey(rng, world, stops)
+        if not searches:
+            continue
+        guest_ids.append(f"g{guest_idx:06d}")
+        searches_per_journey.append(len(searches))
+        for s_idx, (context, t, search_rows, search_flags) in enumerate(
+                searches):
+            search_ids.append(f"g{guest_idx:06d}-s{s_idx}")
+            t_days.append(t)
+            contexts.append(context)
+            rows.append(search_rows)
+            flags.append(search_flags)
+    n = config.listings_per_search
+    rows = np.concatenate(rows)
+    flags = np.concatenate(flags)
+    return attribute_labels(Dataset.from_columns(
+        config.schema(),
+        guest_ids=guest_ids,
+        searches_per_journey=searches_per_journey,
+        search_ids=search_ids,
+        t_days=t_days,
+        context_features=contexts,
+        imps_per_search=[n] * len(search_ids),
+        listing_ids=np.asarray(world.listing_ids)[rows],
+        positions=np.tile(np.arange(1, n + 1), len(search_ids)),
+        listing_features=world.listing_features[rows],
+        labels={m: flags[:, k] for k, m in enumerate(LABELS)},
+    ))
 
 
 class TestConfigValidation:
@@ -132,6 +308,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="stage_coefficients"):
             generator_config_from_record(rec)
 
+    @pytest.mark.parametrize("key, weight", [
+        ("stage_coefficients", True), ("negative_coefficients", "0.5"),
+    ], ids=["boolean", "string"])
+    def test_record_weight_must_be_a_number(self, key, weight):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        name = next(iter(rec[key]))
+        rec[key][name]["weights"][0] = weight
+        with pytest.raises(ConfigError, match=key):
+            generator_config_from_record(rec)
+
+    def test_record_weights_read_integers_as_floats(self):
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        width = len(rec["stage_coefficients"]["c"]["weights"])
+        rec["stage_coefficients"]["c"]["weights"] = list(range(width))
+        weights = generator_config_from_record(
+            rec).stage_coefficients["c"].weights
+        assert weights.dtype == np.float64
+        np.testing.assert_array_equal(weights, np.arange(width, dtype=float))
+
     def test_record_float_setting_reads_an_integer(self):
         rec = generator_config_to_record(default_generator_config(n_guests=5))
         rec["journey_window_days"] = 30
@@ -195,6 +390,86 @@ class TestDeterminism:
             generate(cfg, guest_range=(-1, 5))
 
 
+class TestLockstepMatchesReference:
+    """The generator reproduces the per-guest reference sampler record for
+    record, on configs that between them reach every branch: the default
+    world keeps the conversion slope multiplier at 1.0 and the benchmark
+    world bends it."""
+
+    @pytest.mark.parametrize("make_config, reached", [
+        (lambda: default_generator_config(n_guests=200, seed=4),
+         {"booked", "planned"}),
+        (lambda: benchmark_generator_config(n_guests=200, seed=2),
+         {"booked", "rej", "cbh", "cbg"}),
+        # one page above the pool's size, and not a multiple of 4 rows
+        (lambda: benchmark_generator_config(n_guests=200, seed=3,
+                                            n_listings=16,
+                                            listings_per_search=15),
+         {"pool", "rej"}),
+        (lambda: default_generator_config(n_guests=200, seed=6,
+                                          ctr_negative_coupling=0.8,
+                                          days_ahead_ushape_strength=1.0,
+                                          late_journey_negative_coupling=0.6),
+         {"rej", "cbh", "cbg"}),
+        (lambda: default_generator_config(n_guests=200, seed=7,
+                                          journey_window_days=1.5),
+         {"window"}),
+    ], ids=["default", "benchmark", "pool-runs-out", "coupled",
+            "short-window"])
+    def test_records_equal_reference(self, make_config, reached):
+        cfg = make_config()
+        stops = Counter()
+        want = reference_generate(cfg, stops)
+        got, _ = generate(cfg)
+        seen = set(stops) | {m for m in NEGATIVE_MILESTONES
+                             if want.searches.labels[m].any()}
+        assert reached <= seen
+        assert list(dataset_to_records(got)) == list(dataset_to_records(want))
+
+    @pytest.mark.parametrize("config", [
+        default_generator_config(n_guests=1, seed=3, ctr_negative_coupling=0.8,
+                                 days_ahead_ushape_strength=1.0,
+                                 late_journey_negative_coupling=0.6),
+        benchmark_generator_config(n_guests=1, seed=4),
+        benchmark_generator_config(n_guests=1, seed=5, n_listings=601,
+                                   listings_per_search=15),
+    ], ids=["default-coupled", "benchmark", "benchmark-odd-sizes"])
+    def test_logits_equal_reference(self, config):
+        """Sampled records hide a last-bit change in a logit, so the
+        logits are compared themselves."""
+        world = build_world(config)
+        rng = np.random.default_rng(0)
+        k, n = 128, config.listings_per_search
+        contexts = np.round(rng.normal(size=(k, config.context_feature_dim)),
+                            6)
+        # some horizons are ones whose normalized square a float64
+        # scalar's ** 2 rounds differently from x * x
+        days = np.round(rng.uniform(0.0, 180.0, size=400 * k), 6)
+        x = (days - 90.0) / 90.0
+        odd = days[np.array([v ** 2 for v in x]) != x * x][:k // 2]
+        assert len(odd) >= 8
+        contexts[:, 0] = np.concatenate([odd, days[:k - len(odd)]])
+        contexts[:, 1] = rng.integers(0, config.max_searches_per_journey,
+                                      size=k)
+        rows = np.array([rng.choice(config.n_listings, size=n, replace=False)
+                         for _ in range(k)])
+        got = world.logits(contexts, rows)
+        for context, search_rows, search_logits in zip(contexts, rows, got):
+            np.testing.assert_array_equal(
+                search_logits,
+                np.hstack([reference_stage_logits(world, context, search_rows),
+                           reference_negative_logits(world, context,
+                                                     search_rows)]))
+
+    def test_shards_equal_reference(self):
+        cfg = benchmark_generator_config(n_guests=90, seed=8)
+        merged = []
+        for guest_range in [(0, 0), (0, 37), (37, 37), (37, 90), (90, 90)]:
+            shard, _ = generate(cfg, guest_range=guest_range)
+            merged += dataset_to_records(shard)
+        assert merged == list(dataset_to_records(reference_generate(cfg)))
+
+
 class TestGeneratedDataValidity:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_zero_violations(self, seed):
@@ -253,12 +528,6 @@ class TestWorldTruth:
                                             late_journey_negative_coupling=0.4)
         self.world = build_world(self.cfg)
 
-    def oracle_context(self, context):
-        out = np.array(context, dtype=np.float64)
-        out[0] = (out[0] - 90.0) / 90.0
-        out[1] = out[1] / (self.cfg.max_searches_per_journey - 1) - 0.5
-        return out
-
     def test_normalized_context(self):
         raw = np.array([135.0, 7.0, 0.3, -0.2])
         np.testing.assert_allclose(self.world.normalized_context(raw),
@@ -268,36 +537,34 @@ class TestWorldTruth:
         context = np.array([45.0, 2.0, 0.5, -1.0])
         rows = np.array([0, 3, 7])
         got = self.world.stage_logits(context, rows)
-        ctx = self.oracle_context(context)
+        ctx = reference_context(self.cfg, context)
         d_l = self.cfg.listing_feature_dim
+        x = self.world.listing_features[rows]
         for j, name in enumerate(POSITIVE_CHAIN):
             model = self.cfg.stage_coefficients[name]
-            for i, row in enumerate(rows):
-                x = self.world.listing_features[row]
-                want = (x @ model.weights[:d_l] + ctx @ model.weights[d_l:]
-                        + model.bias)
-                np.testing.assert_allclose(got[i, j], want, rtol=1e-14)
+            want = (x @ model.weights[:d_l] + ctx @ model.weights[d_l:]
+                    + model.bias)
+            np.testing.assert_array_equal(got[:, j], want)
 
     def test_negative_logits_include_all_couplings(self):
         context = np.array([170.0, 5.0, -0.4, 0.8])
         rows = np.array([2, 11])
         got = self.world.negative_logits(context, rows)
-        ctx = self.oracle_context(context)
+        ctx = reference_context(self.cfg, context)
         d_l = self.cfg.listing_feature_dim
         click = self.cfg.stage_coefficients["c"]
+        x = self.world.listing_features[rows]
         for j, name in enumerate(NEGATIVE_MILESTONES):
             model = self.cfg.negative_coefficients[name]
-            for i, row in enumerate(rows):
-                x = self.world.listing_features[row]
-                want = (x @ model.weights[:d_l] + ctx @ model.weights[d_l:]
-                        + model.bias)
-                want += self.cfg.ctr_negative_coupling * (
-                    x @ click.weights[:d_l] + click.bias)
-                if name == "rej":
-                    want += self.cfg.days_ahead_ushape_strength * (
-                        ctx[0] ** 2 - 0.5)
-                want += self.cfg.late_journey_negative_coupling * ctx[1]
-                np.testing.assert_allclose(got[i, j], want, rtol=1e-14)
+            want = (x @ model.weights[:d_l] + ctx @ model.weights[d_l:]
+                    + model.bias)
+            want += self.cfg.ctr_negative_coupling * (
+                x @ click.weights[:d_l] + click.bias)
+            if name == "rej":
+                want += self.cfg.days_ahead_ushape_strength * (
+                    ctx[0] ** 2 - 0.5)
+            want += self.cfg.late_journey_negative_coupling * ctx[1]
+            np.testing.assert_array_equal(got[:, j], want)
 
     def test_conversion_probability_is_stage_product(self):
         context = np.array([80.0, 1.0, 0.0, 0.0])
@@ -322,6 +589,24 @@ class TestWorldTruth:
         np.testing.assert_array_equal(
             back.true_unc_probability(context),
             self.world.true_unc_probability(context))
+
+    @pytest.mark.parametrize("mismatch", [
+        lambda rec: rec.update(listing_features=[
+            row[:5] for row in rec["listing_features"]]),
+        lambda rec: rec.update(listing_ids=rec["listing_ids"][:10]),
+        lambda rec: rec.update(listing_features=rec["listing_features"][:-1]),
+        lambda rec: rec["listing_features"][3].pop(),
+        lambda rec: rec["listing_features"][0].__setitem__(0, float("nan")),
+    ], ids=["feature-width", "id-count", "row-count", "ragged", "non-finite"])
+    def test_load_rejects_a_world_that_does_not_fit_its_config(
+            self, tmp_path, mismatch):
+        path = tmp_path / "world.json"
+        save_world(self.world, path)
+        rec = json.loads(path.read_text())
+        mismatch(rec)
+        path.write_text(json.dumps(rec))
+        with pytest.raises(SchemaMismatchError):
+            load_world(path)
 
     def test_load_rejects_other_records(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -366,7 +651,8 @@ class TestTrueRanking:
             assert probs[first] >= probs[second] - 1e-15
 
     def test_ties_broken_by_listing_id(self):
-        cfg = default_generator_config(n_guests=5, seed=2, n_listings=8)
+        cfg = default_generator_config(n_guests=5, seed=2, n_listings=3,
+                                       listings_per_search=2)
         features = np.zeros((3, cfg.listing_feature_dim))
         features[2, 0] = 5.0
         world = WorldTruth(config=cfg, listing_ids=("b", "a", "z"),
