@@ -1,16 +1,18 @@
 """Multi-task journey ranking model.
 
-Two shared MLP towers embed listing features and search context. A stack
-of per-task heads turns the pair of embeddings into conditional logits for
-each positive funnel milestone; chaining their log-sigmoids yields joint
-log-probabilities, and the deepest one (uncancelled booking) is the base
-ranking score. Further heads score each negative outcome (rejection and
-the two cancellation kinds) as binary classifiers over their eligible
-rows. A small coefficient MLP, reading the context embedding alone, blends
-the base score with the negative-outcome logits into the final score; the
-blend sees all scores through a gradient stop, so its loss tunes only the
-blend coefficients and the context they are conditioned on, never the
-scoring heads themselves.
+Two shared MLP towers embed listing features and search context. One head
+per task turns the pair of embeddings into a logit, and per-task values
+stay ``[rows, tasks]`` matrices, one column per task, from the heads to
+the losses. The positive funnel milestones' conditional logits chain into
+joint log-probabilities through one log-sigmoid and one running sum along
+the columns; the deepest (uncancelled booking) is the base ranking score.
+Further heads score each negative outcome (rejection and the two
+cancellation kinds) as binary classifiers over their eligible rows. A
+small coefficient MLP, reading the context embedding alone, blends the
+base score with the negative-outcome logits into the final score, as one
+running sum of coefficient times score; the blend sees all scores through
+a gradient stop, so its loss tunes only the blend coefficients and the
+context they are conditioned on, never the scoring heads themselves.
 
 The context tower and the coefficient MLP run once per search, and a
 segment broadcast over the batch's search layout (an ``nn.Segments``)
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -354,16 +356,20 @@ class Embeddings:
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Every intermediate score for a batch of impressions, one value per
-    impression row in every field."""
+    """Every intermediate score for a batch of impressions, one row per
+    impression. ``cond_logits`` and ``log_joint`` hold one column per base
+    task and ``y_twiddler`` and ``alpha_twiddler`` one per twiddler, in
+    config order; ``alpha_base`` is one column, ``y_base`` and
+    ``y_combination`` are vectors. A config without twiddlers has no
+    blend, and leaves the twiddler and blend fields None."""
 
-    cond_logits: dict[str, Tensor]
-    log_joint: dict[str, Tensor]
+    cond_logits: Tensor
+    log_joint: Tensor
     y_base: Tensor
-    y_twiddler: dict[str, Tensor]
-    alpha_base: Tensor | None
-    alpha_twiddler: dict[str, Tensor]
-    y_combination: Tensor | None
+    y_twiddler: Tensor | None = None
+    alpha_base: Tensor | None = None
+    alpha_twiddler: Tensor | None = None
+    y_combination: Tensor | None = None
 
     @property
     def ranking_score(self) -> Tensor:
@@ -376,50 +382,44 @@ def shared_forward(config: ModelConfig, params: ParameterStore,
                    context_rows: np.ndarray) -> Embeddings:
     """Embed pre-normalized listing rows (one per impression) and context
     rows (one per search) with the two towers."""
-    listing = nn.constant(np.asarray(listing_rows, dtype=np.float64))
-    context = nn.constant(np.asarray(context_rows, dtype=np.float64))
     emb_l = nn.forward_mlp(params, _TOWER_LISTING, config.listing_tower,
-                           listing)
+                           nn.Tensor(listing_rows))
     emb_c = nn.forward_mlp(params, _TOWER_CONTEXT, config.context_tower,
-                           context)
+                           nn.Tensor(context_rows))
     return Embeddings(listing=emb_l, context=emb_c)
 
 
 def _head_logits(config: ModelConfig, params: ParameterStore,
-                 joint_emb: Tensor) -> dict[str, Tensor]:
-    """Every head's logit, per row of the joint embedding.
+                 joint_emb: Tensor) -> Tensor:
+    """Every head's logit per row of the joint embedding, as a
+    ``[rows, tasks]`` matrix with one column per task of ``all_tasks``.
 
     The heads' first layers run as one matmul over their column-stacked
-    weights, so head k's first layer outputs columns ``k*w:(k+1)*w``. A
-    linear head's logit is its column of that output; a head with hidden
-    layers goes on from its block of columns.
+    weights, so head k's first layer outputs columns ``k*w:(k+1)*w``. For
+    linear heads that output is the logit matrix; heads with hidden layers
+    each go on from their block of columns.
     """
     spec = config.head
-    width = spec.layer_dims[0][1]
     prefixes = [_head_prefix(task) for task in config.all_tasks]
     first = nn.add_bias(
         nn.matmul(joint_emb,
                   nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))),
         nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
-    logits: dict[str, Tensor] = {}
-    for k, (task, prefix) in enumerate(zip(config.all_tasks, prefixes)):
-        if spec.hidden_dims:
-            block = nn.column(first, slice(k * width, (k + 1) * width))
-            out = nn.forward_mlp(params, prefix, spec, block, start=1)
-            logits[task] = nn.column(out, 0)
-        else:
-            logits[task] = nn.column(first, k)
-    return logits
+    if not spec.hidden_dims:
+        return first
+    width = spec.layer_dims[0][1]
+    return nn.concat_cols(*(
+        nn.forward_mlp(params, prefix, spec,
+                       nn.column(first, slice(k * width, (k + 1) * width)),
+                       start=1)
+        for k, prefix in enumerate(prefixes)))
 
 
-def _coefficients(config: ModelConfig, coef_logits: Tensor,
-                  ) -> tuple[Tensor, dict[str, Tensor]]:
-    """The positive base coefficient and one signed coefficient per
-    twiddler task, from the combination MLP's output columns."""
-    alpha_base = nn.softplus(nn.column(coef_logits, 0))
-    alpha_twiddler = {task: nn.column(coef_logits, 1 + k)
-                      for k, task in enumerate(config.twiddler_tasks)}
-    return alpha_base, alpha_twiddler
+def _coefficients(coef_logits: Tensor) -> tuple[Tensor, Tensor]:
+    """The combination MLP's output columns as the positive base
+    coefficient ``[rows, 1]`` and the signed twiddler coefficients."""
+    return (nn.softplus(nn.column(coef_logits, slice(0, 1))),
+            nn.column(coef_logits, slice(1, coef_logits.shape[1])))
 
 
 def forward(config: ModelConfig, params: ParameterStore,
@@ -432,43 +432,39 @@ def forward(config: ModelConfig, params: ParameterStore,
     searches. The context tower and the combination MLP run once per
     search; every output is per impression.
 
-    The joint log-probability of base task k is the running sum of
-    log-sigmoid conditional logits down the funnel, so each stage can
-    only lower it. The base coefficient passes through softplus so it
-    stays positive; twiddler coefficients may change sign. The blend
-    sees the scores through a gradient stop, so the blending loss shapes
-    coefficients, not scores.
+    The logits split into two column blocks, base tasks then twiddlers.
+    Joint log-probabilities are the running sum of log-sigmoid
+    conditional logits down the funnel, so each stage can only lower
+    them; the last is the base score. The base coefficient passes through
+    softplus so it stays positive; twiddler coefficients may change sign.
+    The blend is the running sum of coefficient times score, base score
+    first, seen through a gradient stop: its loss shapes coefficients,
+    not scores.
     """
     emb = shared_forward(config, params, listing_rows, context_rows)
     joint_emb = nn.concat_cols(emb.listing,
                                nn.segment_broadcast(emb.context, segments))
     logits = _head_logits(config, params, joint_emb)
-    cond_logits = {task: logits[task] for task in config.base_tasks}
-    y_twiddler = {task: logits[task] for task in config.twiddler_tasks}
-    log_joint: dict[str, Tensor] = {}
-    running: Tensor | None = None
-    for task, logit in cond_logits.items():
-        step = nn.log_sigmoid(logit)
-        running = step if running is None else nn.add(running, step)
-        log_joint[task] = running
-    y_base = running
-    alpha_base = None
-    alpha_twiddler: dict[str, Tensor] = {}
-    y_combination = None
-    if config.combination is not None:
-        coef_logits = nn.forward_mlp(params, _COMBINATION, config.combination,
-                                     emb.context)
-        alpha_base, alpha_twiddler = _coefficients(
-            config, nn.segment_broadcast(coef_logits, segments))
-        y_combination = nn.mul(alpha_base, nn.stop_gradient(y_base))
-        for task, alpha in alpha_twiddler.items():
-            y_combination = nn.add(y_combination, nn.mul(
-                alpha, nn.stop_gradient(y_twiddler[task])))
+    n_base = len(config.base_tasks)
+    cond_logits = nn.column(logits, slice(0, n_base))
+    log_joint = nn.cumsum(nn.log_sigmoid(cond_logits))
+    y_base = nn.column(log_joint, n_base - 1)
+    if config.combination is None:
+        return ModelOutputs(cond_logits, log_joint, y_base)
+    y_twiddler = nn.column(logits, slice(n_base, logits.shape[1]))
+    coef_logits = nn.forward_mlp(params, _COMBINATION, config.combination,
+                                 emb.context)
+    alpha_base, alpha_twiddler = _coefficients(
+        nn.segment_broadcast(coef_logits, segments))
+    scores = nn.concat_cols(
+        nn.column(nn.stop_gradient(log_joint), slice(n_base - 1, n_base)),
+        nn.stop_gradient(y_twiddler))
+    blend = nn.cumsum(nn.mul(nn.concat_cols(alpha_base, alpha_twiddler),
+                             scores))
     return ModelOutputs(cond_logits=cond_logits, log_joint=log_joint,
                         y_base=y_base, y_twiddler=y_twiddler,
-                        alpha_base=alpha_base,
-                        alpha_twiddler=alpha_twiddler,
-                        y_combination=y_combination)
+                        alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
+                        y_combination=nn.column(blend, blend.shape[1] - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -600,60 +596,61 @@ def make_batch(inputs: BatchInputs,
 # losses
 
 
-def base_loss(log_joint: Mapping[str, Tensor], batch: SearchBatch,
+def _label_matrix(batch: SearchBatch, names) -> np.ndarray:
+    """[len(names), rows]: the batch's labels ``names``, one row each. Its
+    set entries, by ``np.flatnonzero`` (a 2-d ``np.nonzero`` is slower),
+    run name by name and by row within a name."""
+    return np.stack([batch.labels[name] for name in names])
+
+
+def base_loss(log_joint: Tensor, batch: SearchBatch, tasks: Sequence[str],
               weights: Mapping[str, float]) -> Tensor:
     """Weighted listwise softmax loss summed over tasks and positives.
 
-    For each task, every positively labeled impression contributes the
-    negative log-softmax of its joint log-probability against all
-    impressions of its search.
+    ``log_joint`` holds one column per task of ``tasks``. For each task,
+    every positively labeled impression contributes the negative
+    log-softmax of its joint log-probability against all impressions of
+    its search. The positives run task by task, by row within a task.
     """
-    total: Tensor | None = None
-    for task, scores in log_joint.items():
-        positive_rows = np.flatnonzero(batch.labels[task])
-        if positive_rows.size == 0:
-            continue
-        lse = nn.segment_logsumexp(scores, batch.segments)
-        per_positive = nn.sub(nn.gather(lse,
-                                        batch.segments.ids[positive_rows]),
-                              nn.gather(scores, positive_rows))
-        term = nn.scale(nn.total_sum(per_positive), float(weights[task]))
-        total = term if total is None else nn.add(total, term)
-    if total is None:
-        return nn.constant(0.0)
-    return total
+    task, row = np.divmod(np.flatnonzero(_label_matrix(batch, tasks)),
+                          batch.n_rows)
+    n_tasks = len(tasks)
+    lse = nn.segment_logsumexp(log_joint, batch.segments)
+    per_positive = nn.sub(
+        nn.gather(lse, batch.segments.ids[row] * n_tasks + task),
+        nn.gather(log_joint, row * n_tasks + task))
+    per_task = nn.segment_sum(per_positive, Segments(
+        np.bincount(task, minlength=n_tasks)))
+    return nn.total_sum(nn.mul(per_task, nn.Tensor(
+        [float(weights[t]) for t in tasks])))
 
 
-def twiddler_loss(y_twiddler: Mapping[str, Tensor],
-                  batch: SearchBatch) -> Tensor:
+def twiddler_loss(y_twiddler: Tensor, batch: SearchBatch,
+                  tasks: Sequence[str]) -> Tensor:
     """Masked binary cross-entropy summed over negative-outcome tasks.
 
-    Each task is scored only on its eligible rows: rejection on requested
-    impressions, either cancellation kind on booked impressions. A task
-    with no eligible rows contributes exactly zero.
+    ``y_twiddler`` holds one column per task of ``tasks``. Each task is
+    scored only on its eligible rows, as a mean over them: rejection on
+    requested impressions, either cancellation kind on booked
+    impressions. A task with no eligible rows contributes exactly zero.
     """
-    total: Tensor | None = None
-    for task, logits in y_twiddler.items():
-        eligible = np.flatnonzero(batch.labels[NEGATIVE_PARENT[task]])
-        if eligible.size == 0:
-            continue
-        z = nn.gather(logits, eligible)
-        targets = batch.labels[task][eligible].astype(np.float64)
-        per_row = nn.sub(nn.softplus(z), nn.mul(nn.constant(targets), z))
-        term = nn.total_mean(per_row)
-        total = term if total is None else nn.add(total, term)
-    if total is None:
-        return nn.constant(0.0)
-    return total
+    eligible = _label_matrix(batch, [NEGATIVE_PARENT[t] for t in tasks])
+    task, row = np.divmod(np.flatnonzero(eligible), batch.n_rows)
+    z = nn.gather(y_twiddler, row * len(tasks) + task)
+    targets = _label_matrix(batch, tasks)[task, row].astype(np.float64)
+    per_row = nn.sub(nn.softplus(z), nn.mul(nn.Tensor(targets), z))
+    counts = np.bincount(task, minlength=len(tasks))
+    return nn.total_sum(nn.segment_mean(per_row, Segments(counts[counts > 0])))
 
 
 def combination_loss(y_combination: Tensor, batch: SearchBatch) -> Tensor:
-    """Pairwise logistic loss over within-search grade violations."""
+    """Pairwise logistic loss over within-search grade violations: the
+    mean of -log sigmoid(y_i - y_j), taken as softplus(y_j - y_i)."""
     if batch.pair_i.size == 0:
-        return nn.constant(0.0)
-    diff = nn.sub(nn.gather(y_combination, batch.pair_i),
-                  nn.gather(y_combination, batch.pair_j))
-    return nn.scale(nn.total_mean(nn.log_sigmoid(diff)), -1.0)
+        return nn.Tensor(0.0)
+    y_i = nn.gather(y_combination, batch.pair_i)
+    y_j = nn.gather(y_combination, batch.pair_j)
+    return nn.total_mean(nn.softplus(nn.sub(y_j, y_i)))
 
 
 def total_loss(config: ModelConfig, params: ParameterStore,
@@ -663,10 +660,11 @@ def total_loss(config: ModelConfig, params: ParameterStore,
     outputs = forward(config, params, batch.listing_rows, batch.context_rows,
                       batch.segments)
     parts: dict[str, float] = {}
-    loss = base_loss(outputs.log_joint, batch, weights)
+    loss = base_loss(outputs.log_joint, batch, config.base_tasks, weights)
     parts["base"] = float(loss.values)
     if config.twiddler_tasks:
-        term = twiddler_loss(outputs.y_twiddler, batch)
+        term = twiddler_loss(outputs.y_twiddler, batch,
+                             config.twiddler_tasks)
         parts["twiddler"] = float(term.values)
         loss = nn.add(loss, term)
     if outputs.y_combination is not None:
@@ -746,6 +744,9 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
         raise ConfigError("epochs must be non-negative")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
+    if not 0.0 < learning_rate < np.inf:
+        raise ConfigError(f"learning_rate must be finite and positive, "
+                          f"got {learning_rate!r}")
     packed = dataset.searches
     if packed.n_searches == 0:
         raise DataValidationError("training dataset has no searches")
@@ -799,11 +800,11 @@ def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
         raise ContractError("context rows must be a 2-d batch")
     normalized = model.normalization.apply_context(context_rows)
     emb_c = nn.forward_mlp(model.params, _TOWER_CONTEXT,
-                           config.context_tower, nn.constant(normalized))
-    alpha_base, alpha_twiddler = _coefficients(config, nn.forward_mlp(
+                           config.context_tower, nn.Tensor(normalized))
+    alpha_base, alpha_twiddler = _coefficients(nn.forward_mlp(
         model.params, _COMBINATION, config.combination, emb_c))
-    return alpha_base.values, {task: alpha.values
-                               for task, alpha in alpha_twiddler.items()}
+    return alpha_base.values[:, 0], dict(zip(config.twiddler_tasks,
+                                             alpha_twiddler.values.T))
 
 
 # ---------------------------------------------------------------------------

@@ -698,17 +698,24 @@ def save_world(world: WorldTruth, path: str | Path) -> None:
 
 
 def load_world(path: str | Path) -> WorldTruth:
-    with open(path) as f:
-        record = json.load(f)
-    if record.get("record") != "world":
+    """A world file; refuses anything but a world record of numbers."""
+    try:
+        with open(path) as f:
+            record = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatchError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(record, dict) or record.get("record") != "world":
         raise SchemaMismatchError(f"{path}: not a world-truth file")
     try:
-        features = np.asarray(record["listing_features"], dtype=np.float64)
-    except (TypeError, ValueError):
+        features = np.array([[_number(v) for v in row]
+                             for row in record["listing_features"]])
+        return WorldTruth(
+            config=generator_config_from_record(record["config"]),
+            listing_ids=tuple(record["listing_ids"]),
+            listing_features=features)
+    except KeyError as exc:
         raise SchemaMismatchError(
-            f"{path}: listing features are not a numeric matrix") from None
-    return WorldTruth(
-        config=generator_config_from_record(record["config"]),
-        listing_ids=tuple(record["listing_ids"]),
-        listing_features=features,
-    )
+            f"{path}: world record missing {exc}") from None
+    except (OverflowError, TypeError, ValueError):
+        raise SchemaMismatchError(f"{path}: listing ids and features must be "
+                                  "a list and a numeric matrix") from None

@@ -29,7 +29,7 @@ def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
     with nn.Tape() as tape:
         loss = make_loss()
     for t in params.values():
-        t.zero_grad()
+        t.grad = np.zeros_like(t.values)
     nn.backward(tape, loss)
     grads = {name: t.grad.copy() for name, t in params.items()}
 

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,20 @@ class TestTrain:
                        "--batch-size", "64"])
         assert rc == 3
         assert "epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["-0.001", "0", "nan", "inf"])
+    def test_bad_learning_rate_is_usage_error(self, ws, tmp_path, capsys,
+                                              rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--model-config", str(ws / "model.json"),
+                       "--dataset", str(ws / "data" / "dataset.jsonl"),
+                       "--out", str(tmp_path / "lr"), "--epochs", "1",
+                       f"--learning-rate={rate}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "learning_rate" in err
+        assert not (tmp_path / "lr" / "model").exists()
 
     def test_missing_dataset_is_usage_error(self, ws, tmp_path):
         rc = main(["train", "--model-config", str(ws / "model.json"),
@@ -499,6 +514,16 @@ class TestProtocolRefusals:
                   + ["--seeds", "0,1", "--jobs", jobs])
         assert rc == 1
         assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    @pytest.mark.parametrize("rate", ["0", "nan"])
+    def test_bad_learning_rate_is_usage_error(self, ws, tmp_path, capsys,
+                                              command, rate):
+        rc = main(self.argv(ws, tmp_path, command)
+                  + ["--seeds", "0,1", f"--learning-rate={rate}"])
+        assert rc == 1
+        assert "learning_rate" in capsys.readouterr().err
 
 
 class TestOutDirectory:

@@ -176,49 +176,60 @@ def zero_params(store):
 
 def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
                     context_rows: np.ndarray) -> ModelOutputs:
-    """Reference: the forward pass with one context row per listing row.
+    """Reference: the forward pass with one context row per listing row,
+    one task at a time.
 
     The context tower and the coefficient MLP run on every row, the joint
     embedding is built once for the base heads and once for the twiddler
-    heads, and each head is its own MLP over it.
+    heads, and each head is its own MLP over it. The funnel chain and the
+    blend add one task's ``[rows, 1]`` column at a time; only the finished
+    columns are put side by side, in the model's ``[rows, tasks]`` layout.
     """
     emb_l = nn.forward_mlp(params, "tower_listing", config.listing_tower,
-                           nn.constant(listing_rows))
+                           nn.Tensor(listing_rows))
     emb_c = nn.forward_mlp(params, "tower_context", config.context_tower,
-                           nn.constant(context_rows))
+                           nn.Tensor(context_rows))
 
     def head_logit(task, joint_emb):
-        out = nn.forward_mlp(params, f"head_{task}", config.head, joint_emb)
-        return nn.column(out, 0)
+        return nn.forward_mlp(params, f"head_{task}", config.head, joint_emb)
 
     joint_emb = nn.concat_cols(emb_l, emb_c)
-    cond_logits, log_joint = {}, {}
+    cond_logits, log_joint = [], []
     running = None
     for task in config.base_tasks:
         logit = head_logit(task, joint_emb)
-        cond_logits[task] = logit
+        cond_logits.append(logit)
         step = nn.log_sigmoid(logit)
         running = step if running is None else nn.add(running, step)
-        log_joint[task] = running
-    y_base = log_joint[config.base_tasks[-1]]
+        log_joint.append(running)
+    y_base = log_joint[-1]
     joint_emb = nn.concat_cols(emb_l, emb_c)
-    y_twiddler = {task: head_logit(task, joint_emb)
-                  for task in config.twiddler_tasks}
-    alpha_base, alpha_twiddler, y_combination = None, {}, None
+    y_twiddler = [head_logit(task, joint_emb)
+                  for task in config.twiddler_tasks]
+    alpha_base = alpha_twiddler = y_combination = None
     if config.combination is not None:
         coefs = nn.forward_mlp(params, "combination", config.combination,
                                emb_c)
-        alpha_base = nn.softplus(nn.column(coefs, 0))
-        alpha_twiddler = {task: nn.column(coefs, 1 + k)
-                          for k, task in enumerate(config.twiddler_tasks)}
+        alpha_base = nn.softplus(nn.column(coefs, slice(0, 1)))
         y_combination = nn.mul(alpha_base, nn.stop_gradient(y_base))
-        for task, alpha in alpha_twiddler.items():
+        for k, logit in enumerate(y_twiddler, start=1):
             y_combination = nn.add(y_combination, nn.mul(
-                alpha, nn.stop_gradient(y_twiddler[task])))
-    return ModelOutputs(cond_logits=cond_logits, log_joint=log_joint,
-                        y_base=y_base, y_twiddler=y_twiddler,
-                        alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
-                        y_combination=y_combination)
+                nn.column(coefs, slice(k, k + 1)),
+                nn.stop_gradient(logit)))
+        alpha_twiddler = nn.column(coefs, slice(1, coefs.shape[1]))
+        y_combination = nn.column(y_combination, 0)
+    return ModelOutputs(
+        cond_logits=nn.concat_cols(*cond_logits),
+        log_joint=nn.concat_cols(*log_joint),
+        y_base=nn.column(y_base, 0),
+        y_twiddler=nn.concat_cols(*y_twiddler) if y_twiddler else None,
+        alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
+        y_combination=y_combination)
+
+
+def task_columns(tasks, matrix) -> dict[str, float]:
+    """One row of a ``[rows, tasks]`` output, keyed by task."""
+    return {task: float(v) for task, v in zip(tasks, matrix)}
 
 
 @dataclass(frozen=True)
@@ -249,6 +260,7 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
     outputs = model.outputs(listing_rows, context[None, :],
                             nn.Segments([len(listing_rows)]))
     score = outputs.ranking_score.values
+    base, twiddlers = model.config.base_tasks, model.config.twiddler_tasks
     order = np.lexsort((np.asarray(listing_ids), -score))
     ranked = []
     for rank, k in enumerate(order, start=1):
@@ -260,23 +272,23 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
             y_base=float(outputs.y_base.values[k]),
             y_combination=(None if outputs.y_combination is None
                            else float(outputs.y_combination.values[k])),
-            log_joint={t: float(v.values[k])
-                       for t, v in outputs.log_joint.items()},
-            cond_logits={t: float(v.values[k])
-                         for t, v in outputs.cond_logits.items()},
-            y_twiddler={t: float(v.values[k])
-                        for t, v in outputs.y_twiddler.items()},
+            log_joint=task_columns(base, outputs.log_joint.values[k]),
+            cond_logits=task_columns(base, outputs.cond_logits.values[k]),
+            y_twiddler=({} if outputs.y_twiddler is None else
+                        task_columns(twiddlers, outputs.y_twiddler.values[k])),
             alpha_base=(None if outputs.alpha_base is None
-                        else float(outputs.alpha_base.values[k])),
-            alpha_twiddler={t: float(v.values[k])
-                            for t, v in outputs.alpha_twiddler.items()},
+                        else float(outputs.alpha_base.values[k, 0])),
+            alpha_twiddler=({} if outputs.alpha_twiddler is None else
+                            task_columns(twiddlers,
+                                         outputs.alpha_twiddler.values[k])),
         ))
     return ranked
 
 
 def oracle_listwise_loss(scores: np.ndarray, positives: np.ndarray,
                          seg: np.ndarray, n_seg: int) -> float:
-    """Brute-force softmax listwise loss, one term per positive."""
+    """Brute-force softmax listwise loss of one task's score vector, one
+    term per positive."""
     total = 0.0
     for s in range(n_seg):
         rows = np.flatnonzero(seg == s)
@@ -412,7 +424,7 @@ class TestSharedForward:
             [-4.107466696880749, -4.240459630992293, -5.185047818772162],
             rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            out.y_twiddler["rej"].values,
+            out.y_twiddler.values[:, config.twiddler_tasks.index("rej")],
             [-0.44795210286211457, -0.057253436327056484,
              0.03910167494221711],
             rtol=0, atol=1e-14)
@@ -449,8 +461,9 @@ def batch_of_sizes(rng: np.random.Generator, sizes) -> SearchBatch:
 @pytest.mark.parametrize("make_config", list(FORWARD_CONFIGS.values()),
                          ids=list(FORWARD_CONFIGS))
 class TestForwardMatchesPerRowReference:
-    """The per-search forward against the per-row reference it replaced:
-    the same outputs and the same gradients, up to summation order."""
+    """The per-search, columnar forward against the per-row, per-task
+    reference it replaced: the same outputs and the same gradients, up to
+    summation order."""
 
     def test_outputs(self, make_config, sizes):
         config = make_config()
@@ -460,21 +473,23 @@ class TestForwardMatchesPerRowReference:
                       batch.segments)
         want = per_row_forward(config, params, batch.listing_rows,
                                batch.context_rows[batch.segments.ids])
-        for name in ("cond_logits", "log_joint", "y_twiddler",
-                     "alpha_twiddler"):
+        n, n_twiddlers = batch.n_rows, len(config.twiddler_tasks)
+        shapes = {"cond_logits": (n, len(config.base_tasks)),
+                  "log_joint": (n, len(config.base_tasks)),
+                  "y_twiddler": (n, n_twiddlers),
+                  "alpha_twiddler": (n, n_twiddlers),
+                  "alpha_base": (n, 1), "y_base": (n,),
+                  "y_combination": (n,)}
+        blend = {"y_twiddler", "alpha_twiddler", "alpha_base",
+                 "y_combination"}
+        for name, shape in shapes.items():
             g, w = getattr(got, name), getattr(want, name)
-            assert list(g) == list(w), name
-            for task in w:
-                np.testing.assert_allclose(g[task].values, w[task].values,
-                                           rtol=0, atol=1e-12,
-                                           err_msg=f"{name}[{task}]")
-        for name in ("y_base", "alpha_base", "y_combination"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert (g is None) == (w is None), name
-            if w is not None:
-                assert g.shape == (batch.n_rows,)
-                np.testing.assert_allclose(g.values, w.values, rtol=0,
-                                           atol=1e-12, err_msg=name)
+            if name in blend and not n_twiddlers:
+                assert g is None and w is None, name
+                continue
+            assert g.shape == w.shape == shape, name
+            np.testing.assert_allclose(g.values, w.values, rtol=0,
+                                       atol=1e-12, err_msg=name)
 
     def test_total_loss_gradients(self, make_config, sizes):
         config = make_config()
@@ -491,9 +506,11 @@ class TestForwardMatchesPerRowReference:
         with nn.Tape() as tape:
             ref = per_row_forward(config, params, batch.listing_rows,
                                   batch.context_rows[batch.segments.ids])
-            want = base_loss(ref.log_joint, batch, weights)
+            want = base_loss(ref.log_joint, batch, config.base_tasks,
+                             weights)
             if config.twiddler_tasks:
-                want = nn.add(want, twiddler_loss(ref.y_twiddler, batch))
+                want = nn.add(want, twiddler_loss(ref.y_twiddler, batch,
+                                                  config.twiddler_tasks))
             if ref.y_combination is not None:
                 want = nn.add(want, combination_loss(ref.y_combination,
                                                      batch))
@@ -514,9 +531,10 @@ class TestBaseForward:
         rng = np.random.default_rng(2)
         out = forward(config, params, rng.normal(size=(5, 4)),
                       rng.normal(size=(5, 3)), one_row_each(5))
-        for k, task in enumerate(config.base_tasks, start=1):
-            np.testing.assert_allclose(out.log_joint[task].values,
-                                       k * np.log(0.5), rtol=1e-15)
+        assert out.log_joint.shape == (5, len(config.base_tasks))
+        for k in range(len(config.base_tasks)):
+            np.testing.assert_allclose(out.log_joint.values[:, k],
+                                       (k + 1) * np.log(0.5), rtol=1e-15)
         np.testing.assert_allclose(np.exp(out.y_base.values), 1.0 / 64.0,
                                    rtol=1e-12)
 
@@ -528,8 +546,8 @@ class TestBaseForward:
         listing = rng.normal(size=(6, 4))
         context = rng.normal(size=(6, 3))
         out = forward(config, params, listing, context, one_row_each(6))
-        assert list(out.log_joint) == ["unc"]
-        logit = out.cond_logits["unc"].values
+        assert out.log_joint.shape == out.cond_logits.shape == (6, 1)
+        logit = out.cond_logits.values[:, 0]
         np.testing.assert_allclose(out.y_base.values,
                                    -np.logaddexp(0.0, -logit), rtol=1e-14)
         assert out.y_combination is None
@@ -542,9 +560,9 @@ class TestBaseForward:
         out = forward(config, params, rng.normal(size=(30, 4)),
                       rng.normal(size=(30, 3)), one_row_each(30))
         running = np.ones(30)
-        for task in config.base_tasks:
-            running = running * expit(out.cond_logits[task].values)
-            np.testing.assert_allclose(np.exp(out.log_joint[task].values),
+        for k in range(len(config.base_tasks)):
+            running = running * expit(out.cond_logits.values[:, k])
+            np.testing.assert_allclose(np.exp(out.log_joint.values[:, k]),
                                        running, rtol=1e-12)
 
     def test_funnel_monotonicity_fuzz(self):
@@ -563,8 +581,7 @@ class TestBaseForward:
                           rng.normal(size=(n, d_l)) * 3.0,
                           rng.normal(size=(n, d_c)) * 3.0, one_row_each(n))
             previous = np.zeros(n)
-            for task in config.base_tasks:
-                current = out.log_joint[task].values
+            for current in out.log_joint.values.T:
                 assert np.all(current <= previous + 1e-15)
                 p = np.exp(current)
                 assert np.all(p > 0.0) and np.all(p < 1.0)
@@ -573,25 +590,25 @@ class TestBaseForward:
 
 class TestBaseLoss:
     def test_saturated_softmax_vanishes(self):
-        scores = nn.constant(np.array([20.0, 0.0, 0.0]))
+        scores = nn.Tensor(np.array([[20.0], [0.0], [0.0]]))
         batch = SearchBatch(
             listing_rows=np.zeros((3, 1)), context_rows=np.zeros((3, 1)),
             segments=nn.Segments([3]),
             labels={"unc": np.array([True, False, False])},
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
-        loss = base_loss({"unc": scores}, batch, {"unc": 1.0})
+        loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
         assert float(loss.values) < 1e-8
 
     def test_symmetric_pair_costs_ln2(self):
-        scores = nn.constant(np.array([0.7, 0.7]))
+        scores = nn.Tensor(np.array([[0.7], [0.7]]))
         batch = SearchBatch(
             listing_rows=np.zeros((2, 1)), context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2]),
             labels={"unc": np.array([True, False])},
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
-        loss = base_loss({"unc": scores}, batch, {"unc": 1.0})
+        loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
 
     def test_matches_scripted_oracle(self):
@@ -600,18 +617,17 @@ class TestBaseLoss:
             batch = random_batch(rng)
             weights = {t: float(rng.uniform(0.2, 3.0))
                        for t in POSITIVE_CHAIN}
-            scores = {t: rng.normal(size=batch.n_rows) * 2.0
-                      for t in POSITIVE_CHAIN}
-            loss = base_loss({t: nn.constant(v) for t, v in scores.items()},
-                             batch, weights)
+            scores = rng.normal(size=(batch.n_rows, 6)) * 2.0
+            loss = base_loss(nn.Tensor(scores), batch, POSITIVE_CHAIN,
+                             weights)
             want = sum(weights[t] * oracle_listwise_loss(
-                scores[t], batch.labels[t], batch.segments.ids,
+                scores[:, k], batch.labels[t], batch.segments.ids,
                 batch.segments.n)
-                for t in POSITIVE_CHAIN)
+                for k, t in enumerate(POSITIVE_CHAIN))
             np.testing.assert_allclose(float(loss.values), want, rtol=1e-10)
 
     def test_empty_search_rejected(self):
-        scores = nn.constant(np.array([0.5, 0.2]))
+        scores = nn.Tensor(np.array([[0.5], [0.2]]))
         batch = SearchBatch(
             listing_rows=np.zeros((2, 1)), context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2, 0]),
@@ -619,7 +635,7 @@ class TestBaseLoss:
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         with pytest.raises(ContractError):
-            base_loss({"unc": scores}, batch, {"unc": 1.0})
+            base_loss(scores, batch, ("unc",), {"unc": 1.0})
 
 
 class TestTwiddlerLoss:
@@ -634,28 +650,26 @@ class TestTwiddlerLoss:
     def test_no_eligible_rows_contribute_zero(self):
         labels = {m: np.zeros(3, dtype=bool) for m in ALL_MILESTONES}
         batch = self.make_batch(labels)
-        logits = {t: nn.constant(np.array([5.0, -3.0, 1.0]))
-                  for t in ("rej", "cbh", "cbg")}
-        loss = twiddler_loss(logits, batch)
+        logits = nn.Tensor(np.tile([[5.0], [-3.0], [1.0]], (1, 3)))
+        loss = twiddler_loss(logits, batch, ("rej", "cbh", "cbg"))
         assert float(loss.values) == 0.0
 
     def test_single_eligible_row_at_zero_costs_ln2(self):
         labels = {m: np.zeros(1, dtype=bool) for m in ALL_MILESTONES}
         labels["req"] = np.array([True])
         batch = self.make_batch(labels)
-        loss = twiddler_loss({"rej": nn.constant(np.array([0.0]))}, batch)
+        loss = twiddler_loss(nn.Tensor(np.array([[0.0]])), batch, ("rej",))
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
 
     def test_matches_masked_bce_oracle(self):
         rng = np.random.default_rng(7)
         for rep in range(20):
             batch = random_batch(rng)
-            logits = {t: rng.normal(size=batch.n_rows) * 2.5
-                      for t in ("rej", "cbh", "cbg")}
-            loss = twiddler_loss(
-                {t: nn.constant(v) for t, v in logits.items()}, batch)
+            tasks = ("rej", "cbh", "cbg")
+            logits = rng.normal(size=(batch.n_rows, 3)) * 2.5
+            loss = twiddler_loss(nn.Tensor(logits), batch, tasks)
             want = 0.0
-            for task, z in logits.items():
+            for task, z in zip(tasks, logits.T):
                 mask = batch.labels[NEGATIVE_PARENT[task]]
                 if not mask.any():
                     continue
@@ -677,9 +691,8 @@ class TestCombinationForward:
         out = forward(config, params, rng.normal(size=(4, 4)),
                       rng.normal(size=(4, 3)), one_row_each(4))
         np.testing.assert_allclose(out.alpha_base.values, LN2, rtol=1e-15)
-        for task in config.twiddler_tasks:
-            np.testing.assert_array_equal(out.alpha_twiddler[task].values,
-                                          0.0)
+        assert out.alpha_twiddler.shape == (4, len(config.twiddler_tasks))
+        np.testing.assert_array_equal(out.alpha_twiddler.values, 0.0)
         np.testing.assert_allclose(out.y_combination.values,
                                    LN2 * out.y_base.values, rtol=1e-14)
 
@@ -704,10 +717,10 @@ class TestCombinationForward:
         rng = np.random.default_rng(10)
         out = forward(config, params, rng.normal(size=(12, 4)),
                       rng.normal(size=(12, 3)), one_row_each(12))
-        want = out.alpha_base.values * out.y_base.values
-        for task in config.twiddler_tasks:
-            want = want + (out.alpha_twiddler[task].values
-                           * out.y_twiddler[task].values)
+        want = out.alpha_base.values[:, 0] * out.y_base.values
+        for k in range(len(config.twiddler_tasks)):
+            want = want + (out.alpha_twiddler.values[:, k]
+                           * out.y_twiddler.values[:, k])
         np.testing.assert_allclose(out.y_combination.values, want,
                                    rtol=1e-12)
 
@@ -723,7 +736,7 @@ class TestCombinationLoss:
                             context_rows=np.zeros((4, 1)), segments=segments,
                             labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
-        loss = combination_loss(nn.constant(np.array([1.0, 2.0, 3.0, 4.0])),
+        loss = combination_loss(nn.Tensor(np.array([1.0, 2.0, 3.0, 4.0])),
                                 batch)
         assert float(loss.values) == 0.0
 
@@ -737,7 +750,7 @@ class TestCombinationLoss:
                             context_rows=np.zeros((2, 1)), segments=segments,
                             labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
-        loss = combination_loss(nn.constant(np.array([0.3, 0.3])), batch)
+        loss = combination_loss(nn.Tensor(np.array([0.3, 0.3])), batch)
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
 
     def test_matches_all_pairs_oracle(self):
@@ -745,7 +758,7 @@ class TestCombinationLoss:
         for rep in range(20):
             batch = random_batch(rng)
             y = rng.normal(size=batch.n_rows) * 2.0
-            loss = combination_loss(nn.constant(y), batch)
+            loss = combination_loss(nn.Tensor(y), batch)
             grades = relevance_grades(batch.labels)
             terms = []
             for s in range(batch.segments.n):
@@ -853,8 +866,9 @@ class TestBatches:
 class TestTrainLayouts:
     def test_one_search_layout_per_step(self, monkeypatch):
         """Each step builds its batch's layout once, in make_batch, and
-        every segment op of the step reads that one; nothing else in
-        train() builds a layout per step."""
+        every segment op of the step reads that one; the only other
+        layouts train() builds per step group the loss terms by task, one
+        for the base loss and one for the twiddler loss."""
         built = []
 
         class CountingSegments(nn.Segments):
@@ -881,9 +895,41 @@ class TestTrainLayouts:
             batches.clear()
             train(config, dataset, epochs=epochs, batch_size=3)
             counts[epochs] = (len(batches), len(built))
+            searches = [b.segments for b in batches]
+            in_steps = built[built.index(searches[0]):]
+            by_task = [s for s in in_steps if s not in searches]
+            assert all(s.n <= len(config.all_tasks) for s in by_task)
+            assert len(by_task) == 2 * len(batches)
         # 4 searches in batches of 3: two steps per epoch
         assert counts[1][0] == 2 and counts[3][0] == 6
-        assert counts[3][1] - counts[1][1] == 6 - 2
+        assert counts[3][1] - counts[1][1] == 3 * (6 - 2)
+
+
+class TestStepTape:
+    """Per-task values stay ``[rows, tasks]`` matrices, so a step records
+    a fixed handful of operations, whatever the number of tasks."""
+
+    @staticmethod
+    def nodes_per_step(config: ModelConfig) -> int:
+        params = init_model_params(config)
+        batch = random_batch(np.random.default_rng(41), n_searches=6)
+        weights = {t: 1.0 for t in config.base_tasks}
+        with nn.Tape() as tape:
+            total_loss(config, params, batch, weights)
+        return len(tape)
+
+    def test_full_config(self):
+        assert self.nodes_per_step(small_config()) == 54
+
+    def test_fewer_tasks_record_as_many_nodes(self):
+        config = small_config(base_tasks=("book", "unc"),
+                              twiddler_tasks=("cbg",))
+        assert self.nodes_per_step(config) == 54
+
+    def test_baseline(self):
+        config = baseline_model_config(4, 3, embedding_dim=5,
+                                       tower_hidden=(6,), seed=3)
+        assert self.nodes_per_step(config) == 27
 
 
 class TestTotalLoss:
@@ -908,8 +954,10 @@ class TestTotalLoss:
             loss, outputs, parts = total_loss(config, params, batch, weights)
             again = forward(config, params, batch.listing_rows,
                             batch.context_rows, batch.segments)
-            want = float(base_loss(again.log_joint, batch, weights).values)
-            want += float(twiddler_loss(again.y_twiddler, batch).values)
+            want = float(base_loss(again.log_joint, batch, POSITIVE_CHAIN,
+                                   weights).values)
+            want += float(twiddler_loss(again.y_twiddler, batch,
+                                        config.twiddler_tasks).values)
             want += float(combination_loss(again.y_combination, batch).values)
             np.testing.assert_allclose(parts["total"], want, rtol=1e-12)
             np.testing.assert_allclose(
@@ -951,8 +999,10 @@ class TestGradients:
         def make_loss():
             outputs = forward(config, params, batch.listing_rows,
                               batch.context_rows, batch.segments)
-            return nn.add(base_loss(outputs.log_joint, batch, weights),
-                          twiddler_loss(outputs.y_twiddler, batch))
+            return nn.add(base_loss(outputs.log_joint, batch, POSITIVE_CHAIN,
+                                    weights),
+                          twiddler_loss(outputs.y_twiddler, batch,
+                                        config.twiddler_tasks))
         checked = {name: t for name, t in params.items()
                    if not name.startswith("combination")}
         worst = fd_gradcheck(make_loss, checked)
@@ -965,17 +1015,16 @@ class TestGradients:
         config = small_config(activation="tanh")
         params = init_model_params(config)
         batch = random_batch(rng, n_searches=3)
-        y_base_vals = rng.normal(size=batch.n_rows) - 2.0
-        y_twid_vals = {t: rng.normal(size=batch.n_rows)
-                       for t in config.twiddler_tasks}
+        scores = np.column_stack([
+            rng.normal(size=batch.n_rows) - 2.0,
+            rng.normal(size=(batch.n_rows, len(config.twiddler_tasks)))])
         def make_loss():
             out = forward(config, params, batch.listing_rows,
                           batch.context_rows, batch.segments)
-            y_comb = nn.mul(out.alpha_base, nn.constant(y_base_vals))
-            for t, v in y_twid_vals.items():
-                y_comb = nn.add(y_comb, nn.mul(out.alpha_twiddler[t],
-                                               nn.constant(v)))
-            return combination_loss(y_comb, batch)
+            coefs = nn.concat_cols(out.alpha_base, out.alpha_twiddler)
+            blend = nn.cumsum(nn.mul(coefs, nn.Tensor(scores)))
+            return combination_loss(nn.column(blend, scores.shape[1] - 1),
+                                    batch)
         checked = {name: t for name, t in params.items()
                    if name.startswith(("combination", "tower_context"))}
         worst = fd_gradcheck(make_loss, checked)
@@ -1083,6 +1132,14 @@ class TestTrain:
         assert err.value.batch == 0
         assert err.value.term == "base"
         assert str(err.value) == "non-finite base loss at epoch 0, batch 0"
+
+    @pytest.mark.parametrize("rate", [-1e-3, 0.0, float("nan"),
+                                      float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        config = baseline_model_config(2, 2, embedding_dim=4,
+                                       tower_hidden=(5,), seed=11)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            train(config, planted_dataset(), epochs=1, learning_rate=rate)
 
     @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
         (default_model_config,

@@ -614,6 +614,52 @@ class TestWorldTruth:
         with pytest.raises(SchemaMismatchError):
             load_world(path)
 
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]],
+                             ids=["boolean", "numeric-string", "null", "list"])
+    def test_load_rejects_a_feature_that_is_no_number(self, tmp_path, value):
+        path = tmp_path / "world.json"
+        save_world(self.world, path)
+        rec = json.loads(path.read_text())
+        rec["listing_features"][0][0] = value
+        path.write_text(json.dumps(rec))
+        with pytest.raises(SchemaMismatchError, match="numeric matrix"):
+            load_world(path)
+
+    def test_load_reads_integer_features_as_floats(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(self.world, path)
+        rec = json.loads(path.read_text())
+        rec["listing_features"][0][0] = 2
+        path.write_text(json.dumps(rec))
+        back = load_world(path)
+        assert back.listing_features[0, 0] == 2.0
+        np.testing.assert_array_equal(back.listing_features[1:],
+                                      self.world.listing_features[1:])
+
+    def test_load_rejects_a_top_level_list(self, tmp_path):
+        path = tmp_path / "world.json"
+        path.write_text('[{"record":"world"}]\n')
+        with pytest.raises(SchemaMismatchError):
+            load_world(path)
+
+    def test_load_rejects_malformed_json(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(self.world, path)
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(SchemaMismatchError, match="JSON"):
+            load_world(path)
+
+    @pytest.mark.parametrize("key", ["listing_features", "listing_ids",
+                                     "config"])
+    def test_load_rejects_a_missing_key(self, tmp_path, key):
+        path = tmp_path / "world.json"
+        save_world(self.world, path)
+        rec = json.loads(path.read_text())
+        del rec[key]
+        path.write_text(json.dumps(rec))
+        with pytest.raises(SchemaMismatchError, match=key):
+            load_world(path)
+
 
 def true_ranking(world: WorldTruth, context, listing_ids=None) -> list[str]:
     """Listing ids ordered by true conversion probability, ties by id."""
