@@ -33,6 +33,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .model import (
+    check_training_settings,
     load_model,
     model_config_from_record,
     model_config_to_record,
@@ -216,6 +217,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         record = dict(record, seed=args.seed)
     config = model_config_from_record(record)
+    check_training_settings(args.epochs, args.batch_size, args.learning_rate)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
     if args.filter:
         dataset = filter_training_searches(dataset).training_dataset()
@@ -279,11 +281,12 @@ def cmd_compare(args) -> int:
     record_b, path_b = _load_json_config(args.model_config_b)
     config_a = model_config_from_record(record_a)
     config_b = model_config_from_record(record_b)
+    settings = _settings(args)
+    seeds = ev.check_protocol(_parse_seeds(args.seeds), args.jobs)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
-    seeds = _parse_seeds(args.seeds)
     out = _require_out(args)
     report = ev.compare(config_a, config_b, dataset, seeds,
-                        settings=_settings(args),
+                        settings=settings,
                         label_a=args.label_a, label_b=args.label_b,
                         jobs=args.jobs)
     _write_json(out / "compare.json", report.to_record())
@@ -293,7 +296,7 @@ def cmd_compare(args) -> int:
         command="compare", version=__version__, seed=list(seeds),
         config={"model_a": model_config_to_record(config_a),
                 "model_b": model_config_to_record(config_b),
-                "settings": asdict(_settings(args))},
+                "settings": asdict(settings)},
         inputs={"model_config_a": str(path_a), "model_config_b": str(path_b),
                 "dataset": str(dataset_path)},
         input_hashes={"model_config_a": file_sha256(path_a),
@@ -306,10 +309,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    settings = _settings(args)
+    seeds = ev.check_protocol(_parse_seeds(args.seeds), args.jobs)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
-    seeds = _parse_seeds(args.seeds)
     out = _require_out(args)
-    cells = ev.run_ablation(dataset, seeds, settings=_settings(args),
+    cells = ev.run_ablation(dataset, seeds, settings=settings,
                             embedding_dim=args.embedding_dim,
                             jobs=args.jobs)
     payload = [cell.to_record() for cell in cells]
@@ -319,7 +323,7 @@ def cmd_ablate(args) -> int:
     manifest = RunManifest(
         command="ablate", version=__version__, seed=list(seeds),
         config={"embedding_dim": args.embedding_dim,
-                "settings": asdict(_settings(args)),
+                "settings": asdict(settings),
                 "cells": [[name, list(tasks)]
                           for name, tasks in ev.ABLATION_CELLS]},
         inputs={"dataset": str(dataset_path)},

@@ -46,6 +46,18 @@ ALL_MILESTONES: tuple[str, ...] = ("imp",) + LABELS
 NEGATIVE_PARENT: dict[str, str] = {"rej": "req", "cbh": "book", "cbg": "book"}
 
 
+def exact_int(value) -> int:
+    """An integer setting must be read as given, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def number(value) -> float:
+    """A float setting takes a float or an integer, never a bool or a string."""
+    return value if isinstance(value, float) else float(exact_int(value))
+
+
 def label_violations(labels: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """One mask per label rule, set on the impressions that break it."""
     chain = [labels[m] for m in POSITIVE_CHAIN]
@@ -61,20 +73,6 @@ def label_violations(labels: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         "cbg implies book": labels["cbg"] & ~labels["book"],
         "unc excludes cancellations": labels["unc"] & negative,
     }
-
-
-def relevance_grades(labels: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Per-impression preference grade for the pairwise blending loss.
-
-    Uncancelled bookings (3) beat clean clicks (2) beat plain impressions
-    (1) beat impressions that ended in any negative outcome (0). The
-    uncancelled flag wins even on labels that break the rules.
-    """
-    grades = np.ones(len(labels["c"]), dtype=np.int64)
-    grades[labels["c"]] = 2
-    grades[labels["rej"] | labels["cbh"] | labels["cbg"]] = 0
-    grades[labels["unc"]] = 3
-    return grades
 
 
 REQUIRED_CONTEXT_FEATURES = ("days_ahead_of_checkin", "num_previous_searches")

@@ -46,6 +46,7 @@ from .model import (
     ModelConfig,
     TrainedModel,
     blend_coefficients,
+    check_training_settings,
     parameter_count,
     train,
 )
@@ -204,8 +205,8 @@ class TrainEvalSettings:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("protocol training needs at least 1 epoch")
+        check_training_settings(self.epochs, self.batch_size,
+                                self.learning_rate, min_epochs=1)
 
 
 def prepare_split(dataset: Dataset, eval_percent: int = 20,
@@ -237,6 +238,18 @@ def _paired_job(config: ModelConfig) -> NdcgReport:
     return evaluate(model, _JOB_DATA["eval"])[PROTOCOL_MILESTONE]
 
 
+def check_protocol(seeds: Sequence[int], jobs: int) -> tuple[int, ...]:
+    """The seeds as a tuple, once they are at least 2 and distinct and
+    ``jobs`` is at least 1."""
+    seeds = tuple(int(s) for s in seeds)
+    if len(seeds) < 2 or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"a paired protocol needs at least 2 distinct "
+                          f"seeds, got {list(seeds)}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    return seeds
+
+
 def paired_runs(configs: Mapping[str, ModelConfig], dataset: Dataset,
                 seeds: Sequence[int], settings: TrainEvalSettings,
                 jobs: int) -> PairedRuns:
@@ -246,12 +259,7 @@ def paired_runs(configs: Mapping[str, ModelConfig], dataset: Dataset,
     seed by seed. ``jobs`` worker processes, never more than there are
     runs, share the runs out; the result does not depend on it.
     """
-    seeds = tuple(int(s) for s in seeds)
-    if len(seeds) < 2 or len(set(seeds)) != len(seeds):
-        raise ConfigError(f"a paired protocol needs at least 2 distinct "
-                          f"seeds, got {list(seeds)}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    seeds = check_protocol(seeds, jobs)
     train_ds, eval_ds = prepare_split(dataset)
     labels = list(configs)
     runs = [replace(configs[label], seed=seed)

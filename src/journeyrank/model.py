@@ -21,8 +21,9 @@ and every score, is per impression row.
 
 Everything trains jointly from whole-search minibatches by summing three
 losses: a listwise softmax loss per positive milestone, a masked binary
-cross-entropy per negative milestone, and a pairwise preference loss on
-the blended score.
+cross-entropy per negative milestone, and a pairwise preference loss that
+ranks each uncancelled booking's blended score above the rest of its
+search, so the blend serves the same final objective as the base score.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .domain import (
     POSITIVE_CHAIN,
     PackedSearches,
     concat_ranges,
-    relevance_grades,
+    number,
     task_weights,
 )
 from .errors import (
@@ -152,15 +153,16 @@ class ModelConfig:
                     or set(self.task_loss_weights) != set(base)):
                 raise ConfigError("task_loss_weights keys must match "
                                   "base_tasks")
-            try:
-                weights = {t: float(w)
-                           for t, w in self.task_loss_weights.items()}
-            except (TypeError, ValueError):
-                raise ConfigError("task_loss_weights values must be numbers, "
-                                  f"got {self.task_loss_weights!r}") from None
-            for task, w in weights.items():
-                if not np.isfinite(w) or w <= 0:
+            weights = {}
+            for task, w in self.task_loss_weights.items():
+                try:
+                    value = number(w)
+                except (OverflowError, TypeError):
+                    raise ConfigError(f"task_loss_weights value for {task} "
+                                      f"must be a number, got {w!r}") from None
+                if not np.isfinite(value) or value <= 0:
                     raise ConfigError(f"weight for {task} must be positive")
+                weights[task] = value
             object.__setattr__(self, "task_loss_weights", weights)
 
     @property
@@ -471,38 +473,22 @@ def forward(config: ModelConfig, params: ParameterStore,
 # batches
 
 
-# Upper bound on the (i, j) grid cells preference_pairs builds at once, so
-# the grid's index temporaries stay a few MB however large the dataset.
-_PAIR_GRID_CELLS = 1 << 16
-
-
-def preference_pairs(grades: np.ndarray,
+def preference_pairs(unc: np.ndarray,
                      segments: Segments) -> tuple[np.ndarray, np.ndarray]:
-    """All within-search row pairs (i, j) with grade[i] > grade[j].
+    """Every within-search row pair (i, j) of an uncancelled booking i and
+    a row j that is not one.
 
-    Pairs come search by search and, within a search, in row-major order
-    of its (i, j) grid. The grids are built a run of searches at a time,
-    at most ``_PAIR_GRID_CELLS`` cells per run unless one search's grid
-    alone is larger.
+    Pairs run by i in row order and, for each i, by j in row order, so
+    they come search by search.
     """
-    sizes = segments.sizes
-    cells = sizes * sizes
-    grid_ends = np.cumsum(cells)
-    pairs = [np.zeros((2, 0), dtype=np.int64)]
-    lo = 0
-    while lo < segments.n:
-        limit = _PAIR_GRID_CELLS + (grid_ends[lo - 1] if lo else 0)
-        hi = max(lo + 1, int(np.searchsorted(grid_ends, limit, side="right")))
-        grid = Segments(cells[lo:hi])    # the run's cells, search by search
-        cell_search = lo + grid.ids
-        cell = np.arange(grid.n_rows) - grid.starts[grid.ids]
-        # rows (i, j) of each cell: its row and column in the search's grid
-        ij = np.empty((2, grid.n_rows), dtype=np.int64)
-        np.divmod(cell, sizes[cell_search], out=(ij[0], ij[1]))
-        ij += segments.starts[cell_search]
-        pairs.append(ij[:, grades[ij[0]] > grades[ij[1]]])
-        lo = hi
-    return tuple(np.concatenate(pairs, axis=1))
+    unc = np.asarray(unc, dtype=bool)
+    i = np.flatnonzero(unc)
+    j = np.flatnonzero(~unc)
+    j_counts = np.bincount(segments.ids[j], minlength=segments.n)
+    first_j = np.cumsum(j_counts) - j_counts
+    search = segments.ids[i]
+    counts = j_counts[search]
+    return np.repeat(i, counts), j[concat_ranges(first_j[search], counts)]
 
 
 @dataclass(frozen=True)
@@ -511,9 +497,6 @@ class BatchInputs:
 
     Rows are the dataset's impression rows, laid out into searches by
     ``searches``. ``labels`` holds one row per name in ``label_names``.
-    Search k's preference pairs are entries ``pairs.starts[k]`` to
-    ``pairs.starts[k + 1]`` of ``pair_i``/``pair_j``, as row offsets
-    within the search, in the order :func:`preference_pairs` gives them.
     """
 
     searches: Segments                # impression rows into searches
@@ -521,29 +504,17 @@ class BatchInputs:
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
     label_names: tuple[str, ...]
     labels: np.ndarray                # [len(label_names), n_impressions] bool
-    pairs: Segments                   # preference pairs into searches
-    pair_i: np.ndarray                # [n_pairs] int64
-    pair_j: np.ndarray                # [n_pairs] int64
 
 
 def batch_inputs(packed: PackedSearches,
                  norm: NormalizationStats) -> BatchInputs:
-    """Normalize the features and find every search's preference pairs."""
-    searches = packed.segments
-    pair_i, pair_j = preference_pairs(relevance_grades(packed.labels),
-                                      searches)
-    pairs = Segments(np.bincount(searches.ids[pair_i],
-                                 minlength=searches.n))
-    offsets = searches.starts[pairs.ids]
+    """Normalize the features and stack the labels."""
     return BatchInputs(
-        searches=searches,
+        searches=packed.segments,
         listing_rows=norm.apply_listing(packed.listing_features),
         context_rows=norm.apply_context(packed.context_features),
         label_names=tuple(packed.labels),
         labels=np.stack(list(packed.labels.values())),
-        pairs=pairs,
-        pair_i=pair_i - offsets,
-        pair_j=pair_j - offsets,
     )
 
 
@@ -553,8 +524,9 @@ class SearchBatch:
 
     ``segments`` lays the batch's impression rows out into its searches,
     in batch order. ``context_rows`` holds one row per search; every other
-    array holds one entry per impression row, except the preference
-    pairs, which index rows.
+    array holds one entry per impression row, except the blend's
+    preference pairs (:func:`preference_pairs` of the ``unc`` labels),
+    which index rows.
     """
 
     listing_rows: np.ndarray          # [n_rows, listing_dim] normalized
@@ -576,19 +548,16 @@ def make_batch(inputs: BatchInputs,
     starts = inputs.searches.starts[search_indices]
     counts = inputs.searches.starts[search_indices + 1] - starts
     rows = concat_ranges(starts, counts)
-    pair_starts = inputs.pairs.starts[search_indices]
-    pair_counts = inputs.pairs.starts[search_indices + 1] - pair_starts
-    pairs = concat_ranges(pair_starts, pair_counts)
     segments = Segments(counts)
-    # each pair moves from its search's offsets to the batch's
-    shift = np.repeat(segments.starts[:-1], pair_counts)
+    labels = dict(zip(inputs.label_names, inputs.labels[:, rows]))
+    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
         listing_rows=inputs.listing_rows[rows],
         context_rows=inputs.context_rows[search_indices],
         segments=segments,
-        labels=dict(zip(inputs.label_names, inputs.labels[:, rows])),
-        pair_i=inputs.pair_i[pairs] + shift,
-        pair_j=inputs.pair_j[pairs] + shift,
+        labels=labels,
+        pair_i=pair_i,
+        pair_j=pair_j,
     )
 
 
@@ -644,8 +613,9 @@ def twiddler_loss(y_twiddler: Tensor, batch: SearchBatch,
 
 
 def combination_loss(y_combination: Tensor, batch: SearchBatch) -> Tensor:
-    """Pairwise logistic loss over within-search grade violations: the
-    mean of -log sigmoid(y_i - y_j), taken as softplus(y_j - y_i)."""
+    """Pairwise logistic loss that ranks each uncancelled booking above
+    every other row of its search: the mean over the batch's pairs of
+    -log sigmoid(y_i - y_j), taken as softplus(y_j - y_i)."""
     if batch.pair_i.size == 0:
         return nn.Tensor(0.0)
     y_i = nn.gather(y_combination, batch.pair_i)
@@ -731,6 +701,17 @@ def resolve_task_weights(config: ModelConfig,
     return task_weights(dataset, config.base_tasks)
 
 
+def check_training_settings(epochs: int, batch_size: int,
+                            learning_rate: float, min_epochs: int = 0) -> None:
+    """Refuse epochs below ``min_epochs``, a batch size below 1 or a
+    learning rate that is not finite and positive."""
+    _check_int("epochs", epochs, min_epochs)
+    _check_int("batch_size", batch_size, 1)
+    if not 0.0 < learning_rate < np.inf:
+        raise ConfigError(f"learning_rate must be finite and positive, "
+                          f"got {learning_rate!r}")
+
+
 def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
           batch_size: int = 64, learning_rate: float = 1e-3,
           ) -> tuple[TrainedModel, list[EpochStats]]:
@@ -740,13 +721,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     already. Runs are deterministic per config seed: initialization,
     shuffling, and batching all derive from it.
     """
-    if epochs < 0:
-        raise ConfigError("epochs must be non-negative")
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
-    if not 0.0 < learning_rate < np.inf:
-        raise ConfigError(f"learning_rate must be finite and positive, "
-                          f"got {learning_rate!r}")
+    check_training_settings(epochs, batch_size, learning_rate)
     packed = dataset.searches
     if packed.n_searches == 0:
         raise DataValidationError("training dataset has no searches")

@@ -51,8 +51,10 @@ from .domain import (
     NEGATIVE_MILESTONES,
     POSITIVE_CHAIN,
     attribute_labels,
+    exact_int,
     filter_training_searches,
     milestone_counts,
+    number,
 )
 from .errors import ConfigError, SchemaMismatchError
 from .nn import logistic
@@ -623,8 +625,8 @@ def _stage_models_to_record(models: dict[str, StageModel]) -> dict:
 
 def _stage_models_from_record(rec: dict) -> dict[str, StageModel]:
     return {name: StageModel(
-                weights=np.array([_number(v) for v in entry["weights"]]),
-                bias=_number(entry["bias"]))
+                weights=np.array([number(v) for v in entry["weights"]]),
+                bias=number(entry["bias"]))
             for name, entry in rec.items()}
 
 
@@ -648,21 +650,9 @@ def generator_config_to_record(config: GeneratorConfig) -> dict:
     }
 
 
-def _exact_int(value) -> int:
-    """An integer setting must be read as given, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not an integer: {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    """A float setting takes a float or an integer, never a bool or a string."""
-    return value if isinstance(value, float) else float(_exact_int(value))
-
-
 # Record values convert by their field's annotation; the two
 # coefficient fields hold StageModels.
-_RECORD_CONVERTERS = {"int": _exact_int, "float": _number}
+_RECORD_CONVERTERS = {"int": exact_int, "float": number}
 
 
 def generator_config_from_record(rec: dict) -> GeneratorConfig:
@@ -707,7 +697,7 @@ def load_world(path: str | Path) -> WorldTruth:
     if not isinstance(record, dict) or record.get("record") != "world":
         raise SchemaMismatchError(f"{path}: not a world-truth file")
     try:
-        features = np.array([[_number(v) for v in row]
+        features = np.array([[number(v) for v in row]
                              for row in record["listing_features"]])
         return WorldTruth(
             config=generator_config_from_record(record["config"]),

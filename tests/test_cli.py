@@ -200,13 +200,13 @@ class TestTrain:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
         np.testing.assert_allclose(float(rows[0]["base"]),
-                                   608.4404324588087, rtol=1e-12)
+                                   608.4403920756833, rtol=1e-12)
         np.testing.assert_allclose(float(rows[0]["twiddler"]),
-                                   14.62894350785693, rtol=1e-12)
+                                   14.6326905240013, rtol=1e-12)
         np.testing.assert_allclose(float(rows[0]["combination"]),
-                                   4.1060054295335355, rtol=1e-12)
+                                   4.446770151029275, rtol=1e-12)
         np.testing.assert_allclose(float(rows[0]["total"]),
-                                   627.1753813961991, rtol=1e-12)
+                                   627.5198527507138, rtol=1e-12)
 
     def test_rerun_is_byte_identical_except_manifest(self, ws, tmp_path):
         out = tmp_path / "rerun"
@@ -524,6 +524,47 @@ class TestProtocolRefusals:
                   + ["--seeds", "0,1", f"--learning-rate={rate}"])
         assert rc == 1
         assert "learning_rate" in capsys.readouterr().err
+
+
+class TestSettingsBeforeData:
+    """Bad training or protocol settings are refused before the dataset
+    is read: with a dataset whose header is malformed (a data error, exit
+    2) they still exit 1."""
+
+    @staticmethod
+    def bad_dataset(tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"record": "schema", "listing_dim": "x"}\n')
+        return path
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"], ["--batch-size", "0"], ["--learning-rate=-1"],
+        ["--jobs", "0"], ["--seeds", "1,1"]],
+        ids=["epochs", "batch-size", "learning-rate", "jobs", "seeds"])
+    def test_protocol_flag_is_usage_error(self, ws, tmp_path, capsys,
+                                          command, flags):
+        argv = [command, "--dataset", str(self.bad_dataset(tmp_path)),
+                "--out", str(tmp_path / "x"), "--seeds", "0,1"]
+        if command == "compare":
+            argv += ["--model-config-a", str(ws / "base.json"),
+                     "--model-config-b", str(ws / "base.json")]
+        assert main(argv + flags) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_bad_dataset_alone_is_data_error(self, ws, tmp_path):
+        assert main(["ablate", "--dataset", str(self.bad_dataset(tmp_path)),
+                     "--out", str(tmp_path / "x"), "--seeds", "0,1"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs=-1"], ["--batch-size", "0"], ["--learning-rate=-1"]],
+        ids=["epochs", "batch-size", "learning-rate"])
+    def test_train_flag_is_usage_error(self, ws, tmp_path, capsys, flags):
+        argv = ["train", "--model-config", str(ws / "model.json"),
+                "--dataset", str(self.bad_dataset(tmp_path)),
+                "--out", str(tmp_path / "x")]
+        assert main(argv + flags) == 1
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestOutDirectory:

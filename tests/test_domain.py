@@ -21,7 +21,6 @@ from journeyrank.domain import (
     filter_training_searches,
     label_violations,
     milestone_counts,
-    relevance_grades,
     validate_dataset,
 )
 from journeyrank.errors import ConfigError, DataValidationError, UndefinedTaskWeightError
@@ -120,23 +119,6 @@ class TestLabelRules:
         assert LABELS == ALL_MILESTONES[1:]
         assert set(NEGATIVE_PARENT) == set(NEGATIVE_MILESTONES)
         assert set(NEGATIVE_PARENT.values()) <= set(POSITIVE_CHAIN)
-
-
-def grade(*milestones):
-    return int(relevance_grades(flags(*milestones))[0])
-
-
-class TestRelevanceGrade:
-    def test_grade_ladder(self):
-        assert grade(*chain_labels(6)) == 3
-        assert grade(*chain_labels(2)) == 2
-        assert grade() == 1
-        assert grade(*chain_labels(4, "rej")) == 0
-        assert grade(*chain_labels(5, "cbh")) == 0
-
-    def test_unc_outranks_everything(self):
-        # precedence: the uncancelled flag wins even on inconsistent input
-        assert grade(*chain_labels(6, "cbg")) == 3
 
 
 def random_raw_journey(rng, guest_id="g0", n_listings=6, allow_negatives=True,

@@ -317,7 +317,7 @@ class TestEvaluateModel:
         oracle = ev.evaluate_with_scorer(eval_ds, ev.oracle_scorer(world))
         assert 0.0 < reports["unc"].mean < oracle["unc"].mean
         np.testing.assert_allclose(reports["unc"].mean,
-                                   0.48638198984630626, rtol=1e-10)
+                                   0.4776533396082091, rtol=1e-10)
 
     def test_evaluation_does_not_mutate_parameters(self, trained_full):
         model, _, eval_ds = trained_full
@@ -344,6 +344,41 @@ class TestEvaluateModel:
         model, _, _ = trained_full
         with pytest.raises(SchemaMismatchError):
             ev.evaluate(model, tiny_manual_dataset())
+
+
+class TestBlendServesUncancelledBookings:
+    """The combination module blends the base score with the twiddlers
+    toward the final objective, so on the benchmark world (scaled down to
+    2,000 guests, 4 epochs) its blended score must keep the base score's
+    weight and rank uncancelled bookings about as well as ``y_base``."""
+
+    SEEDS = (0, 1, 2)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        dataset, _ = generate(benchmark_generator_config(n_guests=2000))
+        train_ds, eval_ds = ev.prepare_split(dataset)
+        searches = eval_ds.searches
+        runs = []
+        for seed in self.SEEDS:
+            config = default_model_config(dataset.schema.listing_dim,
+                                          dataset.schema.context_dim,
+                                          seed=seed)
+            model, _ = train(config, train_ds, 4, batch_size=128)
+            out = model.outputs(searches.listing_features,
+                                searches.context_features, searches.segments)
+            blend = ev.evaluate(model, eval_ds)["unc"].mean
+            y_base = ev.evaluate_with_scorer(
+                eval_ds, lambda _: out.y_base.values)["unc"].mean
+            runs.append((float(out.alpha_base.values.mean()), blend, y_base))
+        return runs
+
+    def test_base_coefficient_stays_above_half(self, runs):
+        assert all(alpha > 0.5 for alpha, _, _ in runs), runs
+
+    def test_blend_ranks_bookings_like_the_base_score(self, runs):
+        deltas = [blend - y_base for _, blend, y_base in runs]
+        assert np.mean(deltas) >= -0.05, runs
 
 
 class TestCompare:

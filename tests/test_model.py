@@ -25,7 +25,6 @@ from journeyrank.domain import (
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
     PackedSearches,
-    relevance_grades,
 )
 from journeyrank.errors import (
     ConfigError,
@@ -90,7 +89,9 @@ def nested_labels(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
 
 
 def loop_preference_pairs(grades, seg):
-    """Reference: the grade-violation grid of each search, one at a time."""
+    """Reference: the grade-violation grid of each search, one at a time.
+    Fed the uncancelled-booking flags as grades 1 and 0, it gives the
+    blend's pairs in their order."""
     starts = np.flatnonzero(np.r_[True, np.diff(seg) != 0])
     bounds = np.r_[starts, len(seg)]
     pair_i, pair_j = [], []
@@ -107,14 +108,14 @@ def loop_preference_pairs(grades, seg):
 
 def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
                          norm: NormalizationStats) -> SearchBatch:
-    """Reference: a batch built from the dataset columns alone, grades,
-    pairs and normalization included, the way training once did per step."""
+    """Reference: a batch built from the dataset columns alone, pairs and
+    normalization included."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
     rows = imp_rows_for_searches(packed, search_indices)
     segments = nn.Segments(packed.segments.sizes[search_indices])
     labels = {name: values[rows] for name, values in packed.labels.items()}
-    grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, segments)
+    pair_i, pair_j = loop_preference_pairs(labels["unc"].astype(np.int64),
+                                           segments.ids)
     context_rows = packed.context_features[search_indices]
     return SearchBatch(
         listing_rows=norm.apply_listing(packed.listing_features[rows]),
@@ -129,7 +130,8 @@ def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
 def random_packed(rng: np.random.Generator, n_searches: int,
                   equal_grades: bool = False) -> PackedSearches:
     """Searches of 1..9 rows with random funnel labels; with
-    ``equal_grades`` every row is a plain impression, so no pairs exist."""
+    ``equal_grades`` every row is a plain impression, so no uncancelled
+    booking and no pairs exist."""
     sizes = rng.integers(1, 10, size=n_searches)
     n = int(sizes.sum())
     labels = nested_labels(rng, n)
@@ -148,13 +150,19 @@ def random_packed(rng: np.random.Generator, n_searches: int,
 
 
 def random_batch(rng: np.random.Generator, n_searches: int = 5,
-                 d_l: int = 4, d_c: int = 3) -> SearchBatch:
+                 d_l: int = 4, d_c: int = 3,
+                 booked: bool = False) -> SearchBatch:
+    """Searches of 2..5 rows with random funnel labels; with ``booked``
+    the first row of every search is an uncancelled booking, so every
+    search has preference pairs."""
     sizes = rng.integers(2, 6, size=n_searches)
     n = int(sizes.sum())
     segments = nn.Segments(sizes)
     labels = nested_labels(rng, n)
-    grades = relevance_grades(labels)
-    pair_i, pair_j = preference_pairs(grades, segments)
+    if booked:
+        for m in LABELS:
+            labels[m][segments.starts[:-1]] = m in POSITIVE_CHAIN
+    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
         listing_rows=rng.normal(size=(n, d_l)),
         context_rows=rng.normal(size=(n_searches, d_c)),
@@ -322,6 +330,18 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             small_config(task_loss_weights={"unc": 1.0})
 
+    @pytest.mark.parametrize("weight", [True, "0.5", None, [1.0]],
+                             ids=["bool", "string", "none", "list"])
+    def test_weights_must_be_numbers(self, weight):
+        with pytest.raises(ConfigError, match="task_loss_weights value "
+                                              "for unc"):
+            baseline_model_config(4, 3, task_loss_weights={"unc": weight})
+
+    def test_integer_weights_read_as_floats(self):
+        config = baseline_model_config(4, 3, task_loss_weights={"unc": 2})
+        assert config.task_loss_weights == {"unc": 2.0}
+        assert type(config.task_loss_weights["unc"]) is float
+
     def test_parameter_accounting(self):
         full = small_config()
         baseline = baseline_model_config(4, 3, embedding_dim=5,
@@ -449,7 +469,7 @@ def batch_of_sizes(rng: np.random.Generator, sizes) -> SearchBatch:
     n = int(sizes.sum())
     segments = nn.Segments(sizes)
     labels = nested_labels(rng, n)
-    pair_i, pair_j = preference_pairs(relevance_grades(labels), segments)
+    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(listing_rows=rng.normal(size=(n, 4)),
                        context_rows=rng.normal(size=(len(sizes), 3)),
                        segments=segments, labels=labels,
@@ -728,9 +748,10 @@ class TestCombinationForward:
 class TestCombinationLoss:
     def test_uniform_grades_contribute_nothing(self):
         labels = {m: np.zeros(4, dtype=bool) for m in ALL_MILESTONES}
+        labels["c"] = np.array([True, True, False, False])
+        labels["rej"] = np.array([False, False, True, False])
         segments = nn.Segments([4])
-        grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, segments)
+        pair_i, pair_j = preference_pairs(labels["unc"], segments)
         assert pair_i.size == 0
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
                             context_rows=np.zeros((4, 1)), segments=segments,
@@ -742,10 +763,11 @@ class TestCombinationLoss:
 
     def test_single_tied_pair_costs_ln2(self):
         labels = {m: np.zeros(2, dtype=bool) for m in ALL_MILESTONES}
-        labels["c"] = np.array([True, False])
+        for task in POSITIVE_CHAIN:
+            labels[task] = np.array([True, False])
         segments = nn.Segments([2])
-        grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, segments)
+        pair_i, pair_j = preference_pairs(labels["unc"], segments)
+        assert (pair_i.tolist(), pair_j.tolist()) == ([0], [1])
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
                             context_rows=np.zeros((2, 1)), segments=segments,
                             labels=labels,
@@ -756,37 +778,30 @@ class TestCombinationLoss:
     def test_matches_all_pairs_oracle(self):
         rng = np.random.default_rng(11)
         for rep in range(20):
-            batch = random_batch(rng)
+            batch = random_batch(rng, booked=rep % 2 == 1)
             y = rng.normal(size=batch.n_rows) * 2.0
             loss = combination_loss(nn.Tensor(y), batch)
-            grades = relevance_grades(batch.labels)
+            unc = batch.labels["unc"]
             terms = []
             for s in range(batch.segments.n):
                 rows = np.flatnonzero(batch.segments.ids == s)
                 for i in rows:
                     for j in rows:
-                        if grades[i] > grades[j]:
+                        if unc[i] and not unc[j]:
                             terms.append(-np.log(expit(y[i] - y[j])))
             want = float(np.mean(terms)) if terms else 0.0
             np.testing.assert_allclose(float(loss.values), want, rtol=1e-10)
 
 
 class TestGradesAndPairs:
-    def test_grade_assignment(self):
-        labels = {m: np.zeros(5, dtype=bool) for m in ALL_MILESTONES}
-        labels["c"] = np.array([True, True, False, True, False])
-        labels["unc"] = np.array([True, False, False, False, False])
-        labels["book"] = np.array([True, False, False, True, False])
-        labels["cbh"] = np.array([False, False, False, True, False])
-        labels["rej"] = np.array([False, True, False, False, False])
-        grades = relevance_grades(labels)
-        np.testing.assert_array_equal(grades, [3, 0, 1, 0, 1])
+    """The blend's pairs grade an uncancelled booking 1 and any other row
+    0: each booking against every other row of its search."""
 
     def test_pairs_stay_within_searches(self):
         rng = np.random.default_rng(12)
         for rep in range(30):
-            batch = random_batch(rng)
-            grades = relevance_grades(batch.labels)
+            batch = random_batch(rng, booked=rep % 2 == 1)
+            grades = batch.labels["unc"].astype(np.int64)
             seg = batch.segments.ids
             assert np.all(seg[batch.pair_i] == seg[batch.pair_j])
             assert np.all(grades[batch.pair_i] > grades[batch.pair_j])
@@ -797,17 +812,18 @@ class TestGradesAndPairs:
             assert len(batch.pair_i) == want
 
     def test_matches_per_search_loop_in_order(self):
+        # searches may be empty, hold no booking or several
         rng = np.random.default_rng(24)
-        for rep in range(200):
+        for rep in range(300):
             n_searches = int(rng.integers(0, 8))
-            sizes = rng.integers(1, 9, size=n_searches)
+            sizes = rng.integers(0, 9, size=n_searches)
             seg = np.repeat(np.arange(n_searches), sizes)
             if rep % 4 == 0:
-                grades = np.full(len(seg), int(rng.integers(0, 4)))
+                unc = np.full(len(seg), bool(rng.integers(0, 2)))
             else:
-                grades = rng.integers(0, 4, size=len(seg))
-            got = preference_pairs(grades, nn.Segments(sizes))
-            want = loop_preference_pairs(grades, seg)
+                unc = rng.random(len(seg)) < rng.uniform(0.1, 0.9)
+            got = preference_pairs(unc, nn.Segments(sizes))
+            want = loop_preference_pairs(unc.astype(np.int64), seg)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
@@ -829,11 +845,7 @@ class TestBatches:
             assert g.dtype == w.dtype and g.shape == w.shape
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("grid_cells", [1, 40, 1 << 16])
-    def test_matches_per_batch_reference(self, monkeypatch, grid_cells):
-        # grid_cells bounds the pair grid preference_pairs builds at once:
-        # 1 forces a run per search, 40 splits the searches into runs
-        monkeypatch.setattr(model_module, "_PAIR_GRID_CELLS", grid_cells)
+    def test_matches_per_batch_reference(self):
         rng = np.random.default_rng(31)
         for rep in range(12):
             packed = random_packed(rng, int(rng.integers(1, 40)),
@@ -855,12 +867,14 @@ class TestBatches:
         sizes = packed.segments.sizes
         norm = NormalizationStats.fit(packed.listing_features,
                                       packed.context_features)
-        inputs = batch_inputs(packed, norm)
-        pair_counts = inputs.pairs.sizes
+        batch = make_batch(batch_inputs(packed, norm),
+                           np.arange(packed.n_searches))
+        pair_counts = np.bincount(batch.segments.ids[batch.pair_i],
+                                  minlength=batch.segments.n)
         assert np.any(sizes == 1)
+        assert np.any(pair_counts > 0)
         assert np.any((sizes > 1) & (pair_counts == 0))
         assert np.all(pair_counts[sizes == 1] == 0)
-        assert inputs.pairs.n_rows == len(inputs.pair_i)
 
 
 class TestTrainLayouts:
@@ -912,7 +926,8 @@ class TestStepTape:
     @staticmethod
     def nodes_per_step(config: ModelConfig) -> int:
         params = init_model_params(config)
-        batch = random_batch(np.random.default_rng(41), n_searches=6)
+        batch = random_batch(np.random.default_rng(41), n_searches=6,
+                             booked=True)
         weights = {t: 1.0 for t in config.base_tasks}
         with nn.Tape() as tape:
             total_loss(config, params, batch, weights)
@@ -973,8 +988,7 @@ class TestTotalLoss:
         for task in POSITIVE_CHAIN:
             labels[task] = np.array([True, False])
         segments = nn.Segments([2])
-        grades = relevance_grades(labels)
-        pair_i, pair_j = preference_pairs(grades, segments)
+        pair_i, pair_j = preference_pairs(labels["unc"], segments)
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
                             context_rows=np.zeros((1, 3)), segments=segments,
                             labels=labels,
@@ -994,7 +1008,7 @@ class TestGradients:
         rng = np.random.default_rng(15)
         config = small_config(activation="tanh")
         params = init_model_params(config)
-        batch = random_batch(rng, n_searches=3)
+        batch = random_batch(rng, n_searches=3, booked=True)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
         def make_loss():
             outputs = forward(config, params, batch.listing_rows,
@@ -1014,7 +1028,7 @@ class TestGradients:
         rng = np.random.default_rng(15)
         config = small_config(activation="tanh")
         params = init_model_params(config)
-        batch = random_batch(rng, n_searches=3)
+        batch = random_batch(rng, n_searches=3, booked=True)
         scores = np.column_stack([
             rng.normal(size=batch.n_rows) - 2.0,
             rng.normal(size=(batch.n_rows, len(config.twiddler_tasks)))])
@@ -1034,7 +1048,7 @@ class TestGradients:
         config = small_config()
         params = init_model_params(config)
         rng = np.random.default_rng(16)
-        batch = random_batch(rng, n_searches=6)
+        batch = random_batch(rng, n_searches=6, booked=True)
         assert batch.pair_i.size > 0
         with nn.Tape() as tape:
             outputs = forward(config, params, batch.listing_rows,
@@ -1053,7 +1067,8 @@ class TestGradients:
     def test_full_loss_reaches_every_module(self):
         config = small_config()
         params = init_model_params(config)
-        batch = random_batch(np.random.default_rng(17), n_searches=6)
+        batch = random_batch(np.random.default_rng(17), n_searches=6,
+                             booked=True)
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
         with nn.Tape() as tape:
             loss, _, _ = total_loss(config, params, batch, weights)
@@ -1143,8 +1158,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
         (default_model_config,
-         "a9b6330ebb9832246a6b8c6054dfb5aab2f9946355a2175a9328f1fb567d3998",
-         0.6206248762143826),
+         "15163e9c968339abd013253c31a3be1e5af28767c34145816a78859f03d4c146",
+         0.616561750538413),
         (baseline_model_config,
          "42bc3fd996b29302dc39e2f94df44930e384792ca7c62c8b703661a5011bb3c4",
          0.7230610080992426),
