@@ -845,7 +845,11 @@ class TestBatches:
             assert g.dtype == w.dtype and g.shape == w.shape
             np.testing.assert_array_equal(g, w)
 
-    def test_matches_per_batch_reference(self):
+    @pytest.mark.parametrize("max_batch", [1, 40, 1 << 16])
+    def test_matches_per_batch_reference(self, max_batch):
+        # max_batch bounds the searches per batch: 1 cuts one search per
+        # batch, 40 cuts batches of random size, 1 << 16 takes every
+        # search of the set in one batch
         rng = np.random.default_rng(31)
         for rep in range(12):
             packed = random_packed(rng, int(rng.integers(1, 40)),
@@ -854,7 +858,7 @@ class TestBatches:
                                           packed.context_features)
             inputs = batch_inputs(packed, norm)
             order = rng.permutation(packed.n_searches)
-            batch_size = int(rng.integers(1, 8))
+            batch_size = int(rng.integers(1, max_batch + 1))
             for lo in range(0, len(order), batch_size):
                 pick = order[lo:lo + batch_size]
                 self.assert_same_batch(
