@@ -218,10 +218,10 @@ def cmd_train(args) -> int:
         record = dict(record, seed=args.seed)
     config = model_config_from_record(record)
     check_training_settings(args.epochs, args.batch_size, args.learning_rate)
+    out = _require_out(args)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
     if args.filter:
         dataset = filter_training_searches(dataset).training_dataset()
-    out = _require_out(args)
     model, history = train(config, dataset, args.epochs,
                            batch_size=args.batch_size,
                            learning_rate=args.learning_rate)
@@ -255,9 +255,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    out = _require_out(args)
     model = load_model(args.model)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
-    out = _require_out(args)
     reports = ev.evaluate(model, dataset)
     payload = {task: rep.to_record() for task, rep in reports.items()}
     _write_json(out / "ndcg.json", payload)
@@ -283,8 +283,8 @@ def cmd_compare(args) -> int:
     config_b = model_config_from_record(record_b)
     settings = _settings(args)
     seeds = ev.check_protocol(_parse_seeds(args.seeds), args.jobs)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
     out = _require_out(args)
+    dataset, dataset_path = _load_valid_dataset(args.dataset)
     report = ev.compare(config_a, config_b, dataset, seeds,
                         settings=settings,
                         label_a=args.label_a, label_b=args.label_b,
@@ -311,8 +311,8 @@ def cmd_compare(args) -> int:
 def cmd_ablate(args) -> int:
     settings = _settings(args)
     seeds = ev.check_protocol(_parse_seeds(args.seeds), args.jobs)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
     out = _require_out(args)
+    dataset, dataset_path = _load_valid_dataset(args.dataset)
     cells = ev.run_ablation(dataset, seeds, settings=settings,
                             embedding_dim=args.embedding_dim,
                             jobs=args.jobs)
@@ -335,9 +335,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_ntc(args) -> int:
+    out = _require_out(args)
     model = load_model(args.model)
     dataset, dataset_path = _load_valid_dataset(args.dataset)
-    out = _require_out(args)
     curve = ev.ntc_curves(model, dataset, args.feature,
                           n_buckets=args.buckets,
                           normalize_by_first=args.normalize)

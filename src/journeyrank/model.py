@@ -14,10 +14,11 @@ running sum of coefficient times score; the blend sees all scores through
 a gradient stop, so its loss tunes only the blend coefficients and the
 context they are conditioned on, never the scoring heads themselves.
 
-The context tower and the coefficient MLP run once per search, and a
-segment broadcast over the batch's search layout (an ``nn.Segments``)
-hands their outputs to the search's impression rows; every other value,
-and every score, is per impression row.
+The context tower, the context half of the heads' first layer and the
+coefficient MLP run once per search, and a segment broadcast over the
+batch's search layout (an ``nn.Segments``) hands their outputs to the
+search's impression rows; every other value, and every score, is per
+impression row. No joint ``[listing | context]`` embedding is built.
 
 Everything trains jointly from whole-search minibatches by summing three
 losses: a listwise softmax loss per positive milestone, a masked binary
@@ -86,8 +87,9 @@ class ModelConfig:
     - ``listing_tower`` maps ``listing_dim`` features, and
       ``context_tower`` maps ``context_dim`` features, through
       ``tower_hidden`` to ``embedding_dim``.
-    - ``head``, shared by every task, maps the joint embedding
-      (``2 * embedding_dim``) through ``head_hidden`` to one logit.
+    - ``head``, shared by every task, maps the listing and context
+      embeddings side by side (``2 * embedding_dim``, listing first)
+      through ``head_hidden`` to one logit.
     - ``combination`` maps the context embedding through
       ``combination_hidden`` to one coefficient for the base score plus
       one per twiddler; there is none without twiddlers.
@@ -392,21 +394,29 @@ def shared_forward(config: ModelConfig, params: ParameterStore,
 
 
 def _head_logits(config: ModelConfig, params: ParameterStore,
-                 joint_emb: Tensor) -> Tensor:
-    """Every head's logit per row of the joint embedding, as a
-    ``[rows, tasks]`` matrix with one column per task of ``all_tasks``.
+                 emb: Embeddings, segments: Segments) -> Tensor:
+    """Every head's logit per impression row, as a ``[rows, tasks]``
+    matrix with one column per task of ``all_tasks``.
 
-    The heads' first layers run as one matmul over their column-stacked
-    weights, so head k's first layer outputs columns ``k*w:(k+1)*w``. For
-    linear heads that output is the logit matrix; heads with hidden layers
-    each go on from their block of columns.
+    The heads' first layers run as one layer over their column-stacked
+    weights, so head k's first layer outputs columns ``k*w:(k+1)*w``. That
+    layer reads the listing embedding through the weights' first
+    ``embedding_dim`` rows and the context embedding through the rest, so
+    it runs in two halves and no joint embedding is built: the listing
+    half per row, and the context half, bias included, once per search,
+    handed to the search's rows by ``segments``. For linear heads the sum
+    of the halves is the logit matrix; heads with hidden layers each go on
+    from their block of columns.
     """
     spec = config.head
     prefixes = [_head_prefix(task) for task in config.all_tasks]
-    first = nn.add_bias(
-        nn.matmul(joint_emb,
-                  nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))),
+    d = config.embedding_dim
+    weights = nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))
+    context_half = nn.dense(
+        emb.context, nn.rows(weights, slice(d, 2 * d)),
         nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
+    first = nn.add(nn.matmul(emb.listing, nn.rows(weights, slice(0, d))),
+                   nn.segment_broadcast(context_half, segments))
     if not spec.hidden_dims:
         return first
     width = spec.layer_dims[0][1]
@@ -431,8 +441,9 @@ def forward(config: ModelConfig, params: ParameterStore,
 
     ``listing_rows`` holds one row per impression, ``context_rows`` one
     row per search, and ``segments`` lays the impressions out into the
-    searches. The context tower and the combination MLP run once per
-    search; every output is per impression.
+    searches. The context tower, the heads' context half (see
+    :func:`_head_logits`) and the combination MLP run once per search;
+    every output is per impression.
 
     The logits split into two column blocks, base tasks then twiddlers.
     Joint log-probabilities are the running sum of log-sigmoid
@@ -444,9 +455,7 @@ def forward(config: ModelConfig, params: ParameterStore,
     not scores.
     """
     emb = shared_forward(config, params, listing_rows, context_rows)
-    joint_emb = nn.concat_cols(emb.listing,
-                               nn.segment_broadcast(emb.context, segments))
-    logits = _head_logits(config, params, joint_emb)
+    logits = _head_logits(config, params, emb, segments)
     n_base = len(config.base_tasks)
     cond_logits = nn.column(logits, slice(0, n_base))
     log_joint = nn.cumsum(nn.log_sigmoid(cond_logits))
@@ -588,10 +597,8 @@ def base_loss(log_joint: Tensor, batch: SearchBatch, tasks: Sequence[str],
     per_positive = nn.sub(
         nn.gather(lse, batch.segments.ids[row] * n_tasks + task),
         nn.gather(log_joint, row * n_tasks + task))
-    per_task = nn.segment_sum(per_positive, Segments(
-        np.bincount(task, minlength=n_tasks)))
-    return nn.total_sum(nn.mul(per_task, nn.Tensor(
-        [float(weights[t]) for t in tasks])))
+    task_weight = np.array([float(weights[t]) for t in tasks])[task]
+    return nn.total_sum(nn.mul(per_positive, nn.Tensor(task_weight)))
 
 
 def twiddler_loss(y_twiddler: Tensor, batch: SearchBatch,
@@ -609,7 +616,7 @@ def twiddler_loss(y_twiddler: Tensor, batch: SearchBatch,
     targets = _label_matrix(batch, tasks)[task, row].astype(np.float64)
     per_row = nn.sub(nn.softplus(z), nn.mul(nn.Tensor(targets), z))
     counts = np.bincount(task, minlength=len(tasks))
-    return nn.total_sum(nn.segment_mean(per_row, Segments(counts[counts > 0])))
+    return nn.total_sum(nn.mul(per_row, nn.Tensor(1.0 / counts[task])))
 
 
 def combination_loss(y_combination: Tensor, batch: SearchBatch) -> Tensor:

@@ -138,7 +138,5 @@ def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
         if h.shape[1] != fan_in:
             raise ShapeError(
                 f"{prefix}: layer {i} expects width {fan_in}, got {h.shape[1]}")
-        w = store[f"{prefix}.w{i}"]
-        b = store[f"{prefix}.b{i}"]
-        h = T.add_bias(T.matmul(h, w), b)
+        h = T.dense(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
     return h

@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: rank-0/1/2 arrays, a flat operation tape,
-and exactly the operators the ranking model needs: dense layers, stable
-logistic primitives, column blocks and running sums of a matrix, and
-reductions and broadcasts over a :class:`Segments` layout (rows into
-searches, built once per batch or dataset, or loss terms into tasks).
+and exactly the operators the ranking model needs: a dense layer
+(``x @ w + b`` as one node, gradients for all three in one backward), a
+bare matmul, stable logistic primitives, row and column blocks and
+running sums of a matrix, and reductions and broadcasts over a
+:class:`Segments` layout (rows into searches, built once per batch or
+dataset).
 The model keeps its per-task values as ``[rows, tasks]`` matrices, one
 column per task, so each operator runs once for all the tasks; ``gather``
 picks (row, task) entries by flat row-major index.
@@ -215,19 +217,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward_fn)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: x[m, n] + b[n]."""
-    if x.values.ndim != 2 or b.values.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias: {x.shape} + {b.shape}")
-    out = Tensor._wrap(x.values + b.values)
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of a matrix, x[m, k] @ w[k, n] + b[n], as one node."""
+    if (x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+    out = x.values @ w.values
+    out += b.values
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g, shared=True)
+            x._accumulate(g @ w.values.T)
+        if w.requires_grad:
+            w._accumulate(x.values.T @ g)
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    return _record(out, (x, b), backward_fn)
+    return _record(Tensor._wrap(out), (x, w, b), backward_fn)
 
 
 def concat_cols(*xs: Tensor) -> Tensor:
@@ -248,25 +254,42 @@ def concat_cols(*xs: Tensor) -> Tensor:
     return _record(out, xs, backward_fn)
 
 
-def column(x: Tensor, j: int | slice) -> Tensor:
-    """Column j of a matrix as a vector, or, for a slice j, that block of
-    columns as a matrix."""
-    lo, hi = (j.start, j.stop) if isinstance(j, slice) else (j, j + 1)
-    if (x.values.ndim != 2 or getattr(j, "step", None) is not None
-            or not 0 <= lo < hi <= x.shape[1]):
-        raise ShapeError(f"columns {j} out of range for shape {x.shape}")
-    out = Tensor._wrap(x.values[:, j].copy())
+def _block(x: Tensor, index) -> Tensor:
+    """``x.values[index]``, a block of rows or columns, as a new array."""
+    out = Tensor._wrap(x.values[index].copy())
 
     def backward_fn(g):
         if x.requires_grad:
-            # Only columns j are touched: write them into the buffer in place.
+            # Only the block is touched: write it into the buffer in place.
             if x.grad is None:
                 x.grad = np.zeros_like(x.values)
-                x.grad[:, j] = g
+                x.grad[index] = g
             else:
-                x.grad[:, j] += g
+                x.grad[index] += g
 
     return _record(out, (x,), backward_fn)
+
+
+def _check_block(x: Tensor, j: int | slice, axis: int, what: str) -> None:
+    lo, hi = (j.start, j.stop) if isinstance(j, slice) else (j, j + 1)
+    if (x.values.ndim != 2 or getattr(j, "step", None) is not None
+            or not 0 <= lo < hi <= x.shape[axis]):
+        raise ShapeError(f"{what} {j} out of range for shape {x.shape}")
+
+
+def column(x: Tensor, j: int | slice) -> Tensor:
+    """Column j of a matrix as a vector, or, for a slice j, that block of
+    columns as a matrix."""
+    _check_block(x, j, 1, "columns")
+    return _block(x, (slice(None), j))
+
+
+def rows(x: Tensor, block: slice) -> Tensor:
+    """A block of a matrix's rows as a matrix."""
+    if not isinstance(block, slice):
+        raise ShapeError(f"rows takes a slice, got {block!r}")
+    _check_block(x, block, 0, "rows")
+    return _block(x, block)
 
 
 def cumsum(x: Tensor) -> Tensor:
@@ -315,39 +338,59 @@ def tanh(x: Tensor) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def logistic(x) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)) of a float64 array.
-
-    ``e = exp(-|x|)`` never overflows, and each element takes
-    ``1 / (1 + e)`` for x >= 0 and ``e / (1 + e)`` otherwise. The exponent
-    is picked with ``where`` rather than ``-abs`` so a NaN keeps its sign.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _exp_neg_abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pos = x >= 0`` and ``e = exp(-|x|)``, which never overflows. The
+    exponent is picked with ``where`` rather than ``-abs`` so a NaN keeps
+    its sign."""
     pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return pos, np.exp(np.where(pos, -x, x))
+
+
+def _logistic_of_parts(pos: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """logistic(x) from :func:`_exp_neg_abs` of x: ``1 / (1 + e)`` where
+    x >= 0 and ``e / (1 + e)`` elsewhere, with one division."""
+    out = np.where(pos, 1.0, e)
+    out /= 1.0 + e
+    return out
+
+
+def logistic(x) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) of a float64 array."""
+    return _logistic_of_parts(*_exp_neg_abs(np.asarray(x, dtype=np.float64)))
 
 
 def log_sigmoid(x: Tensor) -> Tensor:
-    """log(sigmoid(x)) = -log(1 + exp(-x)), stable for |x| up to 1e3 and beyond."""
-    out = Tensor._wrap(-np.logaddexp(0.0, -x.values))
+    """log(sigmoid(x)) as ``min(x, 0) - log1p(exp(-|x|))``, stable for
+    |x| up to 1e3 and beyond. The backward pass reuses the exponential:
+    its slope is exactly ``logistic(-x)``."""
+    # _exp_neg_abs(-x) without negating x twice
+    neg = x.values <= 0
+    e = np.exp(np.where(neg, x.values, -x.values))
+    out = np.minimum(x.values, 0.0)
+    out -= np.log1p(e)
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g * logistic(-x.values))
+            slope = _logistic_of_parts(neg, e)
+            x._accumulate(np.multiply(g, slope, out=slope))
 
-    return _record(out, (x,), backward_fn)
+    return _record(Tensor._wrap(out), (x,), backward_fn)
 
 
 def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), the positive-constrained link used for coefficients."""
-    out = Tensor._wrap(np.logaddexp(0.0, x.values))
+    """log(1 + exp(x)) as ``max(x, 0) + log1p(exp(-|x|))``, the
+    positive-constrained link used for coefficients. The backward pass
+    reuses the exponential: its slope is exactly ``logistic(x)``."""
+    pos, e = _exp_neg_abs(x.values)
+    out = np.maximum(x.values, 0.0)
+    out += np.log1p(e)
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g * logistic(x.values))
+            slope = _logistic_of_parts(pos, e)
+            x._accumulate(np.multiply(g, slope, out=slope))
 
-    return _record(out, (x,), backward_fn)
+    return _record(Tensor._wrap(out), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -437,41 +480,6 @@ def segment_logsumexp(x: Tensor, segments: Segments) -> Tensor:
             # d lse_s / d x_i = softmax weight of i within its segment
             x._accumulate(np.take(g, seg, axis=0)
                           * np.exp(x.values - np.take(lse, seg, axis=0)))
-
-    return _record(out, (x,), backward_fn)
-
-
-def _per_segment(x: Tensor, segments: Segments, reduce) -> np.ndarray:
-    if x.values.ndim != 1 or len(x.values) != segments.n_rows:
-        raise ShapeError(f"segment reduction: shape {x.shape} for a layout "
-                         f"of {segments.n_rows} rows")
-    bounds = segments.starts.tolist()
-    return np.array([reduce(x.values[lo:hi])
-                     for lo, hi in zip(bounds[:-1], bounds[1:])])
-
-
-def segment_sum(x: Tensor, segments: Segments) -> Tensor:
-    """Per-segment sum of a vector, 0 for an empty segment, for a few
-    segments such as loss terms by task. Each segment is its own
-    ``np.sum``: ``np.add.reduceat`` adds in another order."""
-    out = Tensor._wrap(_per_segment(x, segments, np.sum))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g[segments.ids])
-
-    return _record(out, (x,), backward_fn)
-
-
-def segment_mean(x: Tensor, segments: Segments) -> Tensor:
-    """Per-segment mean of a vector, each segment its own ``np.mean``."""
-    if not segments.all_nonempty:
-        raise ContractError("segment_mean needs a row in every segment")
-    out = Tensor._wrap(_per_segment(x, segments, np.mean))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate((g / segments.sizes)[segments.ids])
 
     return _record(out, (x,), backward_fn)
 

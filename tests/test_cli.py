@@ -590,6 +590,31 @@ class TestOutDirectory:
         assert "not a directory" in capsys.readouterr().err
         assert taken.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command",
+                             ["train", "eval", "ntc", "compare", "ablate"])
+    def test_bad_out_beats_a_bad_dataset(self, ws, tmp_path, capsys,
+                                         command):
+        """``--out`` is checked before the dataset is read: under a file,
+        next to a malformed dataset (a data error, exit 2), it exits 1."""
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        argv = [command, "--dataset",
+                str(TestSettingsBeforeData.bad_dataset(tmp_path)),
+                "--out", str(afile / "sub")]
+        argv += {
+            "train": ["--model-config", str(ws / "base.json")],
+            "eval": ["--model", str(ws / "run" / "model")],
+            "ntc": ["--model", str(ws / "run" / "model"),
+                    "--feature", "days_ahead_of_checkin"],
+            "compare": ["--model-config-a", str(ws / "base.json"),
+                        "--model-config-b", str(ws / "base.json"),
+                        "--seeds", "0,1"],
+            "ablate": ["--seeds", "0,1"],
+        }[command]
+        assert main(argv) == 1
+        assert "not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "keep\n"
+
     def test_nested_out_is_made_by_the_writers(self, ws, tmp_path):
         out = tmp_path / "a" / "b"
         assert main(["eval", "--model", str(ws / "run" / "model"),

@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot paths, timed with pytest-benchmark.
 
 One training step (batch cut, forward and loss, backward, Adam), one
-batched forward over a whole dataset, generating 200 guests, and one JSONL
-save and load of a 200-guest world. Rounds are few so the suite's run time
+batched forward over a whole dataset, two of the step's kernels on a
+batch-sized matrix (``log_sigmoid`` and ``dense``, forward and backward),
+generating 200 guests, and one JSONL save and load of a 200-guest world. Rounds are few so the suite's run time
 barely moves. The timings only inform: nothing here asserts on them, only
 on the results being well formed.
 """
@@ -65,6 +66,40 @@ def test_batched_forward(benchmark, world):
         rounds=5, warmup_rounds=1)
     assert outputs.ranking_score.shape == (packed.n_impressions,)
     assert np.all(np.isfinite(outputs.ranking_score.values))
+
+
+def kernel_step(op, *args):
+    """A step's worth of one kernel: forward, then backward from a unit
+    upstream gradient through a sum."""
+    inputs = [nn.Tensor(a, requires_grad=True) for a in args]
+
+    def step():
+        for t in inputs:
+            t.grad = None
+        with nn.Tape() as tape:
+            out = op(*inputs)
+            nn.backward(tape, nn.total_sum(out))
+        return out
+
+    return step, inputs
+
+
+def test_log_sigmoid_kernel(benchmark):
+    x = np.random.default_rng(5).normal(scale=3.0, size=(2000, 6))
+    step, (t,) = kernel_step(nn.log_sigmoid, x)
+    out = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
+    assert out.shape == (2000, 6) and np.all(out.values <= 0.0)
+    assert t.grad.shape == (2000, 6)
+
+
+def test_dense_kernel(benchmark):
+    rng = np.random.default_rng(6)
+    step, tensors = kernel_step(nn.dense, rng.normal(size=(2000, 20)),
+                                rng.normal(size=(20, 24)),
+                                rng.normal(size=24))
+    out = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
+    assert out.shape == (2000, 24)
+    assert [t.grad.shape for t in tensors] == [(2000, 20), (20, 24), (24,)]
 
 
 def test_generate_200_guests(benchmark):

@@ -884,9 +884,8 @@ class TestBatches:
 class TestTrainLayouts:
     def test_one_search_layout_per_step(self, monkeypatch):
         """Each step builds its batch's layout once, in make_batch, and
-        every segment op of the step reads that one; the only other
-        layouts train() builds per step group the loss terms by task, one
-        for the base loss and one for the twiddler loss."""
+        every segment op of the step reads that one; the losses group
+        their terms by task without a layout of their own."""
         built = []
 
         class CountingSegments(nn.Segments):
@@ -914,13 +913,10 @@ class TestTrainLayouts:
             train(config, dataset, epochs=epochs, batch_size=3)
             counts[epochs] = (len(batches), len(built))
             searches = [b.segments for b in batches]
-            in_steps = built[built.index(searches[0]):]
-            by_task = [s for s in in_steps if s not in searches]
-            assert all(s.n <= len(config.all_tasks) for s in by_task)
-            assert len(by_task) == 2 * len(batches)
+            assert built[built.index(searches[0]):] == searches
         # 4 searches in batches of 3: two steps per epoch
         assert counts[1][0] == 2 and counts[3][0] == 6
-        assert counts[3][1] - counts[1][1] == 3 * (6 - 2)
+        assert counts[3][1] - counts[1][1] == 6 - 2
 
 
 class TestStepTape:
@@ -938,17 +934,17 @@ class TestStepTape:
         return len(tape)
 
     def test_full_config(self):
-        assert self.nodes_per_step(small_config()) == 54
+        assert self.nodes_per_step(small_config()) == 49
 
     def test_fewer_tasks_record_as_many_nodes(self):
         config = small_config(base_tasks=("book", "unc"),
                               twiddler_tasks=("cbg",))
-        assert self.nodes_per_step(config) == 54
+        assert self.nodes_per_step(config) == 49
 
     def test_baseline(self):
         config = baseline_model_config(4, 3, embedding_dim=5,
                                        tower_hidden=(6,), seed=3)
-        assert self.nodes_per_step(config) == 27
+        assert self.nodes_per_step(config) == 24
 
 
 class TestTotalLoss:
@@ -1162,10 +1158,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
         (default_model_config,
-         "15163e9c968339abd013253c31a3be1e5af28767c34145816a78859f03d4c146",
+         "ec53d05763cb5268865b17681c6c9ffb52852605fd30c76d84fdb7b08670837e",
          0.616561750538413),
         (baseline_model_config,
-         "42bc3fd996b29302dc39e2f94df44930e384792ca7c62c8b703661a5011bb3c4",
+         "815a38e2bf93eb32eea6eaa452549336576f583a163c219179bd7823ca4b4b93",
          0.7230610080992426),
     ], ids=["full", "baseline"])
     def test_result_pinned(self, make_config, digest, ndcg_unc):

@@ -167,7 +167,7 @@ class TestGradientBuffers:
             # two views each of their own gradients
             z = nn.concat_cols(a, a)
             w = nn.concat_cols(v, v)
-            y = nn.add_bias(z, w)
+            y = nn.dense(z, nn.Tensor(np.eye(4)), w)
             b = nn.segment_broadcast(a, nn.Segments([1, 1]))
             u = nn.segment_broadcast(v, nn.Segments([2, 1]))
             loss = total_of(nn.mul(y, c), nn.mul(nn.add(b, b), d),
@@ -223,6 +223,75 @@ class TestGradientBuffers:
     def test_gather_rejects_negative_index(self):
         with pytest.raises(ShapeError):
             nn.gather(nn.Tensor([1.0, 2.0]), np.array([0, -1]))
+
+
+def matmul_then_bias(x, w, b, g):
+    """Reference: the dense layer as the two nodes it replaced, a matmul
+    and then a row-broadcast bias, values and the gradients for an
+    upstream gradient ``g``."""
+    out = x @ w + b
+    return out, g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+class TestDense:
+    def test_bit_identical_to_matmul_then_bias(self):
+        rng = np.random.default_rng(81)
+        for m, k, n in ((1, 1, 1), (7, 3, 5), (2000, 20, 24), (64, 12, 9)):
+            x = nn.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+            w = nn.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+            b = nn.Tensor(rng.normal(size=n), requires_grad=True)
+            g = rng.normal(size=(m, n))
+            with nn.Tape() as tape:
+                out = nn.dense(x, w, b)
+                loss = nn.total_sum(nn.mul(out, nn.Tensor(g)))
+            nn.backward(tape, loss)
+            want = matmul_then_bias(x.values, w.values, b.values, g)
+            for got, ref in zip((out.values, x.grad, w.grad, b.grad), want):
+                np.testing.assert_array_equal(bits(got), bits(ref))
+
+    def test_constant_input_gets_no_gradient(self):
+        x = nn.Tensor(np.ones((3, 2)))
+        w = nn.Tensor(np.ones((2, 2)), requires_grad=True)
+        b = nn.Tensor(np.zeros(2), requires_grad=True)
+        with nn.Tape() as tape:
+            loss = nn.total_sum(nn.dense(x, w, b))
+        nn.backward(tape, loss)
+        assert x.grad is None
+        np.testing.assert_array_equal(w.grad, np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(82)
+        params = {"x": nn.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                  "w": nn.Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+                  "b": nn.Tensor(rng.normal(size=2), requires_grad=True)}
+        c = nn.Tensor(rng.normal(size=(4, 2)))
+
+        def make_loss():
+            y = nn.tanh(nn.dense(params["x"], params["w"], params["b"]))
+            return nn.total_sum(nn.mul(y, c))
+
+        fd_gradcheck(make_loss, params)
+
+
+class TestRows:
+    def test_blocks_and_gradients(self):
+        x = nn.Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        with nn.Tape() as tape:
+            top = nn.rows(x, slice(0, 1))
+            rest = nn.rows(x, slice(1, 4))
+            loss = total_of(top, nn.mul(rest, rest))
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(top.values, [[0.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(rest.values, x.values[1:])
+        np.testing.assert_array_equal(x.grad[0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(x.grad[1:], 2.0 * x.values[1:])
+
+    def test_range(self):
+        x = nn.Tensor(np.zeros((3, 2)))
+        for block in (slice(2, 4), slice(1, 1), slice(0, 3, 2), 1):
+            with pytest.raises(ShapeError):
+                nn.rows(x, block)
 
 
 class TestStopGradient:
@@ -314,6 +383,87 @@ class TestLogistic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nn.logistic(self.inputs())
+
+
+def raw_tensor(values) -> nn.Tensor:
+    """A gradient-tracking tensor holding ``values`` as they are: the
+    constructor refuses NaN and infinity, which the kernels must still
+    handle."""
+    t = nn.Tensor(np.zeros(np.shape(values)), requires_grad=True)
+    t.values = np.asarray(values, dtype=np.float64)
+    return t
+
+
+class TestLog1pKernels:
+    """``log_sigmoid`` and ``softplus`` against their ``np.logaddexp``
+    forms and an extended-precision oracle, and their slopes against the
+    two-branch logistic."""
+
+    # op, np.logaddexp form, exact value, and the argument of its slope's
+    # logistic (negated with unary minus, which flips a NaN's sign bit)
+    KERNELS = {
+        "log_sigmoid": (nn.log_sigmoid, lambda x: -np.logaddexp(0.0, -x),
+                        lambda v: -mpmath.log1p(mpmath.exp(-v)),
+                        lambda x: -x),
+        "softplus": (nn.softplus, lambda x: np.logaddexp(0.0, x),
+                     lambda v: mpmath.log1p(mpmath.exp(v)),
+                     lambda x: x),
+    }
+
+    @staticmethod
+    def inputs():
+        return np.r_[TestLogistic().inputs(),
+                     np.random.default_rng(83).normal(size=2000),
+                     np.random.default_rng(84).normal(scale=30.0, size=2000)]
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_close_to_logaddexp_form(self, name):
+        """Both forms are within 1 ulp of the exact value, so they are
+        within 2 of each other, and NaN where the other is."""
+        op, reference, _, _ = self.KERNELS[name]
+        x = self.inputs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op(raw_tensor(x)).values
+        with np.errstate(invalid="ignore"):
+            want = reference(x)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_max_ulp(got[~nan], want[~nan], maxulp=2)
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_within_one_ulp_of_exact(self, name):
+        op, _, exact, _ = self.KERNELS[name]
+        mpmath.mp.dps = 50
+        x = np.r_[np.random.default_rng(87).normal(size=300),
+                  np.random.default_rng(88).normal(scale=30.0, size=100)]
+        want = np.array([float(exact(mpmath.mpf(v))) for v in x])
+        np.testing.assert_array_max_ulp(op(nn.Tensor(x)).values, want,
+                                        maxulp=1)
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_slope_is_logistic_bit_for_bit(self, name):
+        op, _, _, slope_arg = self.KERNELS[name]
+        x = self.inputs()
+        g = np.random.default_rng(85).normal(size=x.size)
+        t = raw_tensor(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with nn.Tape() as tape:
+                loss = nn.total_sum(nn.mul(op(t), nn.Tensor(g)))
+            nn.backward(tape, loss)
+        np.testing.assert_array_equal(
+            bits(t.grad), bits(g * two_branch_logistic(slope_arg(x))))
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_matrix_and_scalar_shapes(self, name):
+        op, reference, _, _ = self.KERNELS[name]
+        x = np.random.default_rng(86).normal(size=(2000, 6))
+        np.testing.assert_array_max_ulp(op(nn.Tensor(x)).values,
+                                        reference(x), maxulp=2)
+        got = op(nn.Tensor(0.5)).values
+        assert np.shape(got) == ()
+        np.testing.assert_array_max_ulp(got, reference(0.5), maxulp=2)
 
 
 def layout_of(ids, n: int) -> nn.Segments:
@@ -502,64 +652,6 @@ class TestCumsum:
                 nn.cumsum(nn.Tensor(values))
 
 
-class TestSegmentSumAndMean:
-    SIZES = [3, 0, 1, 17, 8, 130, 2]
-
-    def test_bit_identical_to_slice_reductions(self):
-        """Each segment is reduced as its slice alone would be; one
-        ``np.add.reduceat`` over the vector is not, on long segments."""
-        rng = np.random.default_rng(73)
-        segments = nn.Segments(self.SIZES)
-        bounds = segments.starts
-        reduceat_differs = False
-        for rep in range(30):
-            x = rng.normal(size=segments.n_rows) * 10.0 ** rng.integers(
-                -6, 6, segments.n_rows)
-            slices = [x[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            got = nn.segment_sum(nn.Tensor(x), segments).values
-            np.testing.assert_array_equal(
-                bits(got), bits([np.sum(v) for v in slices]))
-            nonempty = [v for v in slices if v.size]
-            got = nn.segment_mean(nn.Tensor(np.concatenate(nonempty)),
-                                  nn.Segments([v.size for v in nonempty]))
-            np.testing.assert_array_equal(
-                bits(got.values), bits([np.mean(v) for v in nonempty]))
-            reduceat_differs |= not np.array_equal(
-                np.add.reduceat(x, bounds[:-1])[segments.sizes > 0],
-                [np.sum(v) for v in nonempty])
-        assert reduceat_differs
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(74)
-        params = {"x": nn.Tensor(rng.normal(size=11), requires_grad=True)}
-        sums = nn.Segments([4, 0, 2, 5])
-        means = nn.Segments([1, 6, 4])
-        c_sum = nn.Tensor(rng.normal(size=4))
-        c_mean = nn.Tensor(rng.normal(size=3))
-
-        def make_loss():
-            y = nn.tanh(params["x"])
-            return nn.add(
-                nn.total_sum(nn.mul(nn.segment_sum(y, sums), c_sum)),
-                nn.total_sum(nn.mul(nn.segment_mean(y, means), c_mean)))
-
-        fd_gradcheck(make_loss, params)
-
-    def test_empty_segments(self):
-        got = nn.segment_sum(nn.Tensor([1.0, 2.0]), nn.Segments([0, 2, 0]))
-        np.testing.assert_array_equal(got.values, [0.0, 3.0, 0.0])
-        assert nn.segment_sum(nn.Tensor(np.zeros(0)),
-                              nn.Segments([])).shape == (0,)
-        with pytest.raises(ContractError):
-            nn.segment_mean(nn.Tensor([1.0, 2.0]), nn.Segments([2, 0]))
-
-    def test_rejects_rows_the_layout_lacks(self):
-        for op in (nn.segment_sum, nn.segment_mean):
-            for x, sizes in ((np.zeros(3), [1, 1]), (np.zeros((2, 1)), [2])):
-                with pytest.raises(ShapeError):
-                    op(nn.Tensor(x), nn.Segments(sizes))
-
-
 class TestMatrixGatherAndLogsumexp:
     def test_gather_takes_a_flat_index_into_a_matrix(self):
         rng = np.random.default_rng(75)
@@ -654,11 +746,12 @@ class TestConcatCols:
                                           requires_grad=True)
                        for k, width in enumerate((1, 5))})
         c = nn.Tensor(rng.normal(size=(3, 6)))
+        mix = nn.Tensor(rng.normal(size=(6, 6)))
 
         def make_loss():
             z = nn.concat_cols(params["m0"], params["m1"], params["m2"])
-            y = nn.tanh(nn.add_bias(z, nn.concat_cols(params["v0"],
-                                                      params["v1"])))
+            y = nn.tanh(nn.dense(z, mix, nn.concat_cols(params["v0"],
+                                                        params["v1"])))
             block = nn.column(y, slice(2, 5))
             return total_of(nn.mul(y, c), nn.mul(block, block))
 
@@ -688,9 +781,12 @@ class TestShapeValidation:
         with pytest.raises(ShapeError):
             nn.add(nn.Tensor(np.zeros(3)), nn.Tensor(np.zeros(4)))
 
-    def test_add_bias_width(self):
-        with pytest.raises(ShapeError):
-            nn.add_bias(nn.Tensor(np.zeros((2, 3))), nn.Tensor(np.zeros(2)))
+    def test_dense_shapes(self):
+        x, w, b = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)
+        for bad in ((x, w, np.zeros(3)), (x, np.zeros((2, 4)), b),
+                    (np.zeros(3), w, b), (x, w, np.zeros((1, 4)))):
+            with pytest.raises(ShapeError):
+                nn.dense(*(nn.Tensor(v) for v in bad))
 
     def test_column_range(self):
         with pytest.raises(ShapeError):
@@ -745,7 +841,7 @@ class TestGradientFuzz:
             x = nn.Tensor(rng.normal(size=(3, dims[0])))
 
             def loss_mlp():
-                h = nn.tanh(nn.add_bias(nn.matmul(x, w0), b0))
+                h = nn.tanh(nn.dense(x, w0, b0))
                 y = nn.matmul(h, w1)
                 return nn.total_sum(nn.mul(y, y))
 
@@ -755,7 +851,7 @@ class TestGradientFuzz:
             # family 2: the funnel chain as a [rows, tasks] matrix, one
             # running sum of log-sigmoids, then the per-task listwise terms:
             # a segment logsumexp, flat-index gathers of each task's
-            # positives, per-task sums and a weighted total
+            # positives and their total weighted by task
             n_seg = int(rng.integers(2, 5))
             lengths = rng.integers(2, 5, size=n_seg)
             segments = nn.Segments(lengths)
@@ -764,8 +860,7 @@ class TestGradientFuzz:
                           requires_grad=True)
             task, row = np.nonzero(
                 rng.random((n_tasks, segments.n_rows)) < 0.4)
-            by_task = nn.Segments(np.bincount(task, minlength=n_tasks))
-            task_weights = nn.Tensor(rng.uniform(0.5, 2.0, size=n_tasks))
+            task_weight = nn.Tensor(rng.uniform(0.5, 2.0, size=n_tasks)[task])
 
             def loss_listwise():
                 lj = nn.cumsum(nn.log_sigmoid(u))
@@ -773,8 +868,7 @@ class TestGradientFuzz:
                 per_positive = nn.sub(
                     nn.gather(lse, segments.ids[row] * n_tasks + task),
                     nn.gather(lj, row * n_tasks + task))
-                return nn.total_sum(nn.mul(
-                    nn.segment_sum(per_positive, by_task), task_weights))
+                return nn.total_sum(nn.mul(per_positive, task_weight))
 
             fd_gradcheck(loss_listwise, {"u": u})
             n_graphs += 1
@@ -841,7 +935,7 @@ class TestGradientFuzz:
             xr = nn.Tensor(xr_)
 
             def loss_relu():
-                h = nn.relu(nn.add_bias(nn.matmul(xr, wr), br))
+                h = nn.relu(nn.dense(xr, wr, br))
                 return nn.total_sum(nn.mul(h, h))
 
             fd_gradcheck(loss_relu, {"wr": wr, "br": br})
