@@ -396,14 +396,18 @@ def _add_common(sub):
                      help="print machine-readable JSON instead of tables")
 
 
+def _add_training_flags(sub):
+    sub.add_argument("--epochs", type=int, default=8)
+    sub.add_argument("--batch-size", type=int, default=128)
+    sub.add_argument("--learning-rate", type=float, default=1e-3)
+
+
 def _add_protocol_flags(sub):
     sub.add_argument("--jobs", type=int, default=1,
                      help="parallel worker processes for independent runs")
     sub.add_argument("--seeds", default="0,1,2,3,4",
                      help="comma-separated training seeds")
-    sub.add_argument("--epochs", type=int, default=8)
-    sub.add_argument("--batch-size", type=int, default=128)
-    sub.add_argument("--learning-rate", type=float, default=1e-3)
+    _add_training_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,9 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--seed", type=int, default=None,
                     help="override the seed key in --model-config")
-    tr.add_argument("--epochs", type=int, default=8)
-    tr.add_argument("--batch-size", type=int, default=128)
-    tr.add_argument("--learning-rate", type=float, default=1e-3)
+    _add_training_flags(tr)
     tr.add_argument("--filter", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="restrict training to payment-page journeys")

@@ -45,9 +45,11 @@ from .domain import (
     Dataset,
     DatasetSchema,
     PackedSearches,
+    exact_int,
+    number,
     select_impressions,
 )
-from .errors import DataValidationError, SchemaMismatchError
+from .errors import ConfigError, DataValidationError, SchemaMismatchError
 
 _SCHEMA_KEYS = {"record", "listing_dim", "context_dim", "context_features",
                 "milestones", "window_days"}
@@ -307,20 +309,40 @@ def load_dataset(path: str | Path) -> Dataset:
             schema_rec = json.loads(header)
         except json.JSONDecodeError as exc:
             raise SchemaMismatchError(f"{path}: malformed schema header: {exc}") from None
-        if schema_rec.get("record") != "schema":
-            raise SchemaMismatchError(f"{path}: first line must be the schema record")
-        if set(schema_rec) != _SCHEMA_KEYS:
-            raise SchemaMismatchError(
-                f"{path}: schema fields {sorted(set(schema_rec) ^ _SCHEMA_KEYS)} "
-                "unexpected or missing")
-        schema = DatasetSchema(
-            listing_dim=int(schema_rec["listing_dim"]),
-            context_dim=int(schema_rec["context_dim"]),
-            context_features=tuple(schema_rec["context_features"]),
-            window_days=float(schema_rec["window_days"]),
-            milestones=tuple(schema_rec["milestones"]),
-        )
+        schema = _schema_from_record(schema_rec, path)
         return dataset_from_records(schema, _read_records(f, path))
+
+
+def _schema_from_record(rec, path: Path) -> DatasetSchema:
+    """The header's schema, read as strictly as every other record: a
+    fractional, boolean or string width or window, a feature name that is
+    not a string or a milestone list other than the package's is a data
+    fault that names its field."""
+    if not isinstance(rec, dict) or rec.get("record") != "schema":
+        raise SchemaMismatchError(f"{path}: first line must be the schema record")
+    if set(rec) != _SCHEMA_KEYS:
+        raise SchemaMismatchError(
+            f"{path}: schema fields {sorted(set(rec) ^ _SCHEMA_KEYS)} "
+            "unexpected or missing")
+    names = rec["context_features"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise SchemaMismatchError(
+            f"{path}: context_features must be a list of names, got {names!r}")
+    if rec["milestones"] != list(ALL_MILESTONES):
+        raise SchemaMismatchError(f"{path}: milestones must be "
+                                  f"{list(ALL_MILESTONES)}, got {rec['milestones']!r}")
+    values = {}
+    for key, convert in (("listing_dim", exact_int),
+                         ("context_dim", exact_int), ("window_days", number)):
+        try:
+            values[key] = convert(rec[key])
+        except (OverflowError, TypeError):
+            raise SchemaMismatchError(f"{path}: schema {key} has a malformed "
+                                      f"value {rec[key]!r}") from None
+    try:
+        return DatasetSchema(context_features=tuple(names), **values)
+    except ConfigError as exc:
+        raise SchemaMismatchError(f"{path}: schema header: {exc}") from None
 
 
 def file_sha256(path: str | Path) -> str:

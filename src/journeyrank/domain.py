@@ -80,17 +80,16 @@ REQUIRED_CONTEXT_FEATURES = ("days_ahead_of_checkin", "num_previous_searches")
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    """Feature widths, context feature names, milestones, journey window."""
+    """Feature widths, context feature names and the journey window. The
+    milestones are always ``ALL_MILESTONES``."""
 
     listing_dim: int
     context_dim: int
     context_features: tuple[str, ...]
     window_days: float = 30.0
-    milestones: tuple[str, ...] = ALL_MILESTONES
 
     def __post_init__(self):
         object.__setattr__(self, "context_features", tuple(self.context_features))
-        object.__setattr__(self, "milestones", tuple(self.milestones))
         if self.listing_dim <= 0 or self.context_dim <= 0:
             raise ConfigError("feature widths must be positive")
         if len(self.context_features) != self.context_dim:
@@ -98,7 +97,7 @@ class DatasetSchema:
         for name in REQUIRED_CONTEXT_FEATURES:
             if name not in self.context_features:
                 raise ConfigError(f"context schema must include {name!r}")
-        if self.window_days <= 0:
+        if not self.window_days > 0:
             raise ConfigError("journey window must be positive")
 
     def context_index(self, feature_name: str) -> int:
@@ -113,7 +112,7 @@ class DatasetSchema:
             "listing_dim": self.listing_dim,
             "context_dim": self.context_dim,
             "context_features": list(self.context_features),
-            "milestones": list(self.milestones),
+            "milestones": list(ALL_MILESTONES),
             "window_days": self.window_days,
         }
 

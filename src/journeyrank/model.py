@@ -46,7 +46,6 @@ from .domain import (
     POSITIVE_CHAIN,
     PackedSearches,
     concat_ranges,
-    number,
     task_weights,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .errors import (
 )
 from . import nn
 from .nn import MlpSpec, ParameterStore, Segments, Tape, Tensor
-from .nn.mlp import ACTIVATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -82,54 +80,47 @@ def _check_sequence(name: str, value) -> tuple:
 class ModelConfig:
     """Architecture and loss layout for one ranking model.
 
-    Every block's shape derives from these fields:
+    Every block's shape derives from these fields, with ReLU between the
+    layers of every block:
 
     - ``listing_tower`` maps ``listing_dim`` features, and
       ``context_tower`` maps ``context_dim`` features, through
       ``tower_hidden`` to ``embedding_dim``.
-    - ``head``, shared by every task, maps the listing and context
-      embeddings side by side (``2 * embedding_dim``, listing first)
-      through ``head_hidden`` to one logit.
+    - ``head``, shared by every task, is one affine map from the listing
+      and context embeddings side by side (``2 * embedding_dim``, listing
+      first) to one logit.
     - ``combination`` maps the context embedding through
       ``combination_hidden`` to one coefficient for the base score plus
       one per twiddler; there is none without twiddlers.
-    - ``activation`` sits between the layers of every block.
 
     ``base_tasks`` lists the positive milestones to chain, in funnel order,
     always ending at the uncancelled-booking task whose joint probability
-    is the base score. ``twiddler_tasks`` lists the negative milestones
-    given dedicated re-ranking heads. ``task_loss_weights``, one positive
-    weight per base task, replaces the inverse-prevalence weights, and
-    ``seed`` fixes initialization and batch order.
+    is the base score; each is weighted by its inverse prevalence in the
+    training data (``domain.task_weights``). ``twiddler_tasks`` lists the
+    negative milestones given dedicated re-ranking heads, and ``seed``
+    fixes initialization and batch order.
     """
 
     listing_dim: int
     context_dim: int
     embedding_dim: int = 12
     tower_hidden: tuple[int, ...] = (24,)
-    head_hidden: tuple[int, ...] = ()
     combination_hidden: tuple[int, ...] = (8,)
-    activation: str = "relu"
     base_tasks: tuple[str, ...] = POSITIVE_CHAIN
     twiddler_tasks: tuple[str, ...] = NEGATIVE_MILESTONES
-    task_loss_weights: Mapping[str, float] | None = None
     seed: int = 0
 
     def __post_init__(self):
         for name in ("listing_dim", "context_dim", "embedding_dim"):
             _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
-        for name in ("tower_hidden", "head_hidden", "combination_hidden",
+        for name in ("tower_hidden", "combination_hidden",
                      "base_tasks", "twiddler_tasks"):
             object.__setattr__(self, name,
                                _check_sequence(name, getattr(self, name)))
-        for name in ("tower_hidden", "head_hidden", "combination_hidden"):
+        for name in ("tower_hidden", "combination_hidden"):
             for width in getattr(self, name):
                 _check_int(name, width, 1)
-        if (not isinstance(self.activation, str)
-                or self.activation not in ACTIVATIONS):
-            raise ConfigError(f"activation must be one of "
-                              f"{sorted(ACTIVATIONS)}, got {self.activation!r}")
         base, twiddlers = self.base_tasks, self.twiddler_tasks
         if not base:
             raise ConfigError("base_tasks must not be empty")
@@ -150,22 +141,6 @@ class ModelConfig:
                               f"from {NEGATIVE_MILESTONES}")
         if len(set(twiddlers)) != len(twiddlers):
             raise ConfigError("twiddler_tasks must not repeat")
-        if self.task_loss_weights is not None:
-            if (not isinstance(self.task_loss_weights, Mapping)
-                    or set(self.task_loss_weights) != set(base)):
-                raise ConfigError("task_loss_weights keys must match "
-                                  "base_tasks")
-            weights = {}
-            for task, w in self.task_loss_weights.items():
-                try:
-                    value = number(w)
-                except (OverflowError, TypeError):
-                    raise ConfigError(f"task_loss_weights value for {task} "
-                                      f"must be a number, got {w!r}") from None
-                if not np.isfinite(value) or value <= 0:
-                    raise ConfigError(f"weight for {task} must be positive")
-                weights[task] = value
-            object.__setattr__(self, "task_loss_weights", weights)
 
     @property
     def all_tasks(self) -> tuple[str, ...]:
@@ -174,25 +149,24 @@ class ModelConfig:
     @property
     def listing_tower(self) -> MlpSpec:
         return MlpSpec(self.listing_dim, self.tower_hidden,
-                       self.embedding_dim, self.activation)
+                       self.embedding_dim)
 
     @property
     def context_tower(self) -> MlpSpec:
         return MlpSpec(self.context_dim, self.tower_hidden,
-                       self.embedding_dim, self.activation)
+                       self.embedding_dim)
 
     @property
     def head(self) -> MlpSpec:
         """The shape of every task head."""
-        return MlpSpec(2 * self.embedding_dim, self.head_hidden, 1,
-                       self.activation)
+        return MlpSpec(2 * self.embedding_dim, (), 1)
 
     @property
     def combination(self) -> MlpSpec | None:
         if not self.twiddler_tasks:
             return None
         return MlpSpec(self.embedding_dim, self.combination_hidden,
-                       1 + len(self.twiddler_tasks), self.activation)
+                       1 + len(self.twiddler_tasks))
 
 
 # The full model: every positive milestone chained, every negative one
@@ -325,24 +299,14 @@ class NormalizationStats:
         return (rows - self.context_mean) / self.context_scale
 
     def to_record(self) -> dict:
-        return {
-            "listing_mean": [float(v) for v in self.listing_mean],
-            "listing_scale": [float(v) for v in self.listing_scale],
-            "context_mean": [float(v) for v in self.context_mean],
-            "context_scale": [float(v) for v in self.context_scale],
-        }
+        return {f.name: [float(v) for v in getattr(self, f.name)]
+                for f in fields(self)}
 
     @classmethod
     def from_record(cls, rec: dict) -> "NormalizationStats":
         try:
-            return cls(
-                listing_mean=np.asarray(rec["listing_mean"], dtype=np.float64),
-                listing_scale=np.asarray(rec["listing_scale"],
-                                         dtype=np.float64),
-                context_mean=np.asarray(rec["context_mean"], dtype=np.float64),
-                context_scale=np.asarray(rec["context_scale"],
-                                         dtype=np.float64),
-            )
+            return cls(**{f.name: np.asarray(rec[f.name], dtype=np.float64)
+                          for f in fields(cls)})
         except KeyError as exc:
             raise ConfigError(
                 f"normalization record missing key {exc}") from None
@@ -398,33 +362,22 @@ def _head_logits(config: ModelConfig, params: ParameterStore,
     """Every head's logit per impression row, as a ``[rows, tasks]``
     matrix with one column per task of ``all_tasks``.
 
-    The heads' first layers run as one layer over their column-stacked
-    weights, so head k's first layer outputs columns ``k*w:(k+1)*w``. That
-    layer reads the listing embedding through the weights' first
-    ``embedding_dim`` rows and the context embedding through the rest, so
-    it runs in two halves and no joint embedding is built: the listing
-    half per row, and the context half, bias included, once per search,
-    handed to the search's rows by ``segments``. For linear heads the sum
-    of the halves is the logit matrix; heads with hidden layers each go on
-    from their block of columns.
+    The heads are affine, so they run as one layer over their
+    column-stacked weights, head k giving column k. That layer reads the
+    listing embedding through the weights' first ``embedding_dim`` rows
+    and the context embedding through the rest, so it runs in two halves
+    and no joint embedding is built: the listing half per row, and the
+    context half, bias included, once per search, handed to the search's
+    rows by ``segments``. The logits are the sum of the halves.
     """
-    spec = config.head
     prefixes = [_head_prefix(task) for task in config.all_tasks]
     d = config.embedding_dim
     weights = nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))
     context_half = nn.dense(
         emb.context, nn.rows(weights, slice(d, 2 * d)),
         nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
-    first = nn.add(nn.matmul(emb.listing, nn.rows(weights, slice(0, d))),
-                   nn.segment_broadcast(context_half, segments))
-    if not spec.hidden_dims:
-        return first
-    width = spec.layer_dims[0][1]
-    return nn.concat_cols(*(
-        nn.forward_mlp(params, prefix, spec,
-                       nn.column(first, slice(k * width, (k + 1) * width)),
-                       start=1)
-        for k, prefix in enumerate(prefixes)))
+    return nn.add(nn.matmul(emb.listing, nn.rows(weights, slice(0, d))),
+                  nn.segment_broadcast(context_half, segments))
 
 
 def _coefficients(coef_logits: Tensor) -> tuple[Tensor, Tensor]:
@@ -699,15 +652,6 @@ class TrainedModel:
                        segments)
 
 
-def resolve_task_weights(config: ModelConfig,
-                         dataset: Dataset) -> dict[str, float]:
-    """Configured weights when given, else inverse-prevalence weights
-    anchored so the deepest task weighs 1."""
-    if config.task_loss_weights is not None:
-        return {t: float(w) for t, w in config.task_loss_weights.items()}
-    return task_weights(dataset, config.base_tasks)
-
-
 def check_training_settings(epochs: int, batch_size: int,
                             learning_rate: float, min_epochs: int = 0) -> None:
     """Refuse epochs below ``min_epochs``, a batch size below 1 or a
@@ -734,7 +678,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
         raise DataValidationError("training dataset has no searches")
     norm = NormalizationStats.fit(packed.listing_features,
                                   packed.context_features)
-    weights = resolve_task_weights(config, dataset)
+    weights = task_weights(dataset, config.base_tasks)
     params = init_model_params(config)
     state = nn.init_adam(params, learning_rate)
     shuffle_rng = np.random.default_rng(

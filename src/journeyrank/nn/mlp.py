@@ -14,29 +14,24 @@ import numpy as np
 from ..errors import ConfigError, ShapeError
 from . import tensor as T
 
-ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
-
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Shape of one feed-forward block.
+    """Shape of one feed-forward block, with ReLU between its layers.
 
     ``hidden_dims=()`` degenerates to a single affine map, which is how
-    linear scoring heads are expressed.
+    the linear scoring heads are expressed.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     output_dim: int = 1
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) <= 0 for d in dims):
             raise ConfigError(f"all layer widths must be positive, got {dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -120,21 +115,18 @@ def init_mlp_params(store: ParameterStore, prefix: str, spec: MlpSpec,
 
 
 def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
-                x: T.Tensor, start: int = 0) -> T.Tensor:
+                x: T.Tensor) -> T.Tensor:
     """Apply the block to a [rows, input_dim] matrix.
 
-    The activation sits between layers only; the final layer is affine so
-    heads can emit unbounded logits. With ``start`` > 0, ``x`` is the
-    affine output of layer ``start - 1``, computed elsewhere, and the block
-    goes on from its activation.
+    ReLU sits between layers only; the final layer is affine so the block
+    can emit unbounded logits.
     """
     if x.values.ndim != 2:
         raise ShapeError(f"{prefix}: expected a rank-2 input, got shape {x.shape}")
-    act = ACTIVATIONS[spec.activation]
     h = x
-    for i, (fan_in, _) in enumerate(spec.layer_dims[start:], start=start):
+    for i, (fan_in, _) in enumerate(spec.layer_dims):
         if i > 0:
-            h = act(h)
+            h = T.relu(h)
         if h.shape[1] != fan_in:
             raise ShapeError(
                 f"{prefix}: layer {i} expects width {fan_in}, got {h.shape[1]}")

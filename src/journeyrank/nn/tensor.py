@@ -318,22 +318,12 @@ def cumsum(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    mask = x.values > 0.0
     out = Tensor._wrap(np.maximum(x.values, 0.0))
 
     def backward_fn(g):
         if x.requires_grad:
-            x._accumulate(g * (x.values > 0.0))
-
-    return _record(out, (x,), backward_fn)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.values)
-    out = Tensor._wrap(t)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - t * t))
+            x._accumulate(g * mask)
 
     return _record(out, (x,), backward_fn)
 

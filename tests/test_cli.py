@@ -172,9 +172,6 @@ class TestMalformedConfig:
                                            command, key, value):
         source = "model.json" if command == "train" else "gen.json"
         record = json.loads((ws / source).read_text())
-        if key == "task_loss_weights":
-            value = {t: 1.0 for t in record["base_tasks"]}
-            value["unc"] = "x"
         record[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(record))
@@ -241,18 +238,28 @@ class TestTrain:
         assert history == ["epoch,base,twiddler,combination,total"]
 
     def test_divergence_exits_three_with_epoch(self, ws, tmp_path, capsys):
-        record = json.loads((ws / "model.json").read_text())
-        record["task_loss_weights"] = {t: 1.0 for t in record["base_tasks"]}
-        record["task_loss_weights"]["unc"] = 1e308
-        bad = tmp_path / "diverge.json"
-        bad.write_text(json.dumps(record))
-        with np.errstate(over="ignore"):
-            rc = main(["train", "--model-config", str(bad),
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--model-config", str(ws / "model.json"),
                        "--dataset", str(ws / "data" / "dataset.jsonl"),
                        "--out", str(tmp_path / "div"), "--epochs", "1",
-                       "--batch-size", "64"])
+                       "--batch-size", "64", "--learning-rate", "1e308"])
         assert rc == 3
-        assert "epoch" in capsys.readouterr().err
+        assert "epoch 0, batch 1" in capsys.readouterr().err
+
+    def test_removed_architecture_key_is_refused(self, ws, tmp_path, capsys):
+        """The activation is not settable: a model config that still
+        names it exits 1 and names the key."""
+        record = json.loads((ws / "model.json").read_text())
+        record["activation"] = "relu"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(record))
+        rc = main(["train", "--model-config", str(old),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(tmp_path / "old")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "unknown keys ['activation']" in err
+        assert not (tmp_path / "old").exists()
 
     @pytest.mark.parametrize("rate", ["-0.001", "0", "nan", "inf"])
     def test_bad_learning_rate_is_usage_error(self, ws, tmp_path, capsys,
@@ -707,6 +714,50 @@ class TestValidate:
                    "--epochs", "1"])
         assert rc == 2
         assert "malformed journey record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("listing_dim", 6.9, "listing_dim"),
+        ("listing_dim", "6", "listing_dim"),
+        ("context_dim", True, "context_dim"),
+        ("window_days", True, "window_days"),
+        ("window_days", "30", "window_days"),
+        ("milestones", ["imp"], "milestones"),
+        ("context_features", "days_ahead_of_checkin", "context_features"),
+        ("context_features", [0, 1, 2, 3], "context_features"),
+        ("listing_dim", 0, "feature widths"),
+        ("window_days", -1, "journey window"),
+        ("window_days", float("nan"), "journey window"),
+        ("context_features", ["days_out", "num_previous_searches",
+                              "taste_0", "taste_1"], "days_ahead_of_checkin"),
+    ], ids=["fractional-width", "string-width", "bool-width", "bool-window",
+            "string-window", "milestones", "names-not-a-list",
+            "names-not-strings", "zero-width", "negative-window",
+            "nan-window", "names-lack-days-ahead"])
+    def test_malformed_header_exits_two(self, ws, tmp_path, capsys, key,
+                                        value, named):
+        """The schema header is read as strictly as the journey records:
+        every fault in it is a data error that names what is wrong."""
+        lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["context_features"] == [
+            "days_ahead_of_checkin", "num_previous_searches", "taste_0",
+            "taste_1"]
+        header[key] = value
+        lines[0] = json.dumps(header)
+        path = tmp_path / "header.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--dataset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert named in err
+
+    def test_header_that_is_not_an_object_exits_two(self, ws, tmp_path,
+                                                    capsys):
+        lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
+        path = tmp_path / "list-header.jsonl"
+        path.write_text("\n".join(["[]", *lines[1:]]) + "\n")
+        assert main(["validate", "--dataset", str(path)]) == 2
+        assert "schema record" in capsys.readouterr().err
 
     def test_json_payload_reports_acceptance(self, ws, capsys):
         rc = main(["validate", "--json",

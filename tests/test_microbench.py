@@ -38,7 +38,7 @@ def test_train_step(benchmark, world):
     norm = model.NormalizationStats.fit(packed.listing_features,
                                         packed.context_features)
     inputs = model.batch_inputs(packed, norm)
-    weights = model.resolve_task_weights(config, dataset)
+    weights = model.task_weights(dataset, config.base_tasks)
     params = model.init_model_params(config)
     state = nn.init_adam(params)
     searches = np.arange(min(128, packed.n_searches))

@@ -24,10 +24,6 @@ class TestMlpSpec:
         with pytest.raises(ConfigError):
             nn.MlpSpec(input_dim=2, hidden_dims=(0,), output_dim=1)
 
-    def test_rejects_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            nn.MlpSpec(input_dim=2, hidden_dims=(), output_dim=1, activation="gelu")
-
 
 class TestForwardMlp:
     def test_identity_case(self):

@@ -268,7 +268,7 @@ class TestDense:
         c = nn.Tensor(rng.normal(size=(4, 2)))
 
         def make_loss():
-            y = nn.tanh(nn.dense(params["x"], params["w"], params["b"]))
+            y = nn.softplus(nn.dense(params["x"], params["w"], params["b"]))
             return nn.total_sum(nn.mul(y, c))
 
         fd_gradcheck(make_loss, params)
@@ -314,6 +314,32 @@ class TestStopGradient:
             loss = nn.total_sum(nn.add(w, nn.stop_gradient(w)))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(w.grad, np.ones(3))
+
+
+class TestRelu:
+    def test_values_and_gradient_at_the_kink(self):
+        x = nn.Tensor([[-2.0, -0.0, 0.0, 1e-300, 3.0]], requires_grad=True)
+        with nn.Tape() as tape:
+            y = nn.relu(x)
+            loss = nn.total_sum(nn.mul(y, nn.Tensor([[1.0, 2.0, 3.0, 4.0,
+                                                      5.0]])))
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(y.values, [[0.0, 0.0, 0.0, 1e-300, 3.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0, 4.0, 5.0]])
+
+    def test_backward_uses_the_forward_mask(self):
+        """The gradient follows the signs the forward saw, bit for bit the
+        same as ``g * (x > 0)`` taken then, even if the input's buffer is
+        overwritten before the backward runs."""
+        rng = np.random.default_rng(90)
+        values = rng.normal(size=(40, 6))
+        g = rng.normal(size=(40, 6))
+        x = nn.Tensor(values.copy(), requires_grad=True)
+        with nn.Tape() as tape:
+            loss = nn.total_sum(nn.mul(nn.relu(x), nn.Tensor(g)))
+        x.values[...] = -x.values
+        nn.backward(tape, loss)
+        np.testing.assert_array_equal(bits(x.grad), bits(g * (values > 0.0)))
 
 
 class TestLogSigmoid:
@@ -578,8 +604,8 @@ class TestSegmentOps:
         def make_loss():
             vec = nn.segment_broadcast(params["vec"], segments)
             mat = nn.segment_broadcast(params["mat"], segments)
-            return total_of(nn.mul(nn.tanh(vec), c_vec),
-                            nn.mul(nn.tanh(mat), c_mat))
+            return total_of(nn.mul(nn.softplus(vec), c_vec),
+                            nn.mul(nn.softplus(mat), c_mat))
 
         fd_gradcheck(make_loss, params)
         for x in params.values():
@@ -644,7 +670,7 @@ class TestCumsum:
         params = {"x": nn.Tensor(rng.normal(size=(4, 5)), requires_grad=True)}
         c = nn.Tensor(rng.normal(size=(4, 5)))
         fd_gradcheck(lambda: nn.total_sum(nn.mul(
-            nn.tanh(nn.cumsum(params["x"])), c)), params)
+            nn.softplus(nn.cumsum(params["x"])), c)), params)
 
     def test_rejects_what_has_no_columns(self):
         for values in (np.zeros(3), np.zeros((3, 0)), np.zeros(())):
@@ -750,8 +776,8 @@ class TestConcatCols:
 
         def make_loss():
             z = nn.concat_cols(params["m0"], params["m1"], params["m2"])
-            y = nn.tanh(nn.dense(z, mix, nn.concat_cols(params["v0"],
-                                                        params["v1"])))
+            y = nn.softplus(nn.dense(
+                z, mix, nn.concat_cols(params["v0"], params["v1"])))
             block = nn.column(y, slice(2, 5))
             return total_of(nn.mul(y, c), nn.mul(block, block))
 
@@ -833,7 +859,7 @@ class TestGradientFuzz:
         n_graphs = 0
 
         for rep in range(18):
-            # family 1: tanh MLP, nonlinear chain, sum-of-squares loss
+            # family 1: softplus MLP, nonlinear chain, sum-of-squares loss
             dims = [int(rng.integers(1, 5)) for _ in range(3)]
             w0 = nn.Tensor(rng.normal(size=(dims[0], dims[1])), requires_grad=True)
             b0 = nn.Tensor(rng.normal(size=dims[1]), requires_grad=True)
@@ -841,7 +867,7 @@ class TestGradientFuzz:
             x = nn.Tensor(rng.normal(size=(3, dims[0])))
 
             def loss_mlp():
-                h = nn.tanh(nn.dense(x, w0, b0))
+                h = nn.softplus(nn.dense(x, w0, b0))
                 y = nn.matmul(h, w1)
                 return nn.total_sum(nn.mul(y, y))
 
