@@ -14,12 +14,14 @@ by one journey record per line::
 
 ``labels`` lists the milestones that hold on the impression; absent or
 false flags are unset. The same record is how a dataset is built by hand:
-:func:`dataset_from_records` turns records into the columns of
+:func:`dataset_from_records` turns records into the columns of a
 :class:`~journeyrank.domain.Dataset`, one journey at a time, and
-:func:`dataset_to_records` yields them back. Feature values are emitted
-exactly as stored, so a load/save round trip is byte-identical for
-datasets produced by this package (the simulator rounds features at
-generation time for compactness).
+:func:`dataset_to_records` yields them back. Those columns are the only
+form a dataset takes: the split below, the model and the evaluation read
+them as they are. Feature values are emitted exactly as stored, so a
+load/save round trip is byte-identical for datasets produced by this
+package (the simulator rounds features at generation time for
+compactness).
 
 Each line of the file is the record in canonical JSON (sorted keys, no
 spaces). :func:`save_dataset` writes those bytes without building the
@@ -44,7 +46,6 @@ from .domain import (
     LABELS,
     Dataset,
     DatasetSchema,
-    PackedSearches,
     exact_int,
     number,
     select_impressions,
@@ -62,25 +63,26 @@ _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
     """One journey record per journey, in dataset order."""
-    s = dataset.searches
-    label_rows = np.column_stack([s.labels[m] for m in LABELS])
+    label_rows = np.column_stack([dataset.labels[m] for m in LABELS])
+    imp_starts = dataset.searches.starts
     for j, guest_id in enumerate(dataset.guest_ids.tolist()):
         lo, hi = dataset.journeys.starts[j], dataset.journeys.starts[j + 1]
         searches = []
         for k in range(lo, hi):
-            a, b = s.segments.starts[k], s.segments.starts[k + 1]
+            a, b = imp_starts[k], imp_starts[k + 1]
             impressions = [
                 {"listing_id": lid, "position": pos, "features": feats,
                  "labels": {m: True for m, on in zip(LABELS, flags) if on}}
                 for lid, pos, feats, flags in zip(
-                    s.listing_ids[a:b].tolist(), s.positions[a:b].tolist(),
-                    s.listing_features[a:b].tolist(),
+                    dataset.listing_ids[a:b].tolist(),
+                    dataset.positions[a:b].tolist(),
+                    dataset.listing_features[a:b].tolist(),
                     label_rows[a:b].tolist())
             ]
             searches.append({
-                "search_id": str(s.search_ids[k]),
-                "t_days": float(s.t_days[k]),
-                "context": s.context_features[k].tolist(),
+                "search_id": str(dataset.search_ids[k]),
+                "t_days": float(dataset.t_days[k]),
+                "context": dataset.context_features[k].tolist(),
                 "impressions": impressions,
             })
         yield {"guest_id": guest_id, "searches": searches}
@@ -250,12 +252,11 @@ def _journey_lines(dataset: Dataset) -> Iterator[str]:
     built one journey at a time from the texts of the distinct feature
     rows, label sets and listing ids. The templates list each object's
     keys in sorted order."""
-    s = dataset.searches
-    features = _RowTexts(s.listing_features, _canonical)
-    labels = _RowTexts(np.column_stack([s.labels[m] for m in LABELS]),
+    features = _RowTexts(dataset.listing_features, _canonical)
+    labels = _RowTexts(np.column_stack([dataset.labels[m] for m in LABELS]),
                        _label_text)
-    listing_ids = _RowTexts(s.listing_ids, _canonical)
-    imp_starts = s.segments.starts.tolist()
+    listing_ids = _RowTexts(dataset.listing_ids, _canonical)
+    imp_starts = dataset.searches.starts.tolist()
     bounds = dataset.journeys.starts.tolist()
     for j, guest_id in enumerate(dataset.guest_ids.tolist()):
         lo, hi = bounds[j], bounds[j + 1]
@@ -264,7 +265,7 @@ def _journey_lines(dataset: Dataset) -> Iterator[str]:
             '{"features":%s,"labels":%s,"listing_id":%s,"position":%d}' % row
             for row in zip(features(first, last), labels(first, last),
                            listing_ids(first, last),
-                           s.positions[first:last].tolist())]
+                           dataset.positions[first:last].tolist())]
         searches = [
             '{"context":%s,"impressions":[%s],"search_id":%s,"t_days":%s}'
             % (_canonical(context),
@@ -272,8 +273,9 @@ def _journey_lines(dataset: Dataset) -> Iterator[str]:
                _canonical(search_id), _canonical(t_days))
             for a, b, search_id, t_days, context in zip(
                 imp_starts[lo:hi], imp_starts[lo + 1:hi + 1],
-                s.search_ids[lo:hi].tolist(), s.t_days[lo:hi].tolist(),
-                s.context_features[lo:hi].tolist())]
+                dataset.search_ids[lo:hi].tolist(),
+                dataset.t_days[lo:hi].tolist(),
+                dataset.context_features[lo:hi].tolist())]
         yield '{"guest_id":%s,"searches":[%s]}' % (_canonical(guest_id),
                                                    ",".join(searches))
 
@@ -374,6 +376,6 @@ def split_by_guest(dataset: Dataset, eval_percent: int = 20) -> tuple[Dataset, D
             select_impressions(dataset, in_eval))
 
 
-def pack_dataset(dataset: Dataset) -> PackedSearches:
-    """The dataset's search columns, which the model reads directly."""
-    return dataset.searches
+def pack_dataset(dataset: Dataset) -> Dataset:
+    """The dataset itself, whose columns the model reads directly."""
+    return dataset

@@ -9,13 +9,13 @@ cancellation, guest cancellation). Raw journeys record each milestone only
 on the impression where the action happened; :func:`attribute_labels`
 propagates them into the multi-label training view.
 
-A :class:`Dataset` keeps every journey in flat columns, described on
-:class:`PackedSearches` and :class:`Dataset`: one row per impression, one
-per search, and each journey a run of consecutive searches. Two
+A :class:`Dataset` is one set of flat columns: one row per impression,
+one per search, and each journey a run of consecutive searches. Two
 :class:`~journeyrank.nn.Segments` layouts, built once when the dataset is
-assembled, group them: impressions into searches and searches into
-journeys. Attribution, filtering, validation and the task statistics
-below are array and segment operations over those columns and layouts.
+assembled, group them: ``searches`` (impressions into searches) and
+``journeys`` (searches into journeys). Attribution, filtering, validation
+and the task statistics below are array and segment operations over those
+columns and layouts.
 The per-journey record that datasets are written in and built from lives
 in :mod:`journeyrank.dataio`.
 """
@@ -130,46 +130,27 @@ def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PackedSearches:
-    """Column-oriented searches.
-
-    Impressions are stored contiguously by search; ``segments`` lays them
-    out into searches 0..n_searches-1, for the segment operations.
-    """
-
-    listing_features: np.ndarray      # [n_impressions, listing_dim] float64
-    context_features: np.ndarray      # [n_searches, context_dim] float64
-    segments: Segments                # impression rows into searches
-    labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
-    listing_ids: np.ndarray           # [n_impressions] str
-    positions: np.ndarray             # [n_impressions] int64
-    search_ids: np.ndarray            # [n_searches] str
-    t_days: np.ndarray                # [n_searches] float64
-
-    @property
-    def n_searches(self) -> int:
-        return len(self.search_ids)
-
-    @property
-    def n_impressions(self) -> int:
-        return len(self.listing_ids)
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Labelled journeys as one set of search columns.
+    """Labelled journeys as flat columns.
 
-    ``searches`` holds the searches of every journey, journey by journey
-    and in time order within each. Journey ``j`` belongs to guest
-    ``guest_ids[j]`` and owns the searches ``journeys`` gives it, and
-    search ``k`` owns the impression rows ``searches.segments`` gives it.
-    Either layout may hold an empty segment, which validation reports.
+    Searches are stored journey by journey, in time order within each, and
+    impressions search by search. Journey ``j`` belongs to guest
+    ``guest_ids[j]`` and owns the searches ``journeys`` gives it, and search
+    ``k`` owns the impression rows ``searches`` gives it. Either layout may
+    hold an empty segment, which validation reports.
     """
 
     schema: DatasetSchema
     guest_ids: np.ndarray             # [n_journeys] str
     journeys: Segments                # searches into journeys
-    searches: PackedSearches
+    search_ids: np.ndarray            # [n_searches] str
+    t_days: np.ndarray                # [n_searches] float64
+    context_features: np.ndarray      # [n_searches, context_dim] float64
+    searches: Segments                # impression rows into searches
+    listing_ids: np.ndarray           # [n_impressions] str
+    positions: np.ndarray             # [n_impressions] int64
+    listing_features: np.ndarray      # [n_impressions, listing_dim] float64
+    labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
 
     @classmethod
     def from_columns(cls, schema: DatasetSchema, *, guest_ids,
@@ -179,20 +160,21 @@ class Dataset:
                      labels: Mapping[str, np.ndarray]) -> "Dataset":
         """Assemble a dataset from per-journey, per-search and
         per-impression columns plus the row counts that group them."""
-        searches = PackedSearches(
-            listing_features=np.asarray(listing_features, dtype=np.float64
-                                        ).reshape(-1, schema.listing_dim),
-            context_features=np.asarray(context_features, dtype=np.float64
-                                        ).reshape(-1, schema.context_dim),
-            segments=Segments(imps_per_search),
-            labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
-            listing_ids=np.asarray(listing_ids, dtype=str),
-            positions=np.asarray(positions, dtype=np.int64),
+        return cls(
+            schema=schema,
+            guest_ids=np.asarray(guest_ids, dtype=str),
+            journeys=Segments(searches_per_journey),
             search_ids=np.asarray(search_ids, dtype=str),
             t_days=np.asarray(t_days, dtype=np.float64),
+            context_features=np.asarray(context_features, dtype=np.float64
+                                        ).reshape(-1, schema.context_dim),
+            searches=Segments(imps_per_search),
+            listing_ids=np.asarray(listing_ids, dtype=str),
+            positions=np.asarray(positions, dtype=np.int64),
+            listing_features=np.asarray(listing_features, dtype=np.float64
+                                        ).reshape(-1, schema.listing_dim),
+            labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
         )
-        return cls(schema, np.asarray(guest_ids, dtype=str),
-                   Segments(searches_per_journey), searches)
 
     @property
     def n_journeys(self) -> int:
@@ -200,14 +182,14 @@ class Dataset:
 
     @property
     def n_searches(self) -> int:
-        return self.searches.n_searches
+        return len(self.search_ids)
 
     @property
     def n_impressions(self) -> int:
-        return self.searches.n_impressions
+        return len(self.listing_ids)
 
     def journey_of_impression(self) -> np.ndarray:
-        return self.journeys.ids[self.searches.segments.ids]
+        return self.journeys.ids[self.searches.ids]
 
 
 def select_impressions(dataset: Dataset, keep: np.ndarray,
@@ -217,10 +199,10 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
     Searches left with fewer than ``min_impressions`` rows are dropped, and
     so are journeys left without a search.
     """
-    s = dataset.searches
-    counts = np.bincount(s.segments.ids[keep], minlength=s.n_searches)
+    counts = np.bincount(dataset.searches.ids[keep],
+                         minlength=dataset.n_searches)
     keep_search = counts >= min_impressions
-    keep = keep & keep_search[s.segments.ids]
+    keep = keep & keep_search[dataset.searches.ids]
     per_journey = np.bincount(dataset.journeys.ids[keep_search],
                               minlength=dataset.n_journeys)
     keep_journey = per_journey > 0
@@ -228,14 +210,14 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
         dataset.schema,
         guest_ids=dataset.guest_ids[keep_journey],
         searches_per_journey=per_journey[keep_journey],
-        search_ids=s.search_ids[keep_search],
-        t_days=s.t_days[keep_search],
-        context_features=s.context_features[keep_search],
+        search_ids=dataset.search_ids[keep_search],
+        t_days=dataset.t_days[keep_search],
+        context_features=dataset.context_features[keep_search],
         imps_per_search=counts[keep_search],
-        listing_ids=s.listing_ids[keep],
-        positions=s.positions[keep],
-        listing_features=s.listing_features[keep],
-        labels={m: v[keep] for m, v in s.labels.items()},
+        listing_ids=dataset.listing_ids[keep],
+        positions=dataset.positions[keep],
+        listing_features=dataset.listing_features[keep],
+        labels={m: v[keep] for m, v in dataset.labels.items()},
     )
 
 
@@ -247,7 +229,7 @@ def _segment_any(mask: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
 def _journey_listing_groups(dataset: Dataset) -> tuple[np.ndarray, int]:
     """A group id per impression, shared by the impressions of one listing
     within one journey; returns (ids, number of groups)."""
-    _, codes = np.unique(dataset.searches.listing_ids, return_inverse=True)
+    _, codes = np.unique(dataset.listing_ids, return_inverse=True)
     key = dataset.journey_of_impression() * (int(codes.max(initial=0)) + 1)
     _, groups = np.unique(key + codes, return_inverse=True)
     return groups, int(groups.max(initial=-1)) + 1
@@ -257,7 +239,7 @@ def _last_search_with(dataset: Dataset, groups: np.ndarray, n_groups: int,
                       flag: np.ndarray) -> np.ndarray:
     """Per group, the last search index where ``flag`` is set (-1: none)."""
     last = np.full(n_groups, -1, dtype=np.int64)
-    np.maximum.at(last, groups[flag], dataset.searches.segments.ids[flag])
+    np.maximum.at(last, groups[flag], dataset.searches.ids[flag])
     return last
 
 
@@ -267,13 +249,12 @@ def _where_journey(dataset: Dataset, j: int) -> str:
 
 def _where_search(dataset: Dataset, k: int) -> str:
     j = int(dataset.journeys.ids[k])
-    return f"{_where_journey(dataset, j)} search={dataset.searches.search_ids[k]}"
+    return f"{_where_journey(dataset, j)} search={dataset.search_ids[k]}"
 
 
 def _where_impression(dataset: Dataset, i: int) -> str:
-    s = dataset.searches
-    return (f"{_where_search(dataset, int(s.segments.ids[i]))} "
-            f"listing={s.listing_ids[i]}")
+    return (f"{_where_search(dataset, int(dataset.searches.ids[i]))} "
+            f"listing={dataset.listing_ids[i]}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +271,7 @@ def attribute_labels(dataset: Dataset) -> Dataset:
     listing anywhere in the journey. Idempotent: attributed journeys pass
     through unchanged.
     """
-    s = dataset.searches
-    violations = label_violations(s.labels)
+    violations = label_violations(dataset.labels)
     broken = np.flatnonzero(np.logical_or.reduce(list(violations.values())))
     if broken.size:
         row = int(broken[0])
@@ -303,11 +283,11 @@ def attribute_labels(dataset: Dataset) -> Dataset:
     groups, n_groups = _journey_listing_groups(dataset)
     labels = {}
     for m in POSITIVE_CHAIN:
-        last = _last_search_with(dataset, groups, n_groups, s.labels[m])
-        labels[m] = s.segments.ids <= last[groups]
+        last = _last_search_with(dataset, groups, n_groups, dataset.labels[m])
+        labels[m] = dataset.searches.ids <= last[groups]
     for m in NEGATIVE_MILESTONES:
-        labels[m] = _segment_any(s.labels[m], groups, n_groups)[groups]
-    return replace(dataset, searches=replace(s, labels=labels))
+        labels[m] = _segment_any(dataset.labels[m], groups, n_groups)[groups]
+    return replace(dataset, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +327,13 @@ def filter_training_searches(dataset: Dataset) -> FilterResult:
     contradict the journey's outcome), and searches left with fewer than two
     impressions are removed.
     """
-    s = dataset.searches
     journey = dataset.journey_of_impression()
-    reached_pp = _segment_any(s.labels["pp"], journey, dataset.n_journeys)
+    reached_pp = _segment_any(dataset.labels["pp"], journey,
+                              dataset.n_journeys)
     groups, n_groups = _journey_listing_groups(dataset)
-    book = s.labels["book"]
+    book = dataset.labels["book"]
     last_book = _last_search_with(dataset, groups, n_groups, book)[groups]
-    stale = (last_book >= 0) & ~book & (s.segments.ids > last_book)
+    stale = (last_book >= 0) & ~book & (dataset.searches.ids > last_book)
     kept = select_impressions(dataset, reached_pp[journey] & ~stale,
                               min_impressions=2)
     warning = None
@@ -426,43 +406,45 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     widths, and :func:`journeyrank.dataio.load_dataset` refuses records
     of any other width.
     """
-    s = dataset.searches
-    n_j, n_s = dataset.n_journeys, s.n_searches
+    n_j, n_s = dataset.n_journeys, dataset.n_searches
     report = ValidationReport(n_journeys=n_j, n_searches=n_s,
-                              n_impressions=s.n_impressions)
+                              n_impressions=dataset.n_impressions)
     at_journey = partial(_where_journey, dataset)
     at_search = partial(_where_search, dataset)
     at_impression = partial(_where_impression, dataset)
 
-    journey = dataset.journeys.ids
-    backwards = (journey[1:] == journey[:-1]) & (s.t_days[1:] < s.t_days[:-1])
+    journey, t_days = dataset.journeys.ids, dataset.t_days
+    backwards = (journey[1:] == journey[:-1]) & (t_days[1:] < t_days[:-1])
     report.check("searches out of order",
                  _segment_any(backwards, journey[1:], n_j), at_journey)
     first = np.full(n_j, np.inf)
     last = np.full(n_j, -np.inf)
-    np.minimum.at(first, journey, s.t_days)
-    np.maximum.at(last, journey, s.t_days)
+    np.minimum.at(first, journey, t_days)
+    np.maximum.at(last, journey, t_days)
     report.check("journey window",
                  last - first > dataset.schema.window_days + 1e-9, at_journey)
 
-    _, listing_codes = np.unique(s.listing_ids, return_inverse=True)
+    searches = dataset.searches
+    _, listing_codes = np.unique(dataset.listing_ids, return_inverse=True)
     report.check("non-finite context",
-                 ~np.isfinite(s.context_features).all(axis=1), at_search)
-    report.check("too few impressions", s.segments.sizes < 2, at_search)
+                 ~np.isfinite(dataset.context_features).all(axis=1), at_search)
+    report.check("too few impressions", searches.sizes < 2, at_search)
     report.check("duplicate position",
-                 _has_duplicates(s.positions, s.segments), at_search)
+                 _has_duplicates(dataset.positions, searches), at_search)
     report.check("position not 1-based",
-                 _segment_any(s.positions < 1, s.segments.ids, n_s), at_search)
+                 _segment_any(dataset.positions < 1, searches.ids, n_s),
+                 at_search)
     report.check("duplicate listing",
-                 _has_duplicates(listing_codes, s.segments), at_search)
+                 _has_duplicates(listing_codes, searches), at_search)
 
     report.check("non-finite listing features",
-                 ~np.isfinite(s.listing_features).all(axis=1), at_impression)
-    for kind, mask in label_violations(s.labels).items():
+                 ~np.isfinite(dataset.listing_features).all(axis=1),
+                 at_impression)
+    for kind, mask in label_violations(dataset.labels).items():
         report.check(kind, mask, at_impression)
 
     groups, n_groups = _journey_listing_groups(dataset)
-    unc_groups = np.unique(groups[s.labels["unc"]])
+    unc_groups = np.unique(groups[dataset.labels["unc"]])
     journey_of_group = np.zeros(n_groups, dtype=np.int64)
     journey_of_group[groups] = dataset.journey_of_impression()
     report.check("multiple unc listings",
@@ -478,7 +460,7 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
 def milestone_counts(dataset: Dataset) -> dict[str, int]:
     counts = {"imp": dataset.n_impressions}
     for m in LABELS:
-        counts[m] = int(np.count_nonzero(dataset.searches.labels[m]))
+        counts[m] = int(np.count_nonzero(dataset.labels[m]))
     return counts
 
 
@@ -488,7 +470,7 @@ def empirical_task_weight(dataset: Dataset, task: str) -> float:
     if task not in POSITIVE_CHAIN:
         raise ConfigError(f"task weight is defined for positive-chain "
                           f"milestones, not {task!r}")
-    labels = dataset.searches.labels
+    labels = dataset.labels
     n_task = int(np.count_nonzero(labels[task]))
     if n_task == 0:
         raise UndefinedTaskWeightError(

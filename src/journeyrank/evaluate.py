@@ -37,11 +37,10 @@ from .dataio import split_by_guest
 from .domain import (
     Dataset,
     POSITIVE_CHAIN,
-    PackedSearches,
     filter_training_searches,
 )
 from .errors import ConfigError, ContractError
-from .nn import Segments, logistic
+from .nn import Segments
 from .model import (
     ModelConfig,
     TrainedModel,
@@ -51,12 +50,12 @@ from .model import (
     train,
 )
 
-Scorer = Callable[[PackedSearches], np.ndarray]
-"""Scores every impression of a dataset's searches in one call.
+Scorer = Callable[[Dataset], np.ndarray]
+"""Scores every impression of a dataset in one call.
 
-It receives the dataset's columns and returns one float score per
-impression row, aligned with ``listing_ids``. Higher ranks first; ties
-break by listing id.
+It receives the dataset and returns one float score per impression row,
+aligned with ``listing_ids``. Higher ranks first; ties break by listing
+id.
 """
 
 
@@ -130,10 +129,9 @@ def t_interval_half_width(values: np.ndarray) -> float:
 
 def model_scorer(model: TrainedModel) -> Scorer:
     """Scores every impression with one forward pass of the model."""
-    def scorer(searches: PackedSearches) -> np.ndarray:
-        outputs = model.outputs(searches.listing_features,
-                                searches.context_features,
-                                searches.segments)
+    def scorer(dataset: Dataset) -> np.ndarray:
+        outputs = model.outputs(dataset.listing_features,
+                                dataset.context_features, dataset.searches)
         return outputs.ranking_score.values
     return scorer
 
@@ -141,20 +139,19 @@ def model_scorer(model: TrainedModel) -> Scorer:
 def oracle_scorer(world) -> Scorer:
     """Scores candidates by their true conversion probability.
 
-    The world's logits take searches of one size at a time, since a
-    search's listing part is a mat-vec whose rounding depends on its size;
-    generated data has a single size, so that is one call.
+    ``world.true_unc_probability`` takes searches of one size at a time,
+    since a search's listing part is a mat-vec whose rounding depends on
+    its size; generated data has a single size, so that is one call.
     """
-    def scorer(searches: PackedSearches) -> np.ndarray:
-        scores = np.empty(searches.n_impressions)
-        rows = world.rows_for_ids(searches.listing_ids)
-        sizes = searches.segments.sizes
+    def scorer(dataset: Dataset) -> np.ndarray:
+        scores = np.empty(dataset.n_impressions)
+        rows = world.rows_for_ids(dataset.listing_ids)
+        sizes = dataset.searches.sizes
         for size in np.unique(sizes):
             which = np.flatnonzero(sizes == size)
-            imps = searches.segments.starts[which, None] + np.arange(size)
-            logits = world.logits(searches.context_features[which], rows[imps])
-            scores[imps] = logistic(
-                logits[..., :len(POSITIVE_CHAIN)]).prod(axis=-1)
+            imps = dataset.searches.starts[which, None] + np.arange(size)
+            scores[imps] = world.true_unc_probability(
+                dataset.context_features[which], rows[imps])
         return scores
     return scorer
 
@@ -162,21 +159,22 @@ def oracle_scorer(world) -> Scorer:
 def evaluate_with_scorer(dataset: Dataset,
                          scorer: Scorer) -> dict[str, NdcgReport]:
     """Mean NDCG per positive milestone for an arbitrary scorer."""
-    s = dataset.searches
-    scores = np.asarray(scorer(s), dtype=np.float64)
-    if scores.shape != (s.n_impressions,):
+    scores = np.asarray(scorer(dataset), dtype=np.float64)
+    if scores.shape != (dataset.n_impressions,):
         raise ContractError("scorer must return one score per impression")
     # segment ids are sorted, so every search keeps its rows in place
-    order = np.lexsort((s.listing_ids, -scores, s.segments.ids))
+    searches = dataset.searches
+    order = np.lexsort((dataset.listing_ids, -scores, searches.ids))
     reports = {}
     for task in POSITIVE_CHAIN:
-        ndcg, has_positive = ndcg_binary(s.labels[task][order], s.segments)
+        ndcg, has_positive = ndcg_binary(dataset.labels[task][order],
+                                         searches)
         scored = ndcg[has_positive]
         count = len(scored)
         # cumsum adds in search order; np.sum would add pairwise
         mean = float(np.cumsum(scored)[-1]) / count if count else 0.0
         reports[task] = NdcgReport(mean=mean, n_searches=count,
-                                   n_skipped=s.n_searches - count)
+                                   n_skipped=dataset.n_searches - count)
     return reports
 
 
@@ -331,6 +329,7 @@ def compare(config_a: ModelConfig, config_b: ModelConfig, dataset: Dataset,
 # ablation over funnel task subsets
 
 
+# The first cell, the single-task model, is the baseline of the others.
 ABLATION_CELLS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("unc", ("unc",)),
     ("req+book+unc", ("req", "book", "unc")),
@@ -360,46 +359,36 @@ class AblationCell:
 
 def _searches_with_positives(dataset: Dataset,
                              tasks: tuple[str, ...]) -> int:
-    s = dataset.searches
-    positive = np.logical_or.reduce([s.labels[t] for t in tasks])
-    return int(np.unique(s.segments.ids[positive]).size)
+    positive = np.logical_or.reduce([dataset.labels[t] for t in tasks])
+    return int(np.unique(dataset.searches.ids[positive]).size)
 
 
 def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
-                 *, cells: Sequence[tuple[str, tuple[str, ...]]] | None = None,
-                 settings: TrainEvalSettings | None = None,
+                 *, settings: TrainEvalSettings | None = None,
                  embedding_dim: int = 12,
                  jobs: int = 1) -> list[AblationCell]:
-    """Train each funnel subset per seed and report paired deltas.
+    """Train each cell of ``ABLATION_CELLS`` per seed and report paired
+    deltas.
 
     Cells share split, seeds, and architecture except for their task
     heads, so the only moving part is which milestones supervise the
-    shared representation. The single-task cell is the baseline every
-    other cell is differenced against, so it must be present.
+    shared representation. Every cell is differenced against the
+    single-task baseline.
     """
-    cell_list = [(name, tuple(tasks)) for name, tasks in
-                 (cells if cells is not None else ABLATION_CELLS)]
-    if not cell_list:
-        raise ConfigError("ablation needs at least one cell")
     configs = {name: ModelConfig(dataset.schema.listing_dim,
                                  dataset.schema.context_dim,
                                  embedding_dim=embedding_dim,
                                  base_tasks=tasks, twiddler_tasks=())
-               for name, tasks in cell_list}
-    if len(configs) != len(cell_list):
-        raise ConfigError("ablation cell names must be distinct")
-    baseline_name = next((name for name, tasks in cell_list
-                          if tasks == ("unc",)), None)
-    if baseline_name is None:
-        raise ConfigError("ablation cells must include the single-task "
-                          "baseline ('unc',)")
+               for name, tasks in ABLATION_CELLS}
+    baseline_name, baseline_tasks = ABLATION_CELLS[0]
     runs = paired_runs(configs, dataset, seeds,
                        settings or TrainEvalSettings(), jobs)
     baseline_scores = np.array(runs.ndcg[baseline_name])
     baseline_params = parameter_count(configs[baseline_name])
-    baseline_searches = _searches_with_positives(runs.train_ds, ("unc",))
+    baseline_searches = _searches_with_positives(runs.train_ds,
+                                                 baseline_tasks)
     cells_out = []
-    for name, tasks in cell_list:
+    for name, tasks in ABLATION_CELLS:
         scores = np.array(runs.ndcg[name])
         deltas = scores - baseline_scores
         n_searches = _searches_with_positives(runs.train_ds, tasks)
@@ -467,7 +456,7 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
     if n_buckets < 1:
         raise ConfigError("n_buckets must be positive")
     col = dataset.schema.context_index(feature)
-    contexts = dataset.searches.context_features
+    contexts = dataset.context_features
     if len(contexts) == 0:
         raise ContractError("dataset has no searches to bucket")
     values = contexts[:, col]

@@ -44,8 +44,8 @@ from .domain import (
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
-    PackedSearches,
     concat_ranges,
+    number,
     task_weights,
 )
 from .errors import (
@@ -303,13 +303,32 @@ class NormalizationStats:
                 for f in fields(self)}
 
     @classmethod
-    def from_record(cls, rec: dict) -> "NormalizationStats":
-        try:
-            return cls(**{f.name: np.asarray(rec[f.name], dtype=np.float64)
-                          for f in fields(cls)})
-        except KeyError as exc:
-            raise ConfigError(
-                f"normalization record missing key {exc}") from None
+    def from_record(cls, rec) -> "NormalizationStats":
+        """A saved record, read strictly: each value a number (never a
+        bool or a string), each mean finite and each scale finite and
+        positive, or a :class:`SchemaMismatchError` naming the field."""
+        if not isinstance(rec, dict):
+            raise SchemaMismatchError(f"normalization record must be an "
+                                      f"object, got {rec!r}")
+        columns = {}
+        for f in fields(cls):
+            if f.name not in rec:
+                raise SchemaMismatchError(
+                    f"normalization record missing key {f.name!r}")
+            try:
+                column = np.array([number(v) for v in rec[f.name]],
+                                  dtype=np.float64)
+            except (OverflowError, TypeError):
+                raise SchemaMismatchError(
+                    f"normalization {f.name} must be a list of numbers, "
+                    f"got {rec[f.name]!r}") from None
+            scale = f.name.endswith("_scale")
+            if not (np.isfinite(column) & (column > 0 if scale else True)).all():
+                raise SchemaMismatchError(
+                    f"normalization {f.name} must be finite"
+                    f"{' and positive' if scale else ''}, got {column.tolist()}")
+            columns[f.name] = column
+        return cls(**columns)
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +487,15 @@ class BatchInputs:
     labels: np.ndarray                # [len(label_names), n_impressions] bool
 
 
-def batch_inputs(packed: PackedSearches,
+def batch_inputs(dataset: Dataset,
                  norm: NormalizationStats) -> BatchInputs:
     """Normalize the features and stack the labels."""
     return BatchInputs(
-        searches=packed.segments,
-        listing_rows=norm.apply_listing(packed.listing_features),
-        context_rows=norm.apply_context(packed.context_features),
-        label_names=tuple(packed.labels),
-        labels=np.stack(list(packed.labels.values())),
+        searches=dataset.searches,
+        listing_rows=norm.apply_listing(dataset.listing_features),
+        context_rows=norm.apply_context(dataset.context_features),
+        label_names=tuple(dataset.labels),
+        labels=np.stack(list(dataset.labels.values())),
     )
 
 
@@ -673,20 +692,19 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     shuffling, and batching all derive from it.
     """
     check_training_settings(epochs, batch_size, learning_rate)
-    packed = dataset.searches
-    if packed.n_searches == 0:
+    if dataset.n_searches == 0:
         raise DataValidationError("training dataset has no searches")
-    norm = NormalizationStats.fit(packed.listing_features,
-                                  packed.context_features)
+    norm = NormalizationStats.fit(dataset.listing_features,
+                                  dataset.context_features)
     weights = task_weights(dataset, config.base_tasks)
     params = init_model_params(config)
     state = nn.init_adam(params, learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(1,)))
-    inputs = batch_inputs(packed, norm)
+    inputs = batch_inputs(dataset, norm)
     history: list[EpochStats] = []
     for epoch in range(epochs):
-        order = shuffle_rng.permutation(packed.n_searches)
+        order = shuffle_rng.permutation(dataset.n_searches)
         sums: dict[str, float] = {}
         for batch_index, lo in enumerate(range(0, len(order), batch_size)):
             batch = make_batch(inputs, order[lo:lo + batch_size])

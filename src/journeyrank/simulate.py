@@ -244,21 +244,12 @@ class WorldTruth:
                                * late)[:, None, None]
         return out
 
-    def _search_logits(self, context, rows) -> np.ndarray:
-        if rows is None:
-            rows = np.arange(len(self.listing_ids))
-        return self.logits(np.asarray(context, dtype=np.float64)[None],
-                           np.asarray(rows)[None])[0]
-
-    def stage_logits(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        return self._search_logits(context, rows)[:, :len(POSITIVE_CHAIN)]
-
-    def negative_logits(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        return self._search_logits(context, rows)[:, len(POSITIVE_CHAIN):]
-
-    def true_unc_probability(self, context, rows: np.ndarray | None = None) -> np.ndarray:
-        """Joint conversion probability: product of all stage conditionals."""
-        return logistic(self.stage_logits(context, rows)).prod(axis=1)
+    def true_unc_probability(self, contexts, rows) -> np.ndarray:
+        """Joint conversion probability [k, n] of k searches (contexts
+        [k, context_dim], listing rows [k, n]): the product of every
+        positive stage's conditional."""
+        stages = self.logits(contexts, rows)[..., :len(POSITIVE_CHAIN)]
+        return logistic(stages).prod(axis=-1)
 
     def rows_for_ids(self, listing_ids) -> np.ndarray:
         try:
@@ -630,29 +621,15 @@ def _stage_models_from_record(rec: dict) -> dict[str, StageModel]:
             for name, entry in rec.items()}
 
 
-def generator_config_to_record(config: GeneratorConfig) -> dict:
-    return {
-        "n_guests": config.n_guests,
-        "listings_per_search": config.listings_per_search,
-        "max_searches_per_journey": config.max_searches_per_journey,
-        "listing_feature_dim": config.listing_feature_dim,
-        "context_feature_dim": config.context_feature_dim,
-        "stage_coefficients": _stage_models_to_record(config.stage_coefficients),
-        "negative_coefficients": _stage_models_to_record(config.negative_coefficients),
-        "ctr_negative_coupling": config.ctr_negative_coupling,
-        "days_ahead_ushape_strength": config.days_ahead_ushape_strength,
-        "seed": config.seed,
-        "n_listings": config.n_listings,
-        "journey_window_days": config.journey_window_days,
-        "late_journey_negative_coupling": config.late_journey_negative_coupling,
-        "conversion_days_modulation": config.conversion_days_modulation,
-        "conversion_late_modulation": config.conversion_late_modulation,
-    }
-
-
 # Record values convert by their field's annotation; the two
 # coefficient fields hold StageModels.
 _RECORD_CONVERTERS = {"int": exact_int, "float": number}
+
+
+def generator_config_to_record(config: GeneratorConfig) -> dict:
+    return {f.name: (getattr(config, f.name) if f.type in _RECORD_CONVERTERS
+                     else _stage_models_to_record(getattr(config, f.name)))
+            for f in fields(GeneratorConfig)}
 
 
 def generator_config_from_record(rec: dict) -> GeneratorConfig:

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from journeyrank import nn
-from journeyrank.domain import PackedSearches, concat_ranges
+from journeyrank.domain import Dataset, concat_ranges
 
 
 def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
@@ -56,12 +56,12 @@ def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
     return worst
 
 
-def imp_rows_for_searches(packed: PackedSearches,
+def imp_rows_for_searches(dataset: Dataset,
                           search_idx: np.ndarray) -> np.ndarray:
     """Impression row indices of the given searches, in search order."""
-    starts = packed.segments.starts[search_idx]
+    starts = dataset.searches.starts[search_idx]
     return concat_ranges(starts,
-                         packed.segments.starts[search_idx + 1] - starts)
+                         dataset.searches.starts[search_idx + 1] - starts)
 
 
 def tiny_manual_dataset(constant_prev: float = 2.0):

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import tiny_manual_dataset
+from journeyrank import dataio, model
 from journeyrank import evaluate as ev
-from journeyrank import model
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -58,11 +58,13 @@ def test_every_hook_resolves():
 def test_info_hooks_read_real_results():
     infos = installed_hooks()
     dataset = tiny_manual_dataset()
-    packed = dataset.searches
-    norm = model.NormalizationStats.fit(packed.listing_features,
-                                        packed.context_features)
-    inputs = model.batch_inputs(packed, norm)
-    batch = model.make_batch(inputs, np.arange(packed.n_searches))
+    for pack in (dataio.pack_dataset, model.pack_dataset):
+        assert infos["dataio.pack"](pack(dataset), dataset) == {
+            "rows": dataset.n_impressions}
+    norm = model.NormalizationStats.fit(dataset.listing_features,
+                                        dataset.context_features)
+    inputs = model.batch_inputs(dataset, norm)
+    batch = model.make_batch(inputs, np.arange(dataset.n_searches))
     assert infos["model.make_batch"](batch, inputs, None) == {
         "rows": 6, "pairs": 3}
 

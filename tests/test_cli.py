@@ -346,6 +346,20 @@ class TestTrain:
         assert "no searches" in capsys.readouterr().err
 
 
+def edited_model(ws, tmp_path, edit) -> Path:
+    """A copy of the workspace's saved model whose manifest ``edit`` has
+    changed in place."""
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for name in ("params.json", "params.bin"):
+        (model_dir / name).write_bytes(
+            (ws / "run" / "model" / name).read_bytes())
+    manifest = json.loads((model_dir / "params.json").read_text())
+    edit(manifest)
+    (model_dir / "params.json").write_text(json.dumps(manifest))
+    return model_dir
+
+
 class TestEval:
     def test_matches_in_process_evaluation(self, ws, tmp_path):
         out = tmp_path / "eval"
@@ -378,19 +392,34 @@ class TestEval:
         assert hashes[0] == hashes[1]
 
     def test_truncated_normalization_exits_two(self, ws, tmp_path, capsys):
-        model_dir = tmp_path / "model"
-        model_dir.mkdir()
-        for name in ("params.json", "params.bin"):
-            (model_dir / name).write_bytes(
-                (ws / "run" / "model" / name).read_bytes())
-        manifest = json.loads((model_dir / "params.json").read_text())
-        manifest["normalization"]["listing_mean"].pop()
-        (model_dir / "params.json").write_text(json.dumps(manifest))
+        model_dir = edited_model(
+            ws, tmp_path,
+            lambda manifest: manifest["normalization"]["listing_mean"].pop())
         rc = main(["eval", "--model", str(model_dir),
                    "--dataset", str(ws / "data" / "dataset.jsonl"),
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "normalization" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, fault", [
+        ("listing_mean", True, "list of numbers"),
+        ("listing_mean", "0.5", "list of numbers"),
+        ("listing_scale", 0.0, "finite and positive"),
+        ("context_scale", -1.0, "finite and positive"),
+        ("context_mean", float("nan"), "must be finite"),
+    ], ids=["bool", "string", "zero-scale", "negative-scale", "nan-mean"])
+    def test_malformed_normalization_value_exits_two(self, ws, tmp_path,
+                                                     capsys, field, value,
+                                                     fault):
+        def edit(manifest):
+            manifest["normalization"][field][0] = value
+        model_dir = edited_model(ws, tmp_path, edit)
+        rc = main(["eval", "--model", str(model_dir),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"normalization {field} must be" in err and fault in err
 
     @pytest.mark.parametrize("edit", [
         {"twiddler_tasks": ["rej", "cbh"]},
@@ -399,14 +428,8 @@ class TestEval:
     ], ids=["one-twiddler-fewer", "no-twiddlers", "embedding-dim"])
     def test_weights_disagreeing_with_config_exit_two(self, ws, tmp_path,
                                                       capsys, edit):
-        model_dir = tmp_path / "model"
-        model_dir.mkdir()
-        for name in ("params.json", "params.bin"):
-            (model_dir / name).write_bytes(
-                (ws / "run" / "model" / name).read_bytes())
-        manifest = json.loads((model_dir / "params.json").read_text())
-        manifest["model_config"].update(edit)
-        (model_dir / "params.json").write_text(json.dumps(manifest))
+        model_dir = edited_model(
+            ws, tmp_path, lambda manifest: manifest["model_config"].update(edit))
         rc = main(["eval", "--model", str(model_dir),
                    "--dataset", str(ws / "data" / "dataset.jsonl"),
                    "--out", str(tmp_path / "x")])

@@ -73,17 +73,17 @@ class TestRoundTrip:
         assert back.schema == ds.schema
         assert back.n_journeys == ds.n_journeys
         np.testing.assert_array_equal(back.guest_ids, ds.guest_ids)
-        a, b = ds.searches, back.searches
-        for layout in ("journeys", "searches.segments"):
+        for layout in ("journeys", "searches"):
             for name in ("starts", "ids"):
                 np.testing.assert_array_equal(
                     attrgetter(f"{layout}.{name}")(back),
                     attrgetter(f"{layout}.{name}")(ds))
         for name in ("listing_features", "context_features", "listing_ids",
                      "positions", "search_ids", "t_days"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            np.testing.assert_array_equal(getattr(ds, name),
+                                          getattr(back, name))
         for m in LABELS:
-            np.testing.assert_array_equal(a.labels[m], b.labels[m])
+            np.testing.assert_array_equal(ds.labels[m], back.labels[m])
 
     def test_records_round_trip(self):
         records = random_records(np.random.default_rng(11))
@@ -93,7 +93,7 @@ class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
         ds = dataset_from_records(SCHEMA, [])
         assert (ds.n_journeys, ds.n_searches, ds.n_impressions) == (0, 0, 0)
-        assert ds.searches.listing_features.shape == (0, SCHEMA.listing_dim)
+        assert ds.listing_features.shape == (0, SCHEMA.listing_dim)
         path = tmp_path / "empty.jsonl"
         save_dataset(ds, path)
         assert path.read_text() == canonical(SCHEMA.to_record()) + "\n"
@@ -205,43 +205,43 @@ class TestGuestSplit:
 class TestPacking:
     def test_pack_matches_records(self):
         records = random_records(np.random.default_rng(7))
-        packed = dataset_from_records(SCHEMA, records).searches
+        ds = dataset_from_records(SCHEMA, records)
         flat = flat_impressions(records)
-        assert packed.n_impressions == len(flat)
-        assert packed.n_searches == sum(len(r["searches"]) for r in records)
+        assert ds.n_impressions == len(flat)
+        assert ds.n_searches == sum(len(r["searches"]) for r in records)
         for row, (search, imp) in enumerate(flat):
-            np.testing.assert_array_equal(packed.listing_features[row],
+            np.testing.assert_array_equal(ds.listing_features[row],
                                           imp["features"])
-            assert packed.listing_ids[row] == imp["listing_id"]
-            assert packed.positions[row] == imp["position"]
-            assert packed.labels["c"][row] == ("c" in imp["labels"])
-            seg = packed.segments.ids[row]
-            assert packed.search_ids[seg] == search["search_id"]
-            np.testing.assert_array_equal(packed.context_features[seg],
+            assert ds.listing_ids[row] == imp["listing_id"]
+            assert ds.positions[row] == imp["position"]
+            assert ds.labels["c"][row] == ("c" in imp["labels"])
+            seg = ds.searches.ids[row]
+            assert ds.search_ids[seg] == search["search_id"]
+            np.testing.assert_array_equal(ds.context_features[seg],
                                           search["context"])
 
     def test_segment_ids_are_contiguous(self):
-        packed = pack_dataset(random_dataset(np.random.default_rng(8)))
-        seg = packed.segments.ids
+        ds = random_dataset(np.random.default_rng(8))
+        seg = ds.searches.ids
         assert seg[0] == 0
         assert np.all(np.diff(seg) >= 0)
-        assert seg[-1] == packed.n_searches - 1 == packed.segments.n - 1
+        assert seg[-1] == ds.n_searches - 1 == ds.searches.n - 1
         np.testing.assert_array_equal(
-            packed.segments.starts,
-            np.r_[0, np.cumsum(np.bincount(seg, minlength=packed.n_searches))])
+            ds.searches.starts,
+            np.r_[0, np.cumsum(np.bincount(seg, minlength=ds.n_searches))])
 
     def test_imp_rows_lookup(self):
-        packed = pack_dataset(random_dataset(np.random.default_rng(9)))
+        ds = random_dataset(np.random.default_rng(9))
         pick = np.array([2, 0, 3])
-        rows = imp_rows_for_searches(packed, pick)
+        rows = imp_rows_for_searches(ds, pick)
         want = np.concatenate([
-            np.arange(packed.segments.starts[s], packed.segments.starts[s + 1])
+            np.arange(ds.searches.starts[s], ds.searches.starts[s + 1])
             for s in pick])
         np.testing.assert_array_equal(rows, want)
 
-    def test_pack_dataset_returns_searches(self):
+    def test_pack_dataset_returns_the_dataset(self):
         ds = random_dataset(np.random.default_rng(10), n_journeys=2)
-        assert pack_dataset(ds) is ds.searches
+        assert pack_dataset(ds) is ds
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +333,15 @@ class TestWriterMatchesRecords:
         rng = np.random.default_rng(100 + seed)
         ds = dataset_from_records(SCHEMA, varied_records(rng, pool_rows=pool_rows))
         if pool_rows is None:
-            rows = ds.searches.listing_features
+            rows = ds.listing_features
             assert len(np.unique(rows, axis=0)) == len(rows)
         self.assert_lines_match(ds, tmp_path / "d.jsonl")
 
     def test_odd_values_and_empty_search_and_journey(self, tmp_path):
         ds = dataset_from_records(SCHEMA, odd_values_records())
-        assert ds.searches.segments.sizes[1] == 0
+        assert ds.searches.sizes[1] == 0
         assert ds.journeys.sizes[1] == 0
-        assert not ds.searches.segments.all_nonempty
+        assert not ds.searches.all_nonempty
         path = tmp_path / "odd.jsonl"
         self.assert_lines_match(ds, path)
         text = path.read_text()
@@ -429,15 +429,14 @@ def outcome(build, records):
         ds = build(SCHEMA, copy.deepcopy(records))
     except DataValidationError as exc:
         return "error", str(exc)
-    s = ds.searches
-    columns = {name: getattr(s, name) for name in (
+    columns = {name: getattr(ds, name) for name in (
         "listing_features", "context_features", "listing_ids", "positions",
         "search_ids", "t_days")}
-    columns.update(search_of_imp=s.segments.ids,
-                   search_starts=s.segments.starts, guest_ids=ds.guest_ids,
+    columns.update(search_of_imp=ds.searches.ids,
+                   search_starts=ds.searches.starts, guest_ids=ds.guest_ids,
                    journey_of_search=ds.journeys.ids,
                    journey_starts=ds.journeys.starts)
-    columns.update({f"label:{m}": s.labels[m] for m in LABELS})
+    columns.update({f"label:{m}": ds.labels[m] for m in LABELS})
     return "ok", columns
 
 

@@ -353,7 +353,7 @@ class TestFilterTrainingSearches:
             ]),
         ]))
         result = filter_training_searches(out)
-        assert result.dataset.searches.search_ids.tolist() == ["s1"]
+        assert result.dataset.search_ids.tolist() == ["s1"]
 
     def test_never_drops_a_unc_journey(self):
         # uncancelled booking implies a payment-page view by funnel nesting

@@ -186,16 +186,16 @@ class TestTInterval:
 
 
 def reversed_scorer(scorer):
-    def wrapped(searches):
-        return -np.asarray(scorer(searches))
+    def wrapped(dataset):
+        return -np.asarray(scorer(dataset))
     return wrapped
 
 
 def random_scorer(seed: int):
     """Deterministic noise scorer (stateful stream, fixed per seed)."""
     rng = np.random.default_rng(seed)
-    def scorer(searches):
-        return rng.normal(size=searches.n_impressions)
+    def scorer(dataset):
+        return rng.normal(size=dataset.n_impressions)
     return scorer
 
 
@@ -257,15 +257,15 @@ class TestScorers:
         dataset, world = generate(benchmark_generator_config(n_guests=60,
                                                              seed=1))
         keep = np.random.default_rng(0).random(dataset.n_impressions) < 0.7
-        ragged = select_impressions(dataset, keep).searches
-        assert len(np.unique(ragged.segments.sizes)) > 1
+        ragged = select_impressions(dataset, keep)
+        assert len(np.unique(ragged.searches.sizes)) > 1
         scores = ev.oracle_scorer(world)(ragged)
         for k in range(ragged.n_searches):
-            lo, hi = ragged.segments.starts[k:k + 2]
+            lo, hi = ragged.searches.starts[k:k + 2]
             np.testing.assert_array_equal(
                 scores[lo:hi], world.true_unc_probability(
-                    ragged.context_features[k],
-                    world.rows_for_ids(ragged.listing_ids[lo:hi])))
+                    ragged.context_features[k:k + 1],
+                    world.rows_for_ids(ragged.listing_ids[lo:hi])[None])[0])
 
     def test_skip_counts_partition_searches(self, small_data):
         dataset, world = small_data
@@ -282,8 +282,8 @@ class TestScorers:
 
     def test_scorer_with_wrong_shape_is_refused(self, small_data):
         dataset, _ = small_data
-        def bad_scorer(searches):
-            return np.zeros(searches.n_impressions + 1)
+        def bad_scorer(dataset):
+            return np.zeros(dataset.n_impressions + 1)
         with pytest.raises(ContractError):
             ev.evaluate_with_scorer(dataset, bad_scorer)
 
@@ -291,7 +291,7 @@ class TestScorers:
     def test_constant_scorer_ranks_by_listing_id(self, small_data):
         dataset, _ = small_data
         reports = ev.evaluate_with_scorer(
-            dataset, lambda searches: np.zeros(searches.n_impressions))
+            dataset, lambda scored: np.zeros(scored.n_impressions))
         searches = [s for rec in dataset_to_records(dataset)
                     for s in rec["searches"]]
         for task in POSITIVE_CHAIN:
@@ -358,15 +358,14 @@ class TestBlendServesUncancelledBookings:
     def runs(self):
         dataset, _ = generate(benchmark_generator_config(n_guests=2000))
         train_ds, eval_ds = ev.prepare_split(dataset)
-        searches = eval_ds.searches
         runs = []
         for seed in self.SEEDS:
             config = default_model_config(dataset.schema.listing_dim,
                                           dataset.schema.context_dim,
                                           seed=seed)
             model, _ = train(config, train_ds, 4, batch_size=128)
-            out = model.outputs(searches.listing_features,
-                                searches.context_features, searches.segments)
+            out = model.outputs(eval_ds.listing_features,
+                                eval_ds.context_features, eval_ds.searches)
             blend = ev.evaluate(model, eval_ds)["unc"].mean
             y_base = ev.evaluate_with_scorer(
                 eval_ds, lambda _: out.y_base.values)["unc"].mean
@@ -479,19 +478,6 @@ class TestAblation:
         assert len(table.splitlines()) == 5
         assert "req+book+unc" in table
 
-    def test_cells_without_baseline_are_refused(self, small_data):
-        dataset, _ = small_data
-        with pytest.raises(ConfigError):
-            ev.run_ablation(dataset, seeds=(0, 1),
-                            cells=(("c+unc", ("c", "unc")),))
-
-    def test_cell_tasks_must_end_at_conversion(self, small_data):
-        dataset, _ = small_data
-        with pytest.raises(ConfigError):
-            ev.run_ablation(dataset, seeds=(0, 1),
-                            cells=(("unc", ("unc",)),
-                                   ("broken", ("c", "lc"))))
-
 
 PROTOCOL_SETTINGS = ev.TrainEvalSettings(epochs=1, batch_size=64)
 
@@ -601,11 +587,10 @@ class TestNtcCurves:
         model, _, eval_ds = trained_full
         curve = ev.ntc_curves(model, eval_ds, "num_previous_searches",
                               n_buckets=3)
-        packed = eval_ds.searches
         col = eval_ds.schema.context_index("num_previous_searches")
-        values = packed.context_features[:, col]
+        values = eval_ds.context_features[:, col]
         alpha_base, alpha_t = blend_coefficients(model,
-                                                 packed.context_features)
+                                                 eval_ds.context_features)
         edges = np.array(curve.edges)
         for task in curve.signed:
             ratio = alpha_t[task] / alpha_base

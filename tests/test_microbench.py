@@ -34,14 +34,13 @@ def world(generated):
 
 def test_train_step(benchmark, world):
     dataset, config = world
-    packed = dataset.searches
-    norm = model.NormalizationStats.fit(packed.listing_features,
-                                        packed.context_features)
-    inputs = model.batch_inputs(packed, norm)
+    norm = model.NormalizationStats.fit(dataset.listing_features,
+                                        dataset.context_features)
+    inputs = model.batch_inputs(dataset, norm)
     weights = model.task_weights(dataset, config.base_tasks)
     params = model.init_model_params(config)
     state = nn.init_adam(params)
-    searches = np.arange(min(128, packed.n_searches))
+    searches = np.arange(min(128, dataset.n_searches))
 
     def step():
         batch = model.make_batch(inputs, searches)
@@ -58,13 +57,12 @@ def test_train_step(benchmark, world):
 def test_batched_forward(benchmark, world):
     dataset, config = world
     trained, _ = model.train(config, dataset, epochs=0)
-    packed = dataset.searches
 
     outputs = benchmark.pedantic(
-        trained.outputs, args=(packed.listing_features,
-                               packed.context_features, packed.segments),
+        trained.outputs, args=(dataset.listing_features,
+                               dataset.context_features, dataset.searches),
         rounds=5, warmup_rounds=1)
-    assert outputs.ranking_score.shape == (packed.n_impressions,)
+    assert outputs.ranking_score.shape == (dataset.n_impressions,)
     assert np.all(np.isfinite(outputs.ranking_score.values))
 
 

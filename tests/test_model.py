@@ -25,7 +25,7 @@ from journeyrank.domain import (
     LABELS,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
-    PackedSearches,
+    REQUIRED_CONTEXT_FEATURES,
 )
 from journeyrank.errors import (
     ConfigError,
@@ -107,19 +107,19 @@ def loop_preference_pairs(grades, seg):
     return np.concatenate(pair_i), np.concatenate(pair_j)
 
 
-def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
+def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
                          norm: NormalizationStats) -> SearchBatch:
     """Reference: a batch built from the dataset columns alone, pairs and
     normalization included."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
-    rows = imp_rows_for_searches(packed, search_indices)
-    segments = nn.Segments(packed.segments.sizes[search_indices])
-    labels = {name: values[rows] for name, values in packed.labels.items()}
+    rows = imp_rows_for_searches(dataset, search_indices)
+    segments = nn.Segments(dataset.searches.sizes[search_indices])
+    labels = {name: values[rows] for name, values in dataset.labels.items()}
     pair_i, pair_j = loop_preference_pairs(labels["unc"].astype(np.int64),
                                            segments.ids)
-    context_rows = packed.context_features[search_indices]
+    context_rows = dataset.context_features[search_indices]
     return SearchBatch(
-        listing_rows=norm.apply_listing(packed.listing_features[rows]),
+        listing_rows=norm.apply_listing(dataset.listing_features[rows]),
         context_rows=norm.apply_context(context_rows),
         segments=segments,
         labels=labels,
@@ -128,25 +128,32 @@ def per_batch_make_batch(packed: PackedSearches, search_indices: np.ndarray,
     )
 
 
-def random_packed(rng: np.random.Generator, n_searches: int,
-                  equal_grades: bool = False) -> PackedSearches:
-    """Searches of 1..9 rows with random funnel labels; with
-    ``equal_grades`` every row is a plain impression, so no uncancelled
-    booking and no pairs exist."""
+RANDOM_SCHEMA = DatasetSchema(
+    listing_dim=4, context_dim=3,
+    context_features=REQUIRED_CONTEXT_FEATURES + ("taste_0",))
+
+
+def random_searches(rng: np.random.Generator, n_searches: int,
+                    equal_grades: bool = False) -> Dataset:
+    """One journey of searches of 1..9 rows with random funnel labels;
+    with ``equal_grades`` every row is a plain impression, so no
+    uncancelled booking and no pairs exist."""
     sizes = rng.integers(1, 10, size=n_searches)
     n = int(sizes.sum())
     labels = nested_labels(rng, n)
     if equal_grades:
         labels = {m: np.zeros(n, dtype=bool) for m in labels}
-    return PackedSearches(
-        listing_features=rng.normal(size=(n, 4)) * 3.0 + 1.0,
-        context_features=rng.normal(size=(n_searches, 3)) * 5.0 - 2.0,
-        segments=nn.Segments(sizes),
-        labels={m: labels[m] for m in LABELS},
-        listing_ids=np.array([f"L{k}" for k in range(n)]),
-        positions=np.ones(n, dtype=np.int64),
-        search_ids=np.array([f"S{k}" for k in range(n_searches)]),
+    listing_features = rng.normal(size=(n, 4)) * 3.0 + 1.0
+    return Dataset.from_columns(
+        RANDOM_SCHEMA, guest_ids=["G0"], searches_per_journey=[n_searches],
+        search_ids=[f"S{k}" for k in range(n_searches)],
         t_days=np.zeros(n_searches),
+        context_features=rng.normal(size=(n_searches, 3)) * 5.0 - 2.0,
+        imps_per_search=sizes,
+        listing_ids=[f"L{k}" for k in range(n)],
+        positions=np.ones(n, dtype=np.int64),
+        listing_features=listing_features,
+        labels=labels,
     )
 
 
@@ -852,27 +859,27 @@ class TestBatches:
         # search of the set in one batch
         rng = np.random.default_rng(31)
         for rep in range(12):
-            packed = random_packed(rng, int(rng.integers(1, 40)),
-                                   equal_grades=rep % 4 == 3)
-            norm = NormalizationStats.fit(packed.listing_features,
-                                          packed.context_features)
-            inputs = batch_inputs(packed, norm)
-            order = rng.permutation(packed.n_searches)
+            dataset = random_searches(rng, int(rng.integers(1, 40)),
+                                      equal_grades=rep % 4 == 3)
+            norm = NormalizationStats.fit(dataset.listing_features,
+                                          dataset.context_features)
+            inputs = batch_inputs(dataset, norm)
+            order = rng.permutation(dataset.n_searches)
             batch_size = int(rng.integers(1, max_batch + 1))
             for lo in range(0, len(order), batch_size):
                 pick = order[lo:lo + batch_size]
                 self.assert_same_batch(
                     make_batch(inputs, pick),
-                    per_batch_make_batch(packed, pick, norm))
+                    per_batch_make_batch(dataset, pick, norm))
 
     def test_covers_one_row_and_pairless_searches(self):
         rng = np.random.default_rng(32)
-        packed = random_packed(rng, 60)
-        sizes = packed.segments.sizes
-        norm = NormalizationStats.fit(packed.listing_features,
-                                      packed.context_features)
-        batch = make_batch(batch_inputs(packed, norm),
-                           np.arange(packed.n_searches))
+        dataset = random_searches(rng, 60)
+        sizes = dataset.searches.sizes
+        norm = NormalizationStats.fit(dataset.listing_features,
+                                      dataset.context_features)
+        batch = make_batch(batch_inputs(dataset, norm),
+                           np.arange(dataset.n_searches))
         pair_counts = np.bincount(batch.segments.ids[batch.pair_i],
                                   minlength=batch.segments.n)
         assert np.any(sizes == 1)

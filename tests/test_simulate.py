@@ -49,14 +49,14 @@ from journeyrank.nn import logistic
 
 
 def click_rate(dataset):
-    return np.count_nonzero(dataset.searches.labels["c"]) / dataset.n_impressions
+    return np.count_nonzero(dataset.labels["c"]) / dataset.n_impressions
 
 
 def rejection_by_days(dataset):
-    s = dataset.searches
-    eligible = s.labels["req"] & ~s.labels["book"]
-    days = s.context_features[s.segments.ids[eligible], 0]
-    return days, s.labels["rej"][eligible].astype(np.float64)
+    labels = dataset.labels
+    eligible = labels["req"] & ~labels["book"]
+    days = dataset.context_features[dataset.searches.ids[eligible], 0]
+    return days, labels["rej"][eligible].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ class TestLockstepMatchesReference:
         want = reference_generate(cfg, stops)
         got, _ = generate(cfg)
         seen = set(stops) | {m for m in NEGATIVE_MILESTONES
-                             if want.searches.labels[m].any()}
+                             if want.labels[m].any()}
         assert reached <= seen
         assert list(dataset_to_records(got)) == list(dataset_to_records(want))
 
@@ -533,10 +533,14 @@ class TestWorldTruth:
         np.testing.assert_allclose(self.world.normalized_context(raw),
                                    [0.5, 0.5, 0.3, -0.2], rtol=0, atol=1e-15)
 
+    def search_logits(self, context, rows):
+        """The logits of one search, columns in ``LABELS`` order."""
+        return self.world.logits(context[None], rows[None])[0]
+
     def test_stage_logits_match_hand_computation(self):
         context = np.array([45.0, 2.0, 0.5, -1.0])
         rows = np.array([0, 3, 7])
-        got = self.world.stage_logits(context, rows)
+        got = self.search_logits(context, rows)[:, :len(POSITIVE_CHAIN)]
         ctx = reference_context(self.cfg, context)
         d_l = self.cfg.listing_feature_dim
         x = self.world.listing_features[rows]
@@ -549,7 +553,7 @@ class TestWorldTruth:
     def test_negative_logits_include_all_couplings(self):
         context = np.array([170.0, 5.0, -0.4, 0.8])
         rows = np.array([2, 11])
-        got = self.world.negative_logits(context, rows)
+        got = self.search_logits(context, rows)[:, len(POSITIVE_CHAIN):]
         ctx = reference_context(self.cfg, context)
         d_l = self.cfg.listing_feature_dim
         click = self.cfg.stage_coefficients["c"]
@@ -569,8 +573,9 @@ class TestWorldTruth:
     def test_conversion_probability_is_stage_product(self):
         context = np.array([80.0, 1.0, 0.0, 0.0])
         rows = np.arange(10)
-        got = self.world.true_unc_probability(context, rows)
-        want = expit(self.world.stage_logits(context, rows)).prod(axis=1)
+        got = self.world.true_unc_probability(context[None], rows[None])[0]
+        stages = self.search_logits(context, rows)[:, :len(POSITIVE_CHAIN)]
+        want = expit(stages).prod(axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-14)
         assert np.all(got > 0) and np.all(got < 1)
 
@@ -585,10 +590,11 @@ class TestWorldTruth:
         assert back.listing_ids == self.world.listing_ids
         np.testing.assert_array_equal(back.listing_features,
                                       self.world.listing_features)
-        context = np.array([100.0, 3.0, 0.2, 0.1])
+        context = np.array([[100.0, 3.0, 0.2, 0.1]])
+        rows = np.arange(self.cfg.n_listings)[None]
         np.testing.assert_array_equal(
-            back.true_unc_probability(context),
-            self.world.true_unc_probability(context))
+            back.true_unc_probability(context, rows),
+            self.world.true_unc_probability(context, rows))
 
     @pytest.mark.parametrize("mismatch", [
         lambda rec: rec.update(listing_features=[
@@ -668,7 +674,7 @@ def true_ranking(world: WorldTruth, context, listing_ids=None) -> list[str]:
     else:
         listing_ids = list(listing_ids)
     rows = world.rows_for_ids(listing_ids)
-    p = world.true_unc_probability(context, rows)
+    p = world.true_unc_probability(np.asarray(context)[None], rows[None])[0]
     ids = np.array(listing_ids)
     order = np.lexsort((ids, -p))
     return [str(ids[k]) for k in order]
@@ -717,15 +723,15 @@ def listing_click_and_rejection_rates(dataset):
     """Per-listing click rate and rejection rate among eligible rows, for
     the listings with at least one eligible row, in order of first
     impression."""
-    s = dataset.searches
-    ids, first, codes = np.unique(s.listing_ids, return_index=True,
+    labels = dataset.labels
+    ids, first, codes = np.unique(dataset.listing_ids, return_index=True,
                                   return_inverse=True)
     n = len(ids)
     imp = np.bincount(codes, minlength=n)
-    clk = np.bincount(codes[s.labels["c"]], minlength=n)
-    eligible = s.labels["req"] & ~s.labels["book"]
+    clk = np.bincount(codes[labels["c"]], minlength=n)
+    eligible = labels["req"] & ~labels["book"]
     elig = np.bincount(codes[eligible], minlength=n)
-    rej = np.bincount(codes[eligible & s.labels["rej"]], minlength=n)
+    rej = np.bincount(codes[eligible & labels["rej"]], minlength=n)
     keep = np.argsort(first)
     keep = keep[elig[keep] >= 1]
     return clk[keep] / imp[keep], rej[keep] / elig[keep]
@@ -785,10 +791,9 @@ class TestCouplings:
                 n_guests=5000, seed=5,
                 late_journey_negative_coupling=coupling)
             dataset, _ = generate(cfg)
-            s = dataset.searches
-            labels = s.labels
+            labels = dataset.labels
             eligible = (labels["req"] & ~labels["book"]) | labels["book"]
-            prev = s.context_features[s.segments.ids[eligible], 1]
+            prev = dataset.context_features[dataset.searches.ids[eligible], 1]
             neg = (labels["rej"] | labels["cbh"] | labels["cbg"])[eligible]
             neg = neg.astype(np.float64)
             observed[coupling] = (neg[prev <= 1].mean(),
