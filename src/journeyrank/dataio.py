@@ -30,12 +30,30 @@ bytes, so ``-0.0`` and ``0.0`` keep their own text), each distinct label
 set and each distinct listing id once, and assembles one journey's line at
 a time from those pieces. The bytes are the same as encoding each record
 of :func:`dataset_to_records`.
+
+:func:`load_dataset` reads the lines back with two decoders that fill the
+same columns. The line decoder cuts a line on the delimiters of the
+writer's layout and decodes each leaf (a feature array, a label dict, a
+listing id, a position) once per distinct text, so a row that recurs
+across the file is parsed once. It accepts a line only when the line is
+exactly those delimiters and leaves of the expected kinds. Valid JSON
+leaves joined by the layout's delimiters have exactly one parse, the
+record ``json.loads`` returns, so what it stores is bit for bit what the
+record path stores. Any other line is declined and read by the record
+path: ``json.loads`` and the same per-record step :func:`dataset_from_records`
+runs, so other spellings of the records load and faults raise the same
+errors. Per-leaf decoding only pays when rows repeat, so once a trial of
+2,000 impressions is read, a file whose running share of new rows is above
+one half is read as records from there on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from itertools import chain
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -115,106 +133,228 @@ def _label_code(labels, known: dict) -> int | None:
     return code
 
 
-def _raise_first_fault(where: str, listing_dim: int, impressions,
-                       known: dict) -> None:
-    """Raise what the first faulty impression of a search raises, checking
-    one impression's fields at a time in the order the record lists them."""
-    for i in impressions:
-        if len(i["features"]) != listing_dim:
-            raise DataValidationError(
-                f"{where} listing={i['listing_id']}: feature width "
-                f"{len(i['features'])}, schema says {listing_dim}")
-        labels = i.get("labels", {})
-        if _label_code(labels, known) is None:
-            on = {m for m, v in labels.items() if v}
-            raise DataValidationError(
-                f"{where}: unknown milestone labels "
-                f"{sorted(on - _KNOWN_MILESTONES)}")
-        # the conversions the columns make
-        str(i["listing_id"])
-        int(i["position"])
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _position(value) -> int:
+    """A position is read as an exact integer that fits an int64 column."""
+    position = exact_int(value)
+    if not _INT64_MIN <= position <= _INT64_MAX:
+        raise OverflowError(f"position {position} does not fit in 64 bits")
+    return position
+
+
+def _numbers(rows: list, width: int) -> np.ndarray:
+    """Rows of ``width`` values as a float64 ``[n, width]`` array, each
+    value read by :func:`~journeyrank.domain.number`: a bool, a string, a
+    null or a list raises TypeError."""
+    return np.array([[number(v) for v in row] for row in rows],
+                    dtype=np.float64).reshape(-1, width)
+
+
+def _float_rows(rows: list, width: int) -> np.ndarray:
+    """Rows of ``width`` floats or ints as a float64 ``[n, width]`` array."""
+    return np.fromiter(chain.from_iterable(rows), dtype=np.float64,
+                       count=len(rows) * width).reshape(-1, width)
+
+
+_NUMBER_TYPES = frozenset({float, int})
+# what reading a malformed record raises before it is named a data fault
+_RECORD_FAULTS = (KeyError, AttributeError, TypeError, ValueError,
+                  OverflowError)
+_search_id_of, _context_of, _t_days_of, _impressions_of = (
+    itemgetter("search_id"), itemgetter("context"), itemgetter("t_days"),
+    itemgetter("impressions"))
+_features_of, _listing_id_of, _position_of = (
+    itemgetter("features"), itemgetter("listing_id"), itemgetter("position"))
+_labels_of = methodcaller("get", "labels", {})
+
+
+class _Columns:
+    """A dataset's columns, filled one journey at a time by either reader.
+
+    Listing feature rows live in a table that grows by whole arrays, and
+    each impression holds the index of its row, so the line decoder can
+    point many impressions at one decoded row. :meth:`dataset` gathers the
+    rows in impression order.
+    """
+
+    def __init__(self, schema: DatasetSchema):
+        self.schema = schema
+        self.known_labels: dict = {}
+        self.guest_ids, self.searches_per_journey = [], []
+        self.search_ids, self.t_days, self.imps_per_search = [], [], []
+        self.contexts: list[np.ndarray] = []
+        self.listing_ids, self.positions, self.label_codes = [], [], []
+        self.table: list[np.ndarray] = []
+        self.table_rows = 0
+        self.row_of_impression = array("q")
+
+    def add_rows(self, rows: np.ndarray) -> int:
+        """Append rows to the feature table; returns the first one's index."""
+        start = self.table_rows
+        self.table.append(rows)
+        self.table_rows += len(rows)
+        return start
+
+    def add_record(self, rec) -> None:
+        """Append one journey record's columns.
+
+        Features and context are turned into arrays before the next record
+        is read, so a stream of records never holds more than one journey's
+        values as Python floats. A journey is read field by field across
+        all its impressions; only a journey that read finds anything wrong
+        with is walked again one search and one impression at a time, so
+        the first fault in record order is the one reported.
+        """
+        try:
+            journey = self._read_journey(rec)
+        except _RECORD_FAULTS:
+            journey = None
+        if journey is None:
+            try:
+                journey = self._walk_journey(rec)
+            except KeyError as exc:
+                raise DataValidationError(
+                    f"journey record missing field {exc}") from None
+            except _RECORD_FAULTS as exc:
+                raise DataValidationError(
+                    f"malformed journey record: {exc}") from None
+        *columns, rows = journey
+        start = self.add_rows(rows)
+        self.add_journey(*columns, range(start, start + len(rows)))
+
+    def add_journey(self, guest_id: str, search_ids: list, t_days: list,
+                    sizes: list, contexts: np.ndarray, listing_ids: list,
+                    positions: list, codes: list, rows) -> None:
+        """Append one journey's columns, its impressions' rows given as
+        indices into the feature table."""
+        self.guest_ids.append(guest_id)
+        self.searches_per_journey.append(len(search_ids))
+        self.search_ids += search_ids
+        self.t_days += t_days
+        self.imps_per_search += sizes
+        self.contexts.append(contexts)
+        self.listing_ids += listing_ids
+        self.positions += positions
+        self.label_codes += codes
+        self.row_of_impression.extend(rows)
+
+    def _read_journey(self, rec) -> tuple | None:
+        """The journey's columns, read one field at a time over all its
+        searches and impressions; None when any value is out of the
+        ordinary (then :meth:`_walk_journey` reads it)."""
+        listing_dim, context_dim = (self.schema.listing_dim,
+                                    self.schema.context_dim)
+        guest_id = str(rec["guest_id"])
+        searches = list(rec["searches"])
+        search_ids = list(map(str, map(_search_id_of, searches)))
+        contexts = list(map(_context_of, searches))
+        t_days = list(map(_t_days_of, searches))
+        per_search = list(map(_impressions_of, searches))
+        sizes = list(map(len, per_search))
+        impressions = list(chain.from_iterable(per_search))
+        features = list(map(_features_of, impressions))
+        label_dicts = list(map(_labels_of, impressions))
+        listing_ids = list(map(str, map(_listing_id_of, impressions)))
+        positions = list(map(_position_of, impressions))
+        known = self.known_labels
+        codes = list(map(known.get,
+                         map(tuple, map(dict.items, label_dicts))))
+        if None in codes:
+            codes = [_label_code(d, known) if c is None else c
+                     for c, d in zip(codes, label_dicts)]
+        if not (None not in codes
+                and set(map(len, contexts)) <= {context_dim}
+                and set(map(len, features)) <= {listing_dim}
+                and set(map(type, t_days)) <= {float}
+                and set(map(type, positions)) <= {int}
+                and (not positions or (_INT64_MIN <= min(positions)
+                                       and max(positions) <= _INT64_MAX))
+                and set(map(type, chain(chain.from_iterable(contexts),
+                                        chain.from_iterable(features))))
+                <= _NUMBER_TYPES):
+            return None
+        return (guest_id, search_ids, t_days, sizes,
+                _float_rows(contexts, context_dim), listing_ids, positions,
+                codes, _float_rows(features, listing_dim))
+
+    def _walk_journey(self, rec) -> tuple:
+        """:meth:`_read_journey` one value at a time, raising at the first
+        fault in record order."""
+        schema = self.schema
+        guest_id = str(rec["guest_id"])
+        search_ids, t_days, sizes, contexts = [], [], [], []
+        listing_ids, positions, codes, features = [], [], [], []
+        for s in rec["searches"]:
+            search_id = str(s["search_id"])
+            where = f"guest={guest_id} search={search_id}"
+            if len(s["context"]) != schema.context_dim:
+                raise DataValidationError(
+                    f"{where}: context width {len(s['context'])}, "
+                    f"schema says {schema.context_dim}")
+            search_ids.append(search_id)
+            t_days.append(number(s["t_days"]))
+            contexts.append(s["context"])
+            sizes.append(len(s["impressions"]))
+            for i in s["impressions"]:
+                if len(i["features"]) != schema.listing_dim:
+                    raise DataValidationError(
+                        f"{where} listing={i['listing_id']}: feature width "
+                        f"{len(i['features'])}, schema says "
+                        f"{schema.listing_dim}")
+                labels = i.get("labels", {})
+                code = _label_code(labels, self.known_labels)
+                if code is None:
+                    on = {m for m, v in labels.items() if v}
+                    raise DataValidationError(
+                        f"{where}: unknown milestone labels "
+                        f"{sorted(on - _KNOWN_MILESTONES)}")
+                listing_ids.append(str(i["listing_id"]))
+                positions.append(_position(i["position"]))
+                codes.append(code)
+                features.append(i["features"])
+        return (guest_id, search_ids, t_days, sizes,
+                _numbers(contexts, schema.context_dim), listing_ids,
+                positions, codes, _numbers(features, schema.listing_dim))
+
+    def dataset(self) -> Dataset:
+        width = self.schema.listing_dim
+        table = (np.concatenate(self.table) if self.table
+                 else np.empty((0, width)))
+        rows = np.frombuffer(self.row_of_impression, dtype=np.int64)
+        codes = np.array(self.label_codes, dtype=np.int64)
+        return Dataset.from_columns(
+            self.schema,
+            guest_ids=self.guest_ids,
+            searches_per_journey=self.searches_per_journey,
+            search_ids=self.search_ids,
+            t_days=self.t_days,
+            context_features=(np.concatenate(self.contexts) if self.contexts
+                              else []),
+            imps_per_search=self.imps_per_search,
+            listing_ids=self.listing_ids,
+            positions=self.positions,
+            listing_features=table[rows],
+            labels={m: ((codes >> k) & 1).astype(bool)
+                    for k, m in enumerate(LABELS)},
+        )
 
 
 def dataset_from_records(schema: DatasetSchema,
                          records: Iterable[dict]) -> Dataset:
     """Build a dataset from journey records.
 
-    Each record's features and context are turned into arrays before the
-    next record is read, so a stream of records never holds more than one
-    journey's feature values as Python floats. A search's impressions are
-    read field by field; only a search with a fault is walked again one
-    impression at a time, so the first fault in record order is the one
-    reported. A record whose widths differ from the schema, that lacks a
-    field, holds a value of the wrong type, or names an unknown milestone
-    raises :class:`DataValidationError`.
+    A record whose widths differ from the schema, that lacks a field,
+    holds a value of the wrong type (a number that is a bool or a string,
+    a position that is not an integer or does not fit 64 bits), or names
+    an unknown milestone raises :class:`DataValidationError`; the first
+    fault in record order is the one reported.
     """
-    listing_dim = schema.listing_dim
-    known_labels: dict = {}
-    guest_ids, searches_per_journey = [], []
-    search_ids, t_days, contexts, imps_per_search = [], [], [], []
-    listing_ids, positions, features, label_codes = [], [], [], []
+    columns = _Columns(schema)
     for rec in records:
-        try:
-            guest_id = str(rec["guest_id"])
-            j_contexts, j_features = [], []
-            for s in rec["searches"]:
-                search_id = str(s["search_id"])
-                where = f"guest={guest_id} search={search_id}"
-                if len(s["context"]) != schema.context_dim:
-                    raise DataValidationError(
-                        f"{where}: context width {len(s['context'])}, "
-                        f"schema says {schema.context_dim}")
-                search_ids.append(search_id)
-                t_days.append(float(s["t_days"]))
-                j_contexts.append(s["context"])
-                impressions = s["impressions"]
-                imps_per_search.append(len(impressions))
-                try:
-                    feats = [i["features"] for i in impressions]
-                    codes = [_label_code(i.get("labels", {}), known_labels)
-                             for i in impressions]
-                    ids = [str(i["listing_id"]) for i in impressions]
-                    pos = [int(i["position"]) for i in impressions]
-                    ok = (None not in codes
-                          and set(map(len, feats)) <= {listing_dim})
-                except Exception:
-                    # whatever failed is raised again, in record order,
-                    # by the walk below
-                    ok = False
-                if not ok:
-                    _raise_first_fault(where, listing_dim, impressions,
-                                       known_labels)
-                j_features += feats
-                label_codes += codes
-                listing_ids += ids
-                positions += pos
-            contexts.append(np.array(j_contexts, dtype=np.float64
-                                     ).reshape(-1, schema.context_dim))
-            features.append(np.array(j_features, dtype=np.float64
-                                     ).reshape(-1, listing_dim))
-        except KeyError as exc:
-            raise DataValidationError(
-                f"journey record missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise DataValidationError(
-                f"malformed journey record: {exc}") from None
-        guest_ids.append(guest_id)
-        searches_per_journey.append(len(rec["searches"]))
-    codes = np.array(label_codes, dtype=np.int64)
-    return Dataset.from_columns(
-        schema,
-        guest_ids=guest_ids,
-        searches_per_journey=searches_per_journey,
-        search_ids=search_ids,
-        t_days=t_days,
-        context_features=np.concatenate(contexts) if contexts else [],
-        imps_per_search=imps_per_search,
-        listing_ids=listing_ids,
-        positions=positions,
-        listing_features=np.concatenate(features) if features else [],
-        labels={m: ((codes >> k) & 1).astype(bool)
-                for k, m in enumerate(LABELS)},
-    )
+        columns.add_record(rec)
+    return columns.dataset()
 
 
 class _RowTexts:
@@ -247,11 +387,32 @@ def _label_text(flags: list[bool]) -> str:
     return _canonical({m: True for m, on in zip(LABELS, flags) if on})
 
 
+# The writer's line layout. A journey line is
+#     {"guest_id":G,"searches":[S,S,...]}
+# with each search S
+#     {"context":C,"impressions":[I,I,...],"search_id":D,"t_days":T}
+# and each impression I
+#     {"features":F,"labels":L,"listing_id":N,"position":P}
+# in canonical JSON: sorted keys, no spaces. These are the texts around the
+# leaves G, C, D, T, F, L, N and P, and list items are joined by _NEXT; the
+# writer joins leaf texts with them and the line decoder splits on them.
+_GUEST_ID, _SEARCHES, _LINE_END = '{"guest_id":', ',"searches":[', "]}"
+_CONTEXT, _IMPRESSIONS, _SEARCH_ID, _T_DAYS = (
+    '{"context":', ',"impressions":[', '],"search_id":', ',"t_days":')
+_FEATURES, _LABELS, _LISTING_ID, _POSITION = (
+    '{"features":', ',"labels":', ',"listing_id":', ',"position":')
+_OBJECT_END, _NEXT = "}", ","
+_LINE = _GUEST_ID + "%s" + _SEARCHES + "%s" + _LINE_END
+_SEARCH = (_CONTEXT + "%s" + _IMPRESSIONS + "%s" + _SEARCH_ID + "%s"
+           + _T_DAYS + "%s" + _OBJECT_END)
+_IMPRESSION = (_FEATURES + "%s" + _LABELS + "%s" + _LISTING_ID + "%s"
+               + _POSITION + "%d" + _OBJECT_END)
+
+
 def _journey_lines(dataset: Dataset) -> Iterator[str]:
     """The canonical JSON of each record of :func:`dataset_to_records`,
     built one journey at a time from the texts of the distinct feature
-    rows, label sets and listing ids. The templates list each object's
-    keys in sorted order."""
+    rows, label sets and listing ids."""
     features = _RowTexts(dataset.listing_features, _canonical)
     labels = _RowTexts(np.column_stack([dataset.labels[m] for m in LABELS]),
                        _label_text)
@@ -262,22 +423,20 @@ def _journey_lines(dataset: Dataset) -> Iterator[str]:
         lo, hi = bounds[j], bounds[j + 1]
         first, last = imp_starts[lo], imp_starts[hi]
         impressions = [
-            '{"features":%s,"labels":%s,"listing_id":%s,"position":%d}' % row
+            _IMPRESSION % row
             for row in zip(features(first, last), labels(first, last),
                            listing_ids(first, last),
                            dataset.positions[first:last].tolist())]
         searches = [
-            '{"context":%s,"impressions":[%s],"search_id":%s,"t_days":%s}'
-            % (_canonical(context),
-               ",".join(impressions[a - first:b - first]),
-               _canonical(search_id), _canonical(t_days))
+            _SEARCH % (_canonical(context),
+                       _NEXT.join(impressions[a - first:b - first]),
+                       _canonical(search_id), _canonical(t_days))
             for a, b, search_id, t_days, context in zip(
                 imp_starts[lo:hi], imp_starts[lo + 1:hi + 1],
                 dataset.search_ids[lo:hi].tolist(),
                 dataset.t_days[lo:hi].tolist(),
                 dataset.context_features[lo:hi].tolist())]
-        yield '{"guest_id":%s,"searches":[%s]}' % (_canonical(guest_id),
-                                                   ",".join(searches))
+        yield _LINE % (_canonical(guest_id), _NEXT.join(searches))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -285,34 +444,267 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
     streamed a journey at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(_canonical(dataset.schema.to_record()) + "\n")
         for line in _journey_lines(dataset):
             f.write(line + "\n")
 
 
-def _read_records(f, path: Path) -> Iterator[dict]:
-    for line_no, line in enumerate(f, start=2):
-        if not line.strip():
-            continue
+# the decoder's memos are cleared when they reach this many texts, so their
+# size does not grow with the number of distinct rows in a file
+_MEMO_TEXTS = 1 << 14
+# impressions the decoder reads before it judges the share of new rows
+_DECODER_TRIAL = 2000
+
+
+_scan = json.JSONDecoder().scan_once
+
+
+def _leaf(text: str):
+    """The JSON value that is all of ``text``, scanned as ``json.loads``
+    scans it; ValueError when ``text`` is anything else."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration:
+        raise ValueError("no JSON value") from None
+    if end != len(text):
+        raise ValueError("text after the JSON value")
+    return value
+
+
+def _memo_values(memo: dict, texts: list[str], read) -> list | None:
+    """The value of each text, reading each text the memo lacks with
+    ``read``; None when ``read`` refuses one (returns None)."""
+    values = list(map(memo.get, texts))
+    if None in values:
+        if len(memo) >= _MEMO_TEXTS:
+            memo.clear()
+        for k, text in enumerate(texts):
+            if values[k] is None:
+                value = memo.get(text)
+                if value is None:
+                    value = read(text)
+                    if value is None:
+                        return None
+                    memo[text] = value
+                values[k] = value
+    return values
+
+
+def _read_label_code(text: str, known: dict) -> int | None:
+    labels = _leaf(text)
+    return _label_code(labels, known) if type(labels) is dict else None
+
+
+def _read_string(text: str) -> str | None:
+    value = _leaf(text)
+    return value if type(value) is str else None
+
+
+def _read_position(text: str) -> int | None:
+    value = _leaf(text)
+    return (value if type(value) is int and _INT64_MIN <= value <= _INT64_MAX
+            else None)
+
+
+class _LineDecoder:
+    """Reads the writer's own lines into the columns, decoding each
+    distinct leaf text once.
+
+    A line is cut on the delimiters of the writer's layout (``_LINE`` and
+    the constants around it), and every piece between them is a leaf: a
+    feature array, a label dict, a listing id or a position of an
+    impression, or the context, id or time of a search. Impression leaves
+    repeat across a file, so each is decoded once per distinct text, by the
+    scanner ``json.loads`` uses, and remembered; a line's new feature rows
+    are decoded in one call. Search leaves are decoded once per search. A
+    line is accepted only when it is exactly delimiters and leaves, where a
+    cut that finds a delimiter more or fewer times than the layout has, or
+    a leaf that is not a whole JSON value of its kind (floats of the
+    schema's width, a dict of known milestones, a string, an integer that
+    fits 64 bits, a float time), declines it: :meth:`decode` then appends
+    nothing, and the caller reads the line as a record.
+
+    Why this is exact: valid JSON texts joined by the layout's delimiters
+    form a JSON text with exactly one parse, in which each piece is the
+    value at its place in the layout. The record ``json.loads(line)``
+    returns therefore holds exactly these leaves, and
+    :meth:`_Columns.add_record` would store them bit for bit as they are
+    stored here.
+    """
+
+    def __init__(self, columns: _Columns):
+        self.columns = columns
+        self.rows: dict[str, int] = {}
+        self.labels: dict[str, int] = {}
+        self.listing_ids: dict[str, str] = {}
+        self.positions: dict[str, int] = {}
+        self.impressions = 0
+        self.new_rows = 0
+
+    @property
+    def pays(self) -> bool:
+        """Whether to keep decoding: per-leaf decoding is slower than the
+        record path's one ``json.loads`` per line unless rows repeat, so
+        once past a trial the share of new rows must stay at most one half.
+        """
+        return (self.impressions < _DECODER_TRIAL
+                or 2 * self.new_rows <= self.impressions)
+
+    def decode(self, line: str) -> bool:
+        """Append the journey of ``line`` and return True, or return False
+        and append nothing."""
+        if line.endswith("\n"):
+            line = line[:-1]
+        if not (line.startswith(_GUEST_ID) and line.endswith(_LINE_END)):
+            return False
         try:
-            yield json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}:{line_no}: bad JSON: {exc}") from None
+            return self._decode(line)
+        except ValueError:
+            # a delimiter count other than the layout's, or a leaf that is
+            # not JSON
+            return False
+
+    def _decode(self, line: str) -> bool:
+        schema = self.columns.schema
+        guest_id, body = line[len(_GUEST_ID):-len(_LINE_END)].split(_SEARCHES)
+        guest_id = _leaf(guest_id)
+        if type(guest_id) is not str:
+            return False
+        if not body:
+            searches = []
+        elif body.startswith(_CONTEXT) and body.endswith(_OBJECT_END):
+            searches = body[len(_CONTEXT):-len(_OBJECT_END)].split(
+                _OBJECT_END + _NEXT + _CONTEXT)
+        else:
+            return False
+        contexts, search_ids, t_days, sizes = [], [], [], []
+        features, labels, listing_ids, positions = [], [], [], []
+        for search in searches:
+            context, rest = search.split(_IMPRESSIONS)
+            impressions, rest = rest.split(_SEARCH_ID)
+            search_id, t = rest.split(_T_DAYS)
+            context, search_id, t = _leaf(context), _leaf(search_id), _leaf(t)
+            if not (type(context) is list
+                    and len(context) == schema.context_dim
+                    and set(map(type, context)) == {float}
+                    and type(search_id) is str and type(t) is float):
+                return False
+            contexts.append(context)
+            search_ids.append(search_id)
+            t_days.append(t)
+            if not impressions:
+                sizes.append(0)
+                continue
+            if not (impressions.startswith(_FEATURES)
+                    and impressions.endswith(_OBJECT_END)):
+                return False
+            pieces = impressions[len(_FEATURES):-len(_OBJECT_END)].split(
+                _OBJECT_END + _NEXT + _FEATURES)
+            sizes.append(len(pieces))
+            for piece in pieces:
+                row, rest = piece.split(_LABELS)
+                label_set, rest = rest.split(_LISTING_ID)
+                listing_id, position = rest.split(_POSITION)
+                features.append(row)
+                labels.append(label_set)
+                listing_ids.append(listing_id)
+                positions.append(position)
+        known = self.columns.known_labels
+        labels = _memo_values(self.labels, labels,
+                              lambda text: _read_label_code(text, known))
+        listing_ids = _memo_values(self.listing_ids, listing_ids,
+                                   _read_string)
+        positions = _memo_values(self.positions, positions, _read_position)
+        if labels is None or listing_ids is None or positions is None:
+            return False
+        contexts = np.array(contexts, dtype=np.float64
+                            ).reshape(-1, schema.context_dim)
+        rows = list(map(self.rows.get, features))
+        if None in rows and not self._add_new_rows(features, rows):
+            return False
+        self.columns.add_journey(guest_id, search_ids, t_days, sizes,
+                                 contexts, listing_ids, positions, labels,
+                                 rows)
+        self.impressions += len(rows)
+        return True
+
+    def _add_new_rows(self, texts: list[str], rows: list) -> bool:
+        """Decode the distinct texts whose row is None in one call, add
+        them to the table and fill in ``rows``; False when one of them is
+        not an array of floats of the schema's width."""
+        new = list(dict.fromkeys(t for t, r in zip(texts, rows) if r is None))
+        # each text one bracketed array with no bracket inside, so that the
+        # joined text parses into one row per text
+        joined = _NEXT.join(new)
+        if not (joined.count("[") == joined.count("]") == len(new)
+                and all(t[:1] == "[" and t[-1:] == "]" for t in new)):
+            return False
+        values = json.loads("[" + joined + "]")
+        width = self.columns.schema.listing_dim
+        if not (len(values) == len(new) and set(map(type, values)) == {list}
+                and set(map(len, values)) == {width}
+                and set(map(type, chain.from_iterable(values))) == {float}):
+            return False
+        start = self.columns.add_rows(np.array(values, dtype=np.float64))
+        added = dict(zip(new, range(start, start + len(new))))
+        if len(self.rows) + len(new) > _MEMO_TEXTS:
+            self.rows.clear()
+        self.rows.update(added)
+        self.new_rows += len(new)
+        for k, text in enumerate(texts):
+            if rows[k] is None:
+                rows[k] = added[text]
+        return True
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """Read a dataset file written by :func:`save_dataset`, or any file of
+    the same records.
+
+    Lines are read one at a time. Each is first offered to the line
+    decoder, and a line it declines is parsed by ``json.loads`` and read as
+    a record, so other JSON spellings of the records load too and a faulty
+    line raises what :func:`dataset_from_records` raises. Once the decoder
+    has read a trial of impressions and more than half its rows are new,
+    the rest of the file is read as records. A file that is not UTF-8, has
+    a bad header or holds a line that is not JSON raises
+    :class:`DataValidationError` or :class:`SchemaMismatchError` naming the
+    path.
+    """
     path = Path(path)
-    with open(path) as f:
-        header = f.readline()
-        if not header:
-            raise SchemaMismatchError(f"{path}: empty dataset file")
+    with open(path, encoding="utf-8") as f:
         try:
-            schema_rec = json.loads(header)
+            return _read_lines(f, path)
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(
+                f"{path}: not UTF-8 text: byte "
+                f"0x{exc.object[exc.start]:02x} ({exc.reason})") from None
+
+
+def _read_lines(f, path: Path) -> Dataset:
+    header = f.readline()
+    if not header:
+        raise SchemaMismatchError(f"{path}: empty dataset file")
+    try:
+        schema_rec = json.loads(header)
+    except json.JSONDecodeError as exc:
+        raise SchemaMismatchError(f"{path}: malformed schema header: {exc}") from None
+    columns = _Columns(_schema_from_record(schema_rec, path))
+    decoder = _LineDecoder(columns)
+    for line_no, line in enumerate(f, start=2):
+        if decoder is not None and decoder.decode(line):
+            if not decoder.pays:
+                decoder = None
+            continue
+        if line.isspace():
+            continue
+        try:
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaMismatchError(f"{path}: malformed schema header: {exc}") from None
-        schema = _schema_from_record(schema_rec, path)
-        return dataset_from_records(schema, _read_records(f, path))
+            raise DataValidationError(f"{path}:{line_no}: bad JSON: {exc}") from None
+        columns.add_record(rec)
+    return columns.dataset()
 
 
 def _schema_from_record(rec, path: Path) -> DatasetSchema:

@@ -774,6 +774,12 @@ def load_model(directory: str | Path) -> TrainedModel:
         if key not in manifest:
             raise SchemaMismatchError(
                 f"{directory}: model manifest missing {key}")
+    schema_hash = manifest["schema_hash"]
+    if not (isinstance(schema_hash, str) and len(schema_hash) == 64
+            and set(schema_hash) <= set("0123456789abcdef")):
+        raise SchemaMismatchError(
+            f"{directory}: model manifest schema_hash must be a 64-character "
+            f"lowercase hex digest, got {schema_hash!r}")
     config = model_config_from_record(manifest["model_config"])
     norm = NormalizationStats.from_record(manifest["normalization"])
     for name, width, vectors in (
@@ -798,4 +804,4 @@ def load_model(directory: str | Path) -> TrainedModel:
             f"{directory}: saved weights do not match model_config "
             f"({', '.join(differ) or 'tensor order'})")
     return TrainedModel(config=config, params=params, normalization=norm,
-                        schema_hash=manifest["schema_hash"])
+                        schema_hash=schema_hash)

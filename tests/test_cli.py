@@ -456,6 +456,23 @@ class TestEval:
                    "--dataset", str(foreign), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", [
+        5, None, ["a"], "", "0" * 63, "0" * 65, "A" * 64, "g" * 64,
+    ], ids=["int", "null", "list", "empty", "short", "long", "uppercase",
+            "not-hex"])
+    def test_malformed_schema_hash_exits_two(self, ws, tmp_path, capsys,
+                                             value):
+        def edit(manifest):
+            manifest["schema_hash"] = value
+        model_dir = edited_model(ws, tmp_path, edit)
+        rc = main(["eval", "--model", str(model_dir),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "schema_hash must be a 64-character lowercase hex" in err
+
 
 class TestCompare:
     def test_self_comparison_zero_delta(self, ws, tmp_path):
@@ -737,6 +754,53 @@ class TestValidate:
                    "--epochs", "1"])
         assert rc == 2
         assert "malformed journey record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("impressions", "position"), 10 ** 20),
+        (("impressions", "position"), 2.7),
+        (("impressions", "position"), True),
+        (("impressions", "features"), "1.5"),
+        (("impressions", "features"), True),
+        (("impressions", "features"), None),
+        (("context",), True),
+        (("context",), "1.5"),
+        (("t_days",), "2.5"),
+        (("t_days",), True),
+    ], ids=["huge-position", "fractional-position", "bool-position",
+            "string-feature", "bool-feature", "null-feature", "bool-context",
+            "string-context", "string-t_days", "bool-t_days"])
+    def test_malformed_record_value_exits_two(self, ws, tmp_path, capsys,
+                                              path, value):
+        """A value of the wrong kind anywhere in a journey record is a
+        data error, never a silent conversion or a traceback."""
+        lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        search = record["searches"][0]
+        if path == ("t_days",):
+            search["t_days"] = value
+        elif path == ("context",):
+            search["context"][1] = value
+        elif path[1] == "position":
+            search["impressions"][0]["position"] = value
+        else:
+            search["impressions"][0]["features"][2] = value
+        lines[1] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "data error: malformed journey record" in err
+
+    def test_non_utf8_dataset_exits_two(self, ws, tmp_path, capsys):
+        data = (ws / "data" / "dataset.jsonl").read_bytes()
+        at = data.index(b'"listing_id":"') + len(b'"listing_id":"')
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(data[:at] + b"\xff" + data[at:])
+        assert main(["validate", "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{bad}: not UTF-8 text" in err
 
     @pytest.mark.parametrize("key, value, named", [
         ("listing_dim", 6.9, "listing_dim"),

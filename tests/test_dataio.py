@@ -2,12 +2,15 @@
 
 import copy
 import json
+import re
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from conftest import imp_rows_for_searches
+from journeyrank import dataio, simulate
 from journeyrank.dataio import (
     dataset_from_records,
     dataset_to_records,
@@ -18,7 +21,14 @@ from journeyrank.dataio import (
     save_dataset,
     split_by_guest,
 )
-from journeyrank.domain import ALL_MILESTONES, LABELS, Dataset, DatasetSchema
+from journeyrank.domain import (
+    ALL_MILESTONES,
+    LABELS,
+    Dataset,
+    DatasetSchema,
+    exact_int,
+    number,
+)
 from journeyrank.errors import DataValidationError, SchemaMismatchError
 
 SCHEMA = DatasetSchema(
@@ -298,6 +308,10 @@ def odd_values_records():
          "features": [nan_neg, -0.0, 0.0], "labels": {"c": True}},
         {"listing_id": "tab\tnew\nline", "position": 5,
          "features": [0.0, 1.0, -0.0], "labels": {}},
+        {"listing_id": 'x"},{"context":[', "position": 6,
+         "features": [1e-310, -1e308, 5e-324], "labels": {}},
+        {"listing_id": '","position":1}', "position": -7,
+         "features": [0.0, 1.0, -0.0], "labels": {"c": True}},
     ]
     return [
         {"guest_id": "g\"1\\\u00fc", "searches": [
@@ -306,9 +320,34 @@ def odd_values_records():
             {"search_id": "s1", "t_days": float("-inf"),
              "context": [float("nan"), 0.0], "impressions": []},
             {"search_id": "s2", "t_days": -0.0,
-             "context": [float("-inf"), 1e-310], "impressions": imps[:2]}]},
-        {"guest_id": "no searches", "searches": []},
+             "context": [float("-inf"), 1e-310], "impressions": imps[:2]},
+            {"search_id": '"],"search_id":', "t_days": 1e300,
+             "context": [0.0, 1.0], "impressions": imps[5:]}]},
+        {"guest_id": 'g",\"searches":[]}', "searches": []},
     ]
+
+
+def column_arrays(ds: Dataset) -> dict[str, np.ndarray]:
+    """Every column and layout array of a dataset, by name."""
+    columns = {name: getattr(ds, name) for name in (
+        "listing_features", "context_features", "listing_ids", "positions",
+        "search_ids", "t_days")}
+    columns.update(search_of_imp=ds.searches.ids,
+                   search_starts=ds.searches.starts, guest_ids=ds.guest_ids,
+                   journey_of_search=ds.journeys.ids,
+                   journey_starts=ds.journeys.starts)
+    columns.update({f"label:{m}": ds.labels[m] for m in LABELS})
+    return columns
+
+
+def assert_same_columns(got: Dataset, want: Dataset) -> None:
+    """Bit-identical columns: same dtypes, shapes and bytes."""
+    assert got.schema == want.schema
+    got, want = column_arrays(got), column_arrays(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == want[name].shape, name
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestWriterMatchesRecords:
@@ -322,8 +361,11 @@ class TestWriterMatchesRecords:
         got = path.read_text(encoding="ascii").split("\n")
         assert got[-1] == ""
         assert got[:-1] == want
+        loaded = load_dataset(path)
+        assert_same_columns(
+            loaded, dataset_from_records(ds.schema, map(json.loads, want[1:])))
         again = path.with_suffix(".again")
-        save_dataset(load_dataset(path), again)
+        save_dataset(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("pool_rows", [1, 4, None],
@@ -350,15 +392,33 @@ class TestWriterMatchesRecords:
         assert '"features":[NaN,Infinity,-Infinity]' in text
         assert '"features":[NaN,-0.0,0.0]' in text
         assert '"listing_id":"caf\\u00e9 ' in text
+        assert '"listing_id":"x\\"},{\\"context\\":[' in text
+
+    def test_empty_dataset(self, tmp_path):
+        self.assert_lines_match(dataset_from_records(SCHEMA, []),
+                                tmp_path / "empty.jsonl")
 
 
 # ---------------------------------------------------------------------------
 # the reader against a per-impression loop
 
 
+def loop_position(value) -> int:
+    position = exact_int(value)
+    if not -(2 ** 63) <= position < 2 ** 63:
+        raise OverflowError(f"position {position} does not fit in 64 bits")
+    return position
+
+
+def loop_numbers(rows, width) -> np.ndarray:
+    return np.array([[number(v) for v in row] for row in rows],
+                    dtype=np.float64).reshape(-1, width)
+
+
 def loop_dataset_from_records(schema, records) -> Dataset:
     """Reference: every impression read and checked one at a time, each
-    label dict mapped to its flags on its own."""
+    label dict mapped to its flags on its own, and every number read by
+    ``domain.number`` one value at a time."""
     guest_ids, searches_per_journey = [], []
     search_ids, t_days, contexts, imps_per_search = [], [], [], []
     listing_ids, positions, features, label_rows = [], [], [], []
@@ -374,7 +434,7 @@ def loop_dataset_from_records(schema, records) -> Dataset:
                         f"{where}: context width {len(s['context'])}, "
                         f"schema says {schema.context_dim}")
                 search_ids.append(search_id)
-                t_days.append(float(s["t_days"]))
+                t_days.append(number(s["t_days"]))
                 j_contexts.append(s["context"])
                 imps_per_search.append(len(s["impressions"]))
                 for i in s["impressions"]:
@@ -390,17 +450,15 @@ def loop_dataset_from_records(schema, records) -> Dataset:
                             f"{where}: unknown milestone labels "
                             f"{sorted(unknown)}")
                     listing_ids.append(str(i["listing_id"]))
-                    positions.append(int(i["position"]))
+                    positions.append(loop_position(i["position"]))
                     j_features.append(i["features"])
                     j_labels.append([m in on for m in LABELS])
-            contexts.append(np.array(j_contexts, dtype=np.float64
-                                     ).reshape(-1, schema.context_dim))
-            features.append(np.array(j_features, dtype=np.float64
-                                     ).reshape(-1, schema.listing_dim))
+            contexts.append(loop_numbers(j_contexts, schema.context_dim))
+            features.append(loop_numbers(j_features, schema.listing_dim))
         except KeyError as exc:
             raise DataValidationError(
                 f"journey record missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise DataValidationError(
                 f"malformed journey record: {exc}") from None
         guest_ids.append(guest_id)
@@ -429,15 +487,7 @@ def outcome(build, records):
         ds = build(SCHEMA, copy.deepcopy(records))
     except DataValidationError as exc:
         return "error", str(exc)
-    columns = {name: getattr(ds, name) for name in (
-        "listing_features", "context_features", "listing_ids", "positions",
-        "search_ids", "t_days")}
-    columns.update(search_of_imp=ds.searches.ids,
-                   search_starts=ds.searches.starts, guest_ids=ds.guest_ids,
-                   journey_of_search=ds.journeys.ids,
-                   journey_starts=ds.journeys.starts)
-    columns.update({f"label:{m}": ds.labels[m] for m in LABELS})
-    return "ok", columns
+    return "ok", column_arrays(ds)
 
 
 def assert_same_outcome(records):
@@ -461,6 +511,12 @@ IMPRESSION_FAULTS = [
     ("labels", {"c": True, "imp": True, "zzz": 1}),
     ("listing_id", "drop"), ("position", "first"), ("position", None),
     ("position", "drop"), ("position", [1]),
+    ("features", ["1.5", 0.5, 0.5]), ("features", [0.5, True, 0.5]),
+    ("features", [0.0, 1.0, False]), ("features", [0.5, 0.5, None]),
+    ("features", [0.5, [0.5], 0.5]), ("features", [[0.5], [0.5], [0.5]]),
+    ("position", 2.7), ("position", True), ("position", 2.0),
+    ("position", 10 ** 20), ("position", -(2 ** 63) - 1),
+    ("position", 2 ** 63),
 ]
 # label dicts every builder accepts
 ACCEPTED_LABELS = [
@@ -509,6 +565,30 @@ class TestReaderMatchesLoop:
         with pytest.raises(DataValidationError, match="zap"):
             dataset_from_records(SCHEMA, records)
 
+    @pytest.mark.parametrize("field,value", [
+        ("features", [1, 2, -3]), ("features", [0.0, 1.0, 1]),
+        ("features", [2 ** 53 + 1, 0.5, 1e308]),
+        ("position", 2 ** 63 - 1), ("position", -(2 ** 63)),
+        ("position", 0),
+    ])
+    def test_accepted_value(self, field, value):
+        records = random_records(np.random.default_rng(28), n_journeys=3)
+        set_field(records[1]["searches"][0]["impressions"][1], field, value)
+        assert_same_outcome(records)
+        assert outcome(dataset_from_records, records)[0] == "ok"
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_days", "2.5"), ("t_days", True), ("t_days", None), ("t_days", 3),
+        ("context", ["1.5", 1.0]), ("context", [1.0, True]),
+        ("context", [None, 1.0]), ("context", [1, 2]),
+    ])
+    def test_one_search_value(self, field, value):
+        """A search's own value alone, with no other fault in its journey
+        to send the reader down its value-by-value walk."""
+        records = random_records(np.random.default_rng(29), n_journeys=3)
+        records[1]["searches"][0][field] = value
+        assert_same_outcome(records)
+
     def test_accepted_label_dicts(self):
         records = random_records(np.random.default_rng(24), n_journeys=8)
         for k, (_, imp) in enumerate(flat_impressions(records)):
@@ -546,12 +626,202 @@ class TestReaderMatchesLoop:
         lambda rec: rec["searches"][0].update(impressions=None),
         lambda rec: rec["searches"][-1]["impressions"].append(
             {"features": [0.0, 0.0, 0.0, 0.0], "listing_id": "Lx"}),
+        lambda rec: rec["searches"][0].update(t_days="2.5"),
+        lambda rec: rec["searches"][0].update(t_days=True),
+        lambda rec: rec["searches"][0].update(t_days=None),
+        lambda rec: rec["searches"][0].update(context=["1.5", 1.0]),
+        lambda rec: rec["searches"][0].update(context=[1.0, True]),
+        lambda rec: rec["searches"][0].update(context=[None, 1.0]),
+        lambda rec: rec["searches"][-1].update(context=[0.0, False]),
     ], ids=["guest_id", "searches", "t_days", "context-width",
             "context-value", "no-impressions", "impressions-none",
-            "wide-last-impression"])
+            "wide-last-impression", "t_days-string", "t_days-bool",
+            "t_days-null", "context-string", "context-bool",
+            "context-null", "last-context-bool"])
     def test_search_and_journey_faults(self, mutate):
         records = random_records(np.random.default_rng(27), n_journeys=3)
         # a second fault in the journey, so the order faults are found in shows
         records[2]["searches"][0]["impressions"][0]["position"] = "first"
         mutate(records[2])
         assert_same_outcome(records)
+
+
+# ---------------------------------------------------------------------------
+# the line decoder against the record path
+
+
+def load_outcome(path):
+    """The columns ``load_dataset`` reads from ``path``, or the type and
+    message of what it raises."""
+    try:
+        return column_arrays(load_dataset(path))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def record_path_outcome(path, monkeypatch):
+    """``load_outcome`` with every line read as a record."""
+    with monkeypatch.context() as m:
+        m.setattr(dataio._LineDecoder, "decode", lambda self, line: False)
+        return load_outcome(path)
+
+
+def assert_same_load(path, monkeypatch):
+    got, want = load_outcome(path), record_path_outcome(path, monkeypatch)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return "error"
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    return "ok"
+
+
+KEYS = ['"features"', '"labels"', '"listing_id"', '"position"', '"context"',
+        '"impressions"', '"search_id"', '"t_days"', '"guest_id"',
+        '"searches"']
+FUZZ_CHARS = list('{}[],:"\\ 0123456789.-+eEtrufalsnNIy') + ["\t", "é"]
+
+
+# numbers, flags and label dicts in a saved line
+LEAF = re.compile(r"-?[0-9][0-9.e+-]*|NaN|-?Infinity|true|\{[^{}\[\]]*\}")
+OTHER_KIND = ["true", "false", "null", '"1.5"', "1", "-0", "[1.0]", "{}",
+              "0.5,0.5"]
+
+
+def mutate(line: str, rng) -> str:
+    """One seeded edit of a saved line: a character, a key swap, added
+    whitespace, a non-canonical position, delimiter text in an id, or a
+    number, flag or empty label set replaced by a value of another kind."""
+    kind = int(rng.integers(8))
+    if kind == 7:
+        leaves = list(LEAF.finditer(line))
+        m = leaves[int(rng.integers(len(leaves)))]
+        new = OTHER_KIND[int(rng.integers(len(OTHER_KIND)))]
+        return line[:m.start()] + new + line[m.end():]
+    at = int(rng.integers(len(line)))
+    if kind == 0:
+        return line[:at] + FUZZ_CHARS[int(rng.integers(len(FUZZ_CHARS)))] \
+            + line[at + 1:]
+    if kind == 1:
+        return line[:at] + line[at + 1:]
+    if kind == 2:
+        return line[:at] + " " * int(rng.integers(1, 3)) + line[at:]
+    if kind == 3:
+        a, b = rng.choice(KEYS, size=2, replace=False)
+        if a not in line or b not in line:
+            return line
+        return line.replace(a, "\0").replace(b, a).replace("\0", b)
+    if kind == 4:
+        key = KEYS[int(rng.integers(len(KEYS)))]
+        starts = [k for k in range(len(line)) if line.startswith(key, k)]
+        if not starts:
+            return line
+        k = starts[int(rng.integers(len(starts)))] + len(key) + 1
+        return line[:k] + " " + line[k:]
+    if kind == 5:
+        starts = [k for k in range(len(line))
+                  if line.startswith('"position":', k)]
+        k = starts[int(rng.integers(len(starts)))] + len('"position":')
+        digits = len(line[k:]) - len(line[k:].lstrip("-0123456789"))
+        new = ["0", "1.0", "1e0", "-0", "true", "01", str(2 ** 63),
+               str(-(2 ** 63))][int(rng.integers(8))]
+        if new == "0" or new == "01":
+            return line[:k] + new + line[k:]
+        return line[:k] + new + line[k + digits:]
+    starts = [k for k in range(len(line)) if line.startswith('"listing_id":"', k)]
+    k = starts[int(rng.integers(len(starts)))] + len('"listing_id":"')
+    inside = ['},{"context":', '","position":', '},{"features":', '\\"}']
+    return line[:k] + inside[int(rng.integers(len(inside)))] + line[k:]
+
+
+class TestLineDecoder:
+    def test_mutated_lines_load_as_records_do(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(40)
+        ds = dataset_from_records(SCHEMA, varied_records(rng, pool_rows=4))
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        mutated = tmp_path / "m.jsonl"
+        with_impressions = [j for j, line in enumerate(lines)
+                            if '"position":' in line]
+        kinds = []
+        for _ in range(400):
+            edited = list(lines)
+            j = with_impressions[int(rng.integers(len(with_impressions)))]
+            edited[j] = mutate(edited[j], rng)
+            mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            kinds.append(assert_same_load(mutated, monkeypatch))
+        assert 80 < kinds.count("error") < 320
+
+    def test_feature_texts_that_parse_only_together_are_declined(
+            self, tmp_path, monkeypatch):
+        """Two feature texts that are not arrays alone but join into two
+        rows: the decoder must not read them as the line's rows."""
+        path = tmp_path / "d.jsonl"
+        save_dataset(dataset_from_records(SCHEMA, []), path)
+        head = '{"guest_id":"g","searches":[{"context":[1.0,2.0],"impressions":['
+        tail = '],"search_id":"s","t_days":1.0}]}'
+        imps = ('{"features":[1.0,2.0,3.0],[4.0,"labels":{},'
+                '"listing_id":"a","position":1},'
+                '{"features":5.0,6.0],"labels":{},'
+                '"listing_id":"b","position":2}')
+        with open(path, "a") as f:
+            f.write(head + imps + tail + "\n")
+        assert assert_same_load(path, monkeypatch) == "error"
+
+    @pytest.mark.parametrize("config", [
+        simulate.benchmark_generator_config(n_guests=300, seed=0),
+        simulate.default_generator_config(n_guests=1000, seed=0),
+    ], ids=["benchmark-world", "default-world"])
+    def test_generated_files_never_reach_the_record_path(
+            self, tmp_path, monkeypatch, config):
+        dataset, _ = simulate.generate(config)
+        path = tmp_path / "gen.jsonl"
+        save_dataset(dataset, path)
+        lines = path.read_text().splitlines()
+        want = dataset_from_records(dataset.schema, map(json.loads, lines[1:]))
+
+        def record_step(self, rec):
+            raise AssertionError(f"{rec['guest_id']} read as a record")
+
+        monkeypatch.setattr(dataio._Columns, "add_record", record_step)
+        assert_same_columns(load_dataset(path), want)
+        assert dataset.n_impressions > dataio._DECODER_TRIAL
+
+    def test_all_distinct_rows_switch_to_the_record_path(self, tmp_path,
+                                                         monkeypatch):
+        dataset, _ = simulate.generate(
+            simulate.default_generator_config(n_guests=150, seed=2))
+        rng = np.random.default_rng(41)
+        dataset = replace(dataset, listing_features=np.round(
+            rng.normal(size=dataset.listing_features.shape), 6))
+        assert len(np.unique(dataset.listing_features, axis=0)) == \
+            dataset.n_impressions
+        path = tmp_path / "distinct.jsonl"
+        save_dataset(dataset, path)
+        read_as_records = []
+        add_record = dataio._Columns.add_record
+
+        def record_step(self, rec):
+            read_as_records.append(rec["guest_id"])
+            add_record(self, rec)
+
+        monkeypatch.setattr(dataio._Columns, "add_record", record_step)
+        assert_same_columns(load_dataset(path), dataset)
+        # the decoder reads journeys until its trial is over, then none
+        per_journey = np.add.reduceat(dataset.searches.sizes,
+                                      dataset.journeys.starts[:-1])
+        last = int(np.searchsorted(np.cumsum(per_journey),
+                                   dataio._DECODER_TRIAL))
+        assert read_as_records == dataset.guest_ids[last + 1:].tolist()
+
+    def test_memo_cap_clears_without_changing_columns(self, tmp_path,
+                                                      monkeypatch):
+        rng = np.random.default_rng(42)
+        ds = dataset_from_records(
+            SCHEMA, varied_records(rng, n_journeys=40, pool_rows=9))
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        monkeypatch.setattr(dataio, "_MEMO_TEXTS", 4)
+        assert_same_columns(load_dataset(path), ds)

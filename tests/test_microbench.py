@@ -3,10 +3,15 @@
 One training step (batch cut, forward and loss, backward, Adam), one
 batched forward over a whole dataset, two of the step's kernels on a
 batch-sized matrix (``log_sigmoid`` and ``dense``, forward and backward),
-generating 200 guests, and one JSONL save and load of a 200-guest world. Rounds are few so the suite's run time
-barely moves. The timings only inform: nothing here asserts on them, only
-on the results being well formed.
+generating 200 guests, and the JSONL save and load of a 200-guest world:
+one save, and one load each of the generated file (feature rows repeat,
+so the line decoder reads it) and of a copy whose rows are all distinct
+(so the reader switches to the record path). Rounds are few so the
+suite's run time barely moves. The timings only inform: nothing here
+asserts on them, only on the results being well formed.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,14 +112,27 @@ def test_generate_200_guests(benchmark):
     assert dataset.n_journeys == 200
 
 
-def test_save_load_200_guests(benchmark, generated, tmp_path):
+def test_save_200_guests(benchmark, generated, tmp_path):
     path = tmp_path / "world.jsonl"
+    benchmark.pedantic(dataio.save_dataset, args=(generated, path), rounds=3)
+    assert path.read_text().count("\n") == generated.n_journeys + 1
 
-    def save_load():
-        dataio.save_dataset(generated, path)
-        return dataio.load_dataset(path)
 
-    loaded = benchmark.pedantic(save_load, rounds=3)
+@pytest.fixture(scope="module")
+def distinct_rows(generated):
+    """The 200-guest world with every feature row distinct, so the reader
+    leaves its line decoder after the trial."""
+    rng = np.random.default_rng(4)
+    return replace(generated, listing_features=np.round(
+        rng.normal(size=generated.listing_features.shape), 6))
+
+
+@pytest.mark.parametrize("rows", ["generated", "distinct_rows"])
+def test_load_200_guests(benchmark, request, tmp_path, rows):
+    dataset = request.getfixturevalue(rows)
+    path = tmp_path / "world.jsonl"
+    dataio.save_dataset(dataset, path)
+    loaded = benchmark.pedantic(dataio.load_dataset, args=(path,), rounds=3)
     again = tmp_path / "again.jsonl"
     dataio.save_dataset(loaded, again)
     assert again.read_bytes() == path.read_bytes()
