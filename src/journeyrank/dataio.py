@@ -319,10 +319,15 @@ class _Columns:
                 positions, codes, _numbers(features, schema.listing_dim))
 
     def dataset(self) -> Dataset:
-        width = self.schema.listing_dim
         table = (np.concatenate(self.table) if self.table
-                 else np.empty((0, width)))
+                 else np.empty((0, self.schema.listing_dim)))
+        # drop the pieces before gathering, and gather only when rows
+        # repeat or come out of order, so no more than two copies of the
+        # feature rows are alive at once
+        self.table = [table]
         rows = np.frombuffer(self.row_of_impression, dtype=np.int64)
+        if not np.array_equal(rows, np.arange(len(table))):
+            table = table[rows]
         codes = np.array(self.label_codes, dtype=np.int64)
         return Dataset.from_columns(
             self.schema,
@@ -335,7 +340,7 @@ class _Columns:
             imps_per_search=self.imps_per_search,
             listing_ids=self.listing_ids,
             positions=self.positions,
-            listing_features=table[rows],
+            listing_features=table,
             labels={m: ((codes >> k) & 1).astype(bool)
                     for k, m in enumerate(LABELS)},
         )
