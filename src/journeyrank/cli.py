@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -115,10 +116,11 @@ def _resolve_config_path(raw: str) -> Path:
 def _load_json_config(raw: str) -> tuple[dict, Path]:
     path = _resolve_config_path(raw)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             record = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: "
+                          f"{exc}") from None
     if not isinstance(record, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return record, path
@@ -154,23 +156,6 @@ def _load_valid_dataset(path_arg: str):
                           sorted(report.violations.items()))
         raise DataValidationError(f"dataset {path} failed validation: {lines}")
     return dataset, path
-
-
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(part) for part in raw.split(",") if part != "")
-    except ValueError:
-        raise ConfigError(f"--seeds expects comma-separated integers, "
-                          f"got {raw!r}")
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
-    return seeds
-
-
-def _settings(args) -> ev.TrainEvalSettings:
-    return ev.TrainEvalSettings(epochs=args.epochs,
-                                batch_size=args.batch_size,
-                                learning_rate=args.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -276,62 +261,68 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _cmd_paired(args, name: str, run, record, config: dict,
+                inputs: dict[str, Path], json_key: str | None = None) -> int:
+    """The body of ``compare`` and ``ablate``.
+
+    Settings and seeds are checked before any data is read. ``run(dataset,
+    seeds, settings=, jobs=)`` runs the paired protocol and ``record``
+    projects its report onto ``<name>.json``, which ``--json`` prints
+    under ``json_key`` when one is given.
+    """
+    settings = ev.TrainEvalSettings(epochs=args.epochs,
+                                    batch_size=args.batch_size,
+                                    learning_rate=args.learning_rate)
+    try:
+        seeds = [int(part) for part in args.seeds.split(",") if part != ""]
+    except ValueError:
+        raise ConfigError(f"--seeds expects comma-separated integers, "
+                          f"got {args.seeds!r}") from None
+    seeds = ev.check_protocol(seeds, args.jobs)
+    out = _require_out(args)
+    dataset, dataset_path = _load_valid_dataset(args.dataset)
+    report = run(dataset, seeds, settings=settings, jobs=args.jobs)
+    payload = record(report)
+    outputs = [out / f"{name}.json", out / f"{name}.txt"]
+    _write_json(outputs[0], payload)
+    table = ev.format_paired_table(report)
+    _write_text(outputs[1], table)
+    inputs = {**inputs, "dataset": dataset_path}
+    manifest = RunManifest(
+        command=args.command, version=__version__, seed=list(seeds),
+        config={**config, "settings": asdict(settings)},
+        inputs={key: str(path) for key, path in inputs.items()},
+        input_hashes={key: file_sha256(path) for key, path in inputs.items()},
+        outputs=[str(path) for path in outputs])
+    write_manifest(out, manifest)
+    _emit(args, {json_key: payload} if json_key else payload, table)
+    return EXIT_OK
+
+
 def cmd_compare(args) -> int:
     record_a, path_a = _load_json_config(args.model_config_a)
     record_b, path_b = _load_json_config(args.model_config_b)
     config_a = model_config_from_record(record_a)
     config_b = model_config_from_record(record_b)
-    settings = _settings(args)
-    seeds = ev.check_protocol(_parse_seeds(args.seeds), args.jobs)
-    out = _require_out(args)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
-    report = ev.compare(config_a, config_b, dataset, seeds,
-                        settings=settings,
-                        label_a=args.label_a, label_b=args.label_b,
-                        jobs=args.jobs)
-    _write_json(out / "compare.json", report.to_record())
-    table = ev.format_compare_table(report)
-    _write_text(out / "compare.txt", table)
-    manifest = RunManifest(
-        command="compare", version=__version__, seed=list(seeds),
+    return _cmd_paired(
+        args, "compare",
+        partial(ev.compare, config_a, config_b, label_a=args.label_a,
+                label_b=args.label_b),
+        ev.compare_record,
         config={"model_a": model_config_to_record(config_a),
-                "model_b": model_config_to_record(config_b),
-                "settings": asdict(settings)},
-        inputs={"model_config_a": str(path_a), "model_config_b": str(path_b),
-                "dataset": str(dataset_path)},
-        input_hashes={"model_config_a": file_sha256(path_a),
-                      "model_config_b": file_sha256(path_b),
-                      "dataset": file_sha256(dataset_path)},
-        outputs=[str(out / "compare.json"), str(out / "compare.txt")])
-    write_manifest(out, manifest)
-    _emit(args, report.to_record(), table)
-    return EXIT_OK
+                "model_b": model_config_to_record(config_b)},
+        inputs={"model_config_a": path_a, "model_config_b": path_b})
 
 
 def cmd_ablate(args) -> int:
-    settings = _settings(args)
-    seeds = ev.check_protocol(_parse_seeds(args.seeds), args.jobs)
-    out = _require_out(args)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
-    cells = ev.run_ablation(dataset, seeds, settings=settings,
-                            embedding_dim=args.embedding_dim,
-                            jobs=args.jobs)
-    payload = [cell.to_record() for cell in cells]
-    _write_json(out / "ablation.json", payload)
-    table = ev.format_ablation_table(cells)
-    _write_text(out / "ablation.txt", table)
-    manifest = RunManifest(
-        command="ablate", version=__version__, seed=list(seeds),
+    return _cmd_paired(
+        args, "ablation",
+        partial(ev.run_ablation, embedding_dim=args.embedding_dim),
+        ev.PairedReport.rows,
         config={"embedding_dim": args.embedding_dim,
-                "settings": asdict(settings),
                 "cells": [[name, list(tasks)]
                           for name, tasks in ev.ABLATION_CELLS]},
-        inputs={"dataset": str(dataset_path)},
-        input_hashes={"dataset": file_sha256(dataset_path)},
-        outputs=[str(out / "ablation.json"), str(out / "ablation.txt")])
-    write_manifest(out, manifest)
-    _emit(args, {"cells": payload}, table)
-    return EXIT_OK
+        inputs={}, json_key="cells")
 
 
 def cmd_ntc(args) -> int:

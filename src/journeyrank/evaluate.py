@@ -11,10 +11,10 @@ once, and NDCG is a per-search reduction over the ranked positive flags.
 Model comparisons share one paired multi-seed protocol, ``paired_runs``.
 It refuses fewer than two seeds or a repeated one, splits the dataset once
 by guest hash, trains every configuration once per seed on the training
-side and scores each run's unc NDCG on the eval side. ``compare`` turns two
-configurations' per-seed NDCGs into a paired t-interval of their
-difference; ``run_ablation`` differences every funnel task subset against
-the single-task baseline the same way. Runs differ only in configuration
+side and scores each run's unc NDCG on the eval side. Its one
+``PairedReport`` reads every configuration against the first, seed by
+seed, with a paired t-interval: ``compare`` lists config B first,
+``run_ablation`` the single-task cell. Runs differ only in configuration
 and seed, so every number is exactly reproducible, whether the runs go
 serially or through forked worker processes.
 """
@@ -95,8 +95,7 @@ class NdcgReport:
     """Mean NDCG of one evaluation over the searches it scored.
 
     Searches without a positive for the milestone are skipped, not scored.
-    The multi-seed protocol keeps its per-seed values in ``CompareReport``
-    and ``AblationCell``.
+    The multi-seed protocol keeps each run's mean in a ``PairedReport``.
     """
 
     mean: float
@@ -215,13 +214,48 @@ def prepare_split(dataset: Dataset, eval_percent: int = 20,
 
 
 @dataclass(frozen=True)
-class PairedRuns:
-    """Every config's eval NDCG per seed, all from one split."""
+class PairedReport:
+    """Every config's eval NDCG per seed, all from one split, each read
+    against the first config, the reference.
 
+    The per-label tuples follow ``labels``, which may repeat. One rule
+    gives every delta: a label's NDCG minus the reference's on the same
+    seed, with the 95 percent t half-width of those per-seed deltas, so
+    the reference's own deltas and half-width are 0.0.
+    """
+
+    labels: tuple[str, ...]
     seeds: tuple[int, ...]
-    ndcg: dict[str, tuple[float, ...]]
+    ndcg: tuple[tuple[float, ...], ...]
     n_eval_searches: int
-    train_ds: Dataset
+    tasks: tuple[tuple[str, ...], ...]
+    n_params: tuple[int, ...]
+    n_searches_with_positives: tuple[int, ...]
+
+    def deltas(self, i: int) -> np.ndarray:
+        """Label ``i``'s NDCG minus the reference's, seed by seed."""
+        return np.array(self.ndcg[i]) - np.array(self.ndcg[0])
+
+    def rows(self) -> list[dict]:
+        """Each label's means, deltas and training-side counts, in order;
+        ``ablation.json`` is these rows."""
+        rows = []
+        for i, label in enumerate(self.labels):
+            deltas = self.deltas(i)
+            rows.append({
+                "name": label,
+                "tasks": self.tasks[i],
+                "seeds": self.seeds,
+                "per_seed_ndcg": self.ndcg[i],
+                "mean_ndcg": float(np.mean(self.ndcg[i])),
+                "mean_delta": float(deltas.mean()),
+                "ci_half_width": t_interval_half_width(deltas),
+                "parameter_delta": self.n_params[i] - self.n_params[0],
+                "search_delta": (self.n_searches_with_positives[i]
+                                 - self.n_searches_with_positives[0]),
+                "n_searches_with_positives": self.n_searches_with_positives[i],
+            })
+        return rows
 
 
 # Forked workers inherit the split instead of unpickling it per job.
@@ -248,10 +282,17 @@ def check_protocol(seeds: Sequence[int], jobs: int) -> tuple[int, ...]:
     return seeds
 
 
-def paired_runs(configs: Mapping[str, ModelConfig], dataset: Dataset,
-                seeds: Sequence[int], settings: TrainEvalSettings,
-                jobs: int) -> PairedRuns:
-    """Train every config once per seed on one split and score each run.
+def _searches_with_positives(dataset: Dataset,
+                             tasks: tuple[str, ...]) -> int:
+    positive = np.logical_or.reduce([dataset.labels[t] for t in tasks])
+    return int(np.unique(dataset.searches.ids[positive]).size)
+
+
+def paired_runs(configs: Sequence[tuple[str, ModelConfig]],
+                dataset: Dataset, seeds: Sequence[int],
+                settings: TrainEvalSettings, jobs: int) -> PairedReport:
+    """Train every (label, config) once per seed on one split and score
+    each run; the first config is the reference.
 
     Runs differ only in config and seed, so any two configs' NDCGs pair
     seed by seed. ``jobs`` worker processes, never more than there are
@@ -259,9 +300,8 @@ def paired_runs(configs: Mapping[str, ModelConfig], dataset: Dataset,
     """
     seeds = check_protocol(seeds, jobs)
     train_ds, eval_ds = prepare_split(dataset)
-    labels = list(configs)
-    runs = [replace(configs[label], seed=seed)
-            for seed in seeds for label in labels]
+    runs = [replace(config, seed=seed)
+            for seed in seeds for _, config in configs]
     workers = min(jobs, len(runs))
     _JOB_DATA.update(train=train_ds, eval=eval_ds, settings=settings)
     try:
@@ -275,61 +315,47 @@ def paired_runs(configs: Mapping[str, ModelConfig], dataset: Dataset,
     finally:
         _JOB_DATA.clear()
     means = [report.mean for report in reports]
-    return PairedRuns(
-        seeds=seeds,
-        ndcg={label: tuple(means[i::len(labels)])
-              for i, label in enumerate(labels)},
-        n_eval_searches=reports[0].n_searches, train_ds=train_ds)
-
-
-@dataclass(frozen=True)
-class CompareReport:
-    """Paired multi-seed comparison of two configurations."""
-
-    label_a: str
-    label_b: str
-    seeds: tuple[int, ...]
-    per_seed_a: tuple[float, ...]
-    per_seed_b: tuple[float, ...]
-    mean_a: float
-    mean_b: float
-    mean_delta: float
-    ci_half_width: float
-    n_eval_searches: int
-
-    @property
-    def deltas(self) -> tuple[float, ...]:
-        return tuple(a - b for a, b in zip(self.per_seed_a, self.per_seed_b))
-
-    def to_record(self) -> dict:
-        return {**asdict(self), "deltas": list(self.deltas)}
+    return PairedReport(
+        labels=tuple(label for label, _ in configs), seeds=seeds,
+        ndcg=tuple(tuple(means[i::len(configs)])
+                   for i in range(len(configs))),
+        n_eval_searches=reports[0].n_searches,
+        tasks=tuple(config.base_tasks for _, config in configs),
+        n_params=tuple(parameter_count(config) for _, config in configs),
+        n_searches_with_positives=tuple(
+            _searches_with_positives(train_ds, config.base_tasks)
+            for _, config in configs))
 
 
 def compare(config_a: ModelConfig, config_b: ModelConfig, dataset: Dataset,
             seeds: Sequence[int] = (0, 1, 2, 3, 4), *,
             settings: TrainEvalSettings | None = None,
             label_a: str = "A", label_b: str = "B",
-            jobs: int = 1) -> CompareReport:
-    """Train both configs per seed on identical data and pair the NDCGs."""
-    runs = paired_runs({"a": config_a, "b": config_b}, dataset, seeds,
-                       settings or TrainEvalSettings(), jobs)
-    per_a, per_b = runs.ndcg["a"], runs.ndcg["b"]
-    deltas = np.array(per_a) - np.array(per_b)
-    return CompareReport(
-        label_a=label_a, label_b=label_b, seeds=runs.seeds,
-        per_seed_a=per_a, per_seed_b=per_b,
-        mean_a=float(np.mean(per_a)), mean_b=float(np.mean(per_b)),
-        mean_delta=float(np.mean(deltas)),
-        ci_half_width=t_interval_half_width(deltas),
-        n_eval_searches=runs.n_eval_searches,
-    )
+            jobs: int = 1) -> PairedReport:
+    """Train both configs per seed on identical data; B is the reference."""
+    return paired_runs([(label_b, config_b), (label_a, config_a)], dataset,
+                       seeds, settings or TrainEvalSettings(), jobs)
+
+
+def compare_record(report: PairedReport) -> dict:
+    """``compare.json``: config A, the second label, against B."""
+    b, a = report.rows()
+    return {"label_a": a["name"], "label_b": b["name"],
+            "seeds": report.seeds,
+            "per_seed_a": a["per_seed_ndcg"],
+            "per_seed_b": b["per_seed_ndcg"],
+            "mean_a": a["mean_ndcg"], "mean_b": b["mean_ndcg"],
+            "mean_delta": a["mean_delta"],
+            "ci_half_width": a["ci_half_width"],
+            "n_eval_searches": report.n_eval_searches,
+            "deltas": report.deltas(1).tolist()}
 
 
 # ---------------------------------------------------------------------------
 # ablation over funnel task subsets
 
 
-# The first cell, the single-task model, is the baseline of the others.
+# The first cell, the single-task model, is the reference of the others.
 ABLATION_CELLS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("unc", ("unc",)),
     ("req+book+unc", ("req", "book", "unc")),
@@ -338,72 +364,22 @@ ABLATION_CELLS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AblationCell:
-    """One task subset's outcome relative to the single-task baseline."""
-
-    name: str
-    tasks: tuple[str, ...]
-    seeds: tuple[int, ...]
-    per_seed_ndcg: tuple[float, ...]
-    mean_ndcg: float
-    mean_delta: float
-    ci_half_width: float
-    parameter_delta: int
-    search_delta: int
-    n_searches_with_positives: int
-
-    def to_record(self) -> dict:
-        return asdict(self)
-
-
-def _searches_with_positives(dataset: Dataset,
-                             tasks: tuple[str, ...]) -> int:
-    positive = np.logical_or.reduce([dataset.labels[t] for t in tasks])
-    return int(np.unique(dataset.searches.ids[positive]).size)
-
-
 def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
                  *, settings: TrainEvalSettings | None = None,
-                 embedding_dim: int = 12,
-                 jobs: int = 1) -> list[AblationCell]:
-    """Train each cell of ``ABLATION_CELLS`` per seed and report paired
-    deltas.
+                 embedding_dim: int = 12, jobs: int = 1) -> PairedReport:
+    """Train each cell of ``ABLATION_CELLS`` per seed against the first.
 
     Cells share split, seeds, and architecture except for their task
     heads, so the only moving part is which milestones supervise the
-    shared representation. Every cell is differenced against the
-    single-task baseline.
+    shared representation.
     """
-    configs = {name: ModelConfig(dataset.schema.listing_dim,
-                                 dataset.schema.context_dim,
-                                 embedding_dim=embedding_dim,
-                                 base_tasks=tasks, twiddler_tasks=())
-               for name, tasks in ABLATION_CELLS}
-    baseline_name, baseline_tasks = ABLATION_CELLS[0]
-    runs = paired_runs(configs, dataset, seeds,
+    configs = [(name, ModelConfig(dataset.schema.listing_dim,
+                                  dataset.schema.context_dim,
+                                  embedding_dim=embedding_dim,
+                                  base_tasks=tasks, twiddler_tasks=()))
+               for name, tasks in ABLATION_CELLS]
+    return paired_runs(configs, dataset, seeds,
                        settings or TrainEvalSettings(), jobs)
-    baseline_scores = np.array(runs.ndcg[baseline_name])
-    baseline_params = parameter_count(configs[baseline_name])
-    baseline_searches = _searches_with_positives(runs.train_ds,
-                                                 baseline_tasks)
-    cells_out = []
-    for name, tasks in ABLATION_CELLS:
-        scores = np.array(runs.ndcg[name])
-        deltas = scores - baseline_scores
-        n_searches = _searches_with_positives(runs.train_ds, tasks)
-        cells_out.append(AblationCell(
-            name=name, tasks=tasks, seeds=runs.seeds,
-            per_seed_ndcg=runs.ndcg[name],
-            mean_ndcg=float(scores.mean()),
-            mean_delta=float(deltas.mean()),
-            ci_half_width=(0.0 if name == baseline_name
-                           else t_interval_half_width(deltas)),
-            parameter_delta=parameter_count(configs[name]) - baseline_params,
-            search_delta=n_searches - baseline_searches,
-            n_searches_with_positives=n_searches,
-        ))
-    return cells_out
 
 
 # ---------------------------------------------------------------------------
@@ -534,28 +510,22 @@ def format_ndcg_table(reports: Mapping[str, NdcgReport]) -> str:
     return "\n".join(lines)
 
 
-def format_compare_table(report: CompareReport) -> str:
-    lines = [
-        f"{'seed':<6} {report.label_a:>10} {report.label_b:>10} "
-        f"{'delta':>10}",
-    ]
-    for seed, a, b, d in zip(report.seeds, report.per_seed_a,
-                             report.per_seed_b, report.deltas):
-        lines.append(f"{seed:<6d} {a:>10.5f} {b:>10.5f} {d:>+10.5f}")
-    lines.append(f"{'mean':<6} {report.mean_a:>10.5f} "
-                 f"{report.mean_b:>10.5f} {report.mean_delta:>+10.5f}")
-    lines.append(f"95% CI half-width of delta: {report.ci_half_width:.5f}")
-    return "\n".join(lines)
-
-
-def format_ablation_table(cells: Sequence[AblationCell]) -> str:
-    lines = [f"{'cell':<14} {'ndcg':>8} {'delta':>9} {'ci':>8} "
-             f"{'params':>8} {'searches':>9}"]
-    for cell in cells:
+def format_paired_table(report: PairedReport) -> str:
+    """One row per label, the reference first: NDCG per seed and its
+    mean, then the mean delta against the reference with its 95 percent
+    t half-width, and the parameter and training-search deltas."""
+    width = max(map(len, ("label", *report.labels)))
+    lines = [f"{'label':<{width}}"
+             + "".join(f" {f'seed {seed}':>9}" for seed in report.seeds)
+             + f" {'mean':>9} {'delta':>9} {'ci95':>8} {'params':>8}"
+             f" {'searches':>9}"]
+    for row in report.rows():
         lines.append(
-            f"{cell.name:<14} {cell.mean_ndcg:>8.4f} "
-            f"{cell.mean_delta:>+9.4f} {cell.ci_half_width:>8.4f} "
-            f"{cell.parameter_delta:>+8d} {cell.search_delta:>+9d}")
+            f"{row['name']:<{width}}"
+            + "".join(f" {v:>9.5f}" for v in row["per_seed_ndcg"])
+            + f" {row['mean_ndcg']:>9.5f} {row['mean_delta']:>+9.5f}"
+            f" {row['ci_half_width']:>8.5f} {row['parameter_delta']:>+8d}"
+            f" {row['search_delta']:>+9d}")
     return "\n".join(lines)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import SchemaMismatchError
+from ..errors import ConfigError, SchemaMismatchError
 from .mlp import ParameterStore
 
 FORMAT_TAG = "journeyrank-params-v1"
@@ -58,23 +58,34 @@ def save_params(store: ParameterStore, directory: str | Path,
 
 
 def load_params(directory: str | Path) -> tuple[ParameterStore, dict]:
-    """Rebuild a store from disk; returns (store, full manifest)."""
+    """Rebuild a store from disk; returns (store, full manifest).
+
+    Refuses a ``params.json`` that is not the manifest ``save_params``
+    writes with a ``SchemaMismatchError`` naming the file."""
     directory = Path(directory)
-    with open(directory / "params.json") as f:
-        manifest = json.load(f)
-    if manifest.get("format") != FORMAT_TAG:
-        raise SchemaMismatchError(
-            f"unsupported parameter format {manifest.get('format')!r}")
+    path = directory / "params.json"
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaMismatchError(f"{path}: not UTF-8 JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
+        raise SchemaMismatchError(f"{path}: not a {FORMAT_TAG} manifest")
     blob = (directory / "params.bin").read_bytes()
-    if len(blob) != manifest["n_bytes"]:
-        raise SchemaMismatchError("params.bin length does not match manifest")
-    if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
-        raise SchemaMismatchError("params.bin checksum mismatch")
+    if len(blob) != manifest.get("n_bytes"):
+        raise SchemaMismatchError(f"{path}: params.bin length does not "
+                                  "match the manifest")
+    if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
+        raise SchemaMismatchError(f"{path}: params.bin checksum mismatch")
     store = ParameterStore()
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=start)
-        store.add(entry["name"], arr.reshape(shape).copy())
+    try:
+        for entry in manifest["tensors"]:
+            shape = tuple(entry["shape"])
+            n = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(blob, dtype="<f8", count=n,
+                                offset=entry["offset"])
+            store.add(entry["name"], arr.reshape(shape).copy())
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatchError(f"{path}: malformed tensors table: "
+                                  f"{exc!r}") from None
     return store, manifest

@@ -7,12 +7,15 @@ The benchmark file is loaded as it is, never edited.
 """
 
 import importlib.util
+import json
+import statistics
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from conftest import tiny_manual_dataset
-from journeyrank import dataio, model
+from journeyrank import cli, dataio, model, simulate
 from journeyrank import evaluate as ev
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -35,6 +38,22 @@ class RecordingTracer:
     def wrap(self, original, name, info=None):
         self.infos[name] = info
         return original
+
+
+class CountingTracer:
+    """Runs each wrapped call and keeps one info record per call, by span
+    name, as the benchmark's tracer does."""
+
+    def __init__(self):
+        self.infos = defaultdict(list)
+
+    def wrap(self, original, name, info=None):
+        def traced(*args, **kwargs):
+            result = original(*args, **kwargs)
+            self.infos[name].append(
+                info(result, *args, **kwargs) if info else None)
+            return result
+        return traced
 
 
 def installed_hooks():
@@ -78,3 +97,44 @@ def test_info_hooks_read_real_results():
     eval_info = infos["evaluate.evaluate"](reports, result[0], dataset)
     assert eval_info["searches"] == dataset.n_searches
     assert set(eval_info["ndcg"]) == set(reports)
+
+
+def test_compare_trains_and_evaluates_each_config_once_per_seed(
+        tmp_path, monkeypatch):
+    """The compare-default workload runs ``journeyrank compare`` under the
+    stage taps. It expects one ``model.train`` and one ``evaluate.evaluate``
+    span per (config, seed), and reads ``seeds``, ``per_seed_a`` and
+    ``per_seed_b`` from ``compare.json``."""
+    dataset, _ = simulate.generate(
+        simulate.default_generator_config(n_guests=120, seed=9))
+    data = tmp_path / "dataset.jsonl"
+    dataio.save_dataset(dataset, data)
+    dims = (dataset.schema.listing_dim, dataset.schema.context_dim)
+    config_a, config_b = tmp_path / "full.json", tmp_path / "baseline.json"
+    for path, config in (
+            (config_a, model.default_model_config(*dims, embedding_dim=6)),
+            (config_b, model.baseline_model_config(*dims, embedding_dim=6))):
+        path.write_text(json.dumps(model.model_config_to_record(config)))
+    tracer = CountingTracer()
+    for module, attr, make in load_layers().stage_taps(tracer):
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--model-config-a", str(config_a),
+                     "--model-config-b", str(config_b),
+                     "--dataset", str(data), "--seeds", "0,1",
+                     "--epochs", "1", "--batch-size", "64", "--jobs", "1",
+                     "--out", str(out)]) == cli.EXIT_OK
+
+    report = json.loads((out / "compare.json").read_text())
+    trains = tracer.infos["model.train"]
+    evals = tracer.infos["evaluate.evaluate"]
+    assert report["seeds"] == [0, 1]
+    assert len(trains) == len(evals) == 2 * len(report["seeds"])
+    assert sorted(t["full"] for t in trains) == [False, False, True, True]
+    assert all(t["finite"] for t in trains)
+    # per_seed_a is config A's, the full model's, seed by seed
+    for key, full in (("per_seed_a", True), ("per_seed_b", False)):
+        assert report[key] == [e["ndcg"]["unc"]
+                               for t, e in zip(trains, evals)
+                               if t["full"] == full]
+        assert 0.0 <= statistics.fmean(report[key]) <= 1.0

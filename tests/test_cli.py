@@ -142,6 +142,16 @@ class TestGen:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"n_guests": "\xff"}')
+        rc = main(["gen", "--config", str(bad), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1
+        assert "config error:" in err and "not valid UTF-8 JSON" in err
+        assert not (tmp_path / "x").exists()
+
     def test_config_dir_environment_fallback(self, ws, tmp_path, monkeypatch):
         monkeypatch.setenv("JOURNEYRANK_CONFIG_DIR", str(ws))
         assert main(["gen", "--config", "gen.json",
@@ -474,6 +484,30 @@ class TestEval:
         assert "schema_hash must be a 64-character lowercase hex" in err
 
 
+    @pytest.mark.parametrize("edit, raw", [
+        (None, b"{not json"),
+        (None, b"[1, 2]"),
+        (None, b'{"format": "journeyrank-params-v1", "name": "\xff"}'),
+        (lambda manifest: manifest.pop("n_bytes"), None),
+        (lambda manifest: manifest.update(tensors=5), None),
+        (lambda manifest: manifest["tensors"][1].update(
+            name=manifest["tensors"][0]["name"]), None),
+    ], ids=["not-json", "list", "non-utf8", "no-n-bytes", "tensors-int",
+            "repeated-name"])
+    def test_malformed_params_json_exits_two(self, ws, tmp_path, capsys,
+                                             edit, raw):
+        model_dir = edited_model(ws, tmp_path, edit or (lambda _: None))
+        if raw is not None:
+            (model_dir / "params.json").write_bytes(raw)
+        rc = main(["eval", "--model", str(model_dir),
+                   "--dataset", str(ws / "data" / "dataset.jsonl"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"data error: {model_dir / 'params.json'}" in err
+
+
 class TestCompare:
     def test_self_comparison_zero_delta(self, ws, tmp_path):
         out = tmp_path / "self"
@@ -500,6 +534,22 @@ class TestCompare:
         assert payload["label_a"] == "full"
         assert len(payload["per_seed_a"]) == 2
         assert "full" in (out / "compare.txt").read_text()
+
+    def test_equal_labels_still_run(self, ws, tmp_path):
+        out = tmp_path / "same"
+        assert main(["compare",
+                     "--model-config-a", str(ws / "model.json"),
+                     "--model-config-b", str(ws / "base.json"),
+                     "--dataset", str(ws / "data" / "dataset.jsonl"),
+                     "--out", str(out), "--seeds", "0,1",
+                     "--epochs", "1", "--batch-size", "64",
+                     "--label-a", "X", "--label-b", "X"]) == 0
+        payload = json.loads((out / "compare.json").read_text())
+        assert payload["label_a"] == payload["label_b"] == "X"
+        assert payload["per_seed_a"] != payload["per_seed_b"]
+        rows = (out / "compare.txt").read_text().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["X", "X"]
+        assert rows[0].split()[4] == "+0.00000"
 
     def test_malformed_seeds_is_usage_error(self, ws, tmp_path):
         rc = main(["compare",

@@ -389,10 +389,11 @@ class TestCompare:
         report = ev.compare(config, config, dataset, seeds=(0, 1),
                             settings=ev.TrainEvalSettings(epochs=1,
                                                           batch_size=64))
-        assert report.deltas == (0.0, 0.0)
-        assert report.mean_delta == 0.0
-        assert report.ci_half_width == 0.0
-        assert report.per_seed_a == report.per_seed_b
+        record = ev.compare_record(report)
+        assert record["deltas"] == [0.0, 0.0]
+        assert record["mean_delta"] == 0.0
+        assert record["ci_half_width"] == 0.0
+        assert report.ndcg[0] == report.ndcg[1]
 
     def test_two_architectures_report_full_fields(self, small_data):
         dataset, _ = small_data
@@ -406,14 +407,18 @@ class TestCompare:
                             settings=ev.TrainEvalSettings(epochs=1,
                                                           batch_size=64),
                             label_a="full", label_b="baseline")
-        assert report.label_a == "full"
-        assert len(report.per_seed_a) == len(report.per_seed_b) == 2
-        assert report.ci_half_width >= 0.0
-        np.testing.assert_allclose(report.mean_delta,
-                                   report.mean_a - report.mean_b, rtol=1e-12)
-        table = ev.format_compare_table(report)
+        assert report.labels == ("baseline", "full")
+        assert report.tasks == (("unc",), POSITIVE_CHAIN)
+        record = ev.compare_record(report)
+        assert record["label_a"] == "full"
+        assert len(record["per_seed_a"]) == len(record["per_seed_b"]) == 2
+        assert record["ci_half_width"] >= 0.0
+        np.testing.assert_allclose(record["mean_delta"],
+                                   record["mean_a"] - record["mean_b"],
+                                   rtol=1e-12)
+        table = ev.format_paired_table(report)
         assert "full" in table and "baseline" in table
-        assert len(table.splitlines()) == 5
+        assert len(table.splitlines()) == 3
 
     def test_comparison_is_reproducible(self, small_data):
         dataset, _ = small_data
@@ -425,11 +430,12 @@ class TestCompare:
                            settings=settings)
         second = ev.compare(config, config, dataset, seeds=(0, 1),
                             settings=settings)
-        assert first.to_record() == second.to_record()
+        assert first == second
+        assert ev.compare_record(first) == ev.compare_record(second)
 
 
 @pytest.fixture(scope="module")
-def cells(small_data):
+def ablation(small_data):
     dataset, _ = small_data
     return ev.run_ablation(
         dataset, seeds=(0, 1),
@@ -438,43 +444,44 @@ def cells(small_data):
 
 
 class TestAblation:
-    def test_cell_names_and_order(self, cells):
-        assert [c.name for c in cells] == ["unc", "req+book+unc", "c+unc",
-                                           "all6"]
-        assert cells[3].tasks == POSITIVE_CHAIN
+    def test_cell_names_and_order(self, ablation):
+        assert ablation.labels == ("unc", "req+book+unc", "c+unc", "all6")
+        assert ablation.tasks[3] == POSITIVE_CHAIN
 
-    def test_baseline_cell_is_zero_by_definition(self, cells):
-        baseline = cells[0]
-        assert baseline.mean_delta == 0.0
-        assert baseline.ci_half_width == 0.0
-        assert baseline.parameter_delta == 0
-        assert baseline.search_delta == 0
+    def test_baseline_cell_is_zero_by_definition(self, ablation):
+        baseline = ablation.rows()[0]
+        assert baseline["mean_delta"] == 0.0
+        assert baseline["ci_half_width"] == 0.0
+        assert baseline["parameter_delta"] == 0
+        assert baseline["search_delta"] == 0
 
-    def test_parameter_deltas_count_extra_heads(self, cells):
-        deltas = {c.name: c.parameter_delta for c in cells}
+    def test_parameter_deltas_count_extra_heads(self, ablation):
+        deltas = {row["name"]: row["parameter_delta"]
+                  for row in ablation.rows()}
         per_head = deltas["c+unc"]
         assert per_head > 0
         assert deltas["req+book+unc"] == 2 * per_head
         assert deltas["all6"] == 5 * per_head
 
-    def test_search_counts_grow_with_task_coverage(self, cells):
-        counts = {c.name: c.n_searches_with_positives for c in cells}
+    def test_search_counts_grow_with_task_coverage(self, ablation):
+        counts = dict(zip(ablation.labels,
+                          ablation.n_searches_with_positives))
         assert counts["unc"] <= counts["req+book+unc"] <= counts["all6"]
         assert counts["c+unc"] <= counts["all6"]
-        deltas = {c.name: c.search_delta for c in cells}
+        deltas = {row["name"]: row["search_delta"] for row in ablation.rows()}
         assert deltas["all6"] == counts["all6"] - counts["unc"]
 
-    def test_parallel_jobs_match_sequential(self, small_data, cells):
+    def test_parallel_jobs_match_sequential(self, small_data, ablation):
         dataset, _ = small_data
         parallel = ev.run_ablation(
             dataset, seeds=(0, 1),
             settings=ev.TrainEvalSettings(epochs=1, batch_size=64),
             embedding_dim=6, jobs=4)
-        for a, b in zip(cells, parallel):
-            assert a.to_record() == b.to_record()
+        assert parallel == ablation
+        assert parallel.rows() == ablation.rows()
 
-    def test_table_has_one_row_per_cell(self, cells):
-        table = ev.format_ablation_table(cells)
+    def test_table_has_one_row_per_cell(self, ablation):
+        table = ev.format_paired_table(ablation)
         assert len(table.splitlines()) == 5
         assert "req+book+unc" in table
 
@@ -549,25 +556,48 @@ class TestPairedProtocol:
     def test_parallel_compare_matches_sequential(self, small_data,
                                                  full_vs_baseline):
         parallel = run_protocol("compare", small_data[0], jobs=2)
-        assert parallel.to_record() == full_vs_baseline.to_record()
+        assert parallel == full_vs_baseline
 
     def test_pool_never_outnumbers_the_runs(self, small_data,
                                             full_vs_baseline, pool_sizes):
         report = run_protocol("compare", small_data[0], jobs=500)
         assert pool_sizes == [4]
-        assert report.to_record() == full_vs_baseline.to_record()
+        assert report == full_vs_baseline
 
     def test_one_job_starts_no_pool(self, small_data, full_vs_baseline,
                                     pool_sizes):
         report = run_protocol("compare", small_data[0], jobs=1)
         assert pool_sizes == []
-        assert report.to_record() == full_vs_baseline.to_record()
+        assert report == full_vs_baseline
 
-    def test_ablation_baseline_cell_matches_compare(self, cells,
+    def test_ablation_baseline_cell_matches_compare(self, ablation,
                                                     full_vs_baseline):
-        assert cells[0].tasks == ("unc",)
-        assert cells[0].per_seed_ndcg == full_vs_baseline.per_seed_b
-        assert cells[0].mean_ndcg == full_vs_baseline.mean_b
+        """The ablation's reference cell is compare's reference, config B:
+        the same single-task model trained on the same split and seeds."""
+        assert ablation.tasks[0] == full_vs_baseline.tasks[0] == ("unc",)
+        assert ablation.ndcg[0] == full_vs_baseline.ndcg[0]
+        assert (ablation.rows()[0]["mean_ndcg"]
+                == full_vs_baseline.rows()[0]["mean_ndcg"])
+
+    def test_every_label_is_read_against_the_first(self, ablation,
+                                                   full_vs_baseline):
+        for report in (ablation, full_vs_baseline):
+            rows = report.rows()
+            assert report.deltas(0).tolist() == [0.0] * len(report.seeds)
+            assert rows[0]["mean_delta"] == 0.0
+            assert rows[0]["ci_half_width"] == 0.0
+            for row in rows[1:]:
+                assert abs(row["mean_delta"] - (row["mean_ndcg"]
+                                                - rows[0]["mean_ndcg"])
+                           ) <= 1e-12
+        # compare's A row keeps the figures of the former a - b rule
+        per_b, per_a = full_vs_baseline.ndcg
+        a_minus_b = np.array(per_a) - np.array(per_b)
+        row_a = full_vs_baseline.rows()[1]
+        assert row_a["mean_delta"] == float(np.mean(a_minus_b))
+        assert row_a["ci_half_width"] == ev.t_interval_half_width(a_minus_b)
+        assert ev.compare_record(full_vs_baseline)["deltas"] == list(
+            a - b for a, b in zip(per_a, per_b))
 
 
 class TestNtcCurves:
