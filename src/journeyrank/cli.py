@@ -79,6 +79,15 @@ class RunManifest:
         return asdict(self)
 
 
+def _manifest_inputs(files: dict[str, tuple]) -> dict[str, dict[str, str]]:
+    """A manifest's ``inputs`` and ``input_hashes`` from one mapping of
+    name to (the path shown, the file hashed); a model shows its
+    directory and hashes its ``params.bin``."""
+    return {"inputs": {name: str(shown) for name, (shown, _) in files.items()},
+            "input_hashes": {name: file_sha256(hashed)
+                             for name, (_, hashed) in files.items()}}
+
+
 def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
     path = out_dir / "manifest.json"
     _write_json(path, manifest.to_record())
@@ -179,8 +188,7 @@ def cmd_gen(args) -> int:
     manifest = RunManifest(
         command="gen", version=__version__, seed=[config.seed],
         config=generator_config_to_record(config),
-        inputs={"config": str(config_path)},
-        input_hashes={"config": file_sha256(config_path)},
+        **_manifest_inputs({"config": (config_path, config_path)}),
         outputs=[str(dataset_path), str(world_path),
                  str(out / "funnel.json")])
     write_manifest(out, manifest)
@@ -222,10 +230,8 @@ def cmd_train(args) -> int:
     manifest = RunManifest(
         command="train", version=__version__, seed=[config.seed],
         config=model_config_to_record(config),
-        inputs={"model_config": str(config_path),
-                "dataset": str(dataset_path)},
-        input_hashes={"model_config": file_sha256(config_path),
-                      "dataset": file_sha256(dataset_path)},
+        **_manifest_inputs({"model_config": (config_path, config_path),
+                           "dataset": (dataset_path, dataset_path)}),
         outputs=[str(model_dir / "params.json"),
                  str(model_dir / "params.bin"),
                  str(out / "loss_history.csv")])
@@ -252,9 +258,9 @@ def cmd_eval(args) -> int:
         command="eval", version=__version__,
         seed=[model.config.seed],
         config=model_config_to_record(model.config),
-        inputs={"model": str(args.model), "dataset": str(dataset_path)},
-        input_hashes={"model": file_sha256(Path(args.model) / "params.bin"),
-                      "dataset": file_sha256(dataset_path)},
+        **_manifest_inputs({
+            "model": (args.model, Path(args.model) / "params.bin"),
+            "dataset": (dataset_path, dataset_path)}),
         outputs=[str(out / "ndcg.json"), str(out / "ndcg.txt")])
     write_manifest(out, manifest)
     _emit(args, payload, table)
@@ -291,8 +297,7 @@ def _cmd_paired(args, name: str, run, record, config: dict,
     manifest = RunManifest(
         command=args.command, version=__version__, seed=list(seeds),
         config={**config, "settings": asdict(settings)},
-        inputs={key: str(path) for key, path in inputs.items()},
-        input_hashes={key: file_sha256(path) for key, path in inputs.items()},
+        **_manifest_inputs({key: (path, path) for key, path in inputs.items()}),
         outputs=[str(path) for path in outputs])
     write_manifest(out, manifest)
     _emit(args, {json_key: payload} if json_key else payload, table)
@@ -340,9 +345,9 @@ def cmd_ntc(args) -> int:
         command="ntc", version=__version__, seed=[model.config.seed],
         config={"feature": args.feature, "buckets": args.buckets,
                 "normalize": args.normalize},
-        inputs={"model": str(args.model), "dataset": str(dataset_path)},
-        input_hashes={"model": file_sha256(Path(args.model) / "params.bin"),
-                      "dataset": file_sha256(dataset_path)},
+        **_manifest_inputs({
+            "model": (args.model, Path(args.model) / "params.bin"),
+            "dataset": (dataset_path, dataset_path)}),
         outputs=[str(out / "ntc.json"), str(out / "ntc.csv"),
                  str(out / "ntc.txt")])
     write_manifest(out, manifest)

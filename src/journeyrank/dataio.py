@@ -53,7 +53,7 @@ import hashlib
 import json
 from array import array
 from itertools import chain
-from operator import itemgetter, methodcaller
+from operator import countOf, itemgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -170,6 +170,16 @@ _features_of, _listing_id_of, _position_of = (
 _labels_of = methodcaller("get", "labels", {})
 
 
+def _all_numbers(rows: list, width: int) -> bool:
+    """Whether every value of ``width``-wide rows is a float or an int,
+    never a bool, a string or a numpy scalar. Counting the floats is
+    cheaper than collecting the types, which only rows holding an int
+    need."""
+    return (countOf(map(type, chain.from_iterable(rows)), float)
+            == len(rows) * width
+            or set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES)
+
+
 class _Columns:
     """A dataset's columns, filled one journey at a time by either reader.
 
@@ -271,9 +281,8 @@ class _Columns:
                 and set(map(type, positions)) <= {int}
                 and (not positions or (_INT64_MIN <= min(positions)
                                        and max(positions) <= _INT64_MAX))
-                and set(map(type, chain(chain.from_iterable(contexts),
-                                        chain.from_iterable(features))))
-                <= _NUMBER_TYPES):
+                and _all_numbers(contexts, context_dim)
+                and _all_numbers(features, listing_dim)):
             return None
         return (guest_id, search_ids, t_days, sizes,
                 _float_rows(contexts, context_dim), listing_ids, positions,

@@ -14,11 +14,16 @@ running sum of coefficient times score; the blend sees all scores through
 a gradient stop, so its loss tunes only the blend coefficients and the
 context they are conditioned on, never the scoring heads themselves.
 
-The context tower, the context half of the heads' first layer and the
-coefficient MLP run once per search, and a segment broadcast over the
-batch's search layout (an ``nn.Segments``) hands their outputs to the
-search's impression rows; every other value, and every score, is per
-impression row. No joint ``[listing | context]`` embedding is built.
+The same listing is shown over and over, so a batch holds its distinct
+listing feature rows once each, with an index from each impression row
+into them. The listing tower and the listing half of the heads' first
+layer run once per distinct listing row, and a row gather hands their
+output to the impression rows. The context tower, the context half of the
+heads' first layer and the coefficient MLP run once per search, and a
+segment broadcast over the batch's search layout (an ``nn.Segments``)
+hands their outputs to the search's impression rows. Every value after
+the heads' first layer, and every score, is per impression row. No joint
+``[listing | context]`` embedding is built.
 
 Everything trains jointly from whole-search minibatches by summing three
 losses: a listwise softmax loss per positive milestone, a masked binary
@@ -367,8 +372,8 @@ class ModelOutputs:
 def shared_forward(config: ModelConfig, params: ParameterStore,
                    listing_rows: np.ndarray,
                    context_rows: np.ndarray) -> Embeddings:
-    """Embed pre-normalized listing rows (one per impression) and context
-    rows (one per search) with the two towers."""
+    """Embed pre-normalized listing rows (one per distinct listing) and
+    context rows (one per search) with the two towers."""
     emb_l = nn.forward_mlp(params, _TOWER_LISTING, config.listing_tower,
                            nn.Tensor(listing_rows))
     emb_c = nn.forward_mlp(params, _TOWER_CONTEXT, config.context_tower,
@@ -377,7 +382,8 @@ def shared_forward(config: ModelConfig, params: ParameterStore,
 
 
 def _head_logits(config: ModelConfig, params: ParameterStore,
-                 emb: Embeddings, segments: Segments) -> Tensor:
+                 emb: Embeddings, listing_index: np.ndarray,
+                 segments: Segments) -> Tensor:
     """Every head's logit per impression row, as a ``[rows, tasks]``
     matrix with one column per task of ``all_tasks``.
 
@@ -385,9 +391,10 @@ def _head_logits(config: ModelConfig, params: ParameterStore,
     column-stacked weights, head k giving column k. That layer reads the
     listing embedding through the weights' first ``embedding_dim`` rows
     and the context embedding through the rest, so it runs in two halves
-    and no joint embedding is built: the listing half per row, and the
-    context half, bias included, once per search, handed to the search's
-    rows by ``segments``. The logits are the sum of the halves.
+    and no joint embedding is built: the listing half once per distinct
+    listing row, handed to the impression rows by ``listing_index``, and
+    the context half, bias included, once per search, handed to the
+    search's rows by ``segments``. The logits are the sum of the halves.
     """
     prefixes = [_head_prefix(task) for task in config.all_tasks]
     d = config.embedding_dim
@@ -395,7 +402,8 @@ def _head_logits(config: ModelConfig, params: ParameterStore,
     context_half = nn.dense(
         emb.context, nn.rows(weights, slice(d, 2 * d)),
         nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
-    return nn.add(nn.matmul(emb.listing, nn.rows(weights, slice(0, d))),
+    listing_half = nn.matmul(emb.listing, nn.rows(weights, slice(0, d)))
+    return nn.add(nn.gather_rows(listing_half, listing_index),
                   nn.segment_broadcast(context_half, segments))
 
 
@@ -407,15 +415,17 @@ def _coefficients(coef_logits: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def forward(config: ModelConfig, params: ParameterStore,
-            listing_rows: np.ndarray, context_rows: np.ndarray,
-            segments: Segments) -> ModelOutputs:
+            listing_rows: np.ndarray, listing_index: np.ndarray,
+            context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
     """Full forward pass over pre-normalized feature rows.
 
-    ``listing_rows`` holds one row per impression, ``context_rows`` one
-    row per search, and ``segments`` lays the impressions out into the
-    searches. The context tower, the heads' context half (see
-    :func:`_head_logits`) and the combination MLP run once per search;
-    every output is per impression.
+    ``listing_rows`` holds the distinct listing rows and
+    ``listing_index`` each impression's row of them; ``context_rows``
+    holds one row per search, and ``segments`` lays the impressions out
+    into the searches. The listing tower and the heads' listing half (see
+    :func:`_head_logits`) run once per listing row, and the context
+    tower, the heads' context half and the combination MLP once per
+    search; every output is per impression.
 
     The logits split into two column blocks, base tasks then twiddlers.
     Joint log-probabilities are the running sum of log-sigmoid
@@ -427,7 +437,7 @@ def forward(config: ModelConfig, params: ParameterStore,
     not scores.
     """
     emb = shared_forward(config, params, listing_rows, context_rows)
-    logits = _head_logits(config, params, emb, segments)
+    logits = _head_logits(config, params, emb, listing_index, segments)
     n_base = len(config.base_tasks)
     cond_logits = nn.column(logits, slice(0, n_base))
     log_joint = nn.cumsum(nn.log_sigmoid(cond_logits))
@@ -472,16 +482,66 @@ def preference_pairs(unc: np.ndarray,
     return np.repeat(i, counts), j[concat_ranges(first_j[search], counts)]
 
 
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a uint64 matrix: the sum of its words
+    times fixed odd multipliers, modulo 2**64. Equal rows hash equal;
+    unequal rows may too, most often when they differ only in sign and
+    exponent bits."""
+    multipliers = np.random.default_rng(0x5EED).integers(
+        0, 2**64, size=bits.shape[1], dtype=np.uint64) | np.uint64(1)
+    return bits @ multipliers
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a float64 matrix, in order of first
+    appearance, and each row's index into them: ``distinct[index]`` is
+    ``rows``, bit for bit.
+
+    Two rows merge only when their bytes are equal, so ``-0.0`` and
+    ``0.0`` stay apart, and so do two NaN payloads. A hash of each row
+    proposes its first row of equal hash; a byte comparison against that
+    row decides. The rows it refuses, which only a hash collision leaves,
+    are grouped by their bytes alone.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    bits = rows.view(np.uint64)
+    hashes = _row_hashes(bits)
+    order = np.argsort(hashes)
+    sorted_hashes = hashes[order]
+    new = np.ones(len(rows), dtype=bool)
+    np.not_equal(sorted_hashes[1:], sorted_hashes[:-1], out=new[1:])
+    # each row's first row of equal hash: the least index of its group
+    first = np.empty(len(rows), dtype=np.int64)
+    first[order] = np.minimum.reduceat(order, np.flatnonzero(new))[
+        np.cumsum(new) - 1]
+    # np.take gathers matrix rows several times faster than bits[first],
+    # and the words that differ are few, so they are found faster than
+    # the rows that hold one
+    refused = np.unique(np.flatnonzero(
+        bits != np.take(bits, first, axis=0)) // bits.shape[1])
+    if refused.size:
+        keys = np.ascontiguousarray(rows[refused]).view(
+            np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, at, group = np.unique(keys, return_index=True,
+                                 return_inverse=True)
+        first[refused] = refused[at[group]]
+    is_first = first == np.arange(len(rows))
+    return rows[is_first], (np.cumsum(is_first) - 1)[first]
+
+
 @dataclass(frozen=True)
 class BatchInputs:
     """Everything a training batch is cut from, built once per train().
 
     Rows are the dataset's impression rows, laid out into searches by
-    ``searches``. ``labels`` holds one row per name in ``label_names``.
+    ``searches``; ``listing_rows`` holds their distinct listing feature
+    rows, and ``listing_index`` each impression row's row of them.
+    ``labels`` holds one row per name in ``label_names``.
     """
 
     searches: Segments                # impression rows into searches
-    listing_rows: np.ndarray          # [n_impressions, listing_dim] normalized
+    listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
+    listing_index: np.ndarray         # [n_impressions] int64
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
     label_names: tuple[str, ...]
     labels: np.ndarray                # [len(label_names), n_impressions] bool
@@ -489,10 +549,13 @@ class BatchInputs:
 
 def batch_inputs(dataset: Dataset,
                  norm: NormalizationStats) -> BatchInputs:
-    """Normalize the features and stack the labels."""
+    """Find the distinct listing rows, normalize the features and stack
+    the labels."""
+    listing_rows, listing_index = distinct_rows(dataset.listing_features)
     return BatchInputs(
         searches=dataset.searches,
-        listing_rows=norm.apply_listing(dataset.listing_features),
+        listing_rows=norm.apply_listing(listing_rows),
+        listing_index=listing_index,
         context_rows=norm.apply_context(dataset.context_features),
         label_names=tuple(dataset.labels),
         labels=np.stack(list(dataset.labels.values())),
@@ -504,13 +567,16 @@ class SearchBatch:
     """A minibatch of whole searches, ready for the forward pass.
 
     ``segments`` lays the batch's impression rows out into its searches,
-    in batch order. ``context_rows`` holds one row per search; every other
-    array holds one entry per impression row, except the blend's
-    preference pairs (:func:`preference_pairs` of the ``unc`` labels),
-    which index rows.
+    in batch order. ``listing_rows`` holds the batch's distinct listing
+    rows and ``context_rows`` one row per search; every other array holds
+    one entry per impression row, except the blend's preference pairs
+    (:func:`preference_pairs` of the ``unc`` labels), which index rows.
+    ``listing_index`` gives each impression row its row of
+    ``listing_rows``.
     """
 
-    listing_rows: np.ndarray          # [n_rows, listing_dim] normalized
+    listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
+    listing_index: np.ndarray         # [n_rows] int64
     context_rows: np.ndarray          # [segments.n, context_dim] normalized
     segments: Segments
     labels: dict[str, np.ndarray]     # milestone -> [n_rows] bool
@@ -524,16 +590,25 @@ class SearchBatch:
 
 def make_batch(inputs: BatchInputs,
                search_indices: np.ndarray) -> SearchBatch:
-    """The given searches, in the given order, cut from ``inputs``."""
+    """The given searches, in the given order, cut from ``inputs``; the
+    batch's listing rows are those its impressions show, in the order of
+    ``inputs.listing_rows``."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
     starts = inputs.searches.starts[search_indices]
     counts = inputs.searches.starts[search_indices + 1] - starts
     rows = concat_ranges(starts, counts)
+    shown = inputs.listing_index[rows]
+    n_listings = len(inputs.listing_rows)
+    # a few times faster than np.unique(shown, return_inverse=True)
+    listings = np.flatnonzero(np.bincount(shown, minlength=n_listings))
+    slot = np.empty(n_listings, dtype=np.int64)
+    slot[listings] = np.arange(len(listings))
     segments = Segments(counts)
     labels = dict(zip(inputs.label_names, inputs.labels[:, rows]))
     pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
-        listing_rows=inputs.listing_rows[rows],
+        listing_rows=inputs.listing_rows[listings],
+        listing_index=slot[shown],
         context_rows=inputs.context_rows[search_indices],
         segments=segments,
         labels=labels,
@@ -606,7 +681,8 @@ def total_loss(config: ModelConfig, params: ParameterStore,
                batch: SearchBatch, weights: Mapping[str, float],
                ) -> tuple[Tensor, ModelOutputs, dict[str, float]]:
     """Unweighted sum of the module losses present in the config."""
-    outputs = forward(config, params, batch.listing_rows, batch.context_rows,
+    outputs = forward(config, params, batch.listing_rows,
+                      batch.listing_index, batch.context_rows,
                       batch.segments)
     parts: dict[str, float] = {}
     loss = base_loss(outputs.log_joint, batch, config.base_tasks, weights)
@@ -656,7 +732,8 @@ class TrainedModel:
 
         ``listing_rows`` holds one row per impression and ``context_rows``
         one row per search; ``segments`` lays the listing rows out into
-        the searches. Every output is per impression.
+        the searches. The forward pass runs on the distinct listing rows,
+        as in training; every output is per impression.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
         context_rows = np.asarray(context_rows, dtype=np.float64)
@@ -665,8 +742,10 @@ class TrainedModel:
                 or segments.n != len(context_rows)):
             raise ContractError("listing and context rows must be 2-d "
                                 "batches, laid out by the segments")
+        listings, listing_index = distinct_rows(listing_rows)
         return forward(self.config, self.params,
-                       self.normalization.apply_listing(listing_rows),
+                       self.normalization.apply_listing(listings),
+                       listing_index,
                        self.normalization.apply_context(context_rows),
                        segments)
 

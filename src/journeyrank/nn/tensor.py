@@ -9,7 +9,8 @@ running sums of a matrix, and reductions and broadcasts over a
 dataset).
 The model keeps its per-task values as ``[rows, tasks]`` matrices, one
 column per task, so each operator runs once for all the tasks; ``gather``
-picks (row, task) entries by flat row-major index.
+picks (row, task) entries by flat row-major index, and ``gather_rows``
+hands each impression the row of the distinct listing it shows.
 Recording happens only while a :class:`Tape` is active and at least one
 operand requires a gradient, so inference-mode forward passes carry no
 bookkeeping cost.
@@ -404,6 +405,28 @@ def gather(x: Tensor, idx) -> Tensor:
             # bincount adds in index order, as np.add.at does
             x._accumulate(np.bincount(idx, weights=g, minlength=x.size)
                           .reshape(x.shape))
+
+    return _record(out, (x,), backward_fn)
+
+
+def gather_rows(x: Tensor, index) -> Tensor:
+    """Rows of a matrix by index: out[i] = x[index[i]]. An index may
+    repeat a row or leave one out; the backward pass adds each output
+    row's gradient back into the row it came from, in index order."""
+    index = np.asarray(index, dtype=np.int64)
+    if x.values.ndim != 2 or index.ndim != 1:
+        raise ShapeError(f"gather_rows: rows {index.shape} of {x.shape}")
+    if index.size and (index.min() < 0 or index.max() >= len(x.values)):
+        raise ShapeError(f"gather_rows: index out of range for "
+                         f"{len(x.values)} rows")
+    out = Tensor._wrap(np.take(x.values, index, axis=0))
+
+    def backward_fn(g):
+        if x.requires_grad:
+            n, k = x.shape
+            flat = (index[:, None] * k + np.arange(k)).ravel()
+            x._accumulate(np.bincount(flat, weights=g.ravel(),
+                                      minlength=n * k).reshape(n, k))
 
     return _record(out, (x,), backward_fn)
 

@@ -659,16 +659,21 @@ def save_world(world: WorldTruth, path: str | Path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(record, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
 
 
 def load_world(path: str | Path) -> WorldTruth:
-    """A world file; refuses anything but a world record of numbers."""
+    """A world file; refuses anything but a UTF-8 world record of
+    numbers."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             record = json.load(f)
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatchError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+            f"({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise SchemaMismatchError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(record, dict) or record.get("record") != "world":

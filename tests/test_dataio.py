@@ -514,6 +514,9 @@ IMPRESSION_FAULTS = [
     ("features", ["1.5", 0.5, 0.5]), ("features", [0.5, True, 0.5]),
     ("features", [0.0, 1.0, False]), ("features", [0.5, 0.5, None]),
     ("features", [0.5, [0.5], 0.5]), ("features", [[0.5], [0.5], [0.5]]),
+    ("features", [0.5, np.float32(0.5), 0.5]),
+    ("features", [np.int64(1), 0.5, 0.5]),
+    ("features", [0.5, 0.5, np.bool_(True)]),
     ("position", 2.7), ("position", True), ("position", 2.0),
     ("position", 10 ** 20), ("position", -(2 ** 63) - 1),
     ("position", 2 ** 63),
@@ -568,6 +571,7 @@ class TestReaderMatchesLoop:
     @pytest.mark.parametrize("field,value", [
         ("features", [1, 2, -3]), ("features", [0.0, 1.0, 1]),
         ("features", [2 ** 53 + 1, 0.5, 1e308]),
+        ("features", [np.float64(0.1), 0.5, 1.0]),
         ("position", 2 ** 63 - 1), ("position", -(2 ** 63)),
         ("position", 0),
     ])
@@ -581,6 +585,7 @@ class TestReaderMatchesLoop:
         ("t_days", "2.5"), ("t_days", True), ("t_days", None), ("t_days", 3),
         ("context", ["1.5", 1.0]), ("context", [1.0, True]),
         ("context", [None, 1.0]), ("context", [1, 2]),
+        ("context", [np.float32(1.5), 1.0]), ("context", [1.0, np.int64(2)]),
     ])
     def test_one_search_value(self, field, value):
         """A search's own value alone, with no other fault in its journey

@@ -1,7 +1,9 @@
 """Micro-benchmarks of the hot paths, timed with pytest-benchmark.
 
-One training step (batch cut, forward and loss, backward, Adam), one
-batched forward over a whole dataset, two of the step's kernels on a
+One training step (batch cut, forward and loss, backward, Adam) on a
+batch whose rows show each listing about 3.5 times, the same step on a
+batch whose rows all show distinct listings, one batched forward over a
+whole dataset, two of the step's kernels on a
 batch-sized matrix (``log_sigmoid`` and ``dense``, forward and backward),
 generating 200 guests, and the JSONL save and load of a 200-guest world:
 one save, and one load each of the generated file (feature rows repeat,
@@ -37,8 +39,9 @@ def world(generated):
     return train_ds, config
 
 
-def test_train_step(benchmark, world):
-    dataset, config = world
+def train_step(dataset, config):
+    """One step's work on the dataset's first 128 searches, and the
+    batch it cuts."""
     norm = model.NormalizationStats.fit(dataset.listing_features,
                                         dataset.context_features)
     inputs = model.batch_inputs(dataset, norm)
@@ -55,6 +58,21 @@ def test_train_step(benchmark, world):
         nn.optimizer_step(params, state)
         return float(loss.values)
 
+    return step, model.make_batch(inputs, searches)
+
+
+def test_train_step(benchmark, world):
+    step, batch = train_step(*world)
+    # the generated world shows each listing several times per batch
+    assert 3 * len(batch.listing_rows) < batch.n_rows
+    loss = benchmark.pedantic(step, rounds=5, warmup_rounds=1)
+    assert np.isfinite(loss)
+
+
+def test_train_step_distinct_listings(benchmark, world, distinct_rows):
+    train_ds, _ = evaluate.prepare_split(distinct_rows)
+    step, batch = train_step(train_ds, world[1])
+    assert len(batch.listing_rows) == batch.n_rows
     loss = benchmark.pedantic(step, rounds=5, warmup_rounds=1)
     assert np.isfinite(loss)
 

@@ -46,6 +46,7 @@ from journeyrank.model import (
     blend_coefficients,
     combination_loss,
     default_model_config,
+    distinct_rows,
     forward,
     init_model_params,
     load_model,
@@ -120,6 +121,7 @@ def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
     context_rows = dataset.context_features[search_indices]
     return SearchBatch(
         listing_rows=norm.apply_listing(dataset.listing_features[rows]),
+        listing_index=np.arange(len(rows)),
         context_rows=norm.apply_context(context_rows),
         segments=segments,
         labels=labels,
@@ -134,16 +136,21 @@ RANDOM_SCHEMA = DatasetSchema(
 
 
 def random_searches(rng: np.random.Generator, n_searches: int,
-                    equal_grades: bool = False) -> Dataset:
+                    equal_grades: bool = False,
+                    n_listings: int | None = None) -> Dataset:
     """One journey of searches of 1..9 rows with random funnel labels;
     with ``equal_grades`` every row is a plain impression, so no
-    uncancelled booking and no pairs exist."""
+    uncancelled booking and no pairs exist. Every row has features of its
+    own, or, given ``n_listings``, those of one of that many listings."""
     sizes = rng.integers(1, 10, size=n_searches)
     n = int(sizes.sum())
     labels = nested_labels(rng, n)
     if equal_grades:
         labels = {m: np.zeros(n, dtype=bool) for m in labels}
-    listing_features = rng.normal(size=(n, 4)) * 3.0 + 1.0
+    listing_features = rng.normal(size=(n_listings or n, 4)) * 3.0 + 1.0
+    if n_listings is not None:
+        listing_features = listing_features[
+            rng.integers(0, n_listings, size=n)]
     return Dataset.from_columns(
         RANDOM_SCHEMA, guest_ids=["G0"], searches_per_journey=[n_searches],
         search_ids=[f"S{k}" for k in range(n_searches)],
@@ -173,6 +180,7 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
     pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
         listing_rows=rng.normal(size=(n, d_l)),
+        listing_index=np.arange(n),
         context_rows=rng.normal(size=(n_searches, d_c)),
         segments=segments,
         labels=labels,
@@ -181,8 +189,20 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
     )
 
 
-def one_row_each(n_searches: int) -> nn.Segments:
-    return nn.Segments(np.ones(n_searches, dtype=np.int64))
+def forward_one_row_each(config: ModelConfig, params,
+                          listing_rows: np.ndarray,
+                          context_rows: np.ndarray) -> ModelOutputs:
+    """The forward pass over searches of one impression each, every
+    impression with a listing row of its own."""
+    n = len(listing_rows)
+    return forward(config, params, listing_rows, np.arange(n), context_rows,
+                   nn.Segments(np.ones(n, dtype=np.int64)))
+
+
+def forward_batch(config: ModelConfig, params,
+                  batch: SearchBatch) -> ModelOutputs:
+    return forward(config, params, batch.listing_rows, batch.listing_index,
+                   batch.context_rows, batch.segments)
 
 
 def zero_params(store):
@@ -447,7 +467,7 @@ class TestSharedForward:
             emb.context.values[0, :3],
             [0.16355741135296198, -0.05500528843523372, 0.11983831966496784],
             rtol=0, atol=1e-15)
-        out = forward(config, params, listing, context, one_row_each(3))
+        out = forward_one_row_each(config, params, listing, context)
         np.testing.assert_allclose(
             out.y_base.values,
             [-4.107466696880749, -4.240459630992293, -5.185047818772162],
@@ -470,35 +490,47 @@ FORWARD_CONFIGS = {
 }
 
 
-def batch_of_sizes(rng: np.random.Generator, sizes) -> SearchBatch:
-    """A random batch whose searches have the given row counts."""
+def batch_of_sizes(rng: np.random.Generator, sizes,
+                   n_listings: int | None = None) -> SearchBatch:
+    """A random batch whose searches have the given row counts. Every row
+    shows a listing of its own, or, given ``n_listings``, one of that many
+    listings, each shown at least once and in random order."""
     sizes = np.asarray(sizes)
     n = int(sizes.sum())
     segments = nn.Segments(sizes)
     labels = nested_labels(rng, n)
     pair_i, pair_j = preference_pairs(labels["unc"], segments)
-    return SearchBatch(listing_rows=rng.normal(size=(n, 4)),
+    if n_listings is None:
+        index = np.arange(n)
+    else:
+        index = rng.permutation(np.concatenate((
+            np.arange(n_listings),
+            rng.integers(0, n_listings, size=n - n_listings))))
+    return SearchBatch(listing_rows=rng.normal(size=(index.max() + 1, 4)),
+                       listing_index=index,
                        context_rows=rng.normal(size=(len(sizes), 3)),
                        segments=segments, labels=labels,
                        pair_i=pair_i, pair_j=pair_j)
 
 
-@pytest.mark.parametrize("sizes", [[3, 1, 5, 2, 1, 4, 1], [1, 1, 1, 1]],
-                         ids=["mixed", "one-row"])
+@pytest.mark.parametrize("sizes, n_listings",
+                         [([3, 1, 5, 2, 1, 4, 1], None), ([1, 1, 1, 1], None),
+                          ([3, 1, 5, 2, 1, 4, 1], 5)],
+                         ids=["mixed", "one-row", "repeated-listings"])
 @pytest.mark.parametrize("make_config", list(FORWARD_CONFIGS.values()),
                          ids=list(FORWARD_CONFIGS))
 class TestForwardMatchesPerRowReference:
-    """The per-search, columnar forward against the per-row, per-task
-    reference it replaced: the same outputs and the same gradients, up to
-    summation order."""
+    """The per-listing, per-search, columnar forward against the per-row,
+    per-task reference it replaced: the same outputs and the same
+    gradients, up to summation order."""
 
-    def test_outputs(self, make_config, sizes):
+    def test_outputs(self, make_config, sizes, n_listings):
         config = make_config()
         params = init_model_params(config)
-        batch = batch_of_sizes(np.random.default_rng(51), sizes)
-        got = forward(config, params, batch.listing_rows, batch.context_rows,
-                      batch.segments)
-        want = per_row_forward(config, params, batch.listing_rows,
+        batch = batch_of_sizes(np.random.default_rng(51), sizes, n_listings)
+        got = forward_batch(config, params, batch)
+        want = per_row_forward(config, params,
+                               batch.listing_rows[batch.listing_index],
                                batch.context_rows[batch.segments.ids])
         n, n_twiddlers = batch.n_rows, len(config.twiddler_tasks)
         shapes = {"cond_logits": (n, len(config.base_tasks)),
@@ -518,11 +550,11 @@ class TestForwardMatchesPerRowReference:
             np.testing.assert_allclose(g.values, w.values, rtol=0,
                                        atol=1e-12, err_msg=name)
 
-    def test_total_loss_gradients(self, make_config, sizes):
+    def test_total_loss_gradients(self, make_config, sizes, n_listings):
         config = make_config()
         params = init_model_params(config)
         rng = np.random.default_rng(52)
-        batch = batch_of_sizes(rng, sizes)
+        batch = batch_of_sizes(rng, sizes, n_listings)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in config.base_tasks}
         with nn.Tape() as tape:
             loss, _, _ = total_loss(config, params, batch, weights)
@@ -531,7 +563,8 @@ class TestForwardMatchesPerRowReference:
         for _, t in params.items():
             t.grad = None
         with nn.Tape() as tape:
-            ref = per_row_forward(config, params, batch.listing_rows,
+            ref = per_row_forward(config, params,
+                                  batch.listing_rows[batch.listing_index],
                                   batch.context_rows[batch.segments.ids])
             want = base_loss(ref.log_joint, batch, config.base_tasks,
                              weights)
@@ -556,8 +589,9 @@ class TestBaseForward:
         params = init_model_params(config)
         zero_params(params)
         rng = np.random.default_rng(2)
-        out = forward(config, params, rng.normal(size=(5, 4)),
-                      rng.normal(size=(5, 3)), one_row_each(5))
+        out = forward_one_row_each(
+            config, params, rng.normal(size=(5, 4)),
+            rng.normal(size=(5, 3)))
         assert out.log_joint.shape == (5, len(config.base_tasks))
         for k in range(len(config.base_tasks)):
             np.testing.assert_allclose(out.log_joint.values[:, k],
@@ -572,7 +606,7 @@ class TestBaseForward:
         rng = np.random.default_rng(3)
         listing = rng.normal(size=(6, 4))
         context = rng.normal(size=(6, 3))
-        out = forward(config, params, listing, context, one_row_each(6))
+        out = forward_one_row_each(config, params, listing, context)
         assert out.log_joint.shape == out.cond_logits.shape == (6, 1)
         logit = out.cond_logits.values[:, 0]
         np.testing.assert_allclose(out.y_base.values,
@@ -584,8 +618,9 @@ class TestBaseForward:
         config = small_config()
         params = init_model_params(config)
         rng = np.random.default_rng(4)
-        out = forward(config, params, rng.normal(size=(30, 4)),
-                      rng.normal(size=(30, 3)), one_row_each(30))
+        out = forward_one_row_each(
+            config, params, rng.normal(size=(30, 4)),
+            rng.normal(size=(30, 3)))
         running = np.ones(30)
         for k in range(len(config.base_tasks)):
             running = running * expit(out.cond_logits.values[:, k])
@@ -604,9 +639,9 @@ class TestBaseForward:
                 seed=int(rng.integers(0, 10_000)))
             params = init_model_params(config)
             n = int(rng.integers(1, 9))
-            out = forward(config, params,
-                          rng.normal(size=(n, d_l)) * 3.0,
-                          rng.normal(size=(n, d_c)) * 3.0, one_row_each(n))
+            out = forward_one_row_each(config, params,
+                                       rng.normal(size=(n, d_l)) * 3.0,
+                                       rng.normal(size=(n, d_c)) * 3.0)
             previous = np.zeros(n)
             for current in out.log_joint.values.T:
                 assert np.all(current <= previous + 1e-15)
@@ -619,7 +654,8 @@ class TestBaseLoss:
     def test_saturated_softmax_vanishes(self):
         scores = nn.Tensor(np.array([[20.0], [0.0], [0.0]]))
         batch = SearchBatch(
-            listing_rows=np.zeros((3, 1)), context_rows=np.zeros((3, 1)),
+            listing_rows=np.zeros((3, 1)), listing_index=np.arange(3),
+            context_rows=np.zeros((3, 1)),
             segments=nn.Segments([3]),
             labels={"unc": np.array([True, False, False])},
             pair_i=np.zeros(0, dtype=np.int64),
@@ -630,7 +666,8 @@ class TestBaseLoss:
     def test_symmetric_pair_costs_ln2(self):
         scores = nn.Tensor(np.array([[0.7], [0.7]]))
         batch = SearchBatch(
-            listing_rows=np.zeros((2, 1)), context_rows=np.zeros((2, 1)),
+            listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
+            context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2]),
             labels={"unc": np.array([True, False])},
             pair_i=np.zeros(0, dtype=np.int64),
@@ -656,7 +693,8 @@ class TestBaseLoss:
     def test_empty_search_rejected(self):
         scores = nn.Tensor(np.array([[0.5], [0.2]]))
         batch = SearchBatch(
-            listing_rows=np.zeros((2, 1)), context_rows=np.zeros((2, 1)),
+            listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
+            context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2, 0]),
             labels={"unc": np.array([True, False])},
             pair_i=np.zeros(0, dtype=np.int64),
@@ -669,7 +707,8 @@ class TestTwiddlerLoss:
     def make_batch(self, labels):
         n = len(next(iter(labels.values())))
         return SearchBatch(
-            listing_rows=np.zeros((n, 1)), context_rows=np.zeros((n, 1)),
+            listing_rows=np.zeros((n, 1)), listing_index=np.arange(n),
+            context_rows=np.zeros((n, 1)),
             segments=nn.Segments([n]), labels=labels,
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
@@ -715,8 +754,9 @@ class TestCombinationForward:
             if name.startswith("combination"):
                 tensor.values[...] = 0.0
         rng = np.random.default_rng(8)
-        out = forward(config, params, rng.normal(size=(4, 4)),
-                      rng.normal(size=(4, 3)), one_row_each(4))
+        out = forward_one_row_each(
+            config, params, rng.normal(size=(4, 4)),
+            rng.normal(size=(4, 3)))
         np.testing.assert_allclose(out.alpha_base.values, LN2, rtol=1e-15)
         assert out.alpha_twiddler.shape == (4, len(config.twiddler_tasks))
         np.testing.assert_array_equal(out.alpha_twiddler.values, 0.0)
@@ -732,8 +772,9 @@ class TestCombinationForward:
         final_bias = params[f"combination.b{len(config.combination.hidden_dims)}"]
         final_bias.values[0] = SOFTPLUS_INV_1
         rng = np.random.default_rng(9)
-        out = forward(config, params, rng.normal(size=(6, 4)),
-                      rng.normal(size=(6, 3)), one_row_each(6))
+        out = forward_one_row_each(
+            config, params, rng.normal(size=(6, 4)),
+            rng.normal(size=(6, 3)))
         np.testing.assert_allclose(out.alpha_base.values, 1.0, rtol=1e-12)
         np.testing.assert_allclose(out.y_combination.values,
                                    out.y_base.values, rtol=1e-12)
@@ -742,8 +783,9 @@ class TestCombinationForward:
         config = small_config()
         params = init_model_params(config)
         rng = np.random.default_rng(10)
-        out = forward(config, params, rng.normal(size=(12, 4)),
-                      rng.normal(size=(12, 3)), one_row_each(12))
+        out = forward_one_row_each(
+            config, params, rng.normal(size=(12, 4)),
+            rng.normal(size=(12, 3)))
         want = out.alpha_base.values[:, 0] * out.y_base.values
         for k in range(len(config.twiddler_tasks)):
             want = want + (out.alpha_twiddler.values[:, k]
@@ -761,6 +803,7 @@ class TestCombinationLoss:
         pair_i, pair_j = preference_pairs(labels["unc"], segments)
         assert pair_i.size == 0
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
+                            listing_index=np.arange(4),
                             context_rows=np.zeros((4, 1)), segments=segments,
                             labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
@@ -776,6 +819,7 @@ class TestCombinationLoss:
         pair_i, pair_j = preference_pairs(labels["unc"], segments)
         assert (pair_i.tolist(), pair_j.tolist()) == ([0], [1])
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
+                            listing_index=np.arange(2),
                             context_rows=np.zeros((2, 1)), segments=segments,
                             labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
@@ -838,19 +882,28 @@ class TestGradesAndPairs:
 
 class TestBatches:
     """Batches cut from the once-per-train() inputs equal the batches the
-    per-step reference builds from the columns, array for array."""
+    per-step reference builds from the columns, array for array; each
+    impression's listing row is compared through the batch's index."""
 
     def assert_same_batch(self, got: SearchBatch, want: SearchBatch):
         assert got.segments.n == want.segments.n
         assert list(got.labels) == list(want.labels)
         pairs = [(got.labels[k], want.labels[k]) for k in want.labels]
         pairs += [(got.segments.starts, want.segments.starts),
-                  (got.segments.ids, want.segments.ids)]
-        for name in ("listing_rows", "context_rows", "pair_i", "pair_j"):
+                  (got.segments.ids, want.segments.ids),
+                  (got.listing_rows[got.listing_index],
+                   want.listing_rows[want.listing_index])]
+        for name in ("context_rows", "pair_i", "pair_j"):
             pairs.append((getattr(got, name), getattr(want, name)))
         for g, w in pairs:
             assert g.dtype == w.dtype and g.shape == w.shape
             np.testing.assert_array_equal(g, w)
+        # every listing row of the batch is shown, and none twice
+        assert got.listing_index.dtype == np.int64
+        assert np.array_equal(np.unique(got.listing_index),
+                              np.arange(len(got.listing_rows)))
+        assert len(np.unique(got.listing_rows, axis=0)) == len(
+            got.listing_rows)
 
     @pytest.mark.parametrize("max_batch", [1, 40, 1 << 16])
     def test_matches_per_batch_reference(self, max_batch):
@@ -859,8 +912,10 @@ class TestBatches:
         # search of the set in one batch
         rng = np.random.default_rng(31)
         for rep in range(12):
+            # odd reps show a few listings over and over
             dataset = random_searches(rng, int(rng.integers(1, 40)),
-                                      equal_grades=rep % 4 == 3)
+                                      equal_grades=rep % 4 == 3,
+                                      n_listings=6 if rep % 2 else None)
             norm = NormalizationStats.fit(dataset.listing_features,
                                           dataset.context_features)
             inputs = batch_inputs(dataset, norm)
@@ -886,6 +941,113 @@ class TestBatches:
         assert np.any(pair_counts > 0)
         assert np.any((sizes > 1) & (pair_counts == 0))
         assert np.all(pair_counts[sizes == 1] == 0)
+
+
+def distinct_rows_reference(rows: np.ndarray):
+    """Reference: rows keyed by their bytes in a dict, one at a time, in
+    order of first appearance."""
+    key_of: dict[bytes, int] = {}
+    index = [key_of.setdefault(row.tobytes(), len(key_of)) for row in rows]
+    firsts = [index.index(k) for k in range(len(key_of))]
+    return rows[firsts], np.array(index, dtype=np.int64)
+
+
+def from_bits(word: int) -> float:
+    return float(np.array([word], dtype=np.uint64).view(np.float64)[0])
+
+
+def with_bit_flipped(value: float, bit: int) -> float:
+    return from_bits(int(np.array([value]).view(np.uint64)[0]) ^ (1 << bit))
+
+
+def rows_told_apart_by_bytes() -> np.ndarray:
+    """Rows that are equal as numbers, or as NaNs, but not as bytes, each
+    shown twice, beside rows that repeat exactly."""
+    rows = np.array([
+        [0.0, 1.0], [-0.0, 1.0],
+        [0.5, 1.0], [0.5, with_bit_flipped(1.0, 0)],
+        [0.5, with_bit_flipped(1.0, 51)],
+        [from_bits(0x7FF8000000000000), 2.0],
+        [from_bits(0x7FF8000000000001), 2.0],
+        # only the sign bits differ, in two columns: the rows' hash,
+        # linear modulo 2**64 in the words, is the same for both
+        [1.0, 2.0], [-1.0, -2.0],
+    ])
+    return rows[[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
+
+
+class TestDistinctRows:
+    """Rows merge exactly when their bytes are equal, whatever the hash
+    proposes."""
+
+    @staticmethod
+    def assert_matches_reference(rows):
+        got, index = distinct_rows(rows)
+        want, want_index = distinct_rows_reference(rows)
+        assert got.dtype == np.float64 and index.dtype == np.int64
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(index, want_index)
+        np.testing.assert_array_equal(got[index].view(np.uint64),
+                                      rows.view(np.uint64))
+
+    def test_matches_byte_keyed_reference(self):
+        rng = np.random.default_rng(33)
+        for rep in range(20):
+            n, width = int(rng.integers(0, 60)), int(rng.integers(1, 6))
+            pool = rng.normal(size=(int(rng.integers(1, 12)), width))
+            self.assert_matches_reference(
+                pool[rng.integers(0, len(pool), size=n)])
+
+    def test_merges_only_byte_equal_rows(self):
+        rows = rows_told_apart_by_bytes()
+        self.assert_matches_reference(rows)
+        got, index = distinct_rows(rows)
+        assert len(got) == 9
+        np.testing.assert_array_equal(index, [0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                              8, 7, 6, 5, 4, 3, 2, 1, 0])
+
+    def test_forced_hash_collision_is_exact(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        pool = rng.normal(size=(7, 3))
+        cases = [rows_told_apart_by_bytes(),
+                 pool[rng.integers(0, 7, size=40)], rng.normal(size=(9, 3))]
+        monkeypatch.setattr(model_module, "_row_hashes",
+                            lambda bits: np.zeros(len(bits), np.uint64))
+        for rows in cases:
+            self.assert_matches_reference(rows)
+
+    def test_forced_hash_collision_trains_the_same(self, monkeypatch):
+        dataset = random_searches(np.random.default_rng(35), 12,
+                                  n_listings=5)
+        config = small_config()
+        model, _ = train(config, dataset, epochs=2, batch_size=5)
+        monkeypatch.setattr(model_module, "_row_hashes",
+                            lambda bits: np.zeros(len(bits), np.uint64))
+        collided, _ = train(config, dataset, epochs=2, batch_size=5)
+        for name, tensor in model.params.items():
+            np.testing.assert_array_equal(collided.params[name].values,
+                                          tensor.values)
+
+    def test_all_distinct_rows_keep_their_order(self):
+        rows = np.random.default_rng(36).normal(size=(25, 4))
+        got, index = distinct_rows(rows)
+        np.testing.assert_array_equal(got, rows)
+        np.testing.assert_array_equal(index, np.arange(25))
+
+    def test_batch_of_distinct_rows(self):
+        dataset = random_searches(np.random.default_rng(37), 8)
+        norm = NormalizationStats.fit(dataset.listing_features,
+                                      dataset.context_features)
+        pick = np.array([5, 2, 7])
+        batch = make_batch(batch_inputs(dataset, norm), pick)
+        # one listing row per impression, in the dataset's row order
+        rows = imp_rows_for_searches(dataset, pick)
+        np.testing.assert_array_equal(
+            batch.listing_rows,
+            norm.apply_listing(dataset.listing_features[np.sort(rows)]))
+        np.testing.assert_array_equal(batch.listing_index,
+                                      np.argsort(np.argsort(rows)))
 
 
 class TestTrainLayouts:
@@ -928,7 +1090,8 @@ class TestTrainLayouts:
 
 class TestStepTape:
     """Per-task values stay ``[rows, tasks]`` matrices, so a step records
-    a fixed handful of operations, whatever the number of tasks."""
+    a fixed handful of operations, whatever the number of tasks: one of
+    them hands the heads' listing half to the impression rows."""
 
     @staticmethod
     def nodes_per_step(config: ModelConfig) -> int:
@@ -941,17 +1104,17 @@ class TestStepTape:
         return len(tape)
 
     def test_full_config(self):
-        assert self.nodes_per_step(small_config()) == 49
+        assert self.nodes_per_step(small_config()) == 50
 
     def test_fewer_tasks_record_as_many_nodes(self):
         config = small_config(base_tasks=("book", "unc"),
                               twiddler_tasks=("cbg",))
-        assert self.nodes_per_step(config) == 49
+        assert self.nodes_per_step(config) == 50
 
     def test_baseline(self):
         config = baseline_model_config(4, 3, embedding_dim=5,
                                        tower_hidden=(6,), seed=3)
-        assert self.nodes_per_step(config) == 24
+        assert self.nodes_per_step(config) == 25
 
 
 class TestTotalLoss:
@@ -974,8 +1137,7 @@ class TestTotalLoss:
         for rep in range(10):
             batch = random_batch(rng)
             loss, outputs, parts = total_loss(config, params, batch, weights)
-            again = forward(config, params, batch.listing_rows,
-                            batch.context_rows, batch.segments)
+            again = forward_batch(config, params, batch)
             want = float(base_loss(again.log_joint, batch, POSITIVE_CHAIN,
                                    weights).values)
             want += float(twiddler_loss(again.y_twiddler, batch,
@@ -997,6 +1159,7 @@ class TestTotalLoss:
         segments = nn.Segments([2])
         pair_i, pair_j = preference_pairs(labels["unc"], segments)
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
+                            listing_index=np.arange(2),
                             context_rows=np.zeros((1, 3)), segments=segments,
                             labels=labels,
                             pair_i=pair_i, pair_j=pair_j)
@@ -1025,8 +1188,7 @@ def assert_clear_of_relu_kinks(monkeypatch, config, params, batch):
 
     with monkeypatch.context() as patch:
         patch.setattr(nn.tensor, "relu", spy)
-        forward(config, params, batch.listing_rows, batch.context_rows,
-                batch.segments)
+        forward_batch(config, params, batch)
     # both towers and the blend MLP have one hidden layer each
     assert len(seen) == 3
     assert np.min(np.abs(np.concatenate(seen))) > 100 * FD_STEP
@@ -1043,8 +1205,7 @@ class TestGradients:
         assert_clear_of_relu_kinks(monkeypatch, config, params, batch)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
         def make_loss():
-            outputs = forward(config, params, batch.listing_rows,
-                              batch.context_rows, batch.segments)
+            outputs = forward_batch(config, params, batch)
             return nn.add(base_loss(outputs.log_joint, batch, POSITIVE_CHAIN,
                                     weights),
                           twiddler_loss(outputs.y_twiddler, batch,
@@ -1066,8 +1227,7 @@ class TestGradients:
             rng.normal(size=batch.n_rows) - 2.0,
             rng.normal(size=(batch.n_rows, len(config.twiddler_tasks)))])
         def make_loss():
-            out = forward(config, params, batch.listing_rows,
-                          batch.context_rows, batch.segments)
+            out = forward_batch(config, params, batch)
             coefs = nn.concat_cols(out.alpha_base, out.alpha_twiddler)
             blend = nn.cumsum(nn.mul(coefs, nn.Tensor(scores)))
             return combination_loss(nn.column(blend, scores.shape[1] - 1),
@@ -1084,8 +1244,7 @@ class TestGradients:
         batch = random_batch(rng, n_searches=6, booked=True)
         assert batch.pair_i.size > 0
         with nn.Tape() as tape:
-            outputs = forward(config, params, batch.listing_rows,
-                              batch.context_rows, batch.segments)
+            outputs = forward_batch(config, params, batch)
             loss = combination_loss(outputs.y_combination, batch)
             nn.backward(tape, loss)
         groups = module_parameter_names(config)
@@ -1193,10 +1352,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("make_config, digest, ndcg_unc", [
         (default_model_config,
-         "ec53d05763cb5268865b17681c6c9ffb52852605fd30c76d84fdb7b08670837e",
+         "3c6a734eed2f8af1434ebbb3e6b452988a928cca9d52c9c4b2b3c674cb27b3c8",
          0.616561750538413),
         (baseline_model_config,
-         "815a38e2bf93eb32eea6eaa452549336576f583a163c219179bd7823ca4b4b93",
+         "a13b54f9a634065d8500ee8d5237e71ca5ec1aebcb646cf904eafdfd4b76123b",
          0.7230610080992426),
     ], ids=["full", "baseline"])
     def test_result_pinned(self, make_config, digest, ndcg_unc):

@@ -642,6 +642,15 @@ class TestWorldTruth:
         np.testing.assert_array_equal(back.listing_features[1:],
                                       self.world.listing_features[1:])
 
+    def test_load_rejects_a_byte_that_is_no_utf8(self, tmp_path):
+        path = tmp_path / "world.json"
+        save_world(self.world, path)
+        text = path.read_bytes()
+        at = text.index(b'"listing_ids"')
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(SchemaMismatchError, match="UTF-8"):
+            load_world(path)
+
     def test_load_rejects_a_top_level_list(self, tmp_path):
         path = tmp_path / "world.json"
         path.write_text('[{"record":"world"}]\n')

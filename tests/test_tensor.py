@@ -696,6 +696,38 @@ class TestMatrixGatherAndLogsumexp:
             np.add.at(want, idx, g)
             np.testing.assert_array_equal(x.grad, want.reshape(shape))
 
+    def test_gather_rows_adds_each_row_back(self):
+        rng = np.random.default_rng(76)
+        for rep in range(30):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+            # rows may repeat, and some may not be taken at all
+            idx = rng.integers(0, shape[0], size=int(rng.integers(0, 20)))
+            g = rng.normal(size=(idx.size, shape[1]))
+            x = nn.Tensor(rng.normal(size=shape), requires_grad=True)
+            with nn.Tape() as tape:
+                out = nn.gather_rows(x, idx)
+                loss = nn.total_sum(nn.mul(out, nn.Tensor(g)))
+            nn.backward(tape, loss)
+            np.testing.assert_array_equal(out.values, x.values[idx])
+            want = np.zeros(shape)
+            np.add.at(want, idx, g)
+            np.testing.assert_array_equal(x.grad, want)
+
+    def test_gather_rows_gradcheck(self):
+        rng = np.random.default_rng(77)
+        params = {"x": nn.Tensor(rng.normal(size=(3, 2)), requires_grad=True)}
+        c = nn.Tensor(rng.normal(size=(6, 2)))
+        fd_gradcheck(lambda: nn.total_sum(nn.mul(nn.softplus(
+            nn.gather_rows(params["x"], [2, 0, 2, 1, 2, 0])), c)), params)
+
+    @pytest.mark.parametrize("x, idx", [
+        (np.zeros(3), [0]), (np.zeros((3, 2)), [[0]]),
+        (np.zeros((3, 2)), [3]), (np.zeros((3, 2)), [0, -1])],
+        ids=["vector", "2-d-index", "past-the-end", "negative"])
+    def test_gather_rows_rejects(self, x, idx):
+        with pytest.raises(ShapeError):
+            nn.gather_rows(nn.Tensor(x), idx)
+
     def test_segment_logsumexp_of_a_matrix_is_per_column(self):
         """One call over ``[rows, k]`` equals k calls over its columns,
         bit for bit, forward and backward."""
