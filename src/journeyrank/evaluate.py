@@ -131,7 +131,7 @@ def model_scorer(model: TrainedModel) -> Scorer:
     def scorer(dataset: Dataset) -> np.ndarray:
         outputs = model.outputs(dataset.listing_features,
                                 dataset.context_features, dataset.searches)
-        return outputs.ranking_score.values
+        return outputs.ranking_score
     return scorer
 
 

@@ -1,18 +1,16 @@
 """Multi-task journey ranking model.
 
 Two shared MLP towers embed listing features and search context. One head
-per task turns the pair of embeddings into a logit, and per-task values
-stay ``[rows, tasks]`` matrices, one column per task, from the heads to
-the losses. The positive funnel milestones' conditional logits chain into
-joint log-probabilities through one log-sigmoid and one running sum along
-the columns; the deepest (uncancelled booking) is the base ranking score.
-Further heads score each negative outcome (rejection and the two
-cancellation kinds) as binary classifiers over their eligible rows. A
-small coefficient MLP, reading the context embedding alone, blends the
-base score with the negative-outcome logits into the final score, as one
-running sum of coefficient times score; the blend sees all scores through
-a gradient stop, so its loss tunes only the blend coefficients and the
-context they are conditioned on, never the scoring heads themselves.
+per task turns the pair of embeddings into a logit, and the heads' logits
+form one ``[rows, tasks]`` matrix, one column per task. The positive
+funnel milestones' conditional logits chain into joint log-probabilities
+(a log-sigmoid per column, then a running sum along the columns); the
+deepest (uncancelled booking) is the base ranking score. Further heads
+score each negative outcome (rejection and the two cancellation kinds) as
+binary classifiers over their eligible rows. A small coefficient MLP,
+reading the context embedding alone, blends the base score with the
+negative-outcome logits into the final score, as a running sum of
+coefficient times score.
 
 The same listing is shown over and over, so a batch holds its distinct
 listing feature rows once each, with an index from each impression row
@@ -21,15 +19,23 @@ layer run once per distinct listing row, and a row gather hands their
 output to the impression rows. The context tower, the context half of the
 heads' first layer and the coefficient MLP run once per search, and a
 segment broadcast over the batch's search layout (an ``nn.Segments``)
-hands their outputs to the search's impression rows. Every value after
-the heads' first layer, and every score, is per impression row. No joint
+hands the heads' context half to the search's impression rows. No joint
 ``[listing | context]`` embedding is built.
 
-Everything trains jointly from whole-search minibatches by summing three
-losses: a listwise softmax loss per positive milestone, a masked binary
-cross-entropy per negative milestone, and a pairwise preference loss that
-ranks each uncancelled booking's blended score above the rest of its
-search, so the blend serves the same final objective as the base score.
+Everything after the logits is plain array code (:func:`funnel`,
+:func:`softplus`, :func:`blend`), shared by scoring and training.
+Everything trains jointly from whole-search minibatches on the sum of
+three losses: a listwise softmax loss per positive milestone, a masked
+binary cross-entropy per negative milestone, and a pairwise preference
+loss that ranks each uncancelled booking's blended score above the rest
+of its search, so the blend serves the same final objective as the base
+score. The stretch from the logits to the summed loss is one tape node
+(:func:`fused_loss`) with a hand-written backward pass. The blend's loss
+sees the scores as constants, so it tunes only the blend coefficients and
+the context they are conditioned on, never the scoring heads; and in
+training the blend runs only on the rows of the searches that hold an
+uncancelled booking, the only rows its loss reads. Scoring blends every
+row.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .errors import (
     ContractError,
     DataValidationError,
     SchemaMismatchError,
+    ShapeError,
     TrainingDivergenceError,
 )
 from . import nn
@@ -349,22 +356,22 @@ class Embeddings:
 @dataclass(frozen=True)
 class ModelOutputs:
     """Every intermediate score for a batch of impressions, one row per
-    impression. ``cond_logits`` and ``log_joint`` hold one column per base
-    task and ``y_twiddler`` and ``alpha_twiddler`` one per twiddler, in
-    config order; ``alpha_base`` is one column, ``y_base`` and
+    impression, as arrays. ``cond_logits`` and ``log_joint`` hold one
+    column per base task and ``y_twiddler`` and ``alpha_twiddler`` one per
+    twiddler, in config order; ``alpha_base``, ``y_base`` and
     ``y_combination`` are vectors. A config without twiddlers has no
     blend, and leaves the twiddler and blend fields None."""
 
-    cond_logits: Tensor
-    log_joint: Tensor
-    y_base: Tensor
-    y_twiddler: Tensor | None = None
-    alpha_base: Tensor | None = None
-    alpha_twiddler: Tensor | None = None
-    y_combination: Tensor | None = None
+    cond_logits: np.ndarray
+    log_joint: np.ndarray
+    y_base: np.ndarray
+    y_twiddler: np.ndarray | None = None
+    alpha_base: np.ndarray | None = None
+    alpha_twiddler: np.ndarray | None = None
+    y_combination: np.ndarray | None = None
 
     @property
-    def ranking_score(self) -> Tensor:
+    def ranking_score(self) -> np.ndarray:
         return self.y_combination if self.y_combination is not None \
             else self.y_base
 
@@ -381,21 +388,29 @@ def shared_forward(config: ModelConfig, params: ParameterStore,
     return Embeddings(listing=emb_l, context=emb_c)
 
 
-def _head_logits(config: ModelConfig, params: ParameterStore,
-                 emb: Embeddings, listing_index: np.ndarray,
-                 segments: Segments) -> Tensor:
-    """Every head's logit per impression row, as a ``[rows, tasks]``
-    matrix with one column per task of ``all_tasks``.
+def logits(config: ModelConfig, params: ParameterStore,
+           listing_rows: np.ndarray, listing_index: np.ndarray,
+           context_rows: np.ndarray,
+           segments: Segments) -> tuple[Tensor, Tensor | None]:
+    """The network up to its logits: every head's logit per impression
+    row, as a ``[rows, tasks]`` matrix with one column per task of
+    ``all_tasks``, and, for a config with a blend, the coefficient MLP's
+    ``[searches, 1 + twiddlers]`` logits, read from the context
+    embedding.
 
-    The heads are affine, so they run as one layer over their
-    column-stacked weights, head k giving column k. That layer reads the
-    listing embedding through the weights' first ``embedding_dim`` rows
-    and the context embedding through the rest, so it runs in two halves
-    and no joint embedding is built: the listing half once per distinct
-    listing row, handed to the impression rows by ``listing_index``, and
-    the context half, bias included, once per search, handed to the
-    search's rows by ``segments``. The logits are the sum of the halves.
+    ``listing_rows`` holds the distinct listing rows and
+    ``listing_index`` each impression's row of them; ``context_rows``
+    holds one row per search, and ``segments`` lays the impressions out
+    into the searches. The heads are affine, so they run as one layer
+    over their column-stacked weights, head k giving column k. That layer
+    reads the listing embedding through the weights' first
+    ``embedding_dim`` rows and the context embedding through the rest, so
+    it runs in two halves and no joint embedding is built: the listing
+    half once per distinct listing row, handed to the impression rows by
+    ``listing_index``, and the context half, bias included, once per
+    search, handed to the search's rows by ``segments``.
     """
+    emb = shared_forward(config, params, listing_rows, context_rows)
     prefixes = [_head_prefix(task) for task in config.all_tasks]
     d = config.embedding_dim
     weights = nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))
@@ -403,61 +418,87 @@ def _head_logits(config: ModelConfig, params: ParameterStore,
         emb.context, nn.rows(weights, slice(d, 2 * d)),
         nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
     listing_half = nn.matmul(emb.listing, nn.rows(weights, slice(0, d)))
-    return nn.add(nn.gather_rows(listing_half, listing_index),
+    head = nn.add(nn.gather_rows(listing_half, listing_index),
                   nn.segment_broadcast(context_half, segments))
+    if config.combination is None:
+        return head, None
+    return head, nn.forward_mlp(params, _COMBINATION, config.combination,
+                                emb.context)
 
 
-def _coefficients(coef_logits: Tensor) -> tuple[Tensor, Tensor]:
-    """The combination MLP's output columns as the positive base
-    coefficient ``[rows, 1]`` and the signed twiddler coefficients."""
-    return (nn.softplus(nn.column(coef_logits, slice(0, 1))),
-            nn.column(coef_logits, slice(1, coef_logits.shape[1])))
+# Everything after the logits is plain array code, written once here for
+# scoring and for the loss node. The slopes the node needs are logistics
+# (``nn.logistic``): of x for softplus(x), of -x for log_sigmoid(x).
+
+
+def _log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """log1p(exp(-|x|)), which never overflows: log_sigmoid(x) is
+    ``min(x, 0)`` less it, and softplus(x) ``max(x, 0)`` plus it."""
+    out = np.abs(x)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    return np.log1p(out, out=out)
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)). The blend's base coefficient is the softplus of
+    its logit, so it stays positive; twiddler coefficients are their
+    logits as they are and may change sign."""
+    out = np.maximum(x, 0.0)
+    out += _log1p_exp_neg_abs(x)
+    return out
+
+
+def funnel(cond_logits: np.ndarray) -> np.ndarray:
+    """Joint log-probabilities down the funnel, ``[rows, base tasks]``:
+    each column is its conditional logit's log-sigmoid added to the
+    column before it, so each stage can only lower the joint; the last is
+    the base score."""
+    log_joint = np.minimum(cond_logits, 0.0)
+    log_joint -= _log1p_exp_neg_abs(cond_logits)
+    for j in range(1, log_joint.shape[1]):
+        log_joint[:, j] += log_joint[:, j - 1]
+    return log_joint
+
+
+def blend(alpha_base: np.ndarray, alpha_twiddler: np.ndarray,
+          y_base: np.ndarray, y_twiddler: np.ndarray) -> np.ndarray:
+    """The blended score of each row: coefficient times score, summed
+    from the base score on, one twiddler at a time."""
+    y = alpha_base * y_base
+    for k in range(y_twiddler.shape[1]):
+        y += alpha_twiddler[:, k] * y_twiddler[:, k]
+    return y
 
 
 def forward(config: ModelConfig, params: ParameterStore,
             listing_rows: np.ndarray, listing_index: np.ndarray,
             context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
-    """Full forward pass over pre-normalized feature rows.
+    """Every score of every impression, for scoring (no gradients), from
+    the arguments of :func:`logits`.
 
-    ``listing_rows`` holds the distinct listing rows and
-    ``listing_index`` each impression's row of them; ``context_rows``
-    holds one row per search, and ``segments`` lays the impressions out
-    into the searches. The listing tower and the heads' listing half (see
-    :func:`_head_logits`) run once per listing row, and the context
-    tower, the heads' context half and the combination MLP once per
-    search; every output is per impression.
-
-    The logits split into two column blocks, base tasks then twiddlers.
-    Joint log-probabilities are the running sum of log-sigmoid
-    conditional logits down the funnel, so each stage can only lower
-    them; the last is the base score. The base coefficient passes through
-    softplus so it stays positive; twiddler coefficients may change sign.
-    The blend is the running sum of coefficient times score, base score
-    first, seen through a gradient stop: its loss shapes coefficients,
-    not scores.
+    The logits split into two column blocks, base tasks then twiddlers;
+    the base block runs down the :func:`funnel`, and the :func:`blend`
+    runs on every row, each reading its search's coefficients. Training
+    calls the same helpers from its loss node (:func:`fused_loss`), which
+    runs the blend only on the rows its loss reads.
     """
-    emb = shared_forward(config, params, listing_rows, context_rows)
-    logits = _head_logits(config, params, emb, listing_index, segments)
+    head, coef_logits = logits(config, params, listing_rows, listing_index,
+                               context_rows, segments)
     n_base = len(config.base_tasks)
-    cond_logits = nn.column(logits, slice(0, n_base))
-    log_joint = nn.cumsum(nn.log_sigmoid(cond_logits))
-    y_base = nn.column(log_joint, n_base - 1)
-    if config.combination is None:
+    cond_logits = head.values[:, :n_base]
+    log_joint = funnel(cond_logits)
+    y_base = log_joint[:, -1]
+    if coef_logits is None:
         return ModelOutputs(cond_logits, log_joint, y_base)
-    y_twiddler = nn.column(logits, slice(n_base, logits.shape[1]))
-    coef_logits = nn.forward_mlp(params, _COMBINATION, config.combination,
-                                 emb.context)
-    alpha_base, alpha_twiddler = _coefficients(
-        nn.segment_broadcast(coef_logits, segments))
-    scores = nn.concat_cols(
-        nn.column(nn.stop_gradient(log_joint), slice(n_base - 1, n_base)),
-        nn.stop_gradient(y_twiddler))
-    blend = nn.cumsum(nn.mul(nn.concat_cols(alpha_base, alpha_twiddler),
-                             scores))
-    return ModelOutputs(cond_logits=cond_logits, log_joint=log_joint,
-                        y_base=y_base, y_twiddler=y_twiddler,
-                        alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
-                        y_combination=nn.column(blend, blend.shape[1] - 1))
+    alpha_base = np.take(softplus(coef_logits.values[:, 0]), segments.ids)
+    alpha_twiddler = np.take(coef_logits.values[:, 1:], segments.ids, axis=0)
+    y_twiddler = head.values[:, n_base:]
+    return ModelOutputs(
+        cond_logits=cond_logits, log_joint=log_joint, y_base=y_base,
+        y_twiddler=y_twiddler, alpha_base=alpha_base,
+        alpha_twiddler=alpha_twiddler,
+        y_combination=blend(alpha_base, alpha_twiddler, y_base, y_twiddler))
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +524,25 @@ def preference_pairs(unc: np.ndarray,
 
 
 def _row_hashes(bits: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of a uint64 matrix: the sum of its words
-    times fixed odd multipliers, modulo 2**64. Equal rows hash equal;
-    unequal rows may too, most often when they differ only in sign and
-    exponent bits."""
+    """A 64-bit hash of each row of a uint64 matrix, summed modulo 2**64
+    one column at a time, so no ``[rows × width]`` temporary is built.
+    Each word is folded (its high half xored into its low half) and then
+    times a fixed odd multiplier of its column. The fold makes the mix
+    nonlinear, so rows that differ only in sign or exponent bits, such as
+    0/1 rows, hash apart too. Equal rows hash equal; unequal rows may,
+    though rarely."""
     multipliers = np.random.default_rng(0x5EED).integers(
         0, 2**64, size=bits.shape[1], dtype=np.uint64) | np.uint64(1)
-    return bits @ multipliers
+    hashes = np.zeros(len(bits), dtype=np.uint64)
+    word = np.empty(len(bits), dtype=np.uint64)
+    high = np.empty_like(word)
+    for j, multiplier in enumerate(multipliers):
+        np.copyto(word, bits[:, j])
+        np.right_shift(word, np.uint64(32), out=high)
+        word ^= high
+        word *= multiplier
+        hashes += word
+    return hashes
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -628,76 +681,186 @@ def _label_matrix(batch: SearchBatch, names) -> np.ndarray:
     return np.stack([batch.labels[name] for name in names])
 
 
-def base_loss(log_joint: Tensor, batch: SearchBatch, tasks: Sequence[str],
-              weights: Mapping[str, float]) -> Tensor:
-    """Weighted listwise softmax loss summed over tasks and positives.
+def _base_term(cond_logits: np.ndarray, batch: SearchBatch,
+               tasks: Sequence[str], weights: Mapping[str, float]):
+    """The base module's listwise softmax loss, summed over tasks and
+    positives, its joint log-probabilities, and its backward pass, which
+    writes d loss/d cond_logits into a zeroed block.
 
-    ``log_joint`` holds one column per task of ``tasks``. For each task,
-    every positively labeled impression contributes the negative
-    log-softmax of its joint log-probability against all impressions of
-    its search. The positives run task by task, by row within a task.
+    For each task, every positively labeled impression contributes the
+    negative log-softmax of its joint log-probability against all
+    impressions of its search, weighted by the task's weight. The
+    positives run task by task, by row within a task.
     """
+    segments = batch.segments
+    if segments.n == 0 or not segments.all_nonempty:
+        raise ContractError("the listwise loss needs a search, and a row in "
+                            "every search")
+    log_joint = funnel(cond_logits)
+    n_tasks = len(tasks)
     task, row = np.divmod(np.flatnonzero(_label_matrix(batch, tasks)),
                           batch.n_rows)
-    n_tasks = len(tasks)
-    lse = nn.segment_logsumexp(log_joint, batch.segments)
-    per_positive = nn.sub(
-        nn.gather(lse, batch.segments.ids[row] * n_tasks + task),
-        nn.gather(log_joint, row * n_tasks + task))
+    seg, starts = segments.ids, segments.starts[:-1]
+    seg_max = np.maximum.reduceat(log_joint, starts)
+    # np.take gathers matrix rows several times faster than seg_max[seg]
+    shifted = np.exp(log_joint - np.take(seg_max, seg, axis=0))
+    lse = np.log(np.add.reduceat(shifted, starts)) + seg_max
+    at_search = seg[row] * n_tasks + task
+    at_row = row * n_tasks + task
     task_weight = np.array([float(weights[t]) for t in tasks])[task]
-    return nn.total_sum(nn.mul(per_positive, nn.Tensor(task_weight)))
+    value = ((lse.ravel()[at_search] - log_joint.ravel()[at_row])
+             * task_weight).sum()
+
+    def backward(g: float, out: np.ndarray) -> None:
+        if not row.size:
+            return
+        w = g * task_weight
+        d_joint = np.bincount(at_row, weights=-w, minlength=log_joint.size
+                              ).reshape(log_joint.shape)
+        d_lse = np.bincount(at_search, weights=w, minlength=lse.size
+                            ).reshape(lse.shape)
+        # d lse_s / d x_i is the softmax weight of i within its search
+        d_joint += (np.take(d_lse, seg, axis=0)
+                    * np.exp(log_joint - np.take(lse, seg, axis=0)))
+        # column j of the funnel feeds every joint from j on
+        for j in range(n_tasks - 2, -1, -1):
+            d_joint[:, j] += d_joint[:, j + 1]
+        np.multiply(d_joint, nn.logistic(-cond_logits), out=out)
+
+    return value, log_joint, backward
 
 
-def twiddler_loss(y_twiddler: Tensor, batch: SearchBatch,
-                  tasks: Sequence[str]) -> Tensor:
-    """Masked binary cross-entropy summed over negative-outcome tasks.
+def _twiddler_term(y_twiddler: np.ndarray, batch: SearchBatch,
+                   tasks: Sequence[str]):
+    """Masked binary cross-entropy summed over negative-outcome tasks,
+    and its backward pass, which writes d loss/d y_twiddler into a zeroed
+    block.
 
-    ``y_twiddler`` holds one column per task of ``tasks``. Each task is
-    scored only on its eligible rows, as a mean over them: rejection on
-    requested impressions, either cancellation kind on booked
-    impressions. A task with no eligible rows contributes exactly zero.
+    Each task is scored only on its eligible rows, as a mean over them:
+    rejection on requested impressions, either cancellation kind on
+    booked impressions. A task with no eligible rows contributes exactly
+    zero.
     """
     eligible = _label_matrix(batch, [NEGATIVE_PARENT[t] for t in tasks])
     task, row = np.divmod(np.flatnonzero(eligible), batch.n_rows)
-    z = nn.gather(y_twiddler, row * len(tasks) + task)
+    z = y_twiddler[row, task]
     targets = _label_matrix(batch, tasks)[task, row].astype(np.float64)
-    per_row = nn.sub(nn.softplus(z), nn.mul(nn.Tensor(targets), z))
-    counts = np.bincount(task, minlength=len(tasks))
-    return nn.total_sum(nn.mul(per_row, nn.Tensor(1.0 / counts[task])))
+    inverse_count = 1.0 / np.bincount(task, minlength=len(tasks))[task]
+    value = ((softplus(z) - targets * z) * inverse_count).sum()
+
+    def backward(g: float, out: np.ndarray) -> None:
+        c = g * inverse_count
+        d_z = -c * targets
+        d_z += c * nn.logistic(z)
+        out[row, task] = d_z
+
+    return value, backward
 
 
-def combination_loss(y_combination: Tensor, batch: SearchBatch) -> Tensor:
-    """Pairwise logistic loss that ranks each uncancelled booking above
-    every other row of its search: the mean over the batch's pairs of
-    -log sigmoid(y_i - y_j), taken as softplus(y_j - y_i)."""
+def _combination_term(y_base: np.ndarray, y_twiddler: np.ndarray,
+                      coef_logits: np.ndarray, batch: SearchBatch):
+    """Pairwise logistic loss that ranks each uncancelled booking's
+    blended score above every other row of its search, the mean over the
+    batch's pairs of softplus(y_j - y_i), and its backward pass, which
+    writes d loss/d coef_logits into a zeroed array. The scores are
+    constants here. Only the rows of the searches that hold a pair are
+    blended: no other row is read.
+    """
     if batch.pair_i.size == 0:
-        return nn.Tensor(0.0)
-    y_i = nn.gather(y_combination, batch.pair_i)
-    y_j = nn.gather(y_combination, batch.pair_j)
-    return nn.total_mean(nn.softplus(nn.sub(y_j, y_i)))
+        return 0.0, lambda g, out: None
+    segments = batch.segments
+    searches = np.unique(segments.ids[batch.pair_i])
+    sizes = segments.starts[searches + 1] - segments.starts[searches]
+    rows = concat_ranges(segments.starts[searches], sizes)
+    local = np.empty(segments.n_rows, dtype=np.int64)
+    local[rows] = np.arange(rows.size)
+    pair_i, pair_j = local[batch.pair_i], local[batch.pair_j]
+    search_of = np.repeat(np.arange(searches.size), sizes)
+    coef = coef_logits[searches]
+    scores = np.column_stack((y_base[rows], y_twiddler[rows]))
+    y = blend(softplus(coef[:, 0])[search_of], coef[search_of, 1:],
+              scores[:, 0], scores[:, 1:])
+    diff = y[pair_j] - y[pair_i]
+    value = softplus(diff).mean()
+
+    def backward(g: float, out: np.ndarray) -> None:
+        d_diff = np.full(diff.size, g / diff.size)
+        d_diff *= nn.logistic(diff)
+        d_y = np.bincount(pair_j, weights=d_diff, minlength=rows.size)
+        d_y += np.bincount(pair_i, weights=-d_diff, minlength=rows.size)
+        d_rows = d_y[:, None] * scores
+        d_rows[:, 0] *= nn.logistic(coef[:, 0])[search_of]
+        out[searches] = np.add.reduceat(d_rows, np.cumsum(sizes) - sizes,
+                                        axis=0)
+
+    return value, backward
+
+
+def fused_loss(config: ModelConfig, head: Tensor, coef_logits: Tensor | None,
+               batch: SearchBatch, weights: Mapping[str, float],
+               ) -> tuple[Tensor, dict[str, float]]:
+    """The training loss from the heads' logits and the per-search
+    coefficient logits (see :func:`logits`), recorded as one tape node,
+    and its parts by module.
+
+    The loss is the unweighted sum of the module losses the config has:
+    the base module's listwise loss over the :func:`funnel`, the
+    twiddlers' masked cross-entropy and the blend's pairwise loss. The
+    blend runs only on the rows of the searches that hold an uncancelled
+    booking and another row, the only rows its loss reads. The backward
+    pass writes d loss/d logits and d loss/d coefficient logits directly.
+    """
+    shapes = [t.shape for t in (head, coef_logits) if t is not None]
+    want = [(batch.n_rows, len(config.all_tasks))]
+    if config.combination is not None:
+        want.append((batch.segments.n, config.combination.output_dim))
+    if shapes != want:
+        raise ShapeError(f"fused_loss: logits of shapes {shapes}, need {want}")
+    values = head.values
+    n_base = len(config.base_tasks)
+    base, log_joint, base_backward = _base_term(
+        values[:, :n_base], batch, config.base_tasks, weights)
+    parts = {"base": float(base)}
+    total = base
+    if config.twiddler_tasks:
+        y_twiddler = values[:, n_base:]
+        twiddler, twiddler_backward = _twiddler_term(
+            y_twiddler, batch, config.twiddler_tasks)
+        combination, combination_backward = _combination_term(
+            log_joint[:, -1], y_twiddler, coef_logits.values, batch)
+        parts["twiddler"] = float(twiddler)
+        parts["combination"] = float(combination)
+        total = total + twiddler + combination
+    parts["total"] = float(total)
+
+    def gradients(g: np.ndarray):
+        g = float(g)
+        d_head = np.zeros_like(values)
+        base_backward(g, d_head[:, :n_base])
+        if coef_logits is None:
+            return (d_head,)
+        twiddler_backward(g, d_head[:, n_base:])
+        d_coef = np.zeros_like(coef_logits.values)
+        combination_backward(g, d_coef)
+        return d_head, d_coef
+
+    inputs = (head,) if coef_logits is None else (head, coef_logits)
+    return nn.record(np.asarray(total), inputs, gradients), parts
 
 
 def total_loss(config: ModelConfig, params: ParameterStore,
                batch: SearchBatch, weights: Mapping[str, float],
-               ) -> tuple[Tensor, ModelOutputs, dict[str, float]]:
-    """Unweighted sum of the module losses present in the config."""
-    outputs = forward(config, params, batch.listing_rows,
-                      batch.listing_index, batch.context_rows,
-                      batch.segments)
-    parts: dict[str, float] = {}
-    loss = base_loss(outputs.log_joint, batch, config.base_tasks, weights)
-    parts["base"] = float(loss.values)
-    if config.twiddler_tasks:
-        term = twiddler_loss(outputs.y_twiddler, batch,
-                             config.twiddler_tasks)
-        parts["twiddler"] = float(term.values)
-        loss = nn.add(loss, term)
-    if outputs.y_combination is not None:
-        term = combination_loss(outputs.y_combination, batch)
-        parts["combination"] = float(term.values)
-        loss = nn.add(loss, term)
-    parts["total"] = float(loss.values)
-    return loss, outputs, parts
+               ) -> tuple[Tensor, Tensor, dict[str, float]]:
+    """The training loss of a batch (:func:`fused_loss`), the heads'
+    ``[rows, tasks]`` logits it was computed from, and its parts. The
+    blend runs only on the rows of the searches that hold an uncancelled
+    booking and another row, the only rows its pairwise loss reads;
+    scoring (:func:`forward`) blends every row."""
+    head, coef_logits = logits(config, params, batch.listing_rows,
+                               batch.listing_index, batch.context_rows,
+                               batch.segments)
+    loss, parts = fused_loss(config, head, coef_logits, batch, weights)
+    return loss, head, parts
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +895,9 @@ class TrainedModel:
 
         ``listing_rows`` holds one row per impression and ``context_rows``
         one row per search; ``segments`` lays the listing rows out into
-        the searches. The forward pass runs on the distinct listing rows,
-        as in training; every output is per impression.
+        the searches. The towers and heads run on the distinct listing
+        rows, as in training, and the blend on every row; every output is
+        per impression.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
         context_rows = np.asarray(context_rows, dtype=np.float64)
@@ -824,10 +988,10 @@ def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
     normalized = model.normalization.apply_context(context_rows)
     emb_c = nn.forward_mlp(model.params, _TOWER_CONTEXT,
                            config.context_tower, nn.Tensor(normalized))
-    alpha_base, alpha_twiddler = _coefficients(nn.forward_mlp(
-        model.params, _COMBINATION, config.combination, emb_c))
-    return alpha_base.values[:, 0], dict(zip(config.twiddler_tasks,
-                                             alpha_twiddler.values.T))
+    coef_logits = nn.forward_mlp(model.params, _COMBINATION,
+                                 config.combination, emb_c).values
+    return (softplus(coef_logits[:, 0]),
+            dict(zip(config.twiddler_tasks, coef_logits[:, 1:].T)))
 
 
 # ---------------------------------------------------------------------------

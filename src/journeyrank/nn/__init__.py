@@ -16,25 +16,15 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    column,
     concat_cols,
-    cumsum,
     dense,
-    gather,
     gather_rows,
-    log_sigmoid,
     logistic,
     matmul,
-    mul,
+    record,
     relu,
     rows,
     segment_broadcast,
-    segment_logsumexp,
-    softplus,
-    stop_gradient,
-    sub,
-    total_mean,
-    total_sum,
 )
 
 __all__ = [
@@ -46,30 +36,20 @@ __all__ = [
     "Tensor",
     "add",
     "backward",
-    "column",
     "concat_cols",
-    "cumsum",
     "dense",
     "forward_mlp",
-    "gather",
     "gather_rows",
     "init_adam",
     "init_mlp_params",
     "load_params",
-    "log_sigmoid",
     "logistic",
     "matmul",
-    "mul",
     "optimizer_step",
+    "record",
     "relu",
     "rows",
     "save_params",
     "segment_broadcast",
-    "segment_logsumexp",
-    "softplus",
-    "stop_gradient",
-    "sub",
     "tensor_table",
-    "total_mean",
-    "total_sum",
 ]

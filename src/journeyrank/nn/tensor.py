@@ -3,14 +3,14 @@
 The engine is deliberately small: rank-0/1/2 arrays, a flat operation tape,
 and exactly the operators the ranking model needs: a dense layer
 (``x @ w + b`` as one node, gradients for all three in one backward), a
-bare matmul, stable logistic primitives, row and column blocks and
-running sums of a matrix, and reductions and broadcasts over a
+bare matmul, ReLU, an elementwise add, side-by-side columns and a block of
+rows of a matrix, a row gather (``gather_rows`` hands each impression the
+row of the distinct listing it shows) and a broadcast over a
 :class:`Segments` layout (rows into searches, built once per batch or
-dataset).
-The model keeps its per-task values as ``[rows, tasks]`` matrices, one
-column per task, so each operator runs once for all the tasks; ``gather``
-picks (row, task) entries by flat row-major index, and ``gather_rows``
-hands each impression the row of the distinct listing it shows.
+dataset). A computation the engine has no operator for records itself as
+one node through :func:`record`, handing back its own gradients; the
+model's loss, from the heads' logits to the scalar, is one such node.
+``logistic`` is the one sigmoid of the package, a plain array function.
 Recording happens only while a :class:`Tape` is active and at least one
 operand requires a gradient, so inference-mode forward passes carry no
 bookkeeping cost.
@@ -126,6 +126,21 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...],
     return out
 
 
+def record(values: np.ndarray, inputs: tuple[Tensor, ...],
+           gradients: Callable[[np.ndarray], tuple]) -> Tensor:
+    """A tensor holding ``values``, recorded as one node whose backward
+    pass is ``gradients``: given the output's gradient ``g``, it returns
+    one gradient per input, in order, or None for an input it leaves
+    alone. Each returned array must be new, computed for this call alone,
+    since it may become the input's gradient buffer."""
+    def backward_fn(g):
+        for t, grad in zip(inputs, gradients(g)):
+            if t.requires_grad and grad is not None:
+                t._accumulate(grad)
+
+    return _record(Tensor._wrap(values), inputs, backward_fn)
+
+
 def backward(tape: Tape, loss: Tensor) -> None:
     """Propagate d(loss)/d(x) to every tensor on the tape.
 
@@ -145,22 +160,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 t.grad = np.zeros_like(t.values)
 
 
-def stop_gradient(t: Tensor) -> Tensor:
-    """Identical values, but the backward pass treats it as a constant."""
-    return Tensor._wrap(t.values)
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor._wrap(a.values + b.values)
 
     def backward_fn(g):
@@ -168,32 +174,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(g, shared=True)
         if b.requires_grad:
             b._accumulate(g, shared=True)
-
-    return _record(out, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor._wrap(a.values - b.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g, shared=True)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _record(out, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    out = Tensor._wrap(a.values * b.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * b.values)
-        if b.requires_grad:
-            b._accumulate(g * a.values)
 
     return _record(out, (a, b), backward_fn)
 
@@ -255,63 +235,24 @@ def concat_cols(*xs: Tensor) -> Tensor:
     return _record(out, xs, backward_fn)
 
 
-def _block(x: Tensor, index) -> Tensor:
-    """``x.values[index]``, a block of rows or columns, as a new array."""
-    out = Tensor._wrap(x.values[index].copy())
+def rows(x: Tensor, block: slice) -> Tensor:
+    """A block of a matrix's rows, ``x.values[block]``, as a new matrix."""
+    if (not isinstance(block, slice) or x.values.ndim != 2
+            or block.step is not None
+            or not 0 <= block.start < block.stop <= x.shape[0]):
+        raise ShapeError(f"rows {block!r} out of range for shape {x.shape}")
+    out = Tensor._wrap(x.values[block].copy())
 
     def backward_fn(g):
         if x.requires_grad:
             # Only the block is touched: write it into the buffer in place.
             if x.grad is None:
                 x.grad = np.zeros_like(x.values)
-                x.grad[index] = g
+                x.grad[block] = g
             else:
-                x.grad[index] += g
+                x.grad[block] += g
 
     return _record(out, (x,), backward_fn)
-
-
-def _check_block(x: Tensor, j: int | slice, axis: int, what: str) -> None:
-    lo, hi = (j.start, j.stop) if isinstance(j, slice) else (j, j + 1)
-    if (x.values.ndim != 2 or getattr(j, "step", None) is not None
-            or not 0 <= lo < hi <= x.shape[axis]):
-        raise ShapeError(f"{what} {j} out of range for shape {x.shape}")
-
-
-def column(x: Tensor, j: int | slice) -> Tensor:
-    """Column j of a matrix as a vector, or, for a slice j, that block of
-    columns as a matrix."""
-    _check_block(x, j, 1, "columns")
-    return _block(x, (slice(None), j))
-
-
-def rows(x: Tensor, block: slice) -> Tensor:
-    """A block of a matrix's rows as a matrix."""
-    if not isinstance(block, slice):
-        raise ShapeError(f"rows takes a slice, got {block!r}")
-    _check_block(x, block, 0, "rows")
-    return _block(x, block)
-
-
-def cumsum(x: Tensor) -> Tensor:
-    """Running sum along each row of a matrix, added left to right one
-    column at a time: on a few columns that is faster than ``np.cumsum``
-    along the rows, with the same bits."""
-    if x.values.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"cumsum expects a matrix with columns, got {x.shape}")
-    out = x.values.copy()
-    for j in range(1, out.shape[1]):
-        out[:, j] += out[:, j - 1]
-
-    def backward_fn(g):
-        if x.requires_grad:
-            # column j feeds every running sum from j on
-            gx = g.copy()
-            for j in range(gx.shape[1] - 2, -1, -1):
-                gx[:, j] += gx[:, j + 1]
-            x._accumulate(gx)
-
-    return _record(Tensor._wrap(out), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -329,84 +270,24 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), backward_fn)
 
 
-def _exp_neg_abs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``pos = x >= 0`` and ``e = exp(-|x|)``, which never overflows. The
-    exponent is picked with ``where`` rather than ``-abs`` so a NaN keeps
-    its sign."""
-    pos = x >= 0
-    return pos, np.exp(np.where(pos, -x, x))
-
-
-def _logistic_of_parts(pos: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """logistic(x) from :func:`_exp_neg_abs` of x: ``1 / (1 + e)`` where
-    x >= 0 and ``e / (1 + e)`` elsewhere, with one division."""
-    out = np.where(pos, 1.0, e)
-    out /= 1.0 + e
+def logistic(x) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) of a float64 array, as
+    ``exp(min(x, 0)) / (1 + exp(-|x|))``: both exponents are at most 0,
+    so neither overflows, and no branch is picked per element."""
+    x = np.asarray(x, dtype=np.float64)
+    # out= keeps a 0-d input's results arrays, never numpy scalars
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
+    out /= e
     return out
 
 
-def logistic(x) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)) of a float64 array."""
-    return _logistic_of_parts(*_exp_neg_abs(np.asarray(x, dtype=np.float64)))
-
-
-def log_sigmoid(x: Tensor) -> Tensor:
-    """log(sigmoid(x)) as ``min(x, 0) - log1p(exp(-|x|))``, stable for
-    |x| up to 1e3 and beyond. The backward pass reuses the exponential:
-    its slope is exactly ``logistic(-x)``."""
-    # _exp_neg_abs(-x) without negating x twice
-    neg = x.values <= 0
-    e = np.exp(np.where(neg, x.values, -x.values))
-    out = np.minimum(x.values, 0.0)
-    out -= np.log1p(e)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            slope = _logistic_of_parts(neg, e)
-            x._accumulate(np.multiply(g, slope, out=slope))
-
-    return _record(Tensor._wrap(out), (x,), backward_fn)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) as ``max(x, 0) + log1p(exp(-|x|))``, the
-    positive-constrained link used for coefficients. The backward pass
-    reuses the exponential: its slope is exactly ``logistic(x)``."""
-    pos, e = _exp_neg_abs(x.values)
-    out = np.maximum(x.values, 0.0)
-    out += np.log1p(e)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            slope = _logistic_of_parts(pos, e)
-            x._accumulate(np.multiply(g, slope, out=slope))
-
-    return _record(Tensor._wrap(out), (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
-# gather / segment reductions (ranking losses operate per search segment)
-
-
-def gather(x: Tensor, idx) -> Tensor:
-    """Pick elements of a vector or matrix by flat row-major index (entry
-    (r, c) is ``r * n_cols + c``): out[i] = x.ravel()[idx[i]]."""
-    if x.values.ndim == 0:
-        raise ShapeError("gather expects a vector or a matrix")
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("index arrays must be one-dimensional")
-    if idx.size and idx.min() < 0:
-        raise ShapeError("gather indices must be non-negative")
-    out = Tensor._wrap(x.values.reshape(-1)[idx])
-
-    def backward_fn(g):
-        if x.requires_grad and idx.size:
-            # bincount adds in index order, as np.add.at does
-            x._accumulate(np.bincount(idx, weights=g, minlength=x.size)
-                          .reshape(x.shape))
-
-    return _record(out, (x,), backward_fn)
+# row gathers and segment broadcasts
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
@@ -438,8 +319,9 @@ class Segments:
     ``starts[k]:starts[k + 1]`` and ``ids[i]`` is the segment of row ``i``.
 
     A size may be zero, since loaded data can hold an empty search or
-    journey for validation to report; the ops that reduce over every
-    segment refuse a layout that is not ``all_nonempty``.
+    journey for validation to report; whatever reduces over every
+    segment (the broadcast's backward pass, the model's listwise loss)
+    refuses a layout that is not ``all_nonempty``.
     """
 
     starts: np.ndarray                # [n + 1] int64 row offsets, read-only
@@ -471,32 +353,6 @@ class Segments:
         return np.diff(self.starts)
 
 
-def segment_logsumexp(x: Tensor, segments: Segments) -> Tensor:
-    """Per-segment log-sum-exp of a vector, or of each column of a
-    ``[rows, k]`` matrix, laid out by ``segments``: one row per segment."""
-    if x.values.ndim == 0 or len(x.values) != segments.n_rows:
-        raise ShapeError(f"segment_logsumexp: shape {x.shape} for a layout "
-                         f"of {segments.n_rows} rows")
-    if segments.n == 0 or not segments.all_nonempty:
-        raise ContractError("segment_logsumexp needs a segment, and a row "
-                            "in every segment")
-    seg = segments.ids
-    starts = segments.starts[:-1]
-    seg_max = np.maximum.reduceat(x.values, starts)
-    # np.take gathers matrix rows several times faster than seg_max[seg]
-    shifted = np.exp(x.values - np.take(seg_max, seg, axis=0))
-    lse = np.log(np.add.reduceat(shifted, starts)) + seg_max
-    out = Tensor._wrap(lse)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            # d lse_s / d x_i = softmax weight of i within its segment
-            x._accumulate(np.take(g, seg, axis=0)
-                          * np.exp(x.values - np.take(lse, seg, axis=0)))
-
-    return _record(out, (x,), backward_fn)
-
-
 def segment_broadcast(x: Tensor, segments: Segments) -> Tensor:
     """Each segment's row of ``x``, a vector or a matrix with one row per
     segment, handed to the segment's rows: out[i] = x[segments.ids[i]].
@@ -513,32 +369,5 @@ def segment_broadcast(x: Tensor, segments: Segments) -> Tensor:
             if not segments.all_nonempty:
                 raise ContractError("segment_broadcast backward: empty segment")
             x._accumulate(np.add.reduceat(g, segments.starts[:-1], axis=0))
-
-    return _record(out, (x,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# full reductions
-
-
-def total_sum(x: Tensor) -> Tensor:
-    out = Tensor._wrap(np.asarray(x.values.sum()))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.values, float(g)))
-
-    return _record(out, (x,), backward_fn)
-
-
-def total_mean(x: Tensor) -> Tensor:
-    n = x.values.size
-    if n == 0:
-        raise ContractError("mean of an empty tensor")
-    out = Tensor._wrap(np.asarray(x.values.mean()))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.values, float(g) / n))
 
     return _record(out, (x,), backward_fn)

@@ -368,8 +368,8 @@ class TestBlendServesUncancelledBookings:
                                 eval_ds.context_features, eval_ds.searches)
             blend = ev.evaluate(model, eval_ds)["unc"].mean
             y_base = ev.evaluate_with_scorer(
-                eval_ds, lambda _: out.y_base.values)["unc"].mean
-            runs.append((float(out.alpha_base.values.mean()), blend, y_base))
+                eval_ds, lambda _: out.y_base)["unc"].mean
+            runs.append((float(out.alpha_base.mean()), blend, y_base))
         return runs
 
     def test_base_coefficient_stays_above_half(self, runs):

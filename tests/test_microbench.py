@@ -3,9 +3,10 @@
 One training step (batch cut, forward and loss, backward, Adam) on a
 batch whose rows show each listing about 3.5 times, the same step on a
 batch whose rows all show distinct listings, one batched forward over a
-whole dataset, two of the step's kernels on a
-batch-sized matrix (``log_sigmoid`` and ``dense``, forward and backward),
-generating 200 guests, and the JSONL save and load of a 200-guest world:
+whole dataset, two of the step's kernels, forward and backward: the loss
+node (``model.fused_loss``, from the heads' logits to the loss) on a
+2,048-row batch and ``dense`` on a batch-sized matrix, generating 200
+guests, and the JSONL save and load of a 200-guest world:
 one save, and one load each of the generated file (feature rows repeat,
 so the line decoder reads it) and of a copy whose rows are all distinct
 (so the reader switches to the record path). Rounds are few so the
@@ -18,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import per_op
 from journeyrank import dataio, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
@@ -86,7 +88,7 @@ def test_batched_forward(benchmark, world):
                                dataset.context_features, dataset.searches),
         rounds=5, warmup_rounds=1)
     assert outputs.ranking_score.shape == (dataset.n_impressions,)
-    assert np.all(np.isfinite(outputs.ranking_score.values))
+    assert np.all(np.isfinite(outputs.ranking_score))
 
 
 def kernel_step(op, *args):
@@ -99,18 +101,33 @@ def kernel_step(op, *args):
             t.grad = None
         with nn.Tape() as tape:
             out = op(*inputs)
-            nn.backward(tape, nn.total_sum(out))
+            nn.backward(tape, per_op.total_sum(out))
         return out
 
     return step, inputs
 
 
-def test_log_sigmoid_kernel(benchmark):
-    x = np.random.default_rng(5).normal(scale=3.0, size=(2000, 6))
-    step, (t,) = kernel_step(nn.log_sigmoid, x)
-    out = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
-    assert out.shape == (2000, 6) and np.all(out.values <= 0.0)
-    assert t.grad.shape == (2000, 6)
+def test_loss_node_kernel(benchmark, world):
+    """The loss node on the most searches of the 200-guest world that
+    fit in 2,048 rows, a train-bench-sized batch, from fixed logits."""
+    dataset, config = world
+    inputs = model.batch_inputs(dataset, model.NormalizationStats.fit(
+        dataset.listing_features, dataset.context_features))
+    n_searches = int(np.searchsorted(dataset.searches.starts, 2048,
+                                     side="right")) - 1
+    batch = model.make_batch(inputs, np.arange(n_searches))
+    head, coef_logits = model.logits(
+        config, model.init_model_params(config), batch.listing_rows,
+        batch.listing_index, batch.context_rows, batch.segments)
+    weights = model.task_weights(dataset, config.base_tasks)
+    step, (head, coef_logits) = kernel_step(
+        lambda h, c: model.fused_loss(config, h, c, batch, weights)[0],
+        head.values, coef_logits.values)
+    loss = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
+    assert 1900 < batch.n_rows <= 2048 and batch.pair_i.size
+    assert np.isfinite(loss.values)
+    assert head.grad.shape == (batch.n_rows, len(config.all_tasks))
+    assert coef_logits.grad.shape == (n_searches, 4)
 
 
 def test_dense_kernel(benchmark):

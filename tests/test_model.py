@@ -3,19 +3,23 @@
 Every loss has a scripted numpy oracle computed without the autodiff
 engine, every forced-arithmetic case (zero weights, equal scores) is
 asserted against its closed form, and gradients are checked with central
-finite differences. The gradient-stop contract of the blending layer is
-asserted bitwise.
+finite differences. The losses' oracles are checked against the per-op
+composition in ``per_op``, and the model's one loss node against that
+composition, bit for bit. The gradient-stop contract of the blending
+layer is asserted bitwise.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import per_op as ops
 from conftest import fd_gradcheck, imp_rows_for_searches
+from per_op import base_loss, combination_loss, twiddler_loss
 from journeyrank import evaluate, model as model_module, nn, simulate
 from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import (
@@ -31,6 +35,7 @@ from journeyrank.errors import (
     ConfigError,
     ContractError,
     SchemaMismatchError,
+    ShapeError,
     TrainingDivergenceError,
 )
 from journeyrank.model import (
@@ -40,16 +45,16 @@ from journeyrank.model import (
     NormalizationStats,
     SearchBatch,
     TrainedModel,
-    base_loss,
     baseline_model_config,
     batch_inputs,
     blend_coefficients,
-    combination_loss,
     default_model_config,
     distinct_rows,
     forward,
+    fused_loss,
     init_model_params,
     load_model,
+    logits,
     make_batch,
     model_config_from_record,
     model_config_to_record,
@@ -60,7 +65,6 @@ from journeyrank.model import (
     shared_forward,
     total_loss,
     train,
-    twiddler_loss,
 )
 
 LN2 = float(np.log(2.0))
@@ -211,7 +215,7 @@ def zero_params(store):
 
 
 def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
-                    context_rows: np.ndarray) -> ModelOutputs:
+                    context_rows: np.ndarray) -> ops.Outputs:
     """Reference: the forward pass with one context row per listing row,
     one task at a time.
 
@@ -235,7 +239,7 @@ def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
     for task in config.base_tasks:
         logit = head_logit(task, joint_emb)
         cond_logits.append(logit)
-        step = nn.log_sigmoid(logit)
+        step = ops.log_sigmoid(logit)
         running = step if running is None else nn.add(running, step)
         log_joint.append(running)
     y_base = log_joint[-1]
@@ -246,18 +250,18 @@ def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
     if config.combination is not None:
         coefs = nn.forward_mlp(params, "combination", config.combination,
                                emb_c)
-        alpha_base = nn.softplus(nn.column(coefs, slice(0, 1)))
-        y_combination = nn.mul(alpha_base, nn.stop_gradient(y_base))
+        alpha_base = ops.softplus(ops.column(coefs, slice(0, 1)))
+        y_combination = ops.mul(alpha_base, ops.stop_gradient(y_base))
         for k, logit in enumerate(y_twiddler, start=1):
-            y_combination = nn.add(y_combination, nn.mul(
-                nn.column(coefs, slice(k, k + 1)),
-                nn.stop_gradient(logit)))
-        alpha_twiddler = nn.column(coefs, slice(1, coefs.shape[1]))
-        y_combination = nn.column(y_combination, 0)
-    return ModelOutputs(
+            y_combination = nn.add(y_combination, ops.mul(
+                ops.column(coefs, slice(k, k + 1)),
+                ops.stop_gradient(logit)))
+        alpha_twiddler = ops.column(coefs, slice(1, coefs.shape[1]))
+        y_combination = ops.column(y_combination, 0)
+    return ops.Outputs(
         cond_logits=nn.concat_cols(*cond_logits),
         log_joint=nn.concat_cols(*log_joint),
-        y_base=nn.column(y_base, 0),
+        y_base=ops.column(y_base, 0),
         y_twiddler=nn.concat_cols(*y_twiddler) if y_twiddler else None,
         alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
         y_combination=y_combination)
@@ -295,7 +299,7 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
     context = np.asarray(context, dtype=np.float64)
     outputs = model.outputs(listing_rows, context[None, :],
                             nn.Segments([len(listing_rows)]))
-    score = outputs.ranking_score.values
+    score = outputs.ranking_score
     base, twiddlers = model.config.base_tasks, model.config.twiddler_tasks
     order = np.lexsort((np.asarray(listing_ids), -score))
     ranked = []
@@ -305,18 +309,18 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
             listing_id=listing_ids[k],
             rank=rank,
             score=float(score[k]),
-            y_base=float(outputs.y_base.values[k]),
+            y_base=float(outputs.y_base[k]),
             y_combination=(None if outputs.y_combination is None
-                           else float(outputs.y_combination.values[k])),
-            log_joint=task_columns(base, outputs.log_joint.values[k]),
-            cond_logits=task_columns(base, outputs.cond_logits.values[k]),
+                           else float(outputs.y_combination[k])),
+            log_joint=task_columns(base, outputs.log_joint[k]),
+            cond_logits=task_columns(base, outputs.cond_logits[k]),
             y_twiddler=({} if outputs.y_twiddler is None else
-                        task_columns(twiddlers, outputs.y_twiddler.values[k])),
+                        task_columns(twiddlers, outputs.y_twiddler[k])),
             alpha_base=(None if outputs.alpha_base is None
-                        else float(outputs.alpha_base.values[k, 0])),
+                        else float(outputs.alpha_base[k])),
             alpha_twiddler=({} if outputs.alpha_twiddler is None else
                             task_columns(twiddlers,
-                                         outputs.alpha_twiddler.values[k])),
+                                         outputs.alpha_twiddler[k])),
         ))
     return ranked
 
@@ -469,16 +473,16 @@ class TestSharedForward:
             rtol=0, atol=1e-15)
         out = forward_one_row_each(config, params, listing, context)
         np.testing.assert_allclose(
-            out.y_base.values,
+            out.y_base,
             [-4.107466696880749, -4.240459630992293, -5.185047818772162],
             rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            out.y_twiddler.values[:, config.twiddler_tasks.index("rej")],
+            out.y_twiddler[:, config.twiddler_tasks.index("rej")],
             [-0.44795210286211457, -0.057253436327056484,
              0.03910167494221711],
             rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            out.y_combination.values,
+            out.y_combination,
             [-2.826036703418397, -2.940074184743533, -3.672576592232105],
             rtol=0, atol=1e-14)
 
@@ -537,7 +541,7 @@ class TestForwardMatchesPerRowReference:
                   "log_joint": (n, len(config.base_tasks)),
                   "y_twiddler": (n, n_twiddlers),
                   "alpha_twiddler": (n, n_twiddlers),
-                  "alpha_base": (n, 1), "y_base": (n,),
+                  "alpha_base": (n,), "y_base": (n,),
                   "y_combination": (n,)}
         blend = {"y_twiddler", "alpha_twiddler", "alpha_base",
                  "y_combination"}
@@ -546,9 +550,11 @@ class TestForwardMatchesPerRowReference:
             if name in blend and not n_twiddlers:
                 assert g is None and w is None, name
                 continue
-            assert g.shape == w.shape == shape, name
-            np.testing.assert_allclose(g.values, w.values, rtol=0,
-                                       atol=1e-12, err_msg=name)
+            # the reference keeps the base coefficient a [rows, 1] column
+            w = w.values.reshape(g.shape)
+            assert g.shape == shape, name
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
+                                       err_msg=name)
 
     def test_total_loss_gradients(self, make_config, sizes, n_listings):
         config = make_config()
@@ -571,7 +577,6 @@ class TestForwardMatchesPerRowReference:
             if config.twiddler_tasks:
                 want = nn.add(want, twiddler_loss(ref.y_twiddler, batch,
                                                   config.twiddler_tasks))
-            if ref.y_combination is not None:
                 want = nn.add(want, combination_loss(ref.y_combination,
                                                      batch))
             nn.backward(tape, want)
@@ -594,9 +599,9 @@ class TestBaseForward:
             rng.normal(size=(5, 3)))
         assert out.log_joint.shape == (5, len(config.base_tasks))
         for k in range(len(config.base_tasks)):
-            np.testing.assert_allclose(out.log_joint.values[:, k],
+            np.testing.assert_allclose(out.log_joint[:, k],
                                        (k + 1) * np.log(0.5), rtol=1e-15)
-        np.testing.assert_allclose(np.exp(out.y_base.values), 1.0 / 64.0,
+        np.testing.assert_allclose(np.exp(out.y_base), 1.0 / 64.0,
                                    rtol=1e-12)
 
     def test_single_task_degenerates_to_plain_logistic_score(self):
@@ -608,8 +613,8 @@ class TestBaseForward:
         context = rng.normal(size=(6, 3))
         out = forward_one_row_each(config, params, listing, context)
         assert out.log_joint.shape == out.cond_logits.shape == (6, 1)
-        logit = out.cond_logits.values[:, 0]
-        np.testing.assert_allclose(out.y_base.values,
+        logit = out.cond_logits[:, 0]
+        np.testing.assert_allclose(out.y_base,
                                    -np.logaddexp(0.0, -logit), rtol=1e-14)
         assert out.y_combination is None
         assert out.ranking_score is out.y_base
@@ -623,8 +628,8 @@ class TestBaseForward:
             rng.normal(size=(30, 3)))
         running = np.ones(30)
         for k in range(len(config.base_tasks)):
-            running = running * expit(out.cond_logits.values[:, k])
-            np.testing.assert_allclose(np.exp(out.log_joint.values[:, k]),
+            running = running * expit(out.cond_logits[:, k])
+            np.testing.assert_allclose(np.exp(out.log_joint[:, k]),
                                        running, rtol=1e-12)
 
     def test_funnel_monotonicity_fuzz(self):
@@ -643,7 +648,7 @@ class TestBaseForward:
                                        rng.normal(size=(n, d_l)) * 3.0,
                                        rng.normal(size=(n, d_c)) * 3.0)
             previous = np.zeros(n)
-            for current in out.log_joint.values.T:
+            for current in out.log_joint.T:
                 assert np.all(current <= previous + 1e-15)
                 p = np.exp(current)
                 assert np.all(p > 0.0) and np.all(p < 1.0)
@@ -757,11 +762,11 @@ class TestCombinationForward:
         out = forward_one_row_each(
             config, params, rng.normal(size=(4, 4)),
             rng.normal(size=(4, 3)))
-        np.testing.assert_allclose(out.alpha_base.values, LN2, rtol=1e-15)
+        np.testing.assert_allclose(out.alpha_base, LN2, rtol=1e-15)
         assert out.alpha_twiddler.shape == (4, len(config.twiddler_tasks))
-        np.testing.assert_array_equal(out.alpha_twiddler.values, 0.0)
-        np.testing.assert_allclose(out.y_combination.values,
-                                   LN2 * out.y_base.values, rtol=1e-14)
+        np.testing.assert_array_equal(out.alpha_twiddler, 0.0)
+        np.testing.assert_allclose(out.y_combination,
+                                   LN2 * out.y_base, rtol=1e-14)
 
     def test_unit_base_coefficient_reproduces_base_score(self):
         config = small_config()
@@ -775,9 +780,9 @@ class TestCombinationForward:
         out = forward_one_row_each(
             config, params, rng.normal(size=(6, 4)),
             rng.normal(size=(6, 3)))
-        np.testing.assert_allclose(out.alpha_base.values, 1.0, rtol=1e-12)
-        np.testing.assert_allclose(out.y_combination.values,
-                                   out.y_base.values, rtol=1e-12)
+        np.testing.assert_allclose(out.alpha_base, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(out.y_combination,
+                                   out.y_base, rtol=1e-12)
 
     def test_matches_dot_product_oracle(self):
         config = small_config()
@@ -786,11 +791,11 @@ class TestCombinationForward:
         out = forward_one_row_each(
             config, params, rng.normal(size=(12, 4)),
             rng.normal(size=(12, 3)))
-        want = out.alpha_base.values[:, 0] * out.y_base.values
+        want = out.alpha_base * out.y_base
         for k in range(len(config.twiddler_tasks)):
-            want = want + (out.alpha_twiddler.values[:, k]
-                           * out.y_twiddler.values[:, k])
-        np.testing.assert_allclose(out.y_combination.values, want,
+            want = want + (out.alpha_twiddler[:, k]
+                           * out.y_twiddler[:, k])
+        np.testing.assert_allclose(out.y_combination, want,
                                    rtol=1e-12)
 
 
@@ -969,8 +974,8 @@ def rows_told_apart_by_bytes() -> np.ndarray:
         [0.5, with_bit_flipped(1.0, 51)],
         [from_bits(0x7FF8000000000000), 2.0],
         [from_bits(0x7FF8000000000001), 2.0],
-        # only the sign bits differ, in two columns: the rows' hash,
-        # linear modulo 2**64 in the words, is the same for both
+        # only the sign bits differ, in two columns, which a hash linear
+        # in the words modulo 2**64 could not tell apart
         [1.0, 2.0], [-1.0, -2.0],
     ])
     return rows[[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
@@ -1006,6 +1011,20 @@ class TestDistinctRows:
         assert len(got) == 9
         np.testing.assert_array_equal(index, [0, 1, 2, 3, 4, 5, 6, 7, 8,
                                               8, 7, 6, 5, 4, 3, 2, 1, 0])
+
+    def test_sign_flips_and_binary_rows_hash_apart(self):
+        """Rows that differ only in sign bits, and rows of 0s and 1s,
+        which differ only in exponent bits, each get a hash of their own,
+        so no row is left for the byte-keyed fallback."""
+        flips = (np.arange(64)[:, None] >> np.arange(6)) & 1
+        sign_flips = np.random.default_rng(38).normal(size=6) * (1 - 2 * flips)
+        binary = ((np.arange(1024)[:, None] >> np.arange(10)) & 1).astype(
+            np.float64)
+        for distinct in (sign_flips, binary):
+            hashes = model_module._row_hashes(distinct.view(np.uint64))
+            assert len(np.unique(hashes)) == len(distinct)
+            self.assert_matches_reference(distinct[np.random.default_rng(
+                39).integers(0, len(distinct), size=2000)])
 
     def test_forced_hash_collision_is_exact(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -1089,9 +1108,11 @@ class TestTrainLayouts:
 
 
 class TestStepTape:
-    """Per-task values stay ``[rows, tasks]`` matrices, so a step records
-    a fixed handful of operations, whatever the number of tasks: one of
-    them hands the heads' listing half to the impression rows."""
+    """The heads' logits stay one ``[rows, tasks]`` matrix and everything
+    from them to the loss is one node, so a step records a fixed handful
+    of operations, whatever the number of tasks: three per two-layer
+    tower or coefficient MLP, nine for the heads' two halves and their
+    sum, and the loss node."""
 
     @staticmethod
     def nodes_per_step(config: ModelConfig) -> int:
@@ -1104,17 +1125,190 @@ class TestStepTape:
         return len(tape)
 
     def test_full_config(self):
-        assert self.nodes_per_step(small_config()) == 50
+        assert self.nodes_per_step(small_config()) == 19
 
     def test_fewer_tasks_record_as_many_nodes(self):
         config = small_config(base_tasks=("book", "unc"),
                               twiddler_tasks=("cbg",))
-        assert self.nodes_per_step(config) == 50
+        assert self.nodes_per_step(config) == 19
 
     def test_baseline(self):
         config = baseline_model_config(4, 3, embedding_dim=5,
                                        tower_hidden=(6,), seed=3)
-        assert self.nodes_per_step(config) == 25
+        assert self.nodes_per_step(config) == 16
+
+
+def with_labels(batch: SearchBatch, **changes) -> SearchBatch:
+    """The batch with some label columns replaced, its pairs rebuilt."""
+    labels = {**batch.labels, **changes}
+    pair_i, pair_j = preference_pairs(labels["unc"], batch.segments)
+    return replace(batch, labels=labels, pair_i=pair_i, pair_j=pair_j)
+
+
+def loss_node_batches() -> dict[str, tuple]:
+    """(config, batch) per case the loss node must get right."""
+    rng = np.random.default_rng(42)
+    mixed = batch_of_sizes(rng, [3, 1, 5, 2, 1, 4, 1, 6])
+    booked = random_batch(rng, n_searches=6, booked=True)
+    none = np.zeros(booked.n_rows, dtype=bool)
+    baseline = FORWARD_CONFIGS["baseline"]()
+    return {
+        "mixed": (small_config(), mixed),
+        "every-search-booked": (small_config(), booked),
+        "no-uncancelled-booking": (small_config(),
+                                   with_labels(booked, unc=none)),
+        "twiddler-without-eligible-rows": (
+            small_config(), with_labels(booked, **{NEGATIVE_PARENT["rej"]:
+                                                   none})),
+        "no-positive": (small_config(), with_labels(
+            booked, **{t: none for t in POSITIVE_CHAIN})),
+        "one-row-searches": (small_config(),
+                             batch_of_sizes(rng, [1, 1, 1, 1, 1])),
+        "one-row-and-booked": (small_config(), with_labels(
+            batch_of_sizes(rng, [1, 4, 1, 3]),
+            unc=np.array([True, True] + [False] * 6 + [True]))),
+        "repeated-listings": (small_config(), batch_of_sizes(
+            rng, [3, 1, 5, 2, 1, 4, 1], n_listings=5)),
+        "fewer-tasks": (small_config(base_tasks=("book", "unc"),
+                                     twiddler_tasks=("cbg",)), booked),
+        "baseline": (baseline, booked),
+        "baseline-repeated-listings": (baseline, batch_of_sizes(
+            rng, [2, 6, 1, 3], n_listings=4)),
+    }
+
+
+def node_or_reference(node: bool):
+    """``fused_loss``, or the per-op composition, as (loss, parts)."""
+    if node:
+        return fused_loss
+    return lambda *args: ops.total_loss(*args)[::2]
+
+
+def bits(x) -> int | np.ndarray:
+    a = np.asarray(x, dtype=np.float64)
+    return int(a.view(np.uint64)) if a.ndim == 0 else a.view(np.uint64)
+
+
+@pytest.mark.parametrize("case", list(loss_node_batches()))
+class TestLossNode:
+    """The one node from the heads' logits to the loss against the per-op
+    composition it replaced: the same loss, parts and gradients, bit for
+    bit, though the node runs the blend only where its loss reads; the
+    zero gradients of the rows it skips are exact zeros either way."""
+
+    @staticmethod
+    def leaf_run(node: bool, config, batch, head, coef_logits, weights):
+        head = nn.Tensor(head, requires_grad=True)
+        if coef_logits is not None:
+            coef_logits = nn.Tensor(coef_logits, requires_grad=True)
+        with nn.Tape() as tape:
+            loss, parts = node_or_reference(node)(config, head, coef_logits,
+                                                  batch, weights)
+            nn.backward(tape, loss)
+        return loss.values, parts, head.grad, (
+            None if coef_logits is None else coef_logits.grad)
+
+    @staticmethod
+    def model_run(node: bool, config, params, batch, weights):
+        with nn.Tape() as tape:
+            head, coef_logits = logits(config, params, batch.listing_rows,
+                                       batch.listing_index,
+                                       batch.context_rows, batch.segments)
+            loss, parts = node_or_reference(node)(config, head, coef_logits,
+                                                  batch, weights)
+            nn.backward(tape, loss)
+        grads = {name: t.grad for name, t in params.items()}
+        for _, t in params.items():
+            t.grad = None
+        return loss.values, parts, grads
+
+    def test_loss_parts_and_both_gradients(self, case):
+        config, batch = loss_node_batches()[case]
+        rng = np.random.default_rng(43)
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in config.base_tasks}
+        head, coef_logits = logits(config, init_model_params(config),
+                                   batch.listing_rows, batch.listing_index,
+                                   batch.context_rows, batch.segments)
+        coef_logits = None if coef_logits is None else coef_logits.values
+        # as the model makes them, and spread out to saturate the funnel
+        for scale in (1.0, 12.0):
+            got = self.leaf_run(True, config, batch, head.values * scale,
+                                coef_logits, weights)
+            want = self.leaf_run(False, config, batch, head.values * scale,
+                                 coef_logits, weights)
+            assert bits(got[0]) == bits(want[0])
+            assert list(got[1]) == list(want[1])
+            for name in got[1]:
+                assert bits(got[1][name]) == bits(want[1][name]), name
+            for g, w in zip(got[2:], want[2:]):
+                if w is None:
+                    assert g is None
+                else:
+                    np.testing.assert_array_equal(bits(g), bits(w))
+
+    def test_parameter_gradients(self, case):
+        config, batch = loss_node_batches()[case]
+        params = init_model_params(config)
+        weights = {t: 1.5 for t in config.base_tasks}
+        got = self.model_run(True, config, params, batch, weights)
+        want = self.model_run(False, config, params, batch, weights)
+        assert bits(got[0]) == bits(want[0]) and got[1] == want[1]
+        for name, grad in want[2].items():
+            np.testing.assert_array_equal(bits(got[2][name]), bits(grad),
+                                          err_msg=name)
+
+
+class TestLossNodeFiniteDifferences:
+    def test_both_gradients(self):
+        """Central differences of the loss against the node's gradients.
+        The blend's loss sees the scores as constants, so the logits'
+        gradient is that of the base and twiddler parts; the coefficient
+        logits reach only the blend's loss."""
+        rng = np.random.default_rng(44)
+        config = small_config()
+        batch = random_batch(rng, n_searches=4, booked=True)
+        assert batch.pair_i.size
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
+        head = rng.normal(size=(batch.n_rows, len(config.all_tasks))) * 2.0
+        coef_logits = rng.normal(size=(batch.segments.n, 4))
+        _, _, d_head, d_coef = TestLossNode.leaf_run(
+            True, config, batch, head, coef_logits, weights)
+
+        def parts():
+            _, got = fused_loss(config, nn.Tensor(head),
+                                nn.Tensor(coef_logits), batch, weights)
+            return got
+
+        for x, grad, read in (
+                (head, d_head, lambda p: p["base"] + p["twiddler"]),
+                (coef_logits, d_coef, lambda p: p["total"])):
+            flat, step = x.reshape(-1), 1e-6
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + step
+                up = read(parts())
+                flat[k] = orig - step
+                down = read(parts())
+                flat[k] = orig
+                np.testing.assert_allclose(grad.reshape(-1)[k],
+                                           (up - down) / (2 * step),
+                                           rtol=1e-5, atol=1e-8)
+
+
+class TestLossNodeShapes:
+    def test_refuses_logits_that_do_not_fit_the_batch(self):
+        config, batch = loss_node_batches()["mixed"]
+        rows, searches = batch.n_rows, batch.segments.n
+        weights = {t: 1.0 for t in config.base_tasks}
+        for head, coef_logits in (((rows + 1, 9), (searches, 4)),
+                                  ((rows, 8), (searches, 4)),
+                                  ((rows, 9), (searches, 3)),
+                                  ((rows, 9), None)):
+            with pytest.raises(ShapeError, match="fused_loss"):
+                fused_loss(config, nn.Tensor(np.zeros(head)),
+                           None if coef_logits is None
+                           else nn.Tensor(np.zeros(coef_logits)),
+                           batch, weights)
 
 
 class TestTotalLoss:
@@ -1123,11 +1317,11 @@ class TestTotalLoss:
                                        tower_hidden=(6,), seed=3)
         params = init_model_params(config)
         batch = random_batch(np.random.default_rng(13))
-        loss, outputs, parts = total_loss(config, params, batch,
-                                          {"unc": 1.0})
+        loss, head, parts = total_loss(config, params, batch,
+                                       {"unc": 1.0})
         assert parts["total"] == parts["base"]
         assert "twiddler" not in parts and "combination" not in parts
-        assert outputs.y_combination is None
+        assert head.shape == (batch.n_rows, 1)
 
     def test_additivity(self):
         config = small_config()
@@ -1136,8 +1330,8 @@ class TestTotalLoss:
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
         for rep in range(10):
             batch = random_batch(rng)
-            loss, outputs, parts = total_loss(config, params, batch, weights)
-            again = forward_batch(config, params, batch)
+            loss, _, parts = total_loss(config, params, batch, weights)
+            again = ops.forward(config, params, batch)
             want = float(base_loss(again.log_joint, batch, POSITIVE_CHAIN,
                                    weights).values)
             want += float(twiddler_loss(again.y_twiddler, batch,
@@ -1205,7 +1399,7 @@ class TestGradients:
         assert_clear_of_relu_kinks(monkeypatch, config, params, batch)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
         def make_loss():
-            outputs = forward_batch(config, params, batch)
+            outputs = ops.forward(config, params, batch)
             return nn.add(base_loss(outputs.log_joint, batch, POSITIVE_CHAIN,
                                     weights),
                           twiddler_loss(outputs.y_twiddler, batch,
@@ -1227,10 +1421,10 @@ class TestGradients:
             rng.normal(size=batch.n_rows) - 2.0,
             rng.normal(size=(batch.n_rows, len(config.twiddler_tasks)))])
         def make_loss():
-            out = forward_batch(config, params, batch)
+            out = ops.forward(config, params, batch)
             coefs = nn.concat_cols(out.alpha_base, out.alpha_twiddler)
-            blend = nn.cumsum(nn.mul(coefs, nn.Tensor(scores)))
-            return combination_loss(nn.column(blend, scores.shape[1] - 1),
+            blend = ops.cumsum(ops.mul(coefs, nn.Tensor(scores)))
+            return combination_loss(ops.column(blend, scores.shape[1] - 1),
                                     batch)
         checked = {name: t for name, t in params.items()
                    if name.startswith(("combination", "tower_context"))}
@@ -1244,7 +1438,7 @@ class TestGradients:
         batch = random_batch(rng, n_searches=6, booked=True)
         assert batch.pair_i.size > 0
         with nn.Tape() as tape:
-            outputs = forward_batch(config, params, batch)
+            outputs = ops.forward(config, params, batch)
             loss = combination_loss(outputs.y_combination, batch)
             nn.backward(tape, loss)
         groups = module_parameter_names(config)
@@ -1415,7 +1609,7 @@ class TestScoring:
         assert np.all(np.diff(scores) <= 0)
         outputs = model.outputs(rows, np.array([[30.0, 0.0]]),
                                 nn.Segments([len(rows)]))
-        want = outputs.ranking_score.values
+        want = outputs.ranking_score
         order = np.lexsort((np.asarray(ids), -want))
         assert [c.listing_id for c in ranked] == [ids[int(k)] for k in order]
 
@@ -1434,7 +1628,7 @@ class TestScoring:
         context = np.array([35.0, 1.0])
         outputs = model.outputs(rows, context[None, :],
                                 nn.Segments([len(rows)]))
-        y = outputs.ranking_score.values
+        y = outputs.ranking_score
         base_order = np.lexsort((np.asarray(ids), -y))
         for shift in (-100.0, -1.0, 2.5, 1e6):
             shifted_order = np.lexsort((np.asarray(ids), -(y + shift)))
@@ -1483,8 +1677,8 @@ class TestPersistence:
         contexts = np.array([[40.0, 1.0]])
         segments = nn.Segments([len(rows)])
         np.testing.assert_array_equal(
-            back.outputs(rows, contexts, segments).ranking_score.values,
-            model.outputs(rows, contexts, segments).ranking_score.values)
+            back.outputs(rows, contexts, segments).ranking_score,
+            model.outputs(rows, contexts, segments).ranking_score)
 
     def test_removed_config_keys_are_refused(self, tmp_path):
         """A model saved with the activation, head depth and task weights

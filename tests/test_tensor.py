@@ -1,5 +1,11 @@
 """Tensor engine tests: op semantics, tape mechanics, and gradient
-correctness against the finite-difference oracle."""
+correctness against the finite-difference oracle.
+
+The operators the model's loss node replaced live on in ``per_op`` (as
+``ops``), recorded through the engine's public hook: they are the
+reference that node is compared against, so they are pinned here too, and
+they serve as the sums and products the engine's own tests take losses
+with."""
 
 import ast
 import warnings
@@ -11,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_op as ops
 from conftest import fd_gradcheck
 from journeyrank import nn
 from journeyrank.errors import ContractError, ShapeError
@@ -44,19 +51,19 @@ class TestTapeMechanics:
     def test_loss_must_be_scalar(self):
         w = nn.Tensor([1.0, 2.0], requires_grad=True)
         with nn.Tape() as tape:
-            y = nn.mul(w, w)
+            y = ops.mul(w, w)
         with pytest.raises(ContractError):
             nn.backward(tape, y)
 
     def test_nothing_recorded_without_tape(self):
         w = nn.Tensor([1.0, 2.0], requires_grad=True)
-        y = nn.total_sum(nn.mul(w, w))
+        y = ops.total_sum(ops.mul(w, w))
         assert y.requires_grad is False
 
     def test_nothing_recorded_without_requires_grad(self):
         x = nn.Tensor([1.0, 2.0])
         with nn.Tape() as tape:
-            nn.total_sum(nn.mul(x, x))
+            ops.total_sum(ops.mul(x, x))
         assert len(tape) == 0
 
     def test_constant_loss_leaves_gradients_zero(self):
@@ -71,7 +78,7 @@ class TestTapeMechanics:
         x = np.array([2.0, -3.0, 0.5])
         w = nn.Tensor(np.ones(3), requires_grad=True)
         with nn.Tape() as tape:
-            loss = nn.total_sum(nn.mul(w, nn.Tensor(x)))
+            loss = ops.total_sum(ops.mul(w, nn.Tensor(x)))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(w.grad, x)
 
@@ -81,18 +88,40 @@ class TestTapeMechanics:
         a = nn.Tensor([2.0, 2.0])
         b = nn.Tensor([3.0, 3.0])
         with nn.Tape() as tape:
-            loss = nn.add(nn.total_sum(nn.mul(w, a)),
-                          nn.total_sum(nn.mul(w, b)))
+            loss = nn.add(ops.total_sum(ops.mul(w, a)),
+                          ops.total_sum(ops.mul(w, b)))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(w.grad, np.array([5.0, 5.0]))
+
+    def test_record_hands_each_input_its_gradient(self):
+        """A node recorded through ``nn.record`` hands each input that
+        requires a gradient what its backward returns for it; a None
+        leaves the input to the backward pass's zero fill, and a constant
+        gets nothing. Without a tape nothing is recorded."""
+        a = nn.Tensor([1.0, 2.0], requires_grad=True)
+        b = nn.Tensor([3.0, 4.0], requires_grad=True)
+        c = nn.Tensor([5.0, 6.0])
+
+        def node():
+            return nn.record(np.asarray(a.values @ c.values), (a, b, c),
+                             lambda g: (g * c.values, None, np.ones(2)))
+
+        assert not node().requires_grad
+        with nn.Tape() as tape:
+            out = node()
+        nn.backward(tape, out)
+        assert len(tape) == 1 and float(out.values) == 17.0
+        np.testing.assert_array_equal(a.grad, [5.0, 6.0])
+        np.testing.assert_array_equal(b.grad, [0.0, 0.0])
+        assert c.grad is None
 
     def test_unreachable_parameter_gets_exact_zero(self):
         used = nn.Tensor([1.0], requires_grad=True)
         unused = nn.Tensor([7.0], requires_grad=True)
         with nn.Tape() as tape:
             # on the tape, but not feeding the loss
-            dead = nn.mul(unused, unused)
-            loss = nn.total_sum(nn.mul(used, used))
+            dead = ops.mul(unused, unused)
+            loss = ops.total_sum(ops.mul(used, used))
         nn.backward(tape, loss)
         assert dead.requires_grad
         np.testing.assert_array_equal(unused.grad, np.zeros(1))
@@ -101,9 +130,9 @@ class TestTapeMechanics:
 
 def total_of(*terms):
     """The sum of every element of every term."""
-    total = nn.total_sum(terms[0])
+    total = ops.total_sum(terms[0])
     for term in terms[1:]:
-        total = nn.add(total, nn.total_sum(term))
+        total = nn.add(total, ops.total_sum(term))
     return total
 
 
@@ -126,10 +155,10 @@ class TestGradientBuffers:
         with nn.Tape() as tape:
             # backward runs in reverse: the add into s1 gives x and y
             # their first gradient, then y * d adds to y's
-            yd = nn.mul(y, d)
+            yd = ops.mul(y, d)
             s1 = nn.add(x, y)
             s2 = nn.add(x, c)
-            loss = total_of(nn.mul(s1, c), nn.mul(s2, d), yd)
+            loss = total_of(ops.mul(s1, c), ops.mul(s2, d), yd)
         nn.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [16.0, 20.0])
         np.testing.assert_array_equal(y.grad, [16.0, 20.0])
@@ -170,8 +199,8 @@ class TestGradientBuffers:
             y = nn.dense(z, nn.Tensor(np.eye(4)), w)
             b = nn.segment_broadcast(a, nn.Segments([1, 1]))
             u = nn.segment_broadcast(v, nn.Segments([2, 1]))
-            loss = total_of(nn.mul(y, c), nn.mul(nn.add(b, b), d),
-                            nn.mul(u, nn.Tensor([100.0, 200.0, 300.0])))
+            loss = total_of(ops.mul(y, c), ops.mul(nn.add(b, b), d),
+                            ops.mul(u, nn.Tensor([100.0, 200.0, 300.0])))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(z.grad, c.values)
         np.testing.assert_array_equal(w.grad, [6.0, 8.0, 10.0, 12.0])
@@ -188,7 +217,7 @@ class TestGradientBuffers:
             # gradient and adds to it, then the add of a constant adds again
             shifted = nn.add(x, nn.Tensor([1.0, 1.0, 1.0]))
             doubled = nn.add(x, x)
-            loss = total_of(nn.mul(doubled, c), nn.mul(shifted, c))
+            loss = total_of(ops.mul(doubled, c), ops.mul(shifted, c))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, [6.0, 9.0, 15.0])
         np.testing.assert_array_equal(doubled.grad, [2.0, 3.0, 5.0])
@@ -198,9 +227,9 @@ class TestGradientBuffers:
     def test_column_writes_into_its_slice(self):
         x = nn.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         with nn.Tape() as tape:
-            loss = total_of(nn.mul(nn.column(x, 0), nn.Tensor([1.0, 2.0, 3.0])),
-                            nn.mul(nn.column(x, 1), nn.Tensor([4.0, 5.0, 6.0])),
-                            nn.column(x, 1))
+            loss = total_of(ops.mul(ops.column(x, 0), nn.Tensor([1.0, 2.0, 3.0])),
+                            ops.mul(ops.column(x, 1), nn.Tensor([4.0, 5.0, 6.0])),
+                            ops.column(x, 1))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(x.grad,
                                       [[1.0, 5.0], [2.0, 6.0], [3.0, 7.0]])
@@ -213,7 +242,7 @@ class TestGradientBuffers:
             g = rng.normal(size=idx.size) * 10.0 ** rng.integers(-3, 4, idx.size)
             x = nn.Tensor(rng.normal(size=n), requires_grad=True)
             with nn.Tape() as tape:
-                loss = nn.total_sum(nn.mul(nn.gather(x, idx), nn.Tensor(g)))
+                loss = ops.total_sum(ops.mul(ops.gather(x, idx), nn.Tensor(g)))
             nn.backward(tape, loss)
             want = np.zeros(n)
             np.add.at(want, idx, g)
@@ -222,7 +251,7 @@ class TestGradientBuffers:
 
     def test_gather_rejects_negative_index(self):
         with pytest.raises(ShapeError):
-            nn.gather(nn.Tensor([1.0, 2.0]), np.array([0, -1]))
+            ops.gather(nn.Tensor([1.0, 2.0]), np.array([0, -1]))
 
 
 def matmul_then_bias(x, w, b, g):
@@ -243,7 +272,7 @@ class TestDense:
             g = rng.normal(size=(m, n))
             with nn.Tape() as tape:
                 out = nn.dense(x, w, b)
-                loss = nn.total_sum(nn.mul(out, nn.Tensor(g)))
+                loss = ops.total_sum(ops.mul(out, nn.Tensor(g)))
             nn.backward(tape, loss)
             want = matmul_then_bias(x.values, w.values, b.values, g)
             for got, ref in zip((out.values, x.grad, w.grad, b.grad), want):
@@ -254,7 +283,7 @@ class TestDense:
         w = nn.Tensor(np.ones((2, 2)), requires_grad=True)
         b = nn.Tensor(np.zeros(2), requires_grad=True)
         with nn.Tape() as tape:
-            loss = nn.total_sum(nn.dense(x, w, b))
+            loss = ops.total_sum(nn.dense(x, w, b))
         nn.backward(tape, loss)
         assert x.grad is None
         np.testing.assert_array_equal(w.grad, np.full((2, 2), 3.0))
@@ -268,8 +297,8 @@ class TestDense:
         c = nn.Tensor(rng.normal(size=(4, 2)))
 
         def make_loss():
-            y = nn.softplus(nn.dense(params["x"], params["w"], params["b"]))
-            return nn.total_sum(nn.mul(y, c))
+            y = ops.softplus(nn.dense(params["x"], params["w"], params["b"]))
+            return ops.total_sum(ops.mul(y, c))
 
         fd_gradcheck(make_loss, params)
 
@@ -280,7 +309,7 @@ class TestRows:
         with nn.Tape() as tape:
             top = nn.rows(x, slice(0, 1))
             rest = nn.rows(x, slice(1, 4))
-            loss = total_of(top, nn.mul(rest, rest))
+            loss = total_of(top, ops.mul(rest, rest))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(top.values, [[0.0, 1.0, 2.0]])
         np.testing.assert_array_equal(rest.values, x.values[1:])
@@ -297,13 +326,13 @@ class TestRows:
 class TestStopGradient:
     def test_value_transparent_bitwise(self):
         x = nn.Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        y = nn.stop_gradient(x)
+        y = ops.stop_gradient(x)
         assert np.array_equal(y.values, x.values)
 
     def test_blocks_gradient_exactly(self):
         w = nn.Tensor([1.0, 2.0], requires_grad=True)
         with nn.Tape() as tape:
-            loss = nn.total_sum(nn.stop_gradient(w))
+            loss = ops.total_sum(ops.stop_gradient(w))
         w.grad = np.zeros(2)
         nn.backward(tape, loss)
         np.testing.assert_array_equal(w.grad, np.zeros(2))
@@ -311,7 +340,7 @@ class TestStopGradient:
     def test_only_live_path_counts(self):
         w = nn.Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with nn.Tape() as tape:
-            loss = nn.total_sum(nn.add(w, nn.stop_gradient(w)))
+            loss = ops.total_sum(nn.add(w, ops.stop_gradient(w)))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(w.grad, np.ones(3))
 
@@ -321,7 +350,7 @@ class TestRelu:
         x = nn.Tensor([[-2.0, -0.0, 0.0, 1e-300, 3.0]], requires_grad=True)
         with nn.Tape() as tape:
             y = nn.relu(x)
-            loss = nn.total_sum(nn.mul(y, nn.Tensor([[1.0, 2.0, 3.0, 4.0,
+            loss = ops.total_sum(ops.mul(y, nn.Tensor([[1.0, 2.0, 3.0, 4.0,
                                                       5.0]])))
         nn.backward(tape, loss)
         np.testing.assert_array_equal(y.values, [[0.0, 0.0, 0.0, 1e-300, 3.0]])
@@ -336,7 +365,7 @@ class TestRelu:
         g = rng.normal(size=(40, 6))
         x = nn.Tensor(values.copy(), requires_grad=True)
         with nn.Tape() as tape:
-            loss = nn.total_sum(nn.mul(nn.relu(x), nn.Tensor(g)))
+            loss = ops.total_sum(ops.mul(nn.relu(x), nn.Tensor(g)))
         x.values[...] = -x.values
         nn.backward(tape, loss)
         np.testing.assert_array_equal(bits(x.grad), bits(g * (values > 0.0)))
@@ -344,18 +373,18 @@ class TestRelu:
 
 class TestLogSigmoid:
     def test_at_zero(self):
-        y = nn.log_sigmoid(nn.Tensor(0.0))
+        y = ops.log_sigmoid(nn.Tensor(0.0))
         np.testing.assert_allclose(float(y.values), np.log(0.5), rtol=1e-15)
 
     def test_asymptotes(self):
-        hi = nn.log_sigmoid(nn.Tensor(100.0))
-        lo = nn.log_sigmoid(nn.Tensor(-100.0))
+        hi = ops.log_sigmoid(nn.Tensor(100.0))
+        lo = ops.log_sigmoid(nn.Tensor(-100.0))
         assert abs(float(hi.values)) < 1e-40
         np.testing.assert_allclose(float(lo.values), -100.0, atol=1e-10)
 
     def test_stable_to_extreme_inputs(self):
         x = nn.Tensor([-1e3, -50.0, 0.0, 50.0, 1e3])
-        y = nn.log_sigmoid(x)
+        y = ops.log_sigmoid(x)
         assert np.all(np.isfinite(y.values))
         assert np.all(y.values <= 0.0)
 
@@ -364,7 +393,7 @@ class TestLogSigmoid:
         mpmath.mp.dps = 50
         rng = np.random.default_rng(7)
         xs = rng.uniform(-10.0, 10.0, size=500)
-        got = nn.log_sigmoid(nn.Tensor(xs)).values
+        got = ops.log_sigmoid(nn.Tensor(xs)).values
         want = np.array([float(mpmath.log(1 / (1 + mpmath.exp(-mpmath.mpf(x)))))
                          for x in xs])
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
@@ -428,10 +457,10 @@ class TestLog1pKernels:
     # op, np.logaddexp form, exact value, and the argument of its slope's
     # logistic (negated with unary minus, which flips a NaN's sign bit)
     KERNELS = {
-        "log_sigmoid": (nn.log_sigmoid, lambda x: -np.logaddexp(0.0, -x),
+        "log_sigmoid": (ops.log_sigmoid, lambda x: -np.logaddexp(0.0, -x),
                         lambda v: -mpmath.log1p(mpmath.exp(-v)),
                         lambda x: -x),
-        "softplus": (nn.softplus, lambda x: np.logaddexp(0.0, x),
+        "softplus": (ops.softplus, lambda x: np.logaddexp(0.0, x),
                      lambda v: mpmath.log1p(mpmath.exp(v)),
                      lambda x: x),
     }
@@ -476,7 +505,7 @@ class TestLog1pKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with nn.Tape() as tape:
-                loss = nn.total_sum(nn.mul(op(t), nn.Tensor(g)))
+                loss = ops.total_sum(ops.mul(op(t), nn.Tensor(g)))
             nn.backward(tape, loss)
         np.testing.assert_array_equal(
             bits(t.grad), bits(g * two_branch_logistic(slope_arg(x))))
@@ -517,7 +546,7 @@ class TestSegments:
         x = nn.Tensor(np.arange(2.0 * n).reshape(n, 2), requires_grad=True)
         with nn.Tape() as tape:
             out = nn.segment_broadcast(x, segments)
-            loss = nn.total_sum(out)
+            loss = ops.total_sum(out)
         np.testing.assert_array_equal(out.values, x.values[segments.ids])
 
         # the reductions need a row in every segment
@@ -528,12 +557,12 @@ class TestSegments:
             with pytest.raises(ContractError):
                 nn.backward(tape, loss)
         if segments.all_nonempty and n:
-            lse = nn.segment_logsumexp(nn.Tensor(np.zeros(sum(sizes))),
+            lse = ops.segment_logsumexp(nn.Tensor(np.zeros(sum(sizes))),
                                        segments)
             np.testing.assert_allclose(lse.values, np.log(sizes), rtol=1e-15)
         else:
             with pytest.raises(ContractError):
-                nn.segment_logsumexp(nn.Tensor(np.zeros(sum(sizes))),
+                ops.segment_logsumexp(nn.Tensor(np.zeros(sum(sizes))),
                                      segments)
 
     def test_is_frozen(self):
@@ -560,13 +589,13 @@ class TestSegmentOps:
         lengths = rng.integers(1, 7, size=6)
         seg = np.repeat(np.arange(6), lengths)
         x = rng.normal(size=seg.size) * 10
-        got = nn.segment_logsumexp(nn.Tensor(x), nn.Segments(lengths)).values
+        got = ops.segment_logsumexp(nn.Tensor(x), nn.Segments(lengths)).values
         want = np.array([np.log(np.exp(x[seg == s]).sum()) for s in range(6)])
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_segment_logsumexp_stable_for_large_scores(self):
         x = np.array([700.0, 701.0, -700.0, -701.0])
-        got = nn.segment_logsumexp(nn.Tensor(x), nn.Segments([2, 2])).values
+        got = ops.segment_logsumexp(nn.Tensor(x), nn.Segments([2, 2])).values
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got[0], 701.0 + np.log1p(np.exp(-1.0)), rtol=1e-14)
 
@@ -578,18 +607,18 @@ class TestSegmentOps:
     def test_rejects_missing_segment(self):
         # ids [0, 2] over 3 segments: segment 1 is empty
         with pytest.raises(ContractError):
-            nn.segment_logsumexp(nn.Tensor([1.0, 2.0]),
+            ops.segment_logsumexp(nn.Tensor([1.0, 2.0]),
                                  layout_of([0, 2], 3))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ContractError):
-            nn.segment_logsumexp(nn.Tensor(np.zeros(0)), nn.Segments([]))
+            ops.segment_logsumexp(nn.Tensor(np.zeros(0)), nn.Segments([]))
 
     def test_rejects_rows_the_layout_lacks(self):
         for x, sizes in ((np.zeros(3), [1, 1]), (np.zeros((3, 2)), [1, 1]),
                          (np.zeros(()), [1])):
             with pytest.raises(ShapeError):
-                nn.segment_logsumexp(nn.Tensor(x), nn.Segments(sizes))
+                ops.segment_logsumexp(nn.Tensor(x), nn.Segments(sizes))
 
     def test_segment_broadcast_gradcheck(self):
         rng = np.random.default_rng(62)
@@ -604,8 +633,8 @@ class TestSegmentOps:
         def make_loss():
             vec = nn.segment_broadcast(params["vec"], segments)
             mat = nn.segment_broadcast(params["mat"], segments)
-            return total_of(nn.mul(nn.softplus(vec), c_vec),
-                            nn.mul(nn.softplus(mat), c_mat))
+            return total_of(ops.mul(ops.softplus(vec), c_vec),
+                            ops.mul(ops.softplus(mat), c_mat))
 
         fd_gradcheck(make_loss, params)
         for x in params.values():
@@ -622,7 +651,7 @@ class TestSegmentOps:
         # ids [0, 0] over 2 segments: segment 1 is empty
         for segments in (layout_of([0, 0], 2), nn.Segments([0, 2])):
             with nn.Tape() as tape:
-                loss = nn.total_sum(nn.segment_broadcast(x, segments))
+                loss = ops.total_sum(nn.segment_broadcast(x, segments))
             with pytest.raises(ContractError):
                 nn.backward(tape, loss)
 
@@ -647,8 +676,8 @@ class TestCumsum:
             c = rng.normal(size=(n, k))
             m = nn.Tensor(x, requires_grad=True)
             with nn.Tape() as tape:
-                out = nn.cumsum(m)
-                loss = nn.total_sum(nn.mul(out, nn.Tensor(c)))
+                out = ops.cumsum(m)
+                loss = ops.total_sum(ops.mul(out, nn.Tensor(c)))
             nn.backward(tape, loss)
 
             cols = [nn.Tensor(x[:, j], requires_grad=True) for j in range(k)]
@@ -656,7 +685,7 @@ class TestCumsum:
                 running = [cols[0]]
                 for col in cols[1:]:
                     running.append(nn.add(running[-1], col))
-                loss = total_of(*(nn.mul(r, nn.Tensor(c[:, j]))
+                loss = total_of(*(ops.mul(r, nn.Tensor(c[:, j]))
                                   for j, r in enumerate(running)))
             nn.backward(tape, loss)
             for j in range(k):
@@ -669,13 +698,13 @@ class TestCumsum:
         rng = np.random.default_rng(72)
         params = {"x": nn.Tensor(rng.normal(size=(4, 5)), requires_grad=True)}
         c = nn.Tensor(rng.normal(size=(4, 5)))
-        fd_gradcheck(lambda: nn.total_sum(nn.mul(
-            nn.softplus(nn.cumsum(params["x"])), c)), params)
+        fd_gradcheck(lambda: ops.total_sum(ops.mul(
+            ops.softplus(ops.cumsum(params["x"])), c)), params)
 
     def test_rejects_what_has_no_columns(self):
         for values in (np.zeros(3), np.zeros((3, 0)), np.zeros(())):
             with pytest.raises(ShapeError):
-                nn.cumsum(nn.Tensor(values))
+                ops.cumsum(nn.Tensor(values))
 
 
 class TestMatrixGatherAndLogsumexp:
@@ -688,8 +717,8 @@ class TestMatrixGatherAndLogsumexp:
             g = rng.normal(size=idx.size)
             x = nn.Tensor(rng.normal(size=shape), requires_grad=True)
             with nn.Tape() as tape:
-                out = nn.gather(x, idx)
-                loss = nn.total_sum(nn.mul(out, nn.Tensor(g)))
+                out = ops.gather(x, idx)
+                loss = ops.total_sum(ops.mul(out, nn.Tensor(g)))
             nn.backward(tape, loss)
             np.testing.assert_array_equal(out.values, x.values.ravel()[idx])
             want = np.zeros(size)
@@ -706,7 +735,7 @@ class TestMatrixGatherAndLogsumexp:
             x = nn.Tensor(rng.normal(size=shape), requires_grad=True)
             with nn.Tape() as tape:
                 out = nn.gather_rows(x, idx)
-                loss = nn.total_sum(nn.mul(out, nn.Tensor(g)))
+                loss = ops.total_sum(ops.mul(out, nn.Tensor(g)))
             nn.backward(tape, loss)
             np.testing.assert_array_equal(out.values, x.values[idx])
             want = np.zeros(shape)
@@ -717,7 +746,7 @@ class TestMatrixGatherAndLogsumexp:
         rng = np.random.default_rng(77)
         params = {"x": nn.Tensor(rng.normal(size=(3, 2)), requires_grad=True)}
         c = nn.Tensor(rng.normal(size=(6, 2)))
-        fd_gradcheck(lambda: nn.total_sum(nn.mul(nn.softplus(
+        fd_gradcheck(lambda: ops.total_sum(ops.mul(ops.softplus(
             nn.gather_rows(params["x"], [2, 0, 2, 1, 2, 0])), c)), params)
 
     @pytest.mark.parametrize("x, idx", [
@@ -739,14 +768,14 @@ class TestMatrixGatherAndLogsumexp:
             g = rng.normal(size=(segments.n, k))
             m = nn.Tensor(x, requires_grad=True)
             with nn.Tape() as tape:
-                lse = nn.segment_logsumexp(m, segments)
-                loss = nn.total_sum(nn.mul(lse, nn.Tensor(g)))
+                lse = ops.segment_logsumexp(m, segments)
+                loss = ops.total_sum(ops.mul(lse, nn.Tensor(g)))
             nn.backward(tape, loss)
             for j in range(k):
                 col = nn.Tensor(x[:, j], requires_grad=True)
                 with nn.Tape() as tape:
-                    want = nn.segment_logsumexp(col, segments)
-                    loss = nn.total_sum(nn.mul(want, nn.Tensor(g[:, j])))
+                    want = ops.segment_logsumexp(col, segments)
+                    loss = ops.total_sum(ops.mul(want, nn.Tensor(g[:, j])))
                 nn.backward(tape, loss)
                 np.testing.assert_array_equal(bits(lse.values[:, j]),
                                               bits(want.values))
@@ -808,10 +837,10 @@ class TestConcatCols:
 
         def make_loss():
             z = nn.concat_cols(params["m0"], params["m1"], params["m2"])
-            y = nn.softplus(nn.dense(
+            y = ops.softplus(nn.dense(
                 z, mix, nn.concat_cols(params["v0"], params["v1"])))
-            block = nn.column(y, slice(2, 5))
-            return total_of(nn.mul(y, c), nn.mul(block, block))
+            block = ops.column(y, slice(2, 5))
+            return total_of(ops.mul(y, c), ops.mul(block, block))
 
         fd_gradcheck(make_loss, params)
 
@@ -848,20 +877,20 @@ class TestShapeValidation:
 
     def test_column_range(self):
         with pytest.raises(ShapeError):
-            nn.column(nn.Tensor(np.zeros((2, 3))), 3)
+            ops.column(nn.Tensor(np.zeros((2, 3))), 3)
 
     def test_column_block_range(self):
         for block in (slice(2, 4), slice(1, 1), slice(0, 3, 2)):
             with pytest.raises(ShapeError):
-                nn.column(nn.Tensor(np.zeros((2, 3))), block)
+                ops.column(nn.Tensor(np.zeros((2, 3))), block)
 
     def test_gather_rank(self):
         with pytest.raises(ShapeError):
-            nn.gather(nn.Tensor(0.0), np.array([0]))
+            ops.gather(nn.Tensor(0.0), np.array([0]))
 
     def test_mean_of_empty(self):
         with pytest.raises(ContractError):
-            nn.total_mean(nn.Tensor(np.zeros(0)))
+            ops.total_mean(nn.Tensor(np.zeros(0)))
 
 
 def _redraw_away_from_relu_kinks(rng, build, min_gap=1e-2, tries=50):
@@ -881,9 +910,10 @@ def _redraw_away_from_relu_kinks(rng, build, min_gap=1e-2, tries=50):
 class TestGradientFuzz:
     """Finite-difference fuzz over >=100 random graph configurations.
 
-    Families cover every operator the ranking model composes: dense layers,
-    the stable logistic primitives, gather/segment reductions, and the
-    mixed arithmetic used by the losses.
+    Families cover the engine's operators and the per-op forms of the
+    losses the model's loss node replaced: dense layers, the stable
+    logistic primitives, gather/segment reductions, and the mixed
+    arithmetic of the losses.
     """
 
     def test_fuzz_100_random_graphs(self):
@@ -899,9 +929,9 @@ class TestGradientFuzz:
             x = nn.Tensor(rng.normal(size=(3, dims[0])))
 
             def loss_mlp():
-                h = nn.softplus(nn.dense(x, w0, b0))
+                h = ops.softplus(nn.dense(x, w0, b0))
                 y = nn.matmul(h, w1)
-                return nn.total_sum(nn.mul(y, y))
+                return ops.total_sum(ops.mul(y, y))
 
             fd_gradcheck(loss_mlp, {"w0": w0, "b0": b0, "w1": w1})
             n_graphs += 1
@@ -921,12 +951,12 @@ class TestGradientFuzz:
             task_weight = nn.Tensor(rng.uniform(0.5, 2.0, size=n_tasks)[task])
 
             def loss_listwise():
-                lj = nn.cumsum(nn.log_sigmoid(u))
-                lse = nn.segment_logsumexp(lj, segments)
-                per_positive = nn.sub(
-                    nn.gather(lse, segments.ids[row] * n_tasks + task),
-                    nn.gather(lj, row * n_tasks + task))
-                return nn.total_sum(nn.mul(per_positive, task_weight))
+                lj = ops.cumsum(ops.log_sigmoid(u))
+                lse = ops.segment_logsumexp(lj, segments)
+                per_positive = ops.sub(
+                    ops.gather(lse, segments.ids[row] * n_tasks + task),
+                    ops.gather(lj, row * n_tasks + task))
+                return ops.total_sum(ops.mul(per_positive, task_weight))
 
             fd_gradcheck(loss_listwise, {"u": u})
             n_graphs += 1
@@ -938,9 +968,9 @@ class TestGradientFuzz:
             mask = nn.Tensor(rng.integers(0, 2, size=m).astype(float))
 
             def loss_mix():
-                t1 = nn.mul(nn.log_sigmoid(a), nn.softplus(b))
-                t2 = nn.mul(nn.log_sigmoid(b), mask)
-                return nn.total_mean(nn.add(nn.add(t1, t2), nn.mul(a, b)))
+                t1 = ops.mul(ops.log_sigmoid(a), ops.softplus(b))
+                t2 = ops.mul(ops.log_sigmoid(b), mask)
+                return ops.total_mean(nn.add(nn.add(t1, t2), ops.mul(a, b)))
 
             fd_gradcheck(loss_mix, {"a": a, "b": b})
             n_graphs += 1
@@ -954,10 +984,10 @@ class TestGradientFuzz:
 
             def loss_pairwise():
                 z = nn.concat_cols(feats, nn.matmul(feats, nn.matmul(w, w)))
-                s = nn.add(nn.column(z, 2), nn.column(z, 3))
+                s = nn.add(ops.column(z, 2), ops.column(z, 3))
                 # -log sigmoid(s_i - s_j), as the combination loss takes it
-                diff = nn.sub(nn.gather(s, jj), nn.gather(s, ii))
-                return nn.total_mean(nn.softplus(diff))
+                diff = ops.sub(ops.gather(s, jj), ops.gather(s, ii))
+                return ops.total_mean(ops.softplus(diff))
 
             fd_gradcheck(loss_pairwise, {"w": w})
             n_graphs += 1
@@ -969,10 +999,10 @@ class TestGradientFuzz:
 
             def loss_bce():
                 one = nn.Tensor(np.ones(k))
-                minus = nn.sub(nn.Tensor(np.zeros(k)), logits)
-                pos_term = nn.mul(targets, nn.softplus(minus))
-                neg_term = nn.mul(nn.sub(one, targets), nn.softplus(logits))
-                return nn.total_mean(nn.add(pos_term, neg_term))
+                minus = ops.sub(nn.Tensor(np.zeros(k)), logits)
+                pos_term = ops.mul(targets, ops.softplus(minus))
+                neg_term = ops.mul(ops.sub(one, targets), ops.softplus(logits))
+                return ops.total_mean(nn.add(pos_term, neg_term))
 
             fd_gradcheck(loss_bce, {"logits": logits})
             n_graphs += 1
@@ -994,7 +1024,7 @@ class TestGradientFuzz:
 
             def loss_relu():
                 h = nn.relu(nn.dense(xr, wr, br))
-                return nn.total_sum(nn.mul(h, h))
+                return ops.total_sum(ops.mul(h, h))
 
             fd_gradcheck(loss_relu, {"wr": wr, "br": br})
             n_graphs += 1
