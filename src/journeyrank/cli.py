@@ -79,13 +79,21 @@ class RunManifest:
         return asdict(self)
 
 
-def _manifest_inputs(files: dict[str, tuple]) -> dict[str, dict[str, str]]:
+def _input(shown, hashed=None) -> tuple[str, str]:
+    """One manifest input, taken when the command reads it: the path
+    shown and the sha256 of the file read, ``shown`` itself unless
+    ``hashed`` names another (a model shows its directory and hashes its
+    ``params.bin``)."""
+    return str(shown), file_sha256(shown if hashed is None else hashed)
+
+
+def _manifest_inputs(files: dict[str, tuple[str, str]],
+                     ) -> dict[str, dict[str, str]]:
     """A manifest's ``inputs`` and ``input_hashes`` from one mapping of
-    name to (the path shown, the file hashed); a model shows its
-    directory and hashes its ``params.bin``."""
-    return {"inputs": {name: str(shown) for name, (shown, _) in files.items()},
-            "input_hashes": {name: file_sha256(hashed)
-                             for name, (_, hashed) in files.items()}}
+    name to :func:`_input`."""
+    return {"inputs": {name: shown for name, (shown, _) in files.items()},
+            "input_hashes": {name: digest
+                             for name, (_, digest) in files.items()}}
 
 
 def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
@@ -122,7 +130,9 @@ def _resolve_config_path(raw: str) -> Path:
     raise ConfigError(f"config file not found: {raw}")
 
 
-def _load_json_config(raw: str) -> tuple[dict, Path]:
+def _load_json_config(raw: str) -> tuple[dict, tuple[str, str]]:
+    """The config file's JSON object, and the file as a manifest
+    input."""
     path = _resolve_config_path(raw)
     try:
         with open(path, encoding="utf-8") as f:
@@ -132,7 +142,7 @@ def _load_json_config(raw: str) -> tuple[dict, Path]:
                           f"{exc}") from None
     if not isinstance(record, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return record, path
+    return record, _input(path)
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -155,6 +165,7 @@ def _require_out(args) -> Path:
 
 
 def _load_valid_dataset(path_arg: str):
+    """The dataset, validated, and its file as a manifest input."""
     path = Path(path_arg)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
@@ -164,7 +175,7 @@ def _load_valid_dataset(path_arg: str):
         lines = "; ".join(f"{k}x{v}" for k, v in
                           sorted(report.violations.items()))
         raise DataValidationError(f"dataset {path} failed validation: {lines}")
-    return dataset, path
+    return dataset, _input(path)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +183,7 @@ def _load_valid_dataset(path_arg: str):
 
 
 def cmd_gen(args) -> int:
-    record, config_path = _load_json_config(args.config)
+    record, config_input = _load_json_config(args.config)
     if args.seed is not None:
         record = dict(record, seed=args.seed)
     config = generator_config_from_record(record)
@@ -188,7 +199,7 @@ def cmd_gen(args) -> int:
     manifest = RunManifest(
         command="gen", version=__version__, seed=[config.seed],
         config=generator_config_to_record(config),
-        **_manifest_inputs({"config": (config_path, config_path)}),
+        **_manifest_inputs({"config": config_input}),
         outputs=[str(dataset_path), str(world_path),
                  str(out / "funnel.json")])
     write_manifest(out, manifest)
@@ -206,13 +217,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    record, config_path = _load_json_config(args.model_config)
+    record, config_input = _load_json_config(args.model_config)
     if args.seed is not None:
         record = dict(record, seed=args.seed)
     config = model_config_from_record(record)
     check_training_settings(args.epochs, args.batch_size, args.learning_rate)
     out = _require_out(args)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
+    dataset, dataset_input = _load_valid_dataset(args.dataset)
     if args.filter:
         dataset = filter_training_searches(dataset).training_dataset()
     model, history = train(config, dataset, args.epochs,
@@ -230,8 +241,8 @@ def cmd_train(args) -> int:
     manifest = RunManifest(
         command="train", version=__version__, seed=[config.seed],
         config=model_config_to_record(config),
-        **_manifest_inputs({"model_config": (config_path, config_path),
-                           "dataset": (dataset_path, dataset_path)}),
+        **_manifest_inputs({"model_config": config_input,
+                            "dataset": dataset_input}),
         outputs=[str(model_dir / "params.json"),
                  str(model_dir / "params.bin"),
                  str(out / "loss_history.csv")])
@@ -248,7 +259,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     out = _require_out(args)
     model = load_model(args.model)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
+    model_input = _input(args.model, Path(args.model) / "params.bin")
+    dataset, dataset_input = _load_valid_dataset(args.dataset)
     reports = ev.evaluate(model, dataset)
     payload = {task: rep.to_record() for task, rep in reports.items()}
     _write_json(out / "ndcg.json", payload)
@@ -258,9 +270,7 @@ def cmd_eval(args) -> int:
         command="eval", version=__version__,
         seed=[model.config.seed],
         config=model_config_to_record(model.config),
-        **_manifest_inputs({
-            "model": (args.model, Path(args.model) / "params.bin"),
-            "dataset": (dataset_path, dataset_path)}),
+        **_manifest_inputs({"model": model_input, "dataset": dataset_input}),
         outputs=[str(out / "ndcg.json"), str(out / "ndcg.txt")])
     write_manifest(out, manifest)
     _emit(args, payload, table)
@@ -268,7 +278,8 @@ def cmd_eval(args) -> int:
 
 
 def _cmd_paired(args, name: str, run, record, config: dict,
-                inputs: dict[str, Path], json_key: str | None = None) -> int:
+                inputs: dict[str, tuple[str, str]],
+                json_key: str | None = None) -> int:
     """The body of ``compare`` and ``ablate``.
 
     Settings and seeds are checked before any data is read. ``run(dataset,
@@ -286,18 +297,17 @@ def _cmd_paired(args, name: str, run, record, config: dict,
                           f"got {args.seeds!r}") from None
     seeds = ev.check_protocol(seeds, args.jobs)
     out = _require_out(args)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
+    dataset, dataset_input = _load_valid_dataset(args.dataset)
     report = run(dataset, seeds, settings=settings, jobs=args.jobs)
     payload = record(report)
     outputs = [out / f"{name}.json", out / f"{name}.txt"]
     _write_json(outputs[0], payload)
     table = ev.format_paired_table(report)
     _write_text(outputs[1], table)
-    inputs = {**inputs, "dataset": dataset_path}
     manifest = RunManifest(
         command=args.command, version=__version__, seed=list(seeds),
         config={**config, "settings": asdict(settings)},
-        **_manifest_inputs({key: (path, path) for key, path in inputs.items()}),
+        **_manifest_inputs({**inputs, "dataset": dataset_input}),
         outputs=[str(path) for path in outputs])
     write_manifest(out, manifest)
     _emit(args, {json_key: payload} if json_key else payload, table)
@@ -305,8 +315,8 @@ def _cmd_paired(args, name: str, run, record, config: dict,
 
 
 def cmd_compare(args) -> int:
-    record_a, path_a = _load_json_config(args.model_config_a)
-    record_b, path_b = _load_json_config(args.model_config_b)
+    record_a, input_a = _load_json_config(args.model_config_a)
+    record_b, input_b = _load_json_config(args.model_config_b)
     config_a = model_config_from_record(record_a)
     config_b = model_config_from_record(record_b)
     return _cmd_paired(
@@ -316,7 +326,7 @@ def cmd_compare(args) -> int:
         ev.compare_record,
         config={"model_a": model_config_to_record(config_a),
                 "model_b": model_config_to_record(config_b)},
-        inputs={"model_config_a": path_a, "model_config_b": path_b})
+        inputs={"model_config_a": input_a, "model_config_b": input_b})
 
 
 def cmd_ablate(args) -> int:
@@ -333,7 +343,8 @@ def cmd_ablate(args) -> int:
 def cmd_ntc(args) -> int:
     out = _require_out(args)
     model = load_model(args.model)
-    dataset, dataset_path = _load_valid_dataset(args.dataset)
+    model_input = _input(args.model, Path(args.model) / "params.bin")
+    dataset, dataset_input = _load_valid_dataset(args.dataset)
     curve = ev.ntc_curves(model, dataset, args.feature,
                           n_buckets=args.buckets,
                           normalize_by_first=args.normalize)
@@ -345,9 +356,7 @@ def cmd_ntc(args) -> int:
         command="ntc", version=__version__, seed=[model.config.seed],
         config={"feature": args.feature, "buckets": args.buckets,
                 "normalize": args.normalize},
-        **_manifest_inputs({
-            "model": (args.model, Path(args.model) / "params.bin"),
-            "dataset": (dataset_path, dataset_path)}),
+        **_manifest_inputs({"model": model_input, "dataset": dataset_input}),
         outputs=[str(out / "ntc.json"), str(out / "ntc.csv"),
                  str(out / "ntc.txt")])
     write_manifest(out, manifest)

@@ -22,20 +22,24 @@ segment broadcast over the batch's search layout (an ``nn.Segments``)
 hands the heads' context half to the search's impression rows. No joint
 ``[listing | context]`` embedding is built.
 
-Everything after the logits is plain array code (:func:`funnel`,
-:func:`softplus`, :func:`blend`), shared by scoring and training.
-Everything trains jointly from whole-search minibatches on the sum of
-three losses: a listwise softmax loss per positive milestone, a masked
-binary cross-entropy per negative milestone, and a pairwise preference
-loss that ranks each uncancelled booking's blended score above the rest
-of its search, so the blend serves the same final objective as the base
-score. The stretch from the logits to the summed loss is one tape node
-(:func:`fused_loss`) with a hand-written backward pass. The blend's loss
-sees the scores as constants, so it tunes only the blend coefficients and
-the context they are conditioned on, never the scoring heads; and in
-training the blend runs only on the rows of the searches that hold an
-uncancelled booking, the only rows its loss reads. Scoring blends every
-row.
+The whole network is plain array code (:func:`network`, then
+:func:`funnel`, :func:`softplus` and :func:`blend`), shared by scoring
+and training. Everything trains jointly from whole-search minibatches on
+the sum of three losses: a listwise softmax loss per positive milestone,
+a masked binary cross-entropy per negative milestone, and a pairwise
+preference loss that ranks each uncancelled booking's blended score above
+the rest of its search, so the blend serves the same final objective as
+the base score. A training step, from the parameters to the summed loss,
+is one tape node (:func:`total_loss`) with a hand-written backward pass.
+The blend's loss sees the scores as constants, so it tunes only the blend
+coefficients and the context they are conditioned on, never the scoring
+heads; and in training the blend runs only on the rows of the searches
+that hold an uncancelled booking, the only rows its loss reads. Scoring
+blends every row.
+
+Batches are cut from columns built once per training run
+(:func:`batch_inputs`), preference pairs included, which each epoch puts
+in its shuffled order once (:func:`reorder`), so each step takes a slice.
 """
 
 from __future__ import annotations
@@ -348,12 +352,6 @@ class NormalizationStats:
 
 
 @dataclass(frozen=True)
-class Embeddings:
-    listing: Tensor
-    context: Tensor
-
-
-@dataclass(frozen=True)
 class ModelOutputs:
     """Every intermediate score for a batch of impressions, one row per
     impression, as arrays. ``cond_logits`` and ``log_joint`` hold one
@@ -376,68 +374,137 @@ class ModelOutputs:
             else self.y_base
 
 
-def shared_forward(config: ModelConfig, params: ParameterStore,
-                   listing_rows: np.ndarray,
-                   context_rows: np.ndarray) -> Embeddings:
-    """Embed pre-normalized listing rows (one per distinct listing) and
-    context rows (one per search) with the two towers."""
-    emb_l = nn.forward_mlp(params, _TOWER_LISTING, config.listing_tower,
-                           nn.Tensor(listing_rows))
-    emb_c = nn.forward_mlp(params, _TOWER_CONTEXT, config.context_tower,
-                           nn.Tensor(context_rows))
-    return Embeddings(listing=emb_l, context=emb_c)
+def _require_finite(*rows: np.ndarray) -> None:
+    """Refuse normalized feature rows that hold a NaN or an infinity."""
+    if not all(np.isfinite(r).all() for r in rows):
+        raise ShapeError("input tensor contains NaN or Inf")
 
 
-def logits(config: ModelConfig, params: ParameterStore,
-           listing_rows: np.ndarray, listing_index: np.ndarray,
-           context_rows: np.ndarray,
-           segments: Segments) -> tuple[Tensor, Tensor | None]:
-    """The network up to its logits: every head's logit per impression
-    row, as a ``[rows, tasks]`` matrix with one column per task of
-    ``all_tasks``, and, for a config with a blend, the coefficient MLP's
-    ``[searches, 1 + twiddlers]`` logits, read from the context
-    embedding.
+@dataclass(frozen=True)
+class Network:
+    """The network's forward pass over a batch, up to its logits, and
+    what its backward pass reads. ``listing``, ``context`` and
+    ``combination`` hold each MLP block's layer inputs, then its output
+    (:func:`nn.mlp_activations`): the towers' last entries are the listing
+    and context embeddings, and the coefficient MLP, None without a blend,
+    starts from the context embedding. ``head_weights`` holds every
+    head's first-layer weights side by side, head k in column k, and
+    ``head`` every head's logit per impression row, as a ``[rows, tasks]``
+    matrix with one column per task of ``all_tasks``."""
 
-    ``listing_rows`` holds the distinct listing rows and
+    listing: list[np.ndarray]
+    context: list[np.ndarray]
+    combination: list[np.ndarray] | None
+    head_weights: np.ndarray
+    head: np.ndarray
+
+    @property
+    def coef_logits(self) -> np.ndarray | None:
+        """The coefficient MLP's ``[searches, 1 + twiddlers]`` logits."""
+        return None if self.combination is None else self.combination[-1]
+
+
+def network(config: ModelConfig, params: ParameterStore,
+            listing_rows: np.ndarray, listing_index: np.ndarray,
+            context_rows: np.ndarray, segments: Segments) -> Network:
+    """The network up to its logits (see :class:`Network`), as plain
+    array code.
+
+    ``listing_rows`` holds pre-normalized distinct listing rows and
     ``listing_index`` each impression's row of them; ``context_rows``
-    holds one row per search, and ``segments`` lays the impressions out
-    into the searches. The heads are affine, so they run as one layer
-    over their column-stacked weights, head k giving column k. That layer
-    reads the listing embedding through the weights' first
+    holds one pre-normalized row per search, and ``segments`` lays the
+    impressions out into the searches. The heads are affine, so they run
+    as one layer over their column-stacked weights, head k giving column
+    k. That layer reads the listing embedding through the weights' first
     ``embedding_dim`` rows and the context embedding through the rest, so
     it runs in two halves and no joint embedding is built: the listing
     half once per distinct listing row, handed to the impression rows by
     ``listing_index``, and the context half, bias included, once per
     search, handed to the search's rows by ``segments``.
     """
-    emb = shared_forward(config, params, listing_rows, context_rows)
-    prefixes = [_head_prefix(task) for task in config.all_tasks]
+    listing = nn.mlp_activations(params, _TOWER_LISTING,
+                                 config.listing_tower, listing_rows)
+    context = nn.mlp_activations(params, _TOWER_CONTEXT,
+                                 config.context_tower, context_rows)
     d = config.embedding_dim
-    weights = nn.concat_cols(*(params[f"{p}.w0"] for p in prefixes))
-    context_half = nn.dense(
-        emb.context, nn.rows(weights, slice(d, 2 * d)),
-        nn.concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
-    listing_half = nn.matmul(emb.listing, nn.rows(weights, slice(0, d)))
-    head = nn.add(nn.gather_rows(listing_half, listing_index),
-                  nn.segment_broadcast(context_half, segments))
-    if config.combination is None:
-        return head, None
-    return head, nn.forward_mlp(params, _COMBINATION, config.combination,
-                                emb.context)
+    prefixes = [_head_prefix(task) for task in config.all_tasks]
+    weights = np.concatenate([params[f"{p}.w0"].values for p in prefixes],
+                             axis=1)
+    context_half = context[-1] @ weights[d:]
+    context_half += np.concatenate([params[f"{p}.b0"].values
+                                    for p in prefixes])
+    head = np.take(listing[-1] @ weights[:d], listing_index, axis=0)
+    head += np.take(context_half, segments.ids, axis=0)
+    combination = None if config.combination is None else \
+        nn.mlp_activations(params, _COMBINATION, config.combination,
+                           context[-1])
+    return Network(listing, context, combination, weights, head)
 
 
-# Everything after the logits is plain array code, written once here for
-# scoring and for the loss node. The slopes the node needs are logistics
+def _network_gradients(config: ModelConfig, params: ParameterStore,
+                       net: Network, d_head: np.ndarray,
+                       d_coef: np.ndarray | None,
+                       batch: "SearchBatch") -> dict[str, np.ndarray]:
+    """The backward pass of :func:`network` over ``batch``, from the
+    gradients of the head logits and the coefficient logits: one new
+    array per parameter, by name.
+
+    Each impression row's head gradient goes back to its distinct listing
+    row, added in index order (a ``bincount``), and to its search, summed
+    per search, so every search must have a row, as the listwise loss
+    already demands. The context embedding takes the coefficient MLP's
+    gradient first, then the heads' context half's; each head's weight
+    gradient is cut from one ``[2 * embedding_dim, tasks]`` block that
+    holds the listing half's rows, then the context half's added to zeros.
+    """
+    grads: dict[str, np.ndarray] = {}
+    d_emb_c = None
+    if net.combination is not None:
+        block, d_emb_c = nn.mlp_gradients(
+            params, _COMBINATION, config.combination, net.combination,
+            d_coef, input_grad=True)
+        grads.update(block)
+    emb_l, emb_c = net.listing[-1], net.context[-1]
+    n, k = len(emb_l), d_head.shape[1]
+    flat = (batch.listing_index[:, None] * k + np.arange(k)).ravel()
+    d_listing_half = np.bincount(flat, weights=d_head.ravel(),
+                                 minlength=n * k).reshape(n, k)
+    d_context_half = np.add.reduceat(d_head, batch.segments.starts[:-1],
+                                     axis=0)
+    d, weights = config.embedding_dim, net.head_weights
+    d_weights = np.zeros_like(weights)
+    d_weights[:d] = emb_l.T @ d_listing_half
+    d_weights[d:] += emb_c.T @ d_context_half
+    d_bias = d_context_half.sum(axis=0)
+    for j, task in enumerate(config.all_tasks):
+        prefix = _head_prefix(task)
+        grads[f"{prefix}.w0"] = d_weights[:, j:j + 1].copy()
+        grads[f"{prefix}.b0"] = d_bias[j:j + 1].copy()
+    d_context = d_context_half @ weights[d:].T
+    if d_emb_c is None:
+        d_emb_c = d_context
+    else:
+        d_emb_c += d_context
+    for prefix, spec, acts, g in (
+            (_TOWER_LISTING, config.listing_tower, net.listing,
+             d_listing_half @ weights[:d].T),
+            (_TOWER_CONTEXT, config.context_tower, net.context, d_emb_c)):
+        grads.update(nn.mlp_gradients(params, prefix, spec, acts, g,
+                                      input_grad=False)[0])
+    return grads
+
+
+# Everything after the logits, written once here for scoring and for the
+# training step. The slopes the step's backward pass needs are logistics
 # (``nn.logistic``): of x for softplus(x), of -x for log_sigmoid(x).
 
 
-def _log1p_exp_neg_abs(x: np.ndarray) -> np.ndarray:
-    """log1p(exp(-|x|)), which never overflows: log_sigmoid(x) is
-    ``min(x, 0)`` less it, and softplus(x) ``max(x, 0)`` plus it."""
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|), which never overflows: log_sigmoid(x) is ``min(x, 0)``
+    less its log1p, and softplus(x) ``max(x, 0)`` plus it."""
     out = np.abs(x)
     np.negative(out, out=out)
-    np.exp(out, out=out)
-    return np.log1p(out, out=out)
+    return np.exp(out, out=out)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -445,8 +512,20 @@ def softplus(x: np.ndarray) -> np.ndarray:
     its logit, so it stays positive; twiddler coefficients are their
     logits as they are and may change sign."""
     out = np.maximum(x, 0.0)
-    out += _log1p_exp_neg_abs(x)
+    out += np.log1p(_exp_neg_abs(x))
     return out
+
+
+def _funnel(cond_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`funnel`, and the ``exp(-|x|)`` of each conditional logit x
+    it read, from which the slopes of its log-sigmoids follow
+    (:func:`_log_sigmoid_slope`)."""
+    e = _exp_neg_abs(cond_logits)
+    log_joint = np.minimum(cond_logits, 0.0)
+    log_joint -= np.log1p(e)
+    for j in range(1, log_joint.shape[1]):
+        log_joint[:, j] += log_joint[:, j - 1]
+    return log_joint, e
 
 
 def funnel(cond_logits: np.ndarray) -> np.ndarray:
@@ -454,11 +533,16 @@ def funnel(cond_logits: np.ndarray) -> np.ndarray:
     each column is its conditional logit's log-sigmoid added to the
     column before it, so each stage can only lower the joint; the last is
     the base score."""
-    log_joint = np.minimum(cond_logits, 0.0)
-    log_joint -= _log1p_exp_neg_abs(cond_logits)
-    for j in range(1, log_joint.shape[1]):
-        log_joint[:, j] += log_joint[:, j - 1]
-    return log_joint
+    return _funnel(cond_logits)[0]
+
+
+def _log_sigmoid_slope(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``nn.logistic(-x)``, bit for bit, from ``e = exp(-|x|)``: its
+    numerator ``exp(min(-x, 0))`` is e where x > 0 and 1 elsewhere, and
+    its denominator is ``1 + e``."""
+    out = np.where(x > 0.0, e, 1.0)
+    out /= e + 1.0
+    return out
 
 
 def blend(alpha_base: np.ndarray, alpha_twiddler: np.ndarray,
@@ -475,25 +559,27 @@ def forward(config: ModelConfig, params: ParameterStore,
             listing_rows: np.ndarray, listing_index: np.ndarray,
             context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
     """Every score of every impression, for scoring (no gradients), from
-    the arguments of :func:`logits`.
+    the arguments of :func:`network`.
 
-    The logits split into two column blocks, base tasks then twiddlers;
-    the base block runs down the :func:`funnel`, and the :func:`blend`
-    runs on every row, each reading its search's coefficients. Training
-    calls the same helpers from its loss node (:func:`fused_loss`), which
-    runs the blend only on the rows its loss reads.
+    The head logits split into two column blocks, base tasks then
+    twiddlers; the base block runs down the :func:`funnel`, and the
+    :func:`blend` runs on every row, each reading its search's
+    coefficients. Training runs the same network and helpers in its one
+    node per step (:func:`total_loss`), which runs the blend only on the
+    rows its loss reads.
     """
-    head, coef_logits = logits(config, params, listing_rows, listing_index,
-                               context_rows, segments)
+    net = network(config, params, listing_rows, listing_index, context_rows,
+                  segments)
+    head, coef_logits = net.head, net.coef_logits
     n_base = len(config.base_tasks)
-    cond_logits = head.values[:, :n_base]
+    cond_logits = head[:, :n_base]
     log_joint = funnel(cond_logits)
     y_base = log_joint[:, -1]
     if coef_logits is None:
         return ModelOutputs(cond_logits, log_joint, y_base)
-    alpha_base = np.take(softplus(coef_logits.values[:, 0]), segments.ids)
-    alpha_twiddler = np.take(coef_logits.values[:, 1:], segments.ids, axis=0)
-    y_twiddler = head.values[:, n_base:]
+    alpha_base = np.take(softplus(coef_logits[:, 0]), segments.ids)
+    alpha_twiddler = np.take(coef_logits[:, 1:], segments.ids, axis=0)
+    y_twiddler = head[:, n_base:]
     return ModelOutputs(
         cond_logits=cond_logits, log_joint=log_joint, y_base=y_base,
         y_twiddler=y_twiddler, alpha_base=alpha_base,
@@ -523,25 +609,27 @@ def preference_pairs(unc: np.ndarray,
     return np.repeat(i, counts), j[concat_ranges(first_j[search], counts)]
 
 
+# rows hashed at a time: a [block × width] temporary stays in cache
+_HASH_BLOCK = 2048
+
+
 def _row_hashes(bits: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of a uint64 matrix, summed modulo 2**64
-    one column at a time, so no ``[rows × width]`` temporary is built.
-    Each word is folded (its high half xored into its low half) and then
-    times a fixed odd multiplier of its column. The fold makes the mix
-    nonlinear, so rows that differ only in sign or exponent bits, such as
-    0/1 rows, hash apart too. Equal rows hash equal; unequal rows may,
-    though rarely."""
+    """A 64-bit hash of each row of a uint64 matrix: each word is folded
+    (its high half xored into its low half) and then times a fixed odd
+    multiplier of its column, and a row's products are summed modulo
+    2**64. The fold makes the mix nonlinear, so rows that differ only in
+    sign or exponent bits, such as 0/1 rows, hash apart too. Equal rows
+    hash equal; unequal rows may, though rarely. The rows are mixed a
+    block at a time, each block read once, in row order."""
     multipliers = np.random.default_rng(0x5EED).integers(
         0, 2**64, size=bits.shape[1], dtype=np.uint64) | np.uint64(1)
-    hashes = np.zeros(len(bits), dtype=np.uint64)
-    word = np.empty(len(bits), dtype=np.uint64)
-    high = np.empty_like(word)
-    for j, multiplier in enumerate(multipliers):
-        np.copyto(word, bits[:, j])
-        np.right_shift(word, np.uint64(32), out=high)
-        word ^= high
-        word *= multiplier
-        hashes += word
+    hashes = np.empty(len(bits), dtype=np.uint64)
+    for lo in range(0, len(bits), _HASH_BLOCK):
+        block = bits[lo:lo + _HASH_BLOCK]
+        words = block >> np.uint64(32)
+        words ^= block
+        words *= multipliers
+        words.sum(axis=1, out=hashes[lo:lo + _HASH_BLOCK])
     return hashes
 
 
@@ -584,34 +672,96 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BatchInputs:
-    """Everything a training batch is cut from, built once per train().
+    """Everything a training batch is cut from: the dataset's searches,
+    built once per train(), or the same searches in another order
+    (:func:`reorder`), built once per epoch.
 
-    Rows are the dataset's impression rows, laid out into searches by
-    ``searches``; ``listing_rows`` holds their distinct listing feature
-    rows, and ``listing_index`` each impression row's row of them.
-    ``labels`` holds one row per name in ``label_names``.
+    Rows are impression rows, search by search: ``starts`` holds each
+    search's first row and, last, the row count. ``listing_rows`` holds
+    the distinct listing feature rows, and ``listing_index`` each row's
+    row of them. ``labels`` holds one column per name in ``label_names``,
+    so a row's labels move as one. The blend's preference pairs
+    (:func:`preference_pairs` of the ``unc`` labels) are found once:
+    ``pair_i`` and ``pair_j`` index rows, search by search, and
+    ``pair_starts`` holds each search's first pair and, last, the pair
+    count.
     """
 
-    searches: Segments                # impression rows into searches
+    starts: np.ndarray                # [n_searches + 1] int64
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
     listing_index: np.ndarray         # [n_impressions] int64
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
     label_names: tuple[str, ...]
-    labels: np.ndarray                # [len(label_names), n_impressions] bool
+    labels: np.ndarray                # [n_impressions, len(label_names)] bool
+    pair_i: np.ndarray                # [n_pairs] int64
+    pair_j: np.ndarray                # [n_pairs] int64
+    pair_starts: np.ndarray           # [n_searches + 1] int64
+
+    @property
+    def n_searches(self) -> int:
+        return len(self.context_rows)
 
 
 def batch_inputs(dataset: Dataset,
                  norm: NormalizationStats) -> BatchInputs:
-    """Find the distinct listing rows, normalize the features and stack
-    the labels."""
+    """Find the distinct listing rows, normalize the features, stack the
+    labels and find every search's preference pairs. Every row a batch
+    holds is one of these rows, so a row that is not finite after
+    normalization is refused here, with a :class:`ShapeError`."""
     listing_rows, listing_index = distinct_rows(dataset.listing_features)
+    listing_rows = norm.apply_listing(listing_rows)
+    context_rows = norm.apply_context(dataset.context_features)
+    _require_finite(listing_rows, context_rows)
+    searches = dataset.searches
+    pair_i, pair_j = preference_pairs(dataset.labels["unc"], searches)
+    pair_starts = np.zeros(searches.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(searches.ids[pair_i], minlength=searches.n),
+              out=pair_starts[1:])
     return BatchInputs(
-        searches=dataset.searches,
-        listing_rows=norm.apply_listing(listing_rows),
+        starts=searches.starts,
+        listing_rows=listing_rows,
         listing_index=listing_index,
-        context_rows=norm.apply_context(dataset.context_features),
+        context_rows=context_rows,
         label_names=tuple(dataset.labels),
-        labels=np.stack(list(dataset.labels.values())),
+        labels=np.stack(list(dataset.labels.values()), axis=1),
+        pair_i=pair_i,
+        pair_j=pair_j,
+        pair_starts=pair_starts,
+    )
+
+
+def _cut_starts(starts: np.ndarray, index: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the segments ``index`` of a layout given by its
+    ``starts``, in that order: their positions, each segment's new start
+    less its old one, and the new layout's starts."""
+    first = starts[index]
+    sizes = starts[index + 1] - first
+    new_starts = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=new_starts[1:])
+    return concat_ranges(first, sizes), new_starts[:-1] - first, new_starts
+
+
+def reorder(inputs: BatchInputs, search_indices) -> BatchInputs:
+    """The given searches of ``inputs``, in the given order, every column
+    gathered once, so that batches of consecutive searches are cut from
+    it as views (:func:`make_batch` with a slice)."""
+    search_indices = np.asarray(search_indices, dtype=np.int64)
+    rows, row_shift, starts = _cut_starts(inputs.starts, search_indices)
+    pairs, _, pair_starts = _cut_starts(inputs.pair_starts, search_indices)
+    # a pair's rows move with its search
+    shift = np.repeat(row_shift, np.diff(pair_starts))
+    return BatchInputs(
+        starts=starts,
+        listing_rows=inputs.listing_rows,
+        listing_index=inputs.listing_index[rows],
+        context_rows=inputs.context_rows[search_indices],
+        label_names=inputs.label_names,
+        # several times faster than inputs.labels[rows]
+        labels=np.take(inputs.labels, rows, axis=0),
+        pair_i=inputs.pair_i[pairs] + shift,
+        pair_j=inputs.pair_j[pairs] + shift,
+        pair_starts=pair_starts,
     )
 
 
@@ -641,32 +791,35 @@ class SearchBatch:
         return self.segments.n_rows
 
 
-def make_batch(inputs: BatchInputs,
-               search_indices: np.ndarray) -> SearchBatch:
-    """The given searches, in the given order, cut from ``inputs``; the
-    batch's listing rows are those its impressions show, in the order of
+def make_batch(inputs: BatchInputs, search_indices) -> SearchBatch:
+    """The given searches, in the given order, cut from ``inputs``: an
+    array of search indices, or a slice of consecutive searches, whose
+    rows, labels and pairs are then cut as views. The batch's listing
+    rows are those its impressions show, in the order of
     ``inputs.listing_rows``."""
-    search_indices = np.asarray(search_indices, dtype=np.int64)
-    starts = inputs.searches.starts[search_indices]
-    counts = inputs.searches.starts[search_indices + 1] - starts
-    rows = concat_ranges(starts, counts)
+    if not isinstance(search_indices, slice):
+        inputs = reorder(inputs, search_indices)
+        search_indices = slice(0, inputs.n_searches)
+    lo, hi, step = search_indices.indices(inputs.n_searches)
+    if step != 1:
+        raise ContractError("a batch's slice of searches must be consecutive")
+    starts = inputs.starts[lo:hi + 1]
+    rows = slice(starts[0], starts[-1])
+    pairs = slice(inputs.pair_starts[lo], inputs.pair_starts[hi])
     shown = inputs.listing_index[rows]
     n_listings = len(inputs.listing_rows)
     # a few times faster than np.unique(shown, return_inverse=True)
     listings = np.flatnonzero(np.bincount(shown, minlength=n_listings))
     slot = np.empty(n_listings, dtype=np.int64)
     slot[listings] = np.arange(len(listings))
-    segments = Segments(counts)
-    labels = dict(zip(inputs.label_names, inputs.labels[:, rows]))
-    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
         listing_rows=inputs.listing_rows[listings],
         listing_index=slot[shown],
-        context_rows=inputs.context_rows[search_indices],
-        segments=segments,
-        labels=labels,
-        pair_i=pair_i,
-        pair_j=pair_j,
+        context_rows=inputs.context_rows[lo:hi],
+        segments=Segments(np.diff(starts)),
+        labels=dict(zip(inputs.label_names, inputs.labels[rows].T)),
+        pair_i=inputs.pair_i[pairs] - starts[0],
+        pair_j=inputs.pair_j[pairs] - starts[0],
     )
 
 
@@ -696,7 +849,7 @@ def _base_term(cond_logits: np.ndarray, batch: SearchBatch,
     if segments.n == 0 or not segments.all_nonempty:
         raise ContractError("the listwise loss needs a search, and a row in "
                             "every search")
-    log_joint = funnel(cond_logits)
+    log_joint, e = _funnel(cond_logits)
     n_tasks = len(tasks)
     task, row = np.divmod(np.flatnonzero(_label_matrix(batch, tasks)),
                           batch.n_rows)
@@ -725,7 +878,7 @@ def _base_term(cond_logits: np.ndarray, batch: SearchBatch,
         # column j of the funnel feeds every joint from j on
         for j in range(n_tasks - 2, -1, -1):
             d_joint[:, j] += d_joint[:, j + 1]
-        np.multiply(d_joint, nn.logistic(-cond_logits), out=out)
+        np.multiply(d_joint, _log_sigmoid_slope(cond_logits, e), out=out)
 
     return value, log_joint, backward
 
@@ -796,71 +949,82 @@ def _combination_term(y_base: np.ndarray, y_twiddler: np.ndarray,
     return value, backward
 
 
-def fused_loss(config: ModelConfig, head: Tensor, coef_logits: Tensor | None,
-               batch: SearchBatch, weights: Mapping[str, float],
-               ) -> tuple[Tensor, dict[str, float]]:
+def loss_from_logits(config: ModelConfig, head: np.ndarray,
+                     coef_logits: np.ndarray | None, batch: SearchBatch,
+                     weights: Mapping[str, float]):
     """The training loss from the heads' logits and the per-search
-    coefficient logits (see :func:`logits`), recorded as one tape node,
-    and its parts by module.
+    coefficient logits (see :class:`Network`), its parts by module, and
+    its backward pass: given the loss's gradient, new arrays d loss/d head
+    and d loss/d coef_logits (None without a blend).
 
     The loss is the unweighted sum of the module losses the config has:
     the base module's listwise loss over the :func:`funnel`, the
     twiddlers' masked cross-entropy and the blend's pairwise loss. The
     blend runs only on the rows of the searches that hold an uncancelled
-    booking and another row, the only rows its loss reads. The backward
-    pass writes d loss/d logits and d loss/d coefficient logits directly.
+    booking and another row, the only rows its loss reads.
     """
-    shapes = [t.shape for t in (head, coef_logits) if t is not None]
+    shapes = [a.shape for a in (head, coef_logits) if a is not None]
     want = [(batch.n_rows, len(config.all_tasks))]
     if config.combination is not None:
         want.append((batch.segments.n, config.combination.output_dim))
     if shapes != want:
-        raise ShapeError(f"fused_loss: logits of shapes {shapes}, need {want}")
-    values = head.values
+        raise ShapeError(f"loss_from_logits: logits of shapes {shapes}, "
+                         f"need {want}")
     n_base = len(config.base_tasks)
     base, log_joint, base_backward = _base_term(
-        values[:, :n_base], batch, config.base_tasks, weights)
+        head[:, :n_base], batch, config.base_tasks, weights)
     parts = {"base": float(base)}
     total = base
     if config.twiddler_tasks:
-        y_twiddler = values[:, n_base:]
+        y_twiddler = head[:, n_base:]
         twiddler, twiddler_backward = _twiddler_term(
             y_twiddler, batch, config.twiddler_tasks)
         combination, combination_backward = _combination_term(
-            log_joint[:, -1], y_twiddler, coef_logits.values, batch)
+            log_joint[:, -1], y_twiddler, coef_logits, batch)
         parts["twiddler"] = float(twiddler)
         parts["combination"] = float(combination)
         total = total + twiddler + combination
     parts["total"] = float(total)
 
-    def gradients(g: np.ndarray):
-        g = float(g)
-        d_head = np.zeros_like(values)
+    def backward(g: float) -> tuple[np.ndarray, np.ndarray | None]:
+        d_head = np.zeros_like(head)
         base_backward(g, d_head[:, :n_base])
         if coef_logits is None:
-            return (d_head,)
+            return d_head, None
         twiddler_backward(g, d_head[:, n_base:])
-        d_coef = np.zeros_like(coef_logits.values)
+        d_coef = np.zeros_like(coef_logits)
         combination_backward(g, d_coef)
         return d_head, d_coef
 
-    inputs = (head,) if coef_logits is None else (head, coef_logits)
-    return nn.record(np.asarray(total), inputs, gradients), parts
+    return total, parts, backward
 
 
 def total_loss(config: ModelConfig, params: ParameterStore,
                batch: SearchBatch, weights: Mapping[str, float],
-               ) -> tuple[Tensor, Tensor, dict[str, float]]:
-    """The training loss of a batch (:func:`fused_loss`), the heads'
-    ``[rows, tasks]`` logits it was computed from, and its parts. The
-    blend runs only on the rows of the searches that hold an uncancelled
-    booking and another row, the only rows its pairwise loss reads;
-    scoring (:func:`forward`) blends every row."""
-    head, coef_logits = logits(config, params, batch.listing_rows,
-                               batch.listing_index, batch.context_rows,
-                               batch.segments)
-    loss, parts = fused_loss(config, head, coef_logits, batch, weights)
-    return loss, head, parts
+               ) -> tuple[Tensor, np.ndarray, dict[str, float]]:
+    """The training loss of a batch, recorded as one tape node over every
+    parameter, the heads' ``[rows, tasks]`` logits it was computed from,
+    and its parts (:func:`loss_from_logits`).
+
+    The node runs the :func:`network` and the loss as plain array code;
+    its backward pass runs the loss's backward and then the network's
+    (:func:`_network_gradients`), so each parameter gets one new gradient
+    array. The blend runs only on the rows of the searches that hold an
+    uncancelled booking and another row, the only rows its pairwise loss
+    reads; scoring (:func:`forward`) blends every row."""
+    net = network(config, params, batch.listing_rows, batch.listing_index,
+                  batch.context_rows, batch.segments)
+    total, parts, loss_backward = loss_from_logits(
+        config, net.head, net.coef_logits, batch, weights)
+    names, tensors = zip(*params.items())
+
+    def gradients(g: np.ndarray) -> list[np.ndarray]:
+        d_head, d_coef = loss_backward(float(g))
+        grads = _network_gradients(config, params, net, d_head, d_coef,
+                                   batch)
+        return [grads[name] for name in names]
+
+    return nn.record(np.asarray(total), tensors, gradients), net.head, parts
 
 
 # ---------------------------------------------------------------------------
@@ -907,11 +1071,11 @@ class TrainedModel:
             raise ContractError("listing and context rows must be 2-d "
                                 "batches, laid out by the segments")
         listings, listing_index = distinct_rows(listing_rows)
-        return forward(self.config, self.params,
-                       self.normalization.apply_listing(listings),
-                       listing_index,
-                       self.normalization.apply_context(context_rows),
-                       segments)
+        listings = self.normalization.apply_listing(listings)
+        context_rows = self.normalization.apply_context(context_rows)
+        _require_finite(listings, context_rows)
+        return forward(self.config, self.params, listings, listing_index,
+                       context_rows, segments)
 
 
 def check_training_settings(epochs: int, batch_size: int,
@@ -947,10 +1111,12 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     inputs = batch_inputs(dataset, norm)
     history: list[EpochStats] = []
     for epoch in range(epochs):
-        order = shuffle_rng.permutation(dataset.n_searches)
+        shuffled = reorder(inputs,
+                           shuffle_rng.permutation(dataset.n_searches))
         sums: dict[str, float] = {}
-        for batch_index, lo in enumerate(range(0, len(order), batch_size)):
-            batch = make_batch(inputs, order[lo:lo + batch_size])
+        for batch_index, lo in enumerate(range(0, dataset.n_searches,
+                                               batch_size)):
+            batch = make_batch(shuffled, slice(lo, lo + batch_size))
             with Tape() as tape:
                 loss, _, parts = total_loss(config, params, batch, weights)
                 if not np.isfinite(loss.values):
@@ -986,10 +1152,11 @@ def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
     if context_rows.ndim != 2:
         raise ContractError("context rows must be a 2-d batch")
     normalized = model.normalization.apply_context(context_rows)
+    _require_finite(normalized)
     emb_c = nn.forward_mlp(model.params, _TOWER_CONTEXT,
-                           config.context_tower, nn.Tensor(normalized))
+                           config.context_tower, normalized)
     coef_logits = nn.forward_mlp(model.params, _COMBINATION,
-                                 config.combination, emb_c).values
+                                 config.combination, emb_c)
     return (softplus(coef_logits[:, 0]),
             dict(zip(config.twiddler_tasks, coef_logits[:, 1:].T)))
 

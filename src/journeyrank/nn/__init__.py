@@ -1,12 +1,14 @@
 """Minimal float64 neural-network stack: tensors with reverse-mode
-autodiff, MLP blocks over a flat parameter store, Adam, and bit-exact
-parameter serialization."""
+autodiff through hand-written nodes, MLP blocks over a flat parameter
+store as plain array code, Adam, and bit-exact parameter serialization."""
 
 from .mlp import (
     MlpSpec,
     ParameterStore,
     forward_mlp,
     init_mlp_params,
+    mlp_activations,
+    mlp_gradients,
 )
 from .optim import AdamState, init_adam, optimizer_step
 from .serialize import load_params, save_params, tensor_table
@@ -14,17 +16,9 @@ from .tensor import (
     Segments,
     Tape,
     Tensor,
-    add,
     backward,
-    concat_cols,
-    dense,
-    gather_rows,
     logistic,
-    matmul,
     record,
-    relu,
-    rows,
-    segment_broadcast,
 )
 
 __all__ = [
@@ -34,22 +28,16 @@ __all__ = [
     "Segments",
     "Tape",
     "Tensor",
-    "add",
     "backward",
-    "concat_cols",
-    "dense",
     "forward_mlp",
-    "gather_rows",
     "init_adam",
     "init_mlp_params",
     "load_params",
     "logistic",
-    "matmul",
+    "mlp_activations",
+    "mlp_gradients",
     "optimizer_step",
     "record",
-    "relu",
-    "rows",
     "save_params",
-    "segment_broadcast",
     "tensor_table",
 ]

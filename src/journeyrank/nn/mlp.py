@@ -1,4 +1,5 @@
-"""Multi-layer perceptron building blocks on top of the tensor engine.
+"""Multi-layer perceptron blocks over a flat parameter store, as plain
+array code with a hand-written backward pass.
 
 Parameters live in a flat, name-keyed :class:`ParameterStore` rather than in
 layer objects. That keeps serialization, optimizer state, and parameter
@@ -114,21 +115,57 @@ def init_mlp_params(store: ParameterStore, prefix: str, spec: MlpSpec,
         store.add(f"{prefix}.b{i}", np.zeros(fan_out))
 
 
-def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
-                x: T.Tensor) -> T.Tensor:
-    """Apply the block to a [rows, input_dim] matrix.
+def mlp_activations(store: ParameterStore, prefix: str, spec: MlpSpec,
+                    x: np.ndarray) -> list[np.ndarray]:
+    """Apply the block to a ``[rows, input_dim]`` matrix, as plain array
+    code: each layer's input, ``x`` first, then the block's output.
 
     ReLU sits between layers only; the final layer is affine so the block
-    can emit unbounded logits.
+    can emit unbounded logits. Each layer is ``x @ w`` plus ``b``, and the
+    inputs are kept because :func:`mlp_gradients` reads them.
     """
-    if x.values.ndim != 2:
+    if x.ndim != 2:
         raise ShapeError(f"{prefix}: expected a rank-2 input, got shape {x.shape}")
-    h = x
+    acts = [x]
     for i, (fan_in, _) in enumerate(spec.layer_dims):
+        h = acts[-1]
         if i > 0:
-            h = T.relu(h)
+            np.maximum(h, 0.0, out=h)
         if h.shape[1] != fan_in:
             raise ShapeError(
                 f"{prefix}: layer {i} expects width {fan_in}, got {h.shape[1]}")
-        h = T.dense(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
-    return h
+        out = h @ store[f"{prefix}.w{i}"].values
+        out += store[f"{prefix}.b{i}"].values
+        acts.append(out)
+    return acts
+
+
+def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
+                x: np.ndarray) -> np.ndarray:
+    """The block's output for a ``[rows, input_dim]`` matrix."""
+    return mlp_activations(store, prefix, spec, x)[-1]
+
+
+def mlp_gradients(store: ParameterStore, prefix: str, spec: MlpSpec,
+                  acts: list[np.ndarray], g: np.ndarray, input_grad: bool,
+                  ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The backward pass of :func:`mlp_activations`: given ``acts`` and
+    the gradient ``g`` of the block's output, one new gradient array per
+    parameter, by name, and the input's gradient when ``input_grad`` asks
+    for it, else None.
+
+    Each layer gives ``g @ w.T`` to its input, ``x.T @ g`` to its weights
+    and the column sums of ``g`` to its bias; a ReLU passes ``g`` times
+    its input's mask, read from its output (positive exactly where its
+    input is).
+    """
+    grads: dict[str, np.ndarray] = {}
+    for i in range(len(spec.layer_dims) - 1, -1, -1):
+        x = acts[i]
+        d_x = (g @ store[f"{prefix}.w{i}"].values.T
+               if i > 0 or input_grad else None)
+        grads[f"{prefix}.w{i}"] = x.T @ g
+        grads[f"{prefix}.b{i}"] = g.sum(axis=0)
+        if i > 0:
+            g = d_x * (x > 0.0)
+    return grads, d_x

@@ -1,26 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: rank-0/1/2 arrays, a flat operation tape,
-and exactly the operators the ranking model needs: a dense layer
-(``x @ w + b`` as one node, gradients for all three in one backward), a
-bare matmul, ReLU, an elementwise add, side-by-side columns and a block of
-rows of a matrix, a row gather (``gather_rows`` hands each impression the
-row of the distinct listing it shows) and a broadcast over a
-:class:`Segments` layout (rows into searches, built once per batch or
-dataset). A computation the engine has no operator for records itself as
-one node through :func:`record`, handing back its own gradients; the
-model's loss, from the heads' logits to the scalar, is one such node.
-``logistic`` is the one sigmoid of the package, a plain array function.
-Recording happens only while a :class:`Tape` is active and at least one
-operand requires a gradient, so inference-mode forward passes carry no
-bookkeeping cost.
+The engine is deliberately small: rank-0/1/2 arrays, a flat operation tape
+and one way to record an operation, :func:`record`, which records a
+computation as one node that hands back its own gradients. The ranking
+model's training step, from its parameters to the scalar loss, is one such
+node (``model.total_loss``): plain array code with a hand-written backward
+pass. ``logistic`` is the one sigmoid of the package, a plain array
+function, and a :class:`Segments` lays rows out into contiguous segments
+(impressions into searches). Recording happens only while a :class:`Tape`
+is active and at least one input requires a gradient, so inference-mode
+forward passes carry no bookkeeping cost.
 
 Gradient buffers are owned, never shared. The first gradient a tensor
-receives becomes its buffer without a zero fill: an array computed for that
-one call is adopted as it is, and one that is also held elsewhere (an
-output's gradient passed straight through, or a view into it) is copied
-first. Later gradients are added into the buffer in place, so no two
-tensors may ever hold the same buffer.
+receives becomes its buffer without a zero fill, so a node hands back
+arrays computed for that one call; later gradients are added into the
+buffer in place, so no two tensors may ever hold the same buffer.
 """
 
 from __future__ import annotations
@@ -69,18 +63,12 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def _accumulate(self, g: np.ndarray, shared: bool = False) -> None:
-        """Add ``g`` into this tensor's gradient buffer.
-
-        The first gradient becomes the buffer. Callers pass ``shared=True``
-        when ``g`` is held elsewhere too (another tensor's buffer, or a view
-        into one); it is then copied, because the buffer is added into in
-        place later. An array the caller computed for this call alone is
-        adopted as it is.
-        """
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, an array computed for this call alone, into this
+        tensor's gradient buffer; the first gradient becomes the buffer."""
         if self.grad is None:
             # np.asarray keeps a 0-d gradient an array, not a numpy scalar
-            self.grad = np.array(g) if shared else np.asarray(g)
+            self.grad = np.asarray(g)
         else:
             self.grad += g
 
@@ -161,113 +149,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor._wrap(a.values + b.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g, shared=True)
-        if b.requires_grad:
-            b._accumulate(g, shared=True)
-
-    return _record(out, (a, b), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError("matmul expects rank-2 operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = Tensor._wrap(a.values @ b.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.values.T)
-        if b.requires_grad:
-            b._accumulate(a.values.T @ g)
-
-    return _record(out, (a, b), backward_fn)
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of a matrix, x[m, k] @ w[k, n] + b[n], as one node."""
-    if (x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1
-            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise ShapeError(f"dense: {x.shape} @ {w.shape} + {b.shape}")
-    out = x.values @ w.values
-    out += b.values
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g @ w.values.T)
-        if w.requires_grad:
-            w._accumulate(x.values.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return _record(Tensor._wrap(out), (x, w, b), backward_fn)
-
-
-def concat_cols(*xs: Tensor) -> Tensor:
-    """Concatenation along the last axis: [m, ·] matrices side by side, or
-    vectors end to end. Every operand has the same rank and, for
-    matrices, the same row count."""
-    if not xs or any(x.values.ndim == 0 or x.shape[:-1] != xs[0].shape[:-1]
-                     for x in xs):
-        raise ShapeError(f"concat_cols: {[x.shape for x in xs]}")
-    ends = np.cumsum([x.shape[-1] for x in xs]).tolist()
-    out = Tensor._wrap(np.concatenate([x.values for x in xs], axis=-1))
-
-    def backward_fn(g):
-        for x, lo, hi in zip(xs, [0] + ends, ends):
-            if x.requires_grad:
-                x._accumulate(g[..., lo:hi], shared=True)
-
-    return _record(out, xs, backward_fn)
-
-
-def rows(x: Tensor, block: slice) -> Tensor:
-    """A block of a matrix's rows, ``x.values[block]``, as a new matrix."""
-    if (not isinstance(block, slice) or x.values.ndim != 2
-            or block.step is not None
-            or not 0 <= block.start < block.stop <= x.shape[0]):
-        raise ShapeError(f"rows {block!r} out of range for shape {x.shape}")
-    out = Tensor._wrap(x.values[block].copy())
-
-    def backward_fn(g):
-        if x.requires_grad:
-            # Only the block is touched: write it into the buffer in place.
-            if x.grad is None:
-                x.grad = np.zeros_like(x.values)
-                x.grad[block] = g
-            else:
-                x.grad[block] += g
-
-    return _record(out, (x,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.values > 0.0
-    out = Tensor._wrap(np.maximum(x.values, 0.0))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return _record(out, (x,), backward_fn)
+# the sigmoid
 
 
 def logistic(x) -> np.ndarray:
@@ -287,29 +169,7 @@ def logistic(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# row gathers and segment broadcasts
-
-
-def gather_rows(x: Tensor, index) -> Tensor:
-    """Rows of a matrix by index: out[i] = x[index[i]]. An index may
-    repeat a row or leave one out; the backward pass adds each output
-    row's gradient back into the row it came from, in index order."""
-    index = np.asarray(index, dtype=np.int64)
-    if x.values.ndim != 2 or index.ndim != 1:
-        raise ShapeError(f"gather_rows: rows {index.shape} of {x.shape}")
-    if index.size and (index.min() < 0 or index.max() >= len(x.values)):
-        raise ShapeError(f"gather_rows: index out of range for "
-                         f"{len(x.values)} rows")
-    out = Tensor._wrap(np.take(x.values, index, axis=0))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            n, k = x.shape
-            flat = (index[:, None] * k + np.arange(k)).ravel()
-            x._accumulate(np.bincount(flat, weights=g.ravel(),
-                                      minlength=n * k).reshape(n, k))
-
-    return _record(out, (x,), backward_fn)
+# segment layouts
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -320,8 +180,8 @@ class Segments:
 
     A size may be zero, since loaded data can hold an empty search or
     journey for validation to report; whatever reduces over every
-    segment (the broadcast's backward pass, the model's listwise loss)
-    refuses a layout that is not ``all_nonempty``.
+    segment (the model's listwise loss) refuses a layout that is not
+    ``all_nonempty``.
     """
 
     starts: np.ndarray                # [n + 1] int64 row offsets, read-only
@@ -351,23 +211,3 @@ class Segments:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts)
-
-
-def segment_broadcast(x: Tensor, segments: Segments) -> Tensor:
-    """Each segment's row of ``x``, a vector or a matrix with one row per
-    segment, handed to the segment's rows: out[i] = x[segments.ids[i]].
-
-    The backward pass sums each segment's gradient rows, so it refuses a
-    layout with an empty segment."""
-    if x.values.ndim == 0 or len(x.values) != segments.n:
-        raise ShapeError(f"segment_broadcast: shape {x.shape} for "
-                         f"{segments.n} segments")
-    out = Tensor._wrap(np.take(x.values, segments.ids, axis=0))
-
-    def backward_fn(g):
-        if x.requires_grad:
-            if not segments.all_nonempty:
-                raise ContractError("segment_broadcast backward: empty segment")
-            x._accumulate(np.add.reduceat(g, segments.starts[:-1], axis=0))
-
-    return _record(out, (x,), backward_fn)

@@ -1,14 +1,17 @@
-"""The training loss as a composition of one tape node per operation: the
-form the model's fused loss node (``model.fused_loss``) replaced, kept as
-the reference it is compared against bit for bit.
+"""The training step as a composition of one tape node per operation:
+the form the model's one node per step (``model.total_loss``) replaced,
+kept as the reference it is compared against bit for bit.
 
 The operators here are the engine operators that node made redundant,
 recorded through the engine's public hook (``nn.record``), with the same
 arithmetic in the same order as when they lived in the engine; the tensor
-tests still pin them against their oracles. Below them sit the per-op
-model pieces: the forward pass after the logits, with the blend on every
-row and the scores behind a gradient stop, and one loss function per
-module.
+tests still pin them against their oracles. ``rows`` alone records through
+the engine's private ``_record``, because its backward pass writes its
+block into the input's gradient in place, leaving the other rows as they
+were. Below the operators sit the per-op model pieces: the MLP block and
+the network up to its logits, the forward pass after the logits, with the
+blend on every row and the scores behind a gradient stop, and one loss
+function per module.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from journeyrank import model, nn
 from journeyrank.domain import NEGATIVE_PARENT
 from journeyrank.errors import ContractError, ShapeError
+from journeyrank.nn.tensor import _record
 
 # ---------------------------------------------------------------------------
 # operators
@@ -34,6 +38,114 @@ def stop_gradient(t: nn.Tensor) -> nn.Tensor:
 def _check_same_shape(a: nn.Tensor, b: nn.Tensor, op: str) -> None:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+
+
+def add(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
+    _check_same_shape(a, b, "add")
+    return nn.record(a.values + b.values, (a, b),
+                     lambda g: (np.array(g), np.array(g)))
+
+
+def matmul(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
+    if a.values.ndim != 2 or b.values.ndim != 2:
+        raise ShapeError("matmul expects rank-2 operands")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    return nn.record(a.values @ b.values, (a, b), lambda g: (
+        g @ b.values.T if a.requires_grad else None,
+        a.values.T @ g if b.requires_grad else None))
+
+
+def dense(x: nn.Tensor, w: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
+    """Affine map of a matrix, x[m, k] @ w[k, n] + b[n], as one node."""
+    if (x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"dense: {x.shape} @ {w.shape} + {b.shape}")
+    out = x.values @ w.values
+    out += b.values
+    return nn.record(out, (x, w, b), lambda g: (
+        g @ w.values.T if x.requires_grad else None,
+        x.values.T @ g if w.requires_grad else None,
+        g.sum(axis=0) if b.requires_grad else None))
+
+
+def concat_cols(*xs: nn.Tensor) -> nn.Tensor:
+    """Concatenation along the last axis: [m, ·] matrices side by side, or
+    vectors end to end. Every operand has the same rank and, for
+    matrices, the same row count."""
+    if not xs or any(x.values.ndim == 0 or x.shape[:-1] != xs[0].shape[:-1]
+                     for x in xs):
+        raise ShapeError(f"concat_cols: {[x.shape for x in xs]}")
+    ends = np.cumsum([x.shape[-1] for x in xs]).tolist()
+    return nn.record(
+        np.concatenate([x.values for x in xs], axis=-1), xs,
+        lambda g: [np.array(g[..., lo:hi])
+                   for lo, hi in zip([0] + ends, ends)])
+
+
+def rows(x: nn.Tensor, block: slice) -> nn.Tensor:
+    """A block of a matrix's rows, ``x.values[block]``, as a new matrix."""
+    if (not isinstance(block, slice) or x.values.ndim != 2
+            or block.step is not None
+            or not 0 <= block.start < block.stop <= x.shape[0]):
+        raise ShapeError(f"rows {block!r} out of range for shape {x.shape}")
+    out = nn.Tensor._wrap(x.values[block].copy())
+
+    def backward_fn(g):
+        if x.requires_grad:
+            # Only the block is touched: write it into the buffer in place.
+            if x.grad is None:
+                x.grad = np.zeros_like(x.values)
+                x.grad[block] = g
+            else:
+                x.grad[block] += g
+
+    return _record(out, (x,), backward_fn)
+
+
+def relu(x: nn.Tensor) -> nn.Tensor:
+    mask = x.values > 0.0
+    return nn.record(np.maximum(x.values, 0.0), (x,),
+                     lambda g: (g * mask,))
+
+
+def gather_rows(x: nn.Tensor, index) -> nn.Tensor:
+    """Rows of a matrix by index: out[i] = x[index[i]]. An index may
+    repeat a row or leave one out; the backward pass adds each output
+    row's gradient back into the row it came from, in index order."""
+    index = np.asarray(index, dtype=np.int64)
+    if x.values.ndim != 2 or index.ndim != 1:
+        raise ShapeError(f"gather_rows: rows {index.shape} of {x.shape}")
+    if index.size and (index.min() < 0 or index.max() >= len(x.values)):
+        raise ShapeError(f"gather_rows: index out of range for "
+                         f"{len(x.values)} rows")
+
+    def gradients(g):
+        n, k = x.shape
+        flat = (index[:, None] * k + np.arange(k)).ravel()
+        return (np.bincount(flat, weights=g.ravel(),
+                            minlength=n * k).reshape(n, k),)
+
+    return nn.record(np.take(x.values, index, axis=0), (x,), gradients)
+
+
+def segment_broadcast(x: nn.Tensor, segments: nn.Segments) -> nn.Tensor:
+    """Each segment's row of ``x``, a vector or a matrix with one row per
+    segment, handed to the segment's rows: out[i] = x[segments.ids[i]].
+
+    The backward pass sums each segment's gradient rows, so it refuses a
+    layout with an empty segment."""
+    if x.values.ndim == 0 or len(x.values) != segments.n:
+        raise ShapeError(f"segment_broadcast: shape {x.shape} for "
+                         f"{segments.n} segments")
+
+    def gradients(g):
+        if not segments.all_nonempty:
+            raise ContractError("segment_broadcast backward: empty segment")
+        return (np.add.reduceat(g, segments.starts[:-1], axis=0),)
+
+    return nn.record(np.take(x.values, segments.ids, axis=0), (x,),
+                     gradients)
 
 
 def sub(a: nn.Tensor, b: nn.Tensor) -> nn.Tensor:
@@ -186,6 +298,53 @@ def total_mean(x: nn.Tensor) -> nn.Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the network up to its logits
+
+
+def forward_mlp(store: nn.ParameterStore, prefix: str, spec: nn.MlpSpec,
+                x: nn.Tensor) -> nn.Tensor:
+    """The block over a taped ``[rows, input_dim]`` matrix: a dense node
+    per layer and a ReLU node between layers."""
+    if x.values.ndim != 2:
+        raise ShapeError(f"{prefix}: expected a rank-2 input, got shape {x.shape}")
+    h = x
+    for i, (fan_in, _) in enumerate(spec.layer_dims):
+        if i > 0:
+            h = relu(h)
+        if h.shape[1] != fan_in:
+            raise ShapeError(
+                f"{prefix}: layer {i} expects width {fan_in}, got {h.shape[1]}")
+        h = dense(h, store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"])
+    return h
+
+
+def logits(config: model.ModelConfig, params: nn.ParameterStore,
+           listing_rows: np.ndarray, listing_index: np.ndarray,
+           context_rows: np.ndarray, segments: nn.Segments,
+           ) -> tuple[nn.Tensor, nn.Tensor | None]:
+    """``model.network``'s two logit outputs, taped: the heads' logits
+    and the coefficient MLP's, None without a blend. The heads' weights
+    are put side by side once, and the two halves read their blocks of
+    rows from them."""
+    emb_l = forward_mlp(params, "tower_listing", config.listing_tower,
+                        nn.Tensor(listing_rows))
+    emb_c = forward_mlp(params, "tower_context", config.context_tower,
+                        nn.Tensor(context_rows))
+    prefixes = [f"head_{task}" for task in config.all_tasks]
+    d = config.embedding_dim
+    weights = concat_cols(*(params[f"{p}.w0"] for p in prefixes))
+    context_half = dense(emb_c, rows(weights, slice(d, 2 * d)),
+                         concat_cols(*(params[f"{p}.b0"] for p in prefixes)))
+    listing_half = matmul(emb_l, rows(weights, slice(0, d)))
+    head = add(gather_rows(listing_half, listing_index),
+               segment_broadcast(context_half, segments))
+    if config.combination is None:
+        return head, None
+    return head, forward_mlp(params, "combination", config.combination,
+                             emb_c)
+
+
+# ---------------------------------------------------------------------------
 # the model after its logits
 
 
@@ -217,13 +376,13 @@ def forward_tail(config: model.ModelConfig, head: nn.Tensor,
     if coef_logits is None:
         return Outputs(cond_logits, log_joint, y_base)
     y_twiddler = column(head, slice(n_base, head.shape[1]))
-    per_row = nn.segment_broadcast(coef_logits, segments)
+    per_row = segment_broadcast(coef_logits, segments)
     alpha_base = softplus(column(per_row, slice(0, 1)))
     alpha_twiddler = column(per_row, slice(1, per_row.shape[1]))
-    scores = nn.concat_cols(
+    scores = concat_cols(
         column(stop_gradient(log_joint), slice(n_base - 1, n_base)),
         stop_gradient(y_twiddler))
-    blend = cumsum(mul(nn.concat_cols(alpha_base, alpha_twiddler), scores))
+    blend = cumsum(mul(concat_cols(alpha_base, alpha_twiddler), scores))
     return Outputs(cond_logits=cond_logits, log_joint=log_joint,
                    y_base=y_base, y_twiddler=y_twiddler,
                    alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
@@ -233,9 +392,9 @@ def forward_tail(config: model.ModelConfig, head: nn.Tensor,
 def forward(config: model.ModelConfig, params: nn.ParameterStore,
             batch: model.SearchBatch) -> Outputs:
     """The whole forward pass over a batch, every value taped."""
-    head, coef_logits = model.logits(config, params, batch.listing_rows,
-                                     batch.listing_index, batch.context_rows,
-                                     batch.segments)
+    head, coef_logits = logits(config, params, batch.listing_rows,
+                               batch.listing_index, batch.context_rows,
+                               batch.segments)
     return forward_tail(config, head, coef_logits, batch.segments)
 
 
@@ -296,9 +455,20 @@ def total_loss(config: model.ModelConfig, head: nn.Tensor,
         term = twiddler_loss(outputs.y_twiddler, batch,
                              config.twiddler_tasks)
         parts["twiddler"] = float(term.values)
-        loss = nn.add(loss, term)
+        loss = add(loss, term)
         term = combination_loss(outputs.y_combination, batch)
         parts["combination"] = float(term.values)
-        loss = nn.add(loss, term)
+        loss = add(loss, term)
     parts["total"] = float(loss.values)
     return loss, outputs, parts
+
+
+def step_loss(config: model.ModelConfig, params: nn.ParameterStore,
+              batch: model.SearchBatch, weights: Mapping[str, float],
+              ) -> tuple[nn.Tensor, dict[str, float]]:
+    """``model.total_loss``'s loss and parts, one node per operation."""
+    head, coef_logits = logits(config, params, batch.listing_rows,
+                               batch.listing_index, batch.context_rows,
+                               batch.segments)
+    loss, _, parts = total_loss(config, head, coef_logits, batch, weights)
+    return loss, parts

@@ -138,3 +138,27 @@ def test_compare_trains_and_evaluates_each_config_once_per_seed(
                                for t, e in zip(trains, evals)
                                if t["full"] == full]
         assert 0.0 <= statistics.fmean(report[key]) <= 1.0
+
+
+def test_a_traced_train_records_each_step_once(monkeypatch):
+    """A traced run reads the training step's per-layer times from one
+    ``model.make_batch``, ``model.forward_loss``, ``nn.backward`` and
+    ``nn.optimizer_step`` span per step; a step that skipped a boundary
+    would read 0 there and move its time into ``model.train_fixed_s``."""
+    tracer = CountingTracer()
+    for module, attr, make in load_layers().boundaries(tracer):
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    dataset = tiny_manual_dataset()
+    config = model.default_model_config(2, 2, embedding_dim=3,
+                                        tower_hidden=(4,))
+    epochs, batch_size = 3, 2
+    model.train(config, dataset, epochs, batch_size=batch_size)
+    steps = epochs * -(-dataset.n_searches // batch_size)
+    assert steps > epochs
+    for name in ("model.make_batch", "model.forward_loss", "nn.backward",
+                 "nn.optimizer_step"):
+        assert len(tracer.infos[name]) == steps, name
+    assert [info["nodes"] for info in tracer.infos["nn.backward"]] == \
+        [1] * steps
+    assert sum(info["rows"] for info in tracer.infos["model.make_batch"]) \
+        == epochs * dataset.n_impressions

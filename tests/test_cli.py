@@ -9,6 +9,7 @@ file except the manifest, whose only moving part is its timestamp.
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import journeyrank
+from journeyrank import cli
 from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev
 from journeyrank.cli import main
@@ -247,6 +249,31 @@ class TestTrain:
         history = (outs[0] / "loss_history.csv").read_text().splitlines()
         assert history == ["epoch,base,twiddler,combination,total"]
 
+    def test_manifest_hashes_the_bytes_read(self, ws, tmp_path, monkeypatch):
+        """Each input is hashed when the command reads it: a dataset
+        changed while the model trains is recorded as it was read."""
+        data = tmp_path / "dataset.jsonl"
+        data.write_bytes((ws / "data" / "dataset.jsonl").read_bytes())
+        read = file_sha256(data)
+        train = cli.train
+
+        def train_then_append(*args, **kwargs):
+            result = train(*args, **kwargs)
+            with open(data, "ab") as f:
+                f.write(b"\n")
+            return result
+
+        monkeypatch.setattr(cli, "train", train_then_append)
+        out = tmp_path / "run"
+        assert main(["train", "--model-config", str(ws / "model.json"),
+                     "--dataset", str(data), "--out", str(out),
+                     "--epochs", "0"]) == 0
+        hashes = json.loads((out / "manifest.json").read_text())[
+            "input_hashes"]
+        assert file_sha256(data) != read
+        assert hashes == {"dataset": read,
+                          "model_config": file_sha256(ws / "model.json")}
+
     def test_divergence_exits_three_with_epoch(self, ws, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["train", "--model-config", str(ws / "model.json"),
@@ -371,6 +398,29 @@ def edited_model(ws, tmp_path, edit) -> Path:
 
 
 class TestEval:
+    def test_manifest_hashes_the_model_read(self, ws, tmp_path, monkeypatch):
+        """A model whose weights change while the dataset is scored is
+        recorded as it was read."""
+        model_dir = tmp_path / "model"
+        shutil.copytree(ws / "run" / "model", model_dir)
+        read = file_sha256(model_dir / "params.bin")
+        evaluate = ev.evaluate
+
+        def evaluate_then_append(*args, **kwargs):
+            with open(model_dir / "params.bin", "ab") as f:
+                f.write(b"\0")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "evaluate", evaluate_then_append)
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", str(model_dir),
+                     "--dataset", str(ws / "data" / "dataset.jsonl"),
+                     "--out", str(out)]) == 0
+        hashes = json.loads((out / "manifest.json").read_text())[
+            "input_hashes"]
+        assert file_sha256(model_dir / "params.bin") != read
+        assert hashes["model"] == read
+
     def test_matches_in_process_evaluation(self, ws, tmp_path):
         out = tmp_path / "eval"
         assert main(["eval", "--model", str(ws / "run" / "model"),

@@ -1,17 +1,18 @@
 """Micro-benchmarks of the hot paths, timed with pytest-benchmark.
 
-One training step (batch cut, forward and loss, backward, Adam) on a
-batch whose rows show each listing about 3.5 times, the same step on a
-batch whose rows all show distinct listings, one batched forward over a
-whole dataset, two of the step's kernels, forward and backward: the loss
-node (``model.fused_loss``, from the heads' logits to the loss) on a
-2,048-row batch and ``dense`` on a batch-sized matrix, generating 200
-guests, and the JSONL save and load of a 200-guest world:
-one save, and one load each of the generated file (feature rows repeat,
-so the line decoder reads it) and of a copy whose rows are all distinct
-(so the reader switches to the record path). Rounds are few so the
-suite's run time barely moves. The timings only inform: nothing here
-asserts on them, only on the results being well formed.
+One training step (batch cut, the step's one tape node forward and
+backward, Adam) on a batch whose rows show each listing about 3.5 times,
+the same step on a batch whose rows all show distinct listings, one
+batched forward over a whole dataset, two of the step's kernels, forward
+and backward, as plain array code: the loss from the heads' logits
+(``model.loss_from_logits``) on a 2,048-row batch and a dense layer
+(``nn.mlp_activations`` and ``nn.mlp_gradients`` of a one-layer block) on
+a batch-sized matrix, generating 200 guests, and the JSONL save and load
+of a 200-guest world: one save, and one load each of the generated file
+(feature rows repeat, so the line decoder reads it) and of a copy whose
+rows are all distinct (so the reader switches to the record path). Rounds
+are few so the suite's run time barely moves. The timings only inform:
+nothing here asserts on them, only on the results being well formed.
 """
 
 from dataclasses import replace
@@ -19,7 +20,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import per_op
 from journeyrank import dataio, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
@@ -91,53 +91,50 @@ def test_batched_forward(benchmark, world):
     assert np.all(np.isfinite(outputs.ranking_score))
 
 
-def kernel_step(op, *args):
-    """A step's worth of one kernel: forward, then backward from a unit
-    upstream gradient through a sum."""
-    inputs = [nn.Tensor(a, requires_grad=True) for a in args]
-
-    def step():
-        for t in inputs:
-            t.grad = None
-        with nn.Tape() as tape:
-            out = op(*inputs)
-            nn.backward(tape, per_op.total_sum(out))
-        return out
-
-    return step, inputs
-
-
 def test_loss_node_kernel(benchmark, world):
-    """The loss node on the most searches of the 200-guest world that
-    fit in 2,048 rows, a train-bench-sized batch, from fixed logits."""
+    """The loss from fixed logits, forward and backward, on the most
+    searches of the 200-guest world that fit in 2,048 rows, a
+    train-bench-sized batch."""
     dataset, config = world
     inputs = model.batch_inputs(dataset, model.NormalizationStats.fit(
         dataset.listing_features, dataset.context_features))
     n_searches = int(np.searchsorted(dataset.searches.starts, 2048,
                                      side="right")) - 1
     batch = model.make_batch(inputs, np.arange(n_searches))
-    head, coef_logits = model.logits(
+    net = model.network(
         config, model.init_model_params(config), batch.listing_rows,
         batch.listing_index, batch.context_rows, batch.segments)
     weights = model.task_weights(dataset, config.base_tasks)
-    step, (head, coef_logits) = kernel_step(
-        lambda h, c: model.fused_loss(config, h, c, batch, weights)[0],
-        head.values, coef_logits.values)
-    loss = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
+
+    def step():
+        total, _, backward = model.loss_from_logits(
+            config, net.head, net.coef_logits, batch, weights)
+        return total, backward(1.0)
+
+    total, (d_head, d_coef) = benchmark.pedantic(step, rounds=20,
+                                                 warmup_rounds=2)
     assert 1900 < batch.n_rows <= 2048 and batch.pair_i.size
-    assert np.isfinite(loss.values)
-    assert head.grad.shape == (batch.n_rows, len(config.all_tasks))
-    assert coef_logits.grad.shape == (n_searches, 4)
+    assert np.isfinite(total)
+    assert d_head.shape == (batch.n_rows, len(config.all_tasks))
+    assert d_coef.shape == (n_searches, 4)
 
 
 def test_dense_kernel(benchmark):
+    """One dense layer, a one-layer block, forward and backward."""
     rng = np.random.default_rng(6)
-    step, tensors = kernel_step(nn.dense, rng.normal(size=(2000, 20)),
-                                rng.normal(size=(20, 24)),
-                                rng.normal(size=24))
-    out = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
-    assert out.shape == (2000, 24)
-    assert [t.grad.shape for t in tensors] == [(2000, 20), (20, 24), (24,)]
+    spec = nn.MlpSpec(20, (), 24)
+    store = nn.ParameterStore()
+    nn.init_mlp_params(store, "dense", spec, rng)
+    x, g = rng.normal(size=(2000, 20)), rng.normal(size=(2000, 24))
+
+    def step():
+        acts = nn.mlp_activations(store, "dense", spec, x)
+        return acts[-1], nn.mlp_gradients(store, "dense", spec, acts, g,
+                                          input_grad=True)
+
+    out, (grads, d_x) = benchmark.pedantic(step, rounds=20, warmup_rounds=2)
+    assert out.shape == (2000, 24) and d_x.shape == (2000, 20)
+    assert [grads[name].shape for name in store.names()] == [(20, 24), (24,)]
 
 
 def test_generate_200_guests(benchmark):

@@ -4,9 +4,9 @@ Every loss has a scripted numpy oracle computed without the autodiff
 engine, every forced-arithmetic case (zero weights, equal scores) is
 asserted against its closed form, and gradients are checked with central
 finite differences. The losses' oracles are checked against the per-op
-composition in ``per_op``, and the model's one loss node against that
-composition, bit for bit. The gradient-stop contract of the blending
-layer is asserted bitwise.
+composition in ``per_op``, and the model's one node per training step,
+and its loss from the logits, against that composition, bit for bit. The
+gradient-stop contract of the blending layer is asserted bitwise.
 """
 
 import hashlib
@@ -39,7 +39,6 @@ from journeyrank.errors import (
     TrainingDivergenceError,
 )
 from journeyrank.model import (
-    Embeddings,
     ModelConfig,
     ModelOutputs,
     NormalizationStats,
@@ -51,18 +50,18 @@ from journeyrank.model import (
     default_model_config,
     distinct_rows,
     forward,
-    fused_loss,
     init_model_params,
     load_model,
-    logits,
+    loss_from_logits,
     make_batch,
     model_config_from_record,
     model_config_to_record,
     module_parameter_names,
+    network,
     parameter_count,
     preference_pairs,
+    reorder,
     save_model,
-    shared_forward,
     total_loss,
     train,
 )
@@ -225,44 +224,45 @@ def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
     blend add one task's ``[rows, 1]`` column at a time; only the finished
     columns are put side by side, in the model's ``[rows, tasks]`` layout.
     """
-    emb_l = nn.forward_mlp(params, "tower_listing", config.listing_tower,
-                           nn.Tensor(listing_rows))
-    emb_c = nn.forward_mlp(params, "tower_context", config.context_tower,
-                           nn.Tensor(context_rows))
+    emb_l = ops.forward_mlp(params, "tower_listing", config.listing_tower,
+                            nn.Tensor(listing_rows))
+    emb_c = ops.forward_mlp(params, "tower_context", config.context_tower,
+                            nn.Tensor(context_rows))
 
     def head_logit(task, joint_emb):
-        return nn.forward_mlp(params, f"head_{task}", config.head, joint_emb)
+        return ops.forward_mlp(params, f"head_{task}", config.head,
+                               joint_emb)
 
-    joint_emb = nn.concat_cols(emb_l, emb_c)
+    joint_emb = ops.concat_cols(emb_l, emb_c)
     cond_logits, log_joint = [], []
     running = None
     for task in config.base_tasks:
         logit = head_logit(task, joint_emb)
         cond_logits.append(logit)
         step = ops.log_sigmoid(logit)
-        running = step if running is None else nn.add(running, step)
+        running = step if running is None else ops.add(running, step)
         log_joint.append(running)
     y_base = log_joint[-1]
-    joint_emb = nn.concat_cols(emb_l, emb_c)
+    joint_emb = ops.concat_cols(emb_l, emb_c)
     y_twiddler = [head_logit(task, joint_emb)
                   for task in config.twiddler_tasks]
     alpha_base = alpha_twiddler = y_combination = None
     if config.combination is not None:
-        coefs = nn.forward_mlp(params, "combination", config.combination,
-                               emb_c)
+        coefs = ops.forward_mlp(params, "combination", config.combination,
+                                emb_c)
         alpha_base = ops.softplus(ops.column(coefs, slice(0, 1)))
         y_combination = ops.mul(alpha_base, ops.stop_gradient(y_base))
         for k, logit in enumerate(y_twiddler, start=1):
-            y_combination = nn.add(y_combination, ops.mul(
+            y_combination = ops.add(y_combination, ops.mul(
                 ops.column(coefs, slice(k, k + 1)),
                 ops.stop_gradient(logit)))
         alpha_twiddler = ops.column(coefs, slice(1, coefs.shape[1]))
         y_combination = ops.column(y_combination, 0)
     return ops.Outputs(
-        cond_logits=nn.concat_cols(*cond_logits),
-        log_joint=nn.concat_cols(*log_joint),
+        cond_logits=ops.concat_cols(*cond_logits),
+        log_joint=ops.concat_cols(*log_joint),
         y_base=ops.column(y_base, 0),
-        y_twiddler=nn.concat_cols(*y_twiddler) if y_twiddler else None,
+        y_twiddler=ops.concat_cols(*y_twiddler) if y_twiddler else None,
         alpha_base=alpha_base, alpha_twiddler=alpha_twiddler,
         y_combination=y_combination)
 
@@ -433,16 +433,26 @@ class TestModelConfig:
             model_config_from_record(rec)
 
 
+def embeddings(config: ModelConfig, params, listing_rows: np.ndarray,
+               context_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The listing and context embeddings of one listing row per
+    search."""
+    n = len(listing_rows)
+    net = network(config, params, listing_rows, np.arange(n), context_rows,
+                  nn.Segments(np.ones(n, dtype=np.int64)))
+    return net.listing[-1], net.context[-1]
+
+
 class TestSharedForward:
     def test_zero_weights_give_zero_embeddings(self):
         config = small_config()
         params = init_model_params(config)
         zero_params(params)
         rng = np.random.default_rng(0)
-        emb = shared_forward(config, params, rng.normal(size=(4, 4)),
-                             rng.normal(size=(4, 3)))
-        np.testing.assert_array_equal(emb.listing.values, 0.0)
-        np.testing.assert_array_equal(emb.context.values, 0.0)
+        emb_l, emb_c = embeddings(config, params, rng.normal(size=(4, 4)),
+                                  rng.normal(size=(4, 3)))
+        np.testing.assert_array_equal(emb_l, 0.0)
+        np.testing.assert_array_equal(emb_c, 0.0)
 
     def test_batch_rows_independent(self):
         config = small_config()
@@ -450,25 +460,23 @@ class TestSharedForward:
         rng = np.random.default_rng(1)
         listing = rng.normal(size=(8, 4))
         context = rng.normal(size=(8, 3))
-        full = shared_forward(config, params, listing, context)
-        solo = shared_forward(config, params, listing[:1], context[:1])
-        np.testing.assert_allclose(solo.listing.values[0],
-                                   full.listing.values[0], rtol=1e-13)
-        np.testing.assert_allclose(solo.context.values[0],
-                                   full.context.values[0], rtol=1e-13)
+        full = embeddings(config, params, listing, context)
+        solo = embeddings(config, params, listing[:1], context[:1])
+        for s, f in zip(solo, full):
+            np.testing.assert_allclose(s[0], f[0], rtol=1e-13)
 
     def test_golden_snapshot(self):
         config = default_model_config(6, 4, seed=42)
         params = init_model_params(config)
         listing = np.linspace(-1.0, 1.0, 18).reshape(3, 6)
         context = np.linspace(0.5, -0.5, 12).reshape(3, 4)
-        emb = shared_forward(config, params, listing, context)
+        emb_l, emb_c = embeddings(config, params, listing, context)
         np.testing.assert_allclose(
-            emb.listing.values[0, :3],
+            emb_l[0, :3],
             [0.008525277850541113, 0.43539867475748, 0.028028402517221027],
             rtol=0, atol=1e-15)
         np.testing.assert_allclose(
-            emb.context.values[0, :3],
+            emb_c[0, :3],
             [0.16355741135296198, -0.05500528843523372, 0.11983831966496784],
             rtol=0, atol=1e-15)
         out = forward_one_row_each(config, params, listing, context)
@@ -575,9 +583,9 @@ class TestForwardMatchesPerRowReference:
             want = base_loss(ref.log_joint, batch, config.base_tasks,
                              weights)
             if config.twiddler_tasks:
-                want = nn.add(want, twiddler_loss(ref.y_twiddler, batch,
+                want = ops.add(want, twiddler_loss(ref.y_twiddler, batch,
                                                   config.twiddler_tasks))
-                want = nn.add(want, combination_loss(ref.y_combination,
+                want = ops.add(want, combination_loss(ref.y_combination,
                                                      batch))
             nn.backward(tape, want)
         np.testing.assert_allclose(float(loss.values), float(want.values),
@@ -586,6 +594,24 @@ class TestForwardMatchesPerRowReference:
             assert got[name].shape == t.values.shape
             np.testing.assert_allclose(got[name], t.grad, rtol=0, atol=1e-10,
                                        err_msg=name)
+
+
+class TestLogSigmoidSlope:
+    def test_bit_identical_to_the_logistic_of_minus_x(self):
+        """The base loss reads its slopes from the funnel's exp(-|x|)."""
+        rng = np.random.default_rng(47)
+        x = np.concatenate((
+            [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 700.0, -700.0,
+             745.2, -745.2, 1e308, -1e308, 36.7, -36.7],
+            rng.normal(size=500) * 10.0, rng.normal(size=500) * 1e-8))
+        x = x.reshape(-1, 2)
+        _, e = model_module._funnel(x)
+        got = model_module._log_sigmoid_slope(x, e)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      nn.logistic(-x).view(np.uint64))
+        np.testing.assert_array_equal(model_module.funnel(x).view(np.uint64),
+                                      model_module._funnel(x)[0].view(
+                                          np.uint64))
 
 
 class TestBaseForward:
@@ -886,9 +912,11 @@ class TestGradesAndPairs:
 
 
 class TestBatches:
-    """Batches cut from the once-per-train() inputs equal the batches the
-    per-step reference builds from the columns, array for array; each
-    impression's listing row is compared through the batch's index."""
+    """Batches cut from the once-per-train() inputs, by search index or
+    as slices of the inputs put in an epoch's order once, equal the
+    batches the per-step reference builds from the columns, array for
+    array; each impression's listing row is compared through the batch's
+    index."""
 
     def assert_same_batch(self, got: SearchBatch, want: SearchBatch):
         assert got.segments.n == want.segments.n
@@ -925,12 +953,37 @@ class TestBatches:
                                           dataset.context_features)
             inputs = batch_inputs(dataset, norm)
             order = rng.permutation(dataset.n_searches)
+            shuffled = reorder(inputs, order)
             batch_size = int(rng.integers(1, max_batch + 1))
             for lo in range(0, len(order), batch_size):
                 pick = order[lo:lo + batch_size]
+                want = per_batch_make_batch(dataset, pick, norm)
+                self.assert_same_batch(make_batch(inputs, pick), want)
                 self.assert_same_batch(
-                    make_batch(inputs, pick),
-                    per_batch_make_batch(dataset, pick, norm))
+                    make_batch(shuffled, slice(lo, lo + batch_size)), want)
+
+    def test_reordered_inputs_keep_every_search(self):
+        rng = np.random.default_rng(33)
+        dataset = random_searches(rng, 25, n_listings=7)
+        norm = NormalizationStats.fit(dataset.listing_features,
+                                      dataset.context_features)
+        inputs = batch_inputs(dataset, norm)
+        order = rng.permutation(dataset.n_searches)
+        twice = reorder(reorder(inputs, order), np.argsort(order))
+        for name in ("starts", "listing_index", "context_rows", "labels",
+                     "pair_i", "pair_j", "pair_starts"):
+            got, want = getattr(twice, name), getattr(inputs, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert inputs.pair_i.size and inputs.pair_starts[-1] == \
+            inputs.pair_i.size
+
+    def test_slice_must_be_consecutive(self):
+        dataset = random_searches(np.random.default_rng(34), 6)
+        norm = NormalizationStats.fit(dataset.listing_features,
+                                      dataset.context_features)
+        with pytest.raises(ContractError, match="consecutive"):
+            make_batch(batch_inputs(dataset, norm), slice(0, 6, 2))
 
     def test_covers_one_row_and_pairless_searches(self):
         rng = np.random.default_rng(32)
@@ -1069,6 +1122,26 @@ class TestDistinctRows:
                                       np.argsort(np.argsort(rows)))
 
 
+class TestRowHashes:
+    def test_blocks_match_the_unblocked_formula(self):
+        """Hashing a block of rows at a time gives each row the hash of
+        the formula applied to the whole matrix at once, on more rows
+        than one block holds and a last block that is not full."""
+        rng = np.random.default_rng(39)
+        rows = rng.normal(size=(2 * model_module._HASH_BLOCK + 37, 7))
+        rows[::5] = rows[1::5]
+        bits = rows.view(np.uint64)
+        multipliers = np.random.default_rng(0x5EED).integers(
+            0, 2**64, size=7, dtype=np.uint64) | np.uint64(1)
+        folded = bits ^ (bits >> np.uint64(32))
+        want = (folded * multipliers).sum(axis=1, dtype=np.uint64)
+        got = model_module._row_hashes(bits)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(model_module._row_hashes(bits[:0]),
+                                      np.zeros(0, dtype=np.uint64))
+
+
 class TestTrainLayouts:
     def test_one_search_layout_per_step(self, monkeypatch):
         """Each step builds its batch's layout once, in make_batch, and
@@ -1108,34 +1181,37 @@ class TestTrainLayouts:
 
 
 class TestStepTape:
-    """The heads' logits stay one ``[rows, tasks]`` matrix and everything
-    from them to the loss is one node, so a step records a fixed handful
-    of operations, whatever the number of tasks: three per two-layer
-    tower or coefficient MLP, nine for the heads' two halves and their
-    sum, and the loss node."""
+    """A training step, from the parameters to the loss, records one node
+    over every parameter, whatever the config."""
 
     @staticmethod
-    def nodes_per_step(config: ModelConfig) -> int:
+    def step_tape(config: ModelConfig):
         params = init_model_params(config)
         batch = random_batch(np.random.default_rng(41), n_searches=6,
                              booked=True)
         weights = {t: 1.0 for t in config.base_tasks}
         with nn.Tape() as tape:
             total_loss(config, params, batch, weights)
+        return params, tape
+
+    def nodes_per_step(self, config: ModelConfig) -> int:
+        params, tape = self.step_tape(config)
+        (_, inputs, _), = tape._nodes
+        assert inputs == tuple(t for _, t in params.items())
         return len(tape)
 
     def test_full_config(self):
-        assert self.nodes_per_step(small_config()) == 19
+        assert self.nodes_per_step(small_config()) == 1
 
     def test_fewer_tasks_record_as_many_nodes(self):
         config = small_config(base_tasks=("book", "unc"),
                               twiddler_tasks=("cbg",))
-        assert self.nodes_per_step(config) == 19
+        assert self.nodes_per_step(config) == 1
 
     def test_baseline(self):
         config = baseline_model_config(4, 3, embedding_dim=5,
                                        tower_hidden=(6,), seed=3)
-        assert self.nodes_per_step(config) == 16
+        assert self.nodes_per_step(config) == 1
 
 
 def with_labels(batch: SearchBatch, **changes) -> SearchBatch:
@@ -1177,10 +1253,23 @@ def loss_node_batches() -> dict[str, tuple]:
     }
 
 
+def logits_node(config, head: nn.Tensor, coef_logits: nn.Tensor | None,
+                batch: SearchBatch, weights):
+    """``loss_from_logits`` recorded as one node over the two logit
+    inputs, as (loss, parts)."""
+    total, parts, backward = loss_from_logits(
+        config, head.values,
+        None if coef_logits is None else coef_logits.values, batch, weights)
+    inputs = (head,) if coef_logits is None else (head, coef_logits)
+    return nn.record(np.asarray(total), inputs,
+                     lambda g: backward(float(g))), parts
+
+
 def node_or_reference(node: bool):
-    """``fused_loss``, or the per-op composition, as (loss, parts)."""
+    """The loss from the logits as one node, or as the per-op
+    composition, as (loss, parts)."""
     if node:
-        return fused_loss
+        return logits_node
     return lambda *args: ops.total_loss(*args)[::2]
 
 
@@ -1191,10 +1280,11 @@ def bits(x) -> int | np.ndarray:
 
 @pytest.mark.parametrize("case", list(loss_node_batches()))
 class TestLossNode:
-    """The one node from the heads' logits to the loss against the per-op
-    composition it replaced: the same loss, parts and gradients, bit for
-    bit, though the node runs the blend only where its loss reads; the
-    zero gradients of the rows it skips are exact zeros either way."""
+    """The loss from the heads' logits, and the whole step's one node from
+    the parameters, against the per-op composition they replaced: the
+    same loss, parts and gradients, bit for bit, though the node runs the
+    blend only where its loss reads; the zero gradients of the rows it
+    skips are exact zeros either way."""
 
     @staticmethod
     def leaf_run(node: bool, config, batch, head, coef_logits, weights):
@@ -1211,11 +1301,10 @@ class TestLossNode:
     @staticmethod
     def model_run(node: bool, config, params, batch, weights):
         with nn.Tape() as tape:
-            head, coef_logits = logits(config, params, batch.listing_rows,
-                                       batch.listing_index,
-                                       batch.context_rows, batch.segments)
-            loss, parts = node_or_reference(node)(config, head, coef_logits,
-                                                  batch, weights)
+            if node:
+                loss, _, parts = total_loss(config, params, batch, weights)
+            else:
+                loss, parts = ops.step_loss(config, params, batch, weights)
             nn.backward(tape, loss)
         grads = {name: t.grad for name, t in params.items()}
         for _, t in params.items():
@@ -1226,16 +1315,14 @@ class TestLossNode:
         config, batch = loss_node_batches()[case]
         rng = np.random.default_rng(43)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in config.base_tasks}
-        head, coef_logits = logits(config, init_model_params(config),
-                                   batch.listing_rows, batch.listing_index,
-                                   batch.context_rows, batch.segments)
-        coef_logits = None if coef_logits is None else coef_logits.values
+        net = network(config, init_model_params(config), batch.listing_rows,
+                      batch.listing_index, batch.context_rows, batch.segments)
         # as the model makes them, and spread out to saturate the funnel
         for scale in (1.0, 12.0):
-            got = self.leaf_run(True, config, batch, head.values * scale,
-                                coef_logits, weights)
-            want = self.leaf_run(False, config, batch, head.values * scale,
-                                 coef_logits, weights)
+            got = self.leaf_run(True, config, batch, net.head * scale,
+                                net.coef_logits, weights)
+            want = self.leaf_run(False, config, batch, net.head * scale,
+                                 net.coef_logits, weights)
             assert bits(got[0]) == bits(want[0])
             assert list(got[1]) == list(want[1])
             for name in got[1]:
@@ -1250,12 +1337,18 @@ class TestLossNode:
         config, batch = loss_node_batches()[case]
         params = init_model_params(config)
         weights = {t: 1.5 for t in config.base_tasks}
-        got = self.model_run(True, config, params, batch, weights)
-        want = self.model_run(False, config, params, batch, weights)
-        assert bits(got[0]) == bits(want[0]) and got[1] == want[1]
-        for name, grad in want[2].items():
-            np.testing.assert_array_equal(bits(got[2][name]), bits(grad),
-                                          err_msg=name)
+        # as initialized, and spread out so more ReLUs are off and the
+        # funnel saturates
+        for scale in (1.0, 4.0):
+            for _, t in params.items():
+                t.values *= scale
+            got = self.model_run(True, config, params, batch, weights)
+            want = self.model_run(False, config, params, batch, weights)
+            assert bits(got[0]) == bits(want[0]) and got[1] == want[1]
+            for name, grad in want[2].items():
+                assert got[2][name].shape == grad.shape, name
+                np.testing.assert_array_equal(bits(got[2][name]), bits(grad),
+                                              err_msg=name)
 
 
 class TestLossNodeFiniteDifferences:
@@ -1275,9 +1368,8 @@ class TestLossNodeFiniteDifferences:
             True, config, batch, head, coef_logits, weights)
 
         def parts():
-            _, got = fused_loss(config, nn.Tensor(head),
-                                nn.Tensor(coef_logits), batch, weights)
-            return got
+            return loss_from_logits(config, head, coef_logits, batch,
+                                    weights)[1]
 
         for x, grad, read in (
                 (head, d_head, lambda p: p["base"] + p["twiddler"]),
@@ -1295,6 +1387,54 @@ class TestLossNodeFiniteDifferences:
                                            rtol=1e-5, atol=1e-8)
 
 
+class TestStepNodeFiniteDifferences:
+    def test_parameter_gradients(self, monkeypatch):
+        """Central differences of the loss against the step node's
+        gradients, on a few entries of each module. The blend's loss sees
+        the scores as constants, so entries of the listing tower and the
+        heads are checked against the base and twiddler parts; the
+        coefficient MLP reaches only the blend's loss, so its entries are
+        checked against the total."""
+        rng = np.random.default_rng(46)
+        config = small_config()
+        params = init_model_params(config)
+        batch = random_batch(rng, n_searches=4, booked=True)
+        assert batch.pair_i.size
+        assert_clear_of_relu_kinks(monkeypatch, config, params, batch)
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
+        with nn.Tape() as tape:
+            loss, _, _ = total_loss(config, params, batch, weights)
+            nn.backward(tape, loss)
+        grads = {name: t.grad for name, t in params.items()}
+
+        def scoring(parts):
+            return parts["base"] + parts["twiddler"]
+
+        def total(parts):
+            return parts["total"]
+
+        step = 1e-6
+        for name, read in (("tower_listing.w0", scoring),
+                           ("tower_listing.b1", scoring),
+                           ("head_book.w0", scoring),
+                           ("head_rej.b0", scoring),
+                           ("combination.w0", total),
+                           ("combination.b1", total)):
+            flat = params[name].values.reshape(-1)
+            for k in rng.choice(flat.size, size=min(3, flat.size),
+                                replace=False):
+                orig = flat[k]
+                flat[k] = orig + step
+                up = read(total_loss(config, params, batch, weights)[2])
+                flat[k] = orig - step
+                down = read(total_loss(config, params, batch, weights)[2])
+                flat[k] = orig
+                np.testing.assert_allclose(grads[name].reshape(-1)[k],
+                                           (up - down) / (2 * step),
+                                           rtol=1e-5, atol=1e-8,
+                                           err_msg=name)
+
+
 class TestLossNodeShapes:
     def test_refuses_logits_that_do_not_fit_the_batch(self):
         config, batch = loss_node_batches()["mixed"]
@@ -1304,11 +1444,10 @@ class TestLossNodeShapes:
                                   ((rows, 8), (searches, 4)),
                                   ((rows, 9), (searches, 3)),
                                   ((rows, 9), None)):
-            with pytest.raises(ShapeError, match="fused_loss"):
-                fused_loss(config, nn.Tensor(np.zeros(head)),
-                           None if coef_logits is None
-                           else nn.Tensor(np.zeros(coef_logits)),
-                           batch, weights)
+            with pytest.raises(ShapeError, match="loss_from_logits"):
+                loss_from_logits(config, np.zeros(head),
+                                 None if coef_logits is None
+                                 else np.zeros(coef_logits), batch, weights)
 
 
 class TestTotalLoss:
@@ -1374,15 +1513,15 @@ def assert_clear_of_relu_kinks(monkeypatch, config, params, batch):
     gradcheck holds only when every value reaching a ReLU in the forward
     pass over ``batch`` sits far more than a step from 0."""
     seen = []
-    relu = nn.tensor.relu
+    relu = ops.relu
 
     def spy(x):
         seen.append(x.values.ravel().copy())
         return relu(x)
 
     with monkeypatch.context() as patch:
-        patch.setattr(nn.tensor, "relu", spy)
-        forward_batch(config, params, batch)
+        patch.setattr(ops, "relu", spy)
+        ops.forward(config, params, batch)
     # both towers and the blend MLP have one hidden layer each
     assert len(seen) == 3
     assert np.min(np.abs(np.concatenate(seen))) > 100 * FD_STEP
@@ -1400,7 +1539,7 @@ class TestGradients:
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
         def make_loss():
             outputs = ops.forward(config, params, batch)
-            return nn.add(base_loss(outputs.log_joint, batch, POSITIVE_CHAIN,
+            return ops.add(base_loss(outputs.log_joint, batch, POSITIVE_CHAIN,
                                     weights),
                           twiddler_loss(outputs.y_twiddler, batch,
                                         config.twiddler_tasks))
@@ -1422,7 +1561,7 @@ class TestGradients:
             rng.normal(size=(batch.n_rows, len(config.twiddler_tasks)))])
         def make_loss():
             out = ops.forward(config, params, batch)
-            coefs = nn.concat_cols(out.alpha_base, out.alpha_twiddler)
+            coefs = ops.concat_cols(out.alpha_base, out.alpha_twiddler)
             blend = ops.cumsum(ops.mul(coefs, nn.Tensor(scores)))
             return combination_loss(ops.column(blend, scores.shape[1] - 1),
                                     batch)
@@ -1730,6 +1869,51 @@ class TestBlendCoefficients:
         model, _ = train(config, dataset, epochs=1)
         with pytest.raises(ConfigError):
             blend_coefficients(model, np.zeros((1, 2)))
+
+
+class TestNonFiniteRows:
+    """Feature rows that are not finite after normalization are refused
+    before any arithmetic: once for training, in ``batch_inputs``, whose
+    rows every batch is cut from, and again for scoring."""
+
+    @staticmethod
+    def trained(epochs=0):
+        dataset = planted_dataset()
+        config = default_model_config(2, 2, embedding_dim=4,
+                                      tower_hidden=(5,), seed=7)
+        return dataset, train(config, dataset, epochs=epochs)[0]
+
+    @pytest.mark.parametrize("field", ["listing_mean", "context_mean"])
+    def test_batch_inputs(self, field):
+        dataset = planted_dataset()
+        norm = NormalizationStats.fit(dataset.listing_features,
+                                      dataset.context_features)
+        bad = getattr(norm, field).copy()
+        bad[1] = np.inf
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            batch_inputs(dataset, replace(norm, **{field: bad}))
+
+    def test_train(self):
+        dataset = planted_dataset()
+        features = dataset.listing_features.copy()
+        features[4, 0] = np.nan
+        config = default_model_config(2, 2, embedding_dim=4,
+                                      tower_hidden=(5,), seed=7)
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            train(config, replace(dataset, listing_features=features),
+                  epochs=1)
+
+    @pytest.mark.parametrize("which", ["listing", "context"])
+    def test_scoring(self, which):
+        dataset, model = self.trained()
+        listing = dataset.listing_features.copy()
+        context = dataset.context_features.copy()
+        (listing if which == "listing" else context)[1, 1] = np.inf
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            model.outputs(listing, context, dataset.searches)
+        if which == "context":
+            with pytest.raises(ShapeError, match="NaN or Inf"):
+                blend_coefficients(model, context)
 
 
 class TestNormalizationStats:

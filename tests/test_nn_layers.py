@@ -34,8 +34,8 @@ class TestForwardMlp:
         store.add("id.b0", np.zeros(3))
         spec = nn.MlpSpec(input_dim=3, hidden_dims=(), output_dim=3)
         x = np.random.default_rng(0).normal(size=(5, 3))
-        out = nn.forward_mlp(store, "id", spec, nn.Tensor(x))
-        np.testing.assert_array_equal(out.values, x)
+        out = nn.forward_mlp(store, "id", spec, x)
+        np.testing.assert_array_equal(out, x)
 
     def test_all_zero_weights_give_zero_output(self):
         store = nn.ParameterStore()
@@ -45,8 +45,8 @@ class TestForwardMlp:
         store.add("z.b1", np.zeros(2))
         spec = nn.MlpSpec(input_dim=4, hidden_dims=(3,), output_dim=2)
         x = np.random.default_rng(1).normal(size=(6, 4))
-        out = nn.forward_mlp(store, "z", spec, nn.Tensor(x))
-        np.testing.assert_array_equal(out.values, np.zeros((6, 2)))
+        out = nn.forward_mlp(store, "z", spec, x)
+        np.testing.assert_array_equal(out, np.zeros((6, 2)))
 
     def test_matches_hand_rolled_matrix_oracle(self):
         rng = np.random.default_rng(2)
@@ -54,7 +54,7 @@ class TestForwardMlp:
         store = nn.ParameterStore()
         nn.init_mlp_params(store, "net", spec, rng)
         x = rng.normal(size=(5, 2))
-        got = nn.forward_mlp(store, "net", spec, nn.Tensor(x)).values
+        got = nn.forward_mlp(store, "net", spec, x)
         h = x @ store["net.w0"].values + store["net.b0"].values
         h = np.maximum(h, 0.0)
         want = h @ store["net.w1"].values + store["net.b1"].values
@@ -66,7 +66,7 @@ class TestForwardMlp:
         store = nn.ParameterStore()
         nn.init_mlp_params(store, "net", spec, rng)
         with pytest.raises(ShapeError, match="layer 0"):
-            nn.forward_mlp(store, "net", spec, nn.Tensor(np.zeros((2, 3))))
+            nn.forward_mlp(store, "net", spec, np.zeros((2, 3)))
 
     def test_batch_row_independence(self):
         rng = np.random.default_rng(4)
@@ -74,9 +74,69 @@ class TestForwardMlp:
         store = nn.ParameterStore()
         nn.init_mlp_params(store, "net", spec, rng)
         batch = rng.normal(size=(8, 3))
-        full = nn.forward_mlp(store, "net", spec, nn.Tensor(batch)).values
-        row0 = nn.forward_mlp(store, "net", spec, nn.Tensor(batch[:1])).values
+        full = nn.forward_mlp(store, "net", spec, batch)
+        row0 = nn.forward_mlp(store, "net", spec, batch[:1])
         np.testing.assert_array_equal(full[0], row0[0])
+
+    def test_input_is_left_as_it_is(self):
+        rng = np.random.default_rng(5)
+        spec = nn.MlpSpec(input_dim=3, hidden_dims=(4, 2), output_dim=2)
+        store = nn.ParameterStore()
+        nn.init_mlp_params(store, "net", spec, rng)
+        x = rng.normal(size=(6, 3))
+        kept = x.copy()
+        acts = nn.mlp_activations(store, "net", spec, x)
+        assert acts[0] is x and len(acts) == 4
+        np.testing.assert_array_equal(x, kept)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("hidden", [(), (4,), (5, 3)])
+class TestMlpGradients:
+    """The plain block and its hand-written backward pass against the
+    per-op composition (a dense node per layer, a ReLU node between
+    layers), bit for bit."""
+
+    @staticmethod
+    def block(hidden, seed):
+        rng = np.random.default_rng(seed)
+        spec = nn.MlpSpec(input_dim=3, hidden_dims=hidden, output_dim=2)
+        store = nn.ParameterStore()
+        nn.init_mlp_params(store, "net", spec, rng)
+        x = rng.normal(size=(9, 3))
+        # a few exact zeros reach the ReLUs: their slope is 0 there
+        x[:2] = 0.0
+        store["net.b0"].values[:1] = 0.0
+        return spec, store, x, rng.normal(size=(9, 2))
+
+    def test_matches_per_op_composition(self, hidden):
+        spec, store, x, g = self.block(hidden, 61)
+        acts = nn.mlp_activations(store, "net", spec, x)
+        grads, d_x = nn.mlp_gradients(store, "net", spec, acts, g,
+                                      input_grad=True)
+        leaf = nn.Tensor(x, requires_grad=True)
+        with nn.Tape() as tape:
+            out = ops.forward_mlp(store, "net", spec, leaf)
+            nn.backward(tape, ops.total_sum(ops.mul(out, nn.Tensor(g))))
+        np.testing.assert_array_equal(bits(acts[-1]), bits(out.values))
+        assert sorted(grads) == sorted(store.names())
+        for name, t in store.items():
+            np.testing.assert_array_equal(bits(grads[name]), bits(t.grad),
+                                          err_msg=name)
+        np.testing.assert_array_equal(bits(d_x), bits(leaf.grad))
+
+    def test_input_gradient_only_when_asked(self, hidden):
+        spec, store, x, g = self.block(hidden, 62)
+        acts = nn.mlp_activations(store, "net", spec, x)
+        with_input = nn.mlp_gradients(store, "net", spec, acts, g, True)
+        grads, d_x = nn.mlp_gradients(store, "net", spec, acts, g, False)
+        assert d_x is None
+        for name in store.names():
+            np.testing.assert_array_equal(bits(grads[name]),
+                                          bits(with_input[0][name]))
 
 
 class TestInitialization:
