@@ -25,11 +25,11 @@ compactness).
 
 Each line of the file is the record in canonical JSON (sorted keys, no
 spaces). :func:`save_dataset` writes those bytes without building the
-records: it encodes each distinct feature row (told apart by its exact
-bytes, so ``-0.0`` and ``0.0`` keep their own text), each distinct label
-set and each distinct listing id once, and assembles one journey's line at
-a time from those pieces. The bytes are the same as encoding each record
-of :func:`dataset_to_records`.
+records: it encodes each row of the dataset's listing table (whose rows
+are distinct by their bytes, so ``-0.0`` and ``0.0`` keep their own text),
+each distinct label set and each distinct listing id once, and assembles
+one journey's line at a time from those pieces. The bytes are the same as
+encoding each record of :func:`dataset_to_records`.
 
 :func:`load_dataset` reads the lines back with two decoders that fill the
 same columns. The line decoder cuts a line on the delimiters of the
@@ -94,7 +94,7 @@ def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
                 for lid, pos, feats, flags in zip(
                     dataset.listing_ids[a:b].tolist(),
                     dataset.positions[a:b].tolist(),
-                    dataset.listing_features[a:b].tolist(),
+                    dataset.listing_rows[dataset.listing_index[a:b]].tolist(),
                     label_rows[a:b].tolist())
             ]
             searches.append({
@@ -185,8 +185,9 @@ class _Columns:
 
     Listing feature rows live in a table that grows by whole arrays, and
     each impression holds the index of its row, so the line decoder can
-    point many impressions at one decoded row. :meth:`dataset` gathers the
-    rows in impression order.
+    point many impressions at one decoded row. :meth:`dataset` hands the
+    table and the index to :meth:`Dataset.from_columns`, which merges the
+    rows of equal bytes.
     """
 
     def __init__(self, schema: DatasetSchema):
@@ -196,7 +197,7 @@ class _Columns:
         self.search_ids, self.t_days, self.imps_per_search = [], [], []
         self.contexts: list[np.ndarray] = []
         self.listing_ids, self.positions, self.label_codes = [], [], []
-        self.table: list[np.ndarray] = []
+        self.table = [np.empty((0, schema.listing_dim))]
         self.table_rows = 0
         self.row_of_impression = array("q")
 
@@ -328,15 +329,8 @@ class _Columns:
                 positions, codes, _numbers(features, schema.listing_dim))
 
     def dataset(self) -> Dataset:
-        table = (np.concatenate(self.table) if self.table
-                 else np.empty((0, self.schema.listing_dim)))
-        # drop the pieces before gathering, and gather only when rows
-        # repeat or come out of order, so no more than two copies of the
-        # feature rows are alive at once
-        self.table = [table]
-        rows = np.frombuffer(self.row_of_impression, dtype=np.int64)
-        if not np.array_equal(rows, np.arange(len(table))):
-            table = table[rows]
+        # drop the pieces first, so one copy of the feature rows is alive
+        self.table = [np.concatenate(self.table)]
         codes = np.array(self.label_codes, dtype=np.int64)
         return Dataset.from_columns(
             self.schema,
@@ -349,7 +343,9 @@ class _Columns:
             imps_per_search=self.imps_per_search,
             listing_ids=self.listing_ids,
             positions=self.positions,
-            listing_features=table,
+            listing_rows=self.table[0],
+            listing_index=np.frombuffer(self.row_of_impression,
+                                        dtype=np.int64),
             labels={m: ((codes >> k) & 1).astype(bool)
                     for k, m in enumerate(LABELS)},
         )
@@ -375,9 +371,8 @@ class _RowTexts:
     """The JSON text of each row of an array, each distinct row encoded
     once.
 
-    Rows are told apart by their exact bytes, so ``-0.0`` and ``0.0`` are
-    encoded apart, and so are two NaN payloads (to the same text). Only
-    the distinct rows' keys and texts are kept.
+    Rows are told apart by their exact bytes. Only the distinct rows' keys
+    and texts are kept.
     """
 
     def __init__(self, values: np.ndarray, encode):
@@ -425,9 +420,9 @@ _IMPRESSION = (_FEATURES + "%s" + _LABELS + "%s" + _LISTING_ID + "%s"
 
 def _journey_lines(dataset: Dataset) -> Iterator[str]:
     """The canonical JSON of each record of :func:`dataset_to_records`,
-    built one journey at a time from the texts of the distinct feature
-    rows, label sets and listing ids."""
-    features = _RowTexts(dataset.listing_features, _canonical)
+    built one journey at a time from the texts of the listing table's
+    rows, the distinct label sets and the distinct listing ids."""
+    row_texts = [_canonical(row) for row in dataset.listing_rows.tolist()]
     labels = _RowTexts(np.column_stack([dataset.labels[m] for m in LABELS]),
                        _label_text)
     listing_ids = _RowTexts(dataset.listing_ids, _canonical)
@@ -438,7 +433,9 @@ def _journey_lines(dataset: Dataset) -> Iterator[str]:
         first, last = imp_starts[lo], imp_starts[hi]
         impressions = [
             _IMPRESSION % row
-            for row in zip(features(first, last), labels(first, last),
+            for row in zip(map(row_texts.__getitem__,
+                               dataset.listing_index[first:last].tolist()),
+                           labels(first, last),
                            listing_ids(first, last),
                            dataset.positions[first:last].tolist())]
         searches = [

@@ -10,7 +10,9 @@ on the impression where the action happened; :func:`attribute_labels`
 propagates them into the multi-label training view.
 
 A :class:`Dataset` is one set of flat columns: one row per impression,
-one per search, and each journey a run of consecutive searches. Two
+one per search, and each journey a run of consecutive searches, with the
+listing features as one table of distinct rows that each impression
+indexes. Two
 :class:`~journeyrank.nn.Segments` layouts, built once when the dataset is
 assembled, group them: ``searches`` (impressions into searches) and
 ``journeys`` (searches into journeys). Attribution, filtering, validation
@@ -31,7 +33,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataValidationError, UndefinedTaskWeightError
+from .errors import (ConfigError, ContractError, DataValidationError,
+                     UndefinedTaskWeightError)
 from .nn import Segments
 
 # funnel order: each later milestone implies all earlier ones
@@ -129,6 +132,36 @@ def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
 
 
+def check_listing_index(index: np.ndarray, n_rows: int) -> None:
+    """Refuse an index outside a listing table of ``n_rows`` rows."""
+    if index.size and not 0 <= index.min() <= index.max() < n_rows:
+        raise ContractError("listing index outside the listing table")
+
+
+def _canonical_listings(rows: np.ndarray, index: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``rows[index]``, bit for bit, as a table and an index in the
+    canonical form of :meth:`Dataset.from_columns`."""
+    check_listing_index(index, len(rows))
+    # keyed by its bytes, each row maps to its first row of equal bytes,
+    # and each impression to that row
+    first: dict[bytes, int] = {}
+    keys = np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    shown = np.array([first.setdefault(key, k)
+                      for k, key in enumerate(keys.tolist())],
+                     dtype=np.int64)[index]
+    # each row's first impression; the rows none shows sort last
+    seen = np.full(len(rows), len(index))
+    np.minimum.at(seen, shown, np.arange(len(index)))
+    order = np.argsort(seen)[:np.count_nonzero(seen < len(index))]
+    if np.array_equal(order, np.arange(len(rows))):
+        return rows, shown  # already canonical: no second copy of the rows
+    slot = np.empty(len(rows), dtype=np.int64)
+    slot[order] = np.arange(len(order))
+    return rows[order], slot[shown]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labelled journeys as flat columns.
@@ -138,6 +171,10 @@ class Dataset:
     ``guest_ids[j]`` and owns the searches ``journeys`` gives it, and search
     ``k`` owns the impression rows ``searches`` gives it. Either layout may
     hold an empty segment, which validation reports.
+
+    Listing features are one table, ``listing_rows``, in the canonical
+    form of :meth:`from_columns`: impression ``i`` shows its row
+    ``listing_index[i]``.
     """
 
     schema: DatasetSchema
@@ -149,17 +186,30 @@ class Dataset:
     searches: Segments                # impression rows into searches
     listing_ids: np.ndarray           # [n_impressions] str
     positions: np.ndarray             # [n_impressions] int64
-    listing_features: np.ndarray      # [n_impressions, listing_dim] float64
+    listing_rows: np.ndarray          # [n_listings, listing_dim] float64
+    listing_index: np.ndarray         # [n_impressions] int64
     labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
 
     @classmethod
     def from_columns(cls, schema: DatasetSchema, *, guest_ids,
                      searches_per_journey, search_ids, t_days,
                      context_features, imps_per_search, listing_ids,
-                     positions, listing_features,
+                     positions, listing_rows, listing_index,
                      labels: Mapping[str, np.ndarray]) -> "Dataset":
         """Assemble a dataset from per-journey, per-search and
-        per-impression columns plus the row counts that group them."""
+        per-impression columns plus the row counts that group them.
+
+        Impression ``i`` shows listing feature row ``listing_index[i]`` of
+        the table ``listing_rows``, which may hold a row twice or a row no
+        impression shows. The dataset holds the same features in canonical
+        form: its rows are distinct by their bytes (so ``-0.0`` and ``0.0``
+        stay apart, and so do two NaN payloads), in order of first
+        appearance in the impressions, and every row is shown.
+        """
+        listing_rows, listing_index = _canonical_listings(
+            np.asarray(listing_rows, dtype=np.float64
+                       ).reshape(-1, schema.listing_dim),
+            np.asarray(listing_index, dtype=np.int64))
         return cls(
             schema=schema,
             guest_ids=np.asarray(guest_ids, dtype=str),
@@ -171,8 +221,8 @@ class Dataset:
             searches=Segments(imps_per_search),
             listing_ids=np.asarray(listing_ids, dtype=str),
             positions=np.asarray(positions, dtype=np.int64),
-            listing_features=np.asarray(listing_features, dtype=np.float64
-                                        ).reshape(-1, schema.listing_dim),
+            listing_rows=listing_rows,
+            listing_index=listing_index,
             labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
         )
 
@@ -216,7 +266,8 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
         imps_per_search=counts[keep_search],
         listing_ids=dataset.listing_ids[keep],
         positions=dataset.positions[keep],
-        listing_features=dataset.listing_features[keep],
+        listing_rows=dataset.listing_rows,
+        listing_index=dataset.listing_index[keep],
         labels={m: v[keep] for m, v in dataset.labels.items()},
     )
 
@@ -438,8 +489,8 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                  _has_duplicates(listing_codes, searches), at_search)
 
     report.check("non-finite listing features",
-                 ~np.isfinite(dataset.listing_features).all(axis=1),
-                 at_impression)
+                 ~np.isfinite(dataset.listing_rows).all(axis=1)[
+                     dataset.listing_index], at_impression)
     for kind, mask in label_violations(dataset.labels).items():
         report.check(kind, mask, at_impression)
 

@@ -127,9 +127,9 @@ def t_interval_half_width(values: np.ndarray) -> float:
 
 
 def model_scorer(model: TrainedModel) -> Scorer:
-    """Scores every impression with one forward pass of the model."""
+    """Scores every impression, one model pass over the listing table."""
     def scorer(dataset: Dataset) -> np.ndarray:
-        outputs = model.outputs(dataset.listing_features,
+        outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
                                 dataset.context_features, dataset.searches)
         return outputs.ranking_score
     return scorer

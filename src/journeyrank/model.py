@@ -45,6 +45,7 @@ in its shuffled order once (:func:`reorder`), so each step takes a slice.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -59,6 +60,7 @@ from .domain import (
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
+    check_listing_index,
     concat_ranges,
     number,
     task_weights,
@@ -108,6 +110,8 @@ class ModelConfig:
     - ``combination`` maps the context embedding through
       ``combination_hidden`` to one coefficient for the base score plus
       one per twiddler; there is none without twiddlers.
+
+    Each block's :class:`MlpSpec` is built on first read and kept.
 
     ``base_tasks`` lists the positive milestones to chain, in funnel order,
     always ending at the uncancelled-booking task whose joint probability
@@ -162,22 +166,22 @@ class ModelConfig:
     def all_tasks(self) -> tuple[str, ...]:
         return self.base_tasks + self.twiddler_tasks
 
-    @property
+    @cached_property
     def listing_tower(self) -> MlpSpec:
         return MlpSpec(self.listing_dim, self.tower_hidden,
                        self.embedding_dim)
 
-    @property
+    @cached_property
     def context_tower(self) -> MlpSpec:
         return MlpSpec(self.context_dim, self.tower_hidden,
                        self.embedding_dim)
 
-    @property
+    @cached_property
     def head(self) -> MlpSpec:
         """The shape of every task head."""
         return MlpSpec(2 * self.embedding_dim, (), 1)
 
-    @property
+    @cached_property
     def combination(self) -> MlpSpec | None:
         if not self.twiddler_tasks:
             return None
@@ -466,8 +470,9 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
         grads.update(block)
     emb_l, emb_c = net.listing[-1], net.context[-1]
     n, k = len(emb_l), d_head.shape[1]
-    flat = (batch.listing_index[:, None] * k + np.arange(k)).ravel()
-    d_listing_half = np.bincount(flat, weights=d_head.ravel(),
+    # laid out [tasks, rows], so each bin's terms come in row order
+    flat = (batch.listing_index * k + np.arange(k)[:, None]).ravel()
+    d_listing_half = np.bincount(flat, weights=d_head.T.ravel(),
                                  minlength=n * k).reshape(n, k)
     d_context_half = np.add.reduceat(d_head, batch.segments.starts[:-1],
                                      axis=0)
@@ -609,67 +614,6 @@ def preference_pairs(unc: np.ndarray,
     return np.repeat(i, counts), j[concat_ranges(first_j[search], counts)]
 
 
-# rows hashed at a time: a [block × width] temporary stays in cache
-_HASH_BLOCK = 2048
-
-
-def _row_hashes(bits: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of a uint64 matrix: each word is folded
-    (its high half xored into its low half) and then times a fixed odd
-    multiplier of its column, and a row's products are summed modulo
-    2**64. The fold makes the mix nonlinear, so rows that differ only in
-    sign or exponent bits, such as 0/1 rows, hash apart too. Equal rows
-    hash equal; unequal rows may, though rarely. The rows are mixed a
-    block at a time, each block read once, in row order."""
-    multipliers = np.random.default_rng(0x5EED).integers(
-        0, 2**64, size=bits.shape[1], dtype=np.uint64) | np.uint64(1)
-    hashes = np.empty(len(bits), dtype=np.uint64)
-    for lo in range(0, len(bits), _HASH_BLOCK):
-        block = bits[lo:lo + _HASH_BLOCK]
-        words = block >> np.uint64(32)
-        words ^= block
-        words *= multipliers
-        words.sum(axis=1, out=hashes[lo:lo + _HASH_BLOCK])
-    return hashes
-
-
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a float64 matrix, in order of first
-    appearance, and each row's index into them: ``distinct[index]`` is
-    ``rows``, bit for bit.
-
-    Two rows merge only when their bytes are equal, so ``-0.0`` and
-    ``0.0`` stay apart, and so do two NaN payloads. A hash of each row
-    proposes its first row of equal hash; a byte comparison against that
-    row decides. The rows it refuses, which only a hash collision leaves,
-    are grouped by their bytes alone.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    bits = rows.view(np.uint64)
-    hashes = _row_hashes(bits)
-    order = np.argsort(hashes)
-    sorted_hashes = hashes[order]
-    new = np.ones(len(rows), dtype=bool)
-    np.not_equal(sorted_hashes[1:], sorted_hashes[:-1], out=new[1:])
-    # each row's first row of equal hash: the least index of its group
-    first = np.empty(len(rows), dtype=np.int64)
-    first[order] = np.minimum.reduceat(order, np.flatnonzero(new))[
-        np.cumsum(new) - 1]
-    # np.take gathers matrix rows several times faster than bits[first],
-    # and the words that differ are few, so they are found faster than
-    # the rows that hold one
-    refused = np.unique(np.flatnonzero(
-        bits != np.take(bits, first, axis=0)) // bits.shape[1])
-    if refused.size:
-        keys = np.ascontiguousarray(rows[refused]).view(
-            np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, at, group = np.unique(keys, return_index=True,
-                                 return_inverse=True)
-        first[refused] = refused[at[group]]
-    is_first = first == np.arange(len(rows))
-    return rows[is_first], (np.cumsum(is_first) - 1)[first]
-
-
 @dataclass(frozen=True)
 class BatchInputs:
     """Everything a training batch is cut from: the dataset's searches,
@@ -677,11 +621,11 @@ class BatchInputs:
     (:func:`reorder`), built once per epoch.
 
     Rows are impression rows, search by search: ``starts`` holds each
-    search's first row and, last, the row count. ``listing_rows`` holds
-    the distinct listing feature rows, and ``listing_index`` each row's
-    row of them. ``labels`` holds one column per name in ``label_names``,
-    so a row's labels move as one. The blend's preference pairs
-    (:func:`preference_pairs` of the ``unc`` labels) are found once:
+    search's first row and, last, the row count. ``listing_rows`` is the
+    dataset's listing table, normalized, and ``listing_index`` each
+    impression row's row of it. ``labels`` holds one column per name in
+    ``label_names``, so a row's labels move as one. The blend's preference
+    pairs (:func:`preference_pairs` of the ``unc`` labels) are found once:
     ``pair_i`` and ``pair_j`` index rows, search by search, and
     ``pair_starts`` holds each search's first pair and, last, the pair
     count.
@@ -704,12 +648,11 @@ class BatchInputs:
 
 def batch_inputs(dataset: Dataset,
                  norm: NormalizationStats) -> BatchInputs:
-    """Find the distinct listing rows, normalize the features, stack the
+    """Normalize the dataset's listing table and context rows, stack the
     labels and find every search's preference pairs. Every row a batch
     holds is one of these rows, so a row that is not finite after
     normalization is refused here, with a :class:`ShapeError`."""
-    listing_rows, listing_index = distinct_rows(dataset.listing_features)
-    listing_rows = norm.apply_listing(listing_rows)
+    listing_rows = norm.apply_listing(dataset.listing_rows)
     context_rows = norm.apply_context(dataset.context_features)
     _require_finite(listing_rows, context_rows)
     searches = dataset.searches
@@ -720,7 +663,7 @@ def batch_inputs(dataset: Dataset,
     return BatchInputs(
         starts=searches.starts,
         listing_rows=listing_rows,
-        listing_index=listing_index,
+        listing_index=dataset.listing_index,
         context_rows=context_rows,
         label_names=tuple(dataset.labels),
         labels=np.stack(list(dataset.labels.values()), axis=1),
@@ -770,12 +713,12 @@ class SearchBatch:
     """A minibatch of whole searches, ready for the forward pass.
 
     ``segments`` lays the batch's impression rows out into its searches,
-    in batch order. ``listing_rows`` holds the batch's distinct listing
-    rows and ``context_rows`` one row per search; every other array holds
-    one entry per impression row, except the blend's preference pairs
-    (:func:`preference_pairs` of the ``unc`` labels), which index rows.
-    ``listing_index`` gives each impression row its row of
-    ``listing_rows``.
+    in batch order. ``listing_rows`` holds the rows of the listing table
+    that the batch shows, each once, and ``context_rows`` one row per
+    search; every other array holds one entry per impression row, except
+    the blend's preference pairs (:func:`preference_pairs` of the ``unc``
+    labels), which index rows. ``listing_index`` gives each impression row
+    its row of ``listing_rows``.
     """
 
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
@@ -1053,28 +996,32 @@ class TrainedModel:
                 f"trained on ({schema.hash()[:12]} != "
                 f"{self.schema_hash[:12]})")
 
-    def outputs(self, listing_rows: np.ndarray, context_rows: np.ndarray,
-                segments: Segments) -> ModelOutputs:
+    def outputs(self, listing_rows: np.ndarray, listing_index: np.ndarray,
+                context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
         """Score impressions from raw feature rows (no gradients).
 
-        ``listing_rows`` holds one row per impression and ``context_rows``
-        one row per search; ``segments`` lays the listing rows out into
-        the searches. The towers and heads run on the distinct listing
-        rows, as in training, and the blend on every row; every output is
-        per impression.
+        ``listing_rows`` is a table of listing feature rows, and
+        ``listing_index`` gives each impression its row of it;
+        ``context_rows`` holds one row per search, and ``segments`` lays
+        the impressions out into the searches. The towers and heads run
+        once per table row, as in training, and the blend on every
+        impression; every output is per impression. A dataset's table
+        (``Dataset.listing_rows``) scores its impressions bit for bit as
+        training saw them.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
+        listing_index = np.asarray(listing_index, dtype=np.int64)
         context_rows = np.asarray(context_rows, dtype=np.float64)
         if (listing_rows.ndim != 2 or context_rows.ndim != 2
-                or segments.n_rows != len(listing_rows)
+                or segments.n_rows != len(listing_index)
                 or segments.n != len(context_rows)):
             raise ContractError("listing and context rows must be 2-d "
                                 "batches, laid out by the segments")
-        listings, listing_index = distinct_rows(listing_rows)
-        listings = self.normalization.apply_listing(listings)
+        check_listing_index(listing_index, len(listing_rows))
+        listing_rows = self.normalization.apply_listing(listing_rows)
         context_rows = self.normalization.apply_context(context_rows)
-        _require_finite(listings, context_rows)
-        return forward(self.config, self.params, listings, listing_index,
+        _require_finite(listing_rows, context_rows)
+        return forward(self.config, self.params, listing_rows, listing_index,
                        context_rows, segments)
 
 
@@ -1101,7 +1048,8 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     check_training_settings(epochs, batch_size, learning_rate)
     if dataset.n_searches == 0:
         raise DataValidationError("training dataset has no searches")
-    norm = NormalizationStats.fit(dataset.listing_features,
+    # the mean and spread weigh each listing row by its impressions
+    norm = NormalizationStats.fit(dataset.listing_rows[dataset.listing_index],
                                   dataset.context_features)
     weights = task_weights(dataset, config.base_tasks)
     params = init_model_params(config)

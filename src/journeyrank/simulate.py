@@ -558,7 +558,8 @@ def generate(config: GeneratorConfig,
         imps_per_search=np.full(len(order), n),
         listing_ids=np.asarray(world.listing_ids)[rows],
         positions=np.tile(np.arange(1, n + 1), len(order)),
-        listing_features=world.listing_features[rows],
+        listing_rows=world.listing_features,
+        listing_index=rows,
         labels={m: flags[:, k] for k, m in enumerate(LABELS)},
     )
     return attribute_labels(raw), world

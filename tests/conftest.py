@@ -56,6 +56,31 @@ def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
     return worst
 
 
+def impression_features(dataset: Dataset) -> np.ndarray:
+    """Each impression's listing feature row, gathered from the table."""
+    return dataset.listing_rows[dataset.listing_index]
+
+
+def with_listing_table(dataset: Dataset, rows: np.ndarray,
+                       index: np.ndarray) -> Dataset:
+    """``dataset`` with the listing table ``rows``, impression ``i``
+    showing row ``index[i]``, rebuilt by ``Dataset.from_columns``."""
+    return Dataset.from_columns(
+        dataset.schema, guest_ids=dataset.guest_ids,
+        searches_per_journey=dataset.journeys.sizes,
+        search_ids=dataset.search_ids, t_days=dataset.t_days,
+        context_features=dataset.context_features,
+        imps_per_search=dataset.searches.sizes,
+        listing_ids=dataset.listing_ids, positions=dataset.positions,
+        listing_rows=rows, listing_index=index, labels=dataset.labels)
+
+
+def with_impression_features(dataset: Dataset,
+                             features: np.ndarray) -> Dataset:
+    """``dataset`` with one listing feature row given per impression."""
+    return with_listing_table(dataset, features, np.arange(len(features)))
+
+
 def imp_rows_for_searches(dataset: Dataset,
                           search_idx: np.ndarray) -> np.ndarray:
     """Impression row indices of the given searches, in search order."""

@@ -3,13 +3,17 @@
 import copy
 import json
 import re
-from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from conftest import imp_rows_for_searches
+from conftest import (
+    imp_rows_for_searches,
+    impression_features,
+    with_impression_features,
+    with_listing_table,
+)
 from journeyrank import dataio, simulate
 from journeyrank.dataio import (
     dataset_from_records,
@@ -88,8 +92,8 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(
                     attrgetter(f"{layout}.{name}")(back),
                     attrgetter(f"{layout}.{name}")(ds))
-        for name in ("listing_features", "context_features", "listing_ids",
-                     "positions", "search_ids", "t_days"):
+        for name in ("listing_rows", "listing_index", "context_features",
+                     "listing_ids", "positions", "search_ids", "t_days"):
             np.testing.assert_array_equal(getattr(ds, name),
                                           getattr(back, name))
         for m in LABELS:
@@ -103,7 +107,8 @@ class TestRoundTrip:
     def test_empty_dataset(self, tmp_path):
         ds = dataset_from_records(SCHEMA, [])
         assert (ds.n_journeys, ds.n_searches, ds.n_impressions) == (0, 0, 0)
-        assert ds.listing_features.shape == (0, SCHEMA.listing_dim)
+        assert ds.listing_rows.shape == (0, SCHEMA.listing_dim)
+        assert ds.listing_index.shape == (0,)
         path = tmp_path / "empty.jsonl"
         save_dataset(ds, path)
         assert path.read_text() == canonical(SCHEMA.to_record()) + "\n"
@@ -197,6 +202,15 @@ class TestGuestSplit:
                 assert rec == by_guest[rec["guest_id"]]
         assert all(guest_bucket(g) < 20 for g in evaluation.guest_ids)
 
+    def test_parts_keep_only_the_listing_rows_they_show(self):
+        dataset, _ = simulate.generate(
+            simulate.default_generator_config(n_guests=150, seed=2))
+        train, evaluation = split_by_guest(dataset)
+        for part in (train, evaluation):
+            np.testing.assert_array_equal(np.unique(part.listing_index),
+                                          np.arange(len(part.listing_rows)))
+        assert len(evaluation.listing_rows) < len(dataset.listing_rows)
+
     def test_deterministic(self):
         ds = random_dataset(np.random.default_rng(6), n_journeys=30)
         a = split_by_guest(ds)
@@ -219,8 +233,9 @@ class TestPacking:
         flat = flat_impressions(records)
         assert ds.n_impressions == len(flat)
         assert ds.n_searches == sum(len(r["searches"]) for r in records)
+        features = impression_features(ds)
         for row, (search, imp) in enumerate(flat):
-            np.testing.assert_array_equal(ds.listing_features[row],
+            np.testing.assert_array_equal(features[row],
                                           imp["features"])
             assert ds.listing_ids[row] == imp["listing_id"]
             assert ds.positions[row] == imp["position"]
@@ -330,8 +345,8 @@ def odd_values_records():
 def column_arrays(ds: Dataset) -> dict[str, np.ndarray]:
     """Every column and layout array of a dataset, by name."""
     columns = {name: getattr(ds, name) for name in (
-        "listing_features", "context_features", "listing_ids", "positions",
-        "search_ids", "t_days")}
+        "listing_rows", "listing_index", "context_features", "listing_ids",
+        "positions", "search_ids", "t_days")}
     columns.update(search_of_imp=ds.searches.ids,
                    search_starts=ds.searches.starts, guest_ids=ds.guest_ids,
                    journey_of_search=ds.journeys.ids,
@@ -375,7 +390,7 @@ class TestWriterMatchesRecords:
         rng = np.random.default_rng(100 + seed)
         ds = dataset_from_records(SCHEMA, varied_records(rng, pool_rows=pool_rows))
         if pool_rows is None:
-            rows = ds.listing_features
+            rows = impression_features(ds)
             assert len(np.unique(rows, axis=0)) == len(rows)
         self.assert_lines_match(ds, tmp_path / "d.jsonl")
 
@@ -476,7 +491,8 @@ def loop_dataset_from_records(schema, records) -> Dataset:
         imps_per_search=imps_per_search,
         listing_ids=listing_ids,
         positions=positions,
-        listing_features=np.concatenate(features) if features else [],
+        listing_rows=np.concatenate(features) if features else [],
+        listing_index=np.arange(len(positions)),
         labels={m: label_matrix[:, k] for k, m in enumerate(LABELS)},
     )
 
@@ -799,9 +815,9 @@ class TestLineDecoder:
         dataset, _ = simulate.generate(
             simulate.default_generator_config(n_guests=150, seed=2))
         rng = np.random.default_rng(41)
-        dataset = replace(dataset, listing_features=np.round(
-            rng.normal(size=dataset.listing_features.shape), 6))
-        assert len(np.unique(dataset.listing_features, axis=0)) == \
+        dataset = with_impression_features(dataset, np.round(rng.normal(
+            size=(dataset.n_impressions, dataset.schema.listing_dim)), 6))
+        assert len(np.unique(dataset.listing_rows, axis=0)) == \
             dataset.n_impressions
         path = tmp_path / "distinct.jsonl"
         save_dataset(dataset, path)
@@ -820,6 +836,48 @@ class TestLineDecoder:
         last = int(np.searchsorted(np.cumsum(per_journey),
                                    dataio._DECODER_TRIAL))
         assert read_as_records == dataset.guest_ids[last + 1:].tolist()
+
+    @pytest.mark.parametrize("reader", ["decoder", "records", "memo-cleared"])
+    def test_every_reader_loads_the_saved_table(self, tmp_path, monkeypatch,
+                                                reader):
+        """The line decoder, the record path and the decoder with its
+        memo cleared every few texts each load the listing table and
+        index of the saved dataset, bit for bit, the last two merging a
+        table that holds rows twice."""
+        rng = np.random.default_rng(43)
+        ds = dataset_from_records(
+            SCHEMA, varied_records(rng, n_journeys=60, pool_rows=4))
+        table = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0],
+                          [0.0, 1.0, 0.0], [0.5, -2.0, 3.25],
+                          [1e-310, 2.0, -1.5]])
+        ds = with_listing_table(ds, table, rng.integers(
+            0, len(table), size=ds.n_impressions))
+        assert len(ds.listing_rows) == len(table)
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        table_rows = []
+        dataset_of = dataio._Columns.dataset
+
+        def dataset(self):
+            table_rows.append(self.table_rows)
+            return dataset_of(self)
+
+        monkeypatch.setattr(dataio._Columns, "dataset", dataset)
+        if reader == "records":
+            monkeypatch.setattr(dataio._LineDecoder, "decode",
+                                lambda self, line: False)
+        else:
+            def record_step(self, rec):
+                raise AssertionError(f"{rec['guest_id']} read as a record")
+
+            monkeypatch.setattr(dataio._Columns, "add_record", record_step)
+        if reader == "memo-cleared":
+            monkeypatch.setattr(dataio, "_MEMO_TEXTS", 4)
+        loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.listing_rows.view(np.uint64),
+                                      ds.listing_rows.view(np.uint64))
+        np.testing.assert_array_equal(loaded.listing_index, ds.listing_index)
+        assert (table_rows[0] == len(table)) == (reader == "decoder")
 
     def test_memo_cap_clears_without_changing_columns(self, tmp_path,
                                                       monkeypatch):

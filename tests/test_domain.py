@@ -426,6 +426,23 @@ class TestValidateDataset:
         assert report.violations["non-finite context"] == 1
         assert not report.accepted
 
+    def test_non_finite_table_row_reported_on_every_impression(self):
+        """One row of the listing table holds a NaN: every impression
+        that shows it is reported, once each, in impression order."""
+        good, bad = (0.0, 1.0, 2.0), (float("nan"), 0.0, 0.0)
+        ds = make_dataset(make_journey("g0", [
+            make_search("s1", 0.0, [make_impression("A", 1, features=bad),
+                                    make_impression("B", 2, features=good)]),
+            make_search("s2", 1.0, [make_impression("C", 1, features=bad),
+                                    make_impression("D", 2, features=bad)]),
+        ]))
+        assert len(ds.listing_rows) == 2
+        report = validate_dataset(ds)
+        assert report.violations == {"non-finite listing features": 3}
+        assert report.examples == [
+            f"guest=g0 search={s} listing={lid}: non-finite listing features"
+            for s, lid in (("s1", "A"), ("s2", "C"), ("s2", "D"))]
+
     def test_multiple_unc_listings_reported(self):
         journey = make_journey("g0", [
             make_search("s1", 0.0, [

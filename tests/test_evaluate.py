@@ -364,7 +364,7 @@ class TestBlendServesUncancelledBookings:
                                           dataset.schema.context_dim,
                                           seed=seed)
             model, _ = train(config, train_ds, 4, batch_size=128)
-            out = model.outputs(eval_ds.listing_features,
+            out = model.outputs(eval_ds.listing_rows, eval_ds.listing_index,
                                 eval_ds.context_features, eval_ds.searches)
             blend = ev.evaluate(model, eval_ds)["unc"].mean
             y_base = ev.evaluate_with_scorer(

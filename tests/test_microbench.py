@@ -15,11 +15,10 @@ are few so the suite's run time barely moves. The timings only inform:
 nothing here asserts on them, only on the results being well formed.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from conftest import impression_features, with_impression_features
 from journeyrank import dataio, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
@@ -44,7 +43,7 @@ def world(generated):
 def train_step(dataset, config):
     """One step's work on the dataset's first 128 searches, and the
     batch it cuts."""
-    norm = model.NormalizationStats.fit(dataset.listing_features,
+    norm = model.NormalizationStats.fit(impression_features(dataset),
                                         dataset.context_features)
     inputs = model.batch_inputs(dataset, norm)
     weights = model.task_weights(dataset, config.base_tasks)
@@ -84,7 +83,7 @@ def test_batched_forward(benchmark, world):
     trained, _ = model.train(config, dataset, epochs=0)
 
     outputs = benchmark.pedantic(
-        trained.outputs, args=(dataset.listing_features,
+        trained.outputs, args=(dataset.listing_rows, dataset.listing_index,
                                dataset.context_features, dataset.searches),
         rounds=5, warmup_rounds=1)
     assert outputs.ranking_score.shape == (dataset.n_impressions,)
@@ -97,7 +96,7 @@ def test_loss_node_kernel(benchmark, world):
     train-bench-sized batch."""
     dataset, config = world
     inputs = model.batch_inputs(dataset, model.NormalizationStats.fit(
-        dataset.listing_features, dataset.context_features))
+        impression_features(dataset), dataset.context_features))
     n_searches = int(np.searchsorted(dataset.searches.starts, 2048,
                                      side="right")) - 1
     batch = model.make_batch(inputs, np.arange(n_searches))
@@ -155,8 +154,8 @@ def distinct_rows(generated):
     """The 200-guest world with every feature row distinct, so the reader
     leaves its line decoder after the trial."""
     rng = np.random.default_rng(4)
-    return replace(generated, listing_features=np.round(
-        rng.normal(size=generated.listing_features.shape), 6))
+    return with_impression_features(generated, np.round(rng.normal(
+        size=(generated.n_impressions, generated.schema.listing_dim)), 6))
 
 
 @pytest.mark.parametrize("rows", ["generated", "distinct_rows"])

@@ -15,10 +15,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import per_op as ops
-from conftest import fd_gradcheck, imp_rows_for_searches
+from conftest import (
+    fd_gradcheck,
+    imp_rows_for_searches,
+    impression_features,
+    with_impression_features,
+    with_listing_table,
+)
 from per_op import base_loss, combination_loss, twiddler_loss
 from journeyrank import evaluate, model as model_module, nn, simulate
 from journeyrank.dataio import dataset_from_records
@@ -48,7 +56,6 @@ from journeyrank.model import (
     batch_inputs,
     blend_coefficients,
     default_model_config,
-    distinct_rows,
     forward,
     init_model_params,
     load_model,
@@ -123,7 +130,7 @@ def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
                                            segments.ids)
     context_rows = dataset.context_features[search_indices]
     return SearchBatch(
-        listing_rows=norm.apply_listing(dataset.listing_features[rows]),
+        listing_rows=norm.apply_listing(impression_features(dataset)[rows]),
         listing_index=np.arange(len(rows)),
         context_rows=norm.apply_context(context_rows),
         segments=segments,
@@ -150,10 +157,9 @@ def random_searches(rng: np.random.Generator, n_searches: int,
     labels = nested_labels(rng, n)
     if equal_grades:
         labels = {m: np.zeros(n, dtype=bool) for m in labels}
-    listing_features = rng.normal(size=(n_listings or n, 4)) * 3.0 + 1.0
-    if n_listings is not None:
-        listing_features = listing_features[
-            rng.integers(0, n_listings, size=n)]
+    listing_rows = rng.normal(size=(n_listings or n, 4)) * 3.0 + 1.0
+    listing_index = (np.arange(n) if n_listings is None
+                     else rng.integers(0, n_listings, size=n))
     return Dataset.from_columns(
         RANDOM_SCHEMA, guest_ids=["G0"], searches_per_journey=[n_searches],
         search_ids=[f"S{k}" for k in range(n_searches)],
@@ -162,7 +168,8 @@ def random_searches(rng: np.random.Generator, n_searches: int,
         imps_per_search=sizes,
         listing_ids=[f"L{k}" for k in range(n)],
         positions=np.ones(n, dtype=np.int64),
-        listing_features=listing_features,
+        listing_rows=listing_rows,
+        listing_index=listing_index,
         labels=labels,
     )
 
@@ -297,7 +304,8 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
     if listing_rows.ndim != 2 or len(listing_rows) != len(listing_ids):
         raise ContractError("one feature row per candidate is required")
     context = np.asarray(context, dtype=np.float64)
-    outputs = model.outputs(listing_rows, context[None, :],
+    outputs = model.outputs(listing_rows, np.arange(len(listing_rows)),
+                            context[None, :],
                             nn.Segments([len(listing_rows)]))
     score = outputs.ranking_score
     base, twiddlers = model.config.base_tasks, model.config.twiddler_tasks
@@ -949,7 +957,7 @@ class TestBatches:
             dataset = random_searches(rng, int(rng.integers(1, 40)),
                                       equal_grades=rep % 4 == 3,
                                       n_listings=6 if rep % 2 else None)
-            norm = NormalizationStats.fit(dataset.listing_features,
+            norm = NormalizationStats.fit(impression_features(dataset),
                                           dataset.context_features)
             inputs = batch_inputs(dataset, norm)
             order = rng.permutation(dataset.n_searches)
@@ -965,7 +973,7 @@ class TestBatches:
     def test_reordered_inputs_keep_every_search(self):
         rng = np.random.default_rng(33)
         dataset = random_searches(rng, 25, n_listings=7)
-        norm = NormalizationStats.fit(dataset.listing_features,
+        norm = NormalizationStats.fit(impression_features(dataset),
                                       dataset.context_features)
         inputs = batch_inputs(dataset, norm)
         order = rng.permutation(dataset.n_searches)
@@ -980,7 +988,7 @@ class TestBatches:
 
     def test_slice_must_be_consecutive(self):
         dataset = random_searches(np.random.default_rng(34), 6)
-        norm = NormalizationStats.fit(dataset.listing_features,
+        norm = NormalizationStats.fit(impression_features(dataset),
                                       dataset.context_features)
         with pytest.raises(ContractError, match="consecutive"):
             make_batch(batch_inputs(dataset, norm), slice(0, 6, 2))
@@ -989,7 +997,7 @@ class TestBatches:
         rng = np.random.default_rng(32)
         dataset = random_searches(rng, 60)
         sizes = dataset.searches.sizes
-        norm = NormalizationStats.fit(dataset.listing_features,
+        norm = NormalizationStats.fit(impression_features(dataset),
                                       dataset.context_features)
         batch = make_batch(batch_inputs(dataset, norm),
                            np.arange(dataset.n_searches))
@@ -1027,89 +1035,144 @@ def rows_told_apart_by_bytes() -> np.ndarray:
         [0.5, with_bit_flipped(1.0, 51)],
         [from_bits(0x7FF8000000000000), 2.0],
         [from_bits(0x7FF8000000000001), 2.0],
-        # only the sign bits differ, in two columns, which a hash linear
-        # in the words modulo 2**64 could not tell apart
+        # only the sign bits differ, in two columns
         [1.0, 2.0], [-1.0, -2.0],
     ])
     return rows[[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
 
 
+def dataset_showing(table: np.ndarray, index) -> Dataset:
+    """One search whose impressions show rows ``index`` of ``table``."""
+    n = len(index)
+    schema = DatasetSchema(listing_dim=table.shape[1], context_dim=2,
+                           context_features=REQUIRED_CONTEXT_FEATURES)
+    return Dataset.from_columns(
+        schema, guest_ids=["G0"], searches_per_journey=[1],
+        search_ids=["S0"], t_days=[0.0], context_features=[[1.0, 0.0]],
+        imps_per_search=[n], listing_ids=[f"L{k}" for k in range(n)],
+        positions=np.arange(1, n + 1), listing_rows=table,
+        listing_index=index,
+        labels={m: np.zeros(n, dtype=bool) for m in LABELS})
+
+
+# a few values, among them two zeros equal as numbers and two NaNs, each
+# pair with bytes of its own
+ODD_VALUES = (0.0, -0.0, 1.0, with_bit_flipped(1.0, 0), -1.0, np.inf,
+              from_bits(0x7FF8000000000000), from_bits(0x7FF8000000000001))
+
+
+@st.composite
+def tables_and_indices(draw):
+    """A table of rows built from a few odd values, so that rows repeat,
+    and an index that may skip rows or show a row many times."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.sampled_from(ODD_VALUES),
+                                  min_size=width, max_size=width),
+                         max_size=10))
+    table = np.array(rows, dtype=np.float64).reshape(-1, width)
+    index = draw(st.lists(st.integers(0, len(table) - 1), max_size=30)
+                 if len(table) else st.just([]))
+    return table, np.array(index, dtype=np.int64)
+
+
 class TestDistinctRows:
-    """Rows merge exactly when their bytes are equal, whatever the hash
-    proposes."""
+    """``Dataset.from_columns`` holds the listing table in canonical form:
+    rows merge exactly when their bytes are equal, come in order of first
+    appearance, and are all shown."""
 
     @staticmethod
-    def assert_matches_reference(rows):
-        got, index = distinct_rows(rows)
+    def assert_canonical(table: np.ndarray, index) -> Dataset:
+        dataset = dataset_showing(table, index)
+        rows = table[index]
         want, want_index = distinct_rows_reference(rows)
-        assert got.dtype == np.float64 and index.dtype == np.int64
+        got, got_index = dataset.listing_rows, dataset.listing_index
+        assert got.dtype == np.float64 and got_index.dtype == np.int64
         np.testing.assert_array_equal(got.view(np.uint64),
                                       want.view(np.uint64))
-        np.testing.assert_array_equal(index, want_index)
-        np.testing.assert_array_equal(got[index].view(np.uint64),
+        np.testing.assert_array_equal(got_index, want_index)
+        np.testing.assert_array_equal(got[got_index].view(np.uint64),
                                       rows.view(np.uint64))
+        return dataset
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables_and_indices())
+    def test_canonical_form_property(self, table_and_index):
+        table, index = table_and_index
+        dataset = dataset_showing(table, index)
+        rows, shown = dataset.listing_rows, dataset.listing_index
+        np.testing.assert_array_equal(rows[shown].view(np.uint64),
+                                      table[index].view(np.uint64))
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        used, first = np.unique(shown, return_index=True)
+        np.testing.assert_array_equal(used, np.arange(len(rows)))
+        assert np.all(np.diff(first) > 0)
 
     def test_matches_byte_keyed_reference(self):
         rng = np.random.default_rng(33)
         for rep in range(20):
             n, width = int(rng.integers(0, 60)), int(rng.integers(1, 6))
             pool = rng.normal(size=(int(rng.integers(1, 12)), width))
-            self.assert_matches_reference(
-                pool[rng.integers(0, len(pool), size=n)])
+            self.assert_canonical(pool, rng.integers(0, len(pool), size=n))
 
     def test_merges_only_byte_equal_rows(self):
         rows = rows_told_apart_by_bytes()
-        self.assert_matches_reference(rows)
-        got, index = distinct_rows(rows)
-        assert len(got) == 9
-        np.testing.assert_array_equal(index, [0, 1, 2, 3, 4, 5, 6, 7, 8,
-                                              8, 7, 6, 5, 4, 3, 2, 1, 0])
+        dataset = self.assert_canonical(rows, np.arange(len(rows)))
+        assert len(dataset.listing_rows) == 9
+        np.testing.assert_array_equal(dataset.listing_index,
+                                      [0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                       8, 7, 6, 5, 4, 3, 2, 1, 0])
 
-    def test_sign_flips_and_binary_rows_hash_apart(self):
+    def test_sign_flips_and_binary_rows_stay_apart(self):
         """Rows that differ only in sign bits, and rows of 0s and 1s,
-        which differ only in exponent bits, each get a hash of their own,
-        so no row is left for the byte-keyed fallback."""
+        which differ only in exponent bits, each keep a row of their
+        own."""
         flips = (np.arange(64)[:, None] >> np.arange(6)) & 1
         sign_flips = np.random.default_rng(38).normal(size=6) * (1 - 2 * flips)
         binary = ((np.arange(1024)[:, None] >> np.arange(10)) & 1).astype(
             np.float64)
         for distinct in (sign_flips, binary):
-            hashes = model_module._row_hashes(distinct.view(np.uint64))
-            assert len(np.unique(hashes)) == len(distinct)
-            self.assert_matches_reference(distinct[np.random.default_rng(
-                39).integers(0, len(distinct), size=2000)])
+            dataset = self.assert_canonical(distinct, np.arange(len(distinct)))
+            assert len(dataset.listing_rows) == len(distinct)
+            self.assert_canonical(distinct, np.random.default_rng(
+                39).integers(0, len(distinct), size=2000))
 
-    def test_forced_hash_collision_is_exact(self, monkeypatch):
-        rng = np.random.default_rng(34)
-        pool = rng.normal(size=(7, 3))
-        cases = [rows_told_apart_by_bytes(),
-                 pool[rng.integers(0, 7, size=40)], rng.normal(size=(9, 3))]
-        monkeypatch.setattr(model_module, "_row_hashes",
-                            lambda bits: np.zeros(len(bits), np.uint64))
-        for rows in cases:
-            self.assert_matches_reference(rows)
-
-    def test_forced_hash_collision_trains_the_same(self, monkeypatch):
+    def test_table_layout_trains_the_same(self):
+        """A table given in another order, with rows twice and a row no
+        impression shows, makes the same dataset, which trains the
+        same."""
         dataset = random_searches(np.random.default_rng(35), 12,
                                   n_listings=5)
+        rows, index = dataset.listing_rows, dataset.listing_index
+        n = len(rows)
+        table = np.concatenate([rows[::-1], rows, np.full((1, 4), 7.0)])
+        # even impressions show the reversed copy, odd ones the other
+        relaid = with_listing_table(dataset, table, np.where(
+            np.arange(len(index)) % 2, index + n, n - 1 - index))
+        np.testing.assert_array_equal(relaid.listing_rows.view(np.uint64),
+                                      rows.view(np.uint64))
+        np.testing.assert_array_equal(relaid.listing_index, index)
         config = small_config()
         model, _ = train(config, dataset, epochs=2, batch_size=5)
-        monkeypatch.setattr(model_module, "_row_hashes",
-                            lambda bits: np.zeros(len(bits), np.uint64))
-        collided, _ = train(config, dataset, epochs=2, batch_size=5)
+        again, _ = train(config, relaid, epochs=2, batch_size=5)
         for name, tensor in model.params.items():
-            np.testing.assert_array_equal(collided.params[name].values,
+            np.testing.assert_array_equal(again.params[name].values,
                                           tensor.values)
 
     def test_all_distinct_rows_keep_their_order(self):
         rows = np.random.default_rng(36).normal(size=(25, 4))
-        got, index = distinct_rows(rows)
-        np.testing.assert_array_equal(got, rows)
-        np.testing.assert_array_equal(index, np.arange(25))
+        dataset = dataset_showing(rows, np.arange(25))
+        np.testing.assert_array_equal(dataset.listing_rows, rows)
+        np.testing.assert_array_equal(dataset.listing_index, np.arange(25))
+
+    def test_index_outside_the_table_is_refused(self):
+        rows = np.zeros((3, 2))
+        for index in ([0, 3], [-1, 0]):
+            with pytest.raises(ContractError, match="outside the listing"):
+                dataset_showing(rows, index)
 
     def test_batch_of_distinct_rows(self):
         dataset = random_searches(np.random.default_rng(37), 8)
-        norm = NormalizationStats.fit(dataset.listing_features,
+        norm = NormalizationStats.fit(impression_features(dataset),
                                       dataset.context_features)
         pick = np.array([5, 2, 7])
         batch = make_batch(batch_inputs(dataset, norm), pick)
@@ -1117,29 +1180,9 @@ class TestDistinctRows:
         rows = imp_rows_for_searches(dataset, pick)
         np.testing.assert_array_equal(
             batch.listing_rows,
-            norm.apply_listing(dataset.listing_features[np.sort(rows)]))
+            norm.apply_listing(impression_features(dataset)[np.sort(rows)]))
         np.testing.assert_array_equal(batch.listing_index,
                                       np.argsort(np.argsort(rows)))
-
-
-class TestRowHashes:
-    def test_blocks_match_the_unblocked_formula(self):
-        """Hashing a block of rows at a time gives each row the hash of
-        the formula applied to the whole matrix at once, on more rows
-        than one block holds and a last block that is not full."""
-        rng = np.random.default_rng(39)
-        rows = rng.normal(size=(2 * model_module._HASH_BLOCK + 37, 7))
-        rows[::5] = rows[1::5]
-        bits = rows.view(np.uint64)
-        multipliers = np.random.default_rng(0x5EED).integers(
-            0, 2**64, size=7, dtype=np.uint64) | np.uint64(1)
-        folded = bits ^ (bits >> np.uint64(32))
-        want = (folded * multipliers).sum(axis=1, dtype=np.uint64)
-        got = model_module._row_hashes(bits)
-        assert got.dtype == np.uint64
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(model_module._row_hashes(bits[:0]),
-                                      np.zeros(0, dtype=np.uint64))
 
 
 class TestTrainLayouts:
@@ -1746,7 +1789,8 @@ class TestScoring:
         ranked = score_candidates(model, np.array([30.0, 0.0]), ids, rows)
         scores = np.array([c.score for c in ranked])
         assert np.all(np.diff(scores) <= 0)
-        outputs = model.outputs(rows, np.array([[30.0, 0.0]]),
+        outputs = model.outputs(rows, np.arange(len(rows)),
+                                np.array([[30.0, 0.0]]),
                                 nn.Segments([len(rows)]))
         want = outputs.ranking_score
         order = np.lexsort((np.asarray(ids), -want))
@@ -1765,7 +1809,7 @@ class TestScoring:
         ids = [f"c{k}" for k in range(10)]
         rows = rng.normal(size=(10, 2))
         context = np.array([35.0, 1.0])
-        outputs = model.outputs(rows, context[None, :],
+        outputs = model.outputs(rows, np.arange(len(rows)), context[None, :],
                                 nn.Segments([len(rows)]))
         y = outputs.ranking_score
         base_order = np.lexsort((np.asarray(ids), -y))
@@ -1814,10 +1858,11 @@ class TestPersistence:
         rng = np.random.default_rng(21)
         rows = rng.normal(size=(6, 2))
         contexts = np.array([[40.0, 1.0]])
-        segments = nn.Segments([len(rows)])
+        index = np.array([3, 0, 5, 5, 1, 2, 4])
+        segments = nn.Segments([len(index)])
         np.testing.assert_array_equal(
-            back.outputs(rows, contexts, segments).ranking_score,
-            model.outputs(rows, contexts, segments).ranking_score)
+            back.outputs(rows, index, contexts, segments).ranking_score,
+            model.outputs(rows, index, contexts, segments).ranking_score)
 
     def test_removed_config_keys_are_refused(self, tmp_path):
         """A model saved with the activation, head depth and task weights
@@ -1886,7 +1931,7 @@ class TestNonFiniteRows:
     @pytest.mark.parametrize("field", ["listing_mean", "context_mean"])
     def test_batch_inputs(self, field):
         dataset = planted_dataset()
-        norm = NormalizationStats.fit(dataset.listing_features,
+        norm = NormalizationStats.fit(impression_features(dataset),
                                       dataset.context_features)
         bad = getattr(norm, field).copy()
         bad[1] = np.inf
@@ -1895,25 +1940,40 @@ class TestNonFiniteRows:
 
     def test_train(self):
         dataset = planted_dataset()
-        features = dataset.listing_features.copy()
+        features = impression_features(dataset)
         features[4, 0] = np.nan
         config = default_model_config(2, 2, embedding_dim=4,
                                       tower_hidden=(5,), seed=7)
         with pytest.raises(ShapeError, match="NaN or Inf"):
-            train(config, replace(dataset, listing_features=features),
+            train(config, with_impression_features(dataset, features),
                   epochs=1)
 
     @pytest.mark.parametrize("which", ["listing", "context"])
     def test_scoring(self, which):
         dataset, model = self.trained()
-        listing = dataset.listing_features.copy()
+        listing = dataset.listing_rows.copy()
         context = dataset.context_features.copy()
         (listing if which == "listing" else context)[1, 1] = np.inf
         with pytest.raises(ShapeError, match="NaN or Inf"):
-            model.outputs(listing, context, dataset.searches)
+            model.outputs(listing, dataset.listing_index, context,
+                          dataset.searches)
         if which == "context":
             with pytest.raises(ShapeError, match="NaN or Inf"):
                 blend_coefficients(model, context)
+
+
+class TestScoringLayout:
+    @pytest.mark.parametrize("index, message", [
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1], "laid out by the segments"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 9], "outside the listing"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, -1], "outside the listing"),
+    ], ids=["short", "past-the-end", "negative"])
+    def test_outputs_refuse_an_index_that_does_not_fit(self, index, message):
+        dataset, model = TestNonFiniteRows.trained()
+        assert (len(dataset.listing_rows), dataset.n_impressions) == (9, 12)
+        with pytest.raises(ContractError, match=message):
+            model.outputs(dataset.listing_rows, np.array(index),
+                          dataset.context_features, dataset.searches)
 
 
 class TestNormalizationStats:

@@ -223,7 +223,8 @@ def reference_generate(config, stops: Counter | None = None) -> Dataset:
         imps_per_search=[n] * len(search_ids),
         listing_ids=np.asarray(world.listing_ids)[rows],
         positions=np.tile(np.arange(1, n + 1), len(search_ids)),
-        listing_features=world.listing_features[rows],
+        listing_rows=world.listing_features,
+        listing_index=rows,
         labels={m: flags[:, k] for k, m in enumerate(LABELS)},
     ))
 
