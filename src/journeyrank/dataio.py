@@ -25,18 +25,20 @@ compactness).
 
 Each line of the file is the record in canonical JSON (sorted keys, no
 spaces). :func:`save_dataset` writes those bytes without building the
-records: it encodes each row of the dataset's listing table (whose rows
-are distinct by their bytes, so ``-0.0`` and ``0.0`` keep their own text),
-each distinct label set and each distinct listing id once, and assembles
-one journey's line at a time from those pieces. The bytes are the same as
-encoding each record of :func:`dataset_to_records`.
+records: it encodes each listing table row's features and id (rows are
+distinct by id and bytes, so ``-0.0`` and ``0.0`` keep their own text)
+and each distinct label set once, looks each impression's texts up by
+integer (its table row, its label code), and assembles one journey's
+line at a time. The bytes are the same as encoding each record of
+:func:`dataset_to_records`.
 
 :func:`load_dataset` reads the lines back with two decoders that fill the
 same columns. The line decoder cuts a line on the delimiters of the
-writer's layout and decodes each leaf (a feature array, a label dict, a
-listing id, a position) once per distinct text, so a row that recurs
-across the file is parsed once. It accepts a line only when the line is
-exactly those delimiters and leaves of the expected kinds. Valid JSON
+writer's layout and decodes each leaf once per distinct text (a feature
+array and a listing id once per pair, which names one table row), so a
+row that recurs across the file is parsed once. It accepts a line only
+when the line is exactly those delimiters and leaves of the expected
+kinds. Valid JSON
 leaves joined by the layout's delimiters have exactly one parse, the
 record ``json.loads`` returns, so what it stores is bit for bit what the
 record path stores. Any other line is declined and read by the record
@@ -92,7 +94,7 @@ def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
                 {"listing_id": lid, "position": pos, "features": feats,
                  "labels": {m: True for m, on in zip(LABELS, flags) if on}}
                 for lid, pos, feats, flags in zip(
-                    dataset.listing_ids[a:b].tolist(),
+                    dataset.listing_ids[dataset.listing_index[a:b]].tolist(),
                     dataset.positions[a:b].tolist(),
                     dataset.listing_rows[dataset.listing_index[a:b]].tolist(),
                     label_rows[a:b].tolist())
@@ -183,11 +185,11 @@ def _all_numbers(rows: list, width: int) -> bool:
 class _Columns:
     """A dataset's columns, filled one journey at a time by either reader.
 
-    Listing feature rows live in a table that grows by whole arrays, and
-    each impression holds the index of its row, so the line decoder can
-    point many impressions at one decoded row. :meth:`dataset` hands the
-    table and the index to :meth:`Dataset.from_columns`, which merges the
-    rows of equal bytes.
+    Listings live in a table that grows by whole arrays of feature rows
+    and lists of their ids, and each impression holds the index of its
+    row, so the line decoder can point many impressions at one decoded
+    row. :meth:`dataset` hands the table and the index to
+    :meth:`Dataset.from_columns`, which merges rows of equal id and bytes.
     """
 
     def __init__(self, schema: DatasetSchema):
@@ -196,16 +198,16 @@ class _Columns:
         self.guest_ids, self.searches_per_journey = [], []
         self.search_ids, self.t_days, self.imps_per_search = [], [], []
         self.contexts: list[np.ndarray] = []
-        self.listing_ids, self.positions, self.label_codes = [], [], []
+        self.positions, self.label_codes, self.listing_ids = [], [], []
         self.table = [np.empty((0, schema.listing_dim))]
-        self.table_rows = 0
         self.row_of_impression = array("q")
 
-    def add_rows(self, rows: np.ndarray) -> int:
-        """Append rows to the feature table; returns the first one's index."""
-        start = self.table_rows
+    def add_rows(self, rows: np.ndarray, listing_ids: list[str]) -> int:
+        """Append feature rows and their listing ids to the table; returns
+        the first one's index."""
+        start = len(self.listing_ids)
         self.table.append(rows)
-        self.table_rows += len(rows)
+        self.listing_ids += listing_ids
         return start
 
     def add_record(self, rec) -> None:
@@ -231,13 +233,13 @@ class _Columns:
             except _RECORD_FAULTS as exc:
                 raise DataValidationError(
                     f"malformed journey record: {exc}") from None
-        *columns, rows = journey
-        start = self.add_rows(rows)
+        *columns, listing_ids, rows = journey
+        start = self.add_rows(rows, listing_ids)
         self.add_journey(*columns, range(start, start + len(rows)))
 
     def add_journey(self, guest_id: str, search_ids: list, t_days: list,
-                    sizes: list, contexts: np.ndarray, listing_ids: list,
-                    positions: list, codes: list, rows) -> None:
+                    sizes: list, contexts: np.ndarray, positions: list,
+                    codes: list, rows) -> None:
         """Append one journey's columns, its impressions' rows given as
         indices into the feature table."""
         self.guest_ids.append(guest_id)
@@ -246,7 +248,6 @@ class _Columns:
         self.t_days += t_days
         self.imps_per_search += sizes
         self.contexts.append(contexts)
-        self.listing_ids += listing_ids
         self.positions += positions
         self.label_codes += codes
         self.row_of_impression.extend(rows)
@@ -286,8 +287,8 @@ class _Columns:
                 and _all_numbers(features, listing_dim)):
             return None
         return (guest_id, search_ids, t_days, sizes,
-                _float_rows(contexts, context_dim), listing_ids, positions,
-                codes, _float_rows(features, listing_dim))
+                _float_rows(contexts, context_dim), positions, codes,
+                listing_ids, _float_rows(features, listing_dim))
 
     def _walk_journey(self, rec) -> tuple:
         """:meth:`_read_journey` one value at a time, raising at the first
@@ -325,8 +326,8 @@ class _Columns:
                 codes.append(code)
                 features.append(i["features"])
         return (guest_id, search_ids, t_days, sizes,
-                _numbers(contexts, schema.context_dim), listing_ids,
-                positions, codes, _numbers(features, schema.listing_dim))
+                _numbers(contexts, schema.context_dim), positions, codes,
+                listing_ids, _numbers(features, schema.listing_dim))
 
     def dataset(self) -> Dataset:
         # drop the pieces first, so one copy of the feature rows is alive
@@ -341,8 +342,8 @@ class _Columns:
             context_features=(np.concatenate(self.contexts) if self.contexts
                               else []),
             imps_per_search=self.imps_per_search,
-            listing_ids=self.listing_ids,
             positions=self.positions,
+            listing_ids=self.listing_ids,
             listing_rows=self.table[0],
             listing_index=np.frombuffer(self.row_of_impression,
                                         dtype=np.int64),
@@ -367,33 +368,10 @@ def dataset_from_records(schema: DatasetSchema,
     return columns.dataset()
 
 
-class _RowTexts:
-    """The JSON text of each row of an array, each distinct row encoded
-    once.
-
-    Rows are told apart by their exact bytes. Only the distinct rows' keys
-    and texts are kept.
-    """
-
-    def __init__(self, values: np.ndarray, encode):
-        self.rows = np.ascontiguousarray(values)
-        n_cols = int(np.prod(self.rows.shape[1:]))
-        self.keys = self.rows.reshape(len(self.rows), n_cols).view(
-            np.dtype((np.void, self.rows.itemsize * n_cols))).ravel()
-        self.encode = encode
-        self.texts: dict[bytes, str] = {}
-
-    def __call__(self, a: int, b: int) -> list[str]:
-        """The texts of rows ``a`` to ``b - 1``."""
-        keys = self.keys[a:b].tolist()
-        for k, key in enumerate(keys, a):
-            if key not in self.texts:
-                self.texts[key] = self.encode(self.rows[k].tolist())
-        return [self.texts[key] for key in keys]
-
-
-def _label_text(flags: list[bool]) -> str:
-    return _canonical({m: True for m, on in zip(LABELS, flags) if on})
+def _label_codes(labels: dict[str, np.ndarray]) -> np.ndarray:
+    """Each impression's flags as one integer, bit k for ``LABELS[k]``:
+    the code :func:`_label_code` gives its label dict."""
+    return sum(labels[m].astype(np.int64) << k for k, m in enumerate(LABELS))
 
 
 # The writer's line layout. A journey line is
@@ -420,23 +398,28 @@ _IMPRESSION = (_FEATURES + "%s" + _LABELS + "%s" + _LISTING_ID + "%s"
 
 def _journey_lines(dataset: Dataset) -> Iterator[str]:
     """The canonical JSON of each record of :func:`dataset_to_records`,
-    built one journey at a time from the texts of the listing table's
-    rows, the distinct label sets and the distinct listing ids."""
-    row_texts = [_canonical(row) for row in dataset.listing_rows.tolist()]
-    labels = _RowTexts(np.column_stack([dataset.labels[m] for m in LABELS]),
-                       _label_text)
-    listing_ids = _RowTexts(dataset.listing_ids, _canonical)
+    built one journey at a time from texts looked up by integer: each
+    listing table row's feature and id texts by the impression's row, and
+    each distinct label set's text by its label code."""
+    row_texts = list(map(_canonical, dataset.listing_rows.tolist()))
+    id_texts = list(map(_canonical, dataset.listing_ids.tolist()))
+    codes = _label_codes(dataset.labels)
+    label_texts = {
+        code: _canonical({m: True for k, m in enumerate(LABELS)
+                          if code >> k & 1})
+        for code in np.flatnonzero(np.bincount(codes)).tolist()}
     imp_starts = dataset.searches.starts.tolist()
     bounds = dataset.journeys.starts.tolist()
     for j, guest_id in enumerate(dataset.guest_ids.tolist()):
         lo, hi = bounds[j], bounds[j + 1]
         first, last = imp_starts[lo], imp_starts[hi]
+        shown = dataset.listing_index[first:last].tolist()
         impressions = [
             _IMPRESSION % row
-            for row in zip(map(row_texts.__getitem__,
-                               dataset.listing_index[first:last].tolist()),
-                           labels(first, last),
-                           listing_ids(first, last),
+            for row in zip(map(row_texts.__getitem__, shown),
+                           map(label_texts.__getitem__,
+                               codes[first:last].tolist()),
+                           map(id_texts.__getitem__, shown),
                            dataset.positions[first:last].tolist())]
         searches = [
             _SEARCH % (_canonical(context),
@@ -507,11 +490,6 @@ def _read_label_code(text: str, known: dict) -> int | None:
     return _label_code(labels, known) if type(labels) is dict else None
 
 
-def _read_string(text: str) -> str | None:
-    value = _leaf(text)
-    return value if type(value) is str else None
-
-
 def _read_position(text: str) -> int | None:
     value = _leaf(text)
     return (value if type(value) is int and _INT64_MIN <= value <= _INT64_MAX
@@ -526,11 +504,13 @@ class _LineDecoder:
     the constants around it), and every piece between them is a leaf: a
     feature array, a label dict, a listing id or a position of an
     impression, or the context, id or time of a search. Impression leaves
-    repeat across a file, so each is decoded once per distinct text, by the
-    scanner ``json.loads`` uses, and remembered; a line's new feature rows
-    are decoded in one call. Search leaves are decoded once per search. A
-    line is accepted only when it is exactly delimiters and leaves, where a
-    cut that finds a delimiter more or fewer times than the layout has, or
+    repeat across a file, so each is decoded once per distinct text (a
+    feature array and a listing id once per pair, which names one table
+    row), by the scanner ``json.loads`` uses, and remembered; a line's new
+    rows are decoded in one call. Search leaves are decoded once per
+    search. A line is accepted only when it is exactly delimiters and
+    leaves, where a cut that finds a delimiter more or fewer times than the
+    layout has, or
     a leaf that is not a whole JSON value of its kind (floats of the
     schema's width, a dict of known milestones, a string, an integer that
     fits 64 bits, a float time), declines it: :meth:`decode` then appends
@@ -546,9 +526,8 @@ class _LineDecoder:
 
     def __init__(self, columns: _Columns):
         self.columns = columns
-        self.rows: dict[str, int] = {}
+        self.rows: dict[tuple[str, str], int] = {}
         self.labels: dict[str, int] = {}
-        self.listing_ids: dict[str, str] = {}
         self.positions: dict[str, int] = {}
         self.impressions = 0
         self.new_rows = 0
@@ -624,32 +603,32 @@ class _LineDecoder:
         known = self.columns.known_labels
         labels = _memo_values(self.labels, labels,
                               lambda text: _read_label_code(text, known))
-        listing_ids = _memo_values(self.listing_ids, listing_ids,
-                                   _read_string)
         positions = _memo_values(self.positions, positions, _read_position)
-        if labels is None or listing_ids is None or positions is None:
+        if labels is None or positions is None:
             return False
         contexts = np.array(contexts, dtype=np.float64
                             ).reshape(-1, schema.context_dim)
-        rows = list(map(self.rows.get, features))
-        if None in rows and not self._add_new_rows(features, rows):
+        keys = list(zip(features, listing_ids))
+        rows = list(map(self.rows.get, keys))
+        if None in rows and not self._add_new_rows(keys, rows):
             return False
         self.columns.add_journey(guest_id, search_ids, t_days, sizes,
-                                 contexts, listing_ids, positions, labels,
-                                 rows)
+                                 contexts, positions, labels, rows)
         self.impressions += len(rows)
         return True
 
-    def _add_new_rows(self, texts: list[str], rows: list) -> bool:
-        """Decode the distinct texts whose row is None in one call, add
-        them to the table and fill in ``rows``; False when one of them is
-        not an array of floats of the schema's width."""
-        new = list(dict.fromkeys(t for t, r in zip(texts, rows) if r is None))
+    def _add_new_rows(self, keys: list[tuple[str, str]], rows: list) -> bool:
+        """Decode the distinct (features, id) text pairs whose row is None,
+        add them to the table and fill in ``rows``; False when a features
+        text is not an array of floats of the schema's width or an id text
+        not a string."""
+        new = list(dict.fromkeys(t for t, r in zip(keys, rows) if r is None))
+        texts = [features for features, _ in new]
         # each text one bracketed array with no bracket inside, so that the
         # joined text parses into one row per text
-        joined = _NEXT.join(new)
+        joined = _NEXT.join(texts)
         if not (joined.count("[") == joined.count("]") == len(new)
-                and all(t[:1] == "[" and t[-1:] == "]" for t in new)):
+                and all(t[:1] == "[" and t[-1:] == "]" for t in texts)):
             return False
         values = json.loads("[" + joined + "]")
         width = self.columns.schema.listing_dim
@@ -657,15 +636,19 @@ class _LineDecoder:
                 and set(map(len, values)) == {width}
                 and set(map(type, chain.from_iterable(values))) == {float}):
             return False
-        start = self.columns.add_rows(np.array(values, dtype=np.float64))
+        listing_ids = [_leaf(listing_id) for _, listing_id in new]
+        if set(map(type, listing_ids)) != {str}:
+            return False
+        start = self.columns.add_rows(np.array(values, dtype=np.float64),
+                                      listing_ids)
         added = dict(zip(new, range(start, start + len(new))))
         if len(self.rows) + len(new) > _MEMO_TEXTS:
             self.rows.clear()
         self.rows.update(added)
         self.new_rows += len(new)
-        for k, text in enumerate(texts):
+        for k, key in enumerate(keys):
             if rows[k] is None:
-                rows[k] = added[text]
+                rows[k] = added[key]
         return True
 
 

@@ -11,13 +11,13 @@ propagates them into the multi-label training view.
 
 A :class:`Dataset` is one set of flat columns: one row per impression,
 one per search, and each journey a run of consecutive searches, with the
-listing features as one table of distinct rows that each impression
-indexes. Two
-:class:`~journeyrank.nn.Segments` layouts, built once when the dataset is
-assembled, group them: ``searches`` (impressions into searches) and
-``journeys`` (searches into journeys). Attribution, filtering, validation
-and the task statistics below are array and segment operations over those
-columns and layouts.
+listings as one table of distinct (id, feature row) pairs that each
+impression indexes. Two :class:`~journeyrank.nn.Segments` layouts, built
+once when the dataset is assembled, group them: ``searches`` (impressions
+into searches) and ``journeys`` (searches into journeys). Attribution,
+filtering, validation and the task statistics below are array and segment
+operations over those columns and layouts; they tell listings apart by
+one integer code per impression, :meth:`Dataset.listing_codes`.
 The per-journey record that datasets are written in and built from lives
 in :mod:`journeyrank.dataio`.
 """
@@ -138,28 +138,30 @@ def check_listing_index(index: np.ndarray, n_rows: int) -> None:
         raise ContractError("listing index outside the listing table")
 
 
-def _canonical_listings(rows: np.ndarray, index: np.ndarray,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """``rows[index]``, bit for bit, as a table and an index in the
-    canonical form of :meth:`Dataset.from_columns`."""
+def _canonical_listings(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ids[index]`` and ``rows[index]``, bit for bit, as a table and an
+    index in the canonical form of :meth:`Dataset.from_columns`."""
+    if ids.shape != (len(rows),):
+        raise ContractError("listing ids must name the listing table's rows")
     check_listing_index(index, len(rows))
-    # keyed by its bytes, each row maps to its first row of equal bytes,
-    # and each impression to that row
-    first: dict[bytes, int] = {}
+    # keyed by its id and bytes, each row maps to its first row of equal
+    # key, and each impression to that row
+    first: dict[tuple[str, bytes], int] = {}
     keys = np.ascontiguousarray(rows).view(
         np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    shown = np.array([first.setdefault(key, k)
-                      for k, key in enumerate(keys.tolist())],
+    shown = np.array([first.setdefault(key, k) for k, key in
+                      enumerate(zip(ids.tolist(), keys.tolist()))],
                      dtype=np.int64)[index]
     # each row's first impression; the rows none shows sort last
     seen = np.full(len(rows), len(index))
     np.minimum.at(seen, shown, np.arange(len(index)))
     order = np.argsort(seen)[:np.count_nonzero(seen < len(index))]
     if np.array_equal(order, np.arange(len(rows))):
-        return rows, shown  # already canonical: no second copy of the rows
+        return ids, rows, shown  # already canonical: no second copy
     slot = np.empty(len(rows), dtype=np.int64)
     slot[order] = np.arange(len(order))
-    return rows[order], slot[shown]
+    return ids[order], rows[order], slot[shown]
 
 
 @dataclass(frozen=True)
@@ -172,9 +174,10 @@ class Dataset:
     ``k`` owns the impression rows ``searches`` gives it. Either layout may
     hold an empty segment, which validation reports.
 
-    Listing features are one table, ``listing_rows``, in the canonical
-    form of :meth:`from_columns`: impression ``i`` shows its row
-    ``listing_index[i]``.
+    Listings are one table, ``listing_ids`` and ``listing_rows`` row by
+    row, in the canonical form of :meth:`from_columns`: impression ``i``
+    shows table row ``listing_index[i]``. A listing is its id, so two rows
+    of one id (a price change) are one listing to every rule.
     """
 
     schema: DatasetSchema
@@ -184,8 +187,8 @@ class Dataset:
     t_days: np.ndarray                # [n_searches] float64
     context_features: np.ndarray      # [n_searches, context_dim] float64
     searches: Segments                # impression rows into searches
-    listing_ids: np.ndarray           # [n_impressions] str
     positions: np.ndarray             # [n_impressions] int64
+    listing_ids: np.ndarray           # [n_listings] str
     listing_rows: np.ndarray          # [n_listings, listing_dim] float64
     listing_index: np.ndarray         # [n_impressions] int64
     labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
@@ -193,20 +196,25 @@ class Dataset:
     @classmethod
     def from_columns(cls, schema: DatasetSchema, *, guest_ids,
                      searches_per_journey, search_ids, t_days,
-                     context_features, imps_per_search, listing_ids,
-                     positions, listing_rows, listing_index,
+                     context_features, imps_per_search, positions,
+                     listing_ids, listing_rows, listing_index,
                      labels: Mapping[str, np.ndarray]) -> "Dataset":
         """Assemble a dataset from per-journey, per-search and
-        per-impression columns plus the row counts that group them.
+        per-impression columns, the listing table and the row counts that
+        group them.
 
-        Impression ``i`` shows listing feature row ``listing_index[i]`` of
-        the table ``listing_rows``, which may hold a row twice or a row no
-        impression shows. The dataset holds the same features in canonical
-        form: its rows are distinct by their bytes (so ``-0.0`` and ``0.0``
-        stay apart, and so do two NaN payloads), in order of first
-        appearance in the impressions, and every row is shown.
+        Impression ``i`` shows row ``listing_index[i]`` of the listing
+        table, whose row ``k`` is id ``listing_ids[k]`` with features
+        ``listing_rows[k]`` (ids not aligned with the rows raise
+        :class:`ContractError`); it may hold a row twice or a row no
+        impression shows. The dataset holds it in canonical form: rows
+        distinct by id and feature bytes (``-0.0`` and ``0.0`` stay apart,
+        and so do two NaN payloads, equal bytes under two ids and two rows
+        of one id), in order of first appearance in the impressions, and
+        every row shown.
         """
-        listing_rows, listing_index = _canonical_listings(
+        listing_ids, listing_rows, listing_index = _canonical_listings(
+            np.asarray(listing_ids, dtype=str),
             np.asarray(listing_rows, dtype=np.float64
                        ).reshape(-1, schema.listing_dim),
             np.asarray(listing_index, dtype=np.int64))
@@ -219,8 +227,8 @@ class Dataset:
             context_features=np.asarray(context_features, dtype=np.float64
                                         ).reshape(-1, schema.context_dim),
             searches=Segments(imps_per_search),
-            listing_ids=np.asarray(listing_ids, dtype=str),
             positions=np.asarray(positions, dtype=np.int64),
+            listing_ids=listing_ids,
             listing_rows=listing_rows,
             listing_index=listing_index,
             labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
@@ -236,10 +244,16 @@ class Dataset:
 
     @property
     def n_impressions(self) -> int:
-        return len(self.listing_ids)
+        return len(self.listing_index)
 
     def journey_of_impression(self) -> np.ndarray:
         return self.journeys.ids[self.searches.ids]
+
+    def listing_codes(self) -> np.ndarray:
+        """Each impression's listing id as its rank among the table's ids:
+        equal and ordered exactly as the ids are."""
+        return np.unique(self.listing_ids,
+                         return_inverse=True)[1][self.listing_index]
 
 
 def select_impressions(dataset: Dataset, keep: np.ndarray,
@@ -264,8 +278,8 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
         t_days=dataset.t_days[keep_search],
         context_features=dataset.context_features[keep_search],
         imps_per_search=counts[keep_search],
-        listing_ids=dataset.listing_ids[keep],
         positions=dataset.positions[keep],
+        listing_ids=dataset.listing_ids,
         listing_rows=dataset.listing_rows,
         listing_index=dataset.listing_index[keep],
         labels={m: v[keep] for m, v in dataset.labels.items()},
@@ -280,7 +294,7 @@ def _segment_any(mask: np.ndarray, group: np.ndarray, n: int) -> np.ndarray:
 def _journey_listing_groups(dataset: Dataset) -> tuple[np.ndarray, int]:
     """A group id per impression, shared by the impressions of one listing
     within one journey; returns (ids, number of groups)."""
-    _, codes = np.unique(dataset.listing_ids, return_inverse=True)
+    codes = dataset.listing_codes()
     key = dataset.journey_of_impression() * (int(codes.max(initial=0)) + 1)
     _, groups = np.unique(key + codes, return_inverse=True)
     return groups, int(groups.max(initial=-1)) + 1
@@ -305,7 +319,7 @@ def _where_search(dataset: Dataset, k: int) -> str:
 
 def _where_impression(dataset: Dataset, i: int) -> str:
     return (f"{_where_search(dataset, int(dataset.searches.ids[i]))} "
-            f"listing={dataset.listing_ids[i]}")
+            f"listing={dataset.listing_ids[dataset.listing_index[i]]}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +490,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                  last - first > dataset.schema.window_days + 1e-9, at_journey)
 
     searches = dataset.searches
-    _, listing_codes = np.unique(dataset.listing_ids, return_inverse=True)
     report.check("non-finite context",
                  ~np.isfinite(dataset.context_features).all(axis=1), at_search)
     report.check("too few impressions", searches.sizes < 2, at_search)
@@ -486,7 +499,8 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                  _segment_any(dataset.positions < 1, searches.ids, n_s),
                  at_search)
     report.check("duplicate listing",
-                 _has_duplicates(listing_codes, searches), at_search)
+                 _has_duplicates(dataset.listing_codes(), searches),
+                 at_search)
 
     report.check("non-finite listing features",
                  ~np.isfinite(dataset.listing_rows).all(axis=1)[

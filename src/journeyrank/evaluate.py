@@ -54,7 +54,7 @@ Scorer = Callable[[Dataset], np.ndarray]
 """Scores every impression of a dataset in one call.
 
 It receives the dataset and returns one float score per impression row,
-aligned with ``listing_ids``. Higher ranks first; ties break by listing
+aligned with ``listing_index``. Higher ranks first; ties break by listing
 id.
 """
 
@@ -136,7 +136,8 @@ def model_scorer(model: TrainedModel) -> Scorer:
 
 
 def oracle_scorer(world) -> Scorer:
-    """Scores candidates by their true conversion probability.
+    """Scores candidates by their true conversion probability, with the
+    world's features of each listing table row's id.
 
     ``world.true_unc_probability`` takes searches of one size at a time,
     since a search's listing part is a mat-vec whose rounding depends on
@@ -144,7 +145,7 @@ def oracle_scorer(world) -> Scorer:
     """
     def scorer(dataset: Dataset) -> np.ndarray:
         scores = np.empty(dataset.n_impressions)
-        rows = world.rows_for_ids(dataset.listing_ids)
+        rows = world.rows_for_ids(dataset.listing_ids)[dataset.listing_index]
         sizes = dataset.searches.sizes
         for size in np.unique(sizes):
             which = np.flatnonzero(sizes == size)
@@ -163,7 +164,7 @@ def evaluate_with_scorer(dataset: Dataset,
         raise ContractError("scorer must return one score per impression")
     # segment ids are sorted, so every search keeps its rows in place
     searches = dataset.searches
-    order = np.lexsort((dataset.listing_ids, -scores, searches.ids))
+    order = np.lexsort((dataset.listing_codes(), -scores, searches.ids))
     reports = {}
     for task in POSITIVE_CHAIN:
         ndcg, has_positive = ndcg_binary(dataset.labels[task][order],

@@ -556,8 +556,8 @@ def generate(config: GeneratorConfig,
         t_days=t_days[order],
         context_features=contexts[order],
         imps_per_search=np.full(len(order), n),
-        listing_ids=np.asarray(world.listing_ids)[rows],
         positions=np.tile(np.arange(1, n + 1), len(order)),
+        listing_ids=world.listing_ids,
         listing_rows=world.listing_features,
         listing_index=rows,
         labels={m: flags[:, k] for k, m in enumerate(LABELS)},

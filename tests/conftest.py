@@ -61,24 +61,32 @@ def impression_features(dataset: Dataset) -> np.ndarray:
     return dataset.listing_rows[dataset.listing_index]
 
 
-def with_listing_table(dataset: Dataset, rows: np.ndarray,
+def impression_ids(dataset: Dataset) -> np.ndarray:
+    """Each impression's listing id, gathered from the table."""
+    return dataset.listing_ids[dataset.listing_index]
+
+
+def with_listing_table(dataset: Dataset, ids, rows: np.ndarray,
                        index: np.ndarray) -> Dataset:
-    """``dataset`` with the listing table ``rows``, impression ``i``
-    showing row ``index[i]``, rebuilt by ``Dataset.from_columns``."""
+    """``dataset`` with the listing table of ids ``ids`` and feature rows
+    ``rows``, impression ``i`` showing row ``index[i]``, rebuilt by
+    ``Dataset.from_columns``."""
     return Dataset.from_columns(
         dataset.schema, guest_ids=dataset.guest_ids,
         searches_per_journey=dataset.journeys.sizes,
         search_ids=dataset.search_ids, t_days=dataset.t_days,
         context_features=dataset.context_features,
-        imps_per_search=dataset.searches.sizes,
-        listing_ids=dataset.listing_ids, positions=dataset.positions,
-        listing_rows=rows, listing_index=index, labels=dataset.labels)
+        imps_per_search=dataset.searches.sizes, positions=dataset.positions,
+        listing_ids=ids, listing_rows=rows, listing_index=index,
+        labels=dataset.labels)
 
 
 def with_impression_features(dataset: Dataset,
                              features: np.ndarray) -> Dataset:
-    """``dataset`` with one listing feature row given per impression."""
-    return with_listing_table(dataset, features, np.arange(len(features)))
+    """``dataset`` with one listing feature row given per impression,
+    under the impression's listing id."""
+    return with_listing_table(dataset, impression_ids(dataset), features,
+                              np.arange(len(features)))
 
 
 def imp_rows_for_searches(dataset: Dataset,

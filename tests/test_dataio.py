@@ -850,8 +850,9 @@ class TestLineDecoder:
         table = np.array([[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0],
                           [0.0, 1.0, 0.0], [0.5, -2.0, 3.25],
                           [1e-310, 2.0, -1.5]])
-        ds = with_listing_table(ds, table, rng.integers(
-            0, len(table), size=ds.n_impressions))
+        ds = with_listing_table(ds, [f"T{k}" for k in range(len(table))],
+                                table, rng.integers(0, len(table),
+                                                    size=ds.n_impressions))
         assert len(ds.listing_rows) == len(table)
         path = tmp_path / "d.jsonl"
         save_dataset(ds, path)
@@ -859,7 +860,7 @@ class TestLineDecoder:
         dataset_of = dataio._Columns.dataset
 
         def dataset(self):
-            table_rows.append(self.table_rows)
+            table_rows.append(len(self.listing_ids))
             return dataset_of(self)
 
         monkeypatch.setattr(dataio._Columns, "dataset", dataset)

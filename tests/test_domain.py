@@ -8,7 +8,8 @@ the independent references the columnar operations are checked against.
 import numpy as np
 import pytest
 
-from journeyrank.dataio import dataset_from_records, dataset_to_records
+from journeyrank.dataio import (dataset_from_records, dataset_to_records,
+                                load_dataset, save_dataset)
 from journeyrank.domain import (
     ALL_MILESTONES,
     LABELS,
@@ -24,6 +25,7 @@ from journeyrank.domain import (
     validate_dataset,
 )
 from journeyrank.errors import ConfigError, DataValidationError, UndefinedTaskWeightError
+from journeyrank.evaluate import evaluate_with_scorer
 
 SCHEMA = DatasetSchema(
     listing_dim=3,
@@ -427,21 +429,21 @@ class TestValidateDataset:
         assert not report.accepted
 
     def test_non_finite_table_row_reported_on_every_impression(self):
-        """One row of the listing table holds a NaN: every impression
-        that shows it is reported, once each, in impression order."""
+        """Two rows of the listing table hold a NaN: every impression
+        that shows one is reported, once each, in impression order."""
         good, bad = (0.0, 1.0, 2.0), (float("nan"), 0.0, 0.0)
         ds = make_dataset(make_journey("g0", [
             make_search("s1", 0.0, [make_impression("A", 1, features=bad),
                                     make_impression("B", 2, features=good)]),
             make_search("s2", 1.0, [make_impression("C", 1, features=bad),
-                                    make_impression("D", 2, features=bad)]),
+                                    make_impression("A", 2, features=bad)]),
         ]))
-        assert len(ds.listing_rows) == 2
+        assert len(ds.listing_rows) == 3
         report = validate_dataset(ds)
         assert report.violations == {"non-finite listing features": 3}
         assert report.examples == [
             f"guest=g0 search={s} listing={lid}: non-finite listing features"
-            for s, lid in (("s1", "A"), ("s2", "C"), ("s2", "D"))]
+            for s, lid in (("s1", "A"), ("s2", "C"), ("s2", "A"))]
 
     def test_multiple_unc_listings_reported(self):
         journey = make_journey("g0", [
@@ -480,6 +482,76 @@ def nested_random_dataset(rng, n_journeys=30):
             searches.append(make_search(f"g{g}-s{s}", float(s), imps))
         journeys.append(make_journey(f"g{g}", searches))
     return make_dataset(*journeys)
+
+
+class TestListingIdentity:
+    """A listing is its id, not its feature row: listing B changes price
+    between searches, so one id shows two rows of the table, and every
+    rule treats both as one listing."""
+
+    CHEAP, DEAR = (0.1, 0.0, 1.0), (0.2, 0.0, 1.0)
+
+    def dataset(self):
+        # B is booked at the dear price in s2, and shown again at the cheap
+        # price in s3
+        return make_dataset(make_journey("g0", [
+            make_search("s1", 0.0, [
+                make_impression("B", 1, features=self.CHEAP),
+                make_impression("A", 2)]),
+            make_search("s2", 1.0, [
+                make_impression("B", 1, chain_labels(6), features=self.DEAR),
+                make_impression("A", 2)]),
+            make_search("s3", 2.0, [
+                make_impression("B", 1, features=self.CHEAP),
+                make_impression("C", 2), make_impression("A", 3)]),
+        ]))
+
+    def test_table_keeps_both_rows_of_one_id(self):
+        ds = self.dataset()
+        np.testing.assert_array_equal(ds.listing_ids, ["B", "A", "B", "C"])
+        np.testing.assert_array_equal(ds.listing_index,
+                                      [0, 1, 2, 1, 0, 3, 1])
+        assert validate_dataset(ds).accepted
+
+    def test_attribution_groups_by_id(self):
+        by_key = {(s, lid): labels
+                  for s, lid, labels in label_table(attribute_labels(
+                      self.dataset()))}
+        assert set(POSITIVE_CHAIN) <= by_key[("s1", "B")]
+        assert not by_key[("s3", "B")]
+
+    def test_filter_drops_the_booked_id_at_another_price(self):
+        result = filter_training_searches(attribute_labels(self.dataset()))
+        searches = next(dataset_to_records(result.dataset))["searches"]
+        assert [[imp["listing_id"] for imp in s["impressions"]]
+                for s in searches] == [["B", "A"], ["B", "A"], ["C", "A"]]
+
+    def test_one_id_twice_in_a_search_is_a_duplicate_listing(self):
+        ds = make_dataset(make_journey("g0", [make_search("s1", 0.0, [
+            make_impression("B", 1, features=self.CHEAP),
+            make_impression("B", 2, features=self.DEAR)])]))
+        assert len(ds.listing_rows) == 2
+        assert validate_dataset(ds).violations == {"duplicate listing": 1}
+
+    def test_score_ties_break_by_id(self):
+        """Equal scores rank A before B in every search, though B's rows
+        come first in s1 and the table: the uncancelled B ranks second in
+        both searches that hold it."""
+        reports = evaluate_with_scorer(attribute_labels(self.dataset()),
+                                       lambda ds: np.zeros(ds.n_impressions))
+        assert reports["unc"].n_searches == 2
+        assert reports["unc"].mean == pytest.approx(1 / np.log2(3))
+
+    def test_save_load_keeps_both_rows(self, tmp_path):
+        ds = attribute_labels(self.dataset())
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.listing_ids, ds.listing_ids)
+        np.testing.assert_array_equal(loaded.listing_rows.view(np.uint64),
+                                      ds.listing_rows.view(np.uint64))
+        np.testing.assert_array_equal(loaded.listing_index, ds.listing_index)
+        assert label_table(loaded) == label_table(ds)
 
 
 class TestTaskWeights:

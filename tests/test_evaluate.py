@@ -265,7 +265,8 @@ class TestScorers:
             np.testing.assert_array_equal(
                 scores[lo:hi], world.true_unc_probability(
                     ragged.context_features[k:k + 1],
-                    world.rows_for_ids(ragged.listing_ids[lo:hi])[None])[0])
+                    world.rows_for_ids(ragged.listing_ids[
+                        ragged.listing_index[lo:hi]])[None])[0])
 
     def test_skip_counts_partition_searches(self, small_data):
         dataset, world = small_data

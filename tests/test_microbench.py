@@ -7,19 +7,21 @@ batched forward over a whole dataset, two of the step's kernels, forward
 and backward, as plain array code: the loss from the heads' logits
 (``model.loss_from_logits``) on a 2,048-row batch and a dense layer
 (``nn.mlp_activations`` and ``nn.mlp_gradients`` of a one-layer block) on
-a batch-sized matrix, generating 200 guests, and the JSONL save and load
-of a 200-guest world: one save, and one load each of the generated file
-(feature rows repeat, so the line decoder reads it) and of a copy whose
-rows are all distinct (so the reader switches to the record path). Rounds
-are few so the suite's run time barely moves. The timings only inform:
-nothing here asserts on them, only on the results being well formed.
+a batch-sized matrix, generating 200 guests, validating and splitting
+(``evaluate.prepare_split``: the guest split and the training filter) a
+200-guest world, and the JSONL save and load of that world: one save, and
+one load each of the generated file (feature rows repeat, so the line
+decoder reads it) and of a copy whose rows are all distinct (so the reader
+switches to the record path). Rounds are few so the suite's run time
+barely moves. The timings only inform: nothing here asserts on them, only
+on the results being well formed.
 """
 
 import numpy as np
 import pytest
 
 from conftest import impression_features, with_impression_features
-from journeyrank import dataio, evaluate, model, nn, simulate
+from journeyrank import dataio, domain, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
 
@@ -141,6 +143,19 @@ def test_generate_200_guests(benchmark):
     dataset, _ = benchmark.pedantic(simulate.generate, args=(config,),
                                     rounds=3)
     assert dataset.n_journeys == 200
+
+
+def test_validate_200_guests(benchmark, generated):
+    report = benchmark.pedantic(domain.validate_dataset, args=(generated,),
+                                rounds=5, warmup_rounds=1)
+    assert report.accepted and report.n_impressions == generated.n_impressions
+
+
+def test_prepare_split_200_guests(benchmark, generated):
+    train_ds, eval_ds = benchmark.pedantic(
+        evaluate.prepare_split, args=(generated,), rounds=5, warmup_rounds=1)
+    assert 0 < train_ds.n_journeys and 0 < eval_ds.n_journeys
+    assert train_ds.n_journeys + eval_ds.n_journeys <= generated.n_journeys
 
 
 def test_save_200_guests(benchmark, generated, tmp_path):

@@ -166,8 +166,8 @@ def random_searches(rng: np.random.Generator, n_searches: int,
         t_days=np.zeros(n_searches),
         context_features=rng.normal(size=(n_searches, 3)) * 5.0 - 2.0,
         imps_per_search=sizes,
-        listing_ids=[f"L{k}" for k in range(n)],
         positions=np.ones(n, dtype=np.int64),
+        listing_ids=[f"L{k}" for k in range(len(listing_rows))],
         listing_rows=listing_rows,
         listing_index=listing_index,
         labels=labels,
@@ -1009,11 +1009,13 @@ class TestBatches:
         assert np.all(pair_counts[sizes == 1] == 0)
 
 
-def distinct_rows_reference(rows: np.ndarray):
-    """Reference: rows keyed by their bytes in a dict, one at a time, in
-    order of first appearance."""
-    key_of: dict[bytes, int] = {}
-    index = [key_of.setdefault(row.tobytes(), len(key_of)) for row in rows]
+def distinct_rows_reference(rows: np.ndarray, ids=None):
+    """Reference: rows keyed by their id (by default one for all) and
+    bytes in a dict, one at a time, in order of first appearance."""
+    ids = ["L"] * len(rows) if ids is None else list(ids)
+    key_of: dict[tuple[str, bytes], int] = {}
+    index = [key_of.setdefault((lid, row.tobytes()), len(key_of))
+             for lid, row in zip(ids, rows)]
     firsts = [index.index(k) for k in range(len(key_of))]
     return rows[firsts], np.array(index, dtype=np.int64)
 
@@ -1041,17 +1043,19 @@ def rows_told_apart_by_bytes() -> np.ndarray:
     return rows[[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
 
 
-def dataset_showing(table: np.ndarray, index) -> Dataset:
-    """One search whose impressions show rows ``index`` of ``table``."""
+def dataset_showing(table: np.ndarray, index, ids=None) -> Dataset:
+    """One search whose impressions show rows ``index`` of ``table``, whose
+    rows are listings ``ids``: by default all one listing, so that rows
+    merge by their bytes alone."""
     n = len(index)
     schema = DatasetSchema(listing_dim=table.shape[1], context_dim=2,
                            context_features=REQUIRED_CONTEXT_FEATURES)
     return Dataset.from_columns(
         schema, guest_ids=["G0"], searches_per_journey=[1],
         search_ids=["S0"], t_days=[0.0], context_features=[[1.0, 0.0]],
-        imps_per_search=[n], listing_ids=[f"L{k}" for k in range(n)],
-        positions=np.arange(1, n + 1), listing_rows=table,
-        listing_index=index,
+        imps_per_search=[n], positions=np.arange(1, n + 1),
+        listing_ids=["L"] * len(table) if ids is None else ids,
+        listing_rows=table, listing_index=index,
         labels={m: np.zeros(n, dtype=bool) for m in LABELS})
 
 
@@ -1063,22 +1067,25 @@ ODD_VALUES = (0.0, -0.0, 1.0, with_bit_flipped(1.0, 0), -1.0, np.inf,
 
 @st.composite
 def tables_and_indices(draw):
-    """A table of rows built from a few odd values, so that rows repeat,
-    and an index that may skip rows or show a row many times."""
+    """A table of rows built from a few odd values and of ids from a few
+    names, so that rows, ids and pairs of both repeat, and an index that
+    may skip rows or show a row many times."""
     width = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(st.sampled_from(ODD_VALUES),
                                   min_size=width, max_size=width),
                          max_size=10))
     table = np.array(rows, dtype=np.float64).reshape(-1, width)
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c"]),
+                        min_size=len(table), max_size=len(table)))
     index = draw(st.lists(st.integers(0, len(table) - 1), max_size=30)
                  if len(table) else st.just([]))
-    return table, np.array(index, dtype=np.int64)
+    return np.array(ids, dtype=str), table, np.array(index, dtype=np.int64)
 
 
 class TestDistinctRows:
     """``Dataset.from_columns`` holds the listing table in canonical form:
-    rows merge exactly when their bytes are equal, come in order of first
-    appearance, and are all shown."""
+    rows merge exactly when their ids and bytes are equal, come in order
+    of first appearance, and are all shown."""
 
     @staticmethod
     def assert_canonical(table: np.ndarray, index) -> Dataset:
@@ -1097,15 +1104,46 @@ class TestDistinctRows:
     @settings(max_examples=300, deadline=None)
     @given(tables_and_indices())
     def test_canonical_form_property(self, table_and_index):
-        table, index = table_and_index
-        dataset = dataset_showing(table, index)
-        rows, shown = dataset.listing_rows, dataset.listing_index
+        ids, table, index = table_and_index
+        dataset = dataset_showing(table, index, ids)
+        got_ids, rows = dataset.listing_ids, dataset.listing_rows
+        shown = dataset.listing_index
+        # each impression shows its own id and row
+        np.testing.assert_array_equal(got_ids[shown], ids[index])
         np.testing.assert_array_equal(rows[shown].view(np.uint64),
                                       table[index].view(np.uint64))
-        assert len({row.tobytes() for row in rows}) == len(rows)
+        # one row per distinct (id, bytes): equal bytes under two ids,
+        # and two rows of one id, stay apart
+        shown_keys = {(lid, row.tobytes())
+                      for lid, row in zip(ids[index], table[index])}
+        assert len(shown_keys) == len(rows)
+        assert {(lid, row.tobytes())
+                for lid, row in zip(got_ids, rows)} == shown_keys
+        # in order of first appearance, every row shown
         used, first = np.unique(shown, return_index=True)
         np.testing.assert_array_equal(used, np.arange(len(rows)))
         assert np.all(np.diff(first) > 0)
+        want, want_index = distinct_rows_reference(table[index], ids[index])
+        np.testing.assert_array_equal(rows.view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(shown, want_index)
+
+    def test_ids_not_aligned_with_the_rows_are_refused(self):
+        rows = np.zeros((3, 2))
+        for ids in (["a", "b"], ["a", "b", "c", "d"], [["a", "b", "c"]]):
+            with pytest.raises(ContractError, match="listing ids"):
+                dataset_showing(rows, [0, 1, 2], ids)
+
+    def test_equal_bytes_under_two_ids_stay_two_rows(self):
+        rows = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        dataset = dataset_showing(rows, [0, 1, 2, 3, 0, 1],
+                                  ["a", "b", "a", "a"])
+        # "a" with two feature rows is two rows too
+        np.testing.assert_array_equal(dataset.listing_ids,
+                                      ["a", "b", "a", "a"])
+        np.testing.assert_array_equal(dataset.listing_rows, rows)
+        np.testing.assert_array_equal(dataset.listing_index,
+                                      [0, 1, 2, 3, 0, 1])
 
     def test_matches_byte_keyed_reference(self):
         rng = np.random.default_rng(33)
@@ -1142,12 +1180,15 @@ class TestDistinctRows:
         same."""
         dataset = random_searches(np.random.default_rng(35), 12,
                                   n_listings=5)
-        rows, index = dataset.listing_rows, dataset.listing_index
+        ids, rows = dataset.listing_ids, dataset.listing_rows
+        index = dataset.listing_index
         n = len(rows)
         table = np.concatenate([rows[::-1], rows, np.full((1, 4), 7.0)])
         # even impressions show the reversed copy, odd ones the other
-        relaid = with_listing_table(dataset, table, np.where(
-            np.arange(len(index)) % 2, index + n, n - 1 - index))
+        relaid = with_listing_table(
+            dataset, np.concatenate([ids[::-1], ids, ["unshown"]]), table,
+            np.where(np.arange(len(index)) % 2, index + n, n - 1 - index))
+        np.testing.assert_array_equal(relaid.listing_ids, ids)
         np.testing.assert_array_equal(relaid.listing_rows.view(np.uint64),
                                       rows.view(np.uint64))
         np.testing.assert_array_equal(relaid.listing_index, index)
@@ -1648,7 +1689,8 @@ class TestGradients:
 
 
 def planted_dataset() -> Dataset:
-    """Four searches whose first feature perfectly separates outcomes."""
+    """Four searches whose first feature perfectly separates outcomes; the
+    third listing is one listing, shown in every search."""
     schema = DatasetSchema(listing_dim=2, context_dim=2,
                            context_features=("days_ahead_of_checkin",
                                              "num_previous_searches"))
@@ -1661,7 +1703,7 @@ def planted_dataset() -> Dataset:
              "features": [1.0, 0.1 * g], "labels": full},
             {"listing_id": f"L{g}b", "position": 2,
              "features": [0.0, -0.1 * g], "labels": click},
-            {"listing_id": f"L{g}c", "position": 3,
+            {"listing_id": "Lc", "position": 3,
              "features": [-1.0, 0.2], "labels": {}},
         ]
         records.append({"guest_id": f"g{g}", "searches": [

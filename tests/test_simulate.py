@@ -221,8 +221,8 @@ def reference_generate(config, stops: Counter | None = None) -> Dataset:
         t_days=t_days,
         context_features=contexts,
         imps_per_search=[n] * len(search_ids),
-        listing_ids=np.asarray(world.listing_ids)[rows],
         positions=np.tile(np.arange(1, n + 1), len(search_ids)),
+        listing_ids=world.listing_ids,
         listing_rows=world.listing_features,
         listing_index=rows,
         labels={m: flags[:, k] for k, m in enumerate(LABELS)},
@@ -734,8 +734,9 @@ def listing_click_and_rejection_rates(dataset):
     the listings with at least one eligible row, in order of first
     impression."""
     labels = dataset.labels
-    ids, first, codes = np.unique(dataset.listing_ids, return_index=True,
-                                  return_inverse=True)
+    ids, first, codes = np.unique(
+        dataset.listing_ids[dataset.listing_index], return_index=True,
+        return_inverse=True)
     n = len(ids)
     imp = np.bincount(codes, minlength=n)
     clk = np.bincount(codes[labels["c"]], minlength=n)
