@@ -42,11 +42,14 @@ kinds. Valid JSON
 leaves joined by the layout's delimiters have exactly one parse, the
 record ``json.loads`` returns, so what it stores is bit for bit what the
 record path stores. Any other line is declined and read by the record
-path: ``json.loads`` and the same per-record step :func:`dataset_from_records`
-runs, so other spellings of the records load and faults raise the same
-errors. Per-leaf decoding only pays when rows repeat, so once a trial of
-2,000 impressions is read, a file whose running share of new rows is above
-one half is read as records from there on.
+path: ``json.loads`` and the per-record step :func:`dataset_from_records`
+runs, which walks a journey one search and one impression at a time,
+checks each value as it reaches it and converts the journey's numbers in
+one call once every check has passed. So other spellings of the records
+load and a faulty record raises the first fault in record order.
+Per-leaf decoding only pays when rows repeat, so once a trial of 2,000
+impressions is read, a file whose running share of new rows is above one
+half is read as records from there on.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import hashlib
 import json
 from array import array
 from itertools import chain
-from operator import countOf, itemgetter, methodcaller
+from operator import countOf
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -146,40 +149,31 @@ def _position(value) -> int:
     return position
 
 
-def _numbers(rows: list, width: int) -> np.ndarray:
-    """Rows of ``width`` values as a float64 ``[n, width]`` array, each
-    value read by :func:`~journeyrank.domain.number`: a bool, a string, a
-    null or a list raises TypeError."""
-    return np.array([[number(v) for v in row] for row in rows],
-                    dtype=np.float64).reshape(-1, width)
-
-
-def _float_rows(rows: list, width: int) -> np.ndarray:
-    """Rows of ``width`` floats or ints as a float64 ``[n, width]`` array."""
-    return np.fromiter(chain.from_iterable(rows), dtype=np.float64,
-                       count=len(rows) * width).reshape(-1, width)
-
-
+# the value types converted in one call; never a bool or a numpy scalar
 _NUMBER_TYPES = frozenset({float, int})
 # what reading a malformed record raises before it is named a data fault
 _RECORD_FAULTS = (KeyError, AttributeError, TypeError, ValueError,
                   OverflowError)
-_search_id_of, _context_of, _t_days_of, _impressions_of = (
-    itemgetter("search_id"), itemgetter("context"), itemgetter("t_days"),
-    itemgetter("impressions"))
-_features_of, _listing_id_of, _position_of = (
-    itemgetter("features"), itemgetter("listing_id"), itemgetter("position"))
-_labels_of = methodcaller("get", "labels", {})
 
 
-def _all_numbers(rows: list, width: int) -> bool:
-    """Whether every value of ``width``-wide rows is a float or an int,
-    never a bool, a string or a numpy scalar. Counting the floats is
-    cheaper than collecting the types, which only rows holding an int
-    need."""
-    return (countOf(map(type, chain.from_iterable(rows)), float)
-            == len(rows) * width
-            or set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES)
+def _numbers(rows: list, width: int) -> np.ndarray:
+    """Rows of ``width`` values as a float64 ``[n, width]`` array, each
+    value read by :func:`~journeyrank.domain.number`: a bool, a string, a
+    null or a list raises TypeError.
+
+    Rows of floats and ints alone are converted in one call, which gives
+    each value the bits ``number`` gives it; any other rows are read value
+    by value, so the error names the first bad value. Counting the floats
+    is cheaper than collecting the types, which only rows holding an int
+    need.
+    """
+    n = len(rows) * width
+    if (countOf(map(type, chain.from_iterable(rows)), float) == n
+            or set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        return np.fromiter(chain.from_iterable(rows), dtype=np.float64,
+                           count=n).reshape(-1, width)
+    return np.array([[number(v) for v in row] for row in rows],
+                    dtype=np.float64).reshape(-1, width)
 
 
 class _Columns:
@@ -213,27 +207,20 @@ class _Columns:
     def add_record(self, rec) -> None:
         """Append one journey record's columns.
 
-        Features and context are turned into arrays before the next record
-        is read, so a stream of records never holds more than one journey's
-        values as Python floats. A journey is read field by field across
-        all its impressions; only a journey that read finds anything wrong
-        with is walked again one search and one impression at a time, so
-        the first fault in record order is the one reported.
+        The journey is walked one search and one impression at a time, so
+        the first fault in record order is the one reported. Its features
+        and contexts are turned into arrays before the next record is read,
+        so a stream of records never holds more than one journey's values
+        as Python floats.
         """
         try:
-            journey = self._read_journey(rec)
-        except _RECORD_FAULTS:
-            journey = None
-        if journey is None:
-            try:
-                journey = self._walk_journey(rec)
-            except KeyError as exc:
-                raise DataValidationError(
-                    f"journey record missing field {exc}") from None
-            except _RECORD_FAULTS as exc:
-                raise DataValidationError(
-                    f"malformed journey record: {exc}") from None
-        *columns, listing_ids, rows = journey
+            *columns, listing_ids, rows = self._walk_journey(rec)
+        except KeyError as exc:
+            raise DataValidationError(
+                f"journey record missing field {exc}") from None
+        except _RECORD_FAULTS as exc:
+            raise DataValidationError(
+                f"malformed journey record: {exc}") from None
         start = self.add_rows(rows, listing_ids)
         self.add_journey(*columns, range(start, start + len(rows)))
 
@@ -252,47 +239,11 @@ class _Columns:
         self.label_codes += codes
         self.row_of_impression.extend(rows)
 
-    def _read_journey(self, rec) -> tuple | None:
-        """The journey's columns, read one field at a time over all its
-        searches and impressions; None when any value is out of the
-        ordinary (then :meth:`_walk_journey` reads it)."""
-        listing_dim, context_dim = (self.schema.listing_dim,
-                                    self.schema.context_dim)
-        guest_id = str(rec["guest_id"])
-        searches = list(rec["searches"])
-        search_ids = list(map(str, map(_search_id_of, searches)))
-        contexts = list(map(_context_of, searches))
-        t_days = list(map(_t_days_of, searches))
-        per_search = list(map(_impressions_of, searches))
-        sizes = list(map(len, per_search))
-        impressions = list(chain.from_iterable(per_search))
-        features = list(map(_features_of, impressions))
-        label_dicts = list(map(_labels_of, impressions))
-        listing_ids = list(map(str, map(_listing_id_of, impressions)))
-        positions = list(map(_position_of, impressions))
-        known = self.known_labels
-        codes = list(map(known.get,
-                         map(tuple, map(dict.items, label_dicts))))
-        if None in codes:
-            codes = [_label_code(d, known) if c is None else c
-                     for c, d in zip(codes, label_dicts)]
-        if not (None not in codes
-                and set(map(len, contexts)) <= {context_dim}
-                and set(map(len, features)) <= {listing_dim}
-                and set(map(type, t_days)) <= {float}
-                and set(map(type, positions)) <= {int}
-                and (not positions or (_INT64_MIN <= min(positions)
-                                       and max(positions) <= _INT64_MAX))
-                and _all_numbers(contexts, context_dim)
-                and _all_numbers(features, listing_dim)):
-            return None
-        return (guest_id, search_ids, t_days, sizes,
-                _float_rows(contexts, context_dim), positions, codes,
-                listing_ids, _float_rows(features, listing_dim))
-
     def _walk_journey(self, rec) -> tuple:
-        """:meth:`_read_journey` one value at a time, raising at the first
-        fault in record order."""
+        """The journey's columns, its listing ids and feature rows last,
+        read one value at a time and raising at the first fault in record
+        order; its contexts and features are converted once, after every
+        other check."""
         schema = self.schema
         guest_id = str(rec["guest_id"])
         search_ids, t_days, sizes, contexts = [], [], [], []

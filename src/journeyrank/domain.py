@@ -498,8 +498,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     report.check("position not 1-based",
                  _segment_any(dataset.positions < 1, searches.ids, n_s),
                  at_search)
-    report.check("duplicate listing",
-                 _has_duplicates(dataset.listing_codes(), searches),
+    # two impressions of one search share a group exactly when they show
+    # one listing
+    groups, n_groups = _journey_listing_groups(dataset)
+    report.check("duplicate listing", _has_duplicates(groups, searches),
                  at_search)
 
     report.check("non-finite listing features",
@@ -508,7 +510,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     for kind, mask in label_violations(dataset.labels).items():
         report.check(kind, mask, at_impression)
 
-    groups, n_groups = _journey_listing_groups(dataset)
     unc_groups = np.unique(groups[dataset.labels["unc"]])
     journey_of_group = np.zeros(n_groups, dtype=np.int64)
     journey_of_group[groups] = dataset.journey_of_impression()

@@ -177,6 +177,13 @@ class WorldTruth:
                 f"{cfg.n_listings} ids and features of shape {want}")
         if not np.all(np.isfinite(features)):
             raise SchemaMismatchError("world listing features must be finite")
+        # each id must name one row: rows_for_ids and the oracle look
+        # rows up by id
+        ids = self.listing_ids
+        if not (all(isinstance(lid, str) for lid in ids)
+                and len(set(ids)) == len(ids)):
+            raise SchemaMismatchError("world listing ids must be distinct "
+                                      "strings")
         object.__setattr__(self, "listing_features", features)
         if not self.id_to_row:
             object.__setattr__(self, "id_to_row",

@@ -535,7 +535,7 @@ IMPRESSION_FAULTS = [
     ("features", [0.5, 0.5, np.bool_(True)]),
     ("position", 2.7), ("position", True), ("position", 2.0),
     ("position", 10 ** 20), ("position", -(2 ** 63) - 1),
-    ("position", 2 ** 63),
+    ("position", 2 ** 63), ("features", [10 ** 400, 0.5, 0.5]),
 ]
 # label dicts every builder accepts
 ACCEPTED_LABELS = [
@@ -602,10 +602,12 @@ class TestReaderMatchesLoop:
         ("context", ["1.5", 1.0]), ("context", [1.0, True]),
         ("context", [None, 1.0]), ("context", [1, 2]),
         ("context", [np.float32(1.5), 1.0]), ("context", [1.0, np.int64(2)]),
+        ("context", [10 ** 400, 1.0]),
     ])
     def test_one_search_value(self, field, value):
         """A search's own value alone, with no other fault in its journey
-        to send the reader down its value-by-value walk."""
+        to be reported first: the walk meets it at the search or when it
+        converts the journey's contexts."""
         records = random_records(np.random.default_rng(29), n_journeys=3)
         records[1]["searches"][0][field] = value
         assert_same_outcome(records)

@@ -11,11 +11,17 @@ a batch-sized matrix, generating 200 guests, validating and splitting
 (``evaluate.prepare_split``: the guest split and the training filter) a
 200-guest world, and the JSONL save and load of that world: one save, and
 one load each of the generated file (feature rows repeat, so the line
-decoder reads it) and of a copy whose rows are all distinct (so the reader
-switches to the record path). Rounds are few so the suite's run time
-barely moves. The timings only inform: nothing here asserts on them, only
-on the results being well formed.
+decoder reads it), of a copy whose rows are all distinct (so the reader
+switches to the record path after the decoder's trial) and of the
+generated world spelled with ``json.dumps``'s default spaces, one record a
+line (so the decoder declines every line and the record path reads them
+all). Rounds are few so the suite's run time barely moves. The timings
+only inform: nothing here asserts on them, only on the results being well
+formed.
 """
+
+import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -173,12 +179,19 @@ def distinct_rows(generated):
         size=(generated.n_impressions, generated.schema.listing_dim)), 6))
 
 
-@pytest.mark.parametrize("rows", ["generated", "distinct_rows"])
+@pytest.mark.parametrize("rows", ["generated", "distinct_rows", "spaced"])
 def test_load_200_guests(benchmark, request, tmp_path, rows):
-    dataset = request.getfixturevalue(rows)
+    dataset = request.getfixturevalue(
+        "generated" if rows == "spaced" else rows)
     path = tmp_path / "world.jsonl"
     dataio.save_dataset(dataset, path)
-    loaded = benchmark.pedantic(dataio.load_dataset, args=(path,), rounds=3)
+    source = path
+    if rows == "spaced":
+        source = tmp_path / "spaced.jsonl"
+        records = chain([dataset.schema.to_record()],
+                        dataio.dataset_to_records(dataset))
+        source.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    loaded = benchmark.pedantic(dataio.load_dataset, args=(source,), rounds=3)
     again = tmp_path / "again.jsonl"
     dataio.save_dataset(loaded, again)
     assert again.read_bytes() == path.read_bytes()

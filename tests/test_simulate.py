@@ -604,7 +604,10 @@ class TestWorldTruth:
         lambda rec: rec.update(listing_features=rec["listing_features"][:-1]),
         lambda rec: rec["listing_features"][3].pop(),
         lambda rec: rec["listing_features"][0].__setitem__(0, float("nan")),
-    ], ids=["feature-width", "id-count", "row-count", "ragged", "non-finite"])
+        lambda rec: rec["listing_ids"].__setitem__(1, rec["listing_ids"][0]),
+        lambda rec: rec["listing_ids"].__setitem__(2, 2),
+    ], ids=["feature-width", "id-count", "row-count", "ragged", "non-finite",
+            "repeated-id", "non-string-id"])
     def test_load_rejects_a_world_that_does_not_fit_its_config(
             self, tmp_path, mismatch):
         path = tmp_path / "world.json"
