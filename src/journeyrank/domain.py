@@ -153,15 +153,22 @@ def _canonical_listings(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,
     shown = np.array([first.setdefault(key, k) for k, key in
                       enumerate(zip(ids.tolist(), keys.tolist()))],
                      dtype=np.int64)[index]
+    return _shown_in_order(ids, rows, shown)
+
+
+def _shown_in_order(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a table distinct by (id, bytes) that ``index`` shows,
+    in order of first appearance, and the index into them."""
     # each row's first impression; the rows none shows sort last
     seen = np.full(len(rows), len(index))
-    np.minimum.at(seen, shown, np.arange(len(index)))
+    np.minimum.at(seen, index, np.arange(len(index)))
     order = np.argsort(seen)[:np.count_nonzero(seen < len(index))]
     if np.array_equal(order, np.arange(len(rows))):
-        return ids, rows, shown  # already canonical: no second copy
+        return ids, rows, index  # already canonical: no second copy
     slot = np.empty(len(rows), dtype=np.int64)
     slot[order] = np.arange(len(order))
-    return ids[order], rows[order], slot[shown]
+    return ids[order], rows[order], slot[index]
 
 
 @dataclass(frozen=True)
@@ -270,19 +277,23 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
     per_journey = np.bincount(dataset.journeys.ids[keep_search],
                               minlength=dataset.n_journeys)
     keep_journey = per_journey > 0
-    return Dataset.from_columns(
-        dataset.schema,
+    # the parent's table is canonical, so the rows it shows need no keys
+    listing_ids, listing_rows, listing_index = _shown_in_order(
+        dataset.listing_ids, dataset.listing_rows,
+        dataset.listing_index[keep])
+    return Dataset(
+        schema=dataset.schema,
         guest_ids=dataset.guest_ids[keep_journey],
-        searches_per_journey=per_journey[keep_journey],
+        journeys=Segments(per_journey[keep_journey]),
         search_ids=dataset.search_ids[keep_search],
         t_days=dataset.t_days[keep_search],
         context_features=dataset.context_features[keep_search],
-        imps_per_search=counts[keep_search],
+        searches=Segments(counts[keep_search]),
         positions=dataset.positions[keep],
-        listing_ids=dataset.listing_ids,
-        listing_rows=dataset.listing_rows,
-        listing_index=dataset.listing_index[keep],
-        labels={m: v[keep] for m, v in dataset.labels.items()},
+        listing_ids=listing_ids,
+        listing_rows=listing_rows,
+        listing_index=listing_index,
+        labels={m: dataset.labels[m][keep] for m in LABELS},
     )
 
 

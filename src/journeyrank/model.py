@@ -280,6 +280,10 @@ def module_parameter_names(config: ModelConfig) -> dict[str, list[str]]:
 # feature normalization
 
 
+# impression rows the normalization fit gathers at a time
+_FIT_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class NormalizationStats:
     """Per-column standardization fitted on the training rows.
@@ -294,21 +298,48 @@ class NormalizationStats:
     context_scale: np.ndarray
 
     @staticmethod
-    def _fit_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = rows.mean(axis=0)
-        scale = rows.std(axis=0)
-        scale = np.where(scale < 1e-12, 1.0, scale)
-        return mean, scale
+    def _nonzero(scale: np.ndarray) -> np.ndarray:
+        return np.where(scale < 1e-12, 1.0, scale)
 
     @classmethod
-    def fit(cls, listing_rows: np.ndarray,
+    def fit(cls, listing_rows: np.ndarray, listing_index: np.ndarray,
             context_rows: np.ndarray) -> "NormalizationStats":
-        if len(listing_rows) == 0:
+        """Fit on the listing table as the impressions show it, so each
+        table row weighs as many times as it is shown, and on the context
+        rows.
+
+        The listing side streams the table: it gathers ``_FIT_ROWS``
+        impression rows at a time and carries the column sums from chunk
+        to chunk, first for the mean and then for the squared deviations.
+        numpy sums a matrix's columns row after row, so carrying the sums
+        as the first row of the next chunk's sum continues that sum, and
+        mean and scale equal ``rows.mean(axis=0)`` and ``rows.std(axis=0)``
+        of the whole gather ``listing_rows[listing_index]`` bit for bit.
+        A lone column numpy sums pairwise instead, so a one-column table
+        is gathered whole (as many floats as the index holds).
+        """
+        listing_rows = np.asarray(listing_rows, dtype=np.float64)
+        listing_index = np.asarray(listing_index)
+        n = len(listing_index)
+        if n == 0:
             raise ContractError("cannot fit normalization on zero rows")
-        lm, ls = cls._fit_columns(np.asarray(listing_rows, dtype=np.float64))
-        cm, cs = cls._fit_columns(np.asarray(context_rows, dtype=np.float64))
-        return cls(listing_mean=lm, listing_scale=ls,
-                   context_mean=cm, context_scale=cs)
+        step = _FIT_ROWS if listing_rows.shape[1] > 1 else n
+
+        def column_sum(rows_of) -> np.ndarray:
+            total = None
+            for lo in range(0, n, step):
+                rows = rows_of(listing_rows[listing_index[lo:lo + step]])
+                if total is not None:
+                    rows = np.vstack((total, rows))
+                total = np.add.reduce(rows, axis=0, keepdims=True)
+            return total[0]
+
+        mean = column_sum(lambda rows: rows) / n
+        scale = np.sqrt(column_sum(lambda rows: np.square(rows - mean)) / n)
+        context_rows = np.asarray(context_rows, dtype=np.float64)
+        return cls(listing_mean=mean, listing_scale=cls._nonzero(scale),
+                   context_mean=context_rows.mean(axis=0),
+                   context_scale=cls._nonzero(context_rows.std(axis=0)))
 
     def apply_listing(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -1048,8 +1079,8 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     check_training_settings(epochs, batch_size, learning_rate)
     if dataset.n_searches == 0:
         raise DataValidationError("training dataset has no searches")
-    # the mean and spread weigh each listing row by its impressions
-    norm = NormalizationStats.fit(dataset.listing_rows[dataset.listing_index],
+    # streamed over the table, each listing row weighed by its impressions
+    norm = NormalizationStats.fit(dataset.listing_rows, dataset.listing_index,
                                   dataset.context_features)
     weights = task_weights(dataset, config.base_tasks)
     params = init_model_params(config)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import impression_features, tiny_manual_dataset
+from conftest import tiny_manual_dataset
 from journeyrank import cli, dataio, model, simulate
 from journeyrank import evaluate as ev
 
@@ -80,7 +80,8 @@ def test_info_hooks_read_real_results():
     for pack in (dataio.pack_dataset, model.pack_dataset):
         assert infos["dataio.pack"](pack(dataset), dataset) == {
             "rows": dataset.n_impressions}
-    norm = model.NormalizationStats.fit(impression_features(dataset),
+    norm = model.NormalizationStats.fit(dataset.listing_rows,
+                                        dataset.listing_index,
                                         dataset.context_features)
     inputs = model.batch_inputs(dataset, norm)
     batch = model.make_batch(inputs, np.arange(dataset.n_searches))

@@ -601,6 +601,21 @@ class TestCompare:
         assert [row.split()[0] for row in rows] == ["X", "X"]
         assert rows[0].split()[4] == "+0.00000"
 
+    def test_two_seeds_leave_scipy_special_unloaded(self, ws, tmp_path):
+        """The interval of up to 31 seeds reads its t quantile from a
+        table."""
+        result = run_python(
+            "-c", "import sys; from journeyrank.cli import main; "
+                  "print(main(sys.argv[1:]), 'scipy.special' in sys.modules)",
+            "compare", "--model-config-a", str(ws / "model.json"),
+            "--model-config-b", str(ws / "base.json"),
+            "--dataset", str(ws / "data" / "dataset.jsonl"),
+            "--out", str(tmp_path / "ab"), "--seeds", "0,1",
+            "--epochs", "1", "--batch-size", "64")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "ab" / "compare.json").exists()
+
     def test_malformed_seeds_is_usage_error(self, ws, tmp_path):
         rc = main(["compare",
                    "--model-config-a", str(ws / "base.json"),
@@ -979,10 +994,15 @@ class TestParserPlumbing:
         assert "journeyrank" in capsys.readouterr().out
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        result = run_python("-c", "import sys, journeyrank.cli; "
-                                  "print('scipy.stats' in sys.modules)")
+        """Neither scipy.special nor the process pool: only a run that uses
+        one imports it."""
+        modules = ["scipy.stats", "scipy.special", "multiprocessing",
+                   "concurrent.futures"]
+        result = run_python(
+            "-c", "import sys, journeyrank.cli; "
+                  f"print([m in sys.modules for m in {modules}])")
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == str([False] * len(modules))
 
     def test_module_entry_point(self, ws):
         result = run_python("-m", "journeyrank", "validate",

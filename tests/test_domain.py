@@ -16,12 +16,14 @@ from journeyrank.domain import (
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
+    Dataset,
     DatasetSchema,
     attribute_labels,
     empirical_task_weight,
     filter_training_searches,
     label_violations,
     milestone_counts,
+    select_impressions,
     validate_dataset,
 )
 from journeyrank.errors import ConfigError, DataValidationError, UndefinedTaskWeightError
@@ -552,6 +554,84 @@ class TestListingIdentity:
                                       ds.listing_rows.view(np.uint64))
         np.testing.assert_array_equal(loaded.listing_index, ds.listing_index)
         assert label_table(loaded) == label_table(ds)
+
+
+def table_dataset(rng, kind, n_journeys=12):
+    """A dataset whose listing table is ``kind``: a few rows shown over
+    and over, a row per impression, or two rows per id."""
+    journeys = []
+    counter = 0
+    for g in range(n_journeys):
+        searches = []
+        for s in range(int(rng.integers(1, 4))):
+            imps = []
+            for pos in range(1, int(rng.integers(1, 6)) + 1):
+                if kind == "repeated":
+                    k = int(rng.integers(0, 4))
+                    listing, features = f"L{k}", (k, 0.5 * k, -1.0)
+                elif kind == "all-distinct":
+                    listing, features = f"L{counter}", rng.normal(size=3)
+                else:
+                    k, price = int(rng.integers(0, 3)), int(rng.integers(2))
+                    listing, features = f"L{k}", (k, 0.1 + price, 0.0)
+                imps.append(make_impression(listing, pos, features=features))
+                counter += 1
+            searches.append(make_search(f"g{g}-s{s}", float(s), imps))
+        journeys.append(make_journey(f"g{g}", searches))
+    return make_dataset(*journeys)
+
+
+def from_columns_subset(ds, keep, min_impressions):
+    """The subset as ``Dataset.from_columns`` re-keys it from the
+    parent's whole table: the reference ``select_impressions`` keeps."""
+    counts = np.bincount(ds.searches.ids[keep], minlength=ds.n_searches)
+    keep_search = counts >= min_impressions
+    keep = keep & keep_search[ds.searches.ids]
+    per_journey = np.bincount(ds.journeys.ids[keep_search],
+                              minlength=ds.n_journeys)
+    return Dataset.from_columns(
+        ds.schema, guest_ids=ds.guest_ids[per_journey > 0],
+        searches_per_journey=per_journey[per_journey > 0],
+        search_ids=ds.search_ids[keep_search],
+        t_days=ds.t_days[keep_search],
+        context_features=ds.context_features[keep_search],
+        imps_per_search=counts[keep_search], positions=ds.positions[keep],
+        listing_ids=ds.listing_ids, listing_rows=ds.listing_rows,
+        listing_index=ds.listing_index[keep],
+        labels={m: v[keep] for m, v in ds.labels.items()})
+
+
+class TestSelectImpressions:
+    """A subset of a canonical table keeps the rows it shows, in order of
+    first appearance, without keying them again."""
+
+    @pytest.mark.parametrize("kind, seed", [
+        ("repeated", 0), ("all-distinct", 1), ("two-rows-of-one-id", 2)])
+    def test_subset_is_the_from_columns_subset(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for rep in range(20):
+            ds = table_dataset(rng, kind)
+            keep = rng.random(ds.n_impressions) < (0.3, 0.7, 1.0)[rep % 3]
+            min_impressions = 1 + rep % 2
+            got = select_impressions(ds, keep, min_impressions)
+            want = from_columns_subset(ds, keep, min_impressions)
+            for name in ("guest_ids", "search_ids", "t_days",
+                         "context_features", "positions", "listing_ids",
+                         "listing_rows", "listing_index"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+            for name in ("journeys", "searches"):
+                np.testing.assert_array_equal(getattr(got, name).sizes,
+                                              getattr(want, name).sizes)
+            assert list(got.labels) == list(want.labels)
+            for m in LABELS:
+                np.testing.assert_array_equal(got.labels[m], want.labels[m])
+
+    def test_full_subset_keeps_the_table(self):
+        ds = table_dataset(np.random.default_rng(3), "repeated")
+        got = select_impressions(ds, np.ones(ds.n_impressions, dtype=bool))
+        assert got.listing_rows is ds.listing_rows
 
 
 class TestTaskWeights:

@@ -185,6 +185,15 @@ class TestTInterval:
         assert ev.t_interval_half_width(values) == expected
 
 
+def test_t_quantile_table_is_scipy_special():
+    """Each entry is the quantile scipy.special gives, bit for bit, and
+    the table ends where the lazy import takes over."""
+    from scipy.special import stdtrit
+    assert len(ev._T_975) == 30
+    for df, quantile in enumerate(ev._T_975, start=1):
+        assert quantile == float(stdtrit(df, 0.975)), df
+
+
 def reversed_scorer(scorer):
     def wrapped(dataset):
         return -np.asarray(scorer(dataset))
@@ -518,8 +527,8 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
+        def __init__(self, workers):
+            sizes.append(workers)
 
         def __enter__(self):
             return self
@@ -530,7 +539,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ev, "_process_pool", RecordingPool)
     return sizes
 
 

@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from conftest import impression_features, with_impression_features
+from conftest import with_impression_features
 from journeyrank import dataio, domain, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
@@ -51,7 +51,8 @@ def world(generated):
 def train_step(dataset, config):
     """One step's work on the dataset's first 128 searches, and the
     batch it cuts."""
-    norm = model.NormalizationStats.fit(impression_features(dataset),
+    norm = model.NormalizationStats.fit(dataset.listing_rows,
+                                        dataset.listing_index,
                                         dataset.context_features)
     inputs = model.batch_inputs(dataset, norm)
     weights = model.task_weights(dataset, config.base_tasks)
@@ -104,7 +105,8 @@ def test_loss_node_kernel(benchmark, world):
     train-bench-sized batch."""
     dataset, config = world
     inputs = model.batch_inputs(dataset, model.NormalizationStats.fit(
-        impression_features(dataset), dataset.context_features))
+        dataset.listing_rows, dataset.listing_index,
+        dataset.context_features))
     n_searches = int(np.searchsorted(dataset.searches.starts, 2048,
                                      side="right")) - 1
     batch = model.make_batch(inputs, np.arange(n_searches))

@@ -11,6 +11,7 @@ gradient-stop contract of the blending layer is asserted bitwise.
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -957,7 +958,8 @@ class TestBatches:
             dataset = random_searches(rng, int(rng.integers(1, 40)),
                                       equal_grades=rep % 4 == 3,
                                       n_listings=6 if rep % 2 else None)
-            norm = NormalizationStats.fit(impression_features(dataset),
+            norm = NormalizationStats.fit(dataset.listing_rows,
+                                          dataset.listing_index,
                                           dataset.context_features)
             inputs = batch_inputs(dataset, norm)
             order = rng.permutation(dataset.n_searches)
@@ -973,7 +975,8 @@ class TestBatches:
     def test_reordered_inputs_keep_every_search(self):
         rng = np.random.default_rng(33)
         dataset = random_searches(rng, 25, n_listings=7)
-        norm = NormalizationStats.fit(impression_features(dataset),
+        norm = NormalizationStats.fit(dataset.listing_rows,
+                                      dataset.listing_index,
                                       dataset.context_features)
         inputs = batch_inputs(dataset, norm)
         order = rng.permutation(dataset.n_searches)
@@ -988,7 +991,8 @@ class TestBatches:
 
     def test_slice_must_be_consecutive(self):
         dataset = random_searches(np.random.default_rng(34), 6)
-        norm = NormalizationStats.fit(impression_features(dataset),
+        norm = NormalizationStats.fit(dataset.listing_rows,
+                                      dataset.listing_index,
                                       dataset.context_features)
         with pytest.raises(ContractError, match="consecutive"):
             make_batch(batch_inputs(dataset, norm), slice(0, 6, 2))
@@ -997,7 +1001,8 @@ class TestBatches:
         rng = np.random.default_rng(32)
         dataset = random_searches(rng, 60)
         sizes = dataset.searches.sizes
-        norm = NormalizationStats.fit(impression_features(dataset),
+        norm = NormalizationStats.fit(dataset.listing_rows,
+                                      dataset.listing_index,
                                       dataset.context_features)
         batch = make_batch(batch_inputs(dataset, norm),
                            np.arange(dataset.n_searches))
@@ -1213,7 +1218,8 @@ class TestDistinctRows:
 
     def test_batch_of_distinct_rows(self):
         dataset = random_searches(np.random.default_rng(37), 8)
-        norm = NormalizationStats.fit(impression_features(dataset),
+        norm = NormalizationStats.fit(dataset.listing_rows,
+                                      dataset.listing_index,
                                       dataset.context_features)
         pick = np.array([5, 2, 7])
         batch = make_batch(batch_inputs(dataset, norm), pick)
@@ -1973,7 +1979,8 @@ class TestNonFiniteRows:
     @pytest.mark.parametrize("field", ["listing_mean", "context_mean"])
     def test_batch_inputs(self, field):
         dataset = planted_dataset()
-        norm = NormalizationStats.fit(impression_features(dataset),
+        norm = NormalizationStats.fit(dataset.listing_rows,
+                                      dataset.listing_index,
                                       dataset.context_features)
         bad = getattr(norm, field).copy()
         bad[1] = np.inf
@@ -2018,12 +2025,32 @@ class TestScoringLayout:
                           dataset.context_features, dataset.searches)
 
 
+FIT_ROWS = model_module._FIT_ROWS  # impression rows per streamed chunk
+
+
+def gathered_fit(table: np.ndarray, index: np.ndarray):
+    """The listing mean and scale of the whole gather ``table[index]``,
+    the reference the streamed fit must equal bit for bit."""
+    rows = table[index]
+    scale = rows.std(axis=0)
+    return rows.mean(axis=0), np.where(scale < 1e-12, 1.0, scale)
+
+
 class TestNormalizationStats:
+    @staticmethod
+    def assert_fit_is_gathered_fit(table, index, context):
+        norm = NormalizationStats.fit(table, index, context)
+        mean, scale = gathered_fit(table, index)
+        assert norm.listing_mean.tobytes() == mean.tobytes()
+        assert norm.listing_scale.tobytes() == scale.tobytes()
+        assert norm.context_mean.tobytes() == context.mean(axis=0).tobytes()
+        return norm
+
     def test_standardizes_columns(self):
         rng = np.random.default_rng(22)
         listing = rng.normal(loc=3.0, scale=2.0, size=(500, 3))
         context = rng.normal(loc=-1.0, scale=0.5, size=(500, 2))
-        norm = NormalizationStats.fit(listing, context)
+        norm = NormalizationStats.fit(listing, np.arange(500), context)
         out = norm.apply_listing(listing)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
@@ -2031,14 +2058,69 @@ class TestNormalizationStats:
     def test_constant_columns_pass_through_centered(self):
         listing = np.full((10, 2), 7.0)
         context = np.zeros((10, 1))
-        norm = NormalizationStats.fit(listing, context)
+        norm = NormalizationStats.fit(listing, np.arange(10), context)
         out = norm.apply_listing(listing)
         np.testing.assert_array_equal(out, 0.0)
         np.testing.assert_array_equal(norm.listing_scale, 1.0)
 
+    def test_zero_impressions_are_refused(self):
+        with pytest.raises(ContractError, match="zero rows"):
+            NormalizationStats.fit(np.ones((3, 2)), np.zeros(0, np.int64),
+                                   np.ones((1, 1)))
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    @pytest.mark.parametrize("n", [1, FIT_ROWS - 1, FIT_ROWS, FIT_ROWS + 1,
+                                   2 * FIT_ROWS + 3])
+    def test_streamed_fit_is_the_gathered_fit(self, width, n):
+        rng = np.random.default_rng(24 + n + width)
+        # columns of very different size and offset, so the order of the
+        # additions shows in the last bits
+        table = (rng.normal(size=(37, width)) * np.logspace(-3, 5, width)
+                 + rng.uniform(-1e4, 1e4, width))
+        index = rng.integers(0, len(table), n)
+        self.assert_fit_is_gathered_fit(table, index, rng.normal(size=(5, 3)))
+
+    def test_constant_column_keeps_scale_one(self):
+        rng = np.random.default_rng(25)
+        table = rng.normal(size=(40, 3))
+        table[:, 1] = 0.1
+        index = rng.integers(0, 40, 2 * FIT_ROWS + 3)
+        norm = self.assert_fit_is_gathered_fit(table, index,
+                                               rng.normal(size=(5, 2)))
+        assert norm.listing_scale[1] == 1.0
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: simulate.default_generator_config(n_guests=1000, seed=0),
+        lambda: simulate.benchmark_generator_config(n_guests=800, seed=0),
+    ], ids=["default", "benchmark"])
+    def test_generated_worlds(self, make_config):
+        dataset, _ = simulate.generate(make_config())
+        train_ds, _ = evaluate.prepare_split(dataset)
+        assert train_ds.n_impressions > 2 * FIT_ROWS
+        for data in (dataset, train_ds):
+            self.assert_fit_is_gathered_fit(
+                data.listing_rows, data.listing_index, data.context_features)
+
+    def test_traced_peak_does_not_grow_with_the_impressions(self):
+        rng = np.random.default_rng(26)
+        table = rng.normal(size=(300, 20))
+        context = rng.normal(size=(100, 6))
+        peaks = []
+        for n in (3 * FIT_ROWS + 5, 12 * FIT_ROWS + 20):
+            index = rng.integers(0, len(table), n)
+            tracemalloc.start()
+            try:
+                NormalizationStats.fit(table, index, context)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the gather of the larger index alone would take 7.9 MB
+        assert peaks[1] <= 1.05 * peaks[0]
+
     def test_record_roundtrip(self):
         rng = np.random.default_rng(23)
         norm = NormalizationStats.fit(rng.normal(size=(50, 3)),
+                                      np.arange(50),
                                       rng.normal(size=(50, 2)))
         back = NormalizationStats.from_record(norm.to_record())
         np.testing.assert_array_equal(back.listing_mean, norm.listing_mean)
