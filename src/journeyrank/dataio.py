@@ -696,17 +696,20 @@ def file_sha256(path: str | Path) -> str:
 # train/eval split
 
 
+# the guests whose bucket falls below this go to the eval side
+EVAL_PERCENT = 20
+
+
 def guest_bucket(guest_id: str) -> int:
     """Stable hash bucket in [0, 100) used for the train/eval split."""
     digest = hashlib.sha256(guest_id.encode()).digest()
     return int.from_bytes(digest[:8], "big") % 100
 
 
-def split_by_guest(dataset: Dataset, eval_percent: int = 20) -> tuple[Dataset, Dataset]:
-    """Deterministic guest-level split; no journey straddles the boundary."""
-    if not 0 < eval_percent < 100:
-        raise DataValidationError("eval_percent must be in (0, 100)")
-    in_eval = np.array([guest_bucket(g) < eval_percent
+def split_by_guest(dataset: Dataset) -> tuple[Dataset, Dataset]:
+    """Deterministic guest-level split, ``EVAL_PERCENT`` of the hash
+    buckets to the eval side; no journey straddles the boundary."""
+    in_eval = np.array([guest_bucket(g) < EVAL_PERCENT
                         for g in dataset.guest_ids.tolist()], dtype=bool)
     in_eval = in_eval[dataset.journey_of_impression()]
     return (select_impressions(dataset, ~in_eval),

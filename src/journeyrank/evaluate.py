@@ -233,10 +233,9 @@ class TrainEvalSettings:
                                 self.learning_rate, min_epochs=1)
 
 
-def prepare_split(dataset: Dataset, eval_percent: int = 20,
-                  ) -> tuple[Dataset, Dataset]:
+def prepare_split(dataset: Dataset) -> tuple[Dataset, Dataset]:
     """Guest-hash split, then training-side journey filtering."""
-    train_ds, eval_ds = split_by_guest(dataset, eval_percent=eval_percent)
+    train_ds, eval_ds = split_by_guest(dataset)
     return filter_training_searches(train_ds).training_dataset(), eval_ds
 
 
@@ -483,36 +482,26 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
     buckets = np.clip(np.searchsorted(edges, values, side="right") - 1,
                       0, len(edges) - 2)
     alpha_base, alpha_twiddler = blend_coefficients(model, contexts)
-    ratio = {task: alpha / alpha_base
-             for task, alpha in alpha_twiddler.items()}
-    signed: dict[str, tuple[float, ...]] = {}
-    magnitude: dict[str, tuple[float, ...]] = {}
-    counts = tuple(int(np.sum(buckets == b))
-                   for b in range(len(edges) - 1))
-    for task, r in ratio.items():
-        s_curve = []
-        m_curve = []
-        for b in range(len(edges) - 1):
-            mask = buckets == b
-            if not mask.any():
-                s_curve.append(0.0)
-                m_curve.append(0.0)
-                continue
-            s_curve.append(float(r[mask].mean()))
-            m_curve.append(float(np.abs(r[mask]).mean()))
-        if normalize_by_first:
-            anchor = abs(s_curve[0])
-            if anchor < 1e-12:
-                raise ContractError(
-                    "cannot normalize by a zero first-bucket coefficient")
-            s_curve = [v / anchor for v in s_curve]
-            m_anchor = m_curve[0]
-            if m_anchor < 1e-12:
-                raise ContractError(
-                    "cannot normalize by a zero first-bucket coefficient")
-            m_curve = [v / m_anchor for v in m_curve]
-        signed[task] = tuple(s_curve)
-        magnitude[task] = tuple(m_curve)
+    masks = [buckets == b for b in range(len(edges) - 1)]
+    # per task, the signed and the magnitude curve: each bucket's mean
+    # ratio to the base coefficient, 0.0 where the bucket is empty
+    ratios = {task: alpha / alpha_base
+              for task, alpha in alpha_twiddler.items()}
+    curves = {task: [[float(v[mask].mean()) if mask.any() else 0.0
+                      for mask in masks]
+                     for v in (r, np.abs(r))]
+              for task, r in ratios.items()}
+    if normalize_by_first:
+        if any(abs(curve[0]) < 1e-12
+               for pair in curves.values() for curve in pair):
+            raise ContractError(
+                "cannot normalize by a zero first-bucket coefficient")
+        curves = {task: [[v / abs(curve[0]) for v in curve]
+                         for curve in pair]
+                  for task, pair in curves.items()}
+    signed = {task: tuple(pair[0]) for task, pair in curves.items()}
+    magnitude = {task: tuple(pair[1]) for task, pair in curves.items()}
+    counts = tuple(int(mask.sum()) for mask in masks)
     return NtcCurve(feature=feature, edges=tuple(float(e) for e in edges),
                     counts=counts, signed=signed, magnitude=magnitude)
 

@@ -38,8 +38,9 @@ that hold an uncancelled booking, the only rows its loss reads. Scoring
 blends every row.
 
 Batches are cut from columns built once per training run
-(:func:`batch_inputs`), preference pairs included, which each epoch puts
-in its shuffled order once (:func:`reorder`), so each step takes a slice.
+(:func:`batch_inputs`), which each epoch puts in its shuffled order once
+(:func:`reorder`), so each step takes a slice and finds its own
+preference pairs.
 """
 
 from __future__ import annotations
@@ -655,11 +656,7 @@ class BatchInputs:
     search's first row and, last, the row count. ``listing_rows`` is the
     dataset's listing table, normalized, and ``listing_index`` each
     impression row's row of it. ``labels`` holds one column per name in
-    ``label_names``, so a row's labels move as one. The blend's preference
-    pairs (:func:`preference_pairs` of the ``unc`` labels) are found once:
-    ``pair_i`` and ``pair_j`` index rows, search by search, and
-    ``pair_starts`` holds each search's first pair and, last, the pair
-    count.
+    ``label_names``, so a row's labels move as one.
     """
 
     starts: np.ndarray                # [n_searches + 1] int64
@@ -668,9 +665,6 @@ class BatchInputs:
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
     label_names: tuple[str, ...]
     labels: np.ndarray                # [n_impressions, len(label_names)] bool
-    pair_i: np.ndarray                # [n_pairs] int64
-    pair_j: np.ndarray                # [n_pairs] int64
-    pair_starts: np.ndarray           # [n_searches + 1] int64
 
     @property
     def n_searches(self) -> int:
@@ -679,52 +673,33 @@ class BatchInputs:
 
 def batch_inputs(dataset: Dataset,
                  norm: NormalizationStats) -> BatchInputs:
-    """Normalize the dataset's listing table and context rows, stack the
-    labels and find every search's preference pairs. Every row a batch
-    holds is one of these rows, so a row that is not finite after
-    normalization is refused here, with a :class:`ShapeError`."""
+    """Normalize the dataset's listing table and context rows and stack
+    the labels. Every row a batch holds is one of these rows, so a row
+    that is not finite after normalization is refused here, with a
+    :class:`ShapeError`."""
     listing_rows = norm.apply_listing(dataset.listing_rows)
     context_rows = norm.apply_context(dataset.context_features)
     _require_finite(listing_rows, context_rows)
-    searches = dataset.searches
-    pair_i, pair_j = preference_pairs(dataset.labels["unc"], searches)
-    pair_starts = np.zeros(searches.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(searches.ids[pair_i], minlength=searches.n),
-              out=pair_starts[1:])
     return BatchInputs(
-        starts=searches.starts,
+        starts=dataset.searches.starts,
         listing_rows=listing_rows,
         listing_index=dataset.listing_index,
         context_rows=context_rows,
         label_names=tuple(dataset.labels),
         labels=np.stack(list(dataset.labels.values()), axis=1),
-        pair_i=pair_i,
-        pair_j=pair_j,
-        pair_starts=pair_starts,
     )
 
 
-def _cut_starts(starts: np.ndarray, index: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of the segments ``index`` of a layout given by its
-    ``starts``, in that order: their positions, each segment's new start
-    less its old one, and the new layout's starts."""
-    first = starts[index]
-    sizes = starts[index + 1] - first
-    new_starts = np.zeros(len(index) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=new_starts[1:])
-    return concat_ranges(first, sizes), new_starts[:-1] - first, new_starts
-
-
 def reorder(inputs: BatchInputs, search_indices) -> BatchInputs:
-    """The given searches of ``inputs``, in the given order, every column
-    gathered once, so that batches of consecutive searches are cut from
-    it as views (:func:`make_batch` with a slice)."""
+    """The given searches of ``inputs``, in the given order, every
+    per-row column gathered once, so that batches of consecutive searches
+    are cut from it as views (:func:`make_batch`)."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
-    rows, row_shift, starts = _cut_starts(inputs.starts, search_indices)
-    pairs, _, pair_starts = _cut_starts(inputs.pair_starts, search_indices)
-    # a pair's rows move with its search
-    shift = np.repeat(row_shift, np.diff(pair_starts))
+    first = inputs.starts[search_indices]
+    sizes = inputs.starts[search_indices + 1] - first
+    starts = np.zeros(len(search_indices) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    rows = concat_ranges(first, sizes)
     return BatchInputs(
         starts=starts,
         listing_rows=inputs.listing_rows,
@@ -733,9 +708,6 @@ def reorder(inputs: BatchInputs, search_indices) -> BatchInputs:
         label_names=inputs.label_names,
         # several times faster than inputs.labels[rows]
         labels=np.take(inputs.labels, rows, axis=0),
-        pair_i=inputs.pair_i[pairs] + shift,
-        pair_j=inputs.pair_j[pairs] + shift,
-        pair_starts=pair_starts,
     )
 
 
@@ -765,35 +737,30 @@ class SearchBatch:
         return self.segments.n_rows
 
 
-def make_batch(inputs: BatchInputs, search_indices) -> SearchBatch:
-    """The given searches, in the given order, cut from ``inputs``: an
-    array of search indices, or a slice of consecutive searches, whose
-    rows, labels and pairs are then cut as views. The batch's listing
-    rows are those its impressions show, in the order of
-    ``inputs.listing_rows``."""
-    if not isinstance(search_indices, slice):
-        inputs = reorder(inputs, search_indices)
-        search_indices = slice(0, inputs.n_searches)
-    lo, hi, step = search_indices.indices(inputs.n_searches)
-    if step != 1:
-        raise ContractError("a batch's slice of searches must be consecutive")
+def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
+    """Searches ``lo`` up to ``hi`` of ``inputs`` (clipped to its end),
+    whose rows and labels are cut as views, with the preference pairs of
+    their ``unc`` labels. The batch's listing rows are those its
+    impressions show, in the order of ``inputs.listing_rows``."""
     starts = inputs.starts[lo:hi + 1]
     rows = slice(starts[0], starts[-1])
-    pairs = slice(inputs.pair_starts[lo], inputs.pair_starts[hi])
     shown = inputs.listing_index[rows]
     n_listings = len(inputs.listing_rows)
     # a few times faster than np.unique(shown, return_inverse=True)
     listings = np.flatnonzero(np.bincount(shown, minlength=n_listings))
     slot = np.empty(n_listings, dtype=np.int64)
     slot[listings] = np.arange(len(listings))
+    segments = Segments(np.diff(starts))
+    labels = dict(zip(inputs.label_names, inputs.labels[rows].T))
+    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
         listing_rows=inputs.listing_rows[listings],
         listing_index=slot[shown],
         context_rows=inputs.context_rows[lo:hi],
-        segments=Segments(np.diff(starts)),
-        labels=dict(zip(inputs.label_names, inputs.labels[rows].T)),
-        pair_i=inputs.pair_i[pairs] - starts[0],
-        pair_j=inputs.pair_j[pairs] - starts[0],
+        segments=segments,
+        labels=labels,
+        pair_i=pair_i,
+        pair_j=pair_j,
     )
 
 
@@ -1095,7 +1062,7 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
         sums: dict[str, float] = {}
         for batch_index, lo in enumerate(range(0, dataset.n_searches,
                                                batch_size)):
-            batch = make_batch(shuffled, slice(lo, lo + batch_size))
+            batch = make_batch(shuffled, lo, lo + batch_size)
             with Tape() as tape:
                 loss, _, parts = total_loss(config, params, batch, weights)
                 if not np.isfinite(loss.values):

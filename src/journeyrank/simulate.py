@@ -164,7 +164,7 @@ class WorldTruth:
     config: GeneratorConfig
     listing_ids: tuple[str, ...]
     listing_features: np.ndarray  # [n_listings, listing_dim]
-    id_to_row: dict[str, int] = field(repr=False, default_factory=dict)
+    id_to_row: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -185,9 +185,8 @@ class WorldTruth:
             raise SchemaMismatchError("world listing ids must be distinct "
                                       "strings")
         object.__setattr__(self, "listing_features", features)
-        if not self.id_to_row:
-            object.__setattr__(self, "id_to_row",
-                               {lid: k for k, lid in enumerate(self.listing_ids)})
+        object.__setattr__(self, "id_to_row",
+                           {lid: k for k, lid in enumerate(ids)})
 
     def normalized_context(self, contexts) -> np.ndarray:
         """Raw contexts [..., context_dim] rescaled as the linear models

@@ -12,8 +12,6 @@ import statistics
 from collections import defaultdict
 from pathlib import Path
 
-import numpy as np
-
 from conftest import tiny_manual_dataset
 from journeyrank import cli, dataio, model, simulate
 from journeyrank import evaluate as ev
@@ -84,8 +82,9 @@ def test_info_hooks_read_real_results():
                                         dataset.listing_index,
                                         dataset.context_features)
     inputs = model.batch_inputs(dataset, norm)
-    batch = model.make_batch(inputs, np.arange(dataset.n_searches))
-    assert infos["model.make_batch"](batch, inputs, None) == {
+    batch = model.make_batch(inputs, 0, dataset.n_searches)
+    assert infos["model.make_batch"](batch, inputs, 0,
+                                     dataset.n_searches) == {
         "rows": 6, "pairs": 3}
 
     config = model.default_model_config(2, 2, embedding_dim=3,

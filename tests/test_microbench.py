@@ -58,17 +58,17 @@ def train_step(dataset, config):
     weights = model.task_weights(dataset, config.base_tasks)
     params = model.init_model_params(config)
     state = nn.init_adam(params)
-    searches = np.arange(min(128, dataset.n_searches))
+    n_searches = min(128, dataset.n_searches)
 
     def step():
-        batch = model.make_batch(inputs, searches)
+        batch = model.make_batch(inputs, 0, n_searches)
         with nn.Tape() as tape:
             loss, _, _ = model.total_loss(config, params, batch, weights)
             nn.backward(tape, loss)
         nn.optimizer_step(params, state)
         return float(loss.values)
 
-    return step, model.make_batch(inputs, searches)
+    return step, model.make_batch(inputs, 0, n_searches)
 
 
 def test_train_step(benchmark, world):
@@ -109,7 +109,7 @@ def test_loss_node_kernel(benchmark, world):
         dataset.context_features))
     n_searches = int(np.searchsorted(dataset.searches.starts, 2048,
                                      side="right")) - 1
-    batch = model.make_batch(inputs, np.arange(n_searches))
+    batch = model.make_batch(inputs, 0, n_searches)
     net = model.network(
         config, model.init_model_params(config), batch.listing_rows,
         batch.listing_index, batch.context_rows, batch.segments)

@@ -921,11 +921,10 @@ class TestGradesAndPairs:
 
 
 class TestBatches:
-    """Batches cut from the once-per-train() inputs, by search index or
-    as slices of the inputs put in an epoch's order once, equal the
-    batches the per-step reference builds from the columns, array for
-    array; each impression's listing row is compared through the batch's
-    index."""
+    """Batches cut as slices of the once-per-train() inputs put in an
+    epoch's order once equal the batches the per-step reference builds
+    from the columns, array for array; each impression's listing row is
+    compared through the batch's index."""
 
     def assert_same_batch(self, got: SearchBatch, want: SearchBatch):
         assert got.segments.n == want.segments.n
@@ -968,9 +967,37 @@ class TestBatches:
             for lo in range(0, len(order), batch_size):
                 pick = order[lo:lo + batch_size]
                 want = per_batch_make_batch(dataset, pick, norm)
-                self.assert_same_batch(make_batch(inputs, pick), want)
                 self.assert_same_batch(
-                    make_batch(shuffled, slice(lo, lo + batch_size)), want)
+                    make_batch(reorder(inputs, pick), 0, len(pick)), want)
+                self.assert_same_batch(
+                    make_batch(shuffled, lo, lo + batch_size), want)
+
+    def test_pairs_do_not_depend_on_the_cut(self):
+        # each batch's pairs, shifted by its first row, concatenate to
+        # the pairs of the whole epoch
+        rng = np.random.default_rng(35)
+        for rep in range(30):
+            dataset = random_searches(rng, int(rng.integers(1, 40)),
+                                      equal_grades=rep % 6 == 5)
+            norm = NormalizationStats.fit(dataset.listing_rows,
+                                          dataset.listing_index,
+                                          dataset.context_features)
+            shuffled = reorder(batch_inputs(dataset, norm),
+                               rng.permutation(dataset.n_searches))
+            unc = shuffled.labels[:, shuffled.label_names.index("unc")]
+            want = preference_pairs(
+                unc, nn.Segments(np.diff(shuffled.starts)))
+            batch_size = int(rng.integers(1, dataset.n_searches + 1))
+            got_i, got_j = [], []
+            for lo in range(0, dataset.n_searches, batch_size):
+                batch = make_batch(shuffled, lo, lo + batch_size)
+                first = shuffled.starts[lo]
+                got_i.append(batch.pair_i + first)
+                got_j.append(batch.pair_j + first)
+            for g, w in zip((np.concatenate(got_i), np.concatenate(got_j)),
+                            want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
 
     def test_reordered_inputs_keep_every_search(self):
         rng = np.random.default_rng(33)
@@ -981,21 +1008,10 @@ class TestBatches:
         inputs = batch_inputs(dataset, norm)
         order = rng.permutation(dataset.n_searches)
         twice = reorder(reorder(inputs, order), np.argsort(order))
-        for name in ("starts", "listing_index", "context_rows", "labels",
-                     "pair_i", "pair_j", "pair_starts"):
+        for name in ("starts", "listing_index", "context_rows", "labels"):
             got, want = getattr(twice, name), getattr(inputs, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
-        assert inputs.pair_i.size and inputs.pair_starts[-1] == \
-            inputs.pair_i.size
-
-    def test_slice_must_be_consecutive(self):
-        dataset = random_searches(np.random.default_rng(34), 6)
-        norm = NormalizationStats.fit(dataset.listing_rows,
-                                      dataset.listing_index,
-                                      dataset.context_features)
-        with pytest.raises(ContractError, match="consecutive"):
-            make_batch(batch_inputs(dataset, norm), slice(0, 6, 2))
 
     def test_covers_one_row_and_pairless_searches(self):
         rng = np.random.default_rng(32)
@@ -1004,8 +1020,8 @@ class TestBatches:
         norm = NormalizationStats.fit(dataset.listing_rows,
                                       dataset.listing_index,
                                       dataset.context_features)
-        batch = make_batch(batch_inputs(dataset, norm),
-                           np.arange(dataset.n_searches))
+        batch = make_batch(batch_inputs(dataset, norm), 0,
+                           dataset.n_searches)
         pair_counts = np.bincount(batch.segments.ids[batch.pair_i],
                                   minlength=batch.segments.n)
         assert np.any(sizes == 1)
@@ -1222,7 +1238,8 @@ class TestDistinctRows:
                                       dataset.listing_index,
                                       dataset.context_features)
         pick = np.array([5, 2, 7])
-        batch = make_batch(batch_inputs(dataset, norm), pick)
+        batch = make_batch(reorder(batch_inputs(dataset, norm), pick), 0,
+                           len(pick))
         # one listing row per impression, in the dataset's row order
         rows = imp_rows_for_searches(dataset, pick)
         np.testing.assert_array_equal(

@@ -584,6 +584,22 @@ class TestWorldTruth:
         with pytest.raises(ConfigError):
             self.world.rows_for_ids(["listing-does-not-exist"])
 
+    def test_id_map_is_not_passed(self):
+        with pytest.raises(TypeError):
+            WorldTruth(self.cfg, self.world.listing_ids,
+                       self.world.listing_features,
+                       id_to_row={self.world.listing_ids[0]: 7})
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: default_generator_config(n_guests=5, seed=13),
+        lambda: benchmark_generator_config(n_guests=5, seed=13),
+    ], ids=["default", "benchmark"])
+    def test_rows_for_ids_follow_the_id_order(self, make_config):
+        world = build_world(make_config())
+        ids = list(world.listing_ids)
+        np.testing.assert_array_equal(world.rows_for_ids(ids[::-1]),
+                                      [ids.index(lid) for lid in ids[::-1]])
+
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "world.json"
         save_world(self.world, path)
