@@ -29,8 +29,9 @@ the sum of three losses: a listwise softmax loss per positive milestone,
 a masked binary cross-entropy per negative milestone, and a pairwise
 preference loss that ranks each uncancelled booking's blended score above
 the rest of its search, so the blend serves the same final objective as
-the base score. A training step, from the parameters to the summed loss,
-is one tape node (:func:`total_loss`) with a hand-written backward pass.
+the base score. A training step, from the one parameter vector to the
+summed loss, is one tape node (:func:`total_loss`) with a hand-written
+backward pass that gives one gradient vector.
 The blend's loss sees the scores as constants, so it tunes only the blend
 coefficients and the context they are conditioned on, never the scoring
 heads; and in training the blend runs only on the rows of the searches
@@ -45,6 +46,7 @@ preference pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -234,36 +236,37 @@ def _head_prefix(task: str) -> str:
     return f"head_{task}"
 
 
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple]]:
+    """Every parameter's name and shape, in store order: the listing
+    tower, the context tower, one head per task of ``all_tasks``, then
+    the coefficient MLP, if any."""
+    blocks = [(_TOWER_LISTING, config.listing_tower),
+              (_TOWER_CONTEXT, config.context_tower)]
+    blocks += [(_head_prefix(task), config.head) for task in config.all_tasks]
+    if config.combination is not None:
+        blocks.append((_COMBINATION, config.combination))
+    return [entry for prefix, spec in blocks
+            for entry in nn.mlp_layout(prefix, spec)]
+
+
 def init_model_params(config: ModelConfig) -> ParameterStore:
     """Fresh parameters for every module, drawn from one seeded stream."""
-    rng = np.random.default_rng(config.seed)
-    store = ParameterStore()
-    nn.init_mlp_params(store, _TOWER_LISTING, config.listing_tower, rng)
-    nn.init_mlp_params(store, _TOWER_CONTEXT, config.context_tower, rng)
-    head = config.head
-    for task in config.all_tasks:
-        nn.init_mlp_params(store, _head_prefix(task), head, rng)
-    if config.combination is not None:
-        nn.init_mlp_params(store, _COMBINATION, config.combination, rng)
+    store = ParameterStore(parameter_layout(config))
+    nn.init_glorot(store, np.random.default_rng(config.seed))
     return store
 
 
 def parameter_count(config: ModelConfig) -> int:
-    total = config.listing_tower.n_params + config.context_tower.n_params
-    total += len(config.all_tasks) * config.head.n_params
-    if config.combination is not None:
-        total += config.combination.n_params
-    return total
+    return sum(math.prod(shape) for _, shape in parameter_layout(config))
 
 
 def module_parameter_names(config: ModelConfig) -> dict[str, list[str]]:
     """Parameter names grouped by module, for gradient bookkeeping."""
-    store = init_model_params(config)
     groups: dict[str, list[str]] = {
         "listing_tower": [], "context_tower": [], "base_heads": [],
         "twiddler_heads": [], "combination": [],
     }
-    for name in store.names():
+    for name, _ in parameter_layout(config):
         if name.startswith(_TOWER_LISTING):
             groups["listing_tower"].append(name)
         elif name.startswith(_TOWER_CONTEXT):
@@ -480,10 +483,10 @@ def network(config: ModelConfig, params: ParameterStore,
 def _network_gradients(config: ModelConfig, params: ParameterStore,
                        net: Network, d_head: np.ndarray,
                        d_coef: np.ndarray | None,
-                       batch: "SearchBatch") -> dict[str, np.ndarray]:
+                       batch: "SearchBatch") -> np.ndarray:
     """The backward pass of :func:`network` over ``batch``, from the
     gradients of the head logits and the coefficient logits: one new
-    array per parameter, by name.
+    vector laid out as the store, each block written into its views.
 
     Each impression row's head gradient goes back to its distinct listing
     row, added in index order (a ``bincount``), and to its search, summed
@@ -493,13 +496,13 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
     gradient is cut from one ``[2 * embedding_dim, tasks]`` block that
     holds the listing half's rows, then the context half's added to zeros.
     """
-    grads: dict[str, np.ndarray] = {}
+    grad = np.empty_like(params.tensor.values)
+    grads = params.views(grad)
     d_emb_c = None
     if net.combination is not None:
-        block, d_emb_c = nn.mlp_gradients(
-            params, _COMBINATION, config.combination, net.combination,
-            d_coef, input_grad=True)
-        grads.update(block)
+        d_emb_c = nn.mlp_gradients(params, _COMBINATION, config.combination,
+                                   net.combination, d_coef, grads,
+                                   input_grad=True)
     emb_l, emb_c = net.listing[-1], net.context[-1]
     n, k = len(emb_l), d_head.shape[1]
     # laid out [tasks, rows], so each bin's terms come in row order
@@ -515,8 +518,8 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
     d_bias = d_context_half.sum(axis=0)
     for j, task in enumerate(config.all_tasks):
         prefix = _head_prefix(task)
-        grads[f"{prefix}.w0"] = d_weights[:, j:j + 1].copy()
-        grads[f"{prefix}.b0"] = d_bias[j:j + 1].copy()
+        grads[f"{prefix}.w0"][...] = d_weights[:, j:j + 1]
+        grads[f"{prefix}.b0"][...] = d_bias[j:j + 1]
     d_context = d_context_half @ weights[d:].T
     if d_emb_c is None:
         d_emb_c = d_context
@@ -526,9 +529,9 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
             (_TOWER_LISTING, config.listing_tower, net.listing,
              d_listing_half @ weights[:d].T),
             (_TOWER_CONTEXT, config.context_tower, net.context, d_emb_c)):
-        grads.update(nn.mlp_gradients(params, prefix, spec, acts, g,
-                                      input_grad=False)[0])
-    return grads
+        nn.mlp_gradients(params, prefix, spec, acts, g, grads,
+                         input_grad=False)
+    return grad
 
 
 # Everything after the logits, written once here for scoring and for the
@@ -944,28 +947,27 @@ def total_loss(config: ModelConfig, params: ParameterStore,
                batch: SearchBatch, weights: Mapping[str, float],
                ) -> tuple[Tensor, np.ndarray, dict[str, float]]:
     """The training loss of a batch, recorded as one tape node over every
-    parameter, the heads' ``[rows, tasks]`` logits it was computed from,
-    and its parts (:func:`loss_from_logits`).
+    parameter (``params.tensor``), the heads' ``[rows, tasks]`` logits it
+    was computed from, and its parts (:func:`loss_from_logits`).
 
     The node runs the :func:`network` and the loss as plain array code;
     its backward pass runs the loss's backward and then the network's
-    (:func:`_network_gradients`), so each parameter gets one new gradient
-    array. The blend runs only on the rows of the searches that hold an
-    uncancelled booking and another row, the only rows its pairwise loss
-    reads; scoring (:func:`forward`) blends every row."""
+    (:func:`_network_gradients`), which gives one gradient vector laid
+    out as the store. The blend runs only on the rows of the searches
+    that hold an uncancelled booking and another row, the only rows its
+    pairwise loss reads; scoring (:func:`forward`) blends every row."""
     net = network(config, params, batch.listing_rows, batch.listing_index,
                   batch.context_rows, batch.segments)
     total, parts, loss_backward = loss_from_logits(
         config, net.head, net.coef_logits, batch, weights)
-    names, tensors = zip(*params.items())
 
-    def gradients(g: np.ndarray) -> list[np.ndarray]:
+    def gradients(g: np.ndarray) -> tuple[np.ndarray]:
         d_head, d_coef = loss_backward(float(g))
-        grads = _network_gradients(config, params, net, d_head, d_coef,
-                                   batch)
-        return [grads[name] for name in names]
+        return (_network_gradients(config, params, net, d_head, d_coef,
+                                   batch),)
 
-    return nn.record(np.asarray(total), tensors, gradients), net.head, parts
+    return (nn.record(np.asarray(total), (params.tensor,), gradients),
+            net.head, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1152,7 @@ def load_model(directory: str | Path) -> TrainedModel:
                 f"{name} tower input width {width}")
     # The weights must be exactly the tensors the config would initialize:
     # a head or blend output the config lacks would otherwise be ignored.
-    implied = nn.tensor_table(init_model_params(config))
+    implied = nn.tensor_table(parameter_layout(config))
     if manifest["tensors"] != implied:
         saved = {e["name"]: e["shape"] for e in manifest["tensors"]}
         wanted = {e["name"]: e["shape"] for e in implied}

@@ -1,14 +1,15 @@
 """Minimal float64 neural-network stack: tensors with reverse-mode
-autodiff through hand-written nodes, MLP blocks over a flat parameter
-store as plain array code, Adam, and bit-exact parameter serialization."""
+autodiff through hand-written nodes, every parameter laid out in one
+vector, MLP blocks as plain array code, Adam and bit-exact serialization."""
 
 from .mlp import (
     MlpSpec,
     ParameterStore,
     forward_mlp,
-    init_mlp_params,
+    init_glorot,
     mlp_activations,
     mlp_gradients,
+    mlp_layout,
 )
 from .optim import AdamState, init_adam, optimizer_step
 from .serialize import load_params, save_params, tensor_table
@@ -31,11 +32,12 @@ __all__ = [
     "backward",
     "forward_mlp",
     "init_adam",
-    "init_mlp_params",
+    "init_glorot",
     "load_params",
     "logistic",
     "mlp_activations",
     "mlp_gradients",
+    "mlp_layout",
     "optimizer_step",
     "record",
     "save_params",

@@ -1,13 +1,16 @@
-"""Multi-layer perceptron blocks over a flat parameter store, as plain
+"""Multi-layer perceptron blocks over one parameter vector, as plain
 array code with a hand-written backward pass.
 
-Parameters live in a flat, name-keyed :class:`ParameterStore` rather than in
-layer objects. That keeps serialization, optimizer state, and parameter
-accounting trivial: everything is a (name, array) pair.
+Parameters live in a :class:`ParameterStore` rather than in layer
+objects: a layout of ``(name, shape)`` pairs over one float64 vector, each
+name a view of its slice. A block's layout (:func:`mlp_layout`) names its
+layers' weights and biases; its backward pass writes into the same views
+of one gradient vector, so Adam and serialization each handle one vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,44 +42,38 @@ class MlpSpec:
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         return list(zip(dims[:-1], dims[1:]))
 
-    @property
-    def n_params(self) -> int:
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims)
-
 
 class ParameterStore:
-    """Insertion-ordered mapping from parameter name to trainable tensor."""
+    """Parameters laid out by ``layout``, ``(name, shape)`` pairs in
+    order, over one float64 vector, zero without ``vector``: each
+    ``store[name].values`` is a view of its slice. ``tensor`` is the
+    vector as one tensor, which the training step's gradient, Adam and
+    serialization read whole."""
 
-    def __init__(self):
-        self._params: dict[str, T.Tensor] = {}
-        self._flat: np.ndarray | None = None
+    def __init__(self, layout, vector: np.ndarray | None = None):
+        self.layout = [(name, tuple(shape)) for name, shape in layout]
+        if any(d < 0 for _, shape in self.layout for d in shape):
+            raise ConfigError(f"negative parameter shape in {self.layout}")
+        n = sum(math.prod(shape) for _, shape in self.layout)
+        self.tensor = T.Tensor(np.zeros(n) if vector is None else vector,
+                               requires_grad=True)
+        if self.tensor.shape != (n,):
+            raise ConfigError(f"{n} parameter values, given a vector of "
+                              f"shape {self.tensor.shape}")
+        self._params = {name: T.Tensor(view, requires_grad=True) for name, view
+                        in self.views(self.tensor.values).items()}
+        if len(self._params) != len(self.layout):
+            raise ConfigError("parameter names must be distinct")
 
-    def add(self, name: str, values: np.ndarray) -> T.Tensor:
-        if name in self._params:
-            raise ConfigError(f"parameter {name!r} already registered")
-        t = T.Tensor(values, requires_grad=True)
-        self._params[name] = t
-        self._flat = None
-        return t
-
-    def flat_values(self) -> np.ndarray:
-        """Every parameter's values as one float64 vector, in insertion order.
-
-        Each parameter's ``values`` is a view of this vector, so updating
-        the vector in place updates every parameter. The first call after a
-        parameter is added moves the values into a new vector; write to
-        ``values`` in place from then on, never rebind it.
-        """
-        if self._flat is None:
-            flat = np.empty(self.n_values)
-            offset = 0
-            for t in self._params.values():
-                view = flat[offset:offset + t.size].reshape(t.shape)
-                view[...] = t.values
-                t.values = view
-                offset += t.size
-            self._flat = flat
-        return self._flat
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of ``vector``, a vector laid out as the
+        store's (its values or its gradient), shaped and by name."""
+        views, offset = {}, 0
+        for name, shape in self.layout:
+            size = math.prod(shape)
+            views[name] = vector[offset:offset + size].reshape(shape)
+            offset += size
+        return views
 
     def __getitem__(self, name: str) -> T.Tensor:
         try:
@@ -84,35 +81,29 @@ class ParameterStore:
         except KeyError:
             raise ConfigError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
 
-    @property
-    def n_values(self) -> int:
-        return sum(t.size for t in self._params.values())
+
+def mlp_layout(prefix: str, spec: MlpSpec) -> list[tuple[str, tuple]]:
+    """One block's parameters, ``{prefix}.w{i}`` then ``{prefix}.b{i}``
+    for each layer i from 0, as a :class:`ParameterStore` layout."""
+    return [entry for i, (fan_in, fan_out) in enumerate(spec.layer_dims)
+            for entry in ((f"{prefix}.w{i}", (fan_in, fan_out)),
+                          (f"{prefix}.b{i}", (fan_out,)))]
 
 
-def init_mlp_params(store: ParameterStore, prefix: str, spec: MlpSpec,
-                    rng: np.random.Generator) -> None:
-    """Register Glorot-uniform weights and zero biases for one block.
-
-    Names follow ``{prefix}.w{i}`` / ``{prefix}.b{i}`` with layer index i
-    starting at 0. Draw order is fixed by layer order, so one seeded
-    generator reproduces the whole model bit for bit.
-    """
-    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        store.add(f"{prefix}.w{i}", rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        store.add(f"{prefix}.b{i}", np.zeros(fan_out))
+def init_glorot(store: ParameterStore, rng: np.random.Generator) -> None:
+    """Draw every weight matrix of ``store`` Glorot-uniform, in layout
+    order, so one seeded generator reproduces the whole model bit for bit.
+    The biases keep their values: zero in a new store."""
+    for name, shape in store.layout:
+        if len(shape) == 2:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            store[name].values[...] = rng.uniform(-limit, limit, size=shape)
 
 
 def mlp_activations(store: ParameterStore, prefix: str, spec: MlpSpec,
@@ -147,25 +138,26 @@ def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
 
 
 def mlp_gradients(store: ParameterStore, prefix: str, spec: MlpSpec,
-                  acts: list[np.ndarray], g: np.ndarray, input_grad: bool,
-                  ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+                  acts: list[np.ndarray], g: np.ndarray,
+                  grads: dict[str, np.ndarray], input_grad: bool,
+                  ) -> np.ndarray | None:
     """The backward pass of :func:`mlp_activations`: given ``acts`` and
-    the gradient ``g`` of the block's output, one new gradient array per
-    parameter, by name, and the input's gradient when ``input_grad`` asks
-    for it, else None.
+    the gradient ``g`` of the block's output, write each parameter's
+    gradient into its view in ``grads`` (:meth:`ParameterStore.views` of
+    a gradient vector) and return the input's gradient when
+    ``input_grad`` asks for it, else None.
 
     Each layer gives ``g @ w.T`` to its input, ``x.T @ g`` to its weights
     and the column sums of ``g`` to its bias; a ReLU passes ``g`` times
     its input's mask, read from its output (positive exactly where its
     input is).
     """
-    grads: dict[str, np.ndarray] = {}
     for i in range(len(spec.layer_dims) - 1, -1, -1):
         x = acts[i]
         d_x = (g @ store[f"{prefix}.w{i}"].values.T
                if i > 0 or input_grad else None)
-        grads[f"{prefix}.w{i}"] = x.T @ g
-        grads[f"{prefix}.b{i}"] = g.sum(axis=0)
+        np.matmul(x.T, g, out=grads[f"{prefix}.w{i}"])
+        g.sum(axis=0, out=grads[f"{prefix}.b{i}"])
         if i > 0:
             g = d_x * (x > 0.0)
-    return grads, d_x
+    return d_x

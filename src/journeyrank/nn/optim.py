@@ -1,8 +1,8 @@
 """Adam optimizer over a :class:`ParameterStore`.
 
-One step is one elementwise update of the store's flat value vector
-(:meth:`ParameterStore.flat_values`), with the moments held as flat vectors
-in the same parameter order.
+One step is one elementwise update of the store's vector
+(``ParameterStore.tensor``) from the gradient a training step left on it,
+with the moments held as vectors in the same layout.
 """
 
 from __future__ import annotations
@@ -30,29 +30,21 @@ class AdamState:
 
 
 def init_adam(store: ParameterStore, learning_rate: float = 1e-3) -> AdamState:
-    flat = store.flat_values()
-    return AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat),
+    values = store.tensor.values
+    return AdamState(m=np.zeros_like(values), v=np.zeros_like(values),
                      learning_rate=learning_rate)
 
 
 def optimizer_step(store: ParameterStore, state: AdamState) -> None:
-    """One in-place Adam update; consumes and clears the gradients.
-
-    Every parameter must carry a gradient buffer. Parameters outside the
-    current loss still get exact-zero gradients from the backward pass, so
-    a missing buffer means the training loop forgot to zero and backprop,
-    which is a bug worth failing loudly on.
-    """
-    grads = []
-    for name, param in store.items():
-        if param.grad is None:
-            raise ContractError(f"parameter {name!r} has no gradient; "
-                                "run backward() before optimizer_step()")
-        grads.append(param.grad)
-        param.grad = None
-    flat = store.flat_values()
-    g = np.concatenate(grads, axis=None)
-    if g.size != flat.size or state.m.size != flat.size:
+    """One in-place Adam update of the store's vector from the gradient
+    on ``store.tensor``, which it clears. A missing gradient means the
+    training loop forgot to backprop, a bug worth failing loudly on."""
+    g = store.tensor.grad
+    if g is None:
+        raise ContractError("the parameters have no gradient; run "
+                            "backward() before optimizer_step()")
+    store.tensor.grad = None
+    if g.shape != state.m.shape:
         raise ContractError("gradients and optimizer state must match the "
                             "parameters; run init_adam() on this store")
     state.step += 1
@@ -70,4 +62,4 @@ def optimizer_step(store: ParameterStore, state: AdamState) -> None:
     denom = np.sqrt(v / bias2)
     denom += EPSILON
     update /= denom
-    flat -= update
+    store.tensor.values -= update

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,15 @@ from .mlp import ParameterStore
 FORMAT_TAG = "journeyrank-params-v1"
 
 
-def tensor_table(store: ParameterStore) -> list[dict]:
-    """The manifest's ``tensors`` entries: each tensor's name, shape and
-    byte offset in ``params.bin``, in store order."""
+def tensor_table(layout) -> list[dict]:
+    """The manifest's ``tensors`` entries for a :class:`ParameterStore`
+    layout: each tensor's name, shape and byte offset in ``params.bin``,
+    in layout order, each right after the one before."""
     entries = []
     offset = 0
-    for name, t in store.items():
-        entries.append({"name": name, "shape": list(t.values.shape),
-                        "offset": offset})
-        offset += 8 * t.values.size
+    for name, shape in layout:
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
     return entries
 
 
@@ -41,11 +42,10 @@ def save_params(store: ParameterStore, directory: str | Path,
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    blob = b"".join(np.ascontiguousarray(t.values, dtype="<f8").tobytes()
-                    for _, t in store.items())
+    blob = store.tensor.values.astype("<f8", copy=False).tobytes()
     manifest = {
         "format": FORMAT_TAG,
-        "tensors": tensor_table(store),
+        "tensors": tensor_table(store.layout),
         "n_bytes": len(blob),
         "sha256": hashlib.sha256(blob).hexdigest(),
     }
@@ -61,7 +61,8 @@ def load_params(directory: str | Path) -> tuple[ParameterStore, dict]:
     """Rebuild a store from disk; returns (store, full manifest).
 
     Refuses a ``params.json`` that is not the manifest ``save_params``
-    writes with a ``SchemaMismatchError`` naming the file."""
+    writes with a ``SchemaMismatchError`` naming the file, including a
+    tensors table that does not lay ``params.bin`` out end to end."""
     directory = Path(directory)
     path = directory / "params.json"
     try:
@@ -77,15 +78,16 @@ def load_params(directory: str | Path) -> tuple[ParameterStore, dict]:
                                   "match the manifest")
     if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
         raise SchemaMismatchError(f"{path}: params.bin checksum mismatch")
-    store = ParameterStore()
     try:
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=n,
-                                offset=entry["offset"])
-            store.add(entry["name"], arr.reshape(shape).copy())
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        layout = [(entry["name"], tuple(int(d) for d in entry["shape"]))
+                  for entry in manifest["tensors"]]
+        if tensor_table(layout) != manifest["tensors"]:
+            raise ValueError("tensors are not laid out one after another "
+                             "from offset 0")
+        store = ParameterStore(
+            layout, np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    except (ConfigError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise SchemaMismatchError(f"{path}: malformed tensors table: "
                                   f"{exc!r}") from None
     return store, manifest

@@ -9,9 +9,10 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import pytest
 
-from journeyrank import nn
-from journeyrank.domain import Dataset, concat_ranges
+from journeyrank import dataio, nn
+from journeyrank.domain import LABELS, Dataset, concat_ranges
 
 
 def fd_gradcheck(make_loss: Callable[[], "nn.Tensor"],
@@ -95,6 +96,46 @@ def imp_rows_for_searches(dataset: Dataset,
     starts = dataset.searches.starts[search_idx]
     return concat_ranges(starts,
                          dataset.searches.starts[search_idx + 1] - starts)
+
+
+def column_arrays(ds: Dataset) -> dict[str, np.ndarray]:
+    """Every column and layout array of a dataset, by name."""
+    columns = {name: getattr(ds, name) for name in (
+        "listing_rows", "listing_index", "context_features", "listing_ids",
+        "positions", "search_ids", "t_days")}
+    columns.update(search_of_imp=ds.searches.ids,
+                   search_starts=ds.searches.starts, guest_ids=ds.guest_ids,
+                   journey_of_search=ds.journeys.ids,
+                   journey_starts=ds.journeys.starts)
+    columns.update({f"label:{m}": ds.labels[m] for m in LABELS})
+    return columns
+
+
+def load_outcome(path):
+    """The columns ``load_dataset`` reads from ``path``, or the type and
+    message of what it raises."""
+    try:
+        return column_arrays(dataio.load_dataset(path))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_load(path) -> str:
+    """Assert that the line decoder and the record path (the decoder
+    declining every line) read ``path`` to the same columns, bit for bit,
+    or raise the same error with the same message; returns "ok" or
+    "error"."""
+    got = load_outcome(path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dataio._LineDecoder, "decode", lambda self, line: False)
+        want = load_outcome(path)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return "error"
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+    return "ok"
 
 
 def tiny_manual_dataset(constant_prev: float = 2.0):

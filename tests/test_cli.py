@@ -6,7 +6,10 @@ re-running any command with identical inputs must reproduce every output
 file except the manifest, whose only moving part is its timestamp.
 """
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import shutil
@@ -17,10 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import journeyrank
 from journeyrank import cli
-from conftest import tiny_manual_dataset
+from conftest import assert_same_load, tiny_manual_dataset
 from journeyrank import evaluate as ev
 from journeyrank.cli import main
 from journeyrank.dataio import (
@@ -30,6 +35,7 @@ from journeyrank.dataio import (
     load_dataset,
     save_dataset,
 )
+from journeyrank.domain import ALL_MILESTONES
 from journeyrank.model import (
     baseline_model_config,
     default_model_config,
@@ -38,6 +44,7 @@ from journeyrank.model import (
 )
 from journeyrank.simulate import (
     default_generator_config,
+    generate,
     generator_config_to_record,
 )
 
@@ -1009,3 +1016,122 @@ class TestParserPlumbing:
                             "--dataset", str(ws / "data" / "dataset.jsonl"))
         assert result.returncode == 0
         assert "dataset ok" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# one fault model for validate, train and both JSONL readers
+
+
+# values a mutated leaf takes: other JSON kinds, edge numbers, non-finites
+LEAF_POOL = [None, True, False, 0, -1, 1.5, -0.0, 2 ** 63, 1e300,
+             float("nan"), float("inf"), float("-inf"), "", "x", [], {},
+             [1.0], {"c": True}]
+
+# a documented reason for validate to accept a file that train refuses;
+# none has shown on these mutations
+TRAIN_ONLY_REFUSALS: tuple[str, ...] = ()
+
+
+def _leaves(rec: dict) -> dict[str, list[tuple]]:
+    """Every (holder, key) of a journey record whose value is a leaf or a
+    whole feature, context or label value, by where it sits, so each kind
+    is drawn as often as the others however many there are."""
+    searches = rec["searches"]
+    imps = [imp for s in searches for imp in s["impressions"]]
+    leaves = {
+        "journey": [(rec, "guest_id")],
+        "search": [(s, k) for s in searches
+                   for k in ("search_id", "t_days", "context")],
+        "context": [(s["context"], k) for s in searches
+                    for k in range(len(s["context"]))],
+        "impression": [(imp, k) for imp in imps
+                       for k in ("listing_id", "position", "features",
+                                 "labels")],
+        "features": [(imp["features"], k) for imp in imps
+                     for k in range(len(imp["features"]))],
+    }
+    return {where: found for where, found in leaves.items() if found}
+
+
+@st.composite
+def mutated_records(draw, records: list[dict]) -> list[dict]:
+    """A deep copy of ``records`` with one fault: a leaf set to a value
+    of the pool, a key deleted, a label set replaced, or a search copied
+    into some journey."""
+    records = copy.deepcopy(records)
+    rec = draw(st.sampled_from(records))
+    kind = draw(st.sampled_from(["leaf", "key", "labels", "search"]))
+    searches = [s for r in records for s in r["searches"]]
+    if kind == "leaf":
+        leaves = _leaves(rec)
+        holder, key = draw(st.sampled_from(
+            leaves[draw(st.sampled_from(sorted(leaves)))]))
+        holder[key] = copy.deepcopy(draw(st.sampled_from(LEAF_POOL)))
+    elif kind == "key":
+        holder = draw(st.sampled_from(
+            [rec, *rec["searches"],
+             *(imp for s in rec["searches"] for imp in s["impressions"])]))
+        del holder[draw(st.sampled_from(sorted(holder)))]
+    elif kind == "labels":
+        imp = draw(st.sampled_from(
+            [imp for s in searches for imp in s["impressions"]]))
+        imp["labels"] = draw(st.dictionaries(
+            st.sampled_from((*ALL_MILESTONES, "booked")), st.booleans(),
+            max_size=4))
+    else:
+        at = draw(st.integers(0, len(rec["searches"])))
+        rec["searches"].insert(at, copy.deepcopy(draw(st.sampled_from(
+            searches))))
+    return records
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """``main``'s exit code and what it wrote to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fault_ws(tmp_path_factory):
+    """A 40-guest default world's dataset header and journey records, and
+    a small model config for it."""
+    root = tmp_path_factory.mktemp("faults")
+    dataset, _ = generate(default_generator_config(n_guests=40, seed=0))
+    save_dataset(dataset, root / "clean.jsonl")
+    header, *lines = (root / "clean.jsonl").read_text().splitlines()
+    (root / "model.json").write_text(json.dumps(model_config_to_record(
+        default_model_config(dataset.schema.listing_dim,
+                             dataset.schema.context_dim, embedding_dim=4,
+                             tower_hidden=(4,), combination_hidden=(4,)))))
+    return root, header, [json.loads(line) for line in lines]
+
+
+class TestFaultModel:
+    """Mutated files through ``validate``, ``train --epochs 1`` and both
+    JSONL readers: every exit code is a documented one for a data fault,
+    nothing escapes ``main``, ``validate`` accepts exactly the files
+    ``train`` trains on, and the line decoder reads what the record path
+    reads, or raises what it raises."""
+
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_validate_train_and_readers_agree(self, fault_ws, data):
+        root, header, records = fault_ws
+        path = root / "mutated.jsonl"
+        lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
+                 for rec in data.draw(mutated_records(records))]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        validate, _ = run_quietly(["validate", "--dataset", str(path)])
+        train, err = run_quietly([
+            "train", "--model-config", str(root / "model.json"),
+            "--dataset", str(path), "--epochs", "1",
+            "--out", str(root / "run")])
+        assert validate in (cli.EXIT_OK, cli.EXIT_DATA)
+        assert train in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+        if validate == cli.EXIT_OK and train != cli.EXIT_OK:
+            assert any(reason in err for reason in TRAIN_ONLY_REFUSALS), err
+        assert validate == cli.EXIT_OK or train != cli.EXIT_OK
+        assert_same_load(path)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_same_load,
+    column_arrays,
     imp_rows_for_searches,
     impression_features,
     with_impression_features,
@@ -342,19 +344,6 @@ def odd_values_records():
     ]
 
 
-def column_arrays(ds: Dataset) -> dict[str, np.ndarray]:
-    """Every column and layout array of a dataset, by name."""
-    columns = {name: getattr(ds, name) for name in (
-        "listing_rows", "listing_index", "context_features", "listing_ids",
-        "positions", "search_ids", "t_days")}
-    columns.update(search_of_imp=ds.searches.ids,
-                   search_starts=ds.searches.starts, guest_ids=ds.guest_ids,
-                   journey_of_search=ds.journeys.ids,
-                   journey_starts=ds.journeys.starts)
-    columns.update({f"label:{m}": ds.labels[m] for m in LABELS})
-    return columns
-
-
 def assert_same_columns(got: Dataset, want: Dataset) -> None:
     """Bit-identical columns: same dtypes, shapes and bytes."""
     assert got.schema == want.schema
@@ -670,34 +659,7 @@ class TestReaderMatchesLoop:
 
 
 # ---------------------------------------------------------------------------
-# the line decoder against the record path
-
-
-def load_outcome(path):
-    """The columns ``load_dataset`` reads from ``path``, or the type and
-    message of what it raises."""
-    try:
-        return column_arrays(load_dataset(path))
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
-def record_path_outcome(path, monkeypatch):
-    """``load_outcome`` with every line read as a record."""
-    with monkeypatch.context() as m:
-        m.setattr(dataio._LineDecoder, "decode", lambda self, line: False)
-        return load_outcome(path)
-
-
-def assert_same_load(path, monkeypatch):
-    got, want = load_outcome(path), record_path_outcome(path, monkeypatch)
-    if isinstance(want, tuple) or isinstance(got, tuple):
-        assert got == want
-        return "error"
-    for name in want:
-        assert got[name].dtype == want[name].dtype, name
-        assert got[name].tobytes() == want[name].tobytes(), name
-    return "ok"
+# the line decoder against the record path (conftest.assert_same_load)
 
 
 KEYS = ['"features"', '"labels"', '"listing_id"', '"position"', '"context"',
@@ -759,7 +721,7 @@ def mutate(line: str, rng) -> str:
 
 
 class TestLineDecoder:
-    def test_mutated_lines_load_as_records_do(self, tmp_path, monkeypatch):
+    def test_mutated_lines_load_as_records_do(self, tmp_path):
         rng = np.random.default_rng(40)
         ds = dataset_from_records(SCHEMA, varied_records(rng, pool_rows=4))
         path = tmp_path / "d.jsonl"
@@ -774,11 +736,11 @@ class TestLineDecoder:
             j = with_impressions[int(rng.integers(len(with_impressions)))]
             edited[j] = mutate(edited[j], rng)
             mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
-            kinds.append(assert_same_load(mutated, monkeypatch))
+            kinds.append(assert_same_load(mutated))
         assert 80 < kinds.count("error") < 320
 
     def test_feature_texts_that_parse_only_together_are_declined(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         """Two feature texts that are not arrays alone but join into two
         rows: the decoder must not read them as the line's rows."""
         path = tmp_path / "d.jsonl"
@@ -791,7 +753,7 @@ class TestLineDecoder:
                 '"listing_id":"b","position":2}')
         with open(path, "a") as f:
             f.write(head + imps + tail + "\n")
-        assert assert_same_load(path, monkeypatch) == "error"
+        assert assert_same_load(path) == "error"
 
     @pytest.mark.parametrize("config", [
         simulate.benchmark_generator_config(n_guests=300, seed=0),

@@ -67,6 +67,7 @@ from journeyrank.model import (
     module_parameter_names,
     network,
     parameter_count,
+    parameter_layout,
     preference_pairs,
     reorder,
     save_model,
@@ -384,8 +385,14 @@ class TestModelConfig:
                           + mlp_params(full.combination))
         assert parameter_count(full) - parameter_count(baseline) \
             == analytic_delta
-        store = init_model_params(full)
-        assert store.n_values == parameter_count(full)
+        fewer = small_config(base_tasks=("book", "unc"),
+                             twiddler_tasks=("cbg",))
+        for config in (full, baseline, fewer):
+            layout = parameter_layout(config)
+            store = init_model_params(config)
+            assert [name for name, _ in layout] == store.names()
+            assert sum(int(np.prod(shape)) for _, shape in layout) \
+                == parameter_count(config) == store.tensor.size
 
     def test_record_roundtrip(self):
         config = small_config(tower_hidden=(6, 4), combination_hidden=(),
@@ -582,9 +589,7 @@ class TestForwardMatchesPerRowReference:
         with nn.Tape() as tape:
             loss, _, _ = total_loss(config, params, batch, weights)
             nn.backward(tape, loss)
-        got = {name: t.grad for name, t in params.items()}
-        for _, t in params.items():
-            t.grad = None
+        got = params.views(params.tensor.grad)
         with nn.Tape() as tape:
             ref = per_row_forward(config, params,
                                   batch.listing_rows[batch.listing_index],
@@ -1304,7 +1309,7 @@ class TestStepTape:
     def nodes_per_step(self, config: ModelConfig) -> int:
         params, tape = self.step_tape(config)
         (_, inputs, _), = tape._nodes
-        assert inputs == tuple(t for _, t in params.items())
+        assert len(inputs) == 1 and inputs[0] is params.tensor
         return len(tape)
 
     def test_full_config(self):
@@ -1407,16 +1412,22 @@ class TestLossNode:
 
     @staticmethod
     def model_run(node: bool, config, params, batch, weights):
+        """The loss, its parts and the gradient vector: the node's, or
+        the per-op gradients put together in layout order."""
         with nn.Tape() as tape:
             if node:
                 loss, _, parts = total_loss(config, params, batch, weights)
             else:
                 loss, parts = ops.step_loss(config, params, batch, weights)
             nn.backward(tape, loss)
-        grads = {name: t.grad for name, t in params.items()}
-        for _, t in params.items():
-            t.grad = None
-        return loss.values, parts, grads
+        if node:
+            grad, params.tensor.grad = params.tensor.grad, None
+        else:
+            grad = np.concatenate([t.grad for _, t in params.items()],
+                                  axis=None)
+            for _, t in params.items():
+                t.grad = None
+        return loss.values, parts, grad
 
     def test_loss_parts_and_both_gradients(self, case):
         config, batch = loss_node_batches()[case]
@@ -1452,10 +1463,11 @@ class TestLossNode:
             got = self.model_run(True, config, params, batch, weights)
             want = self.model_run(False, config, params, batch, weights)
             assert bits(got[0]) == bits(want[0]) and got[1] == want[1]
-            for name, grad in want[2].items():
-                assert got[2][name].shape == grad.shape, name
-                np.testing.assert_array_equal(bits(got[2][name]), bits(grad),
-                                              err_msg=name)
+            got_views = params.views(got[2])
+            for name, grad in params.views(want[2]).items():
+                np.testing.assert_array_equal(bits(got_views[name]),
+                                              bits(grad), err_msg=name)
+            np.testing.assert_array_equal(bits(got[2]), bits(want[2]))
 
 
 class TestLossNodeFiniteDifferences:
@@ -1512,7 +1524,9 @@ class TestStepNodeFiniteDifferences:
         with nn.Tape() as tape:
             loss, _, _ = total_loss(config, params, batch, weights)
             nn.backward(tape, loss)
-        grads = {name: t.grad for name, t in params.items()}
+        grad, values = params.tensor.grad, params.tensor.values
+        # each parameter's entries of the vector
+        positions = params.views(np.arange(values.size))
 
         def scoring(parts):
             return parts["base"] + parts["twiddler"]
@@ -1527,17 +1541,16 @@ class TestStepNodeFiniteDifferences:
                            ("head_rej.b0", scoring),
                            ("combination.w0", total),
                            ("combination.b1", total)):
-            flat = params[name].values.reshape(-1)
-            for k in rng.choice(flat.size, size=min(3, flat.size),
+            entries = positions[name].reshape(-1)
+            for k in rng.choice(entries, size=min(3, entries.size),
                                 replace=False):
-                orig = flat[k]
-                flat[k] = orig + step
+                orig = values[k]
+                values[k] = orig + step
                 up = read(total_loss(config, params, batch, weights)[2])
-                flat[k] = orig - step
+                values[k] = orig - step
                 down = read(total_loss(config, params, batch, weights)[2])
-                flat[k] = orig
-                np.testing.assert_allclose(grads[name].reshape(-1)[k],
-                                           (up - down) / (2 * step),
+                values[k] = orig
+                np.testing.assert_allclose(grad[k], (up - down) / (2 * step),
                                            rtol=1e-5, atol=1e-8,
                                            err_msg=name)
 
@@ -1705,10 +1718,10 @@ class TestGradients:
         with nn.Tape() as tape:
             loss, _, _ = total_loss(config, params, batch, weights)
             nn.backward(tape, loss)
+        grads = params.views(params.tensor.grad)
         groups = module_parameter_names(config)
         for group, names in groups.items():
-            assert any(np.any(params[name].grad != 0.0) for name in names), \
-                group
+            assert any(np.any(grads[name] != 0.0) for name in names), group
 
 
 def planted_dataset() -> Dataset:

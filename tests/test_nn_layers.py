@@ -1,5 +1,7 @@
 """MLP blocks, optimizer behavior, and parameter serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,26 @@ from journeyrank import nn
 from journeyrank.errors import ConfigError, ContractError, SchemaMismatchError, ShapeError
 
 
+def block_store(prefix: str, spec: nn.MlpSpec,
+                rng: np.random.Generator) -> nn.ParameterStore:
+    """One block's parameters, Glorot-initialized from ``rng``."""
+    store = nn.ParameterStore(nn.mlp_layout(prefix, spec))
+    nn.init_glorot(store, rng)
+    return store
+
+
 class TestMlpSpec:
     def test_parameter_count_formula(self):
         spec = nn.MlpSpec(input_dim=7, hidden_dims=(5, 3), output_dim=2)
         # (7+1)*5 + (5+1)*3 + (3+1)*2
-        assert spec.n_params == 40 + 18 + 8
+        store = nn.ParameterStore(nn.mlp_layout("net", spec))
+        assert store.tensor.size == 40 + 18 + 8
 
     def test_zero_hidden_layers_is_single_affine(self):
         spec = nn.MlpSpec(input_dim=4, hidden_dims=(), output_dim=2)
         assert spec.layer_dims == [(4, 2)]
-        assert spec.n_params == 10
+        assert nn.mlp_layout("net", spec) == [("net.w0", (4, 2)),
+                                              ("net.b0", (2,))]
 
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ConfigError):
@@ -29,21 +41,17 @@ class TestMlpSpec:
 class TestForwardMlp:
     def test_identity_case(self):
         # zero hidden layers, identity weight, zero bias: output equals input
-        store = nn.ParameterStore()
-        store.add("id.w0", np.eye(3))
-        store.add("id.b0", np.zeros(3))
         spec = nn.MlpSpec(input_dim=3, hidden_dims=(), output_dim=3)
+        store = nn.ParameterStore(nn.mlp_layout("id", spec))
+        store["id.w0"].values[...] = np.eye(3)
         x = np.random.default_rng(0).normal(size=(5, 3))
         out = nn.forward_mlp(store, "id", spec, x)
         np.testing.assert_array_equal(out, x)
 
     def test_all_zero_weights_give_zero_output(self):
-        store = nn.ParameterStore()
-        store.add("z.w0", np.zeros((4, 3)))
-        store.add("z.b0", np.zeros(3))
-        store.add("z.w1", np.zeros((3, 2)))
-        store.add("z.b1", np.zeros(2))
         spec = nn.MlpSpec(input_dim=4, hidden_dims=(3,), output_dim=2)
+        # a new store starts at zero
+        store = nn.ParameterStore(nn.mlp_layout("z", spec))
         x = np.random.default_rng(1).normal(size=(6, 4))
         out = nn.forward_mlp(store, "z", spec, x)
         np.testing.assert_array_equal(out, np.zeros((6, 2)))
@@ -51,8 +59,7 @@ class TestForwardMlp:
     def test_matches_hand_rolled_matrix_oracle(self):
         rng = np.random.default_rng(2)
         spec = nn.MlpSpec(input_dim=2, hidden_dims=(3,), output_dim=1)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, rng)
+        store = block_store("net", spec, rng)
         x = rng.normal(size=(5, 2))
         got = nn.forward_mlp(store, "net", spec, x)
         h = x @ store["net.w0"].values + store["net.b0"].values
@@ -63,16 +70,14 @@ class TestForwardMlp:
     def test_width_mismatch_names_layer(self):
         rng = np.random.default_rng(3)
         spec = nn.MlpSpec(input_dim=4, hidden_dims=(), output_dim=1)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, rng)
+        store = block_store("net", spec, rng)
         with pytest.raises(ShapeError, match="layer 0"):
             nn.forward_mlp(store, "net", spec, np.zeros((2, 3)))
 
     def test_batch_row_independence(self):
         rng = np.random.default_rng(4)
         spec = nn.MlpSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, rng)
+        store = block_store("net", spec, rng)
         batch = rng.normal(size=(8, 3))
         full = nn.forward_mlp(store, "net", spec, batch)
         row0 = nn.forward_mlp(store, "net", spec, batch[:1])
@@ -81,8 +86,7 @@ class TestForwardMlp:
     def test_input_is_left_as_it_is(self):
         rng = np.random.default_rng(5)
         spec = nn.MlpSpec(input_dim=3, hidden_dims=(4, 2), output_dim=2)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, rng)
+        store = block_store("net", spec, rng)
         x = rng.normal(size=(6, 3))
         kept = x.copy()
         acts = nn.mlp_activations(store, "net", spec, x)
@@ -104,25 +108,36 @@ class TestMlpGradients:
     def block(hidden, seed):
         rng = np.random.default_rng(seed)
         spec = nn.MlpSpec(input_dim=3, hidden_dims=hidden, output_dim=2)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, rng)
+        store = block_store("net", spec, rng)
         x = rng.normal(size=(9, 3))
         # a few exact zeros reach the ReLUs: their slope is 0 there
         x[:2] = 0.0
         store["net.b0"].values[:1] = 0.0
         return spec, store, x, rng.normal(size=(9, 2))
 
+    @staticmethod
+    def gradients(store, spec, acts, g, input_grad):
+        """The block's gradient vector, NaN wherever nothing was written,
+        and the input's gradient."""
+        grad = np.full(store.tensor.size, np.nan)
+        d_x = nn.mlp_gradients(store, "net", spec, acts, g, store.views(grad),
+                               input_grad)
+        return grad, d_x
+
     def test_matches_per_op_composition(self, hidden):
         spec, store, x, g = self.block(hidden, 61)
         acts = nn.mlp_activations(store, "net", spec, x)
-        grads, d_x = nn.mlp_gradients(store, "net", spec, acts, g,
-                                      input_grad=True)
+        grad, d_x = self.gradients(store, spec, acts, g, input_grad=True)
         leaf = nn.Tensor(x, requires_grad=True)
         with nn.Tape() as tape:
             out = ops.forward_mlp(store, "net", spec, leaf)
             nn.backward(tape, ops.total_sum(ops.mul(out, nn.Tensor(g))))
         np.testing.assert_array_equal(bits(acts[-1]), bits(out.values))
-        assert sorted(grads) == sorted(store.names())
+        # every parameter's gradient, in layout order, is the vector
+        np.testing.assert_array_equal(
+            bits(grad), bits(np.concatenate([t.grad for _, t in store.items()],
+                                            axis=None)))
+        grads = store.views(grad)
         for name, t in store.items():
             np.testing.assert_array_equal(bits(grads[name]), bits(t.grad),
                                           err_msg=name)
@@ -131,30 +146,23 @@ class TestMlpGradients:
     def test_input_gradient_only_when_asked(self, hidden):
         spec, store, x, g = self.block(hidden, 62)
         acts = nn.mlp_activations(store, "net", spec, x)
-        with_input = nn.mlp_gradients(store, "net", spec, acts, g, True)
-        grads, d_x = nn.mlp_gradients(store, "net", spec, acts, g, False)
+        with_input, _ = self.gradients(store, spec, acts, g, True)
+        grad, d_x = self.gradients(store, spec, acts, g, False)
         assert d_x is None
-        for name in store.names():
-            np.testing.assert_array_equal(bits(grads[name]),
-                                          bits(with_input[0][name]))
+        np.testing.assert_array_equal(bits(grad), bits(with_input))
 
 
 class TestInitialization:
     def test_deterministic_per_seed(self):
         spec = nn.MlpSpec(input_dim=6, hidden_dims=(5,), output_dim=2)
-        stores = []
-        for _ in range(2):
-            store = nn.ParameterStore()
-            nn.init_mlp_params(store, "net", spec, np.random.default_rng(99))
-            stores.append(store)
-        for name in stores[0].names():
-            np.testing.assert_array_equal(stores[0][name].values,
-                                          stores[1][name].values)
+        stores = [block_store("net", spec, np.random.default_rng(99))
+                  for _ in range(2)]
+        np.testing.assert_array_equal(stores[0].tensor.values,
+                                      stores[1].tensor.values)
 
     def test_glorot_bounds(self):
         spec = nn.MlpSpec(input_dim=10, hidden_dims=(), output_dim=20)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, np.random.default_rng(5))
+        store = block_store("net", spec, np.random.default_rng(5))
         limit = np.sqrt(6.0 / 30.0)
         w = store["net.w0"].values
         assert np.all(np.abs(w) <= limit)
@@ -162,20 +170,24 @@ class TestInitialization:
 
     def test_store_value_count(self):
         spec = nn.MlpSpec(input_dim=7, hidden_dims=(5, 3), output_dim=2)
-        store = nn.ParameterStore()
-        nn.init_mlp_params(store, "net", spec, np.random.default_rng(6))
-        assert store.n_values == spec.n_params
+        store = block_store("net", spec, np.random.default_rng(6))
+        assert store.tensor.shape == (40 + 18 + 8,)
+        assert store.names() == [name for name, _ in store.layout]
+        assert sum(t.size for _, t in store.items()) == store.tensor.size
 
     def test_duplicate_name_rejected(self):
-        store = nn.ParameterStore()
-        store.add("w", np.zeros(1))
+        with pytest.raises(ConfigError, match="distinct"):
+            nn.ParameterStore([("w", (1,)), ("w", (1,))])
+
+    def test_layout_must_fit_the_vector(self):
         with pytest.raises(ConfigError):
-            store.add("w", np.zeros(1))
+            nn.ParameterStore([("w", (2,))], np.zeros(3))
+        with pytest.raises(ConfigError, match="negative"):
+            nn.ParameterStore([("w", (-1,)), ("b", (2,))], np.zeros(1))
 
 
 def zero_grads(store):
-    for _, t in store.items():
-        t.grad = np.zeros_like(t.values)
+    store.tensor.grad = np.zeros_like(store.tensor.values)
 
 
 def loop_adam_step(values, grads, m, v, step, learning_rate):
@@ -195,8 +207,8 @@ def loop_adam_step(values, grads, m, v, step, learning_rate):
 
 class TestOptimizer:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        store = nn.ParameterStore()
-        w = store.add("w", np.array([1.0, -2.0, 3.0]))
+        store = nn.ParameterStore([("w", (3,))], np.array([1.0, -2.0, 3.0]))
+        w = store["w"]
         state = nn.init_adam(store)
         before = w.values.copy()
         zero_grads(store)
@@ -205,35 +217,31 @@ class TestOptimizer:
         assert state.step == 1
 
     def test_moves_opposite_gradient_sign(self):
-        store = nn.ParameterStore()
-        w = store.add("w", np.array([0.0]))
+        store = nn.ParameterStore([("w", (1,))])
         state = nn.init_adam(store)
-        w.grad = np.array([2.5])
+        store.tensor.grad = np.array([2.5])
         nn.optimizer_step(store, state)
-        assert w.values[0] < 0.0
+        assert store["w"].values[0] < 0.0
 
     def test_clears_gradients_after_step(self):
-        store = nn.ParameterStore()
-        w = store.add("w", np.array([1.0]))
+        store = nn.ParameterStore([("w", (1,))], np.array([1.0]))
         state = nn.init_adam(store)
-        w.grad = np.array([1.0])
+        store.tensor.grad = np.array([1.0])
         nn.optimizer_step(store, state)
-        assert w.grad is None
+        assert store.tensor.grad is None
 
     def test_missing_gradient_is_a_contract_error(self):
-        store = nn.ParameterStore()
-        store.add("w", np.array([1.0]))
+        store = nn.ParameterStore([("w", (1,))], np.array([1.0]))
         state = nn.init_adam(store)
-        with pytest.raises(ContractError, match="w"):
+        with pytest.raises(ContractError, match="no gradient"):
             nn.optimizer_step(store, state)
 
     def test_flat_update_matches_per_parameter_loop(self):
         rng = np.random.default_rng(9)
-        store = nn.ParameterStore()
         shapes = {"w0": (3, 4), "b0": (4,), "w1": (4, 1), "b1": (1,),
                   "s": ()}
-        for name, shape in shapes.items():
-            store.add(name, rng.normal(size=shape))
+        store = nn.ParameterStore(shapes.items(), np.concatenate(
+            [rng.normal(size=shape) for shape in shapes.values()], axis=None))
         state = nn.init_adam(store, 0.01)
         values = {name: t.values.copy() for name, t in store.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -241,45 +249,42 @@ class TestOptimizer:
         for step in range(1, 21):
             grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
                      for name, shape in shapes.items()}
-            for name, t in store.items():
-                t.grad = grads[name].copy()
+            store.tensor.grad = np.empty_like(store.tensor.values)
+            for name, view in store.views(store.tensor.grad).items():
+                view[...] = grads[name]
             nn.optimizer_step(store, state)
             loop_adam_step(values, grads, m, v, step, 0.01)
             for name, t in store.items():
                 np.testing.assert_array_equal(t.values, values[name])
 
     def test_parameters_are_views_of_one_vector(self):
-        store = nn.ParameterStore()
-        w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = store.add("b", np.array([5.0]))
-        flat = store.flat_values()
-        np.testing.assert_array_equal(flat, [1.0, 2.0, 3.0, 4.0, 5.0])
+        flat = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        store = nn.ParameterStore([("w", (2, 2)), ("b", (1,))], flat)
+        w, b = store["w"], store["b"]
+        np.testing.assert_array_equal(w.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert store.tensor.values is flat
         assert np.shares_memory(w.values, flat)
         assert np.shares_memory(b.values, flat)
-        assert store.flat_values() is flat
+        assert w.requires_grad and b.requires_grad
         flat[4] = -1.0
         assert b.values[0] == -1.0
 
-    def test_parameter_added_after_init_is_a_contract_error(self):
-        store = nn.ParameterStore()
-        w = store.add("w", np.array([1.0]))
-        state = nn.init_adam(store)
-        extra = store.add("late", np.array([2.0]))
-        w.grad = np.array([1.0])
-        extra.grad = np.array([1.0])
-        with pytest.raises(ContractError):
+    def test_state_of_another_store_is_a_contract_error(self):
+        state = nn.init_adam(nn.ParameterStore([("w", (1,))]))
+        store = nn.ParameterStore([("w", (1,)), ("late", (1,))])
+        zero_grads(store)
+        with pytest.raises(ContractError, match="init_adam"):
             nn.optimizer_step(store, state)
 
     def test_quadratic_bowl_converges(self):
         # f(w) = ||w||^2 from ||w0|| = 1: 200 steps at lr 0.05 reach <1e-3
-        store = nn.ParameterStore()
-        w = store.add("w", np.full(4, 0.5))
+        store = nn.ParameterStore([("w", (4,))], np.full(4, 0.5))
+        w = store.tensor
         assert abs(np.linalg.norm(w.values) - 1.0) < 1e-12
         state = nn.init_adam(store, 0.05)
         for _ in range(200):
             with nn.Tape() as tape:
                 loss = ops.total_sum(ops.mul(w, w))
-            zero_grads(store)
             nn.backward(tape, loss)
             nn.optimizer_step(store, state)
         assert np.linalg.norm(w.values) < 1e-3
@@ -288,12 +293,10 @@ class TestOptimizer:
 class TestSerialization:
     def _random_store(self):
         rng = np.random.default_rng(8)
-        store = nn.ParameterStore()
-        store.add("tower.w0", rng.normal(size=(5, 4)))
-        store.add("tower.b0", rng.normal(size=4))
-        store.add("head.w0", rng.normal(size=(4, 1)))
-        store.add("scalar", np.asarray(rng.normal()))
-        return store
+        layout = [("tower.w0", (5, 4)), ("tower.b0", (4,)),
+                  ("head.w0", (4, 1)), ("scalar", ())]
+        return nn.ParameterStore(layout, np.concatenate(
+            [rng.normal(size=shape) for _, shape in layout], axis=None))
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         store = self._random_store()
@@ -326,3 +329,36 @@ class TestSerialization:
         nn.save_params(store, tmp_path / "b")
         assert (tmp_path / "a/params.bin").read_bytes() == (tmp_path / "b/params.bin").read_bytes()
         assert (tmp_path / "a/params.json").read_bytes() == (tmp_path / "b/params.json").read_bytes()
+
+    @staticmethod
+    def edit_table(directory, edit):
+        path = directory / "params.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["tensors"])
+        path.write_text(json.dumps(manifest))
+
+    def test_aliasing_offset_is_rejected(self, tmp_path):
+        """An offset into another tensor's bytes would load that tensor's
+        values, since the checksum covers only params.bin."""
+        nn.save_params(self._random_store(), tmp_path)
+        self.edit_table(tmp_path, lambda t: t[1].update(offset=0))
+        with pytest.raises(SchemaMismatchError,
+                           match="malformed tensors table"):
+            nn.load_params(tmp_path)
+
+    @pytest.mark.parametrize("dropped", [1, 3])
+    def test_gap_is_rejected(self, tmp_path, dropped):
+        """A table that skips some of params.bin's bytes, between two
+        tensors or at its end."""
+        nn.save_params(self._random_store(), tmp_path)
+        self.edit_table(tmp_path, lambda t: t.pop(dropped))
+        with pytest.raises(SchemaMismatchError,
+                           match="malformed tensors table"):
+            nn.load_params(tmp_path)
+
+    def test_non_integer_shape_is_rejected(self, tmp_path):
+        nn.save_params(self._random_store(), tmp_path)
+        self.edit_table(tmp_path, lambda t: t[3].update(shape=[0.5]))
+        with pytest.raises(SchemaMismatchError,
+                           match="malformed tensors table"):
+            nn.load_params(tmp_path)
