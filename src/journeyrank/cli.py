@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate, train, evaluate, compare, ablate.
 
-Every command funnels its randomness through one named seed, writes its
-outputs plus a single run manifest into ``--out``, and is byte-identical
-on re-run with the same inputs (only the manifest carries a timestamp).
-Flags override config-file keys, which override built-in defaults.
+Every command funnels its randomness through one named seed and writes
+its outputs, then the run record ``manifest.json`` (:func:`_finish`), into
+``--out``: a re-run on the same inputs is byte-identical but for the
+record's timestamp. Flags override config-file keys, then the defaults.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data validation
 error, 3 numeric failure during training.
@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -58,25 +58,7 @@ EXIT_NUMERIC = 3
 
 
 # ---------------------------------------------------------------------------
-# run manifests
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to audit or re-run one command."""
-
-    command: str
-    version: str
-    seed: list[int]
-    config: dict
-    inputs: dict[str, str]
-    input_hashes: dict[str, str]
-    outputs: list[str]
-    created_at: str = field(default_factory=lambda: datetime.now(
-        timezone.utc).isoformat())
-
-    def to_record(self) -> dict:
-        return asdict(self)
+# run records
 
 
 def _input(shown, hashed=None) -> tuple[str, str]:
@@ -87,19 +69,21 @@ def _input(shown, hashed=None) -> tuple[str, str]:
     return str(shown), file_sha256(shown if hashed is None else hashed)
 
 
-def _manifest_inputs(files: dict[str, tuple[str, str]],
-                     ) -> dict[str, dict[str, str]]:
-    """A manifest's ``inputs`` and ``input_hashes`` from one mapping of
-    name to :func:`_input`."""
-    return {"inputs": {name: shown for name, (shown, _) in files.items()},
-            "input_hashes": {name: digest
-                             for name, (_, digest) in files.items()}}
-
-
-def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest.to_record())
-    return path
+def _finish(args, out: Path, payload: dict, table: str, *, seed, config,
+            inputs: dict[str, tuple[str, str]], outputs) -> int:
+    """Write the run record ``out/manifest.json``: ``command``, ``version``,
+    the ``seed`` list, the resolved ``config``, ``inputs`` and
+    ``input_hashes`` from the :func:`_input` pairs, the ``outputs``
+    written and ``created_at``. Then print ``payload`` (``--json``) or
+    ``table`` and return :data:`EXIT_OK`."""
+    _write_json(out / "manifest.json", {
+        "command": args.command, "version": __version__, "seed": list(seed),
+        "config": config, "outputs": [str(path) for path in outputs],
+        "inputs": {name: shown for name, (shown, _) in inputs.items()},
+        "input_hashes": {name: digest for name, (_, digest) in inputs.items()},
+        "created_at": datetime.now(timezone.utc).isoformat()})
+    _emit(args, payload, table)
+    return EXIT_OK
 
 
 def _write_json(path: Path, payload) -> None:
@@ -190,19 +174,11 @@ def cmd_gen(args) -> int:
     out = _require_out(args)
     guest_range = tuple(args.guest_range) if args.guest_range else None
     dataset, world = generate(config, guest_range)
-    dataset_path = out / "dataset.jsonl"
-    world_path = out / "world.json"
-    save_dataset(dataset, dataset_path)
-    save_world(world, world_path)
+    outputs = [out / "dataset.jsonl", out / "world.json", out / "funnel.json"]
+    save_dataset(dataset, outputs[0])
+    save_world(world, outputs[1])
     funnel = summarize(dataset)
-    _write_json(out / "funnel.json", funnel.to_record())
-    manifest = RunManifest(
-        command="gen", version=__version__, seed=[config.seed],
-        config=generator_config_to_record(config),
-        **_manifest_inputs({"config": config_input}),
-        outputs=[str(dataset_path), str(world_path),
-                 str(out / "funnel.json")])
-    write_manifest(out, manifest)
+    _write_json(outputs[2], funnel.to_record())
     counts = funnel.milestone_counts
     table = "\n".join([
         f"journeys    {funnel.n_journeys}",
@@ -212,8 +188,9 @@ def cmd_gen(args) -> int:
                                   for m in ("c", "lc", "pp", "req", "book",
                                             "unc", "rej", "cbh", "cbg")),
     ])
-    _emit(args, funnel.to_record(), table)
-    return EXIT_OK
+    return _finish(args, out, funnel.to_record(), table, seed=[config.seed],
+                   config=generator_config_to_record(config),
+                   inputs={"config": config_input}, outputs=outputs)
 
 
 def cmd_train(args) -> int:
@@ -238,22 +215,19 @@ def cmd_train(args) -> int:
                  for k in loss_keys]
         csv_lines.append(f"{stats.epoch}," + ",".join(cells))
     _write_text(out / "loss_history.csv", "\n".join(csv_lines))
-    manifest = RunManifest(
-        command="train", version=__version__, seed=[config.seed],
-        config=model_config_to_record(config),
-        **_manifest_inputs({"model_config": config_input,
-                            "dataset": dataset_input}),
-        outputs=[str(model_dir / "params.json"),
-                 str(model_dir / "params.bin"),
-                 str(out / "loss_history.csv")])
-    write_manifest(out, manifest)
     payload = {"epochs": args.epochs,
                "final_losses": history[-1].losses if history else {},
                "model_dir": str(model_dir)}
-    final = (f"final losses: {history[-1].losses}" if history
-             else "no training epochs requested")
-    _emit(args, payload, f"trained {args.epochs} epochs\n{final}")
-    return EXIT_OK
+    table = f"trained {args.epochs} epochs\n" + (
+        f"final losses: {history[-1].losses}" if history
+        else "no training epochs requested")
+    return _finish(args, out, payload, table, seed=[config.seed],
+                   config=model_config_to_record(config),
+                   inputs={"model_config": config_input,
+                           "dataset": dataset_input},
+                   outputs=[model_dir / "params.json",
+                            model_dir / "params.bin",
+                            out / "loss_history.csv"])
 
 
 def cmd_eval(args) -> int:
@@ -266,15 +240,10 @@ def cmd_eval(args) -> int:
     _write_json(out / "ndcg.json", payload)
     table = ev.format_ndcg_table(reports)
     _write_text(out / "ndcg.txt", table)
-    manifest = RunManifest(
-        command="eval", version=__version__,
-        seed=[model.config.seed],
-        config=model_config_to_record(model.config),
-        **_manifest_inputs({"model": model_input, "dataset": dataset_input}),
-        outputs=[str(out / "ndcg.json"), str(out / "ndcg.txt")])
-    write_manifest(out, manifest)
-    _emit(args, payload, table)
-    return EXIT_OK
+    return _finish(args, out, payload, table, seed=[model.config.seed],
+                   config=model_config_to_record(model.config),
+                   inputs={"model": model_input, "dataset": dataset_input},
+                   outputs=[out / "ndcg.json", out / "ndcg.txt"])
 
 
 def _cmd_paired(args, name: str, run, record, config: dict,
@@ -304,14 +273,10 @@ def _cmd_paired(args, name: str, run, record, config: dict,
     _write_json(outputs[0], payload)
     table = ev.format_paired_table(report)
     _write_text(outputs[1], table)
-    manifest = RunManifest(
-        command=args.command, version=__version__, seed=list(seeds),
-        config={**config, "settings": asdict(settings)},
-        **_manifest_inputs({**inputs, "dataset": dataset_input}),
-        outputs=[str(path) for path in outputs])
-    write_manifest(out, manifest)
-    _emit(args, {json_key: payload} if json_key else payload, table)
-    return EXIT_OK
+    return _finish(args, out, {json_key: payload} if json_key else payload,
+                   table, seed=seeds, outputs=outputs,
+                   config={**config, "settings": asdict(settings)},
+                   inputs={**inputs, "dataset": dataset_input})
 
 
 def cmd_compare(args) -> int:
@@ -348,20 +313,16 @@ def cmd_ntc(args) -> int:
     curve = ev.ntc_curves(model, dataset, args.feature,
                           n_buckets=args.buckets,
                           normalize_by_first=args.normalize)
-    _write_json(out / "ntc.json", curve.to_record())
-    ev.write_ntc_csv(curve, out / "ntc.csv")
+    outputs = [out / "ntc.json", out / "ntc.csv", out / "ntc.txt"]
+    _write_json(outputs[0], curve.to_record())
+    ev.write_ntc_csv(curve, outputs[1])
     table = ev.format_ntc_table(curve)
-    _write_text(out / "ntc.txt", table)
-    manifest = RunManifest(
-        command="ntc", version=__version__, seed=[model.config.seed],
-        config={"feature": args.feature, "buckets": args.buckets,
-                "normalize": args.normalize},
-        **_manifest_inputs({"model": model_input, "dataset": dataset_input}),
-        outputs=[str(out / "ntc.json"), str(out / "ntc.csv"),
-                 str(out / "ntc.txt")])
-    write_manifest(out, manifest)
-    _emit(args, curve.to_record(), table)
-    return EXIT_OK
+    _write_text(outputs[2], table)
+    return _finish(args, out, curve.to_record(), table,
+                   seed=[model.config.seed], outputs=outputs,
+                   config={"feature": args.feature, "buckets": args.buckets,
+                           "normalize": args.normalize},
+                   inputs={"model": model_input, "dataset": dataset_input})
 
 
 def cmd_validate(args) -> int:

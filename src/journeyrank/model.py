@@ -214,6 +214,8 @@ def model_config_to_record(config: ModelConfig) -> dict:
 
 
 def model_config_from_record(rec: dict) -> ModelConfig:
+    if not isinstance(rec, dict):
+        raise ConfigError(f"model config must be an object, got {rec!r}")
     names = [f.name for f in fields(ModelConfig)]
     missing = [k for k in names if k not in rec]
     unknown = sorted(k for k in rec if k not in names)
@@ -286,6 +288,7 @@ def module_parameter_names(config: ModelConfig) -> dict[str, list[str]]:
 
 # impression rows the normalization fit gathers at a time
 _FIT_ROWS = 4096
+_MIN_SCALE = 1e-12  # the narrowest spread a fit keeps as a scale
 
 
 @dataclass(frozen=True)
@@ -303,7 +306,7 @@ class NormalizationStats:
 
     @staticmethod
     def _nonzero(scale: np.ndarray) -> np.ndarray:
-        return np.where(scale < 1e-12, 1.0, scale)
+        return np.where(scale < _MIN_SCALE, 1.0, scale)
 
     @classmethod
     def fit(cls, listing_rows: np.ndarray, listing_index: np.ndarray,
@@ -360,8 +363,9 @@ class NormalizationStats:
     @classmethod
     def from_record(cls, rec) -> "NormalizationStats":
         """A saved record, read strictly: each value a number (never a
-        bool or a string), each mean finite and each scale finite and
-        positive, or a :class:`SchemaMismatchError` naming the field."""
+        bool or a string), each mean finite and each scale finite and at
+        least the fit's floor, or a :class:`SchemaMismatchError` naming
+        the field."""
         if not isinstance(rec, dict):
             raise SchemaMismatchError(f"normalization record must be an "
                                       f"object, got {rec!r}")
@@ -377,11 +381,12 @@ class NormalizationStats:
                 raise SchemaMismatchError(
                     f"normalization {f.name} must be a list of numbers, "
                     f"got {rec[f.name]!r}") from None
-            scale = f.name.endswith("_scale")
-            if not (np.isfinite(column) & (column > 0 if scale else True)).all():
+            floor = _MIN_SCALE if f.name.endswith("_scale") else -np.inf
+            if not (np.isfinite(column) & (column >= floor)).all():
+                rule = f" and positive, at least {floor}" if floor > 0 else ""
                 raise SchemaMismatchError(
-                    f"normalization {f.name} must be finite"
-                    f"{' and positive' if scale else ''}, got {column.tolist()}")
+                    f"normalization {f.name} must be finite{rule}, "
+                    f"got {column.tolist()}")
             columns[f.name] = column
         return cls(**columns)
 
@@ -1123,43 +1128,47 @@ def save_model(model: TrainedModel, directory: str | Path) -> None:
 
 
 def load_model(directory: str | Path) -> TrainedModel:
+    """The model saved in ``directory``: any manifest ``save_model`` could
+    not have written raises a :class:`SchemaMismatchError` naming it."""
     try:
         params, manifest = nn.load_params(directory)
     except FileNotFoundError as exc:
         raise ConfigError(f"no saved model in {directory}: "
                           f"{exc.filename} not found") from None
-    for key in ("model_config", "normalization", "schema_hash"):
-        if key not in manifest:
+    try:
+        for key in ("model_config", "normalization", "schema_hash"):
+            if key not in manifest:
+                raise SchemaMismatchError(f"model manifest missing {key}")
+        schema_hash = manifest["schema_hash"]
+        if not (isinstance(schema_hash, str) and len(schema_hash) == 64
+                and set(schema_hash) <= set("0123456789abcdef")):
             raise SchemaMismatchError(
-                f"{directory}: model manifest missing {key}")
-    schema_hash = manifest["schema_hash"]
-    if not (isinstance(schema_hash, str) and len(schema_hash) == 64
-            and set(schema_hash) <= set("0123456789abcdef")):
-        raise SchemaMismatchError(
-            f"{directory}: model manifest schema_hash must be a 64-character "
-            f"lowercase hex digest, got {schema_hash!r}")
-    config = model_config_from_record(manifest["model_config"])
-    norm = NormalizationStats.from_record(manifest["normalization"])
-    for name, width, vectors in (
-            ("listing", config.listing_dim,
-             (norm.listing_mean, norm.listing_scale)),
-            ("context", config.context_dim,
-             (norm.context_mean, norm.context_scale))):
-        if any(v.shape != (width,) for v in vectors):
+                f"model manifest schema_hash must be a 64-character "
+                f"lowercase hex digest, got {schema_hash!r}")
+        config = model_config_from_record(manifest["model_config"])
+        norm = NormalizationStats.from_record(manifest["normalization"])
+        for name, width, vectors in (
+                ("listing", config.listing_dim,
+                 (norm.listing_mean, norm.listing_scale)),
+                ("context", config.context_dim,
+                 (norm.context_mean, norm.context_scale))):
+            if any(v.shape != (width,) for v in vectors):
+                raise SchemaMismatchError(
+                    f"{name} normalization widths {[v.shape for v in vectors]}"
+                    f" do not match the {name} tower input width {width}")
+        # The weights must be exactly the config's tensors: a head or
+        # blend output the config lacks would otherwise be ignored.
+        implied = nn.tensor_table(parameter_layout(config))
+        if manifest["tensors"] != implied:
+            saved = {e["name"]: e["shape"] for e in manifest["tensors"]}
+            wanted = {e["name"]: e["shape"] for e in implied}
+            differ = sorted(name for name in saved.keys() | wanted.keys()
+                            if saved.get(name) != wanted.get(name))
             raise SchemaMismatchError(
-                f"{directory}: {name} normalization widths "
-                f"{[v.shape for v in vectors]} do not match the "
-                f"{name} tower input width {width}")
-    # The weights must be exactly the tensors the config would initialize:
-    # a head or blend output the config lacks would otherwise be ignored.
-    implied = nn.tensor_table(parameter_layout(config))
-    if manifest["tensors"] != implied:
-        saved = {e["name"]: e["shape"] for e in manifest["tensors"]}
-        wanted = {e["name"]: e["shape"] for e in implied}
-        differ = sorted(name for name in saved.keys() | wanted.keys()
-                        if saved.get(name) != wanted.get(name))
+                f"saved weights do not match model_config "
+                f"({', '.join(differ) or 'tensor order'})")
+    except (ConfigError, SchemaMismatchError) as exc:
         raise SchemaMismatchError(
-            f"{directory}: saved weights do not match model_config "
-            f"({', '.join(differ) or 'tensor order'})")
+            f"{Path(directory) / 'params.json'}: {exc}") from None
     return TrainedModel(config=config, params=params, normalization=norm,
                         schema_hash=schema_hash)

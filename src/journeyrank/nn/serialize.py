@@ -62,7 +62,8 @@ def load_params(directory: str | Path) -> tuple[ParameterStore, dict]:
 
     Refuses a ``params.json`` that is not the manifest ``save_params``
     writes with a ``SchemaMismatchError`` naming the file, including a
-    tensors table that does not lay ``params.bin`` out end to end."""
+    tensors table that does not lay ``params.bin`` out end to end under
+    string names, and a ``params.bin`` holding a NaN or an infinity."""
     directory = Path(directory)
     path = directory / "params.json"
     try:
@@ -81,11 +82,14 @@ def load_params(directory: str | Path) -> tuple[ParameterStore, dict]:
     try:
         layout = [(entry["name"], tuple(int(d) for d in entry["shape"]))
                   for entry in manifest["tensors"]]
-        if tensor_table(layout) != manifest["tensors"]:
-            raise ValueError("tensors are not laid out one after another "
-                             "from offset 0")
-        store = ParameterStore(
-            layout, np.frombuffer(blob, dtype="<f8").astype(np.float64))
+        if (not all(isinstance(name, str) for name, _ in layout)
+                or tensor_table(layout) != manifest["tensors"]):
+            raise ValueError("tensors are not named by strings and laid out "
+                             "one after another from offset 0")
+        values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        if not np.isfinite(values).all():
+            raise SchemaMismatchError(f"{path}: params.bin is not finite")
+        store = ParameterStore(layout, values)
     except (ConfigError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise SchemaMismatchError(f"{path}: malformed tensors table: "

@@ -9,6 +9,7 @@ file except the manifest, whose only moving part is its timestamp.
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import os
@@ -474,7 +475,9 @@ class TestEval:
         ("listing_scale", 0.0, "finite and positive"),
         ("context_scale", -1.0, "finite and positive"),
         ("context_mean", float("nan"), "must be finite"),
-    ], ids=["bool", "string", "zero-scale", "negative-scale", "nan-mean"])
+        ("context_scale", 1e-320, "at least 1e-12"),
+    ], ids=["bool", "string", "zero-scale", "negative-scale", "nan-mean",
+            "below-fit-floor"])
     def test_malformed_normalization_value_exits_two(self, ws, tmp_path,
                                                      capsys, field, value,
                                                      fault):
@@ -817,6 +820,46 @@ class TestNtc:
         assert rc == 1
 
 
+@pytest.fixture(scope="module")
+def runs(ws):
+    """Each manifest-writing command's ``--out``, all run on the shared
+    workspace's files: gen and train from ``ws``, the others here."""
+    data, model = str(ws / "data" / "dataset.jsonl"), str(ws / "run" / "model")
+    paired = ["--dataset", data, "--seeds", "0,1", "--epochs", "1",
+              "--batch-size", "64"]
+    argvs = {
+        "eval": ["--model", model, "--dataset", data],
+        "compare": ["--model-config-a", str(ws / "model.json"),
+                    "--model-config-b", str(ws / "base.json"), *paired],
+        "ablate": [*paired, "--embedding-dim", "6"],
+        "ntc": ["--model", model, "--dataset", data,
+                "--feature", "days_ahead_of_checkin"],
+    }
+    for command, argv in argvs.items():
+        assert main([command, *argv, "--out", str(ws / command)]) == 0
+    return {"gen": ws / "data", "train": ws / "run",
+            **{command: ws / command for command in argvs}}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "compare",
+                                         "ablate", "ntc"])
+    def test_lists_what_the_command_read_and_wrote(self, runs, command):
+        """The files under ``--out`` are the manifest and its outputs, and
+        each input hash is the sha256 of the file it names (a model's
+        ``params.bin``)."""
+        out = runs[command]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        written = sorted(str(p) for p in out.rglob("*") if p.is_file())
+        assert written == sorted([str(out / "manifest.json"),
+                                  *manifest["outputs"]])
+        assert manifest["input_hashes"].keys() == manifest["inputs"].keys()
+        for name, shown in manifest["inputs"].items():
+            read = Path(shown) / "params.bin" if name == "model" else shown
+            assert manifest["input_hashes"][name] == file_sha256(read), name
+
+
 class TestValidate:
     def test_rejects_corrupt_dataset(self, tmp_path, capsys):
         base = tiny_manual_dataset()
@@ -1054,13 +1097,16 @@ def _leaves(rec: dict) -> dict[str, list[tuple]]:
 
 
 @st.composite
-def mutated_records(draw, records: list[dict]) -> list[dict]:
+def mutated_records(draw, records: list[dict],
+                    window_days: float) -> list[dict]:
     """A deep copy of ``records`` with one fault: a leaf set to a value
-    of the pool, a key deleted, a label set replaced, or a search copied
-    into some journey."""
+    of the pool, a key deleted, a label set replaced, a search copied
+    into some journey, the lines reordered, or a search's ``t_days``
+    moved before or after its journey's others or out of its window."""
     records = copy.deepcopy(records)
     rec = draw(st.sampled_from(records))
-    kind = draw(st.sampled_from(["leaf", "key", "labels", "search"]))
+    kind = draw(st.sampled_from(["leaf", "key", "labels", "search", "lines",
+                                 "t_days"]))
     searches = [s for r in records for s in r["searches"]]
     if kind == "leaf":
         leaves = _leaves(rec)
@@ -1078,10 +1124,18 @@ def mutated_records(draw, records: list[dict]) -> list[dict]:
         imp["labels"] = draw(st.dictionaries(
             st.sampled_from((*ALL_MILESTONES, "booked")), st.booleans(),
             max_size=4))
-    else:
+    elif kind == "search":
         at = draw(st.integers(0, len(rec["searches"])))
         rec["searches"].insert(at, copy.deepcopy(draw(st.sampled_from(
             searches))))
+    elif kind == "lines":
+        records = draw(st.permutations(records))
+    else:
+        times = [s["t_days"] for s in rec["searches"]]
+        draw(st.sampled_from(rec["searches"]))["t_days"] = draw(
+            st.sampled_from([min(times) - 0.5, max(times) + 0.5,
+                             min(times) + window_days + 0.5,
+                             max(times) - window_days - 0.5]))
     return records
 
 
@@ -1095,8 +1149,9 @@ def run_quietly(argv: list[str]) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def fault_ws(tmp_path_factory):
-    """A 40-guest default world's dataset header and journey records, and
-    a small model config for it."""
+    """A 40-guest default world's dataset header and journey records, a
+    small model config for it, and that model trained on the clean file
+    for one epoch into ``clean/model``."""
     root = tmp_path_factory.mktemp("faults")
     dataset, _ = generate(default_generator_config(n_guests=40, seed=0))
     save_dataset(dataset, root / "clean.jsonl")
@@ -1105,14 +1160,19 @@ def fault_ws(tmp_path_factory):
         default_model_config(dataset.schema.listing_dim,
                              dataset.schema.context_dim, embedding_dim=4,
                              tower_hidden=(4,), combination_hidden=(4,)))))
+    assert run_quietly([
+        "train", "--model-config", str(root / "model.json"),
+        "--dataset", str(root / "clean.jsonl"), "--epochs", "1",
+        "--out", str(root / "clean")])[0] == cli.EXIT_OK
     return root, header, [json.loads(line) for line in lines]
 
 
 class TestFaultModel:
-    """Mutated files through ``validate``, ``train --epochs 1`` and both
-    JSONL readers: every exit code is a documented one for a data fault,
-    nothing escapes ``main``, ``validate`` accepts exactly the files
-    ``train`` trains on, and the line decoder reads what the record path
+    """Mutated files through ``validate``, ``train --epochs 1``, ``eval``
+    of the model trained on the clean file and both JSONL readers: every
+    exit code is a documented one for a data fault, nothing escapes
+    ``main``, ``validate`` accepts exactly the files ``train`` trains on
+    and ``eval`` scores, and the line decoder reads what the record path
     reads, or raises what it raises."""
 
     @settings(max_examples=40, derandomize=True, database=None,
@@ -1122,16 +1182,94 @@ class TestFaultModel:
         root, header, records = fault_ws
         path = root / "mutated.jsonl"
         lines = [json.dumps(rec, sort_keys=True, separators=(",", ":"))
-                 for rec in data.draw(mutated_records(records))]
+                 for rec in data.draw(mutated_records(
+                     records, json.loads(header)["window_days"]))]
         path.write_text("\n".join([header, *lines]) + "\n")
         validate, _ = run_quietly(["validate", "--dataset", str(path)])
         train, err = run_quietly([
             "train", "--model-config", str(root / "model.json"),
             "--dataset", str(path), "--epochs", "1",
             "--out", str(root / "run")])
+        evaluate, _ = run_quietly([
+            "eval", "--model", str(root / "clean" / "model"),
+            "--dataset", str(path), "--out", str(root / "eval")])
         assert validate in (cli.EXIT_OK, cli.EXIT_DATA)
         assert train in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+        assert evaluate in (cli.EXIT_OK, cli.EXIT_DATA)
+        assert (evaluate == cli.EXIT_OK) == (validate == cli.EXIT_OK)
         if validate == cli.EXIT_OK and train != cli.EXIT_OK:
             assert any(reason in err for reason in TRAIN_ONLY_REFUSALS), err
         assert validate == cli.EXIT_OK or train != cli.EXIT_OK
         assert_same_load(path)
+
+
+# ---------------------------------------------------------------------------
+# one fault model for a saved model
+
+
+# the pool's numbers, which a value of params.bin takes
+NUMBER_POOL = [v for v in LEAF_POOL
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+
+
+def _below(holder, key):
+    """``(holder, key)`` and every ``(holder, key)`` nested in its
+    value."""
+    yield holder, key
+    value = holder[key]
+    if isinstance(value, (list, dict)):
+        for inner in (range(len(value)) if isinstance(value, list)
+                      else sorted(value)):
+            yield from _below(value, inner)
+
+
+@st.composite
+def faulty_model(draw, manifest: dict, blob: bytes) -> tuple[dict, bytes]:
+    """A saved model's ``params.json`` record and ``params.bin`` bytes
+    with one fault: a leaf of the record set to a value of the pool, or a
+    value of ``params.bin`` set to one of the pool's numbers under a
+    matching length and checksum. Each top-level key of the record, and
+    ``params.bin``, is drawn as often as the others."""
+    manifest = copy.deepcopy(manifest)
+    where = draw(st.sampled_from([*sorted(manifest), "params.bin"]))
+    if where == "params.bin":
+        values = np.frombuffer(blob, dtype="<f8").copy()
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from(NUMBER_POOL))
+        blob = values.astype("<f8").tobytes()
+        manifest.update(n_bytes=len(blob),
+                        sha256=hashlib.sha256(blob).hexdigest())
+    else:
+        holder, key = draw(st.sampled_from(list(_below(manifest, where))))
+        holder[key] = copy.deepcopy(draw(st.sampled_from(LEAF_POOL)))
+    return manifest, blob
+
+
+class TestSavedModelFaults:
+    """A one-fault copy of a trained model through ``eval`` and ``ntc``:
+    each scores, or exits 2 with a data error naming the copy's
+    ``params.json``, and nothing escapes ``main``."""
+
+    @settings(max_examples=80, derandomize=True, database=None,
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_eval_and_ntc_score_or_refuse_as_data_errors(self, fault_ws,
+                                                         data):
+        root = fault_ws[0]
+        clean = root / "clean" / "model"
+        manifest, blob = data.draw(faulty_model(
+            json.loads((clean / "params.json").read_text()),
+            (clean / "params.bin").read_bytes()))
+        model_dir = root / "faulty"
+        model_dir.mkdir(exist_ok=True)
+        (model_dir / "params.json").write_text(json.dumps(manifest))
+        (model_dir / "params.bin").write_bytes(blob)
+        for command in (["eval"],
+                        ["ntc", "--feature", "days_ahead_of_checkin"]):
+            code, err = run_quietly([
+                *command, "--model", str(model_dir),
+                "--dataset", str(root / "clean.jsonl"),
+                "--out", str(root / "scored")])
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA), err
+            if code == cli.EXIT_DATA:
+                assert f"data error: {model_dir / 'params.json'}: " in err

@@ -1954,9 +1954,10 @@ class TestPersistence:
         manifest["model_config"].update(activation="relu", head_hidden=[],
                                         task_loss_weights=None)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ConfigError, match="unknown keys \\['activation', "
-                                              "'head_hidden', "
-                                              "'task_loss_weights'\\]"):
+        with pytest.raises(SchemaMismatchError,
+                           match="unknown keys \\['activation', "
+                                 "'head_hidden', "
+                                 "'task_loss_weights'\\]"):
             load_model(tmp_path / "model")
 
     def test_plain_parameter_dump_is_refused(self, tmp_path):

@@ -362,3 +362,21 @@ class TestSerialization:
         with pytest.raises(SchemaMismatchError,
                            match="malformed tensors table"):
             nn.load_params(tmp_path)
+
+    @pytest.mark.parametrize("name", [None, 3, ["tower.w0"]])
+    def test_non_string_name_is_rejected(self, tmp_path, name):
+        nn.save_params(self._random_store(), tmp_path)
+        self.edit_table(tmp_path, lambda t: t[0].update(name=name))
+        with pytest.raises(SchemaMismatchError,
+                           match="malformed tensors table"):
+            nn.load_params(tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_rejected(self, tmp_path, value):
+        """A weight that is not finite, under a checksum that matches."""
+        store = self._random_store()
+        store["head.w0"].values[2, 0] = value
+        nn.save_params(store, tmp_path)
+        with pytest.raises(SchemaMismatchError,
+                           match="params.json: params.bin is not finite"):
+            nn.load_params(tmp_path)
