@@ -102,16 +102,15 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _resolve_config_path(raw: str) -> Path:
-    """Literal path first, then the optional shared config directory."""
-    path = Path(raw)
-    if path.exists():
-        return path
+    """The literal path's file, else the one under ``CONFIG_DIR_ENV``."""
+    candidates = [Path(raw)]
     config_dir = os.environ.get(CONFIG_DIR_ENV)
     if config_dir:
-        fallback = Path(config_dir) / raw
-        if fallback.exists():
-            return fallback
-    raise ConfigError(f"config file not found: {raw}")
+        candidates.append(Path(config_dir) / raw)
+    for path in candidates:
+        if path.is_file():
+            return path
+    raise ConfigError(f"config file {raw} not found or not a file")
 
 
 def _load_json_config(raw: str) -> tuple[dict, tuple[str, str]]:
@@ -148,13 +147,18 @@ def _require_out(args) -> Path:
     return out
 
 
+def _load_dataset(path_arg: str):
+    """The dataset file's path (it must name a file), dataset and report."""
+    path = Path(path_arg)
+    if not path.is_file():
+        raise ConfigError(f"dataset file {path} not found or not a file")
+    dataset = load_dataset(path)
+    return path, dataset, validate_dataset(dataset)
+
+
 def _load_valid_dataset(path_arg: str):
     """The dataset, validated, and its file as a manifest input."""
-    path = Path(path_arg)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
-    dataset = load_dataset(path)
-    report = validate_dataset(dataset)
+    path, dataset, report = _load_dataset(path_arg)
     if not report.accepted:
         lines = "; ".join(f"{k}x{v}" for k, v in
                           sorted(report.violations.items()))
@@ -326,11 +330,7 @@ def cmd_ntc(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.dataset)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
-    dataset = load_dataset(path)
-    report = validate_dataset(dataset)
+    _, _, report = _load_dataset(args.dataset)
     payload = report.to_record()
     if report.accepted:
         table = (f"dataset ok: {report.n_journeys} journeys, "

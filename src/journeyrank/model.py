@@ -22,21 +22,19 @@ segment broadcast over the batch's search layout (an ``nn.Segments``)
 hands the heads' context half to the search's impression rows. No joint
 ``[listing | context]`` embedding is built.
 
-The whole network is plain array code (:func:`network`, then
-:func:`funnel`, :func:`softplus` and :func:`blend`), shared by scoring
-and training. Everything trains jointly from whole-search minibatches on
-the sum of three losses: a listwise softmax loss per positive milestone,
-a masked binary cross-entropy per negative milestone, and a pairwise
+The whole network is plain array code, shared by scoring and training:
+:func:`network` up to the logits, then :func:`outputs_from_logits` (the
+funnel and the blend of every row) for every score. Everything trains
+jointly from whole-search minibatches on the sum of three losses, each
+reading those scores: a listwise softmax loss per positive milestone, a
+masked binary cross-entropy per negative milestone, and a pairwise
 preference loss that ranks each uncancelled booking's blended score above
 the rest of its search, so the blend serves the same final objective as
 the base score. A training step, from the one parameter vector to the
 summed loss, is one tape node (:func:`total_loss`) with a hand-written
-backward pass that gives one gradient vector.
-The blend's loss sees the scores as constants, so it tunes only the blend
-coefficients and the context they are conditioned on, never the scoring
-heads; and in training the blend runs only on the rows of the searches
-that hold an uncancelled booking, the only rows its loss reads. Scoring
-blends every row.
+backward pass that gives one gradient vector. The blend's loss sees the
+scores as constants, so it tunes only the blend coefficients and the
+context they are conditioned on, never the scoring heads.
 
 Batches are cut from columns built once per training run
 (:func:`batch_inputs`), which each epoch puts in its shuffled order once
@@ -561,33 +559,16 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _funnel(cond_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`funnel`, and the ``exp(-|x|)`` of each conditional logit x
-    it read, from which the slopes of its log-sigmoids follow
-    (:func:`_log_sigmoid_slope`)."""
-    e = _exp_neg_abs(cond_logits)
-    log_joint = np.minimum(cond_logits, 0.0)
-    log_joint -= np.log1p(e)
-    for j in range(1, log_joint.shape[1]):
-        log_joint[:, j] += log_joint[:, j - 1]
-    return log_joint, e
-
-
 def funnel(cond_logits: np.ndarray) -> np.ndarray:
     """Joint log-probabilities down the funnel, ``[rows, base tasks]``:
     each column is its conditional logit's log-sigmoid added to the
     column before it, so each stage can only lower the joint; the last is
     the base score."""
-    return _funnel(cond_logits)[0]
-
-
-def _log_sigmoid_slope(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``nn.logistic(-x)``, bit for bit, from ``e = exp(-|x|)``: its
-    numerator ``exp(min(-x, 0))`` is e where x > 0 and 1 elsewhere, and
-    its denominator is ``1 + e``."""
-    out = np.where(x > 0.0, e, 1.0)
-    out /= e + 1.0
-    return out
+    log_joint = np.minimum(cond_logits, 0.0)
+    log_joint -= np.log1p(_exp_neg_abs(cond_logits))
+    for j in range(1, log_joint.shape[1]):
+        log_joint[:, j] += log_joint[:, j - 1]
+    return log_joint
 
 
 def blend(alpha_base: np.ndarray, alpha_twiddler: np.ndarray,
@@ -600,22 +581,17 @@ def blend(alpha_base: np.ndarray, alpha_twiddler: np.ndarray,
     return y
 
 
-def forward(config: ModelConfig, params: ParameterStore,
-            listing_rows: np.ndarray, listing_index: np.ndarray,
-            context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
-    """Every score of every impression, for scoring (no gradients), from
-    the arguments of :func:`network`.
+def outputs_from_logits(config: ModelConfig, head: np.ndarray,
+                        coef_logits: np.ndarray | None,
+                        segments: Segments) -> ModelOutputs:
+    """Every score of every impression from the heads' ``[rows, tasks]``
+    logits and the per-search coefficient logits (see :class:`Network`).
 
     The head logits split into two column blocks, base tasks then
     twiddlers; the base block runs down the :func:`funnel`, and the
     :func:`blend` runs on every row, each reading its search's
-    coefficients. Training runs the same network and helpers in its one
-    node per step (:func:`total_loss`), which runs the blend only on the
-    rows its loss reads.
+    coefficients through ``segments``.
     """
-    net = network(config, params, listing_rows, listing_index, context_rows,
-                  segments)
-    head, coef_logits = net.head, net.coef_logits
     n_base = len(config.base_tasks)
     cond_logits = head[:, :n_base]
     log_joint = funnel(cond_logits)
@@ -630,6 +606,17 @@ def forward(config: ModelConfig, params: ParameterStore,
         y_twiddler=y_twiddler, alpha_base=alpha_base,
         alpha_twiddler=alpha_twiddler,
         y_combination=blend(alpha_base, alpha_twiddler, y_base, y_twiddler))
+
+
+def forward(config: ModelConfig, params: ParameterStore,
+            listing_rows: np.ndarray, listing_index: np.ndarray,
+            context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
+    """Every score of every impression, for scoring (no gradients): the
+    :func:`network`, then :func:`outputs_from_logits`, whose scores the
+    training loss reads too (:func:`loss_from_logits`)."""
+    net = network(config, params, listing_rows, listing_index, context_rows,
+                  segments)
+    return outputs_from_logits(config, net.head, net.coef_logits, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -783,11 +770,13 @@ def _label_matrix(batch: SearchBatch, names) -> np.ndarray:
     return np.stack([batch.labels[name] for name in names])
 
 
-def _base_term(cond_logits: np.ndarray, batch: SearchBatch,
-               tasks: Sequence[str], weights: Mapping[str, float]):
-    """The base module's listwise softmax loss, summed over tasks and
-    positives, its joint log-probabilities, and its backward pass, which
-    writes d loss/d cond_logits into a zeroed block.
+def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
+               batch: SearchBatch, tasks: Sequence[str],
+               weights: Mapping[str, float]):
+    """The base module's listwise softmax loss over the joint
+    log-probabilities ``log_joint`` (the :func:`funnel` of
+    ``cond_logits``), summed over tasks and positives, and its backward
+    pass, which writes d loss/d cond_logits into a zeroed block.
 
     For each task, every positively labeled impression contributes the
     negative log-softmax of its joint log-probability against all
@@ -798,7 +787,6 @@ def _base_term(cond_logits: np.ndarray, batch: SearchBatch,
     if segments.n == 0 or not segments.all_nonempty:
         raise ContractError("the listwise loss needs a search, and a row in "
                             "every search")
-    log_joint, e = _funnel(cond_logits)
     n_tasks = len(tasks)
     task, row = np.divmod(np.flatnonzero(_label_matrix(batch, tasks)),
                           batch.n_rows)
@@ -827,9 +815,9 @@ def _base_term(cond_logits: np.ndarray, batch: SearchBatch,
         # column j of the funnel feeds every joint from j on
         for j in range(n_tasks - 2, -1, -1):
             d_joint[:, j] += d_joint[:, j + 1]
-        np.multiply(d_joint, _log_sigmoid_slope(cond_logits, e), out=out)
+        np.multiply(d_joint, nn.logistic(-cond_logits), out=out)
 
-    return value, log_joint, backward
+    return value, backward
 
 
 def _twiddler_term(y_twiddler: np.ndarray, batch: SearchBatch,
@@ -859,41 +847,35 @@ def _twiddler_term(y_twiddler: np.ndarray, batch: SearchBatch,
     return value, backward
 
 
-def _combination_term(y_base: np.ndarray, y_twiddler: np.ndarray,
-                      coef_logits: np.ndarray, batch: SearchBatch):
+def _combination_term(out: ModelOutputs, coef_logits: np.ndarray,
+                      batch: SearchBatch):
     """Pairwise logistic loss that ranks each uncancelled booking's
-    blended score above every other row of its search, the mean over the
-    batch's pairs of softplus(y_j - y_i), and its backward pass, which
-    writes d loss/d coef_logits into a zeroed array. The scores are
-    constants here. Only the rows of the searches that hold a pair are
-    blended: no other row is read.
+    blended score (``out.y_combination``) above every other row of its
+    search, the mean over the batch's pairs of softplus(y_j - y_i), and
+    its backward pass, which writes d loss/d coef_logits into a zeroed
+    array. The scores are constants here.
     """
     if batch.pair_i.size == 0:
-        return 0.0, lambda g, out: None
-    segments = batch.segments
-    searches = np.unique(segments.ids[batch.pair_i])
-    sizes = segments.starts[searches + 1] - segments.starts[searches]
-    rows = concat_ranges(segments.starts[searches], sizes)
-    local = np.empty(segments.n_rows, dtype=np.int64)
-    local[rows] = np.arange(rows.size)
-    pair_i, pair_j = local[batch.pair_i], local[batch.pair_j]
-    search_of = np.repeat(np.arange(searches.size), sizes)
-    coef = coef_logits[searches]
-    scores = np.column_stack((y_base[rows], y_twiddler[rows]))
-    y = blend(softplus(coef[:, 0])[search_of], coef[search_of, 1:],
-              scores[:, 0], scores[:, 1:])
-    diff = y[pair_j] - y[pair_i]
+        return 0.0, lambda g, d_coef: None
+    y = out.y_combination
+    diff = y[batch.pair_j] - y[batch.pair_i]
     value = softplus(diff).mean()
 
-    def backward(g: float, out: np.ndarray) -> None:
+    def backward(g: float, d_coef: np.ndarray) -> None:
+        segments = batch.segments
         d_diff = np.full(diff.size, g / diff.size)
         d_diff *= nn.logistic(diff)
-        d_y = np.bincount(pair_j, weights=d_diff, minlength=rows.size)
-        d_y += np.bincount(pair_i, weights=-d_diff, minlength=rows.size)
-        d_rows = d_y[:, None] * scores
-        d_rows[:, 0] *= nn.logistic(coef[:, 0])[search_of]
-        out[searches] = np.add.reduceat(d_rows, np.cumsum(sizes) - sizes,
-                                        axis=0)
+        d_y = np.bincount(batch.pair_j, weights=d_diff,
+                          minlength=batch.n_rows)
+        d_y += np.bincount(batch.pair_i, weights=-d_diff,
+                           minlength=batch.n_rows)
+        d_rows = d_y[:, None] * np.column_stack((out.y_base, out.y_twiddler))
+        d_rows[:, 0] *= np.take(nn.logistic(coef_logits[:, 0]), segments.ids)
+        # One sum per search, in row order. A search no pair reads sums
+        # 0 * score, -0.0 where a score is negative: adding 0.0 makes that
+        # +0.0 and leaves every other sum as it is.
+        np.add(np.add.reduceat(d_rows, segments.starts[:-1], axis=0), 0.0,
+               out=d_coef)
 
     return value, backward
 
@@ -906,11 +888,10 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
     its backward pass: given the loss's gradient, new arrays d loss/d head
     and d loss/d coef_logits (None without a blend).
 
-    The loss is the unweighted sum of the module losses the config has:
-    the base module's listwise loss over the :func:`funnel`, the
-    twiddlers' masked cross-entropy and the blend's pairwise loss. The
-    blend runs only on the rows of the searches that hold an uncancelled
-    booking and another row, the only rows its loss reads.
+    The loss is the unweighted sum of the module losses the config has,
+    each reading the scores :func:`outputs_from_logits` gives, as scoring
+    does: the base module's listwise loss over the funnel, the twiddlers'
+    masked cross-entropy and the blend's pairwise loss.
     """
     shapes = [a.shape for a in (head, coef_logits) if a is not None]
     want = [(batch.n_rows, len(config.all_tasks))]
@@ -920,16 +901,16 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
         raise ShapeError(f"loss_from_logits: logits of shapes {shapes}, "
                          f"need {want}")
     n_base = len(config.base_tasks)
-    base, log_joint, base_backward = _base_term(
-        head[:, :n_base], batch, config.base_tasks, weights)
+    out = outputs_from_logits(config, head, coef_logits, batch.segments)
+    base, base_backward = _base_term(out.cond_logits, out.log_joint, batch,
+                                     config.base_tasks, weights)
     parts = {"base": float(base)}
     total = base
     if config.twiddler_tasks:
-        y_twiddler = head[:, n_base:]
         twiddler, twiddler_backward = _twiddler_term(
-            y_twiddler, batch, config.twiddler_tasks)
+            out.y_twiddler, batch, config.twiddler_tasks)
         combination, combination_backward = _combination_term(
-            log_joint[:, -1], y_twiddler, coef_logits, batch)
+            out, coef_logits, batch)
         parts["twiddler"] = float(twiddler)
         parts["combination"] = float(combination)
         total = total + twiddler + combination
@@ -955,12 +936,11 @@ def total_loss(config: ModelConfig, params: ParameterStore,
     parameter (``params.tensor``), the heads' ``[rows, tasks]`` logits it
     was computed from, and its parts (:func:`loss_from_logits`).
 
-    The node runs the :func:`network` and the loss as plain array code;
-    its backward pass runs the loss's backward and then the network's
+    The node runs the :func:`network` and the loss as plain array code,
+    through the same scores as :func:`forward`; its backward pass runs
+    the loss's backward and then the network's
     (:func:`_network_gradients`), which gives one gradient vector laid
-    out as the store. The blend runs only on the rows of the searches
-    that hold an uncancelled booking and another row, the only rows its
-    pairwise loss reads; scoring (:func:`forward`) blends every row."""
+    out as the store."""
     net = network(config, params, batch.listing_rows, batch.listing_index,
                   batch.context_rows, batch.segments)
     total, parts, loss_backward = loss_from_logits(
@@ -1132,9 +1112,9 @@ def load_model(directory: str | Path) -> TrainedModel:
     not have written raises a :class:`SchemaMismatchError` naming it."""
     try:
         params, manifest = nn.load_params(directory)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"no saved model in {directory}: "
-                          f"{exc.filename} not found") from None
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ConfigError(f"no saved model in {directory}: {exc.filename} "
+                          f"not found or not a file") from None
     try:
         for key in ("model_config", "normalization", "schema_hash"):
             if key not in manifest:

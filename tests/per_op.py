@@ -11,7 +11,9 @@ block into the input's gradient in place, leaving the other rows as they
 were. Below the operators sit the per-op model pieces: the MLP block and
 the network up to its logits, the forward pass after the logits, with the
 blend on every row and the scores behind a gradient stop, and one loss
-function per module.
+function per module. The model has the same tail: its scoring and its
+loss both read ``model.outputs_from_logits``, as ``forward`` and
+``total_loss`` here both read ``forward_tail``.
 """
 
 from __future__ import annotations

@@ -796,6 +796,54 @@ class TestOutDirectory:
             "manifest.json", "ndcg.json", "ndcg.txt"}
 
 
+class TestInputPathKind:
+    """An input path must name a file: a path to a directory, or a model
+    directory that is a file, exits 1 with a config error naming it."""
+
+    @pytest.mark.parametrize("case", [
+        "eval-params-json-is-a-directory", "eval-model-is-a-file",
+        "ntc-model-is-a-file", "validate-dataset", "train-model-config",
+        "gen-config", "gen-config-in-config-dir", "compare-model-config-a"])
+    def test_config_error_naming_the_path(self, ws, tmp_path, capsys,
+                                          monkeypatch, case):
+        monkeypatch.setenv("JOURNEYRANK_CONFIG_DIR", str(tmp_path))
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        directory = tmp_path / "dir"
+        (directory / "params.json").mkdir(parents=True)
+        a_file = tmp_path / "afile"
+        a_file.write_text("{}\n")
+        data = ["--dataset", str(ws / "data" / "dataset.jsonl")]
+        out = ["--out", str(tmp_path / "out")]
+        bad, argv = {
+            "eval-params-json-is-a-directory": (
+                directory, ["eval", "--model", str(directory)] + data + out),
+            "eval-model-is-a-file": (
+                a_file, ["eval", "--model", str(a_file)] + data + out),
+            "ntc-model-is-a-file": (
+                a_file, ["ntc", "--model", str(a_file), "--feature",
+                         "days_ahead_of_checkin"] + data + out),
+            "validate-dataset": (
+                directory, ["validate", "--dataset", str(directory)]),
+            "train-model-config": (
+                directory, ["train", "--model-config", str(directory)]
+                + data + out),
+            "gen-config": (directory, ["gen", "--config", str(directory)]
+                           + out),
+            # a relative name only the config directory resolves
+            "gen-config-in-config-dir": ("dir", ["gen", "--config", "dir"]
+                                         + out),
+            "compare-model-config-a": (
+                directory, ["compare", "--model-config-a", str(directory),
+                            "--model-config-b", str(ws / "base.json"),
+                            "--seeds", "0,1"] + data + out),
+        }[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(bad) in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestNtc:
     def test_reports_and_csv(self, ws, tmp_path):
         out = tmp_path / "ntc"

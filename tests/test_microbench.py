@@ -5,19 +5,19 @@ backward, Adam) on a batch whose rows show each listing about 3.5 times,
 the same step on a batch whose rows all show distinct listings, one
 batched forward over a whole dataset, two of the step's kernels, forward
 and backward, as plain array code: the loss from the heads' logits
-(``model.loss_from_logits``) on a 2,048-row batch and a dense layer
-(``nn.mlp_activations`` and ``nn.mlp_gradients`` of a one-layer block) on
-a batch-sized matrix, generating 200 guests, validating and splitting
-(``evaluate.prepare_split``: the guest split and the training filter) a
-200-guest world, and the JSONL save and load of that world: one save, and
-one load each of the generated file (feature rows repeat, so the line
-decoder reads it), of a copy whose rows are all distinct (so the reader
-switches to the record path after the decoder's trial) and of the
-generated world spelled with ``json.dumps``'s default spaces, one record a
-line (so the decoder declines every line and the record path reads them
-all). Rounds are few so the suite's run time barely moves. The timings
-only inform: nothing here asserts on them, only on the results being well
-formed.
+(``model.loss_from_logits``) on a 2,048-row and an 8,192-row batch and a
+dense layer (``nn.mlp_activations`` and ``nn.mlp_gradients`` of a
+one-layer block) on a batch-sized matrix, generating 200 guests,
+validating and splitting (``evaluate.prepare_split``: the guest split and
+the training filter) a 200-guest world, and the JSONL save and load of
+that world: one save, and one load each of the generated file (feature
+rows repeat, so the line decoder reads it), of a copy whose rows are all
+distinct (so the reader switches to the record path after the decoder's
+trial) and of the generated world spelled with ``json.dumps``'s default
+spaces, one record a line (so the decoder declines every line and the
+record path reads them all). Rounds are few so the suite's run time barely
+moves. The timings only inform: nothing here asserts on them, only on the
+results being well formed.
 """
 
 import json
@@ -99,15 +99,18 @@ def test_batched_forward(benchmark, world):
     assert np.all(np.isfinite(outputs.ranking_score))
 
 
-def test_loss_node_kernel(benchmark, world):
+@pytest.mark.parametrize("split, max_rows", [("train", 2048), ("all", 8192)])
+def test_loss_node_kernel(benchmark, world, generated, split, max_rows):
     """The loss from fixed logits, forward and backward, on the most
-    searches of the 200-guest world that fit in 2,048 rows, a
-    train-bench-sized batch."""
-    dataset, config = world
+    searches that fit in ``max_rows`` rows: of the 200-guest world's
+    training split, a train-bench-sized batch, or of the whole world, a
+    batch four times that size, where a per-row cost would show."""
+    train_ds, config = world
+    dataset = train_ds if split == "train" else generated
     inputs = model.batch_inputs(dataset, model.NormalizationStats.fit(
         dataset.listing_rows, dataset.listing_index,
         dataset.context_features))
-    n_searches = int(np.searchsorted(dataset.searches.starts, 2048,
+    n_searches = int(np.searchsorted(dataset.searches.starts, max_rows,
                                      side="right")) - 1
     batch = model.make_batch(inputs, 0, n_searches)
     net = model.network(
@@ -122,7 +125,7 @@ def test_loss_node_kernel(benchmark, world):
 
     total, (d_head, d_coef) = benchmark.pedantic(step, rounds=20,
                                                  warmup_rounds=2)
-    assert 1900 < batch.n_rows <= 2048 and batch.pair_i.size
+    assert max_rows - 148 < batch.n_rows <= max_rows and batch.pair_i.size
     assert np.isfinite(total)
     assert d_head.shape == (batch.n_rows, len(config.all_tasks))
     assert d_coef.shape == (n_searches, 4)

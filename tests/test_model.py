@@ -610,24 +610,6 @@ class TestForwardMatchesPerRowReference:
                                        err_msg=name)
 
 
-class TestLogSigmoidSlope:
-    def test_bit_identical_to_the_logistic_of_minus_x(self):
-        """The base loss reads its slopes from the funnel's exp(-|x|)."""
-        rng = np.random.default_rng(47)
-        x = np.concatenate((
-            [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 700.0, -700.0,
-             745.2, -745.2, 1e308, -1e308, 36.7, -36.7],
-            rng.normal(size=500) * 10.0, rng.normal(size=500) * 1e-8))
-        x = x.reshape(-1, 2)
-        _, e = model_module._funnel(x)
-        got = model_module._log_sigmoid_slope(x, e)
-        np.testing.assert_array_equal(got.view(np.uint64),
-                                      nn.logistic(-x).view(np.uint64))
-        np.testing.assert_array_equal(model_module.funnel(x).view(np.uint64),
-                                      model_module._funnel(x)[0].view(
-                                          np.uint64))
-
-
 class TestBaseForward:
     def test_zero_logits_give_halving_joints(self):
         config = small_config()
@@ -1362,6 +1344,12 @@ def loss_node_batches() -> dict[str, tuple]:
         "baseline": (baseline, booked),
         "baseline-repeated-listings": (baseline, batch_of_sizes(
             rng, [2, 6, 1, 3], n_listings=4)),
+        "two-bookings-in-a-search": (small_config(), with_labels(
+            batch_of_sizes(rng, [4, 3, 5]),
+            unc=np.isin(np.arange(12), [0, 2, 5]))),
+        "only-the-last-search-paired": (small_config(), with_labels(
+            booked, unc=booked.labels["unc"]
+            & (np.arange(booked.n_rows) >= booked.segments.starts[-2]))),
     }
 
 
@@ -1394,9 +1382,8 @@ def bits(x) -> int | np.ndarray:
 class TestLossNode:
     """The loss from the heads' logits, and the whole step's one node from
     the parameters, against the per-op composition they replaced: the
-    same loss, parts and gradients, bit for bit, though the node runs the
-    blend only where its loss reads; the zero gradients of the rows it
-    skips are exact zeros either way."""
+    same loss, parts and gradients, bit for bit, signed zeros included
+    (the coefficient gradient of a search no pair reads is +0.0)."""
 
     @staticmethod
     def leaf_run(node: bool, config, batch, head, coef_logits, weights):
