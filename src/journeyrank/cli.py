@@ -1,4 +1,4 @@
-"""Command-line pipeline: simulate, train, evaluate, compare, ablate.
+"""Command-line pipeline: gen, train, eval, compare, ablate, ntc, validate.
 
 Every command funnels its randomness through one named seed and writes
 its outputs, then the run record ``manifest.json`` (:func:`_finish`), into
@@ -87,10 +87,7 @@ def _finish(args, out: Path, payload: dict, table: str, *, seed, config,
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -469,8 +466,9 @@ def main(argv=None) -> int:
     except (DataValidationError, SchemaMismatchError) as exc:
         print(f"journeyrank: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, ShapeError, ContractError) as exc:
-        print(f"journeyrank: config error: {exc}", file=sys.stderr)
+    except (ConfigError, ShapeError, ContractError, MemoryError) as exc:
+        what = "not enough memory: " if isinstance(exc, MemoryError) else ""
+        print(f"journeyrank: config error: {what}{exc}", file=sys.stderr)
         return EXIT_USAGE
     except JourneyRankError as exc:
         print(f"journeyrank: error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Measures ranking quality as binary-relevance NDCG per positive milestone
 and extracts how the blend coefficients move across context buckets (the
-interpretability curves for the negative-outcome heads).
+interpretability curves for the negative-outcome heads). The curves read
+the coefficients that scoring computes, from the same model pass.
 
 Evaluation reads only the dataset's columns: a scorer scores every
 impression of every search in one call, one sort ranks all searches at
@@ -42,7 +43,6 @@ from .nn import Segments
 from .model import (
     ModelConfig,
     TrainedModel,
-    blend_coefficients,
     check_training_settings,
     parameter_count,
     train,
@@ -423,6 +423,7 @@ def run_ablation(dataset: Dataset, seeds: Sequence[int] = (0, 1, 2, 3, 4),
 class NtcCurve:
     """Blend coefficients across buckets of one context feature.
 
+    The coefficients are the ones scoring blends with (``ModelOutputs``).
     For each negative-outcome task the signed curve is the mean ratio of
     its coefficient to the (positive) base coefficient per bucket; the
     magnitude curve applies the absolute value per search before
@@ -445,52 +446,46 @@ class NtcCurve:
         return len(self.edges) - 1
 
     def to_record(self) -> dict:
-        return {
-            "feature": self.feature,
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "signed": {t: list(v) for t, v in self.signed.items()},
-            "magnitude": {t: list(v) for t, v in self.magnitude.items()},
-        }
+        return asdict(self)
 
 
 def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
                n_buckets: int = 5, *,
                normalize_by_first: bool = False) -> NtcCurve:
     """Bucket search contexts by one feature and average the coefficient
-    ratios per bucket."""
+    ratios per bucket, each search's read at its first impression from
+    one :meth:`TrainedModel.outputs` pass over the dataset."""
     if model.config.combination is None:
         raise ConfigError("coefficient curves need a combination layer")
     model.require_schema(dataset.schema)
     if n_buckets < 1:
         raise ConfigError("n_buckets must be positive")
     col = dataset.schema.context_index(feature)
-    contexts = dataset.context_features
-    if len(contexts) == 0:
-        raise ContractError("dataset has no searches to bucket")
-    values = contexts[:, col]
+    if dataset.n_searches == 0 or not dataset.searches.sizes.all():
+        raise ContractError("curves need searches, each with an impression")
+    values = dataset.context_features[:, col]
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         warnings.warn(f"context feature {feature} is constant; using a "
                       "single bucket", RuntimeWarning, stacklevel=2)
         edges = np.array([lo, lo + 1.0])
     else:
+        # quantiles 0 and 1 are lo and hi: at least two distinct edges
         quantiles = np.linspace(0.0, 1.0, n_buckets + 1)
         edges = np.unique(np.quantile(values, quantiles))
-        if len(edges) < 2:
-            edges = np.array([lo, hi])
     buckets = np.clip(np.searchsorted(edges, values, side="right") - 1,
                       0, len(edges) - 2)
-    alpha_base, alpha_twiddler = blend_coefficients(model, contexts)
+    outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
+                            dataset.context_features, dataset.searches)
+    first = dataset.searches.starts[:-1]
     masks = [buckets == b for b in range(len(edges) - 1)]
     # per task, the signed and the magnitude curve: each bucket's mean
     # ratio to the base coefficient, 0.0 where the bucket is empty
-    ratios = {task: alpha / alpha_base
-              for task, alpha in alpha_twiddler.items()}
+    ratios = outputs.alpha_twiddler[first] / outputs.alpha_base[first, None]
     curves = {task: [[float(v[mask].mean()) if mask.any() else 0.0
                       for mask in masks]
                      for v in (r, np.abs(r))]
-              for task, r in ratios.items()}
+              for task, r in zip(model.config.twiddler_tasks, ratios.T)}
     if normalize_by_first:
         if any(abs(curve[0]) < 1e-12
                for pair in curves.values() for curve in pair):
@@ -553,15 +548,12 @@ def format_paired_table(report: PairedReport) -> str:
 
 
 def format_ntc_table(curve: NtcCurve) -> str:
-    header = f"{'bucket':<22} {'count':>6}"
     tasks = sorted(curve.signed)
-    for task in tasks:
-        header += f" {task:>10}"
-    lines = [header]
+    lines = [f"{'bucket':<22} {'count':>6}"
+             + "".join(f" {task:>10}" for task in tasks)]
     for b in range(curve.n_buckets):
         span = f"[{curve.edges[b]:.2f}, {curve.edges[b + 1]:.2f})"
-        row = f"{span:<22} {curve.counts[b]:>6d}"
-        for task in tasks:
-            row += f" {curve.signed[task][b]:>+10.4f}"
-        lines.append(row)
+        lines.append(f"{span:<22} {curve.counts[b]:>6d}"
+                     + "".join(f" {curve.signed[task][b]:>+10.4f}"
+                               for task in tasks))
     return "\n".join(lines)

@@ -869,7 +869,8 @@ def _combination_term(out: ModelOutputs, coef_logits: np.ndarray,
                           minlength=batch.n_rows)
         d_y += np.bincount(batch.pair_i, weights=-d_diff,
                            minlength=batch.n_rows)
-        d_rows = d_y[:, None] * np.column_stack((out.y_base, out.y_twiddler))
+        d_rows = np.column_stack((out.y_base, out.y_twiddler))
+        d_rows *= d_y[:, None]
         d_rows[:, 0] *= np.take(nn.logistic(coef_logits[:, 0]), segments.ids)
         # One sum per search, in row order. A search no pair reads sums
         # 0 * score, -0.0 where a score is negative: adding 0.0 makes that
@@ -1065,33 +1066,6 @@ def train(config: ModelConfig, dataset: Dataset, epochs: int, *,
     model = TrainedModel(config=config, params=params, normalization=norm,
                          schema_hash=dataset.schema.hash())
     return model, history
-
-
-# ---------------------------------------------------------------------------
-# interpretability
-
-
-def blend_coefficients(model: TrainedModel, context_rows: np.ndarray,
-                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Blend coefficients for raw context rows, for interpretability.
-
-    Returns the positive base coefficient and the signed coefficient per
-    twiddler task, one value per input row.
-    """
-    config = model.config
-    if config.combination is None:
-        raise ConfigError("model has no combination layer")
-    context_rows = np.asarray(context_rows, dtype=np.float64)
-    if context_rows.ndim != 2:
-        raise ContractError("context rows must be a 2-d batch")
-    normalized = model.normalization.apply_context(context_rows)
-    _require_finite(normalized)
-    emb_c = nn.forward_mlp(model.params, _TOWER_CONTEXT,
-                           config.context_tower, normalized)
-    coef_logits = nn.forward_mlp(model.params, _COMBINATION,
-                                 config.combination, emb_c)
-    return (softplus(coef_logits[:, 0]),
-            dict(zip(config.twiddler_tasks, coef_logits[:, 1:].T)))
 
 
 # ---------------------------------------------------------------------------

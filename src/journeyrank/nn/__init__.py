@@ -5,7 +5,6 @@ vector, MLP blocks as plain array code, Adam and bit-exact serialization."""
 from .mlp import (
     MlpSpec,
     ParameterStore,
-    forward_mlp,
     init_glorot,
     mlp_activations,
     mlp_gradients,
@@ -30,7 +29,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "backward",
-    "forward_mlp",
     "init_adam",
     "init_glorot",
     "load_params",

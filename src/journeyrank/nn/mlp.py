@@ -131,12 +131,6 @@ def mlp_activations(store: ParameterStore, prefix: str, spec: MlpSpec,
     return acts
 
 
-def forward_mlp(store: ParameterStore, prefix: str, spec: MlpSpec,
-                x: np.ndarray) -> np.ndarray:
-    """The block's output for a ``[rows, input_dim]`` matrix."""
-    return mlp_activations(store, prefix, spec, x)[-1]
-
-
 def mlp_gradients(store: ParameterStore, prefix: str, spec: MlpSpec,
                   acts: list[np.ndarray], g: np.ndarray,
                   grads: dict[str, np.ndarray], input_grad: bool,

@@ -621,7 +621,15 @@ def _stage_models_to_record(models: dict[str, StageModel]) -> dict:
             for name, m in models.items()}
 
 
+def _refuse_unknown_keys(what: str, rec: dict, names) -> None:
+    unknown = sorted(rec.keys() - set(names))
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {unknown}")
+
+
 def _stage_models_from_record(rec: dict) -> dict[str, StageModel]:
+    for name, entry in rec.items():
+        _refuse_unknown_keys(f"stage {name!r}", entry, ("weights", "bias"))
     return {name: StageModel(
                 weights=np.array([number(v) for v in entry["weights"]]),
                 bias=number(entry["bias"]))
@@ -653,6 +661,7 @@ def generator_config_from_record(rec: dict) -> GeneratorConfig:
                 ValueError):
             raise ConfigError(f"generator config key '{f.name}' has a "
                               f"malformed value {rec[f.name]!r}") from None
+    _refuse_unknown_keys("generator config", rec, values)
     return GeneratorConfig(**values)
 
 

@@ -146,6 +146,25 @@ class TestGen:
         assert rc == 1
         assert "listings_per_search" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", [None, "stage_coefficients",
+                                       "negative_coefficients"])
+    def test_unknown_key_is_refused(self, ws, tmp_path, capsys, stage):
+        """A misspelt key exits 1 and names it, at the top level and in
+        each stage model record, instead of falling back to a default."""
+        record = json.loads((ws / "gen.json").read_text())
+        if stage is None:
+            key, target = "n_listing", record
+        else:
+            key, target = "bais", next(iter(record[stage].values()))
+        target[key] = 50
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(record))
+        rc = main(["gen", "--config", str(bad), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error:" in err and f"unknown keys ['{key}']" in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "x")])
@@ -887,6 +906,33 @@ def runs(ws):
         assert main([command, *argv, "--out", str(ws / command)]) == 0
     return {"gen": ws / "data", "train": ws / "run",
             **{command: ws / command for command in argvs}}
+
+
+class TestNotEnoughMemory:
+    """A request for more memory than a process can address exits 1 with
+    a config error, not a traceback. Each asks for more than 2**47 bytes,
+    the user address space, so it fails before any memory is committed."""
+
+    @pytest.mark.parametrize("case", ["ntc-buckets", "train-widths"])
+    def test_exits_one_without_a_traceback(self, ws, tmp_path, capsys, case):
+        if case == "ntc-buckets":
+            # np.linspace over 10**15 + 1 bucket edges: 7 PiB
+            argv = ["ntc", "--model", str(ws / "run" / "model"),
+                    "--feature", "days_ahead_of_checkin",
+                    "--buckets", str(10**15)]
+        else:
+            # two towers of 10**8 x 10**8 weights: 142 PiB of parameters
+            record = json.loads((ws / "model.json").read_text())
+            record.update(embedding_dim=10**8, tower_hidden=[10**8])
+            wide = tmp_path / "wide.json"
+            wide.write_text(json.dumps(record))
+            argv = ["train", "--model-config", str(wide)]
+        rc = main(argv + ["--dataset", str(ws / "data" / "dataset.jsonl"),
+                          "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("journeyrank: config error: not enough memory")
+        assert "Traceback" not in err
 
 
 class TestManifest:

@@ -5,11 +5,13 @@ independently below (explicit relevance vector, explicit discount sum)
 across a thousand random cases. Multi-seed protocols are checked for
 exact reproducibility, paired-zero self-comparison, and agreement
 between sequential and parallel execution. Coefficient curves are
-checked against hand-recomputed bucket means.
+checked against bucket means recomputed by hand from the model's scoring
+outputs, and their records and table are pinned by digest.
 """
 
 import csv
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -622,18 +624,35 @@ class TestNtcCurves:
         assert set(curve.signed) == set(model.config.twiddler_tasks)
         assert curve.n_buckets == 4
 
+    def test_curve_pinned(self, trained_full):
+        """The JSON record and the table of two features' curves, plain
+        and normalized by the first bucket, hash to a pinned digest."""
+        model, _, eval_ds = trained_full
+        h = hashlib.sha256()
+        for feature in ("days_ahead_of_checkin", "num_previous_searches"):
+            for normalize in (False, True):
+                curve = ev.ntc_curves(model, eval_ds, feature, n_buckets=4,
+                                      normalize_by_first=normalize)
+                h.update(json.dumps(curve.to_record(), indent=2,
+                                    sort_keys=True).encode())
+                h.update(ev.format_ntc_table(curve).encode())
+        assert h.hexdigest() == ("4a9a460b8afdfaf7067ed4a7739936"
+                                 "44257bedddef7d12843ce53e17da7be163")
+
     def test_bucket_means_match_hand_recomputation(self, trained_full):
-        from journeyrank.model import blend_coefficients
         model, _, eval_ds = trained_full
         curve = ev.ntc_curves(model, eval_ds, "num_previous_searches",
                               n_buckets=3)
         col = eval_ds.schema.context_index("num_previous_searches")
         values = eval_ds.context_features[:, col]
-        alpha_base, alpha_t = blend_coefficients(model,
-                                                 eval_ds.context_features)
+        outputs = model.outputs(eval_ds.listing_rows, eval_ds.listing_index,
+                                eval_ds.context_features, eval_ds.searches)
+        # every row of a search carries the search's coefficients; take
+        # each search's last row, where the curves read its first
+        last = eval_ds.searches.starts[1:] - 1
         edges = np.array(curve.edges)
-        for task in curve.signed:
-            ratio = alpha_t[task] / alpha_base
+        for k, task in enumerate(model.config.twiddler_tasks):
+            ratio = outputs.alpha_twiddler[last, k] / outputs.alpha_base[last]
             for b in range(curve.n_buckets):
                 if b < curve.n_buckets - 1:
                     mask = (values >= edges[b]) & (values < edges[b + 1])
@@ -670,6 +689,19 @@ class TestNtcCurves:
         with pytest.raises(ContractError):
             ev.ntc_curves(model, dataset, "days_ahead_of_checkin",
                           n_buckets=2, normalize_by_first=True)
+
+    def test_empty_search_is_refused(self):
+        dataset = tiny_manual_dataset(constant_prev=1.0)
+        config = default_model_config(
+            dataset.schema.listing_dim, dataset.schema.context_dim,
+            embedding_dim=4, tower_hidden=(5,), combination_hidden=(3,))
+        model, _ = train(config, dataset, 0)
+        records = list(dataset_to_records(dataset))
+        records[1]["searches"][0]["impressions"] = []
+        holed = dataset_from_records(dataset.schema, records)
+        assert holed.searches.sizes.tolist() == [2, 0, 2]
+        with pytest.raises(ContractError, match="each with an impression"):
+            ev.ntc_curves(model, holed, "days_ahead_of_checkin")
 
     def test_normalized_first_bucket_is_unit(self, trained_full):
         model, _, eval_ds = trained_full

@@ -55,7 +55,6 @@ from journeyrank.model import (
     TrainedModel,
     baseline_model_config,
     batch_inputs,
-    blend_coefficients,
     default_model_config,
     forward,
     init_model_params,
@@ -1956,30 +1955,41 @@ class TestPersistence:
 
 class TestBlendCoefficients:
     def test_matches_scored_candidates(self):
+        """A dataset-wide scoring pass gives every row its search's
+        coefficients, as scoring that search alone does, up to the
+        rounding of a four-row against a one-row matrix product."""
         dataset = planted_dataset()
         config = default_model_config(2, 2, embedding_dim=4,
                                       tower_hidden=(5,), seed=7)
         model, _ = train(config, dataset, epochs=3)
-        context = np.array([45.0, 2.0])
-        alpha_base, alpha_twiddler = blend_coefficients(model,
-                                                        context[None, :])
-        ranked = score_candidates(model, context, ["x"],
-                                  np.array([[0.3, 0.4]]))
-        np.testing.assert_allclose(alpha_base[0], ranked[0].alpha_base,
-                                   rtol=1e-14)
-        for task, values in alpha_twiddler.items():
-            np.testing.assert_allclose(values[0],
-                                       ranked[0].alpha_twiddler[task],
-                                       rtol=1e-14)
-        assert alpha_base[0] > 0.0
+        outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
+                                dataset.context_features, dataset.searches)
+        features = impression_features(dataset)
+        for s in range(dataset.n_searches):
+            rows = np.arange(dataset.searches.starts[s],
+                             dataset.searches.starts[s + 1])
+            ranked = score_candidates(model, dataset.context_features[s],
+                                      [f"r{k}" for k in rows],
+                                      features[rows])
+            for row in rows:
+                assert outputs.alpha_base[row] > 0.0
+                np.testing.assert_allclose(outputs.alpha_base[row],
+                                           ranked[0].alpha_base, rtol=1e-12)
+                for k, task in enumerate(config.twiddler_tasks):
+                    np.testing.assert_allclose(
+                        outputs.alpha_twiddler[row, k],
+                        ranked[0].alpha_twiddler[task], rtol=1e-12)
 
     def test_requires_combination_layer(self):
         dataset = planted_dataset()
         config = baseline_model_config(2, 2, embedding_dim=4,
                                        tower_hidden=(5,), seed=7)
         model, _ = train(config, dataset, epochs=1)
+        outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
+                                dataset.context_features, dataset.searches)
+        assert outputs.alpha_base is None and outputs.alpha_twiddler is None
         with pytest.raises(ConfigError):
-            blend_coefficients(model, np.zeros((1, 2)))
+            evaluate.ntc_curves(model, dataset, "days_ahead_of_checkin")
 
 
 class TestNonFiniteRows:
@@ -2024,9 +2034,10 @@ class TestNonFiniteRows:
         with pytest.raises(ShapeError, match="NaN or Inf"):
             model.outputs(listing, dataset.listing_index, context,
                           dataset.searches)
-        if which == "context":
-            with pytest.raises(ShapeError, match="NaN or Inf"):
-                blend_coefficients(model, context)
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            evaluate.ntc_curves(model, replace(
+                dataset, listing_rows=listing, context_features=context),
+                "days_ahead_of_checkin")
 
 
 class TestScoringLayout:

@@ -45,7 +45,7 @@ class TestForwardMlp:
         store = nn.ParameterStore(nn.mlp_layout("id", spec))
         store["id.w0"].values[...] = np.eye(3)
         x = np.random.default_rng(0).normal(size=(5, 3))
-        out = nn.forward_mlp(store, "id", spec, x)
+        out = nn.mlp_activations(store, "id", spec, x)[-1]
         np.testing.assert_array_equal(out, x)
 
     def test_all_zero_weights_give_zero_output(self):
@@ -53,7 +53,7 @@ class TestForwardMlp:
         # a new store starts at zero
         store = nn.ParameterStore(nn.mlp_layout("z", spec))
         x = np.random.default_rng(1).normal(size=(6, 4))
-        out = nn.forward_mlp(store, "z", spec, x)
+        out = nn.mlp_activations(store, "z", spec, x)[-1]
         np.testing.assert_array_equal(out, np.zeros((6, 2)))
 
     def test_matches_hand_rolled_matrix_oracle(self):
@@ -61,7 +61,7 @@ class TestForwardMlp:
         spec = nn.MlpSpec(input_dim=2, hidden_dims=(3,), output_dim=1)
         store = block_store("net", spec, rng)
         x = rng.normal(size=(5, 2))
-        got = nn.forward_mlp(store, "net", spec, x)
+        got = nn.mlp_activations(store, "net", spec, x)[-1]
         h = x @ store["net.w0"].values + store["net.b0"].values
         h = np.maximum(h, 0.0)
         want = h @ store["net.w1"].values + store["net.b1"].values
@@ -72,15 +72,15 @@ class TestForwardMlp:
         spec = nn.MlpSpec(input_dim=4, hidden_dims=(), output_dim=1)
         store = block_store("net", spec, rng)
         with pytest.raises(ShapeError, match="layer 0"):
-            nn.forward_mlp(store, "net", spec, np.zeros((2, 3)))
+            nn.mlp_activations(store, "net", spec, np.zeros((2, 3)))
 
     def test_batch_row_independence(self):
         rng = np.random.default_rng(4)
         spec = nn.MlpSpec(input_dim=3, hidden_dims=(4,), output_dim=2)
         store = block_store("net", spec, rng)
         batch = rng.normal(size=(8, 3))
-        full = nn.forward_mlp(store, "net", spec, batch)
-        row0 = nn.forward_mlp(store, "net", spec, batch[:1])
+        full = nn.mlp_activations(store, "net", spec, batch)[-1]
+        row0 = nn.mlp_activations(store, "net", spec, batch[:1])[-1]
         np.testing.assert_array_equal(full[0], row0[0])
 
     def test_input_is_left_as_it_is(self):
