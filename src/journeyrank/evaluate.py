@@ -38,7 +38,7 @@ from .domain import (
     POSITIVE_CHAIN,
     filter_training_searches,
 )
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DataValidationError
 from .nn import Segments
 from .model import (
     ModelConfig,
@@ -331,10 +331,15 @@ def paired_runs(configs: Sequence[tuple[str, ModelConfig]],
 
     Runs differ only in config and seed, so any two configs' NDCGs pair
     seed by seed. ``jobs`` worker processes, never more than there are
-    runs, share the runs out; the result does not depend on it.
+    runs, share the runs out; the result does not depend on it. An eval
+    split with no search to score is refused first (DataValidationError).
     """
     seeds = check_protocol(seeds, jobs)
     train_ds, eval_ds = prepare_split(dataset)
+    if not _searches_with_positives(eval_ds, (PROTOCOL_MILESTONE,)):
+        raise DataValidationError(
+            f"none of the eval split's {eval_ds.n_searches} searches holds "
+            f"a {PROTOCOL_MILESTONE!r} positive, so no run could be scored")
     runs = [replace(config, seed=seed)
             for seed in seeds for _, config in configs]
     workers = min(jobs, len(runs))

@@ -2,15 +2,16 @@
 
 Two shared MLP towers embed listing features and search context. One head
 per task turns the pair of embeddings into a logit, and the heads' logits
-form one ``[rows, tasks]`` matrix, one column per task. The positive
-funnel milestones' conditional logits chain into joint log-probabilities
-(a log-sigmoid per column, then a running sum along the columns); the
-deepest (uncancelled booking) is the base ranking score. Further heads
-score each negative outcome (rejection and the two cancellation kinds) as
-binary classifiers over their eligible rows. A small coefficient MLP,
-reading the context embedding alone, blends the base score with the
-negative-outcome logits into the final score, as a running sum of
-coefficient times score.
+form one ``[rows, tasks]`` matrix, stored task-major (one contiguous row
+per task) behind that view, as is every per-task array of the step. The
+positive funnel milestones' conditional logits chain into joint
+log-probabilities (a log-sigmoid per task, then a running sum along the
+tasks); the deepest (uncancelled booking) is the base ranking score.
+Further heads score each negative outcome (rejection and the two
+cancellation kinds) as binary classifiers over their eligible rows. A
+small coefficient MLP, reading the context embedding alone, blends the
+base score with the negative-outcome logits into the final score, as a
+running sum of coefficient times score.
 
 The same listing is shown over and over, so a batch holds its distinct
 listing feature rows once each, with an index from each impression row
@@ -188,6 +189,17 @@ class ModelConfig:
             return None
         return MlpSpec(self.embedding_dim, self.combination_hidden,
                        1 + len(self.twiddler_tasks))
+
+    @cached_property
+    def head_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where the heads sit in the parameter vector: every head's
+        weights as one ``[2 * embedding_dim, tasks]`` block of offsets,
+        head k in column k, then every head's bias offset."""
+        store = ParameterStore(parameter_layout(self))
+        at = store.views(np.arange(store.tensor.size))
+        heads = [_head_prefix(task) for task in self.all_tasks]
+        return (np.hstack([at[f"{h}.w0"] for h in heads]),
+                np.hstack([at[f"{h}.b0"] for h in heads]))
 
 
 # The full model: every positive milestone chained, every negative one
@@ -399,8 +411,9 @@ class ModelOutputs:
     impression, as arrays. ``cond_logits`` and ``log_joint`` hold one
     column per base task and ``y_twiddler`` and ``alpha_twiddler`` one per
     twiddler, in config order; ``alpha_base``, ``y_base`` and
-    ``y_combination`` are vectors. A config without twiddlers has no
-    blend, and leaves the twiddler and blend fields None."""
+    ``y_combination`` are vectors. The matrices are ``.T`` views of
+    task-major arrays. A config without twiddlers has no blend, and
+    leaves the twiddler and blend fields None."""
 
     cond_logits: np.ndarray
     log_joint: np.ndarray
@@ -430,9 +443,9 @@ class Network:
     (:func:`nn.mlp_activations`): the towers' last entries are the listing
     and context embeddings, and the coefficient MLP, None without a blend,
     starts from the context embedding. ``head_weights`` holds every
-    head's first-layer weights side by side, head k in column k, and
-    ``head`` every head's logit per impression row, as a ``[rows, tasks]``
-    matrix with one column per task of ``all_tasks``."""
+    head's weights side by side, head k in column k, and ``head`` every
+    head's logit per impression row, a ``[rows, tasks]`` matrix (one
+    column per task of ``all_tasks``) that views a task-major buffer."""
 
     listing: list[np.ndarray]
     context: list[np.ndarray]
@@ -456,31 +469,29 @@ def network(config: ModelConfig, params: ParameterStore,
     ``listing_index`` each impression's row of them; ``context_rows``
     holds one pre-normalized row per search, and ``segments`` lays the
     impressions out into the searches. The heads are affine, so they run
-    as one layer over their column-stacked weights, head k giving column
-    k. That layer reads the listing embedding through the weights' first
-    ``embedding_dim`` rows and the context embedding through the rest, so
-    it runs in two halves and no joint embedding is built: the listing
-    half once per distinct listing row, handed to the impression rows by
-    ``listing_index``, and the context half, bias included, once per
-    search, handed to the search's rows by ``segments``.
+    as one layer over their weights (gathered by ``config.head_index``),
+    head k giving task row k. That layer reads the listing embedding
+    through the weights' first ``embedding_dim`` rows and the context
+    embedding through the rest, so it runs in two halves and no joint
+    embedding is built: the listing half once per distinct listing row,
+    handed to the impression rows by ``listing_index``, and the context
+    half, bias included, once per search, handed to the search's rows by
+    ``segments``.
     """
     listing = nn.mlp_activations(params, _TOWER_LISTING,
                                  config.listing_tower, listing_rows)
     context = nn.mlp_activations(params, _TOWER_CONTEXT,
                                  config.context_tower, context_rows)
-    d = config.embedding_dim
-    prefixes = [_head_prefix(task) for task in config.all_tasks]
-    weights = np.concatenate([params[f"{p}.w0"].values for p in prefixes],
-                             axis=1)
+    d, (w_index, b_index) = config.embedding_dim, config.head_index
+    weights = params.tensor.values.take(w_index)
     context_half = context[-1] @ weights[d:]
-    context_half += np.concatenate([params[f"{p}.b0"].values
-                                    for p in prefixes])
-    head = np.take(listing[-1] @ weights[:d], listing_index, axis=0)
-    head += np.take(context_half, segments.ids, axis=0)
+    context_half += params.tensor.values.take(b_index)
+    head = (listing[-1] @ weights[:d]).T.take(listing_index, axis=1)
+    head += context_half.T.repeat(segments.sizes, axis=1)
     combination = None if config.combination is None else \
         nn.mlp_activations(params, _COMBINATION, config.combination,
                            context[-1])
-    return Network(listing, context, combination, weights, head)
+    return Network(listing, context, combination, weights, head.T)
 
 
 def _network_gradients(config: ModelConfig, params: ParameterStore,
@@ -489,40 +500,38 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
                        batch: "SearchBatch") -> np.ndarray:
     """The backward pass of :func:`network` over ``batch``, from the
     gradients of the head logits and the coefficient logits: one new
-    vector laid out as the store, each block written into its views.
+    vector laid out as the store, the heads written through
+    ``config.head_index``.
 
     Each impression row's head gradient goes back to its distinct listing
     row, added in index order (a ``bincount``), and to its search, summed
     per search, so every search must have a row, as the listwise loss
     already demands. The context embedding takes the coefficient MLP's
-    gradient first, then the heads' context half's; each head's weight
-    gradient is cut from one ``[2 * embedding_dim, tasks]`` block that
-    holds the listing half's rows, then the context half's added to zeros.
+    gradient first, then the heads' context half's; the heads' weight
+    gradient is one ``[2 * embedding_dim, tasks]`` block that holds the
+    listing half's rows, then the context half's added to zeros.
     """
     grad = np.empty_like(params.tensor.values)
-    grads = params.views(grad)
     d_emb_c = None
     if net.combination is not None:
         d_emb_c = nn.mlp_gradients(params, _COMBINATION, config.combination,
-                                   net.combination, d_coef, grads,
+                                   net.combination, d_coef, grad,
                                    input_grad=True)
     emb_l, emb_c = net.listing[-1], net.context[-1]
-    n, k = len(emb_l), d_head.shape[1]
-    # laid out [tasks, rows], so each bin's terms come in row order
+    d_head = d_head.T  # task-major: each bin's terms come in row order
+    n, k = len(emb_l), len(d_head)
     flat = (batch.listing_index * k + np.arange(k)[:, None]).ravel()
-    d_listing_half = np.bincount(flat, weights=d_head.T.ravel(),
+    d_listing_half = np.bincount(flat, weights=d_head.ravel(),
                                  minlength=n * k).reshape(n, k)
-    d_context_half = np.add.reduceat(d_head, batch.segments.starts[:-1],
-                                     axis=0)
+    # [searches, tasks] in C order, so that the bias sums run row by row
+    d_context_half = np.ascontiguousarray(np.add.reduceat(
+        d_head, batch.segments.starts[:-1], axis=1).T)
     d, weights = config.embedding_dim, net.head_weights
-    d_weights = np.zeros_like(weights)
+    d_weights = np.zeros(weights.shape)
     d_weights[:d] = emb_l.T @ d_listing_half
     d_weights[d:] += emb_c.T @ d_context_half
-    d_bias = d_context_half.sum(axis=0)
-    for j, task in enumerate(config.all_tasks):
-        prefix = _head_prefix(task)
-        grads[f"{prefix}.w0"][...] = d_weights[:, j:j + 1]
-        grads[f"{prefix}.b0"][...] = d_bias[j:j + 1]
+    grad[config.head_index[0]] = d_weights
+    grad[config.head_index[1]] = d_context_half.sum(axis=0)
     d_context = d_context_half @ weights[d:].T
     if d_emb_c is None:
         d_emb_c = d_context
@@ -532,14 +541,14 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
             (_TOWER_LISTING, config.listing_tower, net.listing,
              d_listing_half @ weights[:d].T),
             (_TOWER_CONTEXT, config.context_tower, net.context, d_emb_c)):
-        nn.mlp_gradients(params, prefix, spec, acts, g, grads,
+        nn.mlp_gradients(params, prefix, spec, acts, g, grad,
                          input_grad=False)
     return grad
 
 
-# Everything after the logits, written once here for scoring and for the
-# training step. The slopes the step's backward pass needs are logistics
-# (``nn.logistic``): of x for softplus(x), of -x for log_sigmoid(x).
+# Everything after the logits, over task-major arrays, written once here
+# for scoring and for the training step. The slopes the step's backward
+# pass needs are logistics: of x for softplus(x), of -x for log_sigmoid(x).
 
 
 def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
@@ -560,24 +569,24 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def funnel(cond_logits: np.ndarray) -> np.ndarray:
-    """Joint log-probabilities down the funnel, ``[rows, base tasks]``:
-    each column is its conditional logit's log-sigmoid added to the
-    column before it, so each stage can only lower the joint; the last is
-    the base score."""
+    """Joint log-probabilities down the funnel, ``[base tasks, rows]``:
+    each task row is its conditional logit's log-sigmoid added to the row
+    before it, so each stage can only lower the joint; the last is the
+    base score."""
     log_joint = np.minimum(cond_logits, 0.0)
     log_joint -= np.log1p(_exp_neg_abs(cond_logits))
-    for j in range(1, log_joint.shape[1]):
-        log_joint[:, j] += log_joint[:, j - 1]
+    for j in range(1, len(log_joint)):
+        log_joint[j] += log_joint[j - 1]
     return log_joint
 
 
 def blend(alpha_base: np.ndarray, alpha_twiddler: np.ndarray,
           y_base: np.ndarray, y_twiddler: np.ndarray) -> np.ndarray:
     """The blended score of each row: coefficient times score, summed
-    from the base score on, one twiddler at a time."""
+    from the base score on, one twiddler (task row) at a time."""
     y = alpha_base * y_base
-    for k in range(y_twiddler.shape[1]):
-        y += alpha_twiddler[:, k] * y_twiddler[:, k]
+    for alpha, score in zip(alpha_twiddler, y_twiddler):
+        y += alpha * score
     return y
 
 
@@ -587,24 +596,24 @@ def outputs_from_logits(config: ModelConfig, head: np.ndarray,
     """Every score of every impression from the heads' ``[rows, tasks]``
     logits and the per-search coefficient logits (see :class:`Network`).
 
-    The head logits split into two column blocks, base tasks then
-    twiddlers; the base block runs down the :func:`funnel`, and the
-    :func:`blend` runs on every row, each reading its search's
+    The head logits' task rows (``head.T``) split into two blocks, base
+    tasks then twiddlers; the base block runs down the :func:`funnel`,
+    and the :func:`blend` runs on every row, each reading its search's
     coefficients through ``segments``.
     """
     n_base = len(config.base_tasks)
-    cond_logits = head[:, :n_base]
+    cond_logits = head.T[:n_base]
     log_joint = funnel(cond_logits)
-    y_base = log_joint[:, -1]
+    y_base = log_joint[-1]
     if coef_logits is None:
-        return ModelOutputs(cond_logits, log_joint, y_base)
-    alpha_base = np.take(softplus(coef_logits[:, 0]), segments.ids)
-    alpha_twiddler = np.take(coef_logits[:, 1:], segments.ids, axis=0)
-    y_twiddler = head[:, n_base:]
+        return ModelOutputs(cond_logits.T, log_joint.T, y_base)
+    alpha_base = softplus(coef_logits[:, 0]).repeat(segments.sizes)
+    alpha_twiddler = coef_logits[:, 1:].T.repeat(segments.sizes, axis=1)
+    y_twiddler = head.T[n_base:]
     return ModelOutputs(
-        cond_logits=cond_logits, log_joint=log_joint, y_base=y_base,
-        y_twiddler=y_twiddler, alpha_base=alpha_base,
-        alpha_twiddler=alpha_twiddler,
+        cond_logits=cond_logits.T, log_joint=log_joint.T, y_base=y_base,
+        y_twiddler=y_twiddler.T, alpha_base=alpha_base,
+        alpha_twiddler=alpha_twiddler.T,
         y_combination=blend(alpha_base, alpha_twiddler, y_base, y_twiddler))
 
 
@@ -632,8 +641,8 @@ def preference_pairs(unc: np.ndarray,
     they come search by search.
     """
     unc = np.asarray(unc, dtype=bool)
-    i = np.flatnonzero(unc)
-    j = np.flatnonzero(~unc)
+    i = unc.nonzero()[0]
+    j = (~unc).nonzero()[0]
     j_counts = np.bincount(segments.ids[j], minlength=segments.n)
     first_j = np.cumsum(j_counts) - j_counts
     search = segments.ids[i]
@@ -650,8 +659,8 @@ class BatchInputs:
     Rows are impression rows, search by search: ``starts`` holds each
     search's first row and, last, the row count. ``listing_rows`` is the
     dataset's listing table, normalized, and ``listing_index`` each
-    impression row's row of it. ``labels`` holds one column per name in
-    ``label_names``, so a row's labels move as one.
+    impression row's row of it. ``label_rows`` holds one row per name in
+    ``label_names``, so a batch's labels are one slice of it.
     """
 
     starts: np.ndarray                # [n_searches + 1] int64
@@ -659,7 +668,7 @@ class BatchInputs:
     listing_index: np.ndarray         # [n_impressions] int64
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
     label_names: tuple[str, ...]
-    labels: np.ndarray                # [n_impressions, len(label_names)] bool
+    label_rows: np.ndarray            # [len(label_names), n_impressions] bool
 
     @property
     def n_searches(self) -> int:
@@ -681,7 +690,7 @@ def batch_inputs(dataset: Dataset,
         listing_index=dataset.listing_index,
         context_rows=context_rows,
         label_names=tuple(dataset.labels),
-        labels=np.stack(list(dataset.labels.values()), axis=1),
+        label_rows=np.stack(list(dataset.labels.values())),
     )
 
 
@@ -701,8 +710,7 @@ def reorder(inputs: BatchInputs, search_indices) -> BatchInputs:
         listing_index=inputs.listing_index[rows],
         context_rows=inputs.context_rows[search_indices],
         label_names=inputs.label_names,
-        # several times faster than inputs.labels[rows]
-        labels=np.take(inputs.labels, rows, axis=0),
+        label_rows=inputs.label_rows.take(rows, axis=1),
     )
 
 
@@ -716,20 +724,26 @@ class SearchBatch:
     search; every other array holds one entry per impression row, except
     the blend's preference pairs (:func:`preference_pairs` of the ``unc``
     labels), which index rows. ``listing_index`` gives each impression row
-    its row of ``listing_rows``.
+    its row of ``listing_rows``, and ``label_rows`` holds one row per name
+    in ``label_names``; ``labels`` reads them by name.
     """
 
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
     listing_index: np.ndarray         # [n_rows] int64
     context_rows: np.ndarray          # [segments.n, context_dim] normalized
     segments: Segments
-    labels: dict[str, np.ndarray]     # milestone -> [n_rows] bool
+    label_names: tuple[str, ...]
+    label_rows: np.ndarray            # [len(label_names), n_rows] bool
     pair_i: np.ndarray                # [n_pairs] int64
     pair_j: np.ndarray                # [n_pairs] int64
 
     @property
     def n_rows(self) -> int:
         return self.segments.n_rows
+
+    @property
+    def labels(self) -> dict[str, np.ndarray]:  # milestone -> [n_rows] bool
+        return dict(zip(self.label_names, self.label_rows))
 
 
 def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
@@ -742,18 +756,20 @@ def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
     shown = inputs.listing_index[rows]
     n_listings = len(inputs.listing_rows)
     # a few times faster than np.unique(shown, return_inverse=True)
-    listings = np.flatnonzero(np.bincount(shown, minlength=n_listings))
+    listings = np.bincount(shown, minlength=n_listings).nonzero()[0]
     slot = np.empty(n_listings, dtype=np.int64)
     slot[listings] = np.arange(len(listings))
-    segments = Segments(np.diff(starts))
-    labels = dict(zip(inputs.label_names, inputs.labels[rows].T))
-    pair_i, pair_j = preference_pairs(labels["unc"], segments)
+    segments = Segments(starts[1:] - starts[:-1])
+    label_rows = inputs.label_rows[:, rows]
+    pair_i, pair_j = preference_pairs(
+        label_rows[inputs.label_names.index("unc")], segments)
     return SearchBatch(
         listing_rows=inputs.listing_rows[listings],
         listing_index=slot[shown],
         context_rows=inputs.context_rows[lo:hi],
         segments=segments,
-        labels=labels,
+        label_names=inputs.label_names,
+        label_rows=label_rows,
         pair_i=pair_i,
         pair_j=pair_j,
     )
@@ -765,9 +781,9 @@ def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
 
 def _label_matrix(batch: SearchBatch, names) -> np.ndarray:
     """[len(names), rows]: the batch's labels ``names``, one row each. Its
-    set entries, by ``np.flatnonzero`` (a 2-d ``np.nonzero`` is slower),
+    set entries, read from it raveled (a 2-d ``np.nonzero`` is slower),
     run name by name and by row within a name."""
-    return np.stack([batch.labels[name] for name in names])
+    return batch.label_rows[[batch.label_names.index(n) for n in names]]
 
 
 def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
@@ -775,8 +791,9 @@ def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
                weights: Mapping[str, float]):
     """The base module's listwise softmax loss over the joint
     log-probabilities ``log_joint`` (the :func:`funnel` of
-    ``cond_logits``), summed over tasks and positives, and its backward
-    pass, which writes d loss/d cond_logits into a zeroed block.
+    ``cond_logits``; both task-major), summed over tasks and positives,
+    and its backward pass, which writes d loss/d cond_logits into a
+    zeroed block.
 
     For each task, every positively labeled impression contributes the
     negative log-softmax of its joint log-probability against all
@@ -787,19 +804,17 @@ def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
     if segments.n == 0 or not segments.all_nonempty:
         raise ContractError("the listwise loss needs a search, and a row in "
                             "every search")
-    n_tasks = len(tasks)
-    task, row = np.divmod(np.flatnonzero(_label_matrix(batch, tasks)),
+    task, row = np.divmod(_label_matrix(batch, tasks).ravel().nonzero()[0],
                           batch.n_rows)
-    seg, starts = segments.ids, segments.starts[:-1]
-    seg_max = np.maximum.reduceat(log_joint, starts)
-    # np.take gathers matrix rows several times faster than seg_max[seg]
-    shifted = np.exp(log_joint - np.take(seg_max, seg, axis=0))
-    lse = np.log(np.add.reduceat(shifted, starts)) + seg_max
-    at_search = seg[row] * n_tasks + task
-    at_row = row * n_tasks + task
+    starts, sizes = segments.starts[:-1], segments.sizes
+    search = segments.ids[row]
+    at_search = task * segments.n + search
+    at_row = task * batch.n_rows + row
+    seg_max = np.maximum.reduceat(log_joint, starts, axis=1)
+    shifted = np.exp(log_joint - seg_max.repeat(sizes, axis=1))
+    lse = np.log(np.add.reduceat(shifted, starts, axis=1)) + seg_max
     task_weight = np.array([float(weights[t]) for t in tasks])[task]
-    value = ((lse.ravel()[at_search] - log_joint.ravel()[at_row])
-             * task_weight).sum()
+    value = ((lse[task, search] - log_joint[task, row]) * task_weight).sum()
 
     def backward(g: float, out: np.ndarray) -> None:
         if not row.size:
@@ -810,11 +825,11 @@ def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
         d_lse = np.bincount(at_search, weights=w, minlength=lse.size
                             ).reshape(lse.shape)
         # d lse_s / d x_i is the softmax weight of i within its search
-        d_joint += (np.take(d_lse, seg, axis=0)
-                    * np.exp(log_joint - np.take(lse, seg, axis=0)))
-        # column j of the funnel feeds every joint from j on
-        for j in range(n_tasks - 2, -1, -1):
-            d_joint[:, j] += d_joint[:, j + 1]
+        d_joint += (d_lse.repeat(sizes, axis=1)
+                    * np.exp(log_joint - lse.repeat(sizes, axis=1)))
+        # task row j of the funnel feeds every joint from j on
+        for j in range(len(d_joint) - 2, -1, -1):
+            d_joint[j] += d_joint[j + 1]
         np.multiply(d_joint, nn.logistic(-cond_logits), out=out)
 
     return value, backward
@@ -823,8 +838,8 @@ def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
 def _twiddler_term(y_twiddler: np.ndarray, batch: SearchBatch,
                    tasks: Sequence[str]):
     """Masked binary cross-entropy summed over negative-outcome tasks,
-    and its backward pass, which writes d loss/d y_twiddler into a zeroed
-    block.
+    and its backward pass, which writes d loss/d y_twiddler (both
+    ``[tasks, rows]``) into a zeroed block.
 
     Each task is scored only on its eligible rows, as a mean over them:
     rejection on requested impressions, either cancellation kind on
@@ -832,8 +847,8 @@ def _twiddler_term(y_twiddler: np.ndarray, batch: SearchBatch,
     zero.
     """
     eligible = _label_matrix(batch, [NEGATIVE_PARENT[t] for t in tasks])
-    task, row = np.divmod(np.flatnonzero(eligible), batch.n_rows)
-    z = y_twiddler[row, task]
+    task, row = np.divmod(eligible.ravel().nonzero()[0], batch.n_rows)
+    z = y_twiddler[task, row]
     targets = _label_matrix(batch, tasks)[task, row].astype(np.float64)
     inverse_count = 1.0 / np.bincount(task, minlength=len(tasks))[task]
     value = ((softplus(z) - targets * z) * inverse_count).sum()
@@ -842,7 +857,7 @@ def _twiddler_term(y_twiddler: np.ndarray, batch: SearchBatch,
         c = g * inverse_count
         d_z = -c * targets
         d_z += c * nn.logistic(z)
-        out[row, task] = d_z
+        out[task, row] = d_z
 
     return value, backward
 
@@ -869,13 +884,14 @@ def _combination_term(out: ModelOutputs, coef_logits: np.ndarray,
                           minlength=batch.n_rows)
         d_y += np.bincount(batch.pair_i, weights=-d_diff,
                            minlength=batch.n_rows)
-        d_rows = np.column_stack((out.y_base, out.y_twiddler))
-        d_rows *= d_y[:, None]
-        d_rows[:, 0] *= np.take(nn.logistic(coef_logits[:, 0]), segments.ids)
+        # [1 + twiddlers, rows]: each coefficient's score times d_y
+        d_rows = np.vstack((out.y_base, out.y_twiddler.T))
+        d_rows *= d_y
+        d_rows[0] *= nn.logistic(coef_logits[:, 0]).repeat(segments.sizes)
         # One sum per search, in row order. A search no pair reads sums
         # 0 * score, -0.0 where a score is negative: adding 0.0 makes that
         # +0.0 and leaves every other sum as it is.
-        np.add(np.add.reduceat(d_rows, segments.starts[:-1], axis=0), 0.0,
+        np.add(np.add.reduceat(d_rows, segments.starts[:-1], axis=1).T, 0.0,
                out=d_coef)
 
     return value, backward
@@ -887,7 +903,8 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
     """The training loss from the heads' logits and the per-search
     coefficient logits (see :class:`Network`), its parts by module, and
     its backward pass: given the loss's gradient, new arrays d loss/d head
-    and d loss/d coef_logits (None without a blend).
+    (viewing a task-major buffer) and d loss/d coef_logits (None without
+    a blend).
 
     The loss is the unweighted sum of the module losses the config has,
     each reading the scores :func:`outputs_from_logits` gives, as scoring
@@ -903,13 +920,13 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
                          f"need {want}")
     n_base = len(config.base_tasks)
     out = outputs_from_logits(config, head, coef_logits, batch.segments)
-    base, base_backward = _base_term(out.cond_logits, out.log_joint, batch,
-                                     config.base_tasks, weights)
+    base, base_backward = _base_term(out.cond_logits.T, out.log_joint.T,
+                                     batch, config.base_tasks, weights)
     parts = {"base": float(base)}
     total = base
     if config.twiddler_tasks:
         twiddler, twiddler_backward = _twiddler_term(
-            out.y_twiddler, batch, config.twiddler_tasks)
+            out.y_twiddler.T, batch, config.twiddler_tasks)
         combination, combination_backward = _combination_term(
             out, coef_logits, batch)
         parts["twiddler"] = float(twiddler)
@@ -918,14 +935,14 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
     parts["total"] = float(total)
 
     def backward(g: float) -> tuple[np.ndarray, np.ndarray | None]:
-        d_head = np.zeros_like(head)
-        base_backward(g, d_head[:, :n_base])
+        d_head = np.zeros(head.shape[::-1])
+        base_backward(g, d_head[:n_base])
         if coef_logits is None:
-            return d_head, None
-        twiddler_backward(g, d_head[:, n_base:])
-        d_coef = np.zeros_like(coef_logits)
+            return d_head.T, None
+        twiddler_backward(g, d_head[n_base:])
+        d_coef = np.zeros(coef_logits.shape)
         combination_backward(g, d_coef)
-        return d_head, d_coef
+        return d_head.T, d_coef
 
     return total, parts, backward
 
@@ -993,7 +1010,10 @@ class TrainedModel:
         once per table row, as in training, and the blend on every
         impression; every output is per impression. A dataset's table
         (``Dataset.listing_rows``) scores its impressions bit for bit as
-        training saw them.
+        training saw them. The context tower and the coefficient MLP run
+        as one matrix product over all the call's searches, so a search's
+        coefficients, and so its scores, can differ in the last bits with
+        how many searches share the call.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
         listing_index = np.asarray(listing_index, dtype=np.int64)

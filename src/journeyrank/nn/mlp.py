@@ -4,7 +4,7 @@ array code with a hand-written backward pass.
 Parameters live in a :class:`ParameterStore` rather than in layer
 objects: a layout of ``(name, shape)`` pairs over one float64 vector, each
 name a view of its slice. A block's layout (:func:`mlp_layout`) names its
-layers' weights and biases; its backward pass writes into the same views
+layers' weights and biases; its backward pass writes into the same slices
 of one gradient vector, so Adam and serialization each handle one vector.
 """
 
@@ -54,7 +54,10 @@ class ParameterStore:
         self.layout = [(name, tuple(shape)) for name, shape in layout]
         if any(d < 0 for _, shape in self.layout for d in shape):
             raise ConfigError(f"negative parameter shape in {self.layout}")
-        n = sum(math.prod(shape) for _, shape in self.layout)
+        self._spans, n = {}, 0
+        for name, shape in self.layout:
+            self._spans[name] = slice(n, n + math.prod(shape))
+            n = self._spans[name].stop
         self.tensor = T.Tensor(np.zeros(n) if vector is None else vector,
                                requires_grad=True)
         if self.tensor.shape != (n,):
@@ -64,16 +67,24 @@ class ParameterStore:
                         in self.views(self.tensor.values).items()}
         if len(self._params) != len(self.layout):
             raise ConfigError("parameter names must be distinct")
+        self._blocks: dict[str, tuple[MlpSpec, list[tuple]]] = {}
 
     def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's slice of ``vector``, a vector laid out as the
         store's (its values or its gradient), shaped and by name."""
-        views, offset = {}, 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            views[name] = vector[offset:offset + size].reshape(shape)
-            offset += size
-        return views
+        return {name: vector[self._spans[name]].reshape(shape)
+                for name, shape in self.layout}
+
+    def block(self, prefix: str, spec: MlpSpec) -> list[tuple]:
+        """Each layer of the block ``prefix``: its weight and bias values,
+        then their slices of the vector, looked up once per spec object."""
+        found = self._blocks.get(prefix)
+        if found is None or found[0] is not spec:
+            names = [name for name, _ in mlp_layout(prefix, spec)]
+            found = self._blocks[prefix] = (spec, [
+                (self[w].values, self[b].values, self._spans[w],
+                 self._spans[b]) for w, b in zip(names[::2], names[1::2])])
+        return found[1]
 
     def __getitem__(self, name: str) -> T.Tensor:
         try:
@@ -118,40 +129,39 @@ def mlp_activations(store: ParameterStore, prefix: str, spec: MlpSpec,
     if x.ndim != 2:
         raise ShapeError(f"{prefix}: expected a rank-2 input, got shape {x.shape}")
     acts = [x]
-    for i, (fan_in, _) in enumerate(spec.layer_dims):
+    for i, (w, b, _, _) in enumerate(store.block(prefix, spec)):
         h = acts[-1]
         if i > 0:
             np.maximum(h, 0.0, out=h)
-        if h.shape[1] != fan_in:
-            raise ShapeError(
-                f"{prefix}: layer {i} expects width {fan_in}, got {h.shape[1]}")
-        out = h @ store[f"{prefix}.w{i}"].values
-        out += store[f"{prefix}.b{i}"].values
+        if h.shape[1] != len(w):
+            raise ShapeError(f"{prefix}: layer {i} expects width "
+                             f"{len(w)}, got {h.shape[1]}")
+        out = h @ w
+        out += b
         acts.append(out)
     return acts
 
 
 def mlp_gradients(store: ParameterStore, prefix: str, spec: MlpSpec,
-                  acts: list[np.ndarray], g: np.ndarray,
-                  grads: dict[str, np.ndarray], input_grad: bool,
-                  ) -> np.ndarray | None:
+                  acts: list[np.ndarray], g: np.ndarray, grad: np.ndarray,
+                  input_grad: bool) -> np.ndarray | None:
     """The backward pass of :func:`mlp_activations`: given ``acts`` and
     the gradient ``g`` of the block's output, write each parameter's
-    gradient into its view in ``grads`` (:meth:`ParameterStore.views` of
-    a gradient vector) and return the input's gradient when
-    ``input_grad`` asks for it, else None.
+    gradient into its slice of ``grad`` (laid out as the store) and return
+    the input's gradient when ``input_grad`` asks for it, else None.
 
     Each layer gives ``g @ w.T`` to its input, ``x.T @ g`` to its weights
     and the column sums of ``g`` to its bias; a ReLU passes ``g`` times
     its input's mask, read from its output (positive exactly where its
     input is).
     """
-    for i in range(len(spec.layer_dims) - 1, -1, -1):
+    layers = store.block(prefix, spec)
+    for i in range(len(layers) - 1, -1, -1):
         x = acts[i]
-        d_x = (g @ store[f"{prefix}.w{i}"].values.T
-               if i > 0 or input_grad else None)
-        np.matmul(x.T, g, out=grads[f"{prefix}.w{i}"])
-        g.sum(axis=0, out=grads[f"{prefix}.b{i}"])
+        w, _, w_at, b_at = layers[i]
+        d_x = g @ w.T if i > 0 or input_grad else None
+        np.matmul(x.T, g, out=grad[w_at].reshape(w.shape))
+        g.sum(axis=0, out=grad[b_at])
         if i > 0:
             g = d_x * (x > 0.0)
     return d_x

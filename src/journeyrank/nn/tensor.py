@@ -186,28 +186,27 @@ class Segments:
 
     starts: np.ndarray                # [n + 1] int64 row offsets, read-only
     ids: np.ndarray                   # [n_rows] int64 ascending, read-only
+    sizes: np.ndarray                 # [n] int64, read-only
     n: int
     all_nonempty: bool
 
     def __init__(self, sizes):
         sizes = np.asarray(sizes)
         if (sizes.ndim != 1 or (sizes.size and sizes.dtype.kind not in "iu")
-                or np.any(sizes < 0)):
+                or (sizes < 0).any()):
             raise ContractError("segment sizes must be a vector of "
                                 "non-negative integers")
         sizes = sizes.astype(np.int64)
         starts = np.concatenate(([0], np.cumsum(sizes)))
         ids = np.repeat(np.arange(len(sizes)), sizes)
         starts.flags.writeable = ids.flags.writeable = False
+        sizes.flags.writeable = False
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "n", len(sizes))
-        object.__setattr__(self, "all_nonempty", bool(np.all(sizes > 0)))
+        object.__setattr__(self, "all_nonempty", bool((sizes > 0).all()))
 
     @property
     def n_rows(self) -> int:
         return int(self.starts[-1])
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.starts)

@@ -717,6 +717,30 @@ class TestProtocolRefusals:
         assert "learning_rate" in capsys.readouterr().err
 
 
+class TestNoEvidence:
+    """A split whose eval side holds no search with an uncancelled booking
+    gives no NDCG to compare: compare and ablate refuse it as a data
+    error (exit 2) that names the eval search count, before any run
+    trains, and write no report."""
+
+    @pytest.mark.parametrize("command", ["compare", "ablate"])
+    def test_exits_two_before_training(self, ws, tmp_path, capsys,
+                                       monkeypatch, command):
+        dataset, _ = generate(default_generator_config(n_guests=12, seed=3))
+        path = tmp_path / "tiny.jsonl"
+        save_dataset(dataset, path)
+
+        def train(*args, **kwargs):
+            raise AssertionError("a run trained")
+
+        monkeypatch.setattr(ev, "train", train)
+        argv = TestProtocolRefusals.argv(ws, tmp_path, command)
+        argv[argv.index("--dataset") + 1] = str(path)
+        assert main(argv + ["--seeds", "0,1"]) == 2
+        assert "eval split's 10 searches" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x/*.json"))
+
+
 class TestSettingsBeforeData:
     """Bad training or protocol settings are refused before the dataset
     is read: with a dataset whose header is malformed (a data error, exit

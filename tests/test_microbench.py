@@ -2,22 +2,23 @@
 
 One training step (batch cut, the step's one tape node forward and
 backward, Adam) on a batch whose rows show each listing about 3.5 times,
-the same step on a batch whose rows all show distinct listings, one
-batched forward over a whole dataset, two of the step's kernels, forward
-and backward, as plain array code: the loss from the heads' logits
-(``model.loss_from_logits``) on a 2,048-row and an 8,192-row batch and a
-dense layer (``nn.mlp_activations`` and ``nn.mlp_gradients`` of a
-one-layer block) on a batch-sized matrix, generating 200 guests,
-validating and splitting (``evaluate.prepare_split``: the guest split and
-the training filter) a 200-guest world, and the JSONL save and load of
-that world: one save, and one load each of the generated file (feature
-rows repeat, so the line decoder reads it), of a copy whose rows are all
-distinct (so the reader switches to the record path after the decoder's
-trial) and of the generated world spelled with ``json.dumps``'s default
-spaces, one record a line (so the decoder declines every line and the
-record path reads them all). Rounds are few so the suite's run time barely
-moves. The timings only inform: nothing here asserts on them, only on the
-results being well formed.
+the same step on an 8,192-row batch and on a batch whose rows all show
+distinct listings, one batched forward over a whole dataset, two of the
+step's kernels, forward and backward, as plain array code: the loss from
+the heads' logits (``model.loss_from_logits``) on a 2,048-row and an
+8,192-row batch and a dense layer (``nn.mlp_activations`` and
+``nn.mlp_gradients`` of a one-layer block) on a batch-sized matrix,
+generating 200 guests, validating and splitting
+(``evaluate.prepare_split``: the guest split and the training filter) a
+200-guest world, and the JSONL save and load of that world: one save, and
+one load each of the generated file (feature rows repeat, so the line
+decoder reads it), of a copy whose rows are all distinct (so the reader
+switches to the record path after the decoder's trial) and of the
+generated world spelled with ``json.dumps``'s default spaces, one record a
+line (so the decoder declines every line and the record path reads them
+all). Rounds are few so the suite's run time barely moves. The timings
+only inform: nothing here asserts on them, only on the results being well
+formed.
 """
 
 import json
@@ -48,9 +49,16 @@ def world(generated):
     return train_ds, config
 
 
-def train_step(dataset, config):
-    """One step's work on the dataset's first 128 searches, and the
-    batch it cuts."""
+def searches_within(dataset, max_rows: int) -> int:
+    """The most leading searches of the dataset that fit in ``max_rows``
+    impression rows."""
+    return int(np.searchsorted(dataset.searches.starts, max_rows,
+                               side="right")) - 1
+
+
+def train_step(dataset, config, n_searches: int = 128):
+    """One step's work on the dataset's first ``n_searches`` searches,
+    and the batch it cuts."""
     norm = model.NormalizationStats.fit(dataset.listing_rows,
                                         dataset.listing_index,
                                         dataset.context_features)
@@ -58,7 +66,7 @@ def train_step(dataset, config):
     weights = model.task_weights(dataset, config.base_tasks)
     params = model.init_model_params(config)
     state = nn.init_adam(params)
-    n_searches = min(128, dataset.n_searches)
+    n_searches = min(n_searches, dataset.n_searches)
 
     def step():
         batch = model.make_batch(inputs, 0, n_searches)
@@ -75,6 +83,17 @@ def test_train_step(benchmark, world):
     step, batch = train_step(*world)
     # the generated world shows each listing several times per batch
     assert 3 * len(batch.listing_rows) < batch.n_rows
+    loss = benchmark.pedantic(step, rounds=5, warmup_rounds=1)
+    assert np.isfinite(loss)
+
+
+def test_train_step_8192_rows(benchmark, world, generated):
+    """The whole step on the most searches of the 200-guest world that
+    fit in 8,192 rows, four times a train-bench batch, where a per-row
+    cost of the step shows."""
+    n_searches = searches_within(generated, 8192)
+    step, batch = train_step(generated, world[1], n_searches)
+    assert 8192 - 148 < batch.n_rows <= 8192 and batch.pair_i.size
     loss = benchmark.pedantic(step, rounds=5, warmup_rounds=1)
     assert np.isfinite(loss)
 
@@ -110,8 +129,7 @@ def test_loss_node_kernel(benchmark, world, generated, split, max_rows):
     inputs = model.batch_inputs(dataset, model.NormalizationStats.fit(
         dataset.listing_rows, dataset.listing_index,
         dataset.context_features))
-    n_searches = int(np.searchsorted(dataset.searches.starts, max_rows,
-                                     side="right")) - 1
+    n_searches = searches_within(dataset, max_rows)
     batch = model.make_batch(inputs, 0, n_searches)
     net = model.network(
         config, model.init_model_params(config), batch.listing_rows,
@@ -142,8 +160,8 @@ def test_dense_kernel(benchmark):
     def step():
         acts = nn.mlp_activations(store, "dense", spec, x)
         grad = np.empty_like(store.tensor.values)
-        d_x = nn.mlp_gradients(store, "dense", spec, acts, g,
-                               store.views(grad), input_grad=True)
+        d_x = nn.mlp_gradients(store, "dense", spec, acts, g, grad,
+                               input_grad=True)
         return acts[-1], grad, d_x
 
     out, grad, d_x = benchmark.pedantic(step, rounds=20, warmup_rounds=2)

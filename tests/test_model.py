@@ -65,6 +65,7 @@ from journeyrank.model import (
     model_config_to_record,
     module_parameter_names,
     network,
+    outputs_from_logits,
     parameter_count,
     parameter_layout,
     preference_pairs,
@@ -119,6 +120,12 @@ def loop_preference_pairs(grades, seg):
     return np.concatenate(pair_i), np.concatenate(pair_j)
 
 
+def label_fields(labels: dict[str, np.ndarray]) -> dict:
+    """A :class:`SearchBatch`'s label fields for labels given by name."""
+    return {"label_names": tuple(labels),
+            "label_rows": np.stack(list(labels.values()))}
+
+
 def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
                          norm: NormalizationStats) -> SearchBatch:
     """Reference: a batch built from the dataset columns alone, pairs and
@@ -135,7 +142,7 @@ def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
         listing_index=np.arange(len(rows)),
         context_rows=norm.apply_context(context_rows),
         segments=segments,
-        labels=labels,
+        **label_fields(labels),
         pair_i=pair_i,
         pair_j=pair_j,
     )
@@ -194,7 +201,7 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
         listing_index=np.arange(n),
         context_rows=rng.normal(size=(n_searches, d_c)),
         segments=segments,
-        labels=labels,
+        **label_fields(labels),
         pair_i=pair_i,
         pair_j=pair_j,
     )
@@ -536,7 +543,7 @@ def batch_of_sizes(rng: np.random.Generator, sizes,
     return SearchBatch(listing_rows=rng.normal(size=(index.max() + 1, 4)),
                        listing_index=index,
                        context_rows=rng.normal(size=(len(sizes), 3)),
-                       segments=segments, labels=labels,
+                       segments=segments, **label_fields(labels),
                        pair_i=pair_i, pair_j=pair_j)
 
 
@@ -683,7 +690,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((3, 1)), listing_index=np.arange(3),
             context_rows=np.zeros((3, 1)),
             segments=nn.Segments([3]),
-            labels={"unc": np.array([True, False, False])},
+            **label_fields({"unc": np.array([True, False, False])}),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
@@ -695,7 +702,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
             context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2]),
-            labels={"unc": np.array([True, False])},
+            **label_fields({"unc": np.array([True, False])}),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
@@ -722,7 +729,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
             context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2, 0]),
-            labels={"unc": np.array([True, False])},
+            **label_fields({"unc": np.array([True, False])}),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         with pytest.raises(ContractError):
@@ -735,7 +742,7 @@ class TestTwiddlerLoss:
         return SearchBatch(
             listing_rows=np.zeros((n, 1)), listing_index=np.arange(n),
             context_rows=np.zeros((n, 1)),
-            segments=nn.Segments([n]), labels=labels,
+            segments=nn.Segments([n]), **label_fields(labels),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
 
@@ -831,7 +838,7 @@ class TestCombinationLoss:
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
                             listing_index=np.arange(4),
                             context_rows=np.zeros((4, 1)), segments=segments,
-                            labels=labels,
+                            **label_fields(labels),
                             pair_i=pair_i, pair_j=pair_j)
         loss = combination_loss(nn.Tensor(np.array([1.0, 2.0, 3.0, 4.0])),
                                 batch)
@@ -847,7 +854,7 @@ class TestCombinationLoss:
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
                             listing_index=np.arange(2),
                             context_rows=np.zeros((2, 1)), segments=segments,
-                            labels=labels,
+                            **label_fields(labels),
                             pair_i=pair_i, pair_j=pair_j)
         loss = combination_loss(nn.Tensor(np.array([0.3, 0.3])), batch)
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
@@ -970,7 +977,7 @@ class TestBatches:
                                           dataset.context_features)
             shuffled = reorder(batch_inputs(dataset, norm),
                                rng.permutation(dataset.n_searches))
-            unc = shuffled.labels[:, shuffled.label_names.index("unc")]
+            unc = shuffled.label_rows[shuffled.label_names.index("unc")]
             want = preference_pairs(
                 unc, nn.Segments(np.diff(shuffled.starts)))
             batch_size = int(rng.integers(1, dataset.n_searches + 1))
@@ -994,7 +1001,8 @@ class TestBatches:
         inputs = batch_inputs(dataset, norm)
         order = rng.permutation(dataset.n_searches)
         twice = reorder(reorder(inputs, order), np.argsort(order))
-        for name in ("starts", "listing_index", "context_rows", "labels"):
+        for name in ("starts", "listing_index", "context_rows",
+                     "label_rows"):
             got, want = getattr(twice, name), getattr(inputs, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
@@ -1311,7 +1319,8 @@ def with_labels(batch: SearchBatch, **changes) -> SearchBatch:
     """The batch with some label columns replaced, its pairs rebuilt."""
     labels = {**batch.labels, **changes}
     pair_i, pair_j = preference_pairs(labels["unc"], batch.segments)
-    return replace(batch, labels=labels, pair_i=pair_i, pair_j=pair_j)
+    return replace(batch, **label_fields(labels), pair_i=pair_i,
+                   pair_j=pair_j)
 
 
 def loss_node_batches() -> dict[str, tuple]:
@@ -1454,6 +1463,33 @@ class TestLossNode:
                 np.testing.assert_array_equal(bits(got_views[name]),
                                               bits(grad), err_msg=name)
             np.testing.assert_array_equal(bits(got[2]), bits(want[2]))
+
+    def test_memory_order_changes_no_bit(self, case):
+        """The heads' logits read the same as a C-ordered ``[rows, tasks]``
+        array and as the ``.T`` of a ``[tasks, rows]`` one: every score,
+        the loss, its parts and both gradients, signed zeros included."""
+        config, batch = loss_node_batches()[case]
+        weights = {t: 0.75 + 0.25 * k for k, t in enumerate(config.base_tasks)}
+        net = network(config, init_model_params(config), batch.listing_rows,
+                      batch.listing_index, batch.context_rows, batch.segments)
+        for scale in (1.0, 12.0):
+            rows_first = np.ascontiguousarray(net.head * scale)
+            tasks_first = np.ascontiguousarray(rows_first.T).T
+            assert tasks_first.T.flags.c_contiguous
+            runs = []
+            for head in (rows_first, tasks_first):
+                total, parts, backward = loss_from_logits(
+                    config, head, net.coef_logits, batch, weights)
+                out = outputs_from_logits(config, head, net.coef_logits,
+                                          batch.segments)
+                runs.append(([total, *parts.values(), *backward(1.0)],
+                             [getattr(out, f.name) for f in fields(out)]))
+            (got, got_out), (want, want_out) = runs
+            for g, w in zip(got + got_out, want + want_out):
+                if w is None:
+                    assert g is None
+                else:
+                    np.testing.assert_array_equal(bits(g), bits(w))
 
 
 class TestLossNodeFiniteDifferences:
@@ -1600,7 +1636,7 @@ class TestTotalLoss:
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
                             listing_index=np.arange(2),
                             context_rows=np.zeros((1, 3)), segments=segments,
-                            labels=labels,
+                            **label_fields(labels),
                             pair_i=pair_i, pair_j=pair_j)
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
         loss, _, parts = total_loss(config, params, batch, weights)
@@ -1808,6 +1844,33 @@ class TestTrain:
         schema = dataset.schema
         config = make_config(schema.listing_dim, schema.context_dim, seed=5)
         model, _ = train(config, train_ds, epochs=3, batch_size=50)
+        sha = hashlib.sha256()
+        for name in sorted(model.params.names()):
+            sha.update(name.encode())
+            sha.update(model.params[name].values.tobytes())
+        assert sha.hexdigest() == digest
+        assert evaluate.evaluate(model, eval_ds)["unc"].mean == ndcg_unc
+
+    @pytest.mark.parametrize("batch_size, digest, ndcg_unc", [
+        (128,
+         "2c15c7aa08dd1209089b6863781cf3e8550a74bf4befdc6a5c27028654fe3087",
+         0.4699575664075291),
+        (512,
+         "bba8cfb4cdd1124ee77c2043a1e7deb414414fe0b4c49db236e9cbf6cc3b3f0e",
+         0.3729522407150719),
+    ])
+    def test_benchmark_world_result_pinned(self, batch_size, digest,
+                                           ndcg_unc):
+        """As :meth:`test_result_pinned`, on the benchmark world's 20-wide
+        listing rows, at batches of about 2,000 and 8,000 rows, where a
+        change to the step's memory layout would show."""
+        dataset, _ = simulate.generate(
+            simulate.benchmark_generator_config(n_guests=300, seed=5))
+        train_ds, eval_ds = evaluate.prepare_split(dataset)
+        schema = dataset.schema
+        config = default_model_config(schema.listing_dim, schema.context_dim,
+                                      seed=5)
+        model, _ = train(config, train_ds, epochs=2, batch_size=batch_size)
         sha = hashlib.sha256()
         for name in sorted(model.params.names()):
             sha.update(name.encode())

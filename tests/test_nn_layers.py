@@ -120,8 +120,7 @@ class TestMlpGradients:
         """The block's gradient vector, NaN wherever nothing was written,
         and the input's gradient."""
         grad = np.full(store.tensor.size, np.nan)
-        d_x = nn.mlp_gradients(store, "net", spec, acts, g, store.views(grad),
-                               input_grad)
+        d_x = nn.mlp_gradients(store, "net", spec, acts, g, grad, input_grad)
         return grad, d_x
 
     def test_matches_per_op_composition(self, hidden):
