@@ -92,8 +92,9 @@ def ndcg_binary(positive: np.ndarray, segments: Segments,
 class NdcgReport:
     """Mean NDCG of one evaluation over the searches it scored.
 
-    Searches without a positive for the milestone are skipped, not scored.
-    The multi-seed protocol keeps each run's mean in a ``PairedReport``.
+    Searches without a positive for the milestone are skipped, not scored;
+    with none scored, the record and the table show no mean (``mean`` is
+    0.0). The multi-seed protocol keeps each run's mean in a ``PairedReport``.
     """
 
     mean: float
@@ -105,7 +106,7 @@ class NdcgReport:
             raise ContractError(f"mean NDCG {self.mean} outside [0, 1]")
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "mean": self.mean if self.n_searches else None}
 
 
 # The 0.975 quantile of Student's t for 1 to 30 degrees of freedom, each
@@ -458,16 +459,16 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
                n_buckets: int = 5, *,
                normalize_by_first: bool = False) -> NtcCurve:
     """Bucket search contexts by one feature and average the coefficient
-    ratios per bucket, each search's read at its first impression from
-    one :meth:`TrainedModel.outputs` pass over the dataset."""
+    ratios per bucket, each search's from one :meth:`TrainedModel.outputs`
+    pass over the dataset."""
     if model.config.combination is None:
         raise ConfigError("coefficient curves need a combination layer")
     model.require_schema(dataset.schema)
     if n_buckets < 1:
         raise ConfigError("n_buckets must be positive")
     col = dataset.schema.context_index(feature)
-    if dataset.n_searches == 0 or not dataset.searches.sizes.all():
-        raise ContractError("curves need searches, each with an impression")
+    if dataset.n_searches == 0:
+        raise ContractError("curves need searches")
     values = dataset.context_features[:, col]
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
@@ -482,15 +483,14 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
                       0, len(edges) - 2)
     outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
                             dataset.context_features, dataset.searches)
-    first = dataset.searches.starts[:-1]
     masks = [buckets == b for b in range(len(edges) - 1)]
     # per task, the signed and the magnitude curve: each bucket's mean
     # ratio to the base coefficient, 0.0 where the bucket is empty
-    ratios = outputs.alpha_twiddler[first] / outputs.alpha_base[first, None]
+    ratios = outputs.alpha_twiddler / outputs.alpha_base
     curves = {task: [[float(v[mask].mean()) if mask.any() else 0.0
                       for mask in masks]
                      for v in (r, np.abs(r))]
-              for task, r in zip(model.config.twiddler_tasks, ratios.T)}
+              for task, r in zip(model.config.twiddler_tasks, ratios)}
     if normalize_by_first:
         if any(abs(curve[0]) < 1e-12
                for pair in curves.values() for curve in pair):
@@ -528,7 +528,8 @@ def write_ntc_csv(curve: NtcCurve, path: str | Path) -> None:
 def format_ndcg_table(reports: Mapping[str, NdcgReport]) -> str:
     lines = [f"{'milestone':<10} {'ndcg':>8} {'searches':>9} {'skipped':>8}"]
     for task, report in reports.items():
-        lines.append(f"{task:<10} {report.mean:>8.4f} "
+        mean = f"{report.mean:.4f}" if report.n_searches else "-"
+        lines.append(f"{task:<10} {mean:>8} "
                      f"{report.n_searches:>9d} {report.n_skipped:>8d}")
     return "\n".join(lines)
 

@@ -2,8 +2,8 @@
 
 Two shared MLP towers embed listing features and search context. One head
 per task turns the pair of embeddings into a logit, and the heads' logits
-form one ``[rows, tasks]`` matrix, stored task-major (one contiguous row
-per task) behind that view, as is every per-task array of the step. The
+form one task-major ``[tasks, rows]`` array (one contiguous row per task),
+as does every per-task array of scoring and training. The
 positive funnel milestones' conditional logits chain into joint
 log-probabilities (a log-sigmoid per task, then a running sum along the
 tasks); the deepest (uncancelled booking) is the base ranking score.
@@ -59,6 +59,7 @@ from .dataio import pack_dataset  # noqa: F401
 from .domain import (
     Dataset,
     DatasetSchema,
+    LABELS,
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
@@ -407,13 +408,13 @@ class NormalizationStats:
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Every intermediate score for a batch of impressions, one row per
-    impression, as arrays. ``cond_logits`` and ``log_joint`` hold one
-    column per base task and ``y_twiddler`` and ``alpha_twiddler`` one per
-    twiddler, in config order; ``alpha_base``, ``y_base`` and
-    ``y_combination`` are vectors. The matrices are ``.T`` views of
-    task-major arrays. A config without twiddlers has no blend, and
-    leaves the twiddler and blend fields None."""
+    """Every intermediate score for a batch of impressions, as arrays:
+    per impression, ``cond_logits`` and ``log_joint`` (one row per base
+    task) and ``y_twiddler`` (one per twiddler), each ``[tasks, rows]`` in
+    config order, and the vectors ``y_base`` and ``y_combination``; per
+    search, the blend coefficients ``alpha_base`` (``[searches]``) and
+    ``alpha_twiddler`` (``[twiddlers, searches]``). A config without
+    twiddlers has no blend, and leaves the twiddler and blend fields None."""
 
     cond_logits: np.ndarray
     log_joint: np.ndarray
@@ -444,8 +445,8 @@ class Network:
     and context embeddings, and the coefficient MLP, None without a blend,
     starts from the context embedding. ``head_weights`` holds every
     head's weights side by side, head k in column k, and ``head`` every
-    head's logit per impression row, a ``[rows, tasks]`` matrix (one
-    column per task of ``all_tasks``) that views a task-major buffer."""
+    head's logit per impression row, ``[tasks, rows]`` (one row per task
+    of ``all_tasks``)."""
 
     listing: list[np.ndarray]
     context: list[np.ndarray]
@@ -491,7 +492,7 @@ def network(config: ModelConfig, params: ParameterStore,
     combination = None if config.combination is None else \
         nn.mlp_activations(params, _COMBINATION, config.combination,
                            context[-1])
-    return Network(listing, context, combination, weights, head.T)
+    return Network(listing, context, combination, weights, head)
 
 
 def _network_gradients(config: ModelConfig, params: ParameterStore,
@@ -499,9 +500,9 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
                        d_coef: np.ndarray | None,
                        batch: "SearchBatch") -> np.ndarray:
     """The backward pass of :func:`network` over ``batch``, from the
-    gradients of the head logits and the coefficient logits: one new
-    vector laid out as the store, the heads written through
-    ``config.head_index``.
+    gradients of the ``[tasks, rows]`` head logits and the coefficient
+    logits: one new vector laid out as the store, the heads written
+    through ``config.head_index``.
 
     Each impression row's head gradient goes back to its distinct listing
     row, added in index order (a ``bincount``), and to its search, summed
@@ -518,7 +519,7 @@ def _network_gradients(config: ModelConfig, params: ParameterStore,
                                    net.combination, d_coef, grad,
                                    input_grad=True)
     emb_l, emb_c = net.listing[-1], net.context[-1]
-    d_head = d_head.T  # task-major: each bin's terms come in row order
+    # d_head is task-major, so each bin's terms come in row order
     n, k = len(emb_l), len(d_head)
     flat = (batch.listing_index * k + np.arange(k)[:, None]).ravel()
     d_listing_half = np.bincount(flat, weights=d_head.ravel(),
@@ -593,28 +594,28 @@ def blend(alpha_base: np.ndarray, alpha_twiddler: np.ndarray,
 def outputs_from_logits(config: ModelConfig, head: np.ndarray,
                         coef_logits: np.ndarray | None,
                         segments: Segments) -> ModelOutputs:
-    """Every score of every impression from the heads' ``[rows, tasks]``
-    logits and the per-search coefficient logits (see :class:`Network`).
+    """Every score of every impression from the heads' ``[tasks, rows]``
+    logits, and each search's blend coefficients from its coefficient
+    logits (see :class:`Network`).
 
-    The head logits' task rows (``head.T``) split into two blocks, base
-    tasks then twiddlers; the base block runs down the :func:`funnel`,
-    and the :func:`blend` runs on every row, each reading its search's
-    coefficients through ``segments``.
+    The head logits' task rows split into two blocks, base tasks then
+    twiddlers; the base block runs down the :func:`funnel`, and the
+    :func:`blend` runs on every row, with its search's coefficients.
     """
     n_base = len(config.base_tasks)
-    cond_logits = head.T[:n_base]
+    cond_logits = head[:n_base]
     log_joint = funnel(cond_logits)
     y_base = log_joint[-1]
     if coef_logits is None:
-        return ModelOutputs(cond_logits.T, log_joint.T, y_base)
-    alpha_base = softplus(coef_logits[:, 0]).repeat(segments.sizes)
-    alpha_twiddler = coef_logits[:, 1:].T.repeat(segments.sizes, axis=1)
-    y_twiddler = head.T[n_base:]
-    return ModelOutputs(
-        cond_logits=cond_logits.T, log_joint=log_joint.T, y_base=y_base,
-        y_twiddler=y_twiddler.T, alpha_base=alpha_base,
-        alpha_twiddler=alpha_twiddler.T,
-        y_combination=blend(alpha_base, alpha_twiddler, y_base, y_twiddler))
+        return ModelOutputs(cond_logits, log_joint, y_base)
+    alpha_base = softplus(coef_logits[:, 0])
+    alpha_twiddler = coef_logits[:, 1:].T
+    y_twiddler = head[n_base:]
+    y_combination = blend(alpha_base.repeat(segments.sizes),
+                          alpha_twiddler.repeat(segments.sizes, axis=1),
+                          y_base, y_twiddler)
+    return ModelOutputs(cond_logits, log_joint, y_base, y_twiddler,
+                        alpha_base, alpha_twiddler, y_combination)
 
 
 def forward(config: ModelConfig, params: ParameterStore,
@@ -659,20 +660,15 @@ class BatchInputs:
     Rows are impression rows, search by search: ``starts`` holds each
     search's first row and, last, the row count. ``listing_rows`` is the
     dataset's listing table, normalized, and ``listing_index`` each
-    impression row's row of it. ``label_rows`` holds one row per name in
-    ``label_names``, so a batch's labels are one slice of it.
+    impression row's row of it. ``label_rows`` holds one row per milestone
+    of ``LABELS``, in that order, so a batch's labels are one slice of it.
     """
 
     starts: np.ndarray                # [n_searches + 1] int64
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
     listing_index: np.ndarray         # [n_impressions] int64
     context_rows: np.ndarray          # [n_searches, context_dim] normalized
-    label_names: tuple[str, ...]
-    label_rows: np.ndarray            # [len(label_names), n_impressions] bool
-
-    @property
-    def n_searches(self) -> int:
-        return len(self.context_rows)
+    label_rows: np.ndarray            # [len(LABELS), n_impressions] bool
 
 
 def batch_inputs(dataset: Dataset,
@@ -689,8 +685,7 @@ def batch_inputs(dataset: Dataset,
         listing_rows=listing_rows,
         listing_index=dataset.listing_index,
         context_rows=context_rows,
-        label_names=tuple(dataset.labels),
-        label_rows=np.stack(list(dataset.labels.values())),
+        label_rows=np.stack([dataset.labels[m] for m in LABELS]),
     )
 
 
@@ -709,7 +704,6 @@ def reorder(inputs: BatchInputs, search_indices) -> BatchInputs:
         listing_rows=inputs.listing_rows,
         listing_index=inputs.listing_index[rows],
         context_rows=inputs.context_rows[search_indices],
-        label_names=inputs.label_names,
         label_rows=inputs.label_rows.take(rows, axis=1),
     )
 
@@ -724,16 +718,15 @@ class SearchBatch:
     search; every other array holds one entry per impression row, except
     the blend's preference pairs (:func:`preference_pairs` of the ``unc``
     labels), which index rows. ``listing_index`` gives each impression row
-    its row of ``listing_rows``, and ``label_rows`` holds one row per name
-    in ``label_names``; ``labels`` reads them by name.
+    its row of ``listing_rows``, and ``label_rows`` holds one row per
+    milestone of ``LABELS``, in that order; ``labels`` reads them by name.
     """
 
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
     listing_index: np.ndarray         # [n_rows] int64
     context_rows: np.ndarray          # [segments.n, context_dim] normalized
     segments: Segments
-    label_names: tuple[str, ...]
-    label_rows: np.ndarray            # [len(label_names), n_rows] bool
+    label_rows: np.ndarray            # [len(LABELS), n_rows] bool
     pair_i: np.ndarray                # [n_pairs] int64
     pair_j: np.ndarray                # [n_pairs] int64
 
@@ -743,7 +736,7 @@ class SearchBatch:
 
     @property
     def labels(self) -> dict[str, np.ndarray]:  # milestone -> [n_rows] bool
-        return dict(zip(self.label_names, self.label_rows))
+        return dict(zip(LABELS, self.label_rows))
 
 
 def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
@@ -762,13 +755,12 @@ def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
     segments = Segments(starts[1:] - starts[:-1])
     label_rows = inputs.label_rows[:, rows]
     pair_i, pair_j = preference_pairs(
-        label_rows[inputs.label_names.index("unc")], segments)
+        label_rows[LABELS.index("unc")], segments)
     return SearchBatch(
         listing_rows=inputs.listing_rows[listings],
         listing_index=slot[shown],
         context_rows=inputs.context_rows[lo:hi],
         segments=segments,
-        label_names=inputs.label_names,
         label_rows=label_rows,
         pair_i=pair_i,
         pair_j=pair_j,
@@ -783,7 +775,7 @@ def _label_matrix(batch: SearchBatch, names) -> np.ndarray:
     """[len(names), rows]: the batch's labels ``names``, one row each. Its
     set entries, read from it raveled (a 2-d ``np.nonzero`` is slower),
     run name by name and by row within a name."""
-    return batch.label_rows[[batch.label_names.index(n) for n in names]]
+    return batch.label_rows[[LABELS.index(n) for n in names]]
 
 
 def _base_term(cond_logits: np.ndarray, log_joint: np.ndarray,
@@ -885,7 +877,7 @@ def _combination_term(out: ModelOutputs, coef_logits: np.ndarray,
         d_y += np.bincount(batch.pair_i, weights=-d_diff,
                            minlength=batch.n_rows)
         # [1 + twiddlers, rows]: each coefficient's score times d_y
-        d_rows = np.vstack((out.y_base, out.y_twiddler.T))
+        d_rows = np.vstack((out.y_base, out.y_twiddler))
         d_rows *= d_y
         d_rows[0] *= nn.logistic(coef_logits[:, 0]).repeat(segments.sizes)
         # One sum per search, in row order. A search no pair reads sums
@@ -900,11 +892,11 @@ def _combination_term(out: ModelOutputs, coef_logits: np.ndarray,
 def loss_from_logits(config: ModelConfig, head: np.ndarray,
                      coef_logits: np.ndarray | None, batch: SearchBatch,
                      weights: Mapping[str, float]):
-    """The training loss from the heads' logits and the per-search
-    coefficient logits (see :class:`Network`), its parts by module, and
-    its backward pass: given the loss's gradient, new arrays d loss/d head
-    (viewing a task-major buffer) and d loss/d coef_logits (None without
-    a blend).
+    """The training loss from the heads' ``[tasks, rows]`` logits and the
+    per-search coefficient logits (see :class:`Network`), its parts by
+    module, and its backward pass: given the loss's gradient, new arrays
+    d loss/d head (``[tasks, rows]``) and d loss/d coef_logits (None
+    without a blend).
 
     The loss is the unweighted sum of the module losses the config has,
     each reading the scores :func:`outputs_from_logits` gives, as scoring
@@ -912,7 +904,7 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
     masked cross-entropy and the blend's pairwise loss.
     """
     shapes = [a.shape for a in (head, coef_logits) if a is not None]
-    want = [(batch.n_rows, len(config.all_tasks))]
+    want = [(len(config.all_tasks), batch.n_rows)]
     if config.combination is not None:
         want.append((batch.segments.n, config.combination.output_dim))
     if shapes != want:
@@ -920,13 +912,13 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
                          f"need {want}")
     n_base = len(config.base_tasks)
     out = outputs_from_logits(config, head, coef_logits, batch.segments)
-    base, base_backward = _base_term(out.cond_logits.T, out.log_joint.T,
-                                     batch, config.base_tasks, weights)
+    base, base_backward = _base_term(out.cond_logits, out.log_joint, batch,
+                                     config.base_tasks, weights)
     parts = {"base": float(base)}
     total = base
     if config.twiddler_tasks:
         twiddler, twiddler_backward = _twiddler_term(
-            out.y_twiddler.T, batch, config.twiddler_tasks)
+            out.y_twiddler, batch, config.twiddler_tasks)
         combination, combination_backward = _combination_term(
             out, coef_logits, batch)
         parts["twiddler"] = float(twiddler)
@@ -935,14 +927,14 @@ def loss_from_logits(config: ModelConfig, head: np.ndarray,
     parts["total"] = float(total)
 
     def backward(g: float) -> tuple[np.ndarray, np.ndarray | None]:
-        d_head = np.zeros(head.shape[::-1])
+        d_head = np.zeros(head.shape)
         base_backward(g, d_head[:n_base])
         if coef_logits is None:
-            return d_head.T, None
+            return d_head, None
         twiddler_backward(g, d_head[n_base:])
         d_coef = np.zeros(coef_logits.shape)
         combination_backward(g, d_coef)
-        return d_head.T, d_coef
+        return d_head, d_coef
 
     return total, parts, backward
 
@@ -951,7 +943,7 @@ def total_loss(config: ModelConfig, params: ParameterStore,
                batch: SearchBatch, weights: Mapping[str, float],
                ) -> tuple[Tensor, np.ndarray, dict[str, float]]:
     """The training loss of a batch, recorded as one tape node over every
-    parameter (``params.tensor``), the heads' ``[rows, tasks]`` logits it
+    parameter (``params.tensor``), the heads' ``[tasks, rows]`` logits it
     was computed from, and its parts (:func:`loss_from_logits`).
 
     The node runs the :func:`network` and the loss as plain array code,
@@ -1008,21 +1000,23 @@ class TrainedModel:
         ``context_rows`` holds one row per search, and ``segments`` lays
         the impressions out into the searches. The towers and heads run
         once per table row, as in training, and the blend on every
-        impression; every output is per impression. A dataset's table
-        (``Dataset.listing_rows``) scores its impressions bit for bit as
-        training saw them. The context tower and the coefficient MLP run
-        as one matrix product over all the call's searches, so a search's
-        coefficients, and so its scores, can differ in the last bits with
-        how many searches share the call.
+        impression; scores are per impression, coefficients per search. A
+        dataset's table (``Dataset.listing_rows``) scores its impressions
+        bit for bit as training saw them. The context tower and the
+        coefficient MLP run as one matrix product over all the call's
+        searches, so a search's coefficients, and so its scores, can
+        differ in the last bits with how many searches share the call.
         """
         listing_rows = np.asarray(listing_rows, dtype=np.float64)
         listing_index = np.asarray(listing_index, dtype=np.int64)
         context_rows = np.asarray(context_rows, dtype=np.float64)
+        widths = (self.config.listing_dim, self.config.context_dim)
         if (listing_rows.ndim != 2 or context_rows.ndim != 2
+                or (listing_rows.shape[1], context_rows.shape[1]) != widths
                 or segments.n_rows != len(listing_index)
                 or segments.n != len(context_rows)):
-            raise ContractError("listing and context rows must be 2-d "
-                                "batches, laid out by the segments")
+            raise ContractError(f"listing and context rows must be 2-d, "
+                                f"{widths} wide and laid out by the segments")
         check_listing_index(listing_index, len(listing_rows))
         listing_rows = self.normalization.apply_listing(listing_rows)
         context_rows = self.normalization.apply_context(context_rows)

@@ -460,6 +460,36 @@ class TestEval:
                     for task, rep in ev.evaluate(model, dataset).items()}
         assert payload == expected
 
+    def test_unscored_milestone_has_no_mean(self, tmp_path, capsys):
+        """A milestone that no eval search holds is written as null and
+        printed as '-', not as an NDCG of 0.0."""
+        dataset, _ = generate(default_generator_config(n_guests=12, seed=3))
+        train_ds, eval_ds = ev.prepare_split(dataset)
+        save_dataset(train_ds, tmp_path / "train.jsonl")
+        save_dataset(eval_ds, tmp_path / "eval.jsonl")
+        (tmp_path / "base.json").write_text(json.dumps(
+            model_config_to_record(baseline_model_config(6, 4))))
+        assert main(["train", "--model-config", str(tmp_path / "base.json"),
+                     "--dataset", str(tmp_path / "train.jsonl"),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", str(tmp_path / "run" / "model"),
+                     "--dataset", str(tmp_path / "eval.jsonl"),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "ndcg.json").read_text())
+        rows = {cells[0]: cells[1:] for cells in map(
+            str.split, capsys.readouterr().out.splitlines()) if cells}
+        unscored = [t for t, rec in payload.items() if rec["n_searches"] == 0]
+        assert unscored == ["book", "unc"]
+        for task, rec in payload.items():
+            if task in unscored:
+                assert rec["mean"] is None
+                assert rows[task] == ["-", "0", str(eval_ds.n_searches)]
+            else:
+                assert 0.0 < rec["mean"] <= 1.0
+                assert rows[task][0] == f"{rec['mean']:.4f}"
+
     def test_json_flag_prints_payload(self, ws, tmp_path, capsys):
         out = tmp_path / "evaljson"
         assert main(["eval", "--model", str(ws / "run" / "model"),

@@ -349,8 +349,9 @@ class TestEvaluateModel:
         model, _, eval_ds = trained_full
         reports = ev.evaluate(model, dataset_from_records(eval_ds.schema, []))
         for task in POSITIVE_CHAIN:
+            assert reports[task].mean == 0.0
             assert reports[task].to_record() == {
-                "mean": 0.0, "n_searches": 0, "n_skipped": 0}
+                "mean": None, "n_searches": 0, "n_skipped": 0}
 
     def test_schema_mismatch_is_refused(self, trained_full):
         model, _, _ = trained_full
@@ -647,12 +648,9 @@ class TestNtcCurves:
         values = eval_ds.context_features[:, col]
         outputs = model.outputs(eval_ds.listing_rows, eval_ds.listing_index,
                                 eval_ds.context_features, eval_ds.searches)
-        # every row of a search carries the search's coefficients; take
-        # each search's last row, where the curves read its first
-        last = eval_ds.searches.starts[1:] - 1
         edges = np.array(curve.edges)
         for k, task in enumerate(model.config.twiddler_tasks):
-            ratio = outputs.alpha_twiddler[last, k] / outputs.alpha_base[last]
+            ratio = outputs.alpha_twiddler[k] / outputs.alpha_base
             for b in range(curve.n_buckets):
                 if b < curve.n_buckets - 1:
                     mask = (values >= edges[b]) & (values < edges[b + 1])
@@ -690,7 +688,9 @@ class TestNtcCurves:
             ev.ntc_curves(model, dataset, "days_ahead_of_checkin",
                           n_buckets=2, normalize_by_first=True)
 
-    def test_empty_search_is_refused(self):
+    def test_search_without_impressions_gets_its_bucket(self):
+        """The coefficients are per search, so a search that shows no
+        listing still has them, and counts in its context's bucket."""
         dataset = tiny_manual_dataset(constant_prev=1.0)
         config = default_model_config(
             dataset.schema.listing_dim, dataset.schema.context_dim,
@@ -700,8 +700,17 @@ class TestNtcCurves:
         records[1]["searches"][0]["impressions"] = []
         holed = dataset_from_records(dataset.schema, records)
         assert holed.searches.sizes.tolist() == [2, 0, 2]
-        with pytest.raises(ContractError, match="each with an impression"):
-            ev.ntc_curves(model, holed, "days_ahead_of_checkin")
+        feature = "days_ahead_of_checkin"
+        curve = ev.ntc_curves(model, holed, feature, n_buckets=3)
+        whole = ev.ntc_curves(model, dataset, feature, n_buckets=3)
+        assert sum(curve.counts) == 3
+        assert curve == whole
+
+    def test_zero_searches_are_refused(self, trained_full):
+        model, _, eval_ds = trained_full
+        empty = dataset_from_records(eval_ds.schema, [])
+        with pytest.raises(ContractError, match="curves need searches"):
+            ev.ntc_curves(model, empty, "days_ahead_of_checkin")
 
     def test_normalized_first_bucket_is_unit(self, trained_full):
         model, _, eval_ds = trained_full

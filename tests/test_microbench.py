@@ -145,7 +145,7 @@ def test_loss_node_kernel(benchmark, world, generated, split, max_rows):
                                                  warmup_rounds=2)
     assert max_rows - 148 < batch.n_rows <= max_rows and batch.pair_i.size
     assert np.isfinite(total)
-    assert d_head.shape == (batch.n_rows, len(config.all_tasks))
+    assert d_head.shape == (len(config.all_tasks), batch.n_rows)
     assert d_coef.shape == (n_searches, 4)
 
 

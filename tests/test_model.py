@@ -120,10 +120,12 @@ def loop_preference_pairs(grades, seg):
     return np.concatenate(pair_i), np.concatenate(pair_j)
 
 
-def label_fields(labels: dict[str, np.ndarray]) -> dict:
-    """A :class:`SearchBatch`'s label fields for labels given by name."""
-    return {"label_names": tuple(labels),
-            "label_rows": np.stack(list(labels.values()))}
+def label_rows(labels: dict[str, np.ndarray]) -> np.ndarray:
+    """A :class:`SearchBatch`'s ``label_rows`` for labels given by name,
+    in ``LABELS`` order; a milestone not given is never set."""
+    n = len(next(iter(labels.values())))
+    return np.stack([labels.get(m, np.zeros(n, dtype=bool))
+                     for m in LABELS])
 
 
 def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
@@ -142,7 +144,7 @@ def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
         listing_index=np.arange(len(rows)),
         context_rows=norm.apply_context(context_rows),
         segments=segments,
-        **label_fields(labels),
+        label_rows=label_rows(labels),
         pair_i=pair_i,
         pair_j=pair_j,
     )
@@ -201,7 +203,7 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
         listing_index=np.arange(n),
         context_rows=rng.normal(size=(n_searches, d_c)),
         segments=segments,
-        **label_fields(labels),
+        label_rows=label_rows(labels),
         pair_i=pair_i,
         pair_j=pair_j,
     )
@@ -237,7 +239,8 @@ def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
     embedding is built once for the base heads and once for the twiddler
     heads, and each head is its own MLP over it. The funnel chain and the
     blend add one task's ``[rows, 1]`` column at a time; only the finished
-    columns are put side by side, in the model's ``[rows, tasks]`` layout.
+    columns are put side by side, as ``[rows, tasks]`` matrices, the
+    ``.T`` of the model's ``[tasks, rows]`` arrays.
     """
     emb_l = ops.forward_mlp(params, "tower_listing", config.listing_tower,
                             nn.Tensor(listing_rows))
@@ -283,7 +286,8 @@ def per_row_forward(config: ModelConfig, params, listing_rows: np.ndarray,
 
 
 def task_columns(tasks, matrix) -> dict[str, float]:
-    """One row of a ``[rows, tasks]`` output, keyed by task."""
+    """One impression's column of a ``[tasks, rows]`` output, keyed by
+    task."""
     return {task: float(v) for task, v in zip(tasks, matrix)}
 
 
@@ -328,15 +332,15 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
             y_base=float(outputs.y_base[k]),
             y_combination=(None if outputs.y_combination is None
                            else float(outputs.y_combination[k])),
-            log_joint=task_columns(base, outputs.log_joint[k]),
-            cond_logits=task_columns(base, outputs.cond_logits[k]),
+            log_joint=task_columns(base, outputs.log_joint[:, k]),
+            cond_logits=task_columns(base, outputs.cond_logits[:, k]),
             y_twiddler=({} if outputs.y_twiddler is None else
-                        task_columns(twiddlers, outputs.y_twiddler[k])),
+                        task_columns(twiddlers, outputs.y_twiddler[:, k])),
             alpha_base=(None if outputs.alpha_base is None
-                        else float(outputs.alpha_base[k])),
+                        else float(outputs.alpha_base[0])),
             alpha_twiddler=({} if outputs.alpha_twiddler is None else
                             task_columns(twiddlers,
-                                         outputs.alpha_twiddler[k])),
+                                         outputs.alpha_twiddler[:, 0])),
         ))
     return ranked
 
@@ -507,7 +511,7 @@ class TestSharedForward:
             [-4.107466696880749, -4.240459630992293, -5.185047818772162],
             rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            out.y_twiddler[:, config.twiddler_tasks.index("rej")],
+            out.y_twiddler[config.twiddler_tasks.index("rej")],
             [-0.44795210286211457, -0.057253436327056484,
              0.03910167494221711],
             rtol=0, atol=1e-14)
@@ -543,7 +547,7 @@ def batch_of_sizes(rng: np.random.Generator, sizes,
     return SearchBatch(listing_rows=rng.normal(size=(index.max() + 1, 4)),
                        listing_index=index,
                        context_rows=rng.normal(size=(len(sizes), 3)),
-                       segments=segments, **label_fields(labels),
+                       segments=segments, label_rows=label_rows(labels),
                        pair_i=pair_i, pair_j=pair_j)
 
 
@@ -566,12 +570,13 @@ class TestForwardMatchesPerRowReference:
         want = per_row_forward(config, params,
                                batch.listing_rows[batch.listing_index],
                                batch.context_rows[batch.segments.ids])
-        n, n_twiddlers = batch.n_rows, len(config.twiddler_tasks)
-        shapes = {"cond_logits": (n, len(config.base_tasks)),
-                  "log_joint": (n, len(config.base_tasks)),
-                  "y_twiddler": (n, n_twiddlers),
-                  "alpha_twiddler": (n, n_twiddlers),
-                  "alpha_base": (n,), "y_base": (n,),
+        n, searches = batch.n_rows, batch.segments.n
+        n_base = len(config.base_tasks)
+        n_twiddlers = len(config.twiddler_tasks)
+        shapes = {"cond_logits": (n_base, n), "log_joint": (n_base, n),
+                  "y_twiddler": (n_twiddlers, n),
+                  "alpha_twiddler": (n_twiddlers, searches),
+                  "alpha_base": (searches,), "y_base": (n,),
                   "y_combination": (n,)}
         blend = {"y_twiddler", "alpha_twiddler", "alpha_base",
                  "y_combination"}
@@ -580,9 +585,13 @@ class TestForwardMatchesPerRowReference:
             if name in blend and not n_twiddlers:
                 assert g is None and w is None, name
                 continue
-            # the reference keeps the base coefficient a [rows, 1] column
-            w = w.values.reshape(g.shape)
             assert g.shape == shape, name
+            if name.startswith("alpha"):
+                # the reference holds a search's coefficients on its rows
+                g = g.repeat(batch.segments.sizes, axis=-1)
+            # the reference is [rows, tasks], the base coefficient a
+            # [rows, 1] column
+            w = w.values.T.reshape(g.shape)
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
                                        err_msg=name)
 
@@ -625,9 +634,9 @@ class TestBaseForward:
         out = forward_one_row_each(
             config, params, rng.normal(size=(5, 4)),
             rng.normal(size=(5, 3)))
-        assert out.log_joint.shape == (5, len(config.base_tasks))
+        assert out.log_joint.shape == (len(config.base_tasks), 5)
         for k in range(len(config.base_tasks)):
-            np.testing.assert_allclose(out.log_joint[:, k],
+            np.testing.assert_allclose(out.log_joint[k],
                                        (k + 1) * np.log(0.5), rtol=1e-15)
         np.testing.assert_allclose(np.exp(out.y_base), 1.0 / 64.0,
                                    rtol=1e-12)
@@ -640,8 +649,8 @@ class TestBaseForward:
         listing = rng.normal(size=(6, 4))
         context = rng.normal(size=(6, 3))
         out = forward_one_row_each(config, params, listing, context)
-        assert out.log_joint.shape == out.cond_logits.shape == (6, 1)
-        logit = out.cond_logits[:, 0]
+        assert out.log_joint.shape == out.cond_logits.shape == (1, 6)
+        logit = out.cond_logits[0]
         np.testing.assert_allclose(out.y_base,
                                    -np.logaddexp(0.0, -logit), rtol=1e-14)
         assert out.y_combination is None
@@ -656,8 +665,8 @@ class TestBaseForward:
             rng.normal(size=(30, 3)))
         running = np.ones(30)
         for k in range(len(config.base_tasks)):
-            running = running * expit(out.cond_logits[:, k])
-            np.testing.assert_allclose(np.exp(out.log_joint[:, k]),
+            running = running * expit(out.cond_logits[k])
+            np.testing.assert_allclose(np.exp(out.log_joint[k]),
                                        running, rtol=1e-12)
 
     def test_funnel_monotonicity_fuzz(self):
@@ -676,7 +685,7 @@ class TestBaseForward:
                                        rng.normal(size=(n, d_l)) * 3.0,
                                        rng.normal(size=(n, d_c)) * 3.0)
             previous = np.zeros(n)
-            for current in out.log_joint.T:
+            for current in out.log_joint:
                 assert np.all(current <= previous + 1e-15)
                 p = np.exp(current)
                 assert np.all(p > 0.0) and np.all(p < 1.0)
@@ -690,7 +699,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((3, 1)), listing_index=np.arange(3),
             context_rows=np.zeros((3, 1)),
             segments=nn.Segments([3]),
-            **label_fields({"unc": np.array([True, False, False])}),
+            label_rows=label_rows({"unc": np.array([True, False, False])}),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
@@ -702,7 +711,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
             context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2]),
-            **label_fields({"unc": np.array([True, False])}),
+            label_rows=label_rows({"unc": np.array([True, False])}),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
@@ -729,7 +738,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
             context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2, 0]),
-            **label_fields({"unc": np.array([True, False])}),
+            label_rows=label_rows({"unc": np.array([True, False])}),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
         with pytest.raises(ContractError):
@@ -742,7 +751,7 @@ class TestTwiddlerLoss:
         return SearchBatch(
             listing_rows=np.zeros((n, 1)), listing_index=np.arange(n),
             context_rows=np.zeros((n, 1)),
-            segments=nn.Segments([n]), **label_fields(labels),
+            segments=nn.Segments([n]), label_rows=label_rows(labels),
             pair_i=np.zeros(0, dtype=np.int64),
             pair_j=np.zeros(0, dtype=np.int64))
 
@@ -791,7 +800,7 @@ class TestCombinationForward:
             config, params, rng.normal(size=(4, 4)),
             rng.normal(size=(4, 3)))
         np.testing.assert_allclose(out.alpha_base, LN2, rtol=1e-15)
-        assert out.alpha_twiddler.shape == (4, len(config.twiddler_tasks))
+        assert out.alpha_twiddler.shape == (len(config.twiddler_tasks), 4)
         np.testing.assert_array_equal(out.alpha_twiddler, 0.0)
         np.testing.assert_allclose(out.y_combination,
                                    LN2 * out.y_base, rtol=1e-14)
@@ -819,10 +828,10 @@ class TestCombinationForward:
         out = forward_one_row_each(
             config, params, rng.normal(size=(12, 4)),
             rng.normal(size=(12, 3)))
+        # one impression per search: a search's coefficients are its row's
         want = out.alpha_base * out.y_base
         for k in range(len(config.twiddler_tasks)):
-            want = want + (out.alpha_twiddler[:, k]
-                           * out.y_twiddler[:, k])
+            want = want + out.alpha_twiddler[k] * out.y_twiddler[k]
         np.testing.assert_allclose(out.y_combination, want,
                                    rtol=1e-12)
 
@@ -838,7 +847,7 @@ class TestCombinationLoss:
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
                             listing_index=np.arange(4),
                             context_rows=np.zeros((4, 1)), segments=segments,
-                            **label_fields(labels),
+                            label_rows=label_rows(labels),
                             pair_i=pair_i, pair_j=pair_j)
         loss = combination_loss(nn.Tensor(np.array([1.0, 2.0, 3.0, 4.0])),
                                 batch)
@@ -854,7 +863,7 @@ class TestCombinationLoss:
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
                             listing_index=np.arange(2),
                             context_rows=np.zeros((2, 1)), segments=segments,
-                            **label_fields(labels),
+                            label_rows=label_rows(labels),
                             pair_i=pair_i, pair_j=pair_j)
         loss = combination_loss(nn.Tensor(np.array([0.3, 0.3])), batch)
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
@@ -977,7 +986,7 @@ class TestBatches:
                                           dataset.context_features)
             shuffled = reorder(batch_inputs(dataset, norm),
                                rng.permutation(dataset.n_searches))
-            unc = shuffled.label_rows[shuffled.label_names.index("unc")]
+            unc = shuffled.label_rows[LABELS.index("unc")]
             want = preference_pairs(
                 unc, nn.Segments(np.diff(shuffled.starts)))
             batch_size = int(rng.integers(1, dataset.n_searches + 1))
@@ -1319,7 +1328,7 @@ def with_labels(batch: SearchBatch, **changes) -> SearchBatch:
     """The batch with some label columns replaced, its pairs rebuilt."""
     labels = {**batch.labels, **changes}
     pair_i, pair_j = preference_pairs(labels["unc"], batch.segments)
-    return replace(batch, **label_fields(labels), pair_i=pair_i,
+    return replace(batch, label_rows=label_rows(labels), pair_i=pair_i,
                    pair_j=pair_j)
 
 
@@ -1395,14 +1404,18 @@ class TestLossNode:
 
     @staticmethod
     def leaf_run(node: bool, config, batch, head, coef_logits, weights):
-        head = nn.Tensor(head, requires_grad=True)
+        """The loss, its parts and both gradients from ``[tasks, rows]``
+        logits ``head``, which the per-op reference reads as its
+        ``[rows, tasks]`` ``.T``; either way the head's gradient comes
+        back ``[tasks, rows]``."""
+        head = nn.Tensor(head if node else head.T, requires_grad=True)
         if coef_logits is not None:
             coef_logits = nn.Tensor(coef_logits, requires_grad=True)
         with nn.Tape() as tape:
             loss, parts = node_or_reference(node)(config, head, coef_logits,
                                                   batch, weights)
             nn.backward(tape, loss)
-        return loss.values, parts, head.grad, (
+        return loss.values, parts, head.grad if node else head.grad.T, (
             None if coef_logits is None else coef_logits.grad)
 
     @staticmethod
@@ -1464,20 +1477,40 @@ class TestLossNode:
                                               bits(grad), err_msg=name)
             np.testing.assert_array_equal(bits(got[2]), bits(want[2]))
 
+    def test_layout(self, case):
+        """The heads' logits and their gradient are C-ordered
+        ``[tasks, rows]`` arrays, and the blend coefficients per search."""
+        config, batch = loss_node_batches()[case]
+        weights = {t: 1.0 for t in config.base_tasks}
+        net = network(config, init_model_params(config), batch.listing_rows,
+                      batch.listing_index, batch.context_rows, batch.segments)
+        d_head, _ = loss_from_logits(config, net.head, net.coef_logits,
+                                     batch, weights)[2](1.0)
+        for a in (net.head, d_head):
+            assert a.shape == (len(config.all_tasks), batch.n_rows)
+            assert a.flags.c_contiguous
+        out = outputs_from_logits(config, net.head, net.coef_logits,
+                                  batch.segments)
+        if config.twiddler_tasks:
+            assert out.alpha_base.shape == (batch.segments.n,)
+            assert out.alpha_twiddler.shape == (len(config.twiddler_tasks),
+                                                batch.segments.n)
+
     def test_memory_order_changes_no_bit(self, case):
-        """The heads' logits read the same as a C-ordered ``[rows, tasks]``
-        array and as the ``.T`` of a ``[tasks, rows]`` one: every score,
-        the loss, its parts and both gradients, signed zeros included."""
+        """The heads' logits read the same as a C-ordered ``[tasks, rows]``
+        array and as the ``.T`` of a C-ordered ``[rows, tasks]`` one: every
+        score, the loss, its parts and both gradients, signed zeros
+        included."""
         config, batch = loss_node_batches()[case]
         weights = {t: 0.75 + 0.25 * k for k, t in enumerate(config.base_tasks)}
         net = network(config, init_model_params(config), batch.listing_rows,
                       batch.listing_index, batch.context_rows, batch.segments)
         for scale in (1.0, 12.0):
-            rows_first = np.ascontiguousarray(net.head * scale)
-            tasks_first = np.ascontiguousarray(rows_first.T).T
-            assert tasks_first.T.flags.c_contiguous
+            tasks_first = net.head * scale
+            rows_first = np.ascontiguousarray(tasks_first.T).T
+            assert rows_first.T.flags.c_contiguous
             runs = []
-            for head in (rows_first, tasks_first):
+            for head in (tasks_first, rows_first):
                 total, parts, backward = loss_from_logits(
                     config, head, net.coef_logits, batch, weights)
                 out = outputs_from_logits(config, head, net.coef_logits,
@@ -1503,7 +1536,7 @@ class TestLossNodeFiniteDifferences:
         batch = random_batch(rng, n_searches=4, booked=True)
         assert batch.pair_i.size
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in POSITIVE_CHAIN}
-        head = rng.normal(size=(batch.n_rows, len(config.all_tasks))) * 2.0
+        head = rng.normal(size=(len(config.all_tasks), batch.n_rows)) * 2.0
         coef_logits = rng.normal(size=(batch.segments.n, 4))
         _, _, d_head, d_coef = TestLossNode.leaf_run(
             True, config, batch, head, coef_logits, weights)
@@ -1582,10 +1615,11 @@ class TestLossNodeShapes:
         config, batch = loss_node_batches()["mixed"]
         rows, searches = batch.n_rows, batch.segments.n
         weights = {t: 1.0 for t in config.base_tasks}
-        for head, coef_logits in (((rows + 1, 9), (searches, 4)),
-                                  ((rows, 8), (searches, 4)),
-                                  ((rows, 9), (searches, 3)),
-                                  ((rows, 9), None)):
+        for head, coef_logits in (((9, rows + 1), (searches, 4)),
+                                  ((8, rows), (searches, 4)),
+                                  ((rows, 9), (searches, 4)),
+                                  ((9, rows), (searches, 3)),
+                                  ((9, rows), None)):
             with pytest.raises(ShapeError, match="loss_from_logits"):
                 loss_from_logits(config, np.zeros(head),
                                  None if coef_logits is None
@@ -1602,7 +1636,7 @@ class TestTotalLoss:
                                        {"unc": 1.0})
         assert parts["total"] == parts["base"]
         assert "twiddler" not in parts and "combination" not in parts
-        assert head.shape == (batch.n_rows, 1)
+        assert head.shape == (1, batch.n_rows)
 
     def test_additivity(self):
         config = small_config()
@@ -1636,7 +1670,7 @@ class TestTotalLoss:
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
                             listing_index=np.arange(2),
                             context_rows=np.zeros((1, 3)), segments=segments,
-                            **label_fields(labels),
+                            label_rows=label_rows(labels),
                             pair_i=pair_i, pair_j=pair_j)
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
         loss, _, parts = total_loss(config, params, batch, weights)
@@ -2018,9 +2052,9 @@ class TestPersistence:
 
 class TestBlendCoefficients:
     def test_matches_scored_candidates(self):
-        """A dataset-wide scoring pass gives every row its search's
-        coefficients, as scoring that search alone does, up to the
-        rounding of a four-row against a one-row matrix product."""
+        """A dataset-wide scoring pass gives every search the
+        coefficients that scoring it alone does, up to the rounding of a
+        four-row against a one-row matrix product."""
         dataset = planted_dataset()
         config = default_model_config(2, 2, embedding_dim=4,
                                       tower_hidden=(5,), seed=7)
@@ -2034,14 +2068,13 @@ class TestBlendCoefficients:
             ranked = score_candidates(model, dataset.context_features[s],
                                       [f"r{k}" for k in rows],
                                       features[rows])
-            for row in rows:
-                assert outputs.alpha_base[row] > 0.0
-                np.testing.assert_allclose(outputs.alpha_base[row],
-                                           ranked[0].alpha_base, rtol=1e-12)
-                for k, task in enumerate(config.twiddler_tasks):
-                    np.testing.assert_allclose(
-                        outputs.alpha_twiddler[row, k],
-                        ranked[0].alpha_twiddler[task], rtol=1e-12)
+            assert outputs.alpha_base[s] > 0.0
+            np.testing.assert_allclose(outputs.alpha_base[s],
+                                       ranked[0].alpha_base, rtol=1e-12)
+            for k, task in enumerate(config.twiddler_tasks):
+                np.testing.assert_allclose(outputs.alpha_twiddler[k, s],
+                                           ranked[0].alpha_twiddler[task],
+                                           rtol=1e-12)
 
     def test_requires_combination_layer(self):
         dataset = planted_dataset()
@@ -2115,6 +2148,24 @@ class TestScoringLayout:
         with pytest.raises(ContractError, match=message):
             model.outputs(dataset.listing_rows, np.array(index),
                           dataset.context_features, dataset.searches)
+
+    @pytest.mark.parametrize("listing_dim, context_dim",
+                             [(1, 4), (5, 4), (6, 1), (6, 3)],
+                             ids=["listing-1", "listing-one-short",
+                                  "context-1", "context-one-short"])
+    def test_outputs_refuse_rows_of_another_width(self, listing_dim,
+                                                  context_dim):
+        """Rows narrower than the towers are refused, not broadcast
+        against the normalization's columns."""
+        dataset, _ = simulate.generate(
+            simulate.default_generator_config(n_guests=12, seed=3))
+        model, _ = train(baseline_model_config(6, 4), dataset, 0)
+        segments = nn.Segments([3])
+        assert model.outputs(np.zeros((3, 6)), np.arange(3),
+                             np.zeros((1, 4)), segments).y_base.shape == (3,)
+        with pytest.raises(ContractError, match=r"\(6, 4\) wide"):
+            model.outputs(np.zeros((3, listing_dim)), np.arange(3),
+                          np.zeros((1, context_dim)), segments)
 
 
 FIT_ROWS = model_module._FIT_ROWS  # impression rows per streamed chunk
