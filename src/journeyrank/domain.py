@@ -132,19 +132,14 @@ def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
 
 
-def check_listing_index(index: np.ndarray, n_rows: int) -> None:
-    """Refuse an index outside a listing table of ``n_rows`` rows."""
-    if index.size and not 0 <= index.min() <= index.max() < n_rows:
-        raise ContractError("listing index outside the listing table")
-
-
 def _canonical_listings(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``ids[index]`` and ``rows[index]``, bit for bit, as a table and an
     index in the canonical form of :meth:`Dataset.from_columns`."""
     if ids.shape != (len(rows),):
         raise ContractError("listing ids must name the listing table's rows")
-    check_listing_index(index, len(rows))
+    if index.size and not 0 <= index.min() <= index.max() < len(rows):
+        raise ContractError("listing index outside the listing table")
     # keyed by its id and bytes, each row maps to its first row of equal
     # key, and each impression to that row
     first: dict[tuple[str, bytes], int] = {}

@@ -154,11 +154,10 @@ def t_interval_half_width(values: np.ndarray) -> float:
 
 
 def model_scorer(model: TrainedModel) -> Scorer:
-    """Scores every impression, one model pass over the listing table."""
+    """Scores every impression of a dataset of the model's schema, one
+    model pass over its listing table (:meth:`TrainedModel.outputs`)."""
     def scorer(dataset: Dataset) -> np.ndarray:
-        outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
-                                dataset.context_features, dataset.searches)
-        return outputs.ranking_score
+        return model.outputs(dataset).ranking_score
     return scorer
 
 
@@ -207,8 +206,8 @@ def evaluate_with_scorer(dataset: Dataset,
 
 def evaluate(model: TrainedModel,
              dataset: Dataset) -> dict[str, NdcgReport]:
-    """Mean NDCG per positive milestone; refuses foreign schemas."""
-    model.require_schema(dataset.schema)
+    """Mean NDCG per positive milestone; the model's scorer refuses
+    foreign schemas."""
     return evaluate_with_scorer(dataset, model_scorer(model))
 
 
@@ -468,7 +467,7 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
         raise ConfigError("n_buckets must be positive")
     col = dataset.schema.context_index(feature)
     if dataset.n_searches == 0:
-        raise ContractError("curves need searches")
+        raise DataValidationError("curves need searches")
     values = dataset.context_features[:, col]
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
@@ -481,8 +480,7 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
         edges = np.unique(np.quantile(values, quantiles))
     buckets = np.clip(np.searchsorted(edges, values, side="right") - 1,
                       0, len(edges) - 2)
-    outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
-                            dataset.context_features, dataset.searches)
+    outputs = model.outputs(dataset)
     masks = [buckets == b for b in range(len(edges) - 1)]
     # per task, the signed and the magnitude curve: each bucket's mean
     # ratio to the base coefficient, 0.0 where the bucket is empty

@@ -37,10 +37,11 @@ backward pass that gives one gradient vector. The blend's loss sees the
 scores as constants, so it tunes only the blend coefficients and the
 context they are conditioned on, never the scoring heads.
 
-Batches are cut from columns built once per training run
-(:func:`batch_inputs`), which each epoch puts in its shuffled order once
-(:func:`reorder`), so each step takes a slice and finds its own
-preference pairs.
+The network reads one batch type, :class:`SearchBatch`. Scoring reads a
+dataset's searches as one batch (:func:`batch_inputs`). Training builds
+that batch once per run, each epoch puts it in its shuffled order once
+(:func:`reorder`), and each step takes a slice of it (:func:`make_batch`),
+whose preference pairs the blend's loss finds when it reads them.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .domain import (
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
-    check_listing_index,
     concat_ranges,
     number,
     task_weights,
@@ -461,34 +461,29 @@ class Network:
 
 
 def network(config: ModelConfig, params: ParameterStore,
-            listing_rows: np.ndarray, listing_index: np.ndarray,
-            context_rows: np.ndarray, segments: Segments) -> Network:
-    """The network up to its logits (see :class:`Network`), as plain
-    array code.
+            batch: "SearchBatch") -> Network:
+    """The network up to its logits (see :class:`Network`) over a batch's
+    normalized rows, as plain array code.
 
-    ``listing_rows`` holds pre-normalized distinct listing rows and
-    ``listing_index`` each impression's row of them; ``context_rows``
-    holds one pre-normalized row per search, and ``segments`` lays the
-    impressions out into the searches. The heads are affine, so they run
-    as one layer over their weights (gathered by ``config.head_index``),
-    head k giving task row k. That layer reads the listing embedding
-    through the weights' first ``embedding_dim`` rows and the context
-    embedding through the rest, so it runs in two halves and no joint
-    embedding is built: the listing half once per distinct listing row,
-    handed to the impression rows by ``listing_index``, and the context
-    half, bias included, once per search, handed to the search's rows by
-    ``segments``.
+    The heads are affine, so they run as one layer over their weights
+    (gathered by ``config.head_index``), head k giving task row k. That
+    layer reads the listing embedding through the weights' first
+    ``embedding_dim`` rows and the context embedding through the rest, so
+    it runs in two halves and no joint embedding is built: the listing
+    half once per distinct listing row, handed to the impression rows by
+    ``batch.listing_index``, and the context half, bias included, once
+    per search, handed to the search's rows by ``batch.segments``.
     """
     listing = nn.mlp_activations(params, _TOWER_LISTING,
-                                 config.listing_tower, listing_rows)
+                                 config.listing_tower, batch.listing_rows)
     context = nn.mlp_activations(params, _TOWER_CONTEXT,
-                                 config.context_tower, context_rows)
+                                 config.context_tower, batch.context_rows)
     d, (w_index, b_index) = config.embedding_dim, config.head_index
     weights = params.tensor.values.take(w_index)
     context_half = context[-1] @ weights[d:]
     context_half += params.tensor.values.take(b_index)
-    head = (listing[-1] @ weights[:d]).T.take(listing_index, axis=1)
-    head += context_half.T.repeat(segments.sizes, axis=1)
+    head = (listing[-1] @ weights[:d]).T.take(batch.listing_index, axis=1)
+    head += context_half.T.repeat(batch.segments.sizes, axis=1)
     combination = None if config.combination is None else \
         nn.mlp_activations(params, _COMBINATION, config.combination,
                            context[-1])
@@ -619,14 +614,13 @@ def outputs_from_logits(config: ModelConfig, head: np.ndarray,
 
 
 def forward(config: ModelConfig, params: ParameterStore,
-            listing_rows: np.ndarray, listing_index: np.ndarray,
-            context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
-    """Every score of every impression, for scoring (no gradients): the
-    :func:`network`, then :func:`outputs_from_logits`, whose scores the
-    training loss reads too (:func:`loss_from_logits`)."""
-    net = network(config, params, listing_rows, listing_index, context_rows,
-                  segments)
-    return outputs_from_logits(config, net.head, net.coef_logits, segments)
+            batch: "SearchBatch") -> ModelOutputs:
+    """Every score of every impression of a batch, for scoring (no
+    gradients): the :func:`network`, then :func:`outputs_from_logits`,
+    whose scores the training loss reads too (:func:`loss_from_logits`)."""
+    net = network(config, params, batch)
+    return outputs_from_logits(config, net.head, net.coef_logits,
+                               batch.segments)
 
 
 # ---------------------------------------------------------------------------
@@ -652,74 +646,20 @@ def preference_pairs(unc: np.ndarray,
 
 
 @dataclass(frozen=True)
-class BatchInputs:
-    """Everything a training batch is cut from: the dataset's searches,
-    built once per train(), or the same searches in another order
-    (:func:`reorder`), built once per epoch.
-
-    Rows are impression rows, search by search: ``starts`` holds each
-    search's first row and, last, the row count. ``listing_rows`` is the
-    dataset's listing table, normalized, and ``listing_index`` each
-    impression row's row of it. ``label_rows`` holds one row per milestone
-    of ``LABELS``, in that order, so a batch's labels are one slice of it.
-    """
-
-    starts: np.ndarray                # [n_searches + 1] int64
-    listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
-    listing_index: np.ndarray         # [n_impressions] int64
-    context_rows: np.ndarray          # [n_searches, context_dim] normalized
-    label_rows: np.ndarray            # [len(LABELS), n_impressions] bool
-
-
-def batch_inputs(dataset: Dataset,
-                 norm: NormalizationStats) -> BatchInputs:
-    """Normalize the dataset's listing table and context rows and stack
-    the labels. Every row a batch holds is one of these rows, so a row
-    that is not finite after normalization is refused here, with a
-    :class:`ShapeError`."""
-    listing_rows = norm.apply_listing(dataset.listing_rows)
-    context_rows = norm.apply_context(dataset.context_features)
-    _require_finite(listing_rows, context_rows)
-    return BatchInputs(
-        starts=dataset.searches.starts,
-        listing_rows=listing_rows,
-        listing_index=dataset.listing_index,
-        context_rows=context_rows,
-        label_rows=np.stack([dataset.labels[m] for m in LABELS]),
-    )
-
-
-def reorder(inputs: BatchInputs, search_indices) -> BatchInputs:
-    """The given searches of ``inputs``, in the given order, every
-    per-row column gathered once, so that batches of consecutive searches
-    are cut from it as views (:func:`make_batch`)."""
-    search_indices = np.asarray(search_indices, dtype=np.int64)
-    first = inputs.starts[search_indices]
-    sizes = inputs.starts[search_indices + 1] - first
-    starts = np.zeros(len(search_indices) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=starts[1:])
-    rows = concat_ranges(first, sizes)
-    return BatchInputs(
-        starts=starts,
-        listing_rows=inputs.listing_rows,
-        listing_index=inputs.listing_index[rows],
-        context_rows=inputs.context_rows[search_indices],
-        label_rows=inputs.label_rows.take(rows, axis=1),
-    )
-
-
-@dataclass(frozen=True)
 class SearchBatch:
-    """A minibatch of whole searches, ready for the forward pass.
+    """Whole searches, ready for the network: a training minibatch
+    (:func:`make_batch`), or every search of a dataset (:func:`batch_inputs`),
+    which scoring reads as it is and training cuts its minibatches from.
 
-    ``segments`` lays the batch's impression rows out into its searches,
-    in batch order. ``listing_rows`` holds the rows of the listing table
-    that the batch shows, each once, and ``context_rows`` one row per
-    search; every other array holds one entry per impression row, except
-    the blend's preference pairs (:func:`preference_pairs` of the ``unc``
-    labels), which index rows. ``listing_index`` gives each impression row
-    its row of ``listing_rows``, and ``label_rows`` holds one row per
-    milestone of ``LABELS``, in that order; ``labels`` reads them by name.
+    ``segments`` lays the impression rows out into the searches, in batch
+    order. ``listing_rows`` holds normalized listing table rows (a
+    minibatch's, those it shows, each once; a dataset's, its whole table),
+    and ``listing_index`` gives each impression row its row of them.
+    ``context_rows`` holds one normalized row per search, and
+    ``label_rows`` one row per milestone of ``LABELS``, in that order;
+    ``labels`` reads them by name. The blend's preference pairs
+    (:func:`preference_pairs` of the ``unc`` labels) are found on first
+    read, so only a loss that reads them builds them.
     """
 
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
@@ -727,8 +667,6 @@ class SearchBatch:
     context_rows: np.ndarray          # [segments.n, context_dim] normalized
     segments: Segments
     label_rows: np.ndarray            # [len(LABELS), n_rows] bool
-    pair_i: np.ndarray                # [n_pairs] int64
-    pair_j: np.ndarray                # [n_pairs] int64
 
     @property
     def n_rows(self) -> int:
@@ -738,13 +676,62 @@ class SearchBatch:
     def labels(self) -> dict[str, np.ndarray]:  # milestone -> [n_rows] bool
         return dict(zip(LABELS, self.label_rows))
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The blend's preference pairs, ``(pair_i, pair_j)``."""
+        return preference_pairs(self.label_rows[LABELS.index("unc")],
+                                self.segments)
 
-def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
+    @property
+    def pair_i(self) -> np.ndarray:   # [n_pairs] int64
+        return self.pairs[0]
+
+    @property
+    def pair_j(self) -> np.ndarray:   # [n_pairs] int64
+        return self.pairs[1]
+
+
+def batch_inputs(dataset: Dataset, norm: NormalizationStats) -> SearchBatch:
+    """Every search of the dataset as one batch: its listing table and
+    context rows normalized, its labels stacked. Every row a training
+    batch or a score reads is one of these rows, so a row that is not
+    finite after normalization is refused here, with a
+    :class:`ShapeError`."""
+    listing_rows = norm.apply_listing(dataset.listing_rows)
+    context_rows = norm.apply_context(dataset.context_features)
+    _require_finite(listing_rows, context_rows)
+    return SearchBatch(
+        listing_rows=listing_rows,
+        listing_index=dataset.listing_index,
+        context_rows=context_rows,
+        segments=dataset.searches,
+        label_rows=np.stack([dataset.labels[m] for m in LABELS]),
+    )
+
+
+def reorder(batch: SearchBatch, search_indices) -> SearchBatch:
+    """The given searches of ``batch``, in the given order, every per-row
+    column gathered once, so that minibatches of consecutive searches are
+    cut from it as views (:func:`make_batch`). The listing table is
+    shared."""
+    search_indices = np.asarray(search_indices, dtype=np.int64)
+    first = batch.segments.starts[search_indices]
+    sizes = batch.segments.sizes[search_indices]
+    rows = concat_ranges(first, sizes)
+    return SearchBatch(
+        listing_rows=batch.listing_rows,
+        listing_index=batch.listing_index[rows],
+        context_rows=batch.context_rows[search_indices],
+        segments=Segments(sizes),
+        label_rows=batch.label_rows.take(rows, axis=1),
+    )
+
+
+def make_batch(inputs: SearchBatch, lo: int, hi: int) -> SearchBatch:
     """Searches ``lo`` up to ``hi`` of ``inputs`` (clipped to its end),
-    whose rows and labels are cut as views, with the preference pairs of
-    their ``unc`` labels. The batch's listing rows are those its
-    impressions show, in the order of ``inputs.listing_rows``."""
-    starts = inputs.starts[lo:hi + 1]
+    whose rows and labels are cut as views. The batch's listing rows are
+    those its impressions show, in the order of ``inputs.listing_rows``."""
+    starts = inputs.segments.starts[lo:hi + 1]
     rows = slice(starts[0], starts[-1])
     shown = inputs.listing_index[rows]
     n_listings = len(inputs.listing_rows)
@@ -752,18 +739,12 @@ def make_batch(inputs: BatchInputs, lo: int, hi: int) -> SearchBatch:
     listings = np.bincount(shown, minlength=n_listings).nonzero()[0]
     slot = np.empty(n_listings, dtype=np.int64)
     slot[listings] = np.arange(len(listings))
-    segments = Segments(starts[1:] - starts[:-1])
-    label_rows = inputs.label_rows[:, rows]
-    pair_i, pair_j = preference_pairs(
-        label_rows[LABELS.index("unc")], segments)
     return SearchBatch(
         listing_rows=inputs.listing_rows[listings],
         listing_index=slot[shown],
         context_rows=inputs.context_rows[lo:hi],
-        segments=segments,
-        label_rows=label_rows,
-        pair_i=pair_i,
-        pair_j=pair_j,
+        segments=Segments(starts[1:] - starts[:-1]),
+        label_rows=inputs.label_rows[:, rows],
     )
 
 
@@ -862,20 +843,19 @@ def _combination_term(out: ModelOutputs, coef_logits: np.ndarray,
     its backward pass, which writes d loss/d coef_logits into a zeroed
     array. The scores are constants here.
     """
-    if batch.pair_i.size == 0:
+    pair_i, pair_j = batch.pairs
+    if pair_i.size == 0:
         return 0.0, lambda g, d_coef: None
     y = out.y_combination
-    diff = y[batch.pair_j] - y[batch.pair_i]
+    diff = y[pair_j] - y[pair_i]
     value = softplus(diff).mean()
 
     def backward(g: float, d_coef: np.ndarray) -> None:
         segments = batch.segments
         d_diff = np.full(diff.size, g / diff.size)
         d_diff *= nn.logistic(diff)
-        d_y = np.bincount(batch.pair_j, weights=d_diff,
-                          minlength=batch.n_rows)
-        d_y += np.bincount(batch.pair_i, weights=-d_diff,
-                           minlength=batch.n_rows)
+        d_y = np.bincount(pair_j, weights=d_diff, minlength=batch.n_rows)
+        d_y += np.bincount(pair_i, weights=-d_diff, minlength=batch.n_rows)
         # [1 + twiddlers, rows]: each coefficient's score times d_y
         d_rows = np.vstack((out.y_base, out.y_twiddler))
         d_rows *= d_y
@@ -951,8 +931,7 @@ def total_loss(config: ModelConfig, params: ParameterStore,
     the loss's backward and then the network's
     (:func:`_network_gradients`), which gives one gradient vector laid
     out as the store."""
-    net = network(config, params, batch.listing_rows, batch.listing_index,
-                  batch.context_rows, batch.segments)
+    net = network(config, params, batch)
     total, parts, loss_backward = loss_from_logits(
         config, net.head, net.coef_logits, batch, weights)
 
@@ -991,38 +970,21 @@ class TrainedModel:
                 f"trained on ({schema.hash()[:12]} != "
                 f"{self.schema_hash[:12]})")
 
-    def outputs(self, listing_rows: np.ndarray, listing_index: np.ndarray,
-                context_rows: np.ndarray, segments: Segments) -> ModelOutputs:
-        """Score impressions from raw feature rows (no gradients).
+    def outputs(self, dataset: Dataset) -> ModelOutputs:
+        """Score every impression of a dataset of the model's schema (no
+        gradients), from one :func:`batch_inputs` batch over its searches.
 
-        ``listing_rows`` is a table of listing feature rows, and
-        ``listing_index`` gives each impression its row of it;
-        ``context_rows`` holds one row per search, and ``segments`` lays
-        the impressions out into the searches. The towers and heads run
-        once per table row, as in training, and the blend on every
-        impression; scores are per impression, coefficients per search. A
-        dataset's table (``Dataset.listing_rows``) scores its impressions
+        The towers and heads run once per listing table row, as in
+        training, and the blend on every impression; scores are per
+        impression, coefficients per search. A dataset's impressions score
         bit for bit as training saw them. The context tower and the
-        coefficient MLP run as one matrix product over all the call's
+        coefficient MLP run as one matrix product over all the dataset's
         searches, so a search's coefficients, and so its scores, can
         differ in the last bits with how many searches share the call.
         """
-        listing_rows = np.asarray(listing_rows, dtype=np.float64)
-        listing_index = np.asarray(listing_index, dtype=np.int64)
-        context_rows = np.asarray(context_rows, dtype=np.float64)
-        widths = (self.config.listing_dim, self.config.context_dim)
-        if (listing_rows.ndim != 2 or context_rows.ndim != 2
-                or (listing_rows.shape[1], context_rows.shape[1]) != widths
-                or segments.n_rows != len(listing_index)
-                or segments.n != len(context_rows)):
-            raise ContractError(f"listing and context rows must be 2-d, "
-                                f"{widths} wide and laid out by the segments")
-        check_listing_index(listing_index, len(listing_rows))
-        listing_rows = self.normalization.apply_listing(listing_rows)
-        context_rows = self.normalization.apply_context(context_rows)
-        _require_finite(listing_rows, context_rows)
-        return forward(self.config, self.params, listing_rows, listing_index,
-                       context_rows, segments)
+        self.require_schema(dataset.schema)
+        return forward(self.config, self.params,
+                       batch_inputs(dataset, self.normalization))
 
 
 def check_training_settings(epochs: int, batch_size: int,

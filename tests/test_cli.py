@@ -940,6 +940,20 @@ class TestNtc:
                    "--feature", "nonexistent", "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_dataset_without_searches_exits_two(self, ws, tmp_path, capsys):
+        """A dataset that validates but holds no search is a data error,
+        as it is for train."""
+        schema = load_dataset(ws / "data" / "dataset.jsonl").schema
+        empty = tmp_path / "empty.jsonl"
+        save_dataset(dataset_from_records(schema, []), empty)
+        assert main(["validate", "--dataset", str(empty)]) == 0
+        capsys.readouterr()
+        rc = main(["ntc", "--model", str(ws / "run" / "model"),
+                   "--dataset", str(empty), "--feature",
+                   "days_ahead_of_checkin", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "curves need searches" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def runs(ws):

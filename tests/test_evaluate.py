@@ -21,7 +21,12 @@ from conftest import tiny_manual_dataset
 from journeyrank import evaluate as ev, nn
 from journeyrank.dataio import dataset_from_records, dataset_to_records
 from journeyrank.domain import POSITIVE_CHAIN, select_impressions
-from journeyrank.errors import ConfigError, ContractError, SchemaMismatchError
+from journeyrank.errors import (
+    ConfigError,
+    ContractError,
+    DataValidationError,
+    SchemaMismatchError,
+)
 from journeyrank.model import (
     baseline_model_config,
     default_model_config,
@@ -377,8 +382,7 @@ class TestBlendServesUncancelledBookings:
                                           dataset.schema.context_dim,
                                           seed=seed)
             model, _ = train(config, train_ds, 4, batch_size=128)
-            out = model.outputs(eval_ds.listing_rows, eval_ds.listing_index,
-                                eval_ds.context_features, eval_ds.searches)
+            out = model.outputs(eval_ds)
             blend = ev.evaluate(model, eval_ds)["unc"].mean
             y_base = ev.evaluate_with_scorer(
                 eval_ds, lambda _: out.y_base)["unc"].mean
@@ -646,8 +650,7 @@ class TestNtcCurves:
                               n_buckets=3)
         col = eval_ds.schema.context_index("num_previous_searches")
         values = eval_ds.context_features[:, col]
-        outputs = model.outputs(eval_ds.listing_rows, eval_ds.listing_index,
-                                eval_ds.context_features, eval_ds.searches)
+        outputs = model.outputs(eval_ds)
         edges = np.array(curve.edges)
         for k, task in enumerate(model.config.twiddler_tasks):
             ratio = outputs.alpha_twiddler[k] / outputs.alpha_base
@@ -709,7 +712,8 @@ class TestNtcCurves:
     def test_zero_searches_are_refused(self, trained_full):
         model, _, eval_ds = trained_full
         empty = dataset_from_records(eval_ds.schema, [])
-        with pytest.raises(ContractError, match="curves need searches"):
+        with pytest.raises(DataValidationError,
+                           match="curves need searches"):
             ev.ntc_curves(model, empty, "days_ahead_of_checkin")
 
     def test_normalized_first_bucket_is_unit(self, trained_full):

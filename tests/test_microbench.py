@@ -110,10 +110,8 @@ def test_batched_forward(benchmark, world):
     dataset, config = world
     trained, _ = model.train(config, dataset, epochs=0)
 
-    outputs = benchmark.pedantic(
-        trained.outputs, args=(dataset.listing_rows, dataset.listing_index,
-                               dataset.context_features, dataset.searches),
-        rounds=5, warmup_rounds=1)
+    outputs = benchmark.pedantic(trained.outputs, args=(dataset,), rounds=5,
+                                 warmup_rounds=1)
     assert outputs.ranking_score.shape == (dataset.n_impressions,)
     assert np.all(np.isfinite(outputs.ranking_score))
 
@@ -131,9 +129,7 @@ def test_loss_node_kernel(benchmark, world, generated, split, max_rows):
         dataset.context_features))
     n_searches = searches_within(dataset, max_rows)
     batch = model.make_batch(inputs, 0, n_searches)
-    net = model.network(
-        config, model.init_model_params(config), batch.listing_rows,
-        batch.listing_index, batch.context_rows, batch.segments)
+    net = model.network(config, model.init_model_params(config), batch)
     weights = model.task_weights(dataset, config.base_tasks)
 
     def step():

@@ -130,14 +130,12 @@ def label_rows(labels: dict[str, np.ndarray]) -> np.ndarray:
 
 def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
                          norm: NormalizationStats) -> SearchBatch:
-    """Reference: a batch built from the dataset columns alone, pairs and
+    """Reference: a batch built from the dataset columns alone,
     normalization included."""
     search_indices = np.asarray(search_indices, dtype=np.int64)
     rows = imp_rows_for_searches(dataset, search_indices)
     segments = nn.Segments(dataset.searches.sizes[search_indices])
     labels = {name: values[rows] for name, values in dataset.labels.items()}
-    pair_i, pair_j = loop_preference_pairs(labels["unc"].astype(np.int64),
-                                           segments.ids)
     context_rows = dataset.context_features[search_indices]
     return SearchBatch(
         listing_rows=norm.apply_listing(impression_features(dataset)[rows]),
@@ -145,8 +143,6 @@ def per_batch_make_batch(dataset: Dataset, search_indices: np.ndarray,
         context_rows=norm.apply_context(context_rows),
         segments=segments,
         label_rows=label_rows(labels),
-        pair_i=pair_i,
-        pair_j=pair_j,
     )
 
 
@@ -197,32 +193,32 @@ def random_batch(rng: np.random.Generator, n_searches: int = 5,
     if booked:
         for m in LABELS:
             labels[m][segments.starts[:-1]] = m in POSITIVE_CHAIN
-    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     return SearchBatch(
         listing_rows=rng.normal(size=(n, d_l)),
         listing_index=np.arange(n),
         context_rows=rng.normal(size=(n_searches, d_c)),
         segments=segments,
         label_rows=label_rows(labels),
-        pair_i=pair_i,
-        pair_j=pair_j,
     )
+
+
+def one_row_searches(listing_rows: np.ndarray,
+                     context_rows: np.ndarray) -> SearchBatch:
+    """An unlabelled batch of searches of one impression each, every
+    impression with a listing row of its own."""
+    n = len(listing_rows)
+    return SearchBatch(listing_rows=listing_rows, listing_index=np.arange(n),
+                       context_rows=context_rows,
+                       segments=nn.Segments(np.ones(n, dtype=np.int64)),
+                       label_rows=np.zeros((len(LABELS), n), dtype=bool))
 
 
 def forward_one_row_each(config: ModelConfig, params,
                           listing_rows: np.ndarray,
                           context_rows: np.ndarray) -> ModelOutputs:
-    """The forward pass over searches of one impression each, every
-    impression with a listing row of its own."""
-    n = len(listing_rows)
-    return forward(config, params, listing_rows, np.arange(n), context_rows,
-                   nn.Segments(np.ones(n, dtype=np.int64)))
-
-
-def forward_batch(config: ModelConfig, params,
-                  batch: SearchBatch) -> ModelOutputs:
-    return forward(config, params, batch.listing_rows, batch.listing_index,
-                   batch.context_rows, batch.segments)
+    """The forward pass over :func:`one_row_searches`."""
+    return forward(config, params,
+                   one_row_searches(listing_rows, context_rows))
 
 
 def zero_params(store):
@@ -315,10 +311,8 @@ def score_candidates(model: TrainedModel, context: np.ndarray,
         raise ContractError("cannot rank an empty candidate list")
     if listing_rows.ndim != 2 or len(listing_rows) != len(listing_ids):
         raise ContractError("one feature row per candidate is required")
-    context = np.asarray(context, dtype=np.float64)
-    outputs = model.outputs(listing_rows, np.arange(len(listing_rows)),
-                            context[None, :],
-                            nn.Segments([len(listing_rows)]))
+    outputs = model.outputs(dataset_showing(
+        listing_rows, np.arange(len(listing_rows)), listing_ids, context))
     score = outputs.ranking_score
     base, twiddlers = model.config.base_tasks, model.config.twiddler_tasks
     order = np.lexsort((np.asarray(listing_ids), -score))
@@ -463,9 +457,8 @@ def embeddings(config: ModelConfig, params, listing_rows: np.ndarray,
                context_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The listing and context embeddings of one listing row per
     search."""
-    n = len(listing_rows)
-    net = network(config, params, listing_rows, np.arange(n), context_rows,
-                  nn.Segments(np.ones(n, dtype=np.int64)))
+    net = network(config, params,
+                  one_row_searches(listing_rows, context_rows))
     return net.listing[-1], net.context[-1]
 
 
@@ -537,7 +530,6 @@ def batch_of_sizes(rng: np.random.Generator, sizes,
     n = int(sizes.sum())
     segments = nn.Segments(sizes)
     labels = nested_labels(rng, n)
-    pair_i, pair_j = preference_pairs(labels["unc"], segments)
     if n_listings is None:
         index = np.arange(n)
     else:
@@ -547,8 +539,7 @@ def batch_of_sizes(rng: np.random.Generator, sizes,
     return SearchBatch(listing_rows=rng.normal(size=(index.max() + 1, 4)),
                        listing_index=index,
                        context_rows=rng.normal(size=(len(sizes), 3)),
-                       segments=segments, label_rows=label_rows(labels),
-                       pair_i=pair_i, pair_j=pair_j)
+                       segments=segments, label_rows=label_rows(labels))
 
 
 @pytest.mark.parametrize("sizes, n_listings",
@@ -566,7 +557,7 @@ class TestForwardMatchesPerRowReference:
         config = make_config()
         params = init_model_params(config)
         batch = batch_of_sizes(np.random.default_rng(51), sizes, n_listings)
-        got = forward_batch(config, params, batch)
+        got = forward(config, params, batch)
         want = per_row_forward(config, params,
                                batch.listing_rows[batch.listing_index],
                                batch.context_rows[batch.segments.ids])
@@ -699,9 +690,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((3, 1)), listing_index=np.arange(3),
             context_rows=np.zeros((3, 1)),
             segments=nn.Segments([3]),
-            label_rows=label_rows({"unc": np.array([True, False, False])}),
-            pair_i=np.zeros(0, dtype=np.int64),
-            pair_j=np.zeros(0, dtype=np.int64))
+            label_rows=label_rows({"unc": np.array([True, False, False])}))
         loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
         assert float(loss.values) < 1e-8
 
@@ -711,9 +700,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
             context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2]),
-            label_rows=label_rows({"unc": np.array([True, False])}),
-            pair_i=np.zeros(0, dtype=np.int64),
-            pair_j=np.zeros(0, dtype=np.int64))
+            label_rows=label_rows({"unc": np.array([True, False])}))
         loss = base_loss(scores, batch, ("unc",), {"unc": 1.0})
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
 
@@ -738,9 +725,7 @@ class TestBaseLoss:
             listing_rows=np.zeros((2, 1)), listing_index=np.arange(2),
             context_rows=np.zeros((2, 1)),
             segments=nn.Segments([2, 0]),
-            label_rows=label_rows({"unc": np.array([True, False])}),
-            pair_i=np.zeros(0, dtype=np.int64),
-            pair_j=np.zeros(0, dtype=np.int64))
+            label_rows=label_rows({"unc": np.array([True, False])}))
         with pytest.raises(ContractError):
             base_loss(scores, batch, ("unc",), {"unc": 1.0})
 
@@ -751,9 +736,7 @@ class TestTwiddlerLoss:
         return SearchBatch(
             listing_rows=np.zeros((n, 1)), listing_index=np.arange(n),
             context_rows=np.zeros((n, 1)),
-            segments=nn.Segments([n]), label_rows=label_rows(labels),
-            pair_i=np.zeros(0, dtype=np.int64),
-            pair_j=np.zeros(0, dtype=np.int64))
+            segments=nn.Segments([n]), label_rows=label_rows(labels))
 
     def test_no_eligible_rows_contribute_zero(self):
         labels = {m: np.zeros(3, dtype=bool) for m in ALL_MILESTONES}
@@ -847,8 +830,7 @@ class TestCombinationLoss:
         batch = SearchBatch(listing_rows=np.zeros((4, 1)),
                             listing_index=np.arange(4),
                             context_rows=np.zeros((4, 1)), segments=segments,
-                            label_rows=label_rows(labels),
-                            pair_i=pair_i, pair_j=pair_j)
+                            label_rows=label_rows(labels))
         loss = combination_loss(nn.Tensor(np.array([1.0, 2.0, 3.0, 4.0])),
                                 batch)
         assert float(loss.values) == 0.0
@@ -863,8 +845,7 @@ class TestCombinationLoss:
         batch = SearchBatch(listing_rows=np.zeros((2, 1)),
                             listing_index=np.arange(2),
                             context_rows=np.zeros((2, 1)), segments=segments,
-                            label_rows=label_rows(labels),
-                            pair_i=pair_i, pair_j=pair_j)
+                            label_rows=label_rows(labels))
         loss = combination_loss(nn.Tensor(np.array([0.3, 0.3])), batch)
         np.testing.assert_allclose(float(loss.values), LN2, rtol=1e-15)
 
@@ -922,6 +903,28 @@ class TestGradesAndPairs:
                 np.testing.assert_array_equal(g, w)
 
 
+class TestPairsOnDemand:
+    """The blend's pairs are built only where its loss reads them."""
+
+    def test_scoring_and_the_baseline_build_none(self, monkeypatch):
+        dataset = planted_dataset()
+        full, _ = train(default_model_config(2, 2, embedding_dim=4,
+                                             tower_hidden=(5,), seed=7),
+                        dataset, epochs=1)
+
+        def refuse(*args):
+            raise AssertionError("preference pairs built")
+
+        monkeypatch.setattr(model_module, "preference_pairs", refuse)
+        reports = evaluate.evaluate(full, dataset)
+        assert reports["unc"].n_searches == dataset.n_searches
+        evaluate.ntc_curves(full, dataset, "days_ahead_of_checkin")
+        train(baseline_model_config(2, 2, embedding_dim=4, tower_hidden=(5,),
+                                    seed=7), dataset, epochs=2)
+        with pytest.raises(AssertionError, match="pairs built"):
+            train(full.config, dataset, epochs=1)
+
+
 class TestBatches:
     """Batches cut as slices of the once-per-train() inputs put in an
     epoch's order once equal the batches the per-step reference builds
@@ -935,9 +938,10 @@ class TestBatches:
         pairs += [(got.segments.starts, want.segments.starts),
                   (got.segments.ids, want.segments.ids),
                   (got.listing_rows[got.listing_index],
-                   want.listing_rows[want.listing_index])]
-        for name in ("context_rows", "pair_i", "pair_j"):
-            pairs.append((getattr(got, name), getattr(want, name)))
+                   want.listing_rows[want.listing_index]),
+                  (got.context_rows, want.context_rows)]
+        pairs += zip(got.pairs, loop_preference_pairs(
+            want.labels["unc"].astype(np.int64), want.segments.ids))
         for g, w in pairs:
             assert g.dtype == w.dtype and g.shape == w.shape
             np.testing.assert_array_equal(g, w)
@@ -986,14 +990,18 @@ class TestBatches:
                                           dataset.context_features)
             shuffled = reorder(batch_inputs(dataset, norm),
                                rng.permutation(dataset.n_searches))
-            unc = shuffled.label_rows[LABELS.index("unc")]
-            want = preference_pairs(
-                unc, nn.Segments(np.diff(shuffled.starts)))
+            want = preference_pairs(shuffled.labels["unc"],
+                                    shuffled.segments)
             batch_size = int(rng.integers(1, dataset.n_searches + 1))
             got_i, got_j = [], []
             for lo in range(0, dataset.n_searches, batch_size):
                 batch = make_batch(shuffled, lo, lo + batch_size)
-                first = shuffled.starts[lo]
+                # a batch's pairs are those of its own unc labels
+                for g, w in zip((batch.pair_i, batch.pair_j),
+                                preference_pairs(batch.labels["unc"],
+                                                 batch.segments)):
+                    np.testing.assert_array_equal(g, w)
+                first = shuffled.segments.starts[lo]
                 got_i.append(batch.pair_i + first)
                 got_j.append(batch.pair_j + first)
             for g, w in zip((np.concatenate(got_i), np.concatenate(got_j)),
@@ -1010,11 +1018,12 @@ class TestBatches:
         inputs = batch_inputs(dataset, norm)
         order = rng.permutation(dataset.n_searches)
         twice = reorder(reorder(inputs, order), np.argsort(order))
-        for name in ("starts", "listing_index", "context_rows",
-                     "label_rows"):
+        for name in ("listing_index", "context_rows", "label_rows"):
             got, want = getattr(twice, name), getattr(inputs, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(twice.segments.starts,
+                                      inputs.segments.starts)
 
     def test_covers_one_row_and_pairless_searches(self):
         rng = np.random.default_rng(32)
@@ -1067,16 +1076,20 @@ def rows_told_apart_by_bytes() -> np.ndarray:
     return rows[[0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1, 0]]
 
 
-def dataset_showing(table: np.ndarray, index, ids=None) -> Dataset:
-    """One search whose impressions show rows ``index`` of ``table``, whose
-    rows are listings ``ids``: by default all one listing, so that rows
-    merge by their bytes alone."""
+def dataset_showing(table: np.ndarray, index, ids=None,
+                    context=(1.0, 0.0)) -> Dataset:
+    """One search in ``context`` whose impressions show rows ``index`` of
+    ``table``, whose rows are listings ``ids``: by default all one
+    listing, so that rows merge by their bytes alone. A context of more
+    than the required features adds taste features."""
     n = len(index)
-    schema = DatasetSchema(listing_dim=table.shape[1], context_dim=2,
-                           context_features=REQUIRED_CONTEXT_FEATURES)
+    names = REQUIRED_CONTEXT_FEATURES + tuple(
+        f"taste_{k}" for k in range(len(context) - 2))
+    schema = DatasetSchema(listing_dim=table.shape[1], context_dim=len(names),
+                           context_features=names)
     return Dataset.from_columns(
         schema, guest_ids=["G0"], searches_per_journey=[1],
-        search_ids=["S0"], t_days=[0.0], context_features=[[1.0, 0.0]],
+        search_ids=["S0"], t_days=[0.0], context_features=[context],
         imps_per_search=[n], positions=np.arange(1, n + 1),
         listing_ids=["L"] * len(table) if ids is None else ids,
         listing_rows=table, listing_index=index,
@@ -1256,7 +1269,8 @@ class TestTrainLayouts:
     def test_one_search_layout_per_step(self, monkeypatch):
         """Each step builds its batch's layout once, in make_batch, and
         every segment op of the step reads that one; the losses group
-        their terms by task without a layout of their own."""
+        their terms by task without a layout of their own. The only other
+        layout is each epoch's, built once by reorder."""
         built = []
 
         class CountingSegments(nn.Segments):
@@ -1264,30 +1278,31 @@ class TestTrainLayouts:
                 super().__init__(sizes)
                 built.append(self)
 
-        batches = []
+        calls = []
 
-        def recording_make_batch(*args):
-            before = len(built)
-            batches.append(make_batch(*args))
-            assert built[before:] == [batches[-1].segments]
-            return batches[-1]
+        def recording(original):
+            def call(*args):
+                before = len(built)
+                result = original(*args)
+                assert built[before:] == [result.segments]
+                calls.append(original.__name__)
+                return result
+            return call
 
         monkeypatch.setattr(model_module, "Segments", CountingSegments)
-        monkeypatch.setattr(model_module, "make_batch", recording_make_batch)
+        for name in ("reorder", "make_batch"):
+            monkeypatch.setattr(model_module, name,
+                                recording(getattr(model_module, name)))
         dataset = planted_dataset()
         config = default_model_config(2, 2, embedding_dim=4,
                                       tower_hidden=(5,), seed=7)
-        counts = {}
         for epochs in (1, 3):
             built.clear()
-            batches.clear()
+            calls.clear()
             train(config, dataset, epochs=epochs, batch_size=3)
-            counts[epochs] = (len(batches), len(built))
-            searches = [b.segments for b in batches]
-            assert built[built.index(searches[0]):] == searches
-        # 4 searches in batches of 3: two steps per epoch
-        assert counts[1][0] == 2 and counts[3][0] == 6
-        assert counts[3][1] - counts[1][1] == 6 - 2
+            # 4 searches in batches of 3: two steps per epoch
+            assert calls == ["reorder", "make_batch", "make_batch"] * epochs
+            assert len(built) == len(calls)
 
 
 class TestStepTape:
@@ -1325,11 +1340,9 @@ class TestStepTape:
 
 
 def with_labels(batch: SearchBatch, **changes) -> SearchBatch:
-    """The batch with some label columns replaced, its pairs rebuilt."""
+    """The batch with some label columns replaced; its pairs follow."""
     labels = {**batch.labels, **changes}
-    pair_i, pair_j = preference_pairs(labels["unc"], batch.segments)
-    return replace(batch, label_rows=label_rows(labels), pair_i=pair_i,
-                   pair_j=pair_j)
+    return replace(batch, label_rows=label_rows(labels))
 
 
 def loss_node_batches() -> dict[str, tuple]:
@@ -1441,8 +1454,7 @@ class TestLossNode:
         config, batch = loss_node_batches()[case]
         rng = np.random.default_rng(43)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in config.base_tasks}
-        net = network(config, init_model_params(config), batch.listing_rows,
-                      batch.listing_index, batch.context_rows, batch.segments)
+        net = network(config, init_model_params(config), batch)
         # as the model makes them, and spread out to saturate the funnel
         for scale in (1.0, 12.0):
             got = self.leaf_run(True, config, batch, net.head * scale,
@@ -1482,8 +1494,7 @@ class TestLossNode:
         ``[tasks, rows]`` arrays, and the blend coefficients per search."""
         config, batch = loss_node_batches()[case]
         weights = {t: 1.0 for t in config.base_tasks}
-        net = network(config, init_model_params(config), batch.listing_rows,
-                      batch.listing_index, batch.context_rows, batch.segments)
+        net = network(config, init_model_params(config), batch)
         d_head, _ = loss_from_logits(config, net.head, net.coef_logits,
                                      batch, weights)[2](1.0)
         for a in (net.head, d_head):
@@ -1503,8 +1514,7 @@ class TestLossNode:
         included."""
         config, batch = loss_node_batches()[case]
         weights = {t: 0.75 + 0.25 * k for k, t in enumerate(config.base_tasks)}
-        net = network(config, init_model_params(config), batch.listing_rows,
-                      batch.listing_index, batch.context_rows, batch.segments)
+        net = network(config, init_model_params(config), batch)
         for scale in (1.0, 12.0):
             tasks_first = net.head * scale
             rows_first = np.ascontiguousarray(tasks_first.T).T
@@ -1670,8 +1680,7 @@ class TestTotalLoss:
         batch = SearchBatch(listing_rows=np.zeros((2, 4)),
                             listing_index=np.arange(2),
                             context_rows=np.zeros((1, 3)), segments=segments,
-                            label_rows=label_rows(labels),
-                            pair_i=pair_i, pair_j=pair_j)
+                            label_rows=label_rows(labels))
         weights = {t: 1.0 for t in POSITIVE_CHAIN}
         loss, _, parts = total_loss(config, params, batch, weights)
         assert parts["base"] == pytest.approx(6 * LN2, rel=1e-14)
@@ -1950,10 +1959,8 @@ class TestScoring:
         ranked = score_candidates(model, np.array([30.0, 0.0]), ids, rows)
         scores = np.array([c.score for c in ranked])
         assert np.all(np.diff(scores) <= 0)
-        outputs = model.outputs(rows, np.arange(len(rows)),
-                                np.array([[30.0, 0.0]]),
-                                nn.Segments([len(rows)]))
-        want = outputs.ranking_score
+        want = model.outputs(dataset_showing(
+            rows, np.arange(len(rows)), ids, [30.0, 0.0])).ranking_score
         order = np.lexsort((np.asarray(ids), -want))
         assert [c.listing_id for c in ranked] == [ids[int(k)] for k in order]
 
@@ -1969,10 +1976,8 @@ class TestScoring:
         rng = np.random.default_rng(19)
         ids = [f"c{k}" for k in range(10)]
         rows = rng.normal(size=(10, 2))
-        context = np.array([35.0, 1.0])
-        outputs = model.outputs(rows, np.arange(len(rows)), context[None, :],
-                                nn.Segments([len(rows)]))
-        y = outputs.ranking_score
+        y = model.outputs(dataset_showing(
+            rows, np.arange(len(rows)), ids, [35.0, 1.0])).ranking_score
         base_order = np.lexsort((np.asarray(ids), -y))
         for shift in (-100.0, -1.0, 2.5, 1e6):
             shifted_order = np.lexsort((np.asarray(ids), -(y + shift)))
@@ -2017,13 +2022,10 @@ class TestPersistence:
         np.testing.assert_array_equal(back.normalization.listing_mean,
                                       model.normalization.listing_mean)
         rng = np.random.default_rng(21)
-        rows = rng.normal(size=(6, 2))
-        contexts = np.array([[40.0, 1.0]])
-        index = np.array([3, 0, 5, 5, 1, 2, 4])
-        segments = nn.Segments([len(index)])
-        np.testing.assert_array_equal(
-            back.outputs(rows, index, contexts, segments).ranking_score,
-            model.outputs(rows, index, contexts, segments).ranking_score)
+        shown = dataset_showing(rng.normal(size=(6, 2)), [3, 0, 5, 5, 1, 2, 4],
+                                [f"L{k}" for k in range(6)], [40.0, 1.0])
+        np.testing.assert_array_equal(back.outputs(shown).ranking_score,
+                                      model.outputs(shown).ranking_score)
 
     def test_removed_config_keys_are_refused(self, tmp_path):
         """A model saved with the activation, head depth and task weights
@@ -2059,8 +2061,7 @@ class TestBlendCoefficients:
         config = default_model_config(2, 2, embedding_dim=4,
                                       tower_hidden=(5,), seed=7)
         model, _ = train(config, dataset, epochs=3)
-        outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
-                                dataset.context_features, dataset.searches)
+        outputs = model.outputs(dataset)
         features = impression_features(dataset)
         for s in range(dataset.n_searches):
             rows = np.arange(dataset.searches.starts[s],
@@ -2081,8 +2082,7 @@ class TestBlendCoefficients:
         config = baseline_model_config(2, 2, embedding_dim=4,
                                        tower_hidden=(5,), seed=7)
         model, _ = train(config, dataset, epochs=1)
-        outputs = model.outputs(dataset.listing_rows, dataset.listing_index,
-                                dataset.context_features, dataset.searches)
+        outputs = model.outputs(dataset)
         assert outputs.alpha_base is None and outputs.alpha_twiddler is None
         with pytest.raises(ConfigError):
             evaluate.ntc_curves(model, dataset, "days_ahead_of_checkin")
@@ -2090,8 +2090,8 @@ class TestBlendCoefficients:
 
 class TestNonFiniteRows:
     """Feature rows that are not finite after normalization are refused
-    before any arithmetic: once for training, in ``batch_inputs``, whose
-    rows every batch is cut from, and again for scoring."""
+    before any arithmetic, in ``batch_inputs``, whose batch training cuts
+    its batches from and scoring reads."""
 
     @staticmethod
     def trained(epochs=0):
@@ -2127,45 +2127,33 @@ class TestNonFiniteRows:
         listing = dataset.listing_rows.copy()
         context = dataset.context_features.copy()
         (listing if which == "listing" else context)[1, 1] = np.inf
+        dataset = replace(dataset, listing_rows=listing,
+                          context_features=context)
         with pytest.raises(ShapeError, match="NaN or Inf"):
-            model.outputs(listing, dataset.listing_index, context,
-                          dataset.searches)
+            model.outputs(dataset)
         with pytest.raises(ShapeError, match="NaN or Inf"):
-            evaluate.ntc_curves(model, replace(
-                dataset, listing_rows=listing, context_features=context),
-                "days_ahead_of_checkin")
+            evaluate.ntc_curves(model, dataset, "days_ahead_of_checkin")
 
 
 class TestScoringLayout:
-    @pytest.mark.parametrize("index, message", [
-        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1], "laid out by the segments"),
-        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 9], "outside the listing"),
-        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, -1], "outside the listing"),
-    ], ids=["short", "past-the-end", "negative"])
-    def test_outputs_refuse_an_index_that_does_not_fit(self, index, message):
-        dataset, model = TestNonFiniteRows.trained()
-        assert (len(dataset.listing_rows), dataset.n_impressions) == (9, 12)
-        with pytest.raises(ContractError, match=message):
-            model.outputs(dataset.listing_rows, np.array(index),
-                          dataset.context_features, dataset.searches)
-
     @pytest.mark.parametrize("listing_dim, context_dim",
-                             [(1, 4), (5, 4), (6, 1), (6, 3)],
+                             [(1, 4), (5, 4), (6, 3), (6, 5)],
                              ids=["listing-1", "listing-one-short",
-                                  "context-1", "context-one-short"])
+                                  "context-one-short", "context-one-more"])
     def test_outputs_refuse_rows_of_another_width(self, listing_dim,
                                                   context_dim):
-        """Rows narrower than the towers are refused, not broadcast
-        against the normalization's columns."""
+        """A dataset whose rows are not as wide as the towers is of
+        another schema, and is refused before any arithmetic."""
         dataset, _ = simulate.generate(
             simulate.default_generator_config(n_guests=12, seed=3))
         model, _ = train(baseline_model_config(6, 4), dataset, 0)
-        segments = nn.Segments([3])
-        assert model.outputs(np.zeros((3, 6)), np.arange(3),
-                             np.zeros((1, 4)), segments).y_base.shape == (3,)
-        with pytest.raises(ContractError, match=r"\(6, 4\) wide"):
-            model.outputs(np.zeros((3, listing_dim)), np.arange(3),
-                          np.zeros((1, context_dim)), segments)
+        ours = dataset_showing(np.zeros((3, 6)), [0, 1, 2],
+                               context=np.zeros(4))
+        assert model.outputs(ours).y_base.shape == (3,)
+        other = dataset_showing(np.zeros((3, listing_dim)), [0, 1, 2],
+                                context=np.zeros(context_dim))
+        with pytest.raises(SchemaMismatchError):
+            model.outputs(other)
 
 
 FIT_ROWS = model_module._FIT_ROWS  # impression rows per streamed chunk
