@@ -490,14 +490,14 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                  _segment_any(backwards, journey[1:], n_j), at_journey)
     first = np.full(n_j, np.inf)
     last = np.full(n_j, -np.inf)
-    np.minimum.at(first, journey, t_days)
-    np.maximum.at(last, journey, t_days)
+    with np.errstate(invalid="ignore"):  # non-finite times: their own rule
+        np.minimum.at(first, journey, t_days)
+        np.maximum.at(last, journey, t_days)
+        span = last - first
     report.check("journey window",
-                 last - first > dataset.schema.window_days + 1e-9, at_journey)
+                 span > dataset.schema.window_days + 1e-9, at_journey)
 
     searches = dataset.searches
-    report.check("non-finite context",
-                 ~np.isfinite(dataset.context_features).all(axis=1), at_search)
     report.check("too few impressions", searches.sizes < 2, at_search)
     report.check("duplicate position",
                  _has_duplicates(dataset.positions, searches), at_search)
@@ -510,9 +510,20 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     report.check("duplicate listing", _has_duplicates(groups, searches),
                  at_search)
 
-    report.check("non-finite listing features",
-                 ~np.isfinite(dataset.listing_rows).all(axis=1)[
-                     dataset.listing_index], at_impression)
+    report.check("non-finite time", ~np.isfinite(t_days), at_search)
+    # a normalization fit over n rows stays finite if no value passes
+    # sqrt(max / 8n); a listing table row counts once per impression
+    for kind, rows, n, shown, where in (
+            ("context", dataset.context_features, n_s, slice(None),
+             at_search),
+            ("listing features", dataset.listing_rows, dataset.n_impressions,
+             dataset.listing_index, at_impression)):
+        finite = np.isfinite(rows)
+        bound = np.sqrt(np.finfo(np.float64).max / (8 * max(n, 1)))
+        big = finite & (np.abs(rows) > bound)
+        report.check(f"non-finite {kind}", ~finite.all(axis=1)[shown], where)
+        report.check(f"{kind} too large to normalize",
+                     big.any(axis=1)[shown], where)
     for kind, mask in label_violations(dataset.labels).items():
         report.check(kind, mask, at_impression)
 

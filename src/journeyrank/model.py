@@ -315,6 +315,18 @@ class NormalizationStats:
     context_mean: np.ndarray
     context_scale: np.ndarray
 
+    def __post_init__(self):
+        """Each mean finite and each scale finite and at least the fit's
+        floor, or a :class:`SchemaMismatchError` naming the field."""
+        for f in fields(self):
+            column = getattr(self, f.name)
+            floor = _MIN_SCALE if f.name.endswith("_scale") else -np.inf
+            if not (np.isfinite(column) & (column >= floor)).all():
+                rule = f" and positive, at least {floor}" if floor > 0 else ""
+                raise SchemaMismatchError(
+                    f"normalization {f.name} must be finite{rule}, "
+                    f"got {column.tolist()}")
+
     @staticmethod
     def _nonzero(scale: np.ndarray) -> np.ndarray:
         return np.where(scale < _MIN_SCALE, 1.0, scale)
@@ -374,9 +386,8 @@ class NormalizationStats:
     @classmethod
     def from_record(cls, rec) -> "NormalizationStats":
         """A saved record, read strictly: each value a number (never a
-        bool or a string), each mean finite and each scale finite and at
-        least the fit's floor, or a :class:`SchemaMismatchError` naming
-        the field."""
+        bool or a string), or a :class:`SchemaMismatchError` naming the
+        field."""
         if not isinstance(rec, dict):
             raise SchemaMismatchError(f"normalization record must be an "
                                       f"object, got {rec!r}")
@@ -386,19 +397,12 @@ class NormalizationStats:
                 raise SchemaMismatchError(
                     f"normalization record missing key {f.name!r}")
             try:
-                column = np.array([number(v) for v in rec[f.name]],
-                                  dtype=np.float64)
+                columns[f.name] = np.array([number(v) for v in rec[f.name]],
+                                           dtype=np.float64)
             except (OverflowError, TypeError):
                 raise SchemaMismatchError(
                     f"normalization {f.name} must be a list of numbers, "
                     f"got {rec[f.name]!r}") from None
-            floor = _MIN_SCALE if f.name.endswith("_scale") else -np.inf
-            if not (np.isfinite(column) & (column >= floor)).all():
-                rule = f" and positive, at least {floor}" if floor > 0 else ""
-                raise SchemaMismatchError(
-                    f"normalization {f.name} must be finite{rule}, "
-                    f"got {column.tolist()}")
-            columns[f.name] = column
         return cls(**columns)
 
 

@@ -2,7 +2,9 @@
 
 Each listing carries a fixed feature vector; each positive funnel stage and
 each negative outcome is a logistic model over listing features plus a
-normalized context map. Impressions sample the funnel stage by stage
+normalized context map, its weights read from a world recipe (see "world
+recipes": ``default_generator_config`` and ``benchmark_generator_config``
+each build one). Impressions sample the funnel stage by stage
 (click, long click, payment page, request, booking, uncancelled), negatives
 are drawn among the eligible rows (rejections among unbooked requests,
 cancellations among bookings), and journeys end at the first booking.
@@ -266,31 +268,11 @@ class WorldTruth:
 
 
 # ---------------------------------------------------------------------------
-# default world coefficients
-
-# two orthogonal listing-quality directions: "appeal" drives early funnel
-# stages (and defines CTR), "reliability" drives late stages and, inverted,
-# the negative outcomes. Orthogonality keeps CTR and rejection independent
-# until ctr_negative_coupling ties them together.
-_APPEAL = np.array([0.9, 0.5, 0.4, 0.0, 0.0, 0.0])
-_RELIABILITY = np.array([0.0, 0.0, 0.0, 0.8, 0.6, 0.4])
-
-_STAGE_MIX = {
-    # milestone: (appeal share, reliability share, bias)
-    "c": (1.00, 0.00, -1.85),
-    "lc": (0.80, 0.15, 0.45),
-    "pp": (0.50, 0.40, -0.70),
-    "req": (0.30, 0.60, -0.15),
-    "book": (0.15, 0.80, 0.00),
-    "unc": (0.05, 0.90, 1.05),
-}
-
-_NEGATIVE_MIX = {
-    # milestone: (reliability share, own-direction vector, bias)
-    "rej": (-0.80, np.array([0.0, 0.0, 0.0, 0.45, -0.35, 0.25]), -2.30),
-    "cbh": (-0.70, np.array([0.0, 0.0, 0.0, -0.20, 0.50, -0.35]), -1.30),
-    "cbg": (-0.50, np.array([0.0, 0.0, 0.0, 0.20, -0.30, 0.50]), -0.90),
-}
+# world recipes: a recipe is two tables. Blocks map a name to listing
+# dimensions and their loads; models map each of the nine milestones to
+# ({block: scale}, bias), a listing weight summing scale * load over the
+# blocks in the order listed. Positive stages take their _STAGE_CONTEXT row
+# as context weights, negatives none.
 
 # small context effects on positive stages: closer check-ins convert a bit
 # better, taste dimensions shift click propensity per journey
@@ -303,67 +285,81 @@ _STAGE_CONTEXT = {
     "unc": np.array([0.06, 0.00, 0.00, 0.00]),
 }
 
-DEFAULT_LISTING_DIM = 6
-DEFAULT_CONTEXT_DIM = 4
+# two orthogonal listing-quality directions: "appeal" drives early funnel
+# stages (and defines CTR), "reliability" drives late stages and, inverted,
+# the negative outcomes, each of which adds a direction of its own.
+# Orthogonality keeps CTR and rejection independent until
+# ctr_negative_coupling ties them together.
+_DEFAULT_BLOCKS = {
+    "appeal": {0: 0.9, 1: 0.5, 2: 0.4},
+    "reliability": {3: 0.8, 4: 0.6, 5: 0.4},
+    "rej": {3: 0.45, 4: -0.35, 5: 0.25},
+    "cbh": {3: -0.20, 4: 0.50, 5: -0.35},
+    "cbg": {3: 0.20, 4: -0.30, 5: 0.50},
+}
+_DEFAULT_MODELS = {
+    "c": ({"appeal": 1.00}, -1.85),
+    "lc": ({"appeal": 0.80, "reliability": 0.15}, 0.45),
+    "pp": ({"appeal": 0.50, "reliability": 0.40}, -0.70),
+    "req": ({"appeal": 0.30, "reliability": 0.60}, -0.15),
+    "book": ({"appeal": 0.15, "reliability": 0.80}, 0.00),
+    "unc": ({"appeal": 0.05, "reliability": 0.90}, 1.05),
+    "rej": ({"reliability": -0.80, "rej": 1.0}, -2.30),
+    "cbh": ({"reliability": -0.70, "cbh": 1.0}, -1.30),
+    "cbg": ({"reliability": -0.50, "cbg": 1.0}, -0.90),
+}
 
-
-def default_generator_config(n_guests: int = 2000, seed: int = 0,
-                             **overrides) -> GeneratorConfig:
-    """The calibrated desk-scale world.
-
-    Conditional stage rates land near click 0.22, long-click 0.60,
-    payment-page 0.40, request 0.50, booking 0.60, uncancelled 0.80, giving
-    roughly 1 percent uncancelled bookings per impression; negatives sit in
-    the 5-15 percent band of their eligible rows.
-    """
-    d_l, d_c = DEFAULT_LISTING_DIM, DEFAULT_CONTEXT_DIM
-    stage = {}
-    for name, (a, r, bias) in _STAGE_MIX.items():
-        w = np.concatenate([a * _APPEAL + r * _RELIABILITY, _STAGE_CONTEXT[name]])
-        stage[name] = StageModel(weights=w, bias=bias)
-    negative = {}
-    for name, (r, own, bias) in _NEGATIVE_MIX.items():
-        w = np.concatenate([r * _RELIABILITY + own, np.zeros(d_c)])
-        negative[name] = StageModel(weights=w, bias=bias)
-    base = dict(
-        n_guests=n_guests,
-        listings_per_search=8,
-        max_searches_per_journey=8,
-        listing_feature_dim=d_l,
-        context_feature_dim=d_c,
-        stage_coefficients=stage,
-        negative_coefficients=negative,
-        ctr_negative_coupling=0.0,
-        days_ahead_ushape_strength=0.0,
-        late_journey_negative_coupling=0.0,
-        seed=seed,
-        n_listings=400,
-        journey_window_days=30.0,
-    )
-    base.update(overrides)
-    return GeneratorConfig(**base)
-
-
-_BENCHMARK_LISTING_DIM = 20
 _BENCHMARK_BLOCKS = {
     "appeal": {0: 0.55, 1: 0.45, 2: 0.40, 3: 0.30, 4: 0.25, 5: 0.20},
     "merch": {6: 0.90, 7: 0.72, 8: 0.56},
     "respond": {9: 0.60, 10: 0.50, 11: 0.40},
     "keep": {12: 0.60, 13: 0.50, 14: 0.40},
 }
-_BENCHMARK_STAGE_MIX = {
-    "c": (2.00, 0.00, 0.00, 0.00, -3.30),
-    "lc": (0.80, 0.70, 0.00, 0.00, 0.90),
-    "pp": (0.65, 0.85, 0.00, 0.00, 0.35),
-    "req": (0.60, 0.55, 0.00, 0.00, 0.90),
-    "book": (0.50, 0.45, 0.28, 0.28, -2.00),
-    "unc": (0.00, 0.00, 2.60, 3.40, -3.60),
-}
-_BENCHMARK_NEGATIVE_MIX = {
+_BENCHMARK_MODELS = {
+    "c": ({"appeal": 2.00}, -3.30),
+    "lc": ({"appeal": 0.80, "merch": 0.70}, 0.90),
+    "pp": ({"appeal": 0.65, "merch": 0.85}, 0.35),
+    "req": ({"appeal": 0.60, "merch": 0.55}, 0.90),
+    "book": ({"appeal": 0.50, "merch": 0.45, "respond": 0.28,
+              "keep": 0.28}, -2.00),
+    "unc": ({"respond": 2.60, "keep": 3.40}, -3.60),
     "rej": ({"respond": -1.60}, 0.30),
     "cbh": ({"keep": -1.40}, -0.85),
     "cbg": ({"keep": -1.40}, -0.50),
 }
+
+
+def _recipe_config(blocks, models, listing_dim, **fields) -> GeneratorConfig:
+    """The world a recipe's tables define, with ``fields`` set last."""
+    stage, negative = {}, {}
+    for name, (scales, bias) in models.items():
+        w = np.zeros(listing_dim + 4)
+        for block, scale in scales.items():
+            for dim, load in blocks[block].items():
+                w[dim] += scale * load
+        w[listing_dim:] = _STAGE_CONTEXT.get(name, 0.0)
+        group = stage if name in POSITIVE_CHAIN else negative
+        group[name] = StageModel(weights=w, bias=bias)
+    return GeneratorConfig(**{
+        "listing_feature_dim": listing_dim, "context_feature_dim": 4,
+        "max_searches_per_journey": 8, "stage_coefficients": stage,
+        "negative_coefficients": negative, **fields})
+
+
+def default_generator_config(n_guests: int = 2000, seed: int = 0,
+                             **overrides) -> GeneratorConfig:
+    """The calibrated desk-scale world.
+
+    Attributed label counts at 2,000 guests and seed 0, each over its
+    parent's: click 0.19, long-click 0.73, payment-page 0.46, request 0.59,
+    booking 0.58, uncancelled 0.86, so 1.8 percent of impressions carry
+    ``unc``; rejections 0.11 of unbooked requests, host and guest
+    cancellations 0.05 and 0.09 of bookings.
+    """
+    return _recipe_config(
+        _DEFAULT_BLOCKS, _DEFAULT_MODELS, 6, n_guests=n_guests, seed=seed,
+        **{"listings_per_search": 8, "ctr_negative_coupling": 0.0,
+           "days_ahead_ushape_strength": 0.0, **overrides})
 
 
 def benchmark_generator_config(n_guests: int = 8500, seed: int = 505,
@@ -375,53 +371,23 @@ def benchmark_generator_config(n_guests: int = 8500, seed: int = 505,
     and merchandising blocks; the final uncancelled stage depends only
     on the responsiveness and retention blocks, which upstream stages
     echo faintly through the booking step. Uncancelled outcomes are made
-    deliberately scarce (a few hundred per ten thousand journeys) so a
-    model that learns the retention axes only from its own labels is
-    label-starved while milestone co-training can still reach them.
+    deliberately scarce (674 of the 8,500 journeys at seed 505 hold an
+    ``unc`` label, about 8 percent) so a model that learns the retention
+    axes only from its own labels is label-starved while milestone
+    co-training can still reach them.
     Negative events load with opposite sign on those same blocks, and
     every context coupling is switched on, so rejection pressure varies
     with the booking horizon and journey position and the conversion
     slope itself is context-modulated.
     """
-    d_l, d_c = _BENCHMARK_LISTING_DIM, DEFAULT_CONTEXT_DIM
-    blocks = _BENCHMARK_BLOCKS
-    stage = {}
-    for name, (a, m, r, k, bias) in _BENCHMARK_STAGE_MIX.items():
-        w = np.zeros(d_l)
-        scales = zip((blocks["appeal"], blocks["merch"],
-                      blocks["respond"], blocks["keep"]), (a, m, r, k))
-        for dims, scale in scales:
-            for dim, load in dims.items():
-                w[dim] += scale * load
-        stage[name] = StageModel(
-            weights=np.concatenate([w, _STAGE_CONTEXT[name]]), bias=bias)
-    negative = {}
-    for name, (loads, bias) in _BENCHMARK_NEGATIVE_MIX.items():
-        w = np.zeros(d_l)
-        for block_name, scale in loads.items():
-            for dim, load in blocks[block_name].items():
-                w[dim] += scale * load
-        negative[name] = StageModel(
-            weights=np.concatenate([w, np.zeros(d_c)]), bias=bias)
-    base = dict(
-        n_guests=n_guests,
-        listings_per_search=16,
-        max_searches_per_journey=8,
-        listing_feature_dim=d_l,
-        context_feature_dim=d_c,
-        stage_coefficients=stage,
-        negative_coefficients=negative,
-        ctr_negative_coupling=0.40,
-        days_ahead_ushape_strength=1.5,
-        late_journey_negative_coupling=1.2,
-        conversion_days_modulation=1.2,
-        conversion_late_modulation=0.8,
-        seed=seed,
-        n_listings=600,
-        journey_window_days=30.0,
-    )
-    base.update(overrides)
-    return GeneratorConfig(**base)
+    return _recipe_config(
+        _BENCHMARK_BLOCKS, _BENCHMARK_MODELS, 20, n_guests=n_guests,
+        seed=seed, **{"listings_per_search": 16, "n_listings": 600,
+                      "ctr_negative_coupling": 0.40,
+                      "days_ahead_ushape_strength": 1.5,
+                      "late_journey_negative_coupling": 1.2,
+                      "conversion_days_modulation": 1.2,
+                      "conversion_late_modulation": 0.8, **overrides})
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ file except the manifest, whose only moving part is its timestamp.
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -1054,6 +1055,30 @@ class TestValidate:
                    "--dataset", str(path), "--out", str(tmp_path / "x"),
                    "--epochs", "1", "--no-filter"])
         assert rc == 2
+
+    @pytest.mark.parametrize("column,kind", [
+        ("t_days", "non-finite time"),
+        ("listing_rows", "listing features too large to normalize"),
+    ])
+    def test_validate_train_and_eval_refuse_alike(self, ws, tmp_path, capsys,
+                                                  column, kind):
+        """A NaN search time, which the order and window rules skip, and
+        a feature of 1e300, whose square overflows the fit's scale: each
+        exits 2 from validate, train and eval."""
+        dataset = load_dataset(ws / "data" / "dataset.jsonl")
+        values = getattr(dataset, column).copy()
+        values[(5, 0) if values.ndim == 2 else 3] = (
+            1e300 if values.ndim == 2 else np.nan)
+        path = tmp_path / "bad.jsonl"
+        save_dataset(dataclasses.replace(dataset, **{column: values}), path)
+        assert main(["validate", "--dataset", str(path)]) == 2
+        assert kind in capsys.readouterr().out
+        assert main(["train", "--model-config", str(ws / "model.json"),
+                     "--dataset", str(path), "--out", str(tmp_path / "x"),
+                     "--epochs", "1"]) == 2
+        assert main(["eval", "--model", str(ws / "run" / "model"),
+                     "--dataset", str(path),
+                     "--out", str(tmp_path / "eval")]) == 2
 
     def test_width_mismatch_exits_two(self, ws, tmp_path, capsys):
         lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()

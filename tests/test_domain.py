@@ -28,6 +28,7 @@ from journeyrank.domain import (
 )
 from journeyrank.errors import ConfigError, DataValidationError, UndefinedTaskWeightError
 from journeyrank.evaluate import evaluate_with_scorer
+from journeyrank.model import NormalizationStats
 
 SCHEMA = DatasetSchema(
     listing_dim=3,
@@ -446,6 +447,50 @@ class TestValidateDataset:
         assert report.examples == [
             f"guest=g0 search={s} listing={lid}: non-finite listing features"
             for s, lid in (("s1", "A"), ("s2", "C"), ("s2", "A"))]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_searches", [1, 2])
+    def test_non_finite_time_reported(self, bad, n_searches):
+        """The order and window rules compare times, so they skip a NaN
+        and a lone search's infinite time; the time rule does not."""
+        times = [0.0, 1.0][:n_searches - 1] + [bad]
+        ds = make_dataset(make_journey("g0", [
+            make_search(f"s{k}", t, [make_impression(f"A{k}", 1),
+                                     make_impression(f"B{k}", 2)])
+            for k, t in enumerate(times)]))
+        report = validate_dataset(ds)
+        assert report.violations["non-finite time"] == 1
+        assert f"search=s{n_searches - 1}: non-finite time" in "".join(
+            report.examples)
+
+    @pytest.mark.parametrize("where", ["features", "context"])
+    def test_values_past_the_fit_range_reported(self, where):
+        """A value past sqrt(max / 8n), n the impressions for listing
+        features and the searches for contexts, could overflow a
+        normalization fit; at the bound the fit stays finite."""
+        n = 4 if where == "features" else 2
+        bound = np.sqrt(np.finfo(np.float64).max / (8 * n))
+
+        def dataset(v):
+            sign = (1, 1, 1, -1)
+            return make_dataset(make_journey("g0", [
+                make_search(f"s{s}", float(s), [
+                    make_impression(f"L{s}{k}", k + 1, features=(
+                        sign[2 * s + k] * v if where == "features" else 0.0,
+                        0.0, 0.0)) for k in range(2)],
+                    context=(sign[2 * s + 1] * v if where == "context"
+                             else 30.0, 1.0))
+                for s in range(2)]))
+
+        inside = dataset(bound)
+        assert validate_dataset(inside).accepted
+        norm = NormalizationStats.fit(inside.listing_rows,
+                                      inside.listing_index,
+                                      inside.context_features)
+        assert all(np.isfinite(v).all() for v in vars(norm).values())
+        kind = "listing features" if where == "features" else "context"
+        report = validate_dataset(dataset(np.nextafter(bound, np.inf)))
+        assert report.violations == {f"{kind} too large to normalize": n}
 
     def test_multiple_unc_listings_reported(self):
         journey = make_journey("g0", [

@@ -2102,22 +2102,30 @@ class TestNonFiniteRows:
 
     @pytest.mark.parametrize("field", ["listing_mean", "context_mean"])
     def test_batch_inputs(self, field):
+        """Statistics are finite, yet a finite row can still normalize
+        past the float range: a mean of 1e300 over the floor's scale."""
         dataset = planted_dataset()
         norm = NormalizationStats.fit(dataset.listing_rows,
                                       dataset.listing_index,
                                       dataset.context_features)
-        bad = getattr(norm, field).copy()
-        bad[1] = np.inf
-        with pytest.raises(ShapeError, match="NaN or Inf"):
-            batch_inputs(dataset, replace(norm, **{field: bad}))
+        far = getattr(norm, field).copy()
+        far[1] = 1e300
+        narrow = np.full_like(far, model_module._MIN_SCALE)
+        with np.errstate(over="ignore"), pytest.raises(ShapeError,
+                                                       match="NaN or Inf"):
+            batch_inputs(dataset, replace(norm, **{
+                field: far, field.replace("mean", "scale"): narrow}))
 
     def test_train(self):
+        """Training fits its normalization first, and the fit refuses the
+        NaN mean that a NaN row gives."""
         dataset = planted_dataset()
         features = impression_features(dataset)
         features[4, 0] = np.nan
         config = default_model_config(2, 2, embedding_dim=4,
                                       tower_hidden=(5,), seed=7)
-        with pytest.raises(ShapeError, match="NaN or Inf"):
+        with pytest.raises(SchemaMismatchError,
+                           match="listing_mean must be finite"):
             train(config, with_impression_features(dataset, features),
                   epochs=1)
 
@@ -2247,6 +2255,30 @@ class TestNormalizationStats:
                 tracemalloc.stop()
         # the gather of the larger index alone would take 7.9 MB
         assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("field,value", [
+        ("listing_mean", np.nan), ("context_mean", -np.inf),
+        ("listing_scale", np.inf), ("context_scale", 0.0)])
+    def test_fit_and_record_share_one_rule(self, field, value):
+        rng = np.random.default_rng(27)
+        norm = NormalizationStats.fit(rng.normal(size=(5, 3)), np.arange(5),
+                                      rng.normal(size=(5, 2)))
+        bad = getattr(norm, field).copy()
+        bad[0] = value
+        with pytest.raises(SchemaMismatchError, match=f"{field} must be"):
+            replace(norm, **{field: bad})
+        record = dict(norm.to_record(), **{field: bad.tolist()})
+        with pytest.raises(SchemaMismatchError, match=f"{field} must be"):
+            NormalizationStats.from_record(record)
+
+    def test_fit_past_the_float_range_is_refused(self):
+        """A value whose square overflows gives an infinite scale, which
+        the fit refuses rather than hand to ``save_model``."""
+        table = np.zeros((6, 2))
+        table[5, 0] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(SchemaMismatchError,
+                                                       match="listing_scale"):
+            NormalizationStats.fit(table, np.arange(6), np.zeros((3, 2)))
 
     def test_record_roundtrip(self):
         rng = np.random.default_rng(23)

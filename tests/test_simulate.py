@@ -9,8 +9,12 @@ the frozen world coefficients and are asserted exactly; any drift in the
 sampling path shows up here first.
 """
 
+import hashlib
+import importlib.util
 import json
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +393,46 @@ class TestDeterminism:
             generate(cfg, guest_range=(5, 12))
         with pytest.raises(ConfigError):
             generate(cfg, guest_range=(-1, 5))
+
+
+@pytest.mark.parametrize("make_config,sha256", [
+    (default_generator_config,
+     "c0f3255c7184eee44f9629b7cf516ab23b1753e7683facdb22d30e208f45d8b9"),
+    (benchmark_generator_config,
+     "719f575156147a883be93ec149c1035ddf3463d8ca787cd82950075cf9ca2afd"),
+], ids=["default", "benchmark"])
+def test_recipe_pinned(make_config, sha256):
+    """Every coefficient of both worlds, to the last bit: a small world's
+    bytes may not show a last-bit change in one weight."""
+    record = json.dumps(generator_config_to_record(make_config()),
+                        sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(record.encode()).hexdigest() == sha256
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["GenIo", "CompareDefault"])
+def test_perfbench_reference_datasets(tmp_path, monkeypatch, workload):
+    """The benchmark checks the file its seed-0 world writes against a
+    recorded sha256; a changed generator shows here, not only as a failed
+    benchmark run. The benchmark's files are loaded as they are."""
+    monkeypatch.setitem(sys.modules, "layers", load_perfbench("layers"))
+    workloads = load_perfbench("workloads")
+    bench = getattr(workloads, workload)(0, tmp_path, None,
+                                         workloads.Checks())
+    dataset, _ = generate(bench.config_at(0))
+    path = tmp_path / "reference.jsonl"
+    save_dataset(dataset, path)
+    assert file_sha256(path) == bench.reference_sha256
 
 
 class TestLockstepMatchesReference:
