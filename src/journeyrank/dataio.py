@@ -15,22 +15,28 @@ by one journey record per line::
 ``labels`` lists the milestones that hold on the impression; absent or
 false flags are unset. The same record is how a dataset is built by hand:
 :func:`dataset_from_records` turns records into the columns of a
-:class:`~journeyrank.domain.Dataset`, one journey at a time, and
-:func:`dataset_to_records` yields them back. Those columns are the only
-form a dataset takes: the split below, the model and the evaluation read
-them as they are. Feature values are emitted exactly as stored, so a
-load/save round trip is byte-identical for datasets produced by this
-package (the simulator rounds features at generation time for
+:class:`~journeyrank.domain.Dataset`, one journey at a time. Those columns
+are the only form a dataset takes: the split below, the model and the
+evaluation read them as they are. Feature values are emitted exactly as
+stored, so a load/save round trip is byte-identical for datasets produced
+by this package (the simulator rounds features at generation time for
 compactness).
 
 Each line of the file is the record in canonical JSON (sorted keys, no
 spaces). :func:`save_dataset` writes those bytes without building the
-records: it encodes each listing table row's features and id (rows are
-distinct by id and bytes, so ``-0.0`` and ``0.0`` keep their own text)
-and each distinct label set once, looks each impression's texts up by
-integer (its table row, its label code), and assembles one journey's
-line at a time. The bytes are the same as encoding each record of
-:func:`dataset_to_records`.
+records. It encodes each listing table row's features and id once (rows
+are distinct by id and bytes, so ``-0.0`` and ``0.0`` keep their own
+text), as the text of an impression up to its label set and the text
+from its label set to its position, and each distinct label set once.
+The file is then written a chunk at a time. A chunk is whole journeys,
+taken until they hold about a thousand impressions. Its text is one join
+of five texts per impression: the two row texts and the label set's
+text, looked up by integer, the position, and a separator. The separator
+after a search's last impression carries the search's id and time and
+the head of whatever follows, a search with its context or a journey
+with its guest id. Each chunk's contexts and times are encoded in one
+call per column. Chunks are bounded so that the writer holds one chunk's
+text, never the file's.
 
 :func:`load_dataset` reads the lines back with two decoders that fill the
 same columns. The line decoder cuts a line on the delimiters of the
@@ -57,7 +63,9 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
+from bisect import bisect_left
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import countOf
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -82,33 +90,6 @@ _SCHEMA_KEYS = {"record", "listing_dim", "context_dim", "context_features",
 # one encoder for every call: json.dumps with these arguments builds a new
 # encoder each time, which the writer's per-search calls would pay for
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
-    """One journey record per journey, in dataset order."""
-    label_rows = np.column_stack([dataset.labels[m] for m in LABELS])
-    imp_starts = dataset.searches.starts
-    for j, guest_id in enumerate(dataset.guest_ids.tolist()):
-        lo, hi = dataset.journeys.starts[j], dataset.journeys.starts[j + 1]
-        searches = []
-        for k in range(lo, hi):
-            a, b = imp_starts[k], imp_starts[k + 1]
-            impressions = [
-                {"listing_id": lid, "position": pos, "features": feats,
-                 "labels": {m: True for m, on in zip(LABELS, flags) if on}}
-                for lid, pos, feats, flags in zip(
-                    dataset.listing_ids[dataset.listing_index[a:b]].tolist(),
-                    dataset.positions[a:b].tolist(),
-                    dataset.listing_rows[dataset.listing_index[a:b]].tolist(),
-                    label_rows[a:b].tolist())
-            ]
-            searches.append({
-                "search_id": str(dataset.search_ids[k]),
-                "t_days": float(dataset.t_days[k]),
-                "context": dataset.context_features[k].tolist(),
-                "impressions": impressions,
-            })
-        yield {"guest_id": guest_id, "searches": searches}
 
 
 _KNOWN_MILESTONES = frozenset(ALL_MILESTONES)
@@ -340,59 +321,116 @@ _CONTEXT, _IMPRESSIONS, _SEARCH_ID, _T_DAYS = (
 _FEATURES, _LABELS, _LISTING_ID, _POSITION = (
     '{"features":', ',"labels":', ',"listing_id":', ',"position":')
 _OBJECT_END, _NEXT = "}", ","
-_LINE = _GUEST_ID + "%s" + _SEARCHES + "%s" + _LINE_END
-_SEARCH = (_CONTEXT + "%s" + _IMPRESSIONS + "%s" + _SEARCH_ID + "%s"
-           + _T_DAYS + "%s" + _OBJECT_END)
-_IMPRESSION = (_FEATURES + "%s" + _LABELS + "%s" + _LISTING_ID + "%s"
-               + _POSITION + "%d" + _OBJECT_END)
+
+# A chunk of the file is whole journeys, taken until they hold at least
+# this many impressions (at 0, each journey is a chunk of its own). The
+# writer joins one chunk's text at a time, so its memory does not grow with
+# the file.
+_CHUNK_IMPRESSIONS = 1024
+# items one encoder call takes: the call holds a Python float and a text
+# per value, so a whole listing table in one call would hold several times
+# the table's text
+_ROWS_PER_CALL = 128
 
 
-def _journey_lines(dataset: Dataset) -> Iterator[str]:
-    """The canonical JSON of each record of :func:`dataset_to_records`,
-    built one journey at a time from texts looked up by integer: each
-    listing table row's feature and id texts by the impression's row, and
-    each distinct label set's text by its label code."""
-    row_texts = list(map(_canonical, dataset.listing_rows.tolist()))
-    id_texts = list(map(_canonical, dataset.listing_ids.tolist()))
+def _texts(values: np.ndarray) -> list[str]:
+    """The canonical JSON of each float of a column, or of each row of a
+    float table without its brackets, from one encoder call per
+    ``_ROWS_PER_CALL`` items: a float's text holds no comma or bracket."""
+    cut, sep = (1, _NEXT) if values.ndim == 1 else (2, "],[")
+    texts = []
+    for lo in range(0, len(values), _ROWS_PER_CALL):
+        text = _canonical(values[lo:lo + _ROWS_PER_CALL].tolist())
+        texts += text[cut:-cut].split(sep)
+    return texts
+
+
+def _chunk_texts(dataset: Dataset) -> Iterator[str]:
+    """The file's journey lines, one chunk of journeys at a time.
+
+    A chunk's text is one join of five texts per impression: its start up
+    to its label set and its middle from the label set to its position,
+    looked up by its table row, its label set, looked up by its label code,
+    its position and the separator after it. Inside a search the separator
+    is ``},``; after a search's last impression it carries the end of the
+    search, its id and time, and everything up to the next impression: the
+    head of the next search or journey, and any empty searches and
+    journeys in between.
+    """
+    starts = [_FEATURES + "[" + row + "]" + _LABELS
+              for row in _texts(dataset.listing_rows)]
+    middles = [_LISTING_ID + listing_id + _POSITION
+               for listing_id in map(encode_basestring_ascii,
+                                     dataset.listing_ids.tolist())]
     codes = _label_codes(dataset.labels)
     label_texts = {
         code: _canonical({m: True for k, m in enumerate(LABELS)
                           if code >> k & 1})
         for code in np.flatnonzero(np.bincount(codes)).tolist()}
-    imp_starts = dataset.searches.starts.tolist()
-    bounds = dataset.journeys.starts.tolist()
-    for j, guest_id in enumerate(dataset.guest_ids.tolist()):
-        lo, hi = bounds[j], bounds[j + 1]
-        first, last = imp_starts[lo], imp_starts[hi]
-        shown = dataset.listing_index[first:last].tolist()
-        impressions = [
-            _IMPRESSION % row
-            for row in zip(map(row_texts.__getitem__, shown),
-                           map(label_texts.__getitem__,
-                               codes[first:last].tolist()),
-                           map(id_texts.__getitem__, shown),
-                           dataset.positions[first:last].tolist())]
-        searches = [
-            _SEARCH % (_canonical(context),
-                       _NEXT.join(impressions[a - first:b - first]),
-                       _canonical(search_id), _canonical(t_days))
-            for a, b, search_id, t_days, context in zip(
-                imp_starts[lo:hi], imp_starts[lo + 1:hi + 1],
-                dataset.search_ids[lo:hi].tolist(),
-                dataset.t_days[lo:hi].tolist(),
-                dataset.context_features[lo:hi].tolist())]
-        yield _LINE % (_canonical(guest_id), _NEXT.join(searches))
+    journey_starts, search_starts = (dataset.journeys.starts,
+                                     dataset.searches.starts)
+    first_imps = search_starts[journey_starts].tolist()
+    n_journeys, j1 = len(journey_starts) - 1, 0
+    while j1 < n_journeys:
+        j0, j1 = j1, min(n_journeys, bisect_left(
+            first_imps, first_imps[j1] + _CHUNK_IMPRESSIONS, j1 + 1))
+        s0, s1 = journey_starts[[j0, j1]].tolist()
+        i0, i1 = first_imps[j0], first_imps[j1]
+        # the chunk's searches per journey, and impressions per search
+        bounds = (journey_starts[j0:j1 + 1] - s0).tolist()
+        imp_starts = (search_starts[s0:s1 + 1] - i0).tolist()
+        heads = [_CONTEXT + "[" + context + "]" + _IMPRESSIONS
+                 for context in _texts(dataset.context_features[s0:s1])]
+        tails = [_SEARCH_ID + search_id + _T_DAYS + t_days + _OBJECT_END
+                 for search_id, t_days in zip(
+                     map(encode_basestring_ascii,
+                         dataset.search_ids[s0:s1].tolist()),
+                     _texts(dataset.t_days[s0:s1]))]
+        separators = [_OBJECT_END + _NEXT] * (i1 - i0)
+        lead, texts = "", []   # the texts since the last impression
+        for j, guest_id in enumerate(map(encode_basestring_ascii,
+                                         dataset.guest_ids[j0:j1].tolist())):
+            texts.append(_GUEST_ID + guest_id + _SEARCHES)
+            for k in range(bounds[j], bounds[j + 1]):
+                if k > bounds[j]:
+                    texts.append(_NEXT)
+                texts.append(heads[k])
+                a, b = imp_starts[k], imp_starts[k + 1]
+                if a < b:
+                    if a:
+                        separators[a - 1] = "".join(texts)
+                    else:
+                        lead = "".join(texts)
+                    texts = [_OBJECT_END]
+                texts.append(tails[k])
+            texts.append(_LINE_END + "\n")
+        if separators:
+            separators[-1] = "".join(texts)
+        else:
+            lead = "".join(texts)
+        shown = dataset.listing_index[i0:i1].tolist()
+        yield "".join(chain((lead,), chain.from_iterable(zip(
+            map(starts.__getitem__, shown),
+            map(label_texts.__getitem__, codes[i0:i1].tolist()),
+            map(middles.__getitem__, shown),
+            map(str, dataset.positions[i0:i1].tolist()),
+            separators))))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the schema header and one canonical JSON line per journey,
-    streamed a journey at a time."""
+    """Write the schema header and one canonical JSON line per journey.
+
+    The lines are written one chunk at a time: whole journeys, taken until
+    they hold ``_CHUNK_IMPRESSIONS`` impressions, whose text is built in one
+    join. A chunk is bounded so that the writer's memory is one chunk's
+    text and the listing table's texts, however long the file: joining the
+    whole file at once would hold all of its text, and more.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         f.write(_canonical(dataset.schema.to_record()) + "\n")
-        for line in _journey_lines(dataset):
-            f.write(line + "\n")
+        f.writelines(_chunk_texts(dataset))
 
 
 # the decoder's memos are cleared when they reach this many texts, so their

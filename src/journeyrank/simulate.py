@@ -432,8 +432,10 @@ def generate(config: GeneratorConfig,
     most = config.max_searches_per_journey
     for rng in rngs:
         taste.append(rng.normal(size=n_taste))
-        days_ahead.append(rng.uniform(1.0, 180.0))
-        start_day.append(rng.uniform(0.0, 365.0))
+        # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi), bit for
+        # bit, without its argument checks
+        days_ahead.append(1.0 + (180.0 - 1.0) * rng.random())
+        start_day.append(0.0 + (365.0 - 0.0) * rng.random())
         n_planned.append(int(rng.integers(1, most + 1)))
     taste = np.round(np.reshape(taste, (len(rngs), n_taste)), 6)
     limit = [min(config.journey_window_days, d) for d in days_ahead]
@@ -453,10 +455,10 @@ def generate(config: GeneratorConfig,
                 continue
             rng = rngs[g]
             if s_idx > 0:
-                elapsed[g] += rng.uniform(0.25, 1.75)
+                elapsed[g] += 0.25 + (1.75 - 0.25) * rng.random()
             if elapsed[g] >= limit[g]:
                 continue
-            available = np.flatnonzero(open_listings[g])
+            available = open_listings[g].nonzero()[0]
             if len(available) < n:
                 continue
             searching.append(g)
@@ -492,7 +494,7 @@ def generate(config: GeneratorConfig,
         host_draw, rej_draw = np.zeros(k), np.empty((k, n))
         for j, g in enumerate(searching):
             if due[j]:
-                host_draw[j] = rngs[g].random(1)[0]
+                host_draw[j] = rngs[g].random()
             rej_draw[j] = rngs[g].random(n)
         # a cancellation falls to the host by the outcomes' relative risk
         p_h, p_g = p[due, first[due], _CBH], p[due, first[due], _CBG]

@@ -6,7 +6,7 @@ for every autodiff assertion: the engine is never used to validate itself.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
@@ -96,6 +96,34 @@ def imp_rows_for_searches(dataset: Dataset,
     starts = dataset.searches.starts[search_idx]
     return concat_ranges(starts,
                          dataset.searches.starts[search_idx + 1] - starts)
+
+
+def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
+    """One journey record per journey, in dataset order: the reference the
+    writer's lines are checked against."""
+    label_rows = np.column_stack([dataset.labels[m] for m in LABELS])
+    imp_starts = dataset.searches.starts
+    for j, guest_id in enumerate(dataset.guest_ids.tolist()):
+        lo, hi = dataset.journeys.starts[j], dataset.journeys.starts[j + 1]
+        searches = []
+        for k in range(lo, hi):
+            a, b = imp_starts[k], imp_starts[k + 1]
+            impressions = [
+                {"listing_id": lid, "position": pos, "features": feats,
+                 "labels": {m: True for m, on in zip(LABELS, flags) if on}}
+                for lid, pos, feats, flags in zip(
+                    dataset.listing_ids[dataset.listing_index[a:b]].tolist(),
+                    dataset.positions[a:b].tolist(),
+                    dataset.listing_rows[dataset.listing_index[a:b]].tolist(),
+                    label_rows[a:b].tolist())
+            ]
+            searches.append({
+                "search_id": str(dataset.search_ids[k]),
+                "t_days": float(dataset.t_days[k]),
+                "context": dataset.context_features[k].tolist(),
+                "impressions": impressions,
+            })
+        yield {"guest_id": guest_id, "searches": searches}
 
 
 def column_arrays(ds: Dataset) -> dict[str, np.ndarray]:

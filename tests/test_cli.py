@@ -27,12 +27,12 @@ from hypothesis import strategies as st
 
 import journeyrank
 from journeyrank import cli
-from conftest import assert_same_load, tiny_manual_dataset
+from conftest import (assert_same_load, dataset_to_records,
+                      tiny_manual_dataset)
 from journeyrank import evaluate as ev
 from journeyrank.cli import main
 from journeyrank.dataio import (
     dataset_from_records,
-    dataset_to_records,
     file_sha256,
     load_dataset,
     save_dataset,
@@ -1253,9 +1253,10 @@ class TestParserPlumbing:
 
 
 # values a mutated leaf takes: other JSON kinds, edge numbers, non-finites
-LEAF_POOL = [None, True, False, 0, -1, 1.5, -0.0, 2 ** 63, 1e300,
-             float("nan"), float("inf"), float("-inf"), "", "x", [], {},
-             [1.0], {"c": True}]
+LEAF_POOL = [None, True, False, 0, -1, 1.5, -0.0, 2 ** 63, 2 ** 53 + 1,
+             1e300, 1.7e308, -1.7e308, 1e-320, 5e-324, float("nan"),
+             float("inf"), float("-inf"), "", "x", [], {}, [1.0],
+             {"c": True}]
 
 # a documented reason for validate to accept a file that train refuses;
 # none has shown on these mutations

@@ -8,8 +8,9 @@ the independent references the columnar operations are checked against.
 import numpy as np
 import pytest
 
-from journeyrank.dataio import (dataset_from_records, dataset_to_records,
-                                load_dataset, save_dataset)
+from conftest import dataset_to_records
+from journeyrank.dataio import (dataset_from_records, load_dataset,
+                                save_dataset)
 from journeyrank.domain import (
     ALL_MILESTONES,
     LABELS,

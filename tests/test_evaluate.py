@@ -17,9 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_manual_dataset
+from conftest import dataset_to_records, tiny_manual_dataset
 from journeyrank import evaluate as ev, nn
-from journeyrank.dataio import dataset_from_records, dataset_to_records
+from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import POSITIVE_CHAIN, select_impressions
 from journeyrank.errors import (
     ConfigError,

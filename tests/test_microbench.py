@@ -10,7 +10,9 @@ the heads' logits (``model.loss_from_logits``) on a 2,048-row and an
 ``nn.mlp_gradients`` of a one-layer block) on a batch-sized matrix,
 generating 200 guests, validating and splitting
 (``evaluate.prepare_split``: the guest split and the training filter) a
-200-guest world, and the JSONL save and load of that world: one save, and
+200-guest world, generating and saving the 1,000-guest default world, whose
+6-wide rows make the writer's per-impression texts a larger share of the
+file, and the JSONL save and load of the 200-guest world: one save, and
 one load each of the generated file (feature rows repeat, so the line
 decoder reads it), of a copy whose rows are all distinct (so the reader
 switches to the record path after the decoder's trial) and of the
@@ -27,7 +29,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from conftest import with_impression_features
+from conftest import dataset_to_records, with_impression_features
 from journeyrank import dataio, domain, evaluate, model, nn, simulate
 
 pytest.importorskip("pytest_benchmark")
@@ -192,6 +194,26 @@ def test_save_200_guests(benchmark, generated, tmp_path):
 
 
 @pytest.fixture(scope="module")
+def default_config():
+    return simulate.default_generator_config(n_guests=1000, seed=3)
+
+
+def test_generate_default_1000_guests(benchmark, default_config):
+    dataset, _ = benchmark.pedantic(simulate.generate,
+                                    args=(default_config,), rounds=3)
+    assert dataset.n_journeys == 1000
+
+
+def test_save_default_1000_guests(benchmark, default_config, tmp_path):
+    """The default world's 6-wide rows, where per-impression texts are a
+    larger share of the file than the benchmark world's 20-wide rows."""
+    dataset, _ = simulate.generate(default_config)
+    path = tmp_path / "world.jsonl"
+    benchmark.pedantic(dataio.save_dataset, args=(dataset, path), rounds=3)
+    assert path.read_text().count("\n") == dataset.n_journeys + 1
+
+
+@pytest.fixture(scope="module")
 def distinct_rows(generated):
     """The 200-guest world with every feature row distinct, so the reader
     leaves its line decoder after the trial."""
@@ -210,7 +232,7 @@ def test_load_200_guests(benchmark, request, tmp_path, rows):
     if rows == "spaced":
         source = tmp_path / "spaced.jsonl"
         records = chain([dataset.schema.to_record()],
-                        dataio.dataset_to_records(dataset))
+                        dataset_to_records(dataset))
         source.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     loaded = benchmark.pedantic(dataio.load_dataset, args=(source,), rounds=3)
     again = tmp_path / "again.jsonl"

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from conftest import dataset_to_records
 from journeyrank.dataio import (
     dataset_from_records,
-    dataset_to_records,
     file_sha256,
     save_dataset,
 )
@@ -513,6 +513,19 @@ class TestLockstepMatchesReference:
             shard, _ = generate(cfg, guest_range=guest_range)
             merged += dataset_to_records(shard)
         assert merged == list(dataset_to_records(reference_generate(cfg)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.25, 1.75), (1.0, 180.0),
+                                        (0.0, 365.0)])
+    def test_uniform_draw_is_generator_uniform(self, lo, hi):
+        """``generate`` draws its search gaps, check-in horizons and start
+        days as ``lo + (hi - lo) * rng.random()``, where the reference
+        calls ``Generator.uniform(lo, hi)``: the two give the same bits on
+        the same stream."""
+        n = 10 ** 5
+        ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
+        got = np.array([lo + (hi - lo) * ours.random() for _ in range(n)])
+        want = np.array([numpys.uniform(lo, hi) for _ in range(n)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGeneratedDataValidity:
