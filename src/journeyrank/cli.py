@@ -29,6 +29,7 @@ from .errors import (
     ContractError,
     DataValidationError,
     JourneyRankError,
+    NonFiniteScoreError,
     SchemaMismatchError,
     ShapeError,
     TrainingDivergenceError,
@@ -231,12 +232,22 @@ def cmd_train(args) -> int:
                             out / "loss_history.csv"])
 
 
+def _score(model_dir: str, score, *args, **kwargs):
+    """``score(*args, **kwargs)``, where scores that are not finite are a
+    fault of the saved model: a data error naming its ``params.json``."""
+    try:
+        return score(*args, **kwargs)
+    except NonFiniteScoreError as exc:
+        raise DataValidationError(
+            f"{Path(model_dir) / 'params.json'}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     out = _require_out(args)
     model = load_model(args.model)
     model_input = _input(args.model, Path(args.model) / "params.bin")
     dataset, dataset_input = _load_valid_dataset(args.dataset)
-    reports = ev.evaluate(model, dataset)
+    reports = _score(args.model, ev.evaluate, model, dataset)
     payload = {task: rep.to_record() for task, rep in reports.items()}
     _write_json(out / "ndcg.json", payload)
     table = ev.format_ndcg_table(reports)
@@ -311,9 +322,8 @@ def cmd_ntc(args) -> int:
     model = load_model(args.model)
     model_input = _input(args.model, Path(args.model) / "params.bin")
     dataset, dataset_input = _load_valid_dataset(args.dataset)
-    curve = ev.ntc_curves(model, dataset, args.feature,
-                          n_buckets=args.buckets,
-                          normalize_by_first=args.normalize)
+    curve = _score(args.model, ev.ntc_curves, model, dataset, args.feature,
+                   n_buckets=args.buckets, normalize_by_first=args.normalize)
     outputs = [out / "ntc.json", out / "ntc.csv", out / "ntc.txt"]
     _write_json(outputs[0], curve.to_record())
     ev.write_ntc_csv(curve, outputs[1])

@@ -38,35 +38,40 @@ with its guest id. Each chunk's contexts and times are encoded in one
 call per column. Chunks are bounded so that the writer holds one chunk's
 text, never the file's.
 
-:func:`load_dataset` reads the lines back with two decoders that fill the
-same columns. The line decoder cuts a line on the delimiters of the
-writer's layout and decodes each leaf once per distinct text (a feature
-array and a listing id once per pair, which names one table row), so a
-row that recurs across the file is parsed once. It accepts a line only
-when the line is exactly those delimiters and leaves of the expected
-kinds. Valid JSON
-leaves joined by the layout's delimiters have exactly one parse, the
-record ``json.loads`` returns, so what it stores is bit for bit what the
-record path stores. Any other line is declined and read by the record
-path: ``json.loads`` and the per-record step :func:`dataset_from_records`
-runs, which walks a journey one search and one impression at a time,
-checks each value as it reaches it and converts the journey's numbers in
-one call once every check has passed. So other spellings of the records
-load and a faulty record raises the first fault in record order.
-Per-leaf decoding only pays when rows repeat, so once a trial of 2,000
-impressions is read, a file whose running share of new rows is above one
-half is read as records from there on.
+:func:`load_dataset` reads the lines back a block at a time, about 64 K
+characters of whole lines, with two readers that fill the same columns.
+The block decoder cuts a block on the delimiters of the writer's layout
+with a few C calls per level (impressions, searches, journeys) and
+decodes each kind of leaf in a few calls per block: an impression's text
+before its position (its feature array, label set and listing id) is
+looked up in one memo that gives its table row and label code, so a row
+that recurs across the file is parsed once; new rows, and the block's
+contexts, times and ids, are each decoded in one ``json.loads`` behind
+guards that make the joined list's items the texts themselves. It accepts
+a block only when every line is exactly those delimiters and leaves of
+the expected kinds. Valid JSON leaves joined by the layout's delimiters
+have exactly one parse, the record ``json.loads`` returns, so what it
+stores is bit for bit what the record path stores. Any other block is
+declined whole and read line by line by the record path: ``json.loads``
+and the per-record step :func:`dataset_from_records` runs, which walks a
+journey one search and one impression at a time, checks each value as it
+reaches it and converts the journey's numbers in one call once every
+check has passed. So other spellings of the records load and a faulty
+record raises the first fault in record order, with its line number when
+the line is not JSON. Memo decoding only pays when rows repeat, so once a
+trial of 2,000 impressions is read, a file whose running share of new
+rows is above one half is read as records from the next block on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from array import array
+import re
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import countOf
+from operator import countOf, is_, or_, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -158,13 +163,16 @@ def _numbers(rows: list, width: int) -> np.ndarray:
 
 
 class _Columns:
-    """A dataset's columns, filled one journey at a time by either reader.
+    """A dataset's columns, filled a journey at a time by the record path
+    and a block of journeys at a time by the block decoder.
 
     Listings live in a table that grows by whole arrays of feature rows
     and lists of their ids, and each impression holds the index of its
-    row, so the line decoder can point many impressions at one decoded
-    row. :meth:`dataset` hands the table and the index to
-    :meth:`Dataset.from_columns`, which merges rows of equal id and bytes.
+    row, so the block decoder can point many impressions at one decoded
+    row. Per-impression columns are kept as one int64 array per call, not
+    as lists of Python ints. :meth:`dataset` hands the table and the index
+    to :meth:`Dataset.from_columns`, which merges rows of equal id and
+    bytes.
     """
 
     def __init__(self, schema: DatasetSchema):
@@ -172,10 +180,11 @@ class _Columns:
         self.known_labels: dict = {}
         self.guest_ids, self.searches_per_journey = [], []
         self.search_ids, self.t_days, self.imps_per_search = [], [], []
-        self.contexts: list[np.ndarray] = []
-        self.positions, self.label_codes, self.listing_ids = [], [], []
+        self.contexts = [np.empty((0, schema.context_dim))]
+        empty = np.empty(0, dtype=np.int64)
+        self.positions, self.label_codes, self.rows = [empty], [empty], [empty]
+        self.listing_ids: list[str] = []
         self.table = [np.empty((0, schema.listing_dim))]
-        self.row_of_impression = array("q")
 
     def add_rows(self, rows: np.ndarray, listing_ids: list[str]) -> int:
         """Append feature rows and their listing ids to the table; returns
@@ -195,7 +204,7 @@ class _Columns:
         as Python floats.
         """
         try:
-            *columns, listing_ids, rows = self._walk_journey(rec)
+            guest_id, *columns, listing_ids, rows = self._walk_journey(rec)
         except KeyError as exc:
             raise DataValidationError(
                 f"journey record missing field {exc}") from None
@@ -203,28 +212,29 @@ class _Columns:
             raise DataValidationError(
                 f"malformed journey record: {exc}") from None
         start = self.add_rows(rows, listing_ids)
-        self.add_journey(*columns, range(start, start + len(rows)))
+        self.add_journeys([guest_id], [len(columns[0])], *columns,
+                          np.arange(start, start + len(rows)))
 
-    def add_journey(self, guest_id: str, search_ids: list, t_days: list,
-                    sizes: list, contexts: np.ndarray, positions: list,
-                    codes: list, rows) -> None:
-        """Append one journey's columns, its impressions' rows given as
-        indices into the feature table."""
-        self.guest_ids.append(guest_id)
-        self.searches_per_journey.append(len(search_ids))
+    def add_journeys(self, guest_ids: list, searches_per_journey,
+                     search_ids: list, t_days: list, imps_per_search,
+                     contexts: np.ndarray, positions, codes, rows) -> None:
+        """Append the columns of whole journeys, their impressions' rows
+        given as indices into the feature table."""
+        self.guest_ids += guest_ids
+        self.searches_per_journey += searches_per_journey
         self.search_ids += search_ids
         self.t_days += t_days
-        self.imps_per_search += sizes
+        self.imps_per_search += imps_per_search
         self.contexts.append(contexts)
-        self.positions += positions
-        self.label_codes += codes
-        self.row_of_impression.extend(rows)
+        self.positions.append(np.asarray(positions, dtype=np.int64))
+        self.label_codes.append(np.asarray(codes, dtype=np.int64))
+        self.rows.append(np.asarray(rows, dtype=np.int64))
 
     def _walk_journey(self, rec) -> tuple:
-        """The journey's columns, its listing ids and feature rows last,
-        read one value at a time and raising at the first fault in record
-        order; its contexts and features are converted once, after every
-        other check."""
+        """The journey's guest id, its columns, its listing ids and its
+        feature rows, read one value at a time and raising at the first
+        fault in record order; its contexts and features are converted
+        once, after every other check."""
         schema = self.schema
         guest_id = str(rec["guest_id"])
         search_ids, t_days, sizes, contexts = [], [], [], []
@@ -262,23 +272,25 @@ class _Columns:
                 listing_ids, _numbers(features, schema.listing_dim))
 
     def dataset(self) -> Dataset:
-        # drop the pieces first, so one copy of the feature rows is alive
+        # drop the pieces first, so one copy of each column is alive
         self.table = [np.concatenate(self.table)]
-        codes = np.array(self.label_codes, dtype=np.int64)
+        self.contexts = [np.concatenate(self.contexts)]
+        self.rows = [np.concatenate(self.rows)]
+        self.positions = [np.concatenate(self.positions)]
+        codes = np.concatenate(self.label_codes)
+        self.label_codes = []
         return Dataset.from_columns(
             self.schema,
             guest_ids=self.guest_ids,
             searches_per_journey=self.searches_per_journey,
             search_ids=self.search_ids,
             t_days=self.t_days,
-            context_features=(np.concatenate(self.contexts) if self.contexts
-                              else []),
+            context_features=self.contexts[0],
             imps_per_search=self.imps_per_search,
-            positions=self.positions,
+            positions=self.positions[0],
             listing_ids=self.listing_ids,
             listing_rows=self.table[0],
-            listing_index=np.frombuffer(self.row_of_impression,
-                                        dtype=np.int64),
+            listing_index=self.rows[0],
             labels={m: ((codes >> k) & 1).astype(bool)
                     for k, m in enumerate(LABELS)},
         )
@@ -314,7 +326,7 @@ def _label_codes(labels: dict[str, np.ndarray]) -> np.ndarray:
 #     {"features":F,"labels":L,"listing_id":N,"position":P}
 # in canonical JSON: sorted keys, no spaces. These are the texts around the
 # leaves G, C, D, T, F, L, N and P, and list items are joined by _NEXT; the
-# writer joins leaf texts with them and the line decoder splits on them.
+# writer joins leaf texts with them and the block decoder cuts on them.
 _GUEST_ID, _SEARCHES, _LINE_END = '{"guest_id":', ',"searches":[', "]}"
 _CONTEXT, _IMPRESSIONS, _SEARCH_ID, _T_DAYS = (
     '{"context":', ',"impressions":[', '],"search_id":', ',"t_days":')
@@ -438,9 +450,24 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 _MEMO_TEXTS = 1 << 14
 # impressions the decoder reads before it judges the share of new rows
 _DECODER_TRIAL = 2000
+# characters of whole lines the reader takes at a time, about: a block's
+# texts are cut and decoded together, so they are alive at once
+_BLOCK_CHARS = 1 << 16
+# an impression head's memo value is its table row shifted past its label
+# code
+_CODE_BITS = len(LABELS)
+# stands in a block's text for a search's impressions, and for a journey's
+# searches, once those are cut out; no line that holds it is JSON
+_MARK = "\0"
+# what joins a row's features and listing id in the head of its impressions
+# with the empty label set
+_ROW_HEAD = _LABELS + "{}" + _LISTING_ID
 
 
 _scan = json.JSONDecoder().scan_once
+# one JSON string token: a quote, then characters other than a quote or a
+# backslash and backslash escapes, then a quote
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 
 
 def _leaf(text: str):
@@ -455,205 +482,302 @@ def _leaf(text: str):
     return value
 
 
-def _memo_values(memo: dict, texts: list[str], read) -> list | None:
-    """The value of each text, reading each text the memo lacks with
-    ``read``; None when ``read`` refuses one (returns None)."""
-    values = list(map(memo.get, texts))
-    if None in values:
-        if len(memo) >= _MEMO_TEXTS:
-            memo.clear()
-        for k, text in enumerate(texts):
-            if values[k] is None:
-                value = memo.get(text)
-                if value is None:
-                    value = read(text)
-                    if value is None:
-                        return None
-                    memo[text] = value
-                values[k] = value
+def _cut(texts, delimiter: str, at=str.partition) -> tuple[tuple, tuple]:
+    """Each text's parts before and after its first (with ``at`` =
+    ``str.rpartition``, last) ``delimiter``; ValueError when one lacks
+    it."""
+    if not texts:
+        return (), ()
+    before, found, after = zip(*map(at, texts, repeat(delimiter)))
+    if countOf(found, delimiter) != len(found):
+        raise ValueError(f"a piece without {delimiter!r}")
+    return before, after
+
+
+def _nest(lead: str, ends: list[int], closing: list[str]
+          ) -> tuple[str, list[int]]:
+    """The text of the level above a list of items, and the number of items
+    in each of its lists that holds any.
+
+    Item ``k`` is followed by ``,`` inside a list, and at a list's end by
+    the text up to the next list's first item (or the block's end):
+    ``ends`` holds one past each list's last item and ``closing`` the text
+    after it. The block ends with a newline, so the last item's separator
+    is never ``,``. That text, with ``lead`` before the first list, is the
+    level above, in which each list's items become ``_MARK``.
+    """
+    return (_MARK.join(chain((lead,), closing)),
+            list(map(sub, ends, chain((0,), ends))))
+
+
+def _sizes(marks: tuple[str, ...], sizes: list[int]) -> list[int]:
+    """Each list's size, ``sizes`` in order for the lists marked by
+    :func:`_nest` and 0 for the empty ones; ValueError unless every mark
+    stands alone in a list."""
+    marked = list(map(_MARK.__eq__, marks))
+    if not (countOf(marked, True) == len(sizes)
+            and countOf(marks, "") == len(marks) - len(sizes)):
+        raise ValueError("items outside a list")
+    out = [0] * len(marks)
+    for k, size in zip(compress(count(), marked), sizes):
+        out[k] = size
+    return out
+
+
+def _float_rows(texts, width: int) -> np.ndarray:
+    """Bracketed arrays of ``width`` floats as a float64 ``[n, width]``
+    array, decoded in one call; ValueError when a text is anything else.
+
+    Each text starts with its only ``[`` and ends with its only ``]``, so
+    the joined list's items are the texts."""
+    n, joined = len(texts), _NEXT.join(texts)
+    if not (joined.count("[") == joined.count("]") == n
+            and countOf(map(str.startswith, texts, repeat("[")), True) == n
+            and countOf(map(str.endswith, texts, repeat("]")), True) == n):
+        raise ValueError("a row that is not one array")
+    values = json.loads("[" + joined + "]")
+    if not (countOf(map(len, values), width) == n
+            and countOf(map(type, chain.from_iterable(values)), float)
+            == n * width):
+        raise ValueError("a row that is not floats of the schema's width")
+    return np.fromiter(chain.from_iterable(values), dtype=np.float64,
+                       count=n * width).reshape(n, width)
+
+
+def _floats(texts) -> list[float]:
+    """JSON floats, decoded in one call; ValueError when a text is anything
+    else. A list of as many floats as texts holds no bracket or string, so
+    its commas are the ones joining the texts, and its items the texts."""
+    values = json.loads("[" + _NEXT.join(texts) + "]")
+    if not len(values) == len(texts) == countOf(map(type, values), float):
+        raise ValueError("a time that is not a float")
     return values
 
 
-def _read_label_code(text: str, known: dict) -> int | None:
-    labels = _leaf(text)
-    return _label_code(labels, known) if type(labels) is dict else None
+def _strings(texts) -> list[str]:
+    """JSON strings, decoded in one call; ValueError when a text is anything
+    else. Each text is one string token, so the joined list's items are
+    the texts."""
+    if countOf(map(_STRING.fullmatch, texts), None):
+        raise ValueError("an id that is not a string")
+    return json.loads("[" + _NEXT.join(texts) + "]")
 
 
-def _read_position(text: str) -> int | None:
+def _read_position(text: str) -> int:
     value = _leaf(text)
-    return (value if type(value) is int and _INT64_MIN <= value <= _INT64_MAX
-            else None)
+    if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+        return value
+    raise ValueError("a position that is not a 64-bit integer")
 
 
-class _LineDecoder:
-    """Reads the writer's own lines into the columns, decoding each
-    distinct leaf text once.
+def _read_label_code(text: str, known: dict) -> int:
+    labels = _leaf(text)
+    code = _label_code(labels, known) if type(labels) is dict else None
+    if code is None:
+        raise ValueError("a label set that is not a dict of milestones")
+    return code
 
-    A line is cut on the delimiters of the writer's layout (``_LINE`` and
-    the constants around it), and every piece between them is a leaf: a
-    feature array, a label dict, a listing id or a position of an
-    impression, or the context, id or time of a search. Impression leaves
-    repeat across a file, so each is decoded once per distinct text (a
-    feature array and a listing id once per pair, which names one table
-    row), by the scanner ``json.loads`` uses, and remembered; a line's new
-    rows are decoded in one call. Search leaves are decoded once per
-    search. A line is accepted only when it is exactly delimiters and
-    leaves, where a cut that finds a delimiter more or fewer times than the
-    layout has, or
-    a leaf that is not a whole JSON value of its kind (floats of the
+
+class _BlockDecoder:
+    """Reads blocks of the writer's own lines into the columns, decoding
+    each kind of leaf in a few calls per block.
+
+    A block is whole lines. It is cut on the delimiters of the writer's
+    layout (``_GUEST_ID`` and the constants beside it) one level at a time,
+    each cut one C call over all pieces: on ``{"features":`` into
+    impressions, and each impression on its last ``,"position":`` into its
+    head (features, label set and listing id) and its tail (position,
+    ``}`` and the separator after it). The tails that end a search are
+    cut into position and separator, and those separators, joined with
+    ``_MARK`` where the search's impressions were, are the block's
+    searches, which are cut the same way into contexts, search ids and
+    times and the text between searches; the texts that end a journey are
+    the block's journeys, cut into guest ids. Each head is looked up in
+    one memo that gives its table row and label code; new heads are cut
+    into their leaves, and new rows are decoded in one ``json.loads``.
+    Label sets, and the tails inside a search, are decoded once per
+    distinct text, and contexts, times and ids in one call per kind per
+    block.
+
+    A block is accepted only when it is exactly delimiters and leaves: a
+    cut that misses its delimiter, a mark or a newline out of place, or a
+    leaf that is not a whole JSON value of its kind (floats of the
     schema's width, a dict of known milestones, a string, an integer that
-    fits 64 bits, a float time), declines it: :meth:`decode` then appends
-    nothing, and the caller reads the line as a record.
+    fits 64 bits, a float time) declines it whole. :meth:`decode` then
+    appends nothing, and the caller reads the block's lines as records.
 
     Why this is exact: valid JSON texts joined by the layout's delimiters
     form a JSON text with exactly one parse, in which each piece is the
-    value at its place in the layout. The record ``json.loads(line)``
-    returns therefore holds exactly these leaves, and
-    :meth:`_Columns.add_record` would store them bit for bit as they are
-    stored here.
+    value at its place in the layout. Each line of an accepted block is
+    such a text, so the record ``json.loads`` returns for it holds exactly
+    these leaves, and :meth:`_Columns.add_record` would store them bit for
+    bit as they are stored here. The guards of each one-call decode (one
+    bracket pair per row text, as many floats as time texts, one string
+    token per id text) make the joined list's items the texts themselves,
+    so each value is its text's own decode.
     """
 
     def __init__(self, columns: _Columns):
         self.columns = columns
-        self.rows: dict[tuple[str, str], int] = {}
+        self.heads: dict[str, int] = {}
         self.labels: dict[str, int] = {}
-        self.positions: dict[str, int] = {}
+        self.tails: dict[str, int] = {}
         self.impressions = 0
         self.new_rows = 0
 
     @property
     def pays(self) -> bool:
-        """Whether to keep decoding: per-leaf decoding is slower than the
-        record path's one ``json.loads`` per line unless rows repeat, so
-        once past a trial the share of new rows must stay at most one half.
+        """Whether to keep decoding: the decoder is slower than the record
+        path's one ``json.loads`` per line unless rows repeat, so once past
+        a trial the share of new rows must stay at most one half.
         """
         return (self.impressions < _DECODER_TRIAL
                 or 2 * self.new_rows <= self.impressions)
 
-    def decode(self, line: str) -> bool:
-        """Append the journey of ``line`` and return True, or return False
-        and append nothing."""
-        if line.endswith("\n"):
-            line = line[:-1]
-        if not (line.startswith(_GUEST_ID) and line.endswith(_LINE_END)):
+    def decode(self, lines: list[str]) -> bool:
+        """Append the journeys of ``lines`` and return True, or return
+        False and append nothing."""
+        text = "".join(lines)
+        if not text.endswith("\n"):
+            text += "\n"  # the file's last line, without its newline
+        if _MARK in text:
             return False
         try:
-            return self._decode(line)
+            self._decode(text, len(lines))
         except ValueError:
             # a delimiter count other than the layout's, or a leaf that is
-            # not JSON
+            # not JSON of its kind
             return False
+        return True
 
-    def _decode(self, line: str) -> bool:
+    def _decode(self, text: str, n_lines: int) -> None:
         schema = self.columns.schema
-        guest_id, body = line[len(_GUEST_ID):-len(_LINE_END)].split(_SEARCHES)
-        guest_id = _leaf(guest_id)
-        if type(guest_id) is not str:
-            return False
-        if not body:
-            searches = []
-        elif body.startswith(_CONTEXT) and body.endswith(_OBJECT_END):
-            searches = body[len(_CONTEXT):-len(_OBJECT_END)].split(
-                _OBJECT_END + _NEXT + _CONTEXT)
-        else:
-            return False
-        contexts, search_ids, t_days, sizes = [], [], [], []
-        features, labels, listing_ids, positions = [], [], [], []
-        for search in searches:
-            context, rest = search.split(_IMPRESSIONS)
-            impressions, rest = rest.split(_SEARCH_ID)
-            search_id, t = rest.split(_T_DAYS)
-            context, search_id, t = _leaf(context), _leaf(search_id), _leaf(t)
-            if not (type(context) is list
-                    and len(context) == schema.context_dim
-                    and set(map(type, context)) == {float}
-                    and type(search_id) is str and type(t) is float):
-                return False
-            contexts.append(context)
-            search_ids.append(search_id)
-            t_days.append(t)
-            if not impressions:
-                sizes.append(0)
-                continue
-            if not (impressions.startswith(_FEATURES)
-                    and impressions.endswith(_OBJECT_END)):
-                return False
-            pieces = impressions[len(_FEATURES):-len(_OBJECT_END)].split(
-                _OBJECT_END + _NEXT + _FEATURES)
-            sizes.append(len(pieces))
-            for piece in pieces:
-                row, rest = piece.split(_LABELS)
-                label_set, rest = rest.split(_LISTING_ID)
-                listing_id, position = rest.split(_POSITION)
-                features.append(row)
-                labels.append(label_set)
-                listing_ids.append(listing_id)
-                positions.append(position)
-        known = self.columns.known_labels
-        labels = _memo_values(self.labels, labels,
-                              lambda text: _read_label_code(text, known))
-        positions = _memo_values(self.positions, positions, _read_position)
-        if labels is None or positions is None:
-            return False
-        contexts = np.array(contexts, dtype=np.float64
-                            ).reshape(-1, schema.context_dim)
-        keys = list(zip(features, listing_ids))
-        rows = list(map(self.rows.get, keys))
-        if None in rows and not self._add_new_rows(keys, rows):
-            return False
-        self.columns.add_journey(guest_id, search_ids, t_days, sizes,
-                                 contexts, positions, labels, rows)
-        self.impressions += len(rows)
-        return True
+        lead, *impressions = text.split(_FEATURES)
+        heads, tails = _cut(impressions, _POSITION, str.rpartition)
+        del impressions  # the block's text, a second time
+        positions, ends, closing = self._read_tails(tails)
+        text, sizes = _nest(lead, ends, closing)
+        lead, *searches = text.split(_CONTEXT)
+        contexts, rest = _cut(searches, _IMPRESSIONS)
+        marks, rest = _cut(rest, _SEARCH_ID)
+        search_ids, rest = _cut(rest, _T_DAYS)
+        t_days, separators = _cut(rest, _OBJECT_END)
+        imps_per_search = _sizes(marks, sizes)
+        closing = list(map(_NEXT.__ne__, separators))
+        text, sizes = _nest(lead, list(compress(count(1), closing)),
+                            list(compress(separators, closing)))
+        lead, *journeys = text.split(_GUEST_ID)
+        guest_ids, rest = _cut(journeys, _SEARCHES)
+        marks, rest = _cut(rest, _LINE_END + "\n")
+        # one journey a line, and no newline inside one
+        if lead or len(journeys) != n_lines or countOf(rest, "") != n_lines:
+            raise ValueError("a journey that is not a line")
+        searches_per_journey = _sizes(marks, sizes)
+        contexts = _float_rows(contexts, schema.context_dim)
+        t_days, search_ids = _floats(t_days), _strings(search_ids)
+        guest_ids = _strings(guest_ids)
+        # the last check, as it adds rows to the table
+        packed = np.fromiter(self._memo_heads(heads), dtype=np.int64,
+                             count=len(heads))
+        self.columns.add_journeys(
+            guest_ids, searches_per_journey, search_ids, t_days,
+            imps_per_search, contexts, positions,
+            packed & ((1 << _CODE_BITS) - 1), packed >> _CODE_BITS)
+        self.impressions += len(packed)
 
-    def _add_new_rows(self, keys: list[tuple[str, str]], rows: list) -> bool:
-        """Decode the distinct (features, id) text pairs whose row is None,
-        add them to the table and fill in ``rows``; False when a features
-        text is not an array of floats of the schema's width or an id text
-        not a string."""
-        new = list(dict.fromkeys(t for t, r in zip(keys, rows) if r is None))
-        texts = [features for features, _ in new]
-        # each text one bracketed array with no bracket inside, so that the
-        # joined text parses into one row per text
-        joined = _NEXT.join(texts)
-        if not (joined.count("[") == joined.count("]") == len(new)
-                and all(t[:1] == "[" and t[-1:] == "]" for t in texts)):
-            return False
-        values = json.loads("[" + joined + "]")
-        width = self.columns.schema.listing_dim
-        if not (len(values) == len(new) and set(map(type, values)) == {list}
-                and set(map(len, values)) == {width}
-                and set(map(type, chain.from_iterable(values))) == {float}):
-            return False
-        listing_ids = [_leaf(listing_id) for _, listing_id in new]
-        if set(map(type, listing_ids)) != {str}:
-            return False
-        start = self.columns.add_rows(np.array(values, dtype=np.float64),
-                                      listing_ids)
-        added = dict(zip(new, range(start, start + len(new))))
-        if len(self.rows) + len(new) > _MEMO_TEXTS:
-            self.rows.clear()
-        self.rows.update(added)
+    def _read_tails(self, tails: tuple[str, ...]
+                    ) -> tuple[list[int], list[int], list[str]]:
+        """Each impression's position, and :func:`_nest`'s ``ends`` and
+        ``closing`` for the impressions of the block's searches.
+
+        A tail is the text after an impression's position delimiter: its
+        position, ``}`` and the separator after it. The memo holds the
+        tails of impressions inside a search, ``P},`` for each distinct
+        position ``P``, so only a search's last tail and new ones are cut.
+        """
+        positions = list(map(self.tails.get, tails))
+        ends, closing = [], []
+        if None in positions:
+            if len(self.tails) >= _MEMO_TEXTS:
+                self.tails.clear()
+            for k in compress(count(), map(is_, positions, repeat(None))):
+                text, found, separator = tails[k].partition(_OBJECT_END)
+                if not found:
+                    raise ValueError("an impression without its end")
+                positions[k] = _read_position(text)
+                if separator == _NEXT:
+                    self.tails[tails[k]] = positions[k]
+                else:
+                    ends.append(k + 1)
+                    closing.append(separator)
+        return positions, ends, closing
+
+    def _memo_heads(self, heads: tuple[str, ...]) -> list[int]:
+        """Each head's memo value, its table row and label code; a head the
+        memo lacks is cut into its feature array, label set and listing id.
+
+        A row is remembered under the head its features and id have with
+        the empty label set, whose label code is 0, so a new head finds its
+        row there; a row not found there is added to the table.
+        """
+        packed = list(map(self.heads.get, heads))
+        if None not in packed:
+            return packed
+        missing = list(compress(count(), map(is_, packed, repeat(None))))
+        new = list(dict.fromkeys(map(heads.__getitem__, missing)))
+        features, rest = _cut(new, _LABELS)
+        label_sets, listing_ids = _cut(rest, _LISTING_ID)
+        if len(self.labels) >= _MEMO_TEXTS:
+            self.labels.clear()
+        codes = list(map(self.labels.get, label_sets))
+        for k in compress(count(), map(is_, codes, repeat(None))):
+            codes[k] = self.labels[label_sets[k]] = _read_label_code(
+                label_sets[k], self.columns.known_labels)
+        row_heads = list(map(_ROW_HEAD.join, zip(features, listing_ids)))
+        rows = list(map(self.heads.get, row_heads))
+        added = {}
+        if None in rows:
+            added = self._add_rows(row_heads, rows)
+        added.update(zip(new, map(or_, rows, codes)))
+        if len(self.heads) + len(added) > _MEMO_TEXTS:
+            self.heads.clear()
+        self.heads.update(added)
+        for k in missing:
+            packed[k] = added[heads[k]]
+        return packed
+
+    def _add_rows(self, row_heads: list[str], rows: list) -> dict[str, int]:
+        """Decode the distinct rows whose memo value in ``rows`` is None,
+        add them to the table and fill in ``rows``; returns the memo values
+        of their row heads."""
+        missing = list(compress(count(), map(is_, rows, repeat(None))))
+        new = list(dict.fromkeys(map(row_heads.__getitem__, missing)))
+        features, listing_ids = _cut(new, _ROW_HEAD)
+        table = _float_rows(features, self.columns.schema.listing_dim)
+        start = self.columns.add_rows(table, _strings(listing_ids))
+        added = {text: row << _CODE_BITS
+                 for row, text in enumerate(new, start=start)}
         self.new_rows += len(new)
-        for k, key in enumerate(keys):
-            if rows[k] is None:
-                rows[k] = added[key]
-        return True
+        for k in missing:
+            rows[k] = added[row_heads[k]]
+        return added
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset file written by :func:`save_dataset`, or any file of
     the same records.
 
-    Lines are read one at a time. Each is first offered to the line
-    decoder, and a line it declines is parsed by ``json.loads`` and read as
-    a record, so other JSON spellings of the records load too and a faulty
-    line raises what :func:`dataset_from_records` raises. Once the decoder
-    has read a trial of impressions and more than half its rows are new,
-    the rest of the file is read as records. A file that is not UTF-8, has
-    a bad header or holds a line that is not JSON raises
-    :class:`DataValidationError` or :class:`SchemaMismatchError` naming the
-    path.
+    Lines are read a block at a time, about ``_BLOCK_CHARS`` characters of
+    whole lines. Each block is first offered to the block decoder, and a
+    block it declines is read line by line as records: each line parsed by
+    ``json.loads`` and read by the per-record step, so other JSON
+    spellings of the records load too and a faulty line raises what
+    :func:`dataset_from_records` raises, the first fault in record order
+    first. Once the decoder has read a trial of impressions and more than
+    half its rows are new, the rest of the file is read as records. A file
+    that is not UTF-8, has a bad header or holds a line that is not JSON
+    raises :class:`DataValidationError` or :class:`SchemaMismatchError`
+    naming the path (and the line).
     """
     path = Path(path)
     with open(path, encoding="utf-8") as f:
@@ -674,19 +798,23 @@ def _read_lines(f, path: Path) -> Dataset:
     except json.JSONDecodeError as exc:
         raise SchemaMismatchError(f"{path}: malformed schema header: {exc}") from None
     columns = _Columns(_schema_from_record(schema_rec, path))
-    decoder = _LineDecoder(columns)
-    for line_no, line in enumerate(f, start=2):
-        if decoder is not None and decoder.decode(line):
-            if not decoder.pays:
-                decoder = None
-            continue
-        if line.isspace():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}:{line_no}: bad JSON: {exc}") from None
-        columns.add_record(rec)
+    decoder = _BlockDecoder(columns)
+    first = 2  # the number of the block's first line
+    for lines in iter(lambda: f.readlines(_BLOCK_CHARS), []):
+        if decoder is None or not decoder.decode(lines):
+            for line_no, line in enumerate(lines, start=first):
+                if line.isspace():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataValidationError(
+                        f"{path}:{line_no}: bad JSON: {exc}") from None
+                columns.add_record(rec)
+        elif not decoder.pays:
+            decoder = None
+        first += len(lines)
+    del decoder  # its memos, before the columns are joined
     return columns.dataset()
 
 

@@ -132,6 +132,10 @@ def concat_ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(first - (ends - lengths), lengths) + np.arange(total)
 
 
+# rows of sorted keys compared at once by _canonical_listings
+_COMPARE_ROWS = 1 << 12
+
+
 def _canonical_listings(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``ids[index]`` and ``rows[index]``, bit for bit, as a table and an
@@ -140,15 +144,25 @@ def _canonical_listings(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,
         raise ContractError("listing ids must name the listing table's rows")
     if index.size and not 0 <= index.min() <= index.max() < len(rows):
         raise ContractError("listing index outside the listing table")
-    # keyed by its id and bytes, each row maps to its first row of equal
-    # key, and each impression to that row
-    first: dict[tuple[str, bytes], int] = {}
-    keys = np.ascontiguousarray(rows).view(
-        np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    shown = np.array([first.setdefault(key, k) for k, key in
-                      enumerate(zip(ids.tolist(), keys.tolist()))],
-                     dtype=np.int64)[index]
-    return _shown_in_order(ids, rows, shown)
+    # each row's key is its id's code and its feature bits, one void value
+    # that is equal only for rows of equal id and bytes; a stable sort puts
+    # each key's rows together, its first row first
+    keys = np.empty((len(rows), 1 + rows.shape[1]), dtype=np.uint64)
+    keys[:, 0] = np.unique(ids, return_inverse=True)[1]
+    keys[:, 1:] = np.ascontiguousarray(rows).view(np.uint64)
+    void = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    order = np.argsort(keys.view(void).ravel(), kind="stable")
+    # a key unlike the one before it in the sort starts a new key; compared
+    # a block at a time, so no sorted copy of the keys is made
+    new = np.ones(len(rows), dtype=bool)
+    for lo in range(1, len(rows), _COMPARE_ROWS):
+        run = order[lo - 1:lo + _COMPARE_ROWS]
+        new[lo:lo + _COMPARE_ROWS] = (keys[run[1:]] != keys[run[:-1]]
+                                      ).any(axis=1)
+    # each row maps to the first row of its key
+    first = np.empty(len(rows), dtype=np.int64)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return _shown_in_order(ids, rows, first[index])
 
 
 def _shown_in_order(ids: np.ndarray, rows: np.ndarray, index: np.ndarray,

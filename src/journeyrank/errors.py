@@ -29,6 +29,11 @@ class SchemaMismatchError(DataValidationError):
     """Dataset schema hash differs from the one a model was trained on."""
 
 
+class NonFiniteScoreError(DataValidationError):
+    """A model's weights give a score or a blend coefficient that is not
+    finite."""
+
+
 class UndefinedTaskWeightError(DataValidationError):
     """A task weight was requested for a task with zero positive impressions."""
 

@@ -38,7 +38,12 @@ from .domain import (
     POSITIVE_CHAIN,
     filter_training_searches,
 )
-from .errors import ConfigError, ContractError, DataValidationError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DataValidationError,
+    NonFiniteScoreError,
+)
 from .nn import Segments
 from .model import (
     ModelConfig,
@@ -484,7 +489,11 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
     masks = [buckets == b for b in range(len(edges) - 1)]
     # per task, the signed and the magnitude curve: each bucket's mean
     # ratio to the base coefficient, 0.0 where the bucket is empty
-    ratios = outputs.alpha_twiddler / outputs.alpha_base
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = outputs.alpha_twiddler / outputs.alpha_base
+    if not np.isfinite(ratios).all():
+        raise NonFiniteScoreError("a base coefficient of 0 gives "
+                                  "coefficient ratios that are not finite")
     curves = {task: [[float(v[mask].mean()) if mask.any() else 0.0
                       for mask in masks]
                      for v in (r, np.abs(r))]

@@ -72,6 +72,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DataValidationError,
+    NonFiniteScoreError,
     SchemaMismatchError,
     ShapeError,
     TrainingDivergenceError,
@@ -985,10 +986,19 @@ class TrainedModel:
         coefficient MLP run as one matrix product over all the dataset's
         searches, so a search's coefficients, and so its scores, can
         differ in the last bits with how many searches share the call.
+        Weights whose scores or coefficients overflow raise
+        :class:`NonFiniteScoreError`, and no warning.
         """
         self.require_schema(dataset.schema)
-        return forward(self.config, self.params,
-                       batch_inputs(dataset, self.normalization))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = forward(self.config, self.params,
+                          batch_inputs(dataset, self.normalization))
+        if not all(np.isfinite(v).all() for v in vars(out).values()
+                   if v is not None):
+            raise NonFiniteScoreError(
+                "the model's weights give scores or coefficients that are "
+                "not finite")
+        return out
 
 
 def check_training_settings(epochs: int, batch_size: int,

@@ -149,13 +149,13 @@ def load_outcome(path):
 
 
 def assert_same_load(path) -> str:
-    """Assert that the line decoder and the record path (the decoder
-    declining every line) read ``path`` to the same columns, bit for bit,
-    or raise the same error with the same message; returns "ok" or
+    """Assert that the block decoder and the record path (the decoder
+    declining every block) read ``path`` to the same columns, bit for
+    bit, or raise the same error with the same message; returns "ok" or
     "error"."""
     got = load_outcome(path)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dataio._LineDecoder, "decode", lambda self, line: False)
+        m.setattr(dataio._BlockDecoder, "decode", lambda self, lines: False)
         want = load_outcome(path)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want

@@ -1360,7 +1360,7 @@ class TestFaultModel:
     of the model trained on the clean file and both JSONL readers: every
     exit code is a documented one for a data fault, nothing escapes
     ``main``, ``validate`` accepts exactly the files ``train`` trains on
-    and ``eval`` scores, and the line decoder reads what the record path
+    and ``eval`` scores, and the block decoder reads what the record path
     reads, or raises what it raises."""
 
     @settings(max_examples=40, derandomize=True, database=None,
@@ -1436,7 +1436,8 @@ def faulty_model(draw, manifest: dict, blob: bytes) -> tuple[dict, bytes]:
 class TestSavedModelFaults:
     """A one-fault copy of a trained model through ``eval`` and ``ntc``:
     each scores, or exits 2 with a data error naming the copy's
-    ``params.json``, and nothing escapes ``main``."""
+    ``params.json``, and nothing escapes ``main``, a RuntimeWarning
+    included."""
 
     @settings(max_examples=80, derandomize=True, database=None,
               deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1454,10 +1455,40 @@ class TestSavedModelFaults:
         (model_dir / "params.bin").write_bytes(blob)
         for command in (["eval"],
                         ["ntc", "--feature", "days_ahead_of_checkin"]):
-            code, err = run_quietly([
-                *command, "--model", str(model_dir),
-                "--dataset", str(root / "clean.jsonl"),
-                "--out", str(root / "scored")])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, err = run_quietly([
+                    *command, "--model", str(model_dir),
+                    "--dataset", str(root / "clean.jsonl"),
+                    "--out", str(root / "scored")])
             assert code in (cli.EXIT_OK, cli.EXIT_DATA), err
             if code == cli.EXIT_DATA:
                 assert f"data error: {model_dir / 'params.json'}: " in err
+
+    @pytest.mark.parametrize("value", [1.7e308, -1.7e308])
+    @pytest.mark.parametrize("at", [0, 5, 50, 100])
+    def test_weights_whose_scores_overflow_are_refused(self, fault_ws,
+                                                       tmp_path, at, value):
+        """A finite weight so large that the scores overflow: both
+        commands refuse the model as a data error, with no warning."""
+        clean = fault_ws[0] / "clean" / "model"
+        manifest = json.loads((clean / "params.json").read_text())
+        values = np.frombuffer((clean / "params.bin").read_bytes(),
+                               dtype="<f8").copy()
+        values[at] = value
+        blob = values.tobytes()
+        manifest.update(n_bytes=len(blob),
+                        sha256=hashlib.sha256(blob).hexdigest())
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        (tmp_path / "params.bin").write_bytes(blob)
+        for command in (["eval"],
+                        ["ntc", "--feature", "days_ahead_of_checkin"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, err = run_quietly([
+                    *command, "--model", str(tmp_path),
+                    "--dataset", str(fault_ws[0] / "clean.jsonl"),
+                    "--out", str(tmp_path / "scored")])
+            assert code == cli.EXIT_DATA, err
+            assert (f"data error: {tmp_path / 'params.json'}: the model's "
+                    "weights give scores") in err

@@ -467,6 +467,25 @@ def test_save_holds_a_chunk_not_the_file(tmp_path):
     assert peak < 1_500_000
 
 
+def test_load_holds_a_block_not_the_file(tmp_path):
+    """The reader's peak traced allocation on the 300-guest benchmark world
+    stays under 2.0 MB, below the 3.6 MB file: it holds one block of lines,
+    its memos and the columns, never the file's text."""
+    dataset, _ = simulate.generate(
+        simulate.benchmark_generator_config(n_guests=300, seed=0))
+    path = tmp_path / "world.jsonl"
+    save_dataset(dataset, path)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3_500_000
+    assert_same_columns(loaded, dataset)
+    assert peak < 2_000_000
+
+
 # ---------------------------------------------------------------------------
 # the reader against a per-impression loop
 
@@ -723,7 +742,7 @@ class TestReaderMatchesLoop:
 
 
 # ---------------------------------------------------------------------------
-# the line decoder against the record path (conftest.assert_same_load)
+# the block decoder against the record path (conftest.assert_same_load)
 
 
 KEYS = ['"features"', '"labels"', '"listing_id"', '"position"', '"context"',
@@ -784,6 +803,24 @@ def mutate(line: str, rng) -> str:
     return line[:k] + inside[int(rng.integers(len(inside)))] + line[k:]
 
 
+# a journey line of one search, around its impressions
+HEAD = '{"guest_id":"g","searches":[{"context":[1.0,2.0],"impressions":['
+IMPRESSION = ('{"features":%s,"labels":{},"listing_id":%s,'
+              '"position":%d}')
+TAIL = '],"search_id":"s","t_days":1.0}]}'
+
+
+def never_a_record(self, rec):
+    raise AssertionError(f"{rec['guest_id']} read as a record")
+
+
+def blocks_of(path) -> list[list[str]]:
+    """The file's journey lines, grouped into the reader's blocks."""
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        return list(iter(lambda: f.readlines(dataio._BLOCK_CHARS), []))
+
+
 class TestLineDecoder:
     def test_mutated_lines_load_as_records_do(self, tmp_path):
         rng = np.random.default_rng(40)
@@ -819,6 +856,39 @@ class TestLineDecoder:
             f.write(head + imps + tail + "\n")
         assert assert_same_load(path) == "error"
 
+    @pytest.mark.parametrize("line", [
+        HEAD + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1) + ","
+        + IMPRESSION % ("4.0,[5.0,6.0,7.0]", '"b"', 2) + TAIL,
+        HEAD + IMPRESSION % ("[1.0,2.0,3.0],4.0", '"a"', 1) + ","
+        + IMPRESSION % ("[5.0,6.0,7.0]", '"b"', 2) + TAIL,
+        HEAD + IMPRESSION % ("[1.0,2.0,3.0]", '"a","b"', 1) + TAIL,
+        HEAD + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1)
+        + TAIL.replace('"s"', '"s","x"'),
+        HEAD.replace('"g"', '"g","h"')
+        + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1) + TAIL,
+        HEAD + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1)
+        + TAIL.replace("1.0}", "1.0,true}"),
+        HEAD + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1)
+        + TAIL.replace("1.0}", "1.0\n}"),
+        HEAD.replace("1.0,2.0", "1.0,\n2.0")
+        + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1) + TAIL,
+    ], ids=["row-without-opening-bracket", "row-without-closing-bracket",
+            "listing-id-of-two-strings", "search-id-of-two-strings",
+            "guest-id-of-two-strings", "time-of-two-values",
+            "newline-in-time", "newline-in-context"])
+    def test_leaves_that_are_not_one_value_are_declined(self, tmp_path,
+                                                         line):
+        """A leaf that is not one JSON value alone, but that a block's
+        one-call decode of its kind, or a leaf spanning two lines, would
+        read: the decoder must decline the block, as ``json.loads`` of the
+        line refuses it."""
+        path = tmp_path / "d.jsonl"
+        save_dataset(dataset_from_records(SCHEMA, []), path)
+        with open(path, "a") as f:
+            f.write(HEAD + IMPRESSION % ("[1.0,2.0,3.0]", '"a"', 1) + TAIL
+                    + "\n" + line + "\n")
+        assert assert_same_load(path) == "error"
+
     @pytest.mark.parametrize("config", [
         simulate.benchmark_generator_config(n_guests=300, seed=0),
         simulate.default_generator_config(n_guests=1000, seed=0),
@@ -830,11 +900,7 @@ class TestLineDecoder:
         save_dataset(dataset, path)
         lines = path.read_text().splitlines()
         want = dataset_from_records(dataset.schema, map(json.loads, lines[1:]))
-
-        def record_step(self, rec):
-            raise AssertionError(f"{rec['guest_id']} read as a record")
-
-        monkeypatch.setattr(dataio._Columns, "add_record", record_step)
+        monkeypatch.setattr(dataio._Columns, "add_record", never_a_record)
         assert_same_columns(load_dataset(path), want)
         assert dataset.n_impressions > dataio._DECODER_TRIAL
 
@@ -858,20 +924,24 @@ class TestLineDecoder:
 
         monkeypatch.setattr(dataio._Columns, "add_record", record_step)
         assert_same_columns(load_dataset(path), dataset)
-        # the decoder reads journeys until its trial is over, then none
-        per_journey = np.add.reduceat(dataset.searches.sizes,
-                                      dataset.journeys.starts[:-1])
-        last = int(np.searchsorted(np.cumsum(per_journey),
-                                   dataio._DECODER_TRIAL))
-        assert read_as_records == dataset.guest_ids[last + 1:].tolist()
+        # the decoder reads whole blocks until its trial is over, then none
+        blocks = blocks_of(path)
+        assert len(blocks) > 3
+        impressions = np.cumsum([sum(line.count('"position":') for line in b)
+                                 for b in blocks])
+        decoded = int(np.searchsorted(impressions, dataio._DECODER_TRIAL)) + 1
+        assert 0 < decoded < len(blocks)
+        first = sum(map(len, blocks[:decoded]))
+        assert read_as_records == dataset.guest_ids[first:].tolist()
 
     @pytest.mark.parametrize("reader", ["decoder", "records", "memo-cleared"])
     def test_every_reader_loads_the_saved_table(self, tmp_path, monkeypatch,
                                                 reader):
-        """The line decoder, the record path and the decoder with its
-        memo cleared every few texts each load the listing table and
-        index of the saved dataset, bit for bit, the last two merging a
-        table that holds rows twice."""
+        """The block decoder, the record path and the decoder with its
+        memo cleared every few texts (a block a line, so the memos clear
+        between blocks) each load the listing table and index of the saved
+        dataset, bit for bit, the last two merging a table that holds rows
+        twice."""
         rng = np.random.default_rng(43)
         ds = dataset_from_records(
             SCHEMA, varied_records(rng, n_journeys=60, pool_rows=4))
@@ -893,15 +963,14 @@ class TestLineDecoder:
 
         monkeypatch.setattr(dataio._Columns, "dataset", dataset)
         if reader == "records":
-            monkeypatch.setattr(dataio._LineDecoder, "decode",
-                                lambda self, line: False)
+            monkeypatch.setattr(dataio._BlockDecoder, "decode",
+                                lambda self, lines: False)
         else:
-            def record_step(self, rec):
-                raise AssertionError(f"{rec['guest_id']} read as a record")
-
-            monkeypatch.setattr(dataio._Columns, "add_record", record_step)
+            monkeypatch.setattr(dataio._Columns, "add_record", never_a_record)
         if reader == "memo-cleared":
+            # a block a line, so the memos are cleared between blocks
             monkeypatch.setattr(dataio, "_MEMO_TEXTS", 4)
+            monkeypatch.setattr(dataio, "_BLOCK_CHARS", 1)
         loaded = load_dataset(path)
         np.testing.assert_array_equal(loaded.listing_rows.view(np.uint64),
                                       ds.listing_rows.view(np.uint64))
@@ -917,3 +986,85 @@ class TestLineDecoder:
         save_dataset(ds, path)
         monkeypatch.setattr(dataio, "_MEMO_TEXTS", 4)
         assert_same_columns(load_dataset(path), ds)
+
+
+class TestBlockBoundaries:
+    """The reader at block sizes that put block boundaries everywhere: a
+    block a line (a hint of one character) and odd character counts,
+    which end blocks after lines of every length, as
+    ``test_chunk_boundaries`` does for the writer."""
+
+    @staticmethod
+    def saved(tmp_path, source) -> tuple:
+        if source == "generated":
+            ds, _ = simulate.generate(
+                simulate.default_generator_config(n_guests=60, seed=3))
+        else:
+            rng = np.random.default_rng(44)
+            ds = dataset_from_records(SCHEMA, [
+                *varied_records(rng, n_journeys=30, pool_rows=4),
+                *odd_values_records()])
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        return ds, path
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 333, 4099])
+    @pytest.mark.parametrize("source", ["generated", "varied"])
+    def test_files_load_as_records_at_any_block_size(
+            self, tmp_path, monkeypatch, source, block_chars):
+        ds, path = self.saved(tmp_path, source)
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+        if block_chars == 1:
+            assert all(len(b) == 1 for b in blocks_of(path))
+        assert assert_same_load(path) == "ok"
+        want = dataset_from_records(
+            ds.schema, map(json.loads, path.read_text().splitlines()[1:]))
+        monkeypatch.setattr(dataio._Columns, "add_record", never_a_record)
+        assert_same_columns(load_dataset(path), want)
+
+    def test_a_mutated_line_in_a_middle_block_loads_as_records_do(
+            self, tmp_path, monkeypatch):
+        _, path = self.saved(tmp_path, "varied")
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 700)
+        blocks = blocks_of(path)
+        assert len(blocks) >= 5
+        lines = path.read_text().splitlines()
+        # file lines of the middle blocks that show impressions
+        first = 1 + sum(map(len, blocks[:2]))
+        middle = [j for j in range(first, first + len(blocks[2]))
+                  if '"position":' in lines[j]]
+        assert middle
+        rng = np.random.default_rng(45)
+        mutated = tmp_path / "m.jsonl"
+        kinds = []
+        for _ in range(60):
+            edited = list(lines)
+            j = middle[int(rng.integers(len(middle)))]
+            edited[j] = mutate(edited[j], rng)
+            mutated.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            kinds.append(assert_same_load(mutated))
+        assert "ok" in kinds and "error" in kinds
+
+    @pytest.mark.parametrize("first_fault", ["bad-json", "unknown-label"])
+    def test_the_first_of_two_faults_in_two_blocks_is_raised(
+            self, tmp_path, monkeypatch, first_fault):
+        _, path = self.saved(tmp_path, "varied")
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 700)
+        blocks = blocks_of(path)
+        lines = path.read_text().splitlines()
+        # the last line of the second block and the first of the fourth
+        a = sum(map(len, blocks[:2]))
+        b = a + len(blocks[2]) + 1
+        assert len(blocks) > 3 and '"position":' in lines[a]
+        lines[b] = lines[b][:-1]
+        if first_fault == "bad-json":
+            lines[a] = lines[a][:-1]
+            want = rf"{re.escape(str(path))}:{a + 1}: bad JSON"
+        else:
+            lines[a] = re.sub(r'"labels":\{[^{}]*\}', '"labels":{"zz":true}',
+                              lines[a], count=1)
+            want = r"unknown milestone labels \['zz'\]"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataValidationError, match=want):
+            load_dataset(path)
+        assert assert_same_load(path) == "error"

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from journeyrank.errors import (
     ConfigError,
     ContractError,
     DataValidationError,
+    NonFiniteScoreError,
     SchemaMismatchError,
 )
 from journeyrank.model import (
@@ -690,6 +692,25 @@ class TestNtcCurves:
         with pytest.raises(ContractError):
             ev.ntc_curves(model, dataset, "days_ahead_of_checkin",
                           n_buckets=2, normalize_by_first=True)
+
+    def test_zero_base_coefficient_is_refused_without_a_warning(self):
+        """A base coefficient that underflows to 0 leaves the ratios
+        undefined: the curves are refused, and nothing warns."""
+        dataset = tiny_manual_dataset()
+        config = default_model_config(
+            dataset.schema.listing_dim, dataset.schema.context_dim,
+            embedding_dim=4, tower_hidden=(5,), combination_hidden=(3,))
+        model, _ = train(config, dataset, 0)
+        for name in model.params.names():
+            if name.startswith("combination"):
+                model.params[name].values[...] = 0.0
+        model.params["combination.b1"].values[0] = -1e4
+        assert (model.outputs(dataset).alpha_base == 0.0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteScoreError, match="base coefficient"):
+                ev.ntc_curves(model, dataset, "days_ahead_of_checkin",
+                              n_buckets=2)
 
     def test_search_without_impressions_gets_its_bucket(self):
         """The coefficients are per search, so a search that shows no

@@ -13,14 +13,14 @@ generating 200 guests, validating and splitting
 200-guest world, generating and saving the 1,000-guest default world, whose
 6-wide rows make the writer's per-impression texts a larger share of the
 file, and the JSONL save and load of the 200-guest world: one save, and
-one load each of the generated file (feature rows repeat, so the line
+one load each of the generated file (feature rows repeat, so the block
 decoder reads it), of a copy whose rows are all distinct (so the reader
-switches to the record path after the decoder's trial) and of the
-generated world spelled with ``json.dumps``'s default spaces, one record a
-line (so the decoder declines every line and the record path reads them
-all). Rounds are few so the suite's run time barely moves. The timings
-only inform: nothing here asserts on them, only on the results being well
-formed.
+switches to the record path at the first block boundary after the
+decoder's trial) and of the generated world spelled with ``json.dumps``'s
+default spaces, one record a line (so the decoder declines every block
+and the record path reads every line). Rounds are few so the suite's run
+time barely moves. The timings only inform: nothing here asserts on them,
+only on the results being well formed.
 """
 
 import json
@@ -216,7 +216,7 @@ def test_save_default_1000_guests(benchmark, default_config, tmp_path):
 @pytest.fixture(scope="module")
 def distinct_rows(generated):
     """The 200-guest world with every feature row distinct, so the reader
-    leaves its line decoder after the trial."""
+    leaves its block decoder after the trial."""
     rng = np.random.default_rng(4)
     return with_impression_features(generated, np.round(rng.normal(
         size=(generated.n_impressions, generated.schema.listing_dim)), 6))
