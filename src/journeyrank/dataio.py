@@ -28,15 +28,14 @@ records. It encodes each listing table row's features and id once (rows
 are distinct by id and bytes, so ``-0.0`` and ``0.0`` keep their own
 text), as the text of an impression up to its label set and the text
 from its label set to its position, and each distinct label set once.
-The file is then written a chunk at a time. A chunk is whole journeys,
-taken until they hold about a thousand impressions. Its text is one join
-of five texts per impression: the two row texts and the label set's
-text, looked up by integer, the position, and a separator. The separator
-after a search's last impression carries the search's id and time and
-the head of whatever follows, a search with its context or a journey
-with its guest id. Each chunk's contexts and times are encoded in one
-call per column. Chunks are bounded so that the writer holds one chunk's
-text, never the file's.
+The file is then written a chunk at a time, whole journeys taken until
+they hold about a thousand impressions, so the writer holds one chunk's
+text, never the file's. A chunk's skeleton is its lines with a mark in
+place of each search's impressions, its contexts and times encoded in
+one call per column. Its text is one join of five texts per impression,
+the two row texts and the label set's text, looked up by integer, the
+position, and a separator: ``},``, or after a search's last impression
+``}`` and the skeleton up to the next mark.
 
 :func:`load_dataset` reads the lines back a block at a time, about 64 K
 characters of whole lines, with two readers that fill the same columns.
@@ -71,7 +70,7 @@ import re
 from bisect import bisect_left
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import countOf, is_, or_, sub
+from operator import countOf, is_, lt, or_, sub
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -279,6 +278,9 @@ class _Columns:
         self.positions = [np.concatenate(self.positions)]
         codes = np.concatenate(self.label_codes)
         self.label_codes = []
+        label_rows = np.empty((len(LABELS), len(codes)), dtype=bool)
+        for k, row in enumerate(label_rows):  # one row's temporaries at once
+            row[:] = codes >> k & 1
         return Dataset.from_columns(
             self.schema,
             guest_ids=self.guest_ids,
@@ -291,8 +293,7 @@ class _Columns:
             listing_ids=self.listing_ids,
             listing_rows=self.table[0],
             listing_index=self.rows[0],
-            labels={m: ((codes >> k) & 1).astype(bool)
-                    for k, m in enumerate(LABELS)},
+            label_rows=label_rows,
         )
 
 
@@ -312,12 +313,6 @@ def dataset_from_records(schema: DatasetSchema,
     return columns.dataset()
 
 
-def _label_codes(labels: dict[str, np.ndarray]) -> np.ndarray:
-    """Each impression's flags as one integer, bit k for ``LABELS[k]``:
-    the code :func:`_label_code` gives its label dict."""
-    return sum(labels[m].astype(np.int64) << k for k, m in enumerate(LABELS))
-
-
 # The writer's line layout. A journey line is
 #     {"guest_id":G,"searches":[S,S,...]}
 # with each search S
@@ -333,6 +328,9 @@ _CONTEXT, _IMPRESSIONS, _SEARCH_ID, _T_DAYS = (
 _FEATURES, _LABELS, _LISTING_ID, _POSITION = (
     '{"features":', ',"labels":', ',"listing_id":', ',"position":')
 _OBJECT_END, _NEXT = "}", ","
+# stands for a search's impressions, or a journey's searches, in the texts
+# the writer fills and the decoder cuts; no line that holds it is JSON
+_MARK = "\0"
 
 # A chunk of the file is whole journeys, taken until they hold at least
 # this many impressions (at 0, each journey is a chunk of its own). The
@@ -360,21 +358,20 @@ def _texts(values: np.ndarray) -> list[str]:
 def _chunk_texts(dataset: Dataset) -> Iterator[str]:
     """The file's journey lines, one chunk of journeys at a time.
 
-    A chunk's text is one join of five texts per impression: its start up
-    to its label set and its middle from the label set to its position,
-    looked up by its table row, its label set, looked up by its label code,
-    its position and the separator after it. Inside a search the separator
-    is ``},``; after a search's last impression it carries the end of the
-    search, its id and time, and everything up to the next impression: the
-    head of the next search or journey, and any empty searches and
-    journeys in between.
+    A chunk fills its skeleton, its lines with ``_MARK`` for each
+    non-empty search's impressions (the text :func:`_nest` rebuilds): the
+    skeleton's text before its first mark, then five texts per impression,
+    its start up to its label set and its middle from there to its
+    position, looked up by table row, its label set, looked up by code,
+    its position and its separator, ``},`` or, after a search's last
+    impression, ``}`` and the skeleton's text up to the next mark.
     """
     starts = [_FEATURES + "[" + row + "]" + _LABELS
               for row in _texts(dataset.listing_rows)]
     middles = [_LISTING_ID + listing_id + _POSITION
                for listing_id in map(encode_basestring_ascii,
                                      dataset.listing_ids.tolist())]
-    codes = _label_codes(dataset.labels)
+    codes = (1 << np.arange(len(LABELS))) @ dataset.label_rows
     label_texts = {
         code: _canonical({m: True for k, m in enumerate(LABELS)
                           if code >> k & 1})
@@ -391,35 +388,27 @@ def _chunk_texts(dataset: Dataset) -> Iterator[str]:
         # the chunk's searches per journey, and impressions per search
         bounds = (journey_starts[j0:j1 + 1] - s0).tolist()
         imp_starts = (search_starts[s0:s1 + 1] - i0).tolist()
-        heads = [_CONTEXT + "[" + context + "]" + _IMPRESSIONS
-                 for context in _texts(dataset.context_features[s0:s1])]
-        tails = [_SEARCH_ID + search_id + _T_DAYS + t_days + _OBJECT_END
-                 for search_id, t_days in zip(
-                     map(encode_basestring_ascii,
-                         dataset.search_ids[s0:s1].tolist()),
-                     _texts(dataset.t_days[s0:s1]))]
+        searches = [
+            _CONTEXT + "[" + context + "]" + _IMPRESSIONS
+            + (_MARK if a < b else "") + _SEARCH_ID + search_id + _T_DAYS
+            + t_days + _OBJECT_END
+            for context, search_id, t_days, a, b in zip(
+                _texts(dataset.context_features[s0:s1]),
+                map(encode_basestring_ascii,
+                    dataset.search_ids[s0:s1].tolist()),
+                _texts(dataset.t_days[s0:s1]), imp_starts, imp_starts[1:])]
+        lead, *closing = "".join(
+            _GUEST_ID + guest_id + _SEARCHES + _NEXT.join(searches[a:b])
+            + _LINE_END + "\n"
+            for guest_id, a, b in zip(
+                map(encode_basestring_ascii,
+                    dataset.guest_ids[j0:j1].tolist()),
+                bounds, bounds[1:])).split(_MARK)
         separators = [_OBJECT_END + _NEXT] * (i1 - i0)
-        lead, texts = "", []   # the texts since the last impression
-        for j, guest_id in enumerate(map(encode_basestring_ascii,
-                                         dataset.guest_ids[j0:j1].tolist())):
-            texts.append(_GUEST_ID + guest_id + _SEARCHES)
-            for k in range(bounds[j], bounds[j + 1]):
-                if k > bounds[j]:
-                    texts.append(_NEXT)
-                texts.append(heads[k])
-                a, b = imp_starts[k], imp_starts[k + 1]
-                if a < b:
-                    if a:
-                        separators[a - 1] = "".join(texts)
-                    else:
-                        lead = "".join(texts)
-                    texts = [_OBJECT_END]
-                texts.append(tails[k])
-            texts.append(_LINE_END + "\n")
-        if separators:
-            separators[-1] = "".join(texts)
-        else:
-            lead = "".join(texts)
+        # one past the last impression of each search that has one
+        ends = compress(imp_starts[1:], map(lt, imp_starts, imp_starts[1:]))
+        for end, text in zip(ends, closing):
+            separators[end - 1] = _OBJECT_END + text
         shown = dataset.listing_index[i0:i1].tolist()
         yield "".join(chain((lead,), chain.from_iterable(zip(
             map(starts.__getitem__, shown),
@@ -456,9 +445,6 @@ _BLOCK_CHARS = 1 << 16
 # an impression head's memo value is its table row shifted past its label
 # code
 _CODE_BITS = len(LABELS)
-# stands in a block's text for a search's impressions, and for a journey's
-# searches, once those are cut out; no line that holds it is JSON
-_MARK = "\0"
 # what joins a row's features and listing id in the head of its impressions
 # with the empty label set
 _ROW_HEAD = _LABELS + "{}" + _LISTING_ID

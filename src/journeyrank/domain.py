@@ -193,7 +193,9 @@ class Dataset:
     Listings are one table, ``listing_ids`` and ``listing_rows`` row by
     row, in the canonical form of :meth:`from_columns`: impression ``i``
     shows table row ``listing_index[i]``. A listing is its id, so two rows
-    of one id (a price change) are one listing to every rule.
+    of one id (a price change) are one listing to every rule. The labels
+    are one C-contiguous block, a row per milestone of ``LABELS``, which
+    the model's batches share; ``labels`` reads it by name.
     """
 
     schema: DatasetSchema
@@ -207,14 +209,14 @@ class Dataset:
     listing_ids: np.ndarray           # [n_listings] str
     listing_rows: np.ndarray          # [n_listings, listing_dim] float64
     listing_index: np.ndarray         # [n_impressions] int64
-    labels: dict[str, np.ndarray]     # milestone in LABELS -> bool [n_impressions]
+    label_rows: np.ndarray            # [len(LABELS), n_impressions] bool
 
     @classmethod
     def from_columns(cls, schema: DatasetSchema, *, guest_ids,
                      searches_per_journey, search_ids, t_days,
                      context_features, imps_per_search, positions,
                      listing_ids, listing_rows, listing_index,
-                     labels: Mapping[str, np.ndarray]) -> "Dataset":
+                     label_rows) -> "Dataset":
         """Assemble a dataset from per-journey, per-search and
         per-impression columns, the listing table and the row counts that
         group them.
@@ -227,7 +229,7 @@ class Dataset:
         distinct by id and feature bytes (``-0.0`` and ``0.0`` stay apart,
         and so do two NaN payloads, equal bytes under two ids and two rows
         of one id), in order of first appearance in the impressions, and
-        every row shown.
+        every row shown. ``label_rows`` is kept, not copied, if C-contiguous.
         """
         listing_ids, listing_rows, listing_index = _canonical_listings(
             np.asarray(listing_ids, dtype=str),
@@ -247,7 +249,7 @@ class Dataset:
             listing_ids=listing_ids,
             listing_rows=listing_rows,
             listing_index=listing_index,
-            labels={m: np.asarray(labels[m], dtype=bool) for m in LABELS},
+            label_rows=np.ascontiguousarray(label_rows, dtype=bool),
         )
 
     @property
@@ -261,6 +263,10 @@ class Dataset:
     @property
     def n_impressions(self) -> int:
         return len(self.listing_index)
+
+    @property
+    def labels(self) -> dict[str, np.ndarray]:  # milestone -> [n_impressions]
+        return dict(zip(LABELS, self.label_rows))
 
     def journey_of_impression(self) -> np.ndarray:
         return self.journeys.ids[self.searches.ids]
@@ -302,7 +308,7 @@ def select_impressions(dataset: Dataset, keep: np.ndarray,
         listing_ids=listing_ids,
         listing_rows=listing_rows,
         listing_index=listing_index,
-        labels={m: dataset.labels[m][keep] for m in LABELS},
+        label_rows=dataset.label_rows.compress(keep, axis=1),
     )
 
 
@@ -366,13 +372,14 @@ def attribute_labels(dataset: Dataset) -> Dataset:
             f"({kinds})")
 
     groups, n_groups = _journey_listing_groups(dataset)
-    labels = {}
-    for m in POSITIVE_CHAIN:
-        last = _last_search_with(dataset, groups, n_groups, dataset.labels[m])
-        labels[m] = dataset.searches.ids <= last[groups]
-    for m in NEGATIVE_MILESTONES:
-        labels[m] = _segment_any(dataset.labels[m], groups, n_groups)[groups]
-    return replace(dataset, labels=labels)
+    label_rows = np.empty_like(dataset.label_rows)
+    for m, row, raw in zip(LABELS, label_rows, dataset.label_rows):
+        if m in POSITIVE_CHAIN:
+            last = _last_search_with(dataset, groups, n_groups, raw)
+            row[:] = dataset.searches.ids <= last[groups]
+        else:
+            row[:] = _segment_any(raw, groups, n_groups)[groups]
+    return replace(dataset, label_rows=label_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +562,8 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
 
 
 def milestone_counts(dataset: Dataset) -> dict[str, int]:
-    counts = {"imp": dataset.n_impressions}
-    for m in LABELS:
-        counts[m] = int(np.count_nonzero(dataset.labels[m]))
-    return counts
+    counts = np.count_nonzero(dataset.label_rows, axis=1).tolist()
+    return {"imp": dataset.n_impressions, **dict(zip(LABELS, counts))}
 
 
 def empirical_task_weight(dataset: Dataset, task: str) -> float:

@@ -661,10 +661,10 @@ class SearchBatch:
     minibatch's, those it shows, each once; a dataset's, its whole table),
     and ``listing_index`` gives each impression row its row of them.
     ``context_rows`` holds one normalized row per search, and
-    ``label_rows`` one row per milestone of ``LABELS``, in that order;
-    ``labels`` reads them by name. The blend's preference pairs
-    (:func:`preference_pairs` of the ``unc`` labels) are found on first
-    read, so only a loss that reads them builds them.
+    ``label_rows`` one row per milestone of ``LABELS`` (the dataset's own
+    block in :func:`batch_inputs`), read by name through ``labels``. The
+    blend's preference pairs (:func:`preference_pairs` of the ``unc``
+    labels) are found on first read, only by a loss that reads them.
     """
 
     listing_rows: np.ndarray          # [n_listings, listing_dim] normalized
@@ -698,10 +698,10 @@ class SearchBatch:
 
 def batch_inputs(dataset: Dataset, norm: NormalizationStats) -> SearchBatch:
     """Every search of the dataset as one batch: its listing table and
-    context rows normalized, its labels stacked. Every row a training
-    batch or a score reads is one of these rows, so a row that is not
-    finite after normalization is refused here, with a
-    :class:`ShapeError`."""
+    context rows normalized, and its label block ``dataset.label_rows``
+    itself, not a copy. Every row a training batch or a score reads is one
+    of these rows, so a row that is not finite after normalization is
+    refused here, with a :class:`ShapeError`."""
     listing_rows = norm.apply_listing(dataset.listing_rows)
     context_rows = norm.apply_context(dataset.context_features)
     _require_finite(listing_rows, context_rows)
@@ -710,7 +710,7 @@ def batch_inputs(dataset: Dataset, norm: NormalizationStats) -> SearchBatch:
         listing_index=dataset.listing_index,
         context_rows=context_rows,
         segments=dataset.searches,
-        label_rows=np.stack([dataset.labels[m] for m in LABELS]),
+        label_rows=dataset.label_rows,
     )
 
 

@@ -534,7 +534,7 @@ def generate(config: GeneratorConfig,
         listing_ids=world.listing_ids,
         listing_rows=world.listing_features,
         listing_index=rows,
-        labels={m: flags[:, k] for k, m in enumerate(LABELS)},
+        label_rows=flags.T,
     )
     return attribute_labels(raw), world
 

@@ -79,7 +79,7 @@ def with_listing_table(dataset: Dataset, ids, rows: np.ndarray,
         context_features=dataset.context_features,
         imps_per_search=dataset.searches.sizes, positions=dataset.positions,
         listing_ids=ids, listing_rows=rows, listing_index=index,
-        labels=dataset.labels)
+        label_rows=dataset.label_rows)
 
 
 def with_impression_features(dataset: Dataset,
@@ -101,7 +101,7 @@ def imp_rows_for_searches(dataset: Dataset,
 def dataset_to_records(dataset: Dataset) -> Iterator[dict]:
     """One journey record per journey, in dataset order: the reference the
     writer's lines are checked against."""
-    label_rows = np.column_stack([dataset.labels[m] for m in LABELS])
+    label_rows = dataset.label_rows.T
     imp_starts = dataset.searches.starts
     for j, guest_id in enumerate(dataset.guest_ids.tolist()):
         lo, hi = dataset.journeys.starts[j], dataset.journeys.starts[j + 1]

@@ -565,7 +565,7 @@ def loop_dataset_from_records(schema, records) -> Dataset:
         positions=positions,
         listing_rows=np.concatenate(features) if features else [],
         listing_index=np.arange(len(positions)),
-        labels={m: label_matrix[:, k] for k, m in enumerate(LABELS)},
+        label_rows=label_matrix.T,
     )
 
 

@@ -644,7 +644,7 @@ def from_columns_subset(ds, keep, min_impressions):
         imps_per_search=counts[keep_search], positions=ds.positions[keep],
         listing_ids=ds.listing_ids, listing_rows=ds.listing_rows,
         listing_index=ds.listing_index[keep],
-        labels={m: v[keep] for m, v in ds.labels.items()})
+        label_rows=ds.label_rows[:, keep])
 
 
 class TestSelectImpressions:

@@ -29,7 +29,8 @@ from conftest import (
     with_listing_table,
 )
 from per_op import base_loss, combination_loss, twiddler_loss
-from journeyrank import evaluate, model as model_module, nn, simulate
+from journeyrank import (dataio, domain, evaluate, model as model_module,
+                         nn, simulate)
 from journeyrank.dataio import dataset_from_records
 from journeyrank.domain import (
     ALL_MILESTONES,
@@ -176,7 +177,7 @@ def random_searches(rng: np.random.Generator, n_searches: int,
         listing_ids=[f"L{k}" for k in range(len(listing_rows))],
         listing_rows=listing_rows,
         listing_index=listing_index,
-        labels=labels,
+        label_rows=label_rows(labels),
     )
 
 
@@ -1025,6 +1026,32 @@ class TestBatches:
         np.testing.assert_array_equal(twice.segments.starts,
                                       inputs.segments.starts)
 
+    @pytest.mark.parametrize("step", ["from_columns", "generate", "load",
+                                      "filter"])
+    def test_inputs_share_the_dataset_label_block(self, tmp_path, step):
+        """``batch_inputs`` hands on the dataset's C-contiguous label block
+        itself, whichever step built the dataset."""
+        if step == "from_columns":
+            dataset = random_searches(np.random.default_rng(34), 12)
+        else:
+            dataset, _ = simulate.generate(
+                simulate.default_generator_config(n_guests=30, seed=3))
+        if step == "load":
+            dataio.save_dataset(dataset, tmp_path / "d.jsonl")
+            dataset = dataio.load_dataset(tmp_path / "d.jsonl")
+        elif step == "filter":
+            dataset = domain.filter_training_searches(dataset).dataset
+        assert dataset.label_rows.shape == (len(LABELS),
+                                            dataset.n_impressions)
+        assert dataset.label_rows.dtype == bool
+        assert dataset.label_rows.flags.c_contiguous
+        norm = NormalizationStats.fit(dataset.listing_rows,
+                                      dataset.listing_index,
+                                      dataset.context_features)
+        inputs = batch_inputs(dataset, norm)
+        assert inputs.label_rows is dataset.label_rows
+        assert np.shares_memory(inputs.label_rows, dataset.label_rows)
+
     def test_covers_one_row_and_pairless_searches(self):
         rng = np.random.default_rng(32)
         dataset = random_searches(rng, 60)
@@ -1093,7 +1120,7 @@ def dataset_showing(table: np.ndarray, index, ids=None,
         imps_per_search=[n], positions=np.arange(1, n + 1),
         listing_ids=["L"] * len(table) if ids is None else ids,
         listing_rows=table, listing_index=index,
-        labels={m: np.zeros(n, dtype=bool) for m in LABELS})
+        label_rows=np.zeros((len(LABELS), n), dtype=bool))
 
 
 # a few values, among them two zeros equal as numbers and two NaNs, each

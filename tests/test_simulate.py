@@ -229,7 +229,7 @@ def reference_generate(config, stops: Counter | None = None) -> Dataset:
         listing_ids=world.listing_ids,
         listing_rows=world.listing_features,
         listing_index=rows,
-        labels={m: flags[:, k] for k, m in enumerate(LABELS)},
+        label_rows=flags.T,
     ))
 
 
