@@ -134,6 +134,13 @@ def _position(value) -> int:
     return position
 
 
+def _string(value, field: str) -> str:
+    """An id is read as a JSON string, never a number or a null."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 # the value types converted in one call; never a bool or a numpy scalar
 _NUMBER_TYPES = frozenset({float, int})
 # what reading a malformed record raises before it is named a data fault
@@ -235,11 +242,11 @@ class _Columns:
         fault in record order; its contexts and features are converted
         once, after every other check."""
         schema = self.schema
-        guest_id = str(rec["guest_id"])
+        guest_id = _string(rec["guest_id"], "guest_id")
         search_ids, t_days, sizes, contexts = [], [], [], []
         listing_ids, positions, codes, features = [], [], [], []
         for s in rec["searches"]:
-            search_id = str(s["search_id"])
+            search_id = _string(s["search_id"], "search_id")
             where = f"guest={guest_id} search={search_id}"
             if len(s["context"]) != schema.context_dim:
                 raise DataValidationError(
@@ -262,7 +269,7 @@ class _Columns:
                     raise DataValidationError(
                         f"{where}: unknown milestone labels "
                         f"{sorted(on - _KNOWN_MILESTONES)}")
-                listing_ids.append(str(i["listing_id"]))
+                listing_ids.append(_string(i["listing_id"], "listing_id"))
                 positions.append(_position(i["position"]))
                 codes.append(code)
                 features.append(i["features"])
@@ -303,8 +310,8 @@ def dataset_from_records(schema: DatasetSchema,
 
     A record whose widths differ from the schema, that lacks a field,
     holds a value of the wrong type (a number that is a bool or a string,
-    a position that is not an integer or does not fit 64 bits), or names
-    an unknown milestone raises :class:`DataValidationError`; the first
+    an id that is not a string, a position that is not an integer or does
+    not fit 64 bits), or names an unknown milestone raises :class:`DataValidationError`; the first
     fault in record order is the one reported.
     """
     columns = _Columns(schema)

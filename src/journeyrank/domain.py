@@ -61,6 +61,12 @@ def number(value) -> float:
     return value if isinstance(value, float) else float(exact_int(value))
 
 
+# the largest count or width a config or a dataset header may give: float64
+# arrays shaped by two such sizes still fit numpy's 64-bit byte count, so a
+# size too large for memory fails as a MemoryError, not as a shape error
+MAX_SIZE = 1 << 28
+
+
 def label_violations(labels: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """One mask per label rule, set on the impressions that break it."""
     chain = [labels[m] for m in POSITIVE_CHAIN]
@@ -93,8 +99,10 @@ class DatasetSchema:
 
     def __post_init__(self):
         object.__setattr__(self, "context_features", tuple(self.context_features))
-        if self.listing_dim <= 0 or self.context_dim <= 0:
-            raise ConfigError("feature widths must be positive")
+        for key in ("listing_dim", "context_dim"):
+            if not 1 <= getattr(self, key) <= MAX_SIZE:
+                raise ConfigError(f"feature widths must be from 1 to "
+                                  f"{MAX_SIZE}: {key} is {getattr(self, key)}")
         if len(self.context_features) != self.context_dim:
             raise ConfigError("context feature name count must equal context_dim")
         for name in REQUIRED_CONTEXT_FEATURES:

@@ -61,6 +61,7 @@ from .domain import (
     Dataset,
     DatasetSchema,
     LABELS,
+    MAX_SIZE,
     NEGATIVE_MILESTONES,
     NEGATIVE_PARENT,
     POSITIVE_CHAIN,
@@ -85,11 +86,12 @@ from .nn import MlpSpec, ParameterStore, Segments, Tape, Tensor
 # configuration
 
 
-def _check_int(name: str, value, minimum: int) -> None:
+def _check_int(name: str, value, minimum: int,
+               maximum: float = MAX_SIZE) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
-        raise ConfigError(f"{name} must be an integer >= {minimum}, "
-                          f"got {value!r}")
+            or not minimum <= value <= maximum):
+        raise ConfigError(f"{name} must be an integer from {minimum} to "
+                          f"{maximum}, got {value!r}")
 
 
 def _check_sequence(name: str, value) -> tuple:
@@ -137,7 +139,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("listing_dim", "context_dim", "embedding_dim"):
             _check_int(name, getattr(self, name), 1)
-        _check_int("seed", self.seed, 0)
+        _check_int("seed", self.seed, 0, math.inf)
         for name in ("tower_hidden", "combination_hidden",
                      "base_tasks", "twiddler_tasks"):
             object.__setattr__(self, name,
@@ -387,11 +389,15 @@ class NormalizationStats:
     @classmethod
     def from_record(cls, rec) -> "NormalizationStats":
         """A saved record, read strictly: each value a number (never a
-        bool or a string), or a :class:`SchemaMismatchError` naming the
-        field."""
+        bool or a string) and no other key, or a
+        :class:`SchemaMismatchError` naming the field."""
         if not isinstance(rec, dict):
             raise SchemaMismatchError(f"normalization record must be an "
                                       f"object, got {rec!r}")
+        unknown = sorted(rec.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchemaMismatchError(
+                f"normalization record has unknown keys {unknown}")
         columns = {}
         for f in fields(cls):
             if f.name not in rec:

@@ -58,6 +58,8 @@ class ParameterStore:
         for name, shape in self.layout:
             self._spans[name] = slice(n, n + math.prod(shape))
             n = self._spans[name].stop
+        if n > np.iinfo(np.intp).max // 8:  # past what numpy can shape
+            raise MemoryError(f"{n} parameters do not fit in 64-bit memory")
         self.tensor = T.Tensor(np.zeros(n) if vector is None else vector,
                                requires_grad=True)
         if self.tensor.shape != (n,):

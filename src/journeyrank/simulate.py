@@ -48,6 +48,7 @@ import numpy as np
 
 from .domain import (
     LABELS,
+    MAX_SIZE,
     Dataset,
     DatasetSchema,
     NEGATIVE_MILESTONES,
@@ -112,9 +113,12 @@ class GeneratorConfig:
         if self.listings_per_search < 2:
             raise ConfigError("listings_per_search must be at least 2 "
                               "(a ranking needs a comparison)")
-        if min(self.n_guests, self.max_searches_per_journey,
-               self.listing_feature_dim, self.n_listings) < 1:
-            raise ConfigError("counts and dims must be positive")
+        for key in ("n_guests", "listings_per_search",
+                    "max_searches_per_journey", "listing_feature_dim",
+                    "context_feature_dim", "n_listings"):
+            if not 1 <= getattr(self, key) <= MAX_SIZE:
+                raise ConfigError(f"{key} must be from 1 to {MAX_SIZE}, "
+                                  f"got {getattr(self, key)}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.context_feature_dim < len(CONTEXT_FEATURE_PREFIX):

@@ -207,6 +207,17 @@ class TestMalformedConfig:
         ("gen", "seed", True),
         ("gen", "ctr_negative_coupling", True),
         ("gen", "journey_window_days", "30"),
+        # sizes numpy cannot shape an array from
+        ("gen", "n_listings", 2 ** 62),
+        ("gen", "n_listings", 2 ** 63),
+        ("gen", "n_listings", 10 ** 20),
+        ("gen", "max_searches_per_journey", 2 ** 63),
+        ("gen", "max_searches_per_journey", 10 ** 20),
+        ("train", "embedding_dim", 10 ** 20),
+        ("train", "listing_dim", 10 ** 20),
+        ("train", "context_dim", 2 ** 63),
+        ("train", "tower_hidden", [10 ** 20]),
+        ("train", "combination_hidden", [10 ** 19]),
     ])
     def test_malformed_value_names_the_key(self, ws, tmp_path, capsys,
                                            command, key, value):
@@ -982,7 +993,8 @@ class TestNotEnoughMemory:
     a config error, not a traceback. Each asks for more than 2**47 bytes,
     the user address space, so it fails before any memory is committed."""
 
-    @pytest.mark.parametrize("case", ["ntc-buckets", "train-widths"])
+    @pytest.mark.parametrize("case", ["ntc-buckets", "train-widths",
+                                      "train-depth"])
     def test_exits_one_without_a_traceback(self, ws, tmp_path, capsys, case):
         if case == "ntc-buckets":
             # np.linspace over 10**15 + 1 bucket edges: 7 PiB
@@ -992,7 +1004,12 @@ class TestNotEnoughMemory:
         else:
             # two towers of 10**8 x 10**8 weights: 142 PiB of parameters
             record = json.loads((ws / "model.json").read_text())
-            record.update(embedding_dim=10**8, tower_hidden=[10**8])
+            if case == "train-widths":
+                record.update(embedding_dim=10**8, tower_hidden=[10**8])
+            else:
+                # 20 layers of 2**28 x 2**28 weights: more values than
+                # numpy can shape in one float64 array
+                record.update(tower_hidden=[2**28] * 20)
             wide = tmp_path / "wide.json"
             wide.write_text(json.dumps(record))
             argv = ["train", "--model-config", str(wide)]
@@ -1190,6 +1207,59 @@ class TestValidate:
         assert "data error:" in err
         assert named in err
 
+    @pytest.mark.parametrize("width", [2 ** 62, 10 ** 20])
+    @pytest.mark.parametrize("command", ["validate", "train", "eval",
+                                         "compare", "ablate", "ntc"])
+    def test_width_numpy_cannot_shape_exits_two(self, ws, tmp_path, capsys,
+                                                command, width):
+        """A header width past what numpy can shape an array from is a
+        data error naming the file and the key, from every command that
+        loads the file."""
+        lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["listing_dim"] = width
+        path = tmp_path / "wide.jsonl"
+        path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        model, paired = str(ws / "run" / "model"), ["--seeds", "0,1",
+                                                    "--epochs", "1"]
+        argv = {
+            "validate": [],
+            "train": ["--model-config", str(ws / "model.json")],
+            "eval": ["--model", model],
+            "compare": ["--model-config-a", str(ws / "model.json"),
+                        "--model-config-b", str(ws / "base.json"), *paired],
+            "ablate": paired,
+            "ntc": ["--model", model, "--feature", "days_ahead_of_checkin"],
+        }[command]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        rc = main([command, *argv, "--dataset", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"data error: {path}: schema header: " in err
+        assert "listing_dim" in err
+
+    def test_ids_that_are_not_strings_exit_two(self, tmp_path, capsys):
+        """A null or numeric guest, search or listing id is a data fault
+        naming the field, not the text "None" or "7"."""
+        dataset, _ = generate(default_generator_config(n_guests=40, seed=0))
+        save_dataset(dataset, tmp_path / "clean.jsonl")
+        header, *lines = (tmp_path / "clean.jsonl").read_text().splitlines()
+        for field, value in (("guest_id", None), ("search_id", 7),
+                             ("listing_id", None)):
+            records = [json.loads(line) for line in lines]
+            holder = {"guest_id": records[3],
+                      "search_id": records[3]["searches"][0],
+                      "listing_id": records[3]["searches"][0][
+                          "impressions"][2]}[field]
+            holder[field] = value
+            path = tmp_path / f"{field}.jsonl"
+            path.write_text("\n".join([header, *map(json.dumps, records)])
+                            + "\n")
+            assert main(["validate", "--dataset", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{field} must be a string, got {value!r}" in err
+
     def test_header_that_is_not_an_object_exits_two(self, ws, tmp_path,
                                                     capsys):
         lines = (ws / "data" / "dataset.jsonl").read_text().splitlines()
@@ -1361,7 +1431,9 @@ class TestFaultModel:
     exit code is a documented one for a data fault, nothing escapes
     ``main``, ``validate`` accepts exactly the files ``train`` trains on
     and ``eval`` scores, and the block decoder reads what the record path
-    reads, or raises what it raises."""
+    reads, or raises what it raises. A model ``train`` makes of a mutated
+    file scores it through ``eval`` and ``ntc``, or they refuse it as a
+    data error, with no RuntimeWarning."""
 
     @settings(max_examples=40, derandomize=True, database=None,
               deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1389,6 +1461,16 @@ class TestFaultModel:
             assert any(reason in err for reason in TRAIN_ONLY_REFUSALS), err
         assert validate == cli.EXIT_OK or train != cli.EXIT_OK
         assert_same_load(path)
+        if train != cli.EXIT_OK:
+            return
+        for command in (["eval"],
+                        ["ntc", "--feature", "days_ahead_of_checkin"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, err = run_quietly([
+                    *command, "--model", str(root / "run" / "model"),
+                    "--dataset", str(path), "--out", str(root / "scored")])
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA), err
 
 
 # ---------------------------------------------------------------------------
@@ -1465,6 +1547,25 @@ class TestSavedModelFaults:
             if code == cli.EXIT_DATA:
                 assert f"data error: {model_dir / 'params.json'}: " in err
 
+    def test_unknown_normalization_key_is_refused(self, fault_ws,
+                                                  tmp_path):
+        """A ``normalization`` record with a key it does not define is
+        refused, as ``model_config`` and the dataset header are."""
+        clean = fault_ws[0] / "clean" / "model"
+        manifest = json.loads((clean / "params.json").read_text())
+        manifest["normalization"]["listing_median"] = [0.0]
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        shutil.copy(clean / "params.bin", tmp_path / "params.bin")
+        for command in (["eval"],
+                        ["ntc", "--feature", "days_ahead_of_checkin"]):
+            code, err = run_quietly([
+                *command, "--model", str(tmp_path),
+                "--dataset", str(fault_ws[0] / "clean.jsonl"),
+                "--out", str(tmp_path / "scored")])
+            assert code == cli.EXIT_DATA, err
+            assert (f"data error: {tmp_path / 'params.json'}: normalization "
+                    "record has unknown keys ['listing_median']") in err
+
     @pytest.mark.parametrize("value", [1.7e308, -1.7e308])
     @pytest.mark.parametrize("at", [0, 5, 50, 100])
     def test_weights_whose_scores_overflow_are_refused(self, fault_ws,
@@ -1492,3 +1593,61 @@ class TestSavedModelFaults:
             assert code == cli.EXIT_DATA, err
             assert (f"data error: {tmp_path / 'params.json'}: the model's "
                     "weights give scores") in err
+
+
+# ---------------------------------------------------------------------------
+# one fault model for a generator config
+
+
+# values a generator config leaf takes: other JSON kinds, non-finites, a
+# negative, 2**53 + 1 and ints of at least 2**62. None is a size that numpy
+# accepts but memory cannot hold: the generator would fill it.
+CONFIG_POOL = [None, True, False, "", "x", [], {}, [1.0], {"c": 1.0},
+               float("nan"), float("inf"), float("-inf"), -1, -2.5,
+               2 ** 53 + 1]
+
+
+@st.composite
+def faulty_generator_config(draw, record: dict) -> dict:
+    """A generator config record with one fault: a leaf, or a whole value,
+    set to a value of the pool or an int of at least 2**62, a key deleted,
+    or an unknown key added to one of its objects. Each top-level key is
+    drawn as often as the others."""
+    record = copy.deepcopy(record)
+    below = list(_below(record, draw(st.sampled_from(sorted(record)))))
+    kind = draw(st.sampled_from(["leaf", "delete", "unknown"]))
+    if kind == "unknown":
+        objects = [record, *(holder[key] for holder, key in below
+                             if isinstance(holder[key], dict))]
+        draw(st.sampled_from(objects))["shade"] = 1.0
+        return record
+    holder, key = draw(st.sampled_from(below))
+    if kind == "leaf":
+        holder[key] = copy.deepcopy(draw(st.one_of(
+            st.sampled_from(CONFIG_POOL), st.integers(min_value=2 ** 62))))
+    else:
+        del holder[key]
+    return record
+
+
+class TestGeneratorConfigFaults:
+    """A one-fault copy of a small generator config through ``gen``: it
+    generates, or exits with a documented code, nothing escapes ``main``,
+    and ``validate`` accepts whatever ``gen`` writes."""
+
+    @settings(max_examples=120, derandomize=True, database=None,
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_gen_generates_or_refuses(self, tmp_path_factory, data):
+        record = generator_config_to_record(
+            default_generator_config(n_guests=6, seed=4))
+        root = tmp_path_factory.mktemp("gen-faults")
+        (root / "gen.json").write_text(json.dumps(
+            data.draw(faulty_generator_config(record))))
+        code, err = run_quietly(["gen", "--config", str(root / "gen.json"),
+                                 "--out", str(root / "data")])
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA), err
+        if code == cli.EXIT_OK:
+            assert run_quietly([
+                "validate", "--dataset",
+                str(root / "data" / "dataset.jsonl")])[0] == cli.EXIT_OK

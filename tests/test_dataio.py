@@ -497,6 +497,12 @@ def loop_position(value) -> int:
     return position
 
 
+def loop_string(value, field) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def loop_numbers(rows, width) -> np.ndarray:
     return np.array([[number(v) for v in row] for row in rows],
                     dtype=np.float64).reshape(-1, width)
@@ -511,10 +517,10 @@ def loop_dataset_from_records(schema, records) -> Dataset:
     listing_ids, positions, features, label_rows = [], [], [], []
     for rec in records:
         try:
-            guest_id = str(rec["guest_id"])
+            guest_id = loop_string(rec["guest_id"], "guest_id")
             j_contexts, j_features, j_labels = [], [], []
             for s in rec["searches"]:
-                search_id = str(s["search_id"])
+                search_id = loop_string(s["search_id"], "search_id")
                 where = f"guest={guest_id} search={search_id}"
                 if len(s["context"]) != schema.context_dim:
                     raise DataValidationError(
@@ -536,7 +542,8 @@ def loop_dataset_from_records(schema, records) -> Dataset:
                         raise DataValidationError(
                             f"{where}: unknown milestone labels "
                             f"{sorted(unknown)}")
-                    listing_ids.append(str(i["listing_id"]))
+                    listing_ids.append(loop_string(i["listing_id"],
+                                                   "listing_id"))
                     positions.append(loop_position(i["position"]))
                     j_features.append(i["features"])
                     j_labels.append([m in on for m in LABELS])
@@ -608,6 +615,8 @@ IMPRESSION_FAULTS = [
     ("position", 2.7), ("position", True), ("position", 2.0),
     ("position", 10 ** 20), ("position", -(2 ** 63) - 1),
     ("position", 2 ** 63), ("features", [10 ** 400, 0.5, 0.5]),
+    ("listing_id", None), ("listing_id", 7), ("listing_id", 1.5),
+    ("listing_id", ["L1"]),
 ]
 # label dicts every builder accepts
 ACCEPTED_LABELS = [
@@ -728,11 +737,16 @@ class TestReaderMatchesLoop:
         lambda rec: rec["searches"][0].update(context=[1.0, True]),
         lambda rec: rec["searches"][0].update(context=[None, 1.0]),
         lambda rec: rec["searches"][-1].update(context=[0.0, False]),
+        lambda rec: rec.update(guest_id=None),
+        lambda rec: rec.update(guest_id=7),
+        lambda rec: rec["searches"][0].update(search_id=None),
+        lambda rec: rec["searches"][-1].update(search_id=7),
     ], ids=["guest_id", "searches", "t_days", "context-width",
             "context-value", "no-impressions", "impressions-none",
             "wide-last-impression", "t_days-string", "t_days-bool",
             "t_days-null", "context-string", "context-bool",
-            "context-null", "last-context-bool"])
+            "context-null", "last-context-bool", "guest_id-null",
+            "guest_id-int", "search_id-null", "search_id-int"])
     def test_search_and_journey_faults(self, mutate):
         records = random_records(np.random.default_rng(27), n_journeys=3)
         # a second fault in the journey, so the order faults are found in shows
