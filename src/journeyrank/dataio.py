@@ -32,10 +32,11 @@ The file is then written a chunk at a time, whole journeys taken until
 they hold about a thousand impressions, so the writer holds one chunk's
 text, never the file's. A chunk's skeleton is its lines with a mark in
 place of each search's impressions, its contexts and times encoded in
-one call per column. Its text is one join of five texts per impression,
-the two row texts and the label set's text, looked up by integer, the
-position, and a separator: ``},``, or after a search's last impression
-``}`` and the skeleton up to the next mark.
+one call per column. Its text is the skeleton up to the first mark, then
+one join of five texts per impression: the two row texts and the label
+set's text, looked up by integer, the position, and a separator, ``},``
+or, after a search's last impression, ``}`` and the skeleton up to the
+next mark.
 
 :func:`load_dataset` reads the lines back a block at a time, about 64 K
 characters of whole lines, with two readers that fill the same columns.
@@ -286,7 +287,7 @@ class _Columns:
         codes = np.concatenate(self.label_codes)
         self.label_codes = []
         label_rows = np.empty((len(LABELS), len(codes)), dtype=bool)
-        for k, row in enumerate(label_rows):  # one row's temporaries at once
+        for k, row in enumerate(label_rows):  # one row's temporaries alive
             row[:] = codes >> k & 1
         return Dataset.from_columns(
             self.schema,
@@ -311,8 +312,9 @@ def dataset_from_records(schema: DatasetSchema,
     A record whose widths differ from the schema, that lacks a field,
     holds a value of the wrong type (a number that is a bool or a string,
     an id that is not a string, a position that is not an integer or does
-    not fit 64 bits), or names an unknown milestone raises :class:`DataValidationError`; the first
-    fault in record order is the one reported.
+    not fit 64 bits), or names an unknown milestone raises
+    :class:`DataValidationError`; the first fault in record order is the
+    one reported.
     """
     columns = _Columns(schema)
     for rec in records:

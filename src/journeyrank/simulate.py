@@ -540,6 +540,7 @@ def generate(config: GeneratorConfig,
         listing_index=rows,
         label_rows=flags.T,
     )
+    del flags  # raw holds its own C-contiguous copy
     return attribute_labels(raw), world
 
 
