@@ -1002,9 +1002,9 @@ class TestNotEnoughMemory:
                     "--feature", "days_ahead_of_checkin",
                     "--buckets", str(10**15)]
         else:
-            # two towers of 10**8 x 10**8 weights: 142 PiB of parameters
             record = json.loads((ws / "model.json").read_text())
             if case == "train-widths":
+                # two towers of 10**8 x 10**8 weights: 142 PiB of parameters
                 record.update(embedding_dim=10**8, tower_hidden=[10**8])
             else:
                 # 20 layers of 2**28 x 2**28 weights: more values than
