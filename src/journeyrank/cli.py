@@ -35,6 +35,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .model import (
+    ModelConfig,
     check_training_settings,
     load_model,
     model_config_from_record,
@@ -307,6 +308,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    # the cells' other widths come from the dataset; a config of width 1
+    # checks the embedding width before any file is read
+    ModelConfig(1, 1, embedding_dim=args.embedding_dim)
     return _cmd_paired(
         args, "ablation",
         partial(ev.run_ablation, embedding_dim=args.embedding_dim),
@@ -318,6 +322,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_ntc(args) -> int:
+    ev.check_buckets(args.buckets)
     out = _require_out(args)
     model = load_model(args.model)
     model_input = _input(args.model, Path(args.model) / "params.bin")

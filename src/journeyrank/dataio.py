@@ -51,16 +51,15 @@ guards that make the joined list's items the texts themselves. It accepts
 a block only when every line is exactly those delimiters and leaves of
 the expected kinds. Valid JSON leaves joined by the layout's delimiters
 have exactly one parse, the record ``json.loads`` returns, so what it
-stores is bit for bit what the record path stores. Any other block is
-declined whole and read line by line by the record path: ``json.loads``
+stores is bit for bit what the record path stores. A block is read as
+records only when the decoder declines it, on a fault or on another
+spelling of the records: it is then read line by line by ``json.loads``
 and the per-record step :func:`dataset_from_records` runs, which walks a
 journey one search and one impression at a time, checks each value as it
-reaches it and converts the journey's numbers in one call once every
-check has passed. So other spellings of the records load and a faulty
-record raises the first fault in record order, with its line number when
-the line is not JSON. Memo decoding only pays when rows repeat, so once a
-trial of 2,000 impressions is read, a file whose running share of new
-rows is above one half is read as records from the next block on.
+reaches it and reads the journey's numbers once every other check has
+passed. So other spellings of the records load and a faulty record
+raises the first fault in record order, with its line number when the
+line is not JSON.
 """
 
 from __future__ import annotations
@@ -100,28 +99,13 @@ _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _KNOWN_MILESTONES = frozenset(ALL_MILESTONES)
 
 
-def _label_code(labels, known: dict) -> int | None:
+def _label_code(labels) -> int | None:
     """The flags a label dict sets, as bit k for ``LABELS[k]``, or None
-    when it sets an unknown milestone.
-
-    ``known`` remembers the code of each distinct dict by its items, so
-    the set logic runs once per distinct label set (a dict whose values
-    cannot be hashed is mapped every time).
-    """
-    items = tuple(labels.items())
-    try:
-        return known[items]
-    except KeyError:
-        hashable = True
-    except TypeError:
-        hashable = False
-    on = {m for m, v in items if v}
+    when it sets an unknown milestone."""
+    on = {m for m, v in labels.items() if v}
     if not on <= _KNOWN_MILESTONES:
         return None
-    code = sum(1 << k for k, m in enumerate(LABELS) if m in on)
-    if hashable:
-        known[items] = code
-    return code
+    return sum(1 << k for k, m in enumerate(LABELS) if m in on)
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -142,8 +126,6 @@ def _string(value, field: str) -> str:
     return value
 
 
-# the value types converted in one call; never a bool or a numpy scalar
-_NUMBER_TYPES = frozenset({float, int})
 # what reading a malformed record raises before it is named a data fault
 _RECORD_FAULTS = (KeyError, AttributeError, TypeError, ValueError,
                   OverflowError)
@@ -152,19 +134,7 @@ _RECORD_FAULTS = (KeyError, AttributeError, TypeError, ValueError,
 def _numbers(rows: list, width: int) -> np.ndarray:
     """Rows of ``width`` values as a float64 ``[n, width]`` array, each
     value read by :func:`~journeyrank.domain.number`: a bool, a string, a
-    null or a list raises TypeError.
-
-    Rows of floats and ints alone are converted in one call, which gives
-    each value the bits ``number`` gives it; any other rows are read value
-    by value, so the error names the first bad value. Counting the floats
-    is cheaper than collecting the types, which only rows holding an int
-    need.
-    """
-    n = len(rows) * width
-    if (countOf(map(type, chain.from_iterable(rows)), float) == n
-            or set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
-        return np.fromiter(chain.from_iterable(rows), dtype=np.float64,
-                           count=n).reshape(-1, width)
+    null or a list raises TypeError naming the first bad value."""
     return np.array([[number(v) for v in row] for row in rows],
                     dtype=np.float64).reshape(-1, width)
 
@@ -184,7 +154,6 @@ class _Columns:
 
     def __init__(self, schema: DatasetSchema):
         self.schema = schema
-        self.known_labels: dict = {}
         self.guest_ids, self.searches_per_journey = [], []
         self.search_ids, self.t_days, self.imps_per_search = [], [], []
         self.contexts = [np.empty((0, schema.context_dim))]
@@ -264,7 +233,7 @@ class _Columns:
                         f"{len(i['features'])}, schema says "
                         f"{schema.listing_dim}")
                 labels = i.get("labels", {})
-                code = _label_code(labels, self.known_labels)
+                code = _label_code(labels)
                 if code is None:
                     on = {m for m, v in labels.items() if v}
                     raise DataValidationError(
@@ -446,8 +415,6 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 # the decoder's memos are cleared when they reach this many texts, so their
 # size does not grow with the number of distinct rows in a file
 _MEMO_TEXTS = 1 << 14
-# impressions the decoder reads before it judges the share of new rows
-_DECODER_TRIAL = 2000
 # characters of whole lines the reader takes at a time, about: a block's
 # texts are cut and decoded together, so they are alive at once
 _BLOCK_CHARS = 1 << 16
@@ -565,9 +532,9 @@ def _read_position(text: str) -> int:
     raise ValueError("a position that is not a 64-bit integer")
 
 
-def _read_label_code(text: str, known: dict) -> int:
+def _read_label_code(text: str) -> int:
     labels = _leaf(text)
-    code = _label_code(labels, known) if type(labels) is dict else None
+    code = _label_code(labels) if type(labels) is dict else None
     if code is None:
         raise ValueError("a label set that is not a dict of milestones")
     return code
@@ -599,7 +566,8 @@ class _BlockDecoder:
     leaf that is not a whole JSON value of its kind (floats of the
     schema's width, a dict of known milestones, a string, an integer that
     fits 64 bits, a float time) declines it whole. :meth:`decode` then
-    appends nothing, and the caller reads the block's lines as records.
+    appends nothing, and the caller reads the block's lines as records;
+    that is the only way a block reaches the record path.
 
     Why this is exact: valid JSON texts joined by the layout's delimiters
     form a JSON text with exactly one parse, in which each piece is the
@@ -617,17 +585,6 @@ class _BlockDecoder:
         self.heads: dict[str, int] = {}
         self.labels: dict[str, int] = {}
         self.tails: dict[str, int] = {}
-        self.impressions = 0
-        self.new_rows = 0
-
-    @property
-    def pays(self) -> bool:
-        """Whether to keep decoding: the decoder is slower than the record
-        path's one ``json.loads`` per line unless rows repeat, so once past
-        a trial the share of new rows must stay at most one half.
-        """
-        return (self.impressions < _DECODER_TRIAL
-                or 2 * self.new_rows <= self.impressions)
 
     def decode(self, lines: list[str]) -> bool:
         """Append the journeys of ``lines`` and return True, or return
@@ -678,7 +635,6 @@ class _BlockDecoder:
             guest_ids, searches_per_journey, search_ids, t_days,
             imps_per_search, contexts, positions,
             packed & ((1 << _CODE_BITS) - 1), packed >> _CODE_BITS)
-        self.impressions += len(packed)
 
     def _read_tails(self, tails: tuple[str, ...]
                     ) -> tuple[list[int], list[int], list[str]]:
@@ -727,7 +683,7 @@ class _BlockDecoder:
         codes = list(map(self.labels.get, label_sets))
         for k in compress(count(), map(is_, codes, repeat(None))):
             codes[k] = self.labels[label_sets[k]] = _read_label_code(
-                label_sets[k], self.columns.known_labels)
+                label_sets[k])
         row_heads = list(map(_ROW_HEAD.join, zip(features, listing_ids)))
         rows = list(map(self.heads.get, row_heads))
         added = {}
@@ -752,7 +708,6 @@ class _BlockDecoder:
         start = self.columns.add_rows(table, _strings(listing_ids))
         added = {text: row << _CODE_BITS
                  for row, text in enumerate(new, start=start)}
-        self.new_rows += len(new)
         for k in missing:
             rows[k] = added[row_heads[k]]
         return added
@@ -763,16 +718,15 @@ def load_dataset(path: str | Path) -> Dataset:
     the same records.
 
     Lines are read a block at a time, about ``_BLOCK_CHARS`` characters of
-    whole lines. Each block is first offered to the block decoder, and a
-    block it declines is read line by line as records: each line parsed by
-    ``json.loads`` and read by the per-record step, so other JSON
-    spellings of the records load too and a faulty line raises what
+    whole lines. Every block is offered to the block decoder, and a block
+    is read as records only when the decoder declines it, on a fault or on
+    another spelling of the records: each line parsed by ``json.loads``
+    and read by the per-record step, so other JSON spellings of the
+    records load too and a faulty line raises what
     :func:`dataset_from_records` raises, the first fault in record order
-    first. Once the decoder has read a trial of impressions and more than
-    half its rows are new, the rest of the file is read as records. A file
-    that is not UTF-8, has a bad header or holds a line that is not JSON
-    raises :class:`DataValidationError` or :class:`SchemaMismatchError`
-    naming the path (and the line).
+    first. A file that is not UTF-8, has a bad header or holds a line that
+    is not JSON raises :class:`DataValidationError` or
+    :class:`SchemaMismatchError` naming the path (and the line).
     """
     path = Path(path)
     with open(path, encoding="utf-8") as f:
@@ -796,7 +750,7 @@ def _read_lines(f, path: Path) -> Dataset:
     decoder = _BlockDecoder(columns)
     first = 2  # the number of the block's first line
     for lines in iter(lambda: f.readlines(_BLOCK_CHARS), []):
-        if decoder is None or not decoder.decode(lines):
+        if not decoder.decode(lines):
             for line_no, line in enumerate(lines, start=first):
                 if line.isspace():
                     continue
@@ -806,8 +760,6 @@ def _read_lines(f, path: Path) -> Dataset:
                     raise DataValidationError(
                         f"{path}:{line_no}: bad JSON: {exc}") from None
                 columns.add_record(rec)
-        elif not decoder.pays:
-            decoder = None
         first += len(lines)
     del decoder  # its memos, before the columns are joined
     return columns.dataset()

@@ -459,6 +459,12 @@ class NtcCurve:
         return asdict(self)
 
 
+def check_buckets(n_buckets: int) -> None:
+    """Refuse a bucket count below 1."""
+    if n_buckets < 1:
+        raise ConfigError("n_buckets must be positive")
+
+
 def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
                n_buckets: int = 5, *,
                normalize_by_first: bool = False) -> NtcCurve:
@@ -468,8 +474,7 @@ def ntc_curves(model: TrainedModel, dataset: Dataset, feature: str,
     if model.config.combination is None:
         raise ConfigError("coefficient curves need a combination layer")
     model.require_schema(dataset.schema)
-    if n_buckets < 1:
-        raise ConfigError("n_buckets must be positive")
+    check_buckets(n_buckets)
     col = dataset.schema.context_index(feature)
     if dataset.n_searches == 0:
         raise DataValidationError("curves need searches")

@@ -133,7 +133,7 @@ class GeneratorConfig:
             value = getattr(self, knob)
             if not np.isfinite(value) or value < 0:
                 raise ConfigError(f"{knob} must be finite and non-negative")
-        if self.journey_window_days <= 0:
+        if not self.journey_window_days > 0:  # NaN too
             raise ConfigError("journey_window_days must be positive")
         width = self.listing_feature_dim + self.context_feature_dim
         if set(self.stage_coefficients) != set(POSITIVE_CHAIN):

@@ -218,6 +218,7 @@ class TestMalformedConfig:
         ("train", "context_dim", 2 ** 63),
         ("train", "tower_hidden", [10 ** 20]),
         ("train", "combination_hidden", [10 ** 19]),
+        ("gen", "journey_window_days", float("nan")),
     ])
     def test_malformed_value_names_the_key(self, ws, tmp_path, capsys,
                                            command, key, value):
@@ -812,6 +813,30 @@ class TestSettingsBeforeData:
     def test_bad_dataset_alone_is_data_error(self, ws, tmp_path):
         assert main(["ablate", "--dataset", str(self.bad_dataset(tmp_path)),
                      "--out", str(tmp_path / "x"), "--seeds", "0,1"]) == 2
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("ablate", ["--embedding-dim", "0", "--seeds", "0,1"],
+         "embedding_dim must be an integer from 1"),
+        ("ntc", ["--buckets", "0", "--feature", "days_ahead_of_checkin"],
+         "n_buckets must be positive"),
+    ], ids=["ablate-embedding-dim", "ntc-buckets"])
+    def test_width_flag_is_refused_before_any_file_is_read(
+            self, ws, tmp_path, capsys, monkeypatch, command, flags,
+            message):
+        """A width a command could only refuse once it had built its
+        models exits 1 before the model or the dataset is read."""
+        def never(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli, "validate_dataset", never)
+        monkeypatch.setattr(cli, "load_model", never)
+        argv = [command, "--dataset", str(ws / "data" / "dataset.jsonl"),
+                "--out", str(tmp_path / "x")]
+        if command == "ntc":
+            argv += ["--model", str(ws / "run" / "model")]
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
 
     @pytest.mark.parametrize("flags", [
         ["--epochs=-1"], ["--batch-size", "0"], ["--learning-rate=-1"]],

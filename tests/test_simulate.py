@@ -339,6 +339,17 @@ class TestConfigValidation:
         assert back.journey_window_days == 30.0
         assert type(back.journey_window_days) is float
 
+    def test_nan_journey_window_rejected(self):
+        """A NaN window fails ``<= 0`` as every comparison does; it must
+        be refused with the config, before any guest is drawn."""
+        nan = float("nan")
+        with pytest.raises(ConfigError, match="journey_window_days"):
+            default_generator_config(n_guests=5, journey_window_days=nan)
+        rec = generator_config_to_record(default_generator_config(n_guests=5))
+        rec["journey_window_days"] = nan
+        with pytest.raises(ConfigError, match="journey_window_days"):
+            generator_config_from_record(rec)
+
     def test_record_missing_key_rejected(self):
         rec = generator_config_to_record(default_generator_config(n_guests=5))
         del rec["stage_coefficients"]
